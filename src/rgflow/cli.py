@@ -12,7 +12,6 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError
-from .oracles import run_all as run_all_oracles
 from .runner import emit_report, run_experiment
 
 
@@ -50,6 +49,8 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "oracle":
+        from .oracles import run_all as run_all_oracles
+
         lines = [f"{name},{value:.17g}" for name, value in run_all_oracles()]
         text = "oracle,value\n" + "\n".join(lines) + "\n"
         if args.out:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import eigh as dense_eigh
 
 from . import _stencils
@@ -128,7 +127,7 @@ def multiscale_margin(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     x_samples = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if x_samples.size == 0:
         raise ValueError("x_samples must be nonempty")
-    q = q or QuadratureRule(dimension=min(V0.dimension, 3))
+    q = q or QuadratureRule.for_dimension(V0.dimension)
     c, cp, cpp = schedule.eval(t)
 
     def lam_at(hess_v: np.ndarray) -> float:
@@ -163,7 +162,7 @@ def alpha_prime(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     x_samples = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if x_samples.size == 0:
         raise ValueError("x_samples must be nonempty")
-    q = q or QuadratureRule(dimension=min(V0.dimension, 3))
+    q = q or QuadratureRule.for_dimension(V0.dimension)
     c, cp, _ = schedule.eval(t)
     hmat = schedule.residual_inverse(t)
     root = _psd_sqrt(cp)
@@ -206,8 +205,8 @@ def integrate_schedules(prime_samples, sample_spec: str = "",
     if abs(t_grid[0]) > PV_T0:
         raise ValueError(f"t_grid must start at 0 (or below {PV_T0}), "
                          f"got {t_grid[0]}")
-    lam = cumulative_trapezoid(lp, t_grid, initial=0.0)
-    alp = cumulative_trapezoid(ap, t_grid, initial=0.0)
+    lam = _cumulative_trapezoid(lp, t_grid)
+    alp = _cumulative_trapezoid(ap, t_grid)
     idx = list(range(0, len(t_grid), 2))
     if idx[-1] != len(t_grid) - 1:
         idx.append(len(t_grid) - 1)
@@ -217,6 +216,11 @@ def integrate_schedules(prime_samples, sample_spec: str = "",
         t_grid=t_grid, lambda_prime=lp, alpha_prime=ap,
         lambda_integral=lam, alpha_integral=alp,
         sample_spec=sample_spec, refinement_ok=bool(ok))
+
+
+def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over t from 0, summed in scipy's order."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)])
 
 
 def pv_t_grid(t_max: float, count: int, t0: float = PV_T0) -> np.ndarray:
@@ -354,7 +358,7 @@ def intertwining_check(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     |C_0'| exp(-2 lambda_t) P_{0,t}(|grad F|^2); nonpositive up to tolerance
     when the curvature schedule is admissible.
     """
-    q = q or QuadratureRule(dimension=min(V0.dimension, 3))
+    q = q or QuadratureRule.for_dimension(V0.dimension)
     _, cp, _ = schedule.eval(t)
     phi = semigroup_apply(schedule, V0, 0.0, t, F, q)
     grad_phi = phi.gradient()

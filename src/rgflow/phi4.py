@@ -148,13 +148,8 @@ def lattice_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
     widths = widths * width_factor
 
     def moments_at(p: int):
-        nodes1, w1 = np.polynomial.hermite_e.hermegauss(p)
-        logw1 = np.log(w1)
-        grids = np.meshgrid(*([nodes1] * n), indexing="ij")
-        z = np.stack([g.ravel() for g in grids], axis=-1)
-        logw = np.zeros(z.shape[0])
-        for axis in range(n):
-            logw += np.meshgrid(*([logw1] * n), indexing="ij")[axis].ravel()
+        # standard-normal weights; their constant factor cancels below
+        z, logw = QuadratureRule(order=p, dimension=n).rule()
         phi = centers[None, :] + z * widths[None, :]
         # remove the reference Gaussian, reweight by the true action
         log_ref = -0.5 * np.sum(z**2, axis=-1)

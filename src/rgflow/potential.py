@@ -178,6 +178,12 @@ class QuadratureRule:
     def with_order(self, order: int) -> "QuadratureRule":
         return QuadratureRule(order=order, dimension=self.dimension)
 
+    @staticmethod
+    def for_dimension(dimension: int, order: int = DEFAULT_ORDER) -> "QuadratureRule":
+        """Default rule for a potential on R^dimension: the tensor grid is
+        capped at MAX_TENSOR_DIM axes."""
+        return QuadratureRule(order=order, dimension=min(dimension, MAX_TENSOR_DIM))
+
 
 def _covariance_factor(c, d):
     """Cholesky-like factor L (d x r) of C restricted to its range."""
@@ -212,7 +218,7 @@ def renormalized_value(V0: PotentialDescriptor, c, x, q: QuadratureRule | None =
     otherwise; "quadrature" forces the numerical path; "closed-form" requires
     an analytic form.  Batched over x.
     """
-    q = q or QuadratureRule(dimension=min(V0.dimension, MAX_TENSOR_DIM))
+    q = q or QuadratureRule.for_dimension(V0.dimension)
     if method not in ("auto", "quadrature", "closed-form"):
         raise ValueError(f"unknown method {method!r}")
     if method != "quadrature" and V0.form in ("zero", "quadratic"):
@@ -273,7 +279,7 @@ def tilted_moments(V0: PotentialDescriptor, c, x, q: QuadratureRule | None = Non
     Returns (log_mass, mean, cov) of the shifted variable psi = x + z for a
     single point x; log_mass = -V_t(x).
     """
-    q = q or QuadratureRule(dimension=min(V0.dimension, MAX_TENSOR_DIM))
+    q = q or QuadratureRule.for_dimension(V0.dimension)
     pts, logw, xb, single = _shifted_nodes(V0, c, x, q)
     if not single:
         raise ValueError("tilted_moments expects a single point")
@@ -301,7 +307,7 @@ def renormalized_derivatives(V0: PotentialDescriptor, c, x,
     Returns ``(grad, hess)`` with shapes ``(d,), (d, d)`` for a single point
     and ``(m, d), (m, d, d)`` for a batch.
     """
-    q = q or QuadratureRule(dimension=min(V0.dimension, MAX_TENSOR_DIM))
+    q = q or QuadratureRule.for_dimension(V0.dimension)
     if method != "quadrature" and V0.form in ("zero", "quadratic"):
         return _closed_form_derivatives(V0, c, x)
 

@@ -10,10 +10,11 @@ summary on stdout, never in the data files.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,28 +29,8 @@ from .flow import (Box, GridFunction, conservation_check, default_box,
 from .potential import PotentialDescriptor, QuadratureRule
 from .spectral import build_generator, spectrum
 
-WORKERS_ENV = "RGFLOW_WORKERS"
-
 CHECK_ORDER = ("criterion", "spectrum", "theorem", "higher-k", "intertwining",
                "variance", "phi4-identity", "heatflow")
-
-
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    """Order-preserving map over a bounded thread pool (deterministic merge)."""
-    n = worker_count()
-    items = list(items)
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass
@@ -82,8 +63,7 @@ class _Context:
         self.phi4_model = None
         self.schedule, self.V0 = self._build_model()
         dim = self.V0.dimension
-        self.quad = QuadratureRule(order=cfg.quadrature_order,
-                                   dimension=min(dim, 3))
+        self.quad = QuadratureRule.for_dimension(dim, order=cfg.quadrature_order)
         if cfg.box_halfwidth is not None:
             self.box = Box.cube(cfg.box_halfwidth, dim)
         else:
@@ -92,6 +72,7 @@ class _Context:
         self._curv_long = None
         self._spec_trace = None
         self._samples = None
+        self._chi = {}
 
     def _build_model(self):
         cfg = self.cfg
@@ -154,11 +135,16 @@ class _Context:
                 self._samples = default_sample_points(fm0, seed=self.cfg.seed)
         return self._samples
 
+    def chi(self, t: float):
+        """Susceptibility estimate of the phi4 model at t, computed once per t."""
+        if t not in self._chi:
+            self._chi[t] = phi4_mod.susceptibility(self.phi4_model, t)
+        return self._chi[t]
+
     def lambda_prime_override(self):
         if self.phi4_model is None:
             return None
-        model = self.phi4_model
-        return lambda t: 1.0 / t - phi4_mod.susceptibility(model, t).value / t**2
+        return lambda t: 1.0 / t - self.chi(t).value / t**2
 
     def schedule_t_grid(self, t_max=None):
         cfg = self.cfg
@@ -174,8 +160,7 @@ class _Context:
     def curvature(self):
         if self._curv is None:
             grid = self.schedule_t_grid()
-            rates = _parallel_map(
-                lambda t: self._rates_at(t), grid)
+            rates = [self._rates_at(t) for t in grid]
             lp = np.array([r[0] for r in rates])
             ap = np.array([r[1] for r in rates])
             self._curv = curvature_mod.integrate_schedules(
@@ -260,7 +245,6 @@ def _check_criterion(ctx: _Context, report: RunReport):
     tol = float(ctx.cfg.option("criterion.tolerance", 1e-6))
     report.tolerances["criterion"] = tol
     ok = True
-    chi_cache = {}
     for i, t in enumerate(curv.t_grid):
         te = float(t) if t > 0 else float(curv.t_grid[1])
         row = _row(section="schedule", check="criterion", t=float(t),
@@ -270,7 +254,7 @@ def _check_criterion(ctx: _Context, report: RunReport):
                    alpha_int=float(curv.alpha_integral[i]),
                    samples_used=len(ctx.samples()))
         if ctx.phi4_model is not None:
-            est = phi4_mod.susceptibility(ctx.phi4_model, te)
+            est = ctx.chi(te)
             margin = curvature_mod.multiscale_margin(
                 ctx.schedule, ctx.V0, te, ctx.samples(), ctx.quad)
             sig = phi4_mod.tilted_covariance(ctx.phi4_model, te,
@@ -488,18 +472,23 @@ def emit_report(report: RunReport, out_dir: str,
     written = []
     if "csv" in formats:
         path = os.path.join(out_dir, "results.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            # the minimal quoting leaves a bare "\r" unquoted, which readers
+            # take for a line end; such rows are written fully quoted
+            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            writer.writerow(header)
             for row in report.rows:
-                fh.write(",".join(_fmt(row.get(col, "")) for col in header) + "\n")
+                cells = [_fmt(row.get(col, "")) for col in header]
+                (quoted if any("\r" in c for c in cells) else writer).writerow(cells)
         written.append(path)
     if "json-lines" in formats:
         path = os.path.join(out_dir, "results.jsonl")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for row in report.rows:
-                cells = ",".join(
-                    f'"{col}":"{_fmt(row.get(col, ""))}"' for col in header)
-                fh.write("{" + cells + "}\n")
+                cells = {col: _fmt(row.get(col, "")) for col in header}
+                fh.write(json.dumps(cells, separators=(",", ":"),
+                                    ensure_ascii=False) + "\n")
         written.append(path)
     echo_path = os.path.join(out_dir, "config.echo")
     with open(echo_path, "w", encoding="utf-8", newline="\n") as fh:

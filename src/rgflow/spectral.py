@@ -16,9 +16,11 @@ exactly symmetric in the w-weighted inner product, keeps constants in the
 kernel to machine precision, and converges at second order in the mesh.
 Boundary conditions are natural zero-flux (reflecting) on the truncated box.
 
-Eigenpairs come from dense symmetric solves on small grids and shift-invert
-Lanczos (ARPACK) on large ones, with a deterministic start vector, residual
-verification, and a Richardson consistency check under mesh halving.
+Eigenpairs come from dense symmetric solves on small grids.  Larger grids
+use the structure of the operator: a selected-index tridiagonal solve in
+1-D, and shift-invert Lanczos (ARPACK) with a deterministic start vector in
+2-D.  Every solve is residual-verified, and the spectrum carries a
+Richardson consistency check under mesh halving.
 """
 
 from __future__ import annotations
@@ -29,11 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 
 from . import _stencils
 from .errors import NonConvergenceError
-from .flow import Box, FlowMeasure, GridFunction, semigroup_apply
-from .potential import renormalized_derivatives
+from .flow import Box, FlowMeasure, GridFunction, integrate_grid, semigroup_apply
+from .potential import QuadratureRule, renormalized_derivatives
 
 DRIFTS = ("script-L", "L", "Lambda")
 
@@ -198,16 +201,13 @@ def build_generator(flow_measure: FlowMeasure, cprime=None,
             box = Box(tuple(axes[k][window[k].start] for k in range(box.dim)),
                       tuple(axes[k][window[k].stop - 1] for k in range(box.dim)))
             shape = tuple(sl.stop - sl.start for sl in window)
-            fm = fm.on_box(box, shape)
-            if drift == "script-L":
-                log_w = fm.log_density_grid
-            elif drift == "Lambda":
-                log_w = -fm.v_grid
-            else:
-                log_w = -2.0 * fm.v_grid
-            raw_w = np.exp(log_w - np.max(log_w))
+            # the window holds the maximum, so raw_w slices exactly
+            raw_w = raw_w[window]
+            fm = FlowMeasure(fm.schedule, fm.V0, fm.t, box, shape, fm.quad,
+                             log_density_grid=fm.log_density_grid[window],
+                             v_grid=fm.v_grid[window])
 
-    w = raw_w / integrate_box(box, raw_w)
+    w = raw_w / integrate_grid(box, raw_w)
     a_op = cprime if drift != "L" else 0.5 * cprime
     e, mass = _assemble(box, shape, w, a_op)
 
@@ -224,10 +224,6 @@ def build_generator(flow_measure: FlowMeasure, cprime=None,
         flow_measure=fm, refiner=refiner, gauss_precision=gauss_prec)
 
 
-def integrate_box(box: Box, values: np.ndarray) -> float:
-    return float(np.sum(box.trapezoid_weights(values.shape) * values))
-
-
 def build_generator_from_density(box: Box, w_values: np.ndarray, mobility=None,
                                  refiner=None) -> GeneratorDiscretization:
     """Generator for a tabulated density (no analytic potential attached)."""
@@ -239,7 +235,7 @@ def build_generator_from_density(box: Box, w_values: np.ndarray, mobility=None,
         np.atleast_2d(np.asarray(mobility, dtype=float))
     floor = np.max(w_values) * 1e-290
     w = np.maximum(w_values, floor)
-    w = w / integrate_box(box, w)
+    w = w / integrate_grid(box, w)
     e, mass = _assemble(box, shape, w, mobility)
     return GeneratorDiscretization(
         t=0.0, box=box, grid_shape=shape,
@@ -263,17 +259,21 @@ class SpectralResult:
         return float(self.eigenvalues[k])
 
 
-def _smallest_pairs(e: sp.csr_matrix, mass: np.ndarray, k: int):
+def _smallest_pairs(gen: GeneratorDiscretization, k: int):
     """(k+1) smallest eigenpairs of the pencil (E, diag(mass))."""
-    n = len(mass)
-    dinv = 1.0 / np.sqrt(mass)
-    b = sp.diags(dinv) @ e @ sp.diags(dinv)
+    n = gen.n_nodes
+    dinv = 1.0 / np.sqrt(gen.mass)
+    b = sp.diags(dinv) @ gen.stiffness @ sp.diags(dinv)
     b = 0.5 * (b + b.T)
 
     if n <= _DENSE_CUTOFF or k + 2 >= n - 1:
         dense = b.toarray()
         vals, vecs = np.linalg.eigh(dense)
         vals, vecs = vals[:k + 1], vecs[:, :k + 1]
+    elif gen.box.dim == 1:
+        # the 1-D operator is tridiagonal
+        vals, vecs = eigh_tridiagonal(b.diagonal(), b.diagonal(1),
+                                      select="i", select_range=(0, k))
     else:
         scale = float(np.mean(b.diagonal()))
         v0 = np.random.default_rng(90210).standard_normal(n)
@@ -310,13 +310,13 @@ def spectrum(gen: GeneratorDiscretization, k: int,
         raise ValueError("k must be >= 1")
     if k + 1 >= gen.n_nodes:
         raise ValueError("k + 1 must be below the number of grid nodes")
-    vals, wvecs, residuals = _smallest_pairs(gen.stiffness, gen.mass, k)
+    vals, wvecs, residuals = _smallest_pairs(gen, k)
 
     richardson = None
     converged = True
     if refine and gen.refiner is not None:
         fine = gen.refiner()
-        fvals, _, _ = _smallest_pairs(fine.stiffness, fine.mass, 1)
+        fvals, _, _ = _smallest_pairs(fine, 1)
         richardson = abs(fvals[1] - vals[1]) / max(abs(vals[1]), 1e-300)
         converged = richardson <= _RICHARDSON_RTOL
 
@@ -361,15 +361,10 @@ def rayleigh_flow_trace(schedule, V0, phi0: GridFunction, t_grid,
         phi_t = semigroup_apply(schedule, V0, 0.0, float(t), phi0, q) \
             if t > 0 else phi0
         fm = FlowMeasure(schedule, V0, float(t), phi0.box, phi0.shape,
-                         q or _default_quad(V0))
+                         q or QuadratureRule.for_dimension(V0.dimension))
         gen = build_generator(fm, drift=drift, trim=False)
         out.append((float(t), rayleigh_quotient(gen, phi_t)))
     return out
-
-
-def _default_quad(V0):
-    from .potential import MAX_TENSOR_DIM, QuadratureRule
-    return QuadratureRule(dimension=min(V0.dimension, MAX_TENSOR_DIM))
 
 
 def minmax_trial_bound(gen: GeneratorDiscretization, functions) -> float:

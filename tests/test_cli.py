@@ -1,11 +1,14 @@
+import csv
+import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rgflow.config import config_from_text, load_config, parse_config_text
 from rgflow.errors import ConfigError
-from rgflow.runner import emit_report, run_experiment
+from rgflow.runner import RunReport, emit_report, report_header, run_experiment
 
 GAUSS_CFG = """\
 model.kind = gaussian
@@ -166,9 +169,70 @@ def test_seed_override_changes_echo(tmp_path):
     assert "seed = 99" in cfg.raw_text
 
 
-def test_workers_env_is_an_integer_cap(tmp_path, monkeypatch):
-    from rgflow.runner import worker_count
-    monkeypatch.setenv("RGFLOW_WORKERS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("RGFLOW_WORKERS", "junk")
-    assert worker_count() == 1
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(detail=st.text())
+@example(detail='residuals 1e-3, 2e-3 against "tol"')
+@example(detail="\r")
+@example(detail="a\r\nb\n")
+def test_reports_round_trip_any_detail(tmp_path, detail):
+    report = RunReport(config_echo="seed = 1\n")
+    report.rows.append({"section": "status", "check": "spectrum",
+                        "status": "fail", "margin": -0.5, "detail": detail})
+    header = report_header(report)
+    csv_path, jsonl_path, _ = emit_report(report, str(tmp_path / "out"))
+
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header
+    assert len(rows) == 2 and len(rows[1]) == len(header)
+    assert dict(zip(header, rows[1]))["detail"] == detail
+    assert dict(zip(header, rows[1]))["margin"] == "-0.5"
+
+    with open(jsonl_path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    assert lines[-1] == "" and len(lines) == 2
+    cells = json.loads(lines[0])
+    assert list(cells) == header
+    assert cells["detail"] == detail and cells["status"] == "fail"
+
+
+def test_cli_import_skips_unused_scipy_and_oracles():
+    code = ("import sys, rgflow.cli; print(' '.join(m for m in "
+            "('scipy.stats', 'scipy.integrate', 'rgflow.oracles') "
+            "if m in sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == ""
+
+
+def test_criterion_computes_chi_once_per_t(monkeypatch):
+    import rgflow.phi4 as phi4_mod
+
+    calls = []
+    real = phi4_mod.susceptibility
+
+    def counting(model, t, *args, **kwargs):
+        calls.append(t)
+        return real(model, t, *args, **kwargs)
+
+    monkeypatch.setattr(phi4_mod, "susceptibility", counting)
+    cfg = config_from_text("""\
+model.kind = phi4
+model.a_matrix = [[1.0]]
+model.g = 1.0
+model.nu = -1.0
+schedule.kind = pauli-villars
+t_grid.min = 0.5
+t_grid.max = 2.0
+t_grid.count = 3
+disc.grid_points = 129
+disc.quadrature_order = 80
+curvature.count = 4
+checks = [criterion]
+seed = 3
+""")
+    report = run_experiment(cfg)
+    assert report.statuses["criterion"] == "pass"
+    assert len(calls) == len(set(calls)) > 0

@@ -313,3 +313,24 @@ def test_2d_gaussian_degenerate_cluster():
     assert res.eigenvalues[0] <= 1e-8
     assert np.max(np.abs(res.eigenvalues[1:] - 1.0)) < 5e-3
     assert [1, 2] in res.clusters
+
+
+def test_1d_tridiagonal_solve_matches_dense_pencil():
+    from rgflow.phi4 import Phi4Model
+    from rgflow.spectral import _DENSE_CUTOFF
+
+    # the Richardson refine grid of the 513-node dwell spectrum
+    model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
+    q = QuadratureRule(order=80, dimension=1)
+    fm = make_flow_measure(model.schedule(), model.potential(), 0.5, 513, q=q)
+    gen = build_generator(fm).refiner()
+    assert gen.n_nodes > _DENSE_CUTOFF
+    res = spectrum(gen, k=3, refine=False)
+
+    dinv = 1.0 / np.sqrt(gen.mass)
+    b = dinv[:, None] * gen.stiffness.toarray() * dinv[None, :]
+    want = np.linalg.eigh(0.5 * (b + b.T))[0][:4]
+    assert_allclose(res.eigenvalues, want, rtol=1e-10, atol=1e-10 * want[1])
+    vecs = np.stack([v.values.reshape(-1) for v in res.eigenvectors], axis=1)
+    gram = vecs.T @ (gen.mass[:, None] * vecs)
+    assert_allclose(gram, np.eye(4), atol=1e-10)
