@@ -30,6 +30,11 @@ KNOWN_CHECKS = ("spectrum", "theorem", "higher-k", "intertwining", "variance",
 MODEL_KINDS = ("gaussian", "quadratic", "phi4", "custom-poly")
 SPACINGS = ("lin", "log")
 
+# Largest model dimension per check: grid eigenproblems d <= 2, tensor
+# quadrature d <= 3, 1-D grid functions d = 1.
+CHECK_MAX_DIM = {"spectrum": 2, "theorem": 2, "higher-k": 2, "criterion": 3,
+                 "phi4-identity": 3, "intertwining": 1, "variance": 1}
+
 
 def _parse_scalar(tok: str):
     tok = tok.strip()
@@ -135,6 +140,27 @@ def _pop(entries: dict, key: str, default=None, required: bool = False):
     return default
 
 
+def _config_dimension(model: dict, schedule: dict) -> int | None:
+    """Dimension of the configured model, or None when nothing fixes it."""
+    for name in ("model.a_matrix", "model.b_matrix", "schedule.c_infinity",
+                 "schedule.a_matrix"):
+        section, key = name.split(".")
+        value = (model if section == "model" else schedule).get(key)
+        if value is not None:
+            try:
+                return np.atleast_2d(np.asarray(value, dtype=float)).shape[0]
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name} is not a numeric matrix") from exc
+    if schedule["kind"] == "custom-table" and "table" in schedule:
+        from .covariance import load_table
+
+        try:
+            return load_table(schedule["table"])[1].shape[-1]
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot load schedule.table: {exc}") from exc
+    return None
+
+
 def config_from_text(text: str) -> ExperimentConfig:
     entries = parse_config_text(text)
 
@@ -167,9 +193,14 @@ def config_from_text(text: str) -> ExperimentConfig:
     checks = _pop(entries, "checks", default=[])
     if isinstance(checks, str):
         checks = [checks]
+    dim = _config_dimension(model, schedule)
     for c in checks:
         if c not in KNOWN_CHECKS:
             raise ConfigError(f"unknown check {c!r}; expected subset of {KNOWN_CHECKS}")
+        limit = CHECK_MAX_DIM.get(c)
+        if None not in (dim, limit) and dim > limit:
+            need = "d = 1" if limit == 1 else f"d <= {limit}"
+            raise ConfigError(f"check {c!r} needs {need}; the model has d = {dim}")
 
     seed = _pop(entries, "seed", required=True)
     if not isinstance(seed, int):

@@ -10,6 +10,10 @@ Two per-scale rates drive everything:
   (C_inf - C_t)^{-1}) sqrt(C'), maximized over the sample set (then refined
   by local ascent).
 
+Rates are batched per scale: one Hessian batch on the sample set feeds both
+rates, C' is factored once, and each rate is one stacked eigenvalue solve
+over all sample points.  Only the local refinement runs point by point.
+
 Their integrals feed the quasi-monotonicity margins for the Poincare
 constant, for higher eigenvalues, for the semigroup-vs-gradient commutation
 bound, and for the integrated Poincare upper bound.  Pointwise quantifiers
@@ -23,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh as dense_eigh
 
 from . import _stencils
 from .covariance import CovarianceSchedule
@@ -67,31 +70,40 @@ class CurvatureSchedule:
         return float(np.interp(t, self.t_grid, self.alpha_prime))
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.T
+def _sym_eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each symmetrized matrix in a stack."""
+    return np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))
 
 
-def _min_gen_eig(g: np.ndarray, b: np.ndarray) -> float:
-    """Smallest eigenvalue of G x = mu B x, restricted to range(B)."""
-    wb, ub = np.linalg.eigh(b)
-    keep = wb > 1e-12 * max(wb[-1], 1e-300)
+def _lambda_rates(schedule: CovarianceSchedule, t: float):
+    """Per-point lambda'_t rates for a Hessian stack (m, d, d) -> (m,): the
+    smallest eigenvalue of G x = mu C' x on range(C'), G = C' H C' - C''/2.
+    """
+    _, cp, cpp = schedule.eval(t)
+    w, u = np.linalg.eigh(cp)
+    keep = w > 1e-12 * max(w[-1], 1e-300)
     if not np.any(keep):
         raise ValueError("mobility matrix is numerically zero")
-    basis = ub[:, keep]
-    g_r = basis.T @ g @ basis
-    b_r = np.diag(wb[keep])
-    return float(dense_eigh(0.5 * (g_r + g_r.T), b_r, eigvals_only=True)[0])
+    s = u[:, keep] / np.sqrt(w[keep])
+    return lambda hess: _sym_eigvalsh(s.T @ (cp @ hess @ cp - 0.5 * cpp) @ s)[:, 0]
+
+
+def _alpha_rates(schedule: CovarianceSchedule, t: float):
+    """Per-point alpha'_t rates for a Hessian stack (m, d, d) -> (m,)."""
+    _, cp, _ = schedule.eval(t)
+    hmat = schedule.residual_inverse(t)
+    w, u = np.linalg.eigh(cp)
+    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T  # PSD square root
+    return lambda hess: _sym_eigvalsh(root @ (hess + hmat) @ root)[:, -1]
 
 
 def _coordinate_refine(fun, x0: np.ndarray, maximize: bool, step0: float,
                        bounds=None, steps: int = _REFINE_STEPS) -> float:
     """Gradient-free local refinement; returns the refined extremal value.
 
-    Trial points are clamped to ``bounds`` (the sampled box): the sample set
-    stands in for the x-quantifier, and quadrature accuracy degrades for
-    points far outside the mass region.
+    Trial points are clamped to ``bounds`` (the sampled box) when given: the
+    sample set stands in for the x-quantifier, and quadrature accuracy
+    degrades for points far outside the mass region.
     """
     sign = -1.0 if maximize else 1.0
     x = x0.copy()
@@ -114,6 +126,43 @@ def _coordinate_refine(fun, x0: np.ndarray, maximize: bool, step0: float,
     return sign * best
 
 
+def _sampled_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
+                   t: float, x_samples, q: QuadratureRule | None, refine: bool,
+                   kinds=("lambda", "alpha")) -> list[float]:
+    """Extremal rates at t over the sample set, one per entry of ``kinds``.
+
+    All kinds share one Hessian batch on the samples.  The lambda' rate is
+    minimized and the alpha' rate maximized; each is then refined by
+    single-point coordinate search from its extremal sample.
+    """
+    x_samples = np.atleast_2d(np.asarray(x_samples, dtype=float))
+    if x_samples.size == 0:
+        raise ValueError("x_samples must be nonempty")
+    q = q or QuadratureRule.for_dimension(V0.dimension)
+    c, _, _ = schedule.eval(t)
+    _, hess = renormalized_derivatives(V0, c, x_samples, q)
+    span = float(np.max(np.abs(x_samples))) or 1.0
+    bounds = (x_samples.min(axis=0), x_samples.max(axis=0))
+    out = []
+    for kind in kinds:
+        maximize = kind == "alpha"
+        rates = (_alpha_rates if maximize else _lambda_rates)(schedule, t)
+        vals = rates(hess)
+        i = int(np.argmax(vals) if maximize else np.argmin(vals))
+        best = float(vals[i])
+        if refine and V0.form not in ("zero", "quadratic"):
+
+            def pointwise(x, rates=rates):
+                _, hv = renormalized_derivatives(V0, c, x.reshape(1, -1), q)
+                return float(rates(hv)[0])
+
+            refined = _coordinate_refine(pointwise, x_samples[i], maximize,
+                                         step0=span / 8.0, bounds=bounds)
+            best = max(best, refined) if maximize else min(best, refined)
+        out.append(best)
+    return out
+
+
 def multiscale_margin(schedule: CovarianceSchedule, V0: PotentialDescriptor,
                       t: float, x_samples, q: QuadratureRule | None = None,
                       refine: bool = True) -> float:
@@ -124,31 +173,7 @@ def multiscale_margin(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     bound for the true infimum; local descent from the worst sample tightens
     it.
     """
-    x_samples = np.atleast_2d(np.asarray(x_samples, dtype=float))
-    if x_samples.size == 0:
-        raise ValueError("x_samples must be nonempty")
-    q = q or QuadratureRule.for_dimension(V0.dimension)
-    c, cp, cpp = schedule.eval(t)
-
-    def lam_at(hess_v: np.ndarray) -> float:
-        g = cp @ hess_v @ cp - 0.5 * cpp
-        return _min_gen_eig(g, cp)
-
-    _, hess = renormalized_derivatives(V0, c, x_samples, q)
-    vals = np.array([lam_at(hess[i]) for i in range(len(x_samples))])
-    best = float(np.min(vals))
-    if refine and V0.form not in ("zero", "quadratic"):
-        x_star = x_samples[int(np.argmin(vals))]
-        span = float(np.max(np.abs(x_samples))) or 1.0
-
-        def pointwise(x):
-            _, hv = renormalized_derivatives(V0, c, x.reshape(1, -1), q)
-            return lam_at(hv[0])
-
-        bounds = (x_samples.min(axis=0), x_samples.max(axis=0))
-        best = min(best, _coordinate_refine(pointwise, x_star, maximize=False,
-                                            step0=span / 8.0, bounds=bounds))
-    return best
+    return _sampled_rates(schedule, V0, t, x_samples, q, refine, ("lambda",))[0]
 
 
 def alpha_prime(schedule: CovarianceSchedule, V0: PotentialDescriptor,
@@ -159,33 +184,7 @@ def alpha_prime(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     Maximized over the sample set; the sampled supremum is reported as a
     lower bound on the true one.
     """
-    x_samples = np.atleast_2d(np.asarray(x_samples, dtype=float))
-    if x_samples.size == 0:
-        raise ValueError("x_samples must be nonempty")
-    q = q or QuadratureRule.for_dimension(V0.dimension)
-    c, cp, _ = schedule.eval(t)
-    hmat = schedule.residual_inverse(t)
-    root = _psd_sqrt(cp)
-
-    def alp_at(hess_v: np.ndarray) -> float:
-        s = root @ (hess_v + hmat) @ root
-        return float(np.linalg.eigvalsh(0.5 * (s + s.T))[-1])
-
-    _, hess = renormalized_derivatives(V0, c, x_samples, q)
-    vals = np.array([alp_at(hess[i]) for i in range(len(x_samples))])
-    best = float(np.max(vals))
-    if refine and V0.form not in ("zero", "quadratic"):
-        x_star = x_samples[int(np.argmax(vals))]
-        span = float(np.max(np.abs(x_samples))) or 1.0
-
-        def pointwise(x):
-            _, hv = renormalized_derivatives(V0, c, x.reshape(1, -1), q)
-            return alp_at(hv[0])
-
-        bounds = (x_samples.min(axis=0), x_samples.max(axis=0))
-        best = max(best, _coordinate_refine(pointwise, x_star, maximize=True,
-                                            step0=span / 8.0, bounds=bounds))
-    return best
+    return _sampled_rates(schedule, V0, t, x_samples, q, refine, ("alpha",))[0]
 
 
 def integrate_schedules(prime_samples, sample_spec: str = "",
@@ -232,27 +231,41 @@ def pv_t_grid(t_max: float, count: int, t0: float = PV_T0) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(t0, t_max, count)])
 
 
+def rate_time(t_grid, i: int) -> float:
+    """Time at which the rates of grid node i are taken.
+
+    Nodes at t <= 0 use the next grid time: the bounded t -> 0+ limit.
+    """
+    t = float(t_grid[i])
+    return t if t > 0 else float(t_grid[min(i + 1, len(t_grid) - 1)])
+
+
 def build_schedule(schedule: CovarianceSchedule, V0: PotentialDescriptor,
                    t_grid, x_samples, q: QuadratureRule | None = None,
                    lambda_prime_override=None, sample_spec: str = "",
                    refine: bool = True) -> CurvatureSchedule:
     """Evaluate both rates over a time grid and integrate them.
 
-    ``lambda_prime_override`` substitutes an externally certified rate
-    (e.g. the susceptibility formula for lattice quartic models); t = 0
-    entries reuse the first positive time's rates as the bounded limit.
+    Without an override, both rates at each rate time come from one Hessian
+    batch on the sample set.  ``lambda_prime_override`` substitutes an
+    externally certified rate (e.g. the susceptibility formula for lattice
+    quartic models).  A t = 0 node reuses the next grid time's rates
+    (``rate_time``); each distinct rate time is evaluated once.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     lp = np.empty(len(t_grid))
     ap = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        te = float(t) if t > 0 else float(t_grid[min(i + 1, len(t_grid) - 1)])
-        if lambda_prime_override is not None:
-            lp[i] = float(lambda_prime_override(te))
-        else:
-            lp[i] = multiscale_margin(schedule, V0, te, x_samples, q,
-                                      refine=refine)
-        ap[i] = alpha_prime(schedule, V0, te, x_samples, q, refine=refine)
+    rates = {}
+    for i in range(len(t_grid)):
+        te = rate_time(t_grid, i)
+        if te not in rates:
+            if lambda_prime_override is None:
+                rates[te] = _sampled_rates(schedule, V0, te, x_samples, q, refine)
+            else:
+                rates[te] = (float(lambda_prime_override(te)),
+                             alpha_prime(schedule, V0, te, x_samples, q,
+                                         refine=refine))
+        lp[i], ap[i] = rates[te]
     return integrate_schedules((t_grid, lp, ap), sample_spec=sample_spec)
 
 
@@ -274,6 +287,12 @@ def _all_pairs(times):
     return [(s, t) for i, s in enumerate(times) for t in times[i + 1:] if s < t]
 
 
+def _exponent_change(curv: CurvatureSchedule, s: float, t: float) -> float:
+    """(alpha_t - alpha_s) - 2(lambda_t - lambda_s), shared by every margin."""
+    return ((curv.alpha_at(t) - curv.alpha_at(s))
+            - 2.0 * (curv.lambda_at(t) - curv.lambda_at(s)))
+
+
 def theorem_margin(spectral_trace, curv: CurvatureSchedule, pairs=None,
                    tol_total: float = TOL_TOTAL) -> list[PairMargin]:
     """Quasi-monotonicity margins for the Poincare constant.
@@ -292,8 +311,7 @@ def theorem_margin(spectral_trace, curv: CurvatureSchedule, pairs=None,
             raise ValueError(f"pair requires s <= t, got ({s}, {t})")
         if s not in trace or t not in trace:
             raise ValueError(f"pair ({s}, {t}) not on the spectral trace grid")
-        margin = ((curv.alpha_at(t) - curv.alpha_at(s))
-                  - 2.0 * (curv.lambda_at(t) - curv.lambda_at(s))
+        margin = (_exponent_change(curv, s, t)
                   + math.log(trace[t]) - math.log(trace[s]))
         out.append(PairMargin(s=s, t=t, k=1, margin=margin, tolerance=tol_total))
     return out
@@ -306,7 +324,8 @@ def higher_eigenvalue_margin(spectral_traces: dict, curv: CurvatureSchedule,
 
     ``spectral_traces`` maps k -> sequence of (t, lambda_k(nu_t)); the margin
     is (alpha_t - alpha_s) - 2(lambda_t - lambda_s) + log lambda_k(nu_s)
-    - log lambda_k(nu_t) >= -tol_total.
+    - log lambda_k(nu_t) >= -tol_total.  A Rayleigh trace (t, R(t)) under
+    k = 0 gives the quasi-decay margins of the trace over all grid pairs.
     """
     out = []
     for k, trace_seq in sorted(spectral_traces.items()):
@@ -315,8 +334,7 @@ def higher_eigenvalue_margin(spectral_traces: dict, curv: CurvatureSchedule,
         for s, t in kp:
             if s not in trace or t not in trace:
                 raise ValueError(f"pair ({s}, {t}) not on the k={k} trace grid")
-            margin = ((curv.alpha_at(t) - curv.alpha_at(s))
-                      - 2.0 * (curv.lambda_at(t) - curv.lambda_at(s))
+            margin = (_exponent_change(curv, s, t)
                       + math.log(trace[s]) - math.log(trace[t]))
             out.append(PairMargin(s=s, t=t, k=k, margin=margin,
                                   tolerance=tol_total))
@@ -371,26 +389,6 @@ def intertwining_check(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     interior = _stencils.interior_mask(F.shape, margin_cells)
     violation = lhs[interior] - factor * rhs_fn.values[interior]
     return float(np.max(violation))
-
-
-def lemma_pair_margins(trace, curv: CurvatureSchedule,
-                       tol_total: float = TOL_TOTAL) -> list[PairMargin]:
-    """Quasi-decay margins of a Rayleigh trace over all grid pairs s < t.
-
-    margin(s, t) = (alpha_t - alpha_s) - 2(lambda_t - lambda_s)
-    + log R(s) - log R(t); nonnegative up to tolerance when the schedule is
-    admissible.
-    """
-    ts = [float(t) for t, _ in trace]
-    rs = {float(t): float(r) for t, r in trace}
-    out = []
-    for s, t in _all_pairs(sorted(ts)):
-        margin = ((curv.alpha_at(t) - curv.alpha_at(s))
-                  - 2.0 * (curv.lambda_at(t) - curv.lambda_at(s))
-                  + math.log(rs[s]) - math.log(rs[t]))
-        out.append(PairMargin(s=s, t=t, k=0, margin=margin,
-                              tolerance=tol_total))
-    return out
 
 
 def rayleigh_trace_margins(trace, curv: CurvatureSchedule,

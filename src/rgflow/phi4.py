@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovarianceSchedule, make_schedule
+from .curvature import _coordinate_refine
 from .errors import NonConvergenceError
 from .potential import PotentialDescriptor, QuadratureRule
 
@@ -347,22 +348,10 @@ def phi4_schedules(model: Phi4Model, t_grid, phi_samples, order: int = 96,
             return float(np.linalg.eigvalsh(cov)[0])
 
         vals = [sig_min(p) for p in phi_samples]
-        best_idx = int(np.argmin(vals))
-        best = vals[best_idx]
-        x = phi_samples[best_idx].copy()
         step = max(float(np.max(np.abs(phi_samples))), 1.0) / 4.0
-        for _ in range(descent_steps):
-            improved = False
-            for k2 in range(model.n_sites):
-                for delta in (step, -step):
-                    trial = x.copy()
-                    trial[k2] += delta
-                    v = sig_min(trial)
-                    if v < best:
-                        best, x = v, trial
-                        improved = True
-            if not improved:
-                step *= 0.5
+        best = _coordinate_refine(sig_min, phi_samples[int(np.argmin(vals))],
+                                  maximize=False, step0=step,
+                                  steps=descent_steps)
         out["chi"][i] = chi
         out["sigma_min"][i] = best
         out["lambda_prime"][i] = 1.0 / t - chi / t**2

@@ -170,14 +170,6 @@ class QuadratureRule:
             raise ValueError(f"tensor quadrature capped at dimension {MAX_TENSOR_DIM}")
         return _hermite_tensor(self.order, dim)
 
-    @property
-    def max_abs_node(self) -> float:
-        nodes, _ = _hermite_tensor(self.order, 1)
-        return float(np.max(np.abs(nodes)))
-
-    def with_order(self, order: int) -> "QuadratureRule":
-        return QuadratureRule(order=order, dimension=self.dimension)
-
     @staticmethod
     def for_dimension(dimension: int, order: int = DEFAULT_ORDER) -> "QuadratureRule":
         """Default rule for a potential on R^dimension: the tensor grid is

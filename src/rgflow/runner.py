@@ -69,7 +69,6 @@ class _Context:
         else:
             self.box = default_box(self.schedule)
         self._curv = None
-        self._curv_long = None
         self._spec_trace = None
         self._samples = None
         self._chi = {}
@@ -141,15 +140,10 @@ class _Context:
             self._chi[t] = phi4_mod.susceptibility(self.phi4_model, t)
         return self._chi[t]
 
-    def lambda_prime_override(self):
-        if self.phi4_model is None:
-            return None
-        return lambda t: 1.0 / t - self.chi(t).value / t**2
-
-    def schedule_t_grid(self, t_max=None):
+    def schedule_t_grid(self):
         cfg = self.cfg
         count = int(cfg.option("curvature.count", 60))
-        t_max = cfg.t_max if t_max is None else t_max
+        t_max = cfg.t_max
         if self.schedule.kind == "pauli-villars":
             base = curvature_mod.pv_t_grid(t_max, count)
         else:
@@ -157,28 +151,25 @@ class _Context:
         extra = cfg.t_grid()
         return np.unique(np.concatenate([base, extra[extra <= t_max + 1e-12]]))
 
-    def curvature(self):
+    def curvature(self, sampled: bool = False):
+        """The certified rate schedule, or with ``sampled`` the one sampled
+        on the default set.  They differ for lattice models only, whose
+        certified lambda' is 1/t - chi_t/t^2 (alpha' is sampled either way).
+        """
         if self._curv is None:
             grid = self.schedule_t_grid()
-            rates = [self._rates_at(t) for t in grid]
-            lp = np.array([r[0] for r in rates])
-            ap = np.array([r[1] for r in rates])
-            self._curv = curvature_mod.integrate_schedules(
-                (grid, lp, ap),
-                sample_spec=f"default sample set, seed {self.cfg.seed}")
-        return self._curv
-
-    def _rates_at(self, t):
-        te = float(t) if t > 0 else float(self.schedule_t_grid()[1])
-        override = self.lambda_prime_override()
-        if override is not None:
-            lp = override(te)
-        else:
-            lp = curvature_mod.multiscale_margin(self.schedule, self.V0, te,
-                                                 self.samples(), self.quad)
-        ap = curvature_mod.alpha_prime(self.schedule, self.V0, te,
-                                       self.samples(), self.quad)
-        return lp, ap
+            spec = f"default sample set, seed {self.cfg.seed}"
+            curv = curvature_mod.build_schedule(
+                self.schedule, self.V0, grid, self.samples(), self.quad,
+                sample_spec=spec)
+            self._curv = (curv, curv)
+            if self.phi4_model is not None:
+                times = [curvature_mod.rate_time(grid, i)
+                         for i in range(len(grid))]
+                lp = [1.0 / t - self.chi(t).value / t**2 for t in times]
+                self._curv = (curvature_mod.integrate_schedules(
+                    (grid, lp, curv.alpha_prime), sample_spec=spec), curv)
+        return self._curv[1 if sampled else 0]
 
     def spectral_trace(self, k: int):
         if self._spec_trace is None or self._spec_trace[0] < k:
@@ -242,11 +233,12 @@ def _check_spectrum(ctx: _Context, report: RunReport):
 
 def _check_criterion(ctx: _Context, report: RunReport):
     curv = ctx.curvature()
+    sampled = ctx.curvature(sampled=True).lambda_prime
     tol = float(ctx.cfg.option("criterion.tolerance", 1e-6))
     report.tolerances["criterion"] = tol
     ok = True
     for i, t in enumerate(curv.t_grid):
-        te = float(t) if t > 0 else float(curv.t_grid[1])
+        te = curvature_mod.rate_time(curv.t_grid, i)
         row = _row(section="schedule", check="criterion", t=float(t),
                    lambda_prime=float(curv.lambda_prime[i]),
                    alpha_prime=float(curv.alpha_prime[i]),
@@ -255,16 +247,14 @@ def _check_criterion(ctx: _Context, report: RunReport):
                    samples_used=len(ctx.samples()))
         if ctx.phi4_model is not None:
             est = ctx.chi(te)
-            margin = curvature_mod.multiscale_margin(
-                ctx.schedule, ctx.V0, te, ctx.samples(), ctx.quad)
             sig = phi4_mod.tilted_covariance(ctx.phi4_model, te,
                                              np.zeros(ctx.V0.dimension))
             row["chi"] = float(est.value)
             row["chi_stderr"] = float(est.stderr)
             row["sigma_min"] = float(np.linalg.eigvalsh(sig.value)[0])
-            row["margin"] = margin - curv.lambda_prime[i]
+            row["margin"] = sampled[i] - curv.lambda_prime[i]
             row["tolerance"] = tol
-            ok = ok and (margin >= curv.lambda_prime[i] - tol)
+            ok = ok and (sampled[i] >= curv.lambda_prime[i] - tol)
         report.rows.append(row)
     return "pass" if ok else "fail"
 
@@ -308,8 +298,6 @@ def _check_higher_k(ctx: _Context, report: RunReport):
 
 
 def _check_intertwining(ctx: _Context, report: RunReport):
-    if ctx.V0.dimension != 1:
-        raise ConfigError("intertwining check is implemented for d = 1 grids")
     times = ctx.cfg.option("intertwining.times", [0.5, 1.0, 2.0])
     n_bumps = int(ctx.cfg.option("intertwining.bumps", 3))
     tol = float(ctx.cfg.option("intertwining.tolerance", 1e-6 + 1e-4))
@@ -335,8 +323,6 @@ def _check_intertwining(ctx: _Context, report: RunReport):
 
 
 def _check_variance(ctx: _Context, report: RunReport):
-    if ctx.V0.dimension != 1:
-        raise ConfigError("variance check is implemented for d = 1 grids")
     gaussian = ctx.V0.form == "zero"
     tol = float(ctx.cfg.option("variance.tolerance",
                                1e-6 if gaussian else 1e-3))

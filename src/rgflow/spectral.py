@@ -277,8 +277,13 @@ def _smallest_pairs(gen: GeneratorDiscretization, k: int):
     else:
         scale = float(np.mean(b.diagonal()))
         v0 = np.random.default_rng(90210).standard_normal(n)
-        vals, vecs = spla.eigsh(b.tocsc(), k=k + 1, sigma=-1e-3 * max(scale, 1e-12),
-                                which="LM", mode="normal", v0=v0)
+        try:
+            vals, vecs = spla.eigsh(b.tocsc(), k=k + 1,
+                                    sigma=-1e-3 * max(scale, 1e-12),
+                                    which="LM", mode="normal", v0=v0)
+        except spla.ArpackNoConvergence as exc:
+            raise NonConvergenceError(
+                f"ARPACK shift-invert eigsh did not converge: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
 
@@ -431,13 +436,6 @@ class GammaReport:
     drift: str
     interior: np.ndarray
     max_rel_disagreement: float
-
-
-def gamma_operator(gen: GeneratorDiscretization, phi: GridFunction) -> GridFunction:
-    """Carre du champ |grad phi|^2 in the C_t' metric (both drift variants)."""
-    grad = phi.gradient()
-    vals = np.einsum("...i,ij,...j->...", grad, gen.mobility, grad)
-    return phi.with_values(vals, tag=f"Gamma({phi.tag})")
 
 
 def gamma_two(gen: GeneratorDiscretization, phi: GridFunction,

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -208,6 +209,7 @@ def test_cli_import_skips_unused_scipy_and_oracles():
 
 
 def test_criterion_computes_chi_once_per_t(monkeypatch):
+    import rgflow.curvature as curvature_mod
     import rgflow.phi4 as phi4_mod
 
     calls = []
@@ -217,7 +219,16 @@ def test_criterion_computes_chi_once_per_t(monkeypatch):
         calls.append(t)
         return real(model, t, *args, **kwargs)
 
+    batch_sizes = []
+    real_derivatives = curvature_mod.renormalized_derivatives
+
+    def counting_derivatives(V0, c, x, *args, **kwargs):
+        batch_sizes.append(len(np.atleast_2d(x)))
+        return real_derivatives(V0, c, x, *args, **kwargs)
+
     monkeypatch.setattr(phi4_mod, "susceptibility", counting)
+    monkeypatch.setattr(curvature_mod, "renormalized_derivatives",
+                        counting_derivatives)
     cfg = config_from_text("""\
 model.kind = phi4
 model.a_matrix = [[1.0]]
@@ -236,3 +247,69 @@ seed = 3
     report = run_experiment(cfg)
     assert report.statuses["criterion"] == "pass"
     assert len(calls) == len(set(calls)) > 0
+    # one Hessian batch on the full sample set per distinct rate time; the
+    # local refinement evaluates single points
+    (n_samples,) = {r["samples_used"] for r in report.rows
+                    if r["section"] == "schedule"}
+    assert set(batch_sizes) == {1, n_samples}
+    assert batch_sizes.count(n_samples) == len(set(calls))
+
+
+PHI4_RING4 = """\
+model.kind = phi4
+model.a_matrix = [[2.5, -0.5, 0.0, -0.5], [-0.5, 2.5, -0.5, 0.0], [0.0, -0.5, 2.5, -0.5], [-0.5, 0.0, -0.5, 2.5]]
+model.g = 1.0
+model.nu = -1.0
+checks = [criterion, spectrum]
+seed = 1
+output = {out}
+"""
+
+PHI4_PAIR = """\
+model.kind = phi4
+model.a_matrix = [[2.0, -1.0], [-1.0, 2.0]]
+model.g = 1.0
+model.nu = -1.0
+checks = [intertwining]
+seed = 1
+output = {out}
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_dimension_limits_rejected_before_compute(tmp_path, command):
+    ring = tmp_path / "ring4.cfg"
+    ring.write_text(PHI4_RING4.format(out=tmp_path / "ring4"))
+    res = _run_cli(command, str(ring))
+    assert res.returncode == 2, res.stdout
+    assert "'criterion' needs d <= 3" in res.stderr
+    assert "d = 4" in res.stderr
+
+    pair = tmp_path / "pair.cfg"
+    pair.write_text(PHI4_PAIR.format(out=tmp_path / "pair"))
+    res = _run_cli(command, str(pair))
+    assert res.returncode == 2, res.stdout
+    assert "'intertwining' needs d = 1" in res.stderr
+    assert not (tmp_path / "pair").exists()
+
+
+def test_dimension_limits_table():
+    from rgflow.config import CHECK_MAX_DIM
+
+    spectral = PHI4_PAIR.format(out="x").replace("[intertwining]",
+                                                 "[spectrum, theorem, higher-k]")
+    assert config_from_text(spectral).checks == ["spectrum", "theorem",
+                                                 "higher-k"]
+    three = spectral.replace("[[2.0, -1.0], [-1.0, 2.0]]",
+                             "[[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]")
+    for check, limit in CHECK_MAX_DIM.items():
+        text = three.replace("[spectrum, theorem, higher-k]", f"[{check}]")
+        if limit >= 3:
+            config_from_text(text)
+        else:
+            with pytest.raises(ConfigError, match=f"{check}' needs d"):
+                config_from_text(text)
+    quad = GAUSS_CFG.format(out="x").replace("c_infinity = [[1.0]]",
+                                             "c_infinity = [[1.0, 0.0], [0.0, 1.0]]")
+    with pytest.raises(ConfigError, match="'variance' needs d = 1"):
+        config_from_text(quad.replace("[spectrum, theorem]", "[variance]"))

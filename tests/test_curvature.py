@@ -215,7 +215,6 @@ def test_rayleigh_trace_margins_gaussian():
 
 
 def test_lemma_pair_margins_quartic_flow():
-    from rgflow.curvature import lemma_pair_margins
     from rgflow.phi4 import Phi4Model, susceptibility
     from rgflow.spectral import rayleigh_flow_trace
 
@@ -233,9 +232,65 @@ def test_lemma_pair_margins_quartic_flow():
         sched, V0, grid, SAMPLES_1D, q,
         lambda_prime_override=lambda t: 1.0 / t
         - susceptibility(model, t).value / t**2)
-    margins = lemma_pair_margins(trace, curv, tol_total=1e-6 + 1e-3)
+    margins = higher_eigenvalue_margin({0: trace}, curv, tol_total=1e-6 + 1e-3)
     assert len(margins) == 36
     assert all(m.margin >= -m.tolerance for m in margins)
 
     diff = rayleigh_trace_margins(trace, curv)
     assert np.max(diff) <= 1e-3
+
+
+class _FixedRates:
+    """A schedule stand-in returning fixed (C, C', C'') at every time."""
+
+    def __init__(self, cp, cpp):
+        self.mats = (np.eye(len(cp)), np.asarray(cp), np.asarray(cpp))
+
+    def eval(self, t):
+        return self.mats
+
+
+def _random_sym(rng, shape):
+    m = rng.standard_normal(shape)
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def _per_point_lambda(cp, cpp, hess):
+    """Reference: one generalized scipy eigensolve per point on range(C')."""
+    from scipy.linalg import eigh
+
+    wb, ub = np.linalg.eigh(cp)
+    basis = ub[:, wb > 1e-12 * max(wb[-1], 1e-300)]
+    out = []
+    for h in hess:
+        g_r = basis.T @ (cp @ h @ cp - 0.5 * cpp) @ basis
+        b_r = basis.T @ cp @ basis
+        out.append(eigh(0.5 * (g_r + g_r.T), 0.5 * (b_r + b_r.T),
+                        eigvals_only=True)[0])
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", ["d1", "d2", "d3", "rank-deficient"])
+def test_batched_lambda_rates_match_per_point_generalized_eigh(case):
+    from rgflow.curvature import _lambda_rates
+
+    rng = np.random.default_rng(7)
+    if case == "rank-deficient":
+        cp, d = np.diag([1.0, 0.0]), 2
+    else:
+        d = int(case[1])
+        root = rng.standard_normal((d, d))
+        cp = root @ root.T + 0.1 * np.eye(d)
+    cpp = _random_sym(rng, (d, d))
+    hess = _random_sym(rng, (50, d, d))
+    got = _lambda_rates(_FixedRates(cp, cpp), 1.0)(hess)
+    want = _per_point_lambda(cp, cpp, hess)
+    assert got.shape == (50,)
+    assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_lambda_rates_reject_zero_mobility():
+    from rgflow.curvature import _lambda_rates
+
+    with pytest.raises(ValueError, match="numerically zero"):
+        _lambda_rates(_FixedRates(np.zeros((2, 2)), np.eye(2)), 1.0)

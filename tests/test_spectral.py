@@ -334,3 +334,24 @@ def test_1d_tridiagonal_solve_matches_dense_pencil():
     vecs = np.stack([v.values.reshape(-1) for v in res.eigenvectors], axis=1)
     gram = vecs.T @ (gen.mass[:, None] * vecs)
     assert_allclose(gram, np.eye(4), atol=1e-10)
+
+
+def test_arpack_nonconvergence_maps_to_nonconvergence_error(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    from rgflow.errors import NonConvergenceError
+    from rgflow.flow import Box
+
+    box = Box((-3.0, -3.0), (3.0, 3.0))
+    xs = box.axes((25, 25))
+    w = np.exp(-0.5 * (xs[0][:, None] ** 2 + xs[1][None, :] ** 2))
+    gen = build_generator_from_density(box, w)
+    assert gen.n_nodes > 600  # past the dense cutoff: the ARPACK branch
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                       np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(NonConvergenceError, match="ARPACK"):
+        spectrum(gen, k=2, refine=False)
