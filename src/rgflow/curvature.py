@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _stencils
 from .covariance import CovarianceSchedule
-from .flow import GridFunction, semigroup_apply
+from .flow import FlowMeasure, GridFunction
 from .potential import PotentialDescriptor, QuadratureRule, renormalized_derivatives
 
 # Pauli-Villars schedules start at this cutoff; the bounded t -> 0+ limit of
@@ -43,6 +43,9 @@ TOLERANCE_BUDGET = {"eigensolver": 5e-5, "quadrature": 2.5e-5, "integration": 2.
 TOL_TOTAL = float(sum(TOLERANCE_BUDGET.values()))
 
 _REFINE_STEPS = 20
+
+# The factor-2 coarsening check allows 3x this gap in the lambda' integral.
+_REFINEMENT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -187,8 +190,7 @@ def alpha_prime(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     return _sampled_rates(schedule, V0, t, x_samples, q, refine, ("alpha",))[0]
 
 
-def integrate_schedules(prime_samples, sample_spec: str = "",
-                        refinement_tol: float = 1e-4) -> CurvatureSchedule:
+def integrate_schedules(prime_samples, sample_spec: str = "") -> CurvatureSchedule:
     """Cumulative trapezoid integration of sampled (lambda', alpha').
 
     ``prime_samples`` is (t_grid, lambda_prime, alpha_prime) with t_grid
@@ -210,7 +212,7 @@ def integrate_schedules(prime_samples, sample_spec: str = "",
     if idx[-1] != len(t_grid) - 1:
         idx.append(len(t_grid) - 1)
     lam_coarse = np.trapezoid(lp[idx], t_grid[idx])
-    ok = abs(lam_coarse - lam[-1]) <= 3.0 * refinement_tol
+    ok = abs(lam_coarse - lam[-1]) <= 3.0 * _REFINEMENT_TOL
     return CurvatureSchedule(
         t_grid=t_grid, lambda_prime=lp, alpha_prime=ap,
         lambda_integral=lam, alpha_integral=alp,
@@ -378,13 +380,14 @@ def intertwining_check(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     """
     q = q or QuadratureRule.for_dimension(V0.dimension)
     _, cp, _ = schedule.eval(t)
-    phi = semigroup_apply(schedule, V0, 0.0, t, F, q)
+    mt = FlowMeasure(schedule, V0, t, F.box, F.shape, q)
+    phi = mt.semigroup(0.0, F)
     grad_phi = phi.gradient()
     lhs = np.einsum("...i,ij,...j->...", grad_phi, cp, grad_phi)
 
     grad_f = F.gradient()
     sq = F.with_values(np.sum(grad_f**2, axis=-1), tag="|grad F|^2")
-    rhs_fn = semigroup_apply(schedule, V0, 0.0, t, sq, q)
+    rhs_fn = mt.semigroup(0.0, sq)
     factor = schedule.c0_prime_radius * math.exp(-2.0 * curv.lambda_at(t))
     interior = _stencils.interior_mask(F.shape, margin_cells)
     violation = lhs[interior] - factor * rhs_fn.values[interior]

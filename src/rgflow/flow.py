@@ -10,9 +10,11 @@ semigroup P_{s,t} maps functions at scale s to scale t through
     P_{s,t} f = exp(V_t) * gaussian_{C_t - C_s} conv (f exp(-V_s)),
 
 computed here by Gauss-Hermite quadrature against the kernel with cubic
-interpolation of f between grid nodes.  Grids are plain tensor products;
-trapezoid quadrature over the box is spectrally accurate because every
-integrand decays to numerical zero before the boundary.
+interpolation of f between grid nodes.  V_t on a grid is evaluated once, by
+the flow measure at t, whose ``semigroup`` method reads exp(V_t) from it.
+Grids are plain tensor products; trapezoid quadrature over the box is
+spectrally accurate because every integrand decays to numerical zero
+before the boundary.
 """
 
 from __future__ import annotations
@@ -21,18 +23,25 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
 from scipy.special import ndtr
 
 from . import _stencils
 from .covariance import CovarianceSchedule
-from .potential import PotentialDescriptor, QuadratureRule, renormalized_value
+from .potential import (PotentialDescriptor, QuadratureRule, _gaussian_shifts,
+                        renormalized_value)
 
 BOX_HALFWIDTH_SIGMAS = 8.0
 
 # Kernel-vs-box guard: the convolution kernel must fit inside the box with
 # this many standard deviations to spare.
 _KERNEL_SIGMAS = 6.0
+
+# Tail tolerance of the variance audit.  Default sample set: tensor points
+# per axis, seeded uniform points, mass left outside the sampled sub-box.
+_TAIL_TOL = 1e-4
+_SAMPLE_GRID = 17
+_SAMPLE_RANDOM = 100
+_SAMPLE_MASS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,6 +110,8 @@ class GridFunction:
         return self.box.spacing(self.shape)
 
     def interpolator(self, method: str = "cubic"):
+        from scipy.interpolate import CubicSpline, RegularGridInterpolator
+
         axes = self.box.axes(self.shape)
         if self.box.dim == 1 and method == "cubic":
             spline = CubicSpline(axes[0], self.values, extrapolate=True)
@@ -133,28 +144,32 @@ def default_box(schedule: CovarianceSchedule, t_min: float = 0.0,
     return Box.cube(sigmas * sigma, schedule.dim)
 
 
+def _log_density_terms(schedule: CovarianceSchedule, V0: PotentialDescriptor,
+                       t: float, xb: np.ndarray, q: QuadratureRule):
+    """(1/2 <x, (C_inf - C_t)^{-1} x>, V_t(x)) on a batch of points."""
+    prec = schedule.residual_inverse(t)
+    c, _, _ = schedule.eval(t)
+    quad = 0.5 * np.einsum("mi,ij,mj->m", xb, prec, xb)
+    return quad, np.atleast_1d(renormalized_value(V0, c, xb, q))
+
+
 def nu_log_density(schedule: CovarianceSchedule, V0: PotentialDescriptor,
                    t: float, x, q: QuadratureRule | None = None):
     """Unnormalized log density of the flow measure at (t, x); batched in x."""
     q = q or QuadratureRule.for_dimension(V0.dimension)
-    prec = schedule.residual_inverse(t)
-    c, _, _ = schedule.eval(t)
     x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    xb = np.atleast_2d(x)
-    quad = 0.5 * np.einsum("mi,ij,mj->m", xb, prec, xb)
-    v = np.atleast_1d(renormalized_value(V0, c, xb, q))
+    quad, v = _log_density_terms(schedule, V0, t, np.atleast_2d(x), q)
     out = -quad - v
-    return float(out[0]) if single else out
+    return float(out[0]) if x.ndim <= 1 else out
 
 
 @dataclass
 class FlowMeasure:
     """The flow measure at one scale, materialized on a truncated grid.
 
-    Carries the unnormalized log density on the nodes, the log normalizer
-    over the box, and enough context (schedule, potential, quadrature rule)
-    to re-evaluate itself on refined grids.
+    Carries V_t and the unnormalized log density on the nodes, the log
+    normalizer over the box, and enough context (schedule, potential,
+    quadrature rule) to re-evaluate itself on refined grids.
     """
 
     schedule: CovarianceSchedule
@@ -169,11 +184,9 @@ class FlowMeasure:
 
     def __post_init__(self):
         if self.log_density_grid is None:
-            nodes = self.box.nodes(self.grid_shape)
-            prec = self.schedule.residual_inverse(self.t)
-            c, _, _ = self.schedule.eval(self.t)
-            quadform = 0.5 * np.einsum("mi,ij,mj->m", nodes, prec, nodes)
-            v = np.atleast_1d(renormalized_value(self.V0, c, nodes, self.quad))
+            quadform, v = _log_density_terms(
+                self.schedule, self.V0, self.t,
+                self.box.nodes(self.grid_shape), self.quad)
             self.v_grid = v.reshape(self.grid_shape)
             self.log_density_grid = (-quadform - v).reshape(self.grid_shape)
         if self.log_normalizer is None:
@@ -188,9 +201,6 @@ class FlowMeasure:
         return GridFunction(self.box,
                             np.exp(self.log_density_grid - self.log_normalizer),
                             tag=f"nu_t density t={self.t}")
-
-    def log_density(self, x):
-        return nu_log_density(self.schedule, self.V0, self.t, x, self.quad)
 
     def expectation(self, values: np.ndarray) -> float:
         w = self.box.trapezoid_weights(self.grid_shape)
@@ -228,6 +238,50 @@ class FlowMeasure:
         return FlowMeasure(self.schedule, self.V0, self.t, self.box, shape,
                            self.quad)
 
+    def semigroup(self, s: float, f: GridFunction) -> GridFunction:
+        """Apply P_{s,t} with t = self.t to a function on the measure's grid."""
+        t = self.t
+        if s > t:
+            raise ValueError(f"semigroup requires s <= t, got s={s}, t={t}")
+        if f.box != self.box or f.shape != tuple(self.grid_shape):
+            raise ValueError(f"input grid {f.box}, {f.shape}: the flow measure "
+                             f"lives on {self.box}, {self.grid_shape}")
+        cs, _, _ = self.schedule.eval(s)
+        ct, _, _ = self.schedule.eval(t)
+        kernel = ct - cs
+        kw = np.linalg.eigvalsh(0.5 * (kernel + kernel.T))
+        if kw[0] < -1e-10 * max(1.0, kw[-1]):
+            raise ValueError("C_t - C_s is not positive-semidefinite")
+        if kw[-1] <= 1e-14:
+            return f.with_values(f.values.copy(), tag=f"P[{s},{t}] {f.tag}")
+        reach = _KERNEL_SIGMAS * math.sqrt(kw[-1])
+        if reach > float(np.min(f.box.halfwidths())):
+            raise ValueError(
+                f"convolution kernel ({reach:.2f} at {_KERNEL_SIGMAS} sigma) wider "
+                f"than box halfwidth {np.min(f.box.halfwidths()):.2f}; "
+                "use a larger box")
+
+        nodes = f.box.nodes(f.shape)
+        z, logw = _gaussian_shifts(kernel, f.box.dim, self.quad)
+        interp = f.interpolator()
+        v_t = self.v_grid.reshape(-1)
+
+        n = nodes.shape[0]
+        out = np.empty(n)
+        chunk = max(1, int(2e6) // max(len(z), 1))
+        for start in range(0, n, chunk):
+            xc = nodes[start:start + chunk]
+            pts = xc[:, None, :] + z[None, :, :]
+            flat = pts.reshape(-1, f.box.dim)
+            fv = np.asarray(interp(flat)).reshape(pts.shape[:2])
+            vs = renormalized_value(self.V0, cs, flat, self.quad)
+            le = logw[None, :] - np.atleast_1d(vs).reshape(pts.shape[:2])
+            shift = np.max(le, axis=1)
+            ssum = np.einsum("mq,mq->m", np.exp(le - shift[:, None]), fv)
+            out[start:start + chunk] = \
+                np.exp(v_t[start:start + chunk] + shift) * ssum
+        return f.with_values(out.reshape(f.shape), tag=f"P[{s},{t}] {f.tag}")
+
 
 def make_flow_measure(schedule, V0, t, grid_shape, box=None,
                       q: QuadratureRule | None = None) -> FlowMeasure:
@@ -242,47 +296,8 @@ def make_flow_measure(schedule, V0, t, grid_shape, box=None,
 def semigroup_apply(schedule, V0, s: float, t: float, f: GridFunction,
                     q: QuadratureRule | None = None) -> GridFunction:
     """Apply P_{s,t} to a grid function, returning values on the same grid."""
-    if s > t:
-        raise ValueError(f"semigroup requires s <= t, got s={s}, t={t}")
     q = q or QuadratureRule.for_dimension(V0.dimension)
-    cs, _, _ = schedule.eval(s)
-    ct, _, _ = schedule.eval(t)
-    kernel = ct - cs
-    kw = np.linalg.eigvalsh(0.5 * (kernel + kernel.T))
-    if kw[0] < -1e-10 * max(1.0, kw[-1]):
-        raise ValueError("C_t - C_s is not positive-semidefinite")
-    if kw[-1] <= 1e-14:
-        return f.with_values(f.values.copy(), tag=f"P[{s},{t}] {f.tag}")
-    reach = _KERNEL_SIGMAS * math.sqrt(kw[-1])
-    if reach > float(np.min(f.box.halfwidths())):
-        raise ValueError(
-            f"convolution kernel ({reach:.2f} at {_KERNEL_SIGMAS} sigma) wider "
-            f"than box halfwidth {np.min(f.box.halfwidths()):.2f}; "
-            "use a larger box")
-
-    from .potential import _covariance_factor  # shared range-restricted factor
-
-    nodes = f.box.nodes(f.shape)
-    L = _covariance_factor(kernel, f.box.dim)
-    znodes, logw = q.rule(L.shape[1])
-    z = znodes @ L.T
-    interp = f.interpolator()
-    v_t = np.atleast_1d(renormalized_value(V0, ct, nodes, q))
-
-    n = nodes.shape[0]
-    out = np.empty(n)
-    chunk = max(1, int(2e6) // max(len(z), 1))
-    for start in range(0, n, chunk):
-        xc = nodes[start:start + chunk]
-        pts = xc[:, None, :] + z[None, :, :]
-        flat = pts.reshape(-1, f.box.dim)
-        fv = np.asarray(interp(flat)).reshape(pts.shape[:2])
-        vs = np.atleast_1d(renormalized_value(V0, cs, flat, q)).reshape(pts.shape[:2])
-        le = logw[None, :] - vs
-        shift = np.max(le, axis=1)
-        ssum = np.einsum("mq,mq->m", np.exp(le - shift[:, None]), fv)
-        out[start:start + chunk] = np.exp(v_t[start:start + chunk] + shift) * ssum
-    return f.with_values(out.reshape(f.shape), tag=f"P[{s},{t}] {f.tag}")
+    return FlowMeasure(schedule, V0, t, f.box, f.shape, q).semigroup(s, f)
 
 
 @dataclass
@@ -307,8 +322,8 @@ def graded_t_grid(t_max: float, count: int, growth: float = 3.0) -> np.ndarray:
 def conservation_check(schedule, V0, F: GridFunction, t_grid,
                        q: QuadratureRule | None = None,
                        lambda_at_T: float | None = None,
-                       lambda_prime_floor: float | None = None,
-                       tail_tol: float = 1e-4) -> VarianceDecompositionReport:
+                       lambda_prime_floor: float | None = None
+                       ) -> VarianceDecompositionReport:
     """Variance decomposition audit along the flow.
 
     Checks Var_{nu_0}(F) against the time integral of the weighted Dirichlet
@@ -331,8 +346,9 @@ def conservation_check(schedule, V0, F: GridFunction, t_grid,
     integrand = np.empty(len(t_grid))
     cons_dev = 0.0
     for i, t in enumerate(t_grid):
-        phi = semigroup_apply(schedule, V0, 0.0, t, F, q) if t > 0 else F
-        mt = make_flow_measure(schedule, V0, t, shape, box=F.box, q=q)
+        mt = m0 if t == 0 else make_flow_measure(schedule, V0, t, shape,
+                                                 box=F.box, q=q)
+        phi = mt.semigroup(0.0, F) if t > 0 else F
         _, cp, _ = schedule.eval(t)
         grad = phi.gradient()
         energy = np.einsum("...i,ij,...j->...", grad, cp, grad)
@@ -364,7 +380,7 @@ def conservation_check(schedule, V0, F: GridFunction, t_grid,
             flags.append("tail estimate divergent (integrand not decaying)")
             tail = math.inf
 
-    tail_ok = tail <= tail_tol
+    tail_ok = tail <= _TAIL_TOL
     if not tail_ok:
         flags.append("T too small: tail estimate exceeds tolerance")
     mismatch = abs(var0 - integral) / max(abs(var0), 1e-300)
@@ -472,13 +488,11 @@ def heatflow_harness(x_nodes, density, s_grid, grid_points: int = 2049,
         two_sided_margin=float(two_sided), normalized_input=normalized)
 
 
-def default_sample_points(measure: FlowMeasure, grid_per_axis: int = 17,
-                          n_random: int = 100, seed: int = 1234,
-                          mass_tol: float = 1e-6) -> np.ndarray:
+def default_sample_points(measure: FlowMeasure, seed: int = 1234) -> np.ndarray:
     """Sample set standing in for "for all x" quantifiers.
 
-    Tensor grid over the sub-box holding all but ``mass_tol`` of the measure,
-    plus seeded uniform points in the same sub-box.
+    Tensor grid over the sub-box holding all but ``_SAMPLE_MASS_TOL`` of the
+    measure, plus seeded uniform points in the same sub-box.
     """
     dens = measure.density.values
     w = measure.box.trapezoid_weights(measure.grid_shape)
@@ -489,13 +503,13 @@ def default_sample_points(measure: FlowMeasure, grid_per_axis: int = 17,
         marg = np.sum(dens * w, axis=other)
         cum = np.cumsum(marg)
         cum /= cum[-1]
-        lo_i = int(np.searchsorted(cum, 0.5 * mass_tol))
-        hi_i = int(np.searchsorted(cum, 1.0 - 0.5 * mass_tol))
+        lo_i = int(np.searchsorted(cum, 0.5 * _SAMPLE_MASS_TOL))
+        hi_i = int(np.searchsorted(cum, 1.0 - 0.5 * _SAMPLE_MASS_TOL))
         lims.append((axes[k][max(lo_i - 1, 0)],
                      axes[k][min(hi_i + 1, len(axes[k]) - 1)]))
-    grids = np.meshgrid(*[np.linspace(lo, hi, grid_per_axis) for lo, hi in lims],
+    grids = np.meshgrid(*[np.linspace(lo, hi, _SAMPLE_GRID) for lo, hi in lims],
                         indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
     rng = np.random.default_rng(seed)
-    rand = np.column_stack([rng.uniform(lo, hi, n_random) for lo, hi in lims])
+    rand = np.column_stack([rng.uniform(lo, hi, _SAMPLE_RANDOM) for lo, hi in lims])
     return np.vstack([pts, rand])

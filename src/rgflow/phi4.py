@@ -21,7 +21,7 @@ random-walk Metropolis otherwise (always available for cross-checks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,12 @@ QUADRATURE_MAX_SITES = 3
 _MCMC_BURNIN = 100_000
 _MCMC_TARGET_ACCEPT = 0.4
 _MCMC_MIN_ESS = 1000
+
+# Quadrature reference widths in marginal std devs; descent sweeps for the
+# infimum of lambda_min(Sigma_t); finite-difference step of the identity check.
+_WIDTH_FACTOR = 1.6
+_DESCENT_STEPS = 12
+_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -132,7 +138,7 @@ def _marginal_scale(model: Phi4Model, mass_shift: float, eta: np.ndarray):
 
 
 def lattice_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
-                    order: int = 96, width_factor: float = 1.6):
+                    order: int = 96):
     """Mean and covariance of the (shifted, tilted) lattice measure.
 
     Importance-weighted tensor Gauss-Hermite against a diagonal reference
@@ -146,7 +152,7 @@ def lattice_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
     eta = model.h if field is None else np.broadcast_to(
         np.atleast_1d(np.asarray(field, dtype=float)), (n,))
     centers, widths = _marginal_scale(model, mass_shift, eta)
-    widths = widths * width_factor
+    widths = widths * _WIDTH_FACTOR
 
     def moments_at(p: int):
         # standard-normal weights; their constant factor cancels below
@@ -275,38 +281,11 @@ def _integrated_autocorr(x: np.ndarray) -> float:
     return tau
 
 
-def susceptibility(model: Phi4Model, t: float, order: int = 96,
-                   method: str = "auto", seed: int = 0,
-                   n_measure_sweeps: int = 60_000) -> MomentEstimate:
-    """chi_t: max over sites of covariance row sums of the mass-shifted,
-    zero-field measure."""
-    if t <= 0:
-        raise ValueError("susceptibility requires t > 0")
-    zero_field = Phi4Model(model.a_matrix, model.g, model.nu,
-                           np.zeros(model.n_sites))
-    use_quad = method == "quadrature" or (
-        method == "auto" and model.n_sites <= QUADRATURE_MAX_SITES)
-    if use_quad:
-        _, cov, converged = lattice_moments(zero_field, mass_shift=1.0 / t,
-                                            order=order)
-        chi = float(np.max(np.sum(cov, axis=1)))
-        return MomentEstimate(value=chi, stderr=0.0, method="quadrature",
-                              converged=converged)
-    mean, cov, stderr, ess, kept = metropolis_moments(
-        zero_field, mass_shift=1.0 / t, seed=seed,
-        n_measure_sweeps=n_measure_sweeps)
-    chi = float(np.max(np.sum(cov, axis=1)))
-    return MomentEstimate(value=chi, stderr=model.n_sites * stderr,
-                          method="mcmc", seed=seed, n_samples=kept)
-
-
-def tilted_covariance(model: Phi4Model, t: float, phi, order: int = 96,
-                      method: str = "auto", seed: int = 0) -> MomentEstimate:
-    """Covariance of the measure with mass shift 1/t and field C_t^{-1} phi."""
-    if t <= 0:
-        raise ValueError("tilted covariance requires t > 0")
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    field = (model.a_matrix + np.eye(model.n_sites) / t) @ phi + model.h
+def _shifted_moments(model: Phi4Model, t: float, field, order: int,
+                     method: str, seed: int,
+                     n_measure_sweeps: int = 60_000) -> MomentEstimate:
+    """Covariance of the zero-field model with mass shift 1/t and external
+    ``field``, by quadrature (n <= 3 sites under "auto") or Metropolis."""
     base = Phi4Model(model.a_matrix, model.g, model.nu,
                      np.zeros(model.n_sites))
     use_quad = method == "quadrature" or (
@@ -317,13 +296,36 @@ def tilted_covariance(model: Phi4Model, t: float, phi, order: int = 96,
         return MomentEstimate(value=cov, stderr=0.0, method="quadrature",
                               converged=converged)
     _, cov, stderr, ess, kept = metropolis_moments(
-        base, mass_shift=1.0 / t, field=field, seed=seed)
+        base, mass_shift=1.0 / t, field=field, seed=seed,
+        n_measure_sweeps=n_measure_sweeps)
     return MomentEstimate(value=cov, stderr=stderr, method="mcmc", seed=seed,
                           n_samples=kept)
 
 
-def phi4_schedules(model: Phi4Model, t_grid, phi_samples, order: int = 96,
-                   descent_steps: int = 12):
+def susceptibility(model: Phi4Model, t: float, order: int = 96,
+                   method: str = "auto", seed: int = 0,
+                   n_measure_sweeps: int = 60_000) -> MomentEstimate:
+    """chi_t: max over sites of covariance row sums of the mass-shifted,
+    zero-field measure."""
+    if t <= 0:
+        raise ValueError("susceptibility requires t > 0")
+    est = _shifted_moments(model, t, None, order, method, seed,
+                           n_measure_sweeps)
+    return replace(est, value=float(np.max(np.sum(est.value, axis=1))),
+                   stderr=model.n_sites * est.stderr)
+
+
+def tilted_covariance(model: Phi4Model, t: float, phi, order: int = 96,
+                      method: str = "auto", seed: int = 0) -> MomentEstimate:
+    """Covariance of the measure with mass shift 1/t and field C_t^{-1} phi."""
+    if t <= 0:
+        raise ValueError("tilted covariance requires t > 0")
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    field = (model.a_matrix + np.eye(model.n_sites) / t) @ phi + model.h
+    return _shifted_moments(model, t, field, order, method, seed)
+
+
+def phi4_schedules(model: Phi4Model, t_grid, phi_samples, order: int = 96):
     """Certified rate lambda'_t = 1/t - chi_t/t^2 and the alpha' formula.
 
     The infimum of lambda_min(Sigma_t(phi)) over phi is approximated from
@@ -351,7 +353,7 @@ def phi4_schedules(model: Phi4Model, t_grid, phi_samples, order: int = 96,
         step = max(float(np.max(np.abs(phi_samples))), 1.0) / 4.0
         best = _coordinate_refine(sig_min, phi_samples[int(np.argmin(vals))],
                                   maximize=False, step0=step,
-                                  steps=descent_steps)
+                                  steps=_DESCENT_STEPS)
         out["chi"][i] = chi
         out["sigma_min"][i] = best
         out["lambda_prime"][i] = 1.0 / t - chi / t**2
@@ -361,7 +363,7 @@ def phi4_schedules(model: Phi4Model, t_grid, phi_samples, order: int = 96,
 
 
 def hessian_identity_check(model: Phi4Model, t: float, phi_samples,
-                           order: int = 96, fd_step: float = 1e-3) -> float:
+                           order: int = 96) -> float:
     """Max relative error of hess V_t = C^{-1} - C^{-1} Sigma_t(phi) C^{-1}.
 
     The right side uses the tilted covariance; the left side is a central
@@ -390,19 +392,19 @@ def hessian_identity_check(model: Phi4Model, t: float, phi_samples,
         for i in range(n):
             for j in range(i, n):
                 if i == j:
-                    pts = np.array([base + fd_step * _unit(n, i),
+                    pts = np.array([base + _FD_STEP * _unit(n, i),
                                     base,
-                                    base - fd_step * _unit(n, i)])
+                                    base - _FD_STEP * _unit(n, i)])
                     v = renormalized_value(V0, c, pts, q)
-                    lhs[i, i] = (v[0] - 2 * v[1] + v[2]) / fd_step**2
+                    lhs[i, i] = (v[0] - 2 * v[1] + v[2]) / _FD_STEP**2
                 else:
                     ei, ej = _unit(n, i), _unit(n, j)
-                    pts = np.array([base + fd_step * (ei + ej),
-                                    base + fd_step * (ei - ej),
-                                    base - fd_step * (ei - ej),
-                                    base - fd_step * (ei + ej)])
+                    pts = np.array([base + _FD_STEP * (ei + ej),
+                                    base + _FD_STEP * (ei - ej),
+                                    base - _FD_STEP * (ei - ej),
+                                    base - _FD_STEP * (ei + ej)])
                     v = renormalized_value(V0, c, pts, q)
-                    val = (v[0] - v[1] - v[2] + v[3]) / (4 * fd_step**2)
+                    val = (v[0] - v[1] - v[2] + v[3]) / (4 * _FD_STEP**2)
                     lhs[i, j] = lhs[j, i] = val
         # ambient scale C^{-1}: both sides are differences of such terms
         scale = max(float(np.max(np.abs(rhs))),

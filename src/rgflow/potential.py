@@ -33,6 +33,9 @@ MAX_TENSOR_DIM = 3
 # degenerate and dropped from the quadrature (convolution on range(C) only).
 _RANK_RTOL = 1e-13
 
+# Points per batch in the tilted-moment derivatives.
+_DERIVATIVE_CHUNK = 256
+
 
 @dataclass(frozen=True)
 class PotentialDescriptor:
@@ -177,8 +180,11 @@ class QuadratureRule:
         return QuadratureRule(order=order, dimension=min(dimension, MAX_TENSOR_DIM))
 
 
-def _covariance_factor(c, d):
-    """Cholesky-like factor L (d x r) of C restricted to its range."""
+def _gaussian_shifts(c, d, q: QuadratureRule):
+    """Quadrature rule for z ~ gamma_C on R^d: nodes z (Q, d), log-weights.
+
+    C is factored on its range, so degenerate directions carry no nodes.
+    """
     c = np.atleast_2d(np.asarray(c, dtype=float))
     if c.shape != (d, d):
         raise ValueError(f"covariance has shape {c.shape}, expected {(d, d)}")
@@ -186,20 +192,9 @@ def _covariance_factor(c, d):
     if w[0] < -1e-10 * max(1.0, w[-1]):
         raise ValueError(f"covariance not positive-semidefinite: eigenvalue {w[0]:.3e}")
     keep = w > _RANK_RTOL * max(w[-1], 1e-300)
-    if not np.any(keep):
-        return np.zeros((d, 0))
-    return u[:, keep] * np.sqrt(w[keep])
-
-
-def _shifted_nodes(V0, c, x, q):
-    """Quadrature nodes x + z_i with z ~ gamma_C; returns (points, logw, m)."""
-    x, single = _as_batch(x, V0.dimension)
-    L = _covariance_factor(c, V0.dimension)
-    r = L.shape[1]
-    nodes, logw = q.rule(r)
-    z = nodes @ L.T  # (Q, d)
-    pts = x[:, None, :] + z[None, :, :]
-    return pts, logw, x, single
+    L = u[:, keep] * np.sqrt(w[keep]) if np.any(keep) else np.zeros((d, 0))
+    nodes, logw = q.rule(L.shape[1])
+    return nodes @ L.T, logw
 
 
 def renormalized_value(V0: PotentialDescriptor, c, x, q: QuadratureRule | None = None,
@@ -207,18 +202,17 @@ def renormalized_value(V0: PotentialDescriptor, c, x, q: QuadratureRule | None =
     """Smoothed potential -log E_{z~gamma_C}[exp(-V0(x+z))] at x.
 
     ``method``: "auto" uses closed forms for zero/quadratic V0 and quadrature
-    otherwise; "quadrature" forces the numerical path; "closed-form" requires
-    an analytic form.  Batched over x.
+    otherwise; "quadrature" forces the numerical path.  Batched over x.
     """
     q = q or QuadratureRule.for_dimension(V0.dimension)
-    if method not in ("auto", "quadrature", "closed-form"):
+    if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if method != "quadrature" and V0.form in ("zero", "quadratic"):
+    if method == "auto" and V0.form in ("zero", "quadratic"):
         return _closed_form_value(V0, c, x)
-    if method == "closed-form":
-        raise ValueError(f"no closed form for potential form {V0.form!r}")
 
-    pts, logw, xb, single = _shifted_nodes(V0, c, x, q)
+    xb, single = _as_batch(x, V0.dimension)
+    z, logw = _gaussian_shifts(c, V0.dimension, q)
+    pts = xb[:, None, :] + z[None, :, :]
     m, Q, d = pts.shape
     exps = -V0.value(pts.reshape(-1, d)).reshape(m, Q)
     total = logsumexp(exps + logw[None, :], axis=1)
@@ -231,11 +225,8 @@ def renormalized_value(V0: PotentialDescriptor, c, x, q: QuadratureRule | None =
     return float(out[0]) if single else out
 
 
-def _closed_form_value(V0, c, x):
-    x, single = _as_batch(x, V0.dimension)
-    if V0.form == "zero":
-        out = np.zeros(x.shape[0])
-        return float(out[0]) if single else out
+def _smoothed_quadratic(V0, c):
+    """(B (I + C B)^{-1}, log det(I + C B)) for the quadratic form 1/2 <x, Bx>."""
     b = V0.b_matrix
     c = np.atleast_2d(np.asarray(c, dtype=float))
     mmat = np.eye(V0.dimension) + c @ b
@@ -244,6 +235,15 @@ def _closed_form_value(V0, c, x):
     sign, logdet = np.linalg.slogdet(mmat)
     if sign <= 0:
         raise ValueError("I + C B is not positive; quadratic form not integrable")
+    return heff, logdet
+
+
+def _closed_form_value(V0, c, x):
+    x, single = _as_batch(x, V0.dimension)
+    if V0.form == "zero":
+        out = np.zeros(x.shape[0])
+        return float(out[0]) if single else out
+    heff, logdet = _smoothed_quadratic(V0, c)
     out = 0.5 * np.einsum("mi,ij,mj->m", x, heff, x) + 0.5 * logdet
     return float(out[0]) if single else out
 
@@ -255,11 +255,7 @@ def _closed_form_derivatives(V0, c, x):
         g = np.zeros((x.shape[0], d))
         h = np.zeros((x.shape[0], d, d))
     else:
-        b = V0.b_matrix
-        c = np.atleast_2d(np.asarray(c, dtype=float))
-        mmat = np.eye(d) + c @ b
-        heff = np.linalg.solve(mmat.T, b.T).T
-        heff = 0.5 * (heff + heff.T)
+        heff, _ = _smoothed_quadratic(V0, c)
         g = x @ heff
         h = np.broadcast_to(heff, (x.shape[0], d, d)).copy()
     return (g[0], h[0]) if single else (g, h)
@@ -272,10 +268,11 @@ def tilted_moments(V0: PotentialDescriptor, c, x, q: QuadratureRule | None = Non
     single point x; log_mass = -V_t(x).
     """
     q = q or QuadratureRule.for_dimension(V0.dimension)
-    pts, logw, xb, single = _shifted_nodes(V0, c, x, q)
+    x, single = _as_batch(x, V0.dimension)
     if not single:
         raise ValueError("tilted_moments expects a single point")
-    pts = pts[0]  # (Q, d)
+    z, logw = _gaussian_shifts(c, V0.dimension, q)
+    pts = x[0] + z  # (Q, d)
     le = logw - V0.value(pts)
     mshift = np.max(le)
     if not np.isfinite(mshift):
@@ -293,7 +290,7 @@ def tilted_moments(V0: PotentialDescriptor, c, x, q: QuadratureRule | None = Non
 
 def renormalized_derivatives(V0: PotentialDescriptor, c, x,
                              q: QuadratureRule | None = None,
-                             method: str = "auto", chunk: int = 256):
+                             method: str = "auto"):
     """Gradient and Hessian of the smoothed potential at x (batched).
 
     Returns ``(grad, hess)`` with shapes ``(d,), (d, d)`` for a single point
@@ -307,11 +304,9 @@ def renormalized_derivatives(V0: PotentialDescriptor, c, x,
     m, d = xb.shape
     grads = np.empty((m, d))
     hesss = np.empty((m, d, d))
-    L = _covariance_factor(c, d)
-    nodes, logw = q.rule(L.shape[1])
-    z = nodes @ L.T
-    for start in range(0, m, chunk):
-        xc = xb[start:start + chunk]
+    z, logw = _gaussian_shifts(c, d, q)
+    for start in range(0, m, _DERIVATIVE_CHUNK):
+        xc = xb[start:start + _DERIVATIVE_CHUNK]
         pts = xc[:, None, :] + z[None, :, :]
         mm, Q, _ = pts.shape
         flat = pts.reshape(-1, d)
@@ -327,8 +322,9 @@ def renormalized_derivatives(V0: PotentialDescriptor, c, x,
         gbar = np.einsum("mq,mqi->mi", wts, gv)
         centered = gv - gbar[:, None, :]
         cov = np.einsum("mq,mqi,mqj->mij", wts, centered, centered)
-        grads[start:start + chunk] = gbar
-        hesss[start:start + chunk] = np.einsum("mq,mqij->mij", wts, hv) - cov
+        grads[start:start + _DERIVATIVE_CHUNK] = gbar
+        hesss[start:start + _DERIVATIVE_CHUNK] = \
+            np.einsum("mq,mqij->mij", wts, hv) - cov
     if single:
         return grads[0], hesss[0]
     return grads, hesss

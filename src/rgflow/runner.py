@@ -69,6 +69,7 @@ class _Context:
         else:
             self.box = default_box(self.schedule)
         self._curv = None
+        self._measures = None
         self._spec_trace = None
         self._samples = None
         self._chi = {}
@@ -171,16 +172,21 @@ class _Context:
                     (grid, lp, curv.alpha_prime), sample_spec=spec), curv)
         return self._curv[1 if sampled else 0]
 
+    def flow_measures(self):
+        """Flow measures on the spectral t grid, built once per run."""
+        if self._measures is None:
+            self._measures = [
+                make_flow_measure(self.schedule, self.V0, float(t),
+                                  self.cfg.grid_points, box=self.box,
+                                  q=self.quad)
+                for t in self.cfg.t_grid()]
+        return self._measures
+
     def spectral_trace(self, k: int):
         if self._spec_trace is None or self._spec_trace[0] < k:
-            results = []
-            for t in self.cfg.t_grid():
-                fm = make_flow_measure(self.schedule, self.V0, float(t),
-                                       self.cfg.grid_points, box=self.box,
-                                       q=self.quad)
-                gen = build_generator(fm)
-                results.append(spectrum(gen, k=k, refine=True))
-            self._spec_trace = (k, results)
+            self._spec_trace = (k, [spectrum(build_generator(fm), k=k,
+                                             refine=True)
+                                    for fm in self.flow_measures()])
         return self._spec_trace[1]
 
 
@@ -196,39 +202,35 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _row(**kw) -> dict:
-    return kw
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 # ---------------------------------------------------------------------------
 
+def _spectrum_row(t, res, detail: str) -> dict:
+    return dict(section="spectrum", check="spectrum", t=float(t),
+                converged=res.converged, detail=detail,
+                **{f"mu_{i}": float(mu) for i, mu in enumerate(res.eigenvalues)})
+
+
+def _margin_rows(report: RunReport, check: str, margins) -> str:
+    for m in margins:
+        report.rows.append(dict(section="margin", check=check, s=m.s, t=m.t,
+                                k=m.k, margin=m.margin, tolerance=m.tolerance))
+    return "pass" if all(m.ok for m in margins) else "fail"
+
+
 def _check_spectrum(ctx: _Context, report: RunReport):
     k = int(ctx.cfg.option("spectrum.k", 3))
-    report.max_k = max(report.max_k, k)
     results = ctx.spectral_trace(k)
-    all_conv = True
     for t, res in zip(ctx.cfg.t_grid(), results):
-        row = _row(section="spectrum", check="spectrum", t=float(t),
-                   converged=res.converged, detail="weighted")
-        for i, mu in enumerate(res.eigenvalues):
-            row[f"mu_{i}"] = float(mu)
-        report.rows.append(row)
-        all_conv = all_conv and res.converged
+        report.rows.append(_spectrum_row(t, res, "weighted"))
     if ctx.model_kind == "gaussian":
         # metric discrepancy reporting: unweighted constants alongside
-        for t in ctx.cfg.t_grid():
-            fm = make_flow_measure(ctx.schedule, ctx.V0, float(t),
-                                   ctx.cfg.grid_points, box=ctx.box, q=ctx.quad)
+        for t, fm in zip(ctx.cfg.t_grid(), ctx.flow_measures()):
             gen = build_generator(fm, cprime=np.eye(ctx.V0.dimension))
-            res = spectrum(gen, k=1, refine=False)
-            row = _row(section="spectrum", check="spectrum", t=float(t),
-                       converged=res.converged, detail="unweighted")
-            for i, mu in enumerate(res.eigenvalues):
-                row[f"mu_{i}"] = float(mu)
-            report.rows.append(row)
-    return "pass" if all_conv else "unconverged"
+            report.rows.append(_spectrum_row(
+                t, spectrum(gen, k=1, refine=False), "unweighted"))
+    return "pass" if all(res.converged for res in results) else "unconverged"
 
 
 def _check_criterion(ctx: _Context, report: RunReport):
@@ -239,7 +241,7 @@ def _check_criterion(ctx: _Context, report: RunReport):
     ok = True
     for i, t in enumerate(curv.t_grid):
         te = curvature_mod.rate_time(curv.t_grid, i)
-        row = _row(section="schedule", check="criterion", t=float(t),
+        row = dict(section="schedule", check="criterion", t=float(t),
                    lambda_prime=float(curv.lambda_prime[i]),
                    alpha_prime=float(curv.alpha_prime[i]),
                    lambda_int=float(curv.lambda_integral[i]),
@@ -268,18 +270,11 @@ def _check_theorem(ctx: _Context, report: RunReport):
              for t, res in zip(ctx.cfg.t_grid(), results)]
     margins = curvature_mod.theorem_margin(trace, ctx.curvature(),
                                            tol_total=tol)
-    ok = True
-    for m in margins:
-        report.rows.append(_row(section="margin", check="theorem", s=m.s,
-                                t=m.t, k=1, margin=m.margin,
-                                tolerance=m.tolerance))
-        ok = ok and m.ok
-    return "pass" if ok else "fail"
+    return _margin_rows(report, "theorem", margins)
 
 
 def _check_higher_k(ctx: _Context, report: RunReport):
     k = int(ctx.cfg.option("spectrum.k", 3))
-    report.max_k = max(report.max_k, k)
     tol = float(ctx.cfg.option("theorem.tolerance", curvature_mod.TOL_TOTAL))
     report.tolerances["higher-k"] = tol
     results = ctx.spectral_trace(k)
@@ -288,13 +283,7 @@ def _check_higher_k(ctx: _Context, report: RunReport):
               for kk in range(1, k + 1)}
     margins = curvature_mod.higher_eigenvalue_margin(traces, ctx.curvature(),
                                                      tol_total=tol)
-    ok = True
-    for m in margins:
-        report.rows.append(_row(section="margin", check="higher-k", s=m.s,
-                                t=m.t, k=m.k, margin=m.margin,
-                                tolerance=m.tolerance))
-        ok = ok and m.ok
-    return "pass" if ok else "fail"
+    return _margin_rows(report, "higher-k", margins)
 
 
 def _check_intertwining(ctx: _Context, report: RunReport):
@@ -314,7 +303,7 @@ def _check_intertwining(ctx: _Context, report: RunReport):
         for t in times:
             viol = curvature_mod.intertwining_check(ctx.schedule, ctx.V0, F,
                                                     float(t), curv, ctx.quad)
-            report.rows.append(_row(section="margin", check="intertwining",
+            report.rows.append(dict(section="margin", check="intertwining",
                                     t=float(t), k=b, margin=viol,
                                     tolerance=tol,
                                     detail=f"bump center={center:.3f}"))
@@ -341,7 +330,7 @@ def _check_variance(ctx: _Context, report: RunReport):
             lambda_prime_floor=float(np.min(curv.lambda_prime)))
     else:
         rep = conservation_check(ctx.schedule, ctx.V0, F, tg, ctx.quad)
-    report.rows.append(_row(
+    report.rows.append(dict(
         section="margin", check="variance", margin=rep.relative_mismatch,
         tolerance=tol, value=rep.variance,
         detail=f"integral={rep.integral:.12g} tail={rep.tail_estimate:.3g} "
@@ -363,7 +352,7 @@ def _check_phi4_identity(ctx: _Context, report: RunReport):
     ok = True
     for t in times:
         err = phi4_mod.hessian_identity_check(ctx.phi4_model, float(t), phis)
-        report.rows.append(_row(section="margin", check="phi4-identity",
+        report.rows.append(dict(section="margin", check="phi4-identity",
                                 t=float(t), margin=err, tolerance=tol,
                                 detail=f"{n_samp} seeded samples"))
         ok = ok and err <= tol
@@ -388,10 +377,10 @@ def _check_heatflow(ctx: _Context, report: RunReport):
     rep = heatflow_harness(x, dens, np.linspace(0.0, s_max, s_count),
                            monotone_tol=tol)
     for s, cp in zip(rep.s_grid, rep.poincare):
-        report.rows.append(_row(section="margin", check="heatflow", s=float(s),
+        report.rows.append(dict(section="margin", check="heatflow", s=float(s),
                                 value=float(cp),
                                 detail=f"log_concave={rep.log_concave_input}"))
-    report.rows.append(_row(section="margin", check="heatflow",
+    report.rows.append(dict(section="margin", check="heatflow",
                             margin=-rep.worst_drop, tolerance=tol,
                             value=rep.two_sided_margin,
                             detail="worst monotonicity drop; value = "
@@ -432,7 +421,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             report.statuses[name] = "fail"
             report.errors[name] = f"{type(exc).__name__}: {exc}"
     for name, status in report.statuses.items():
-        report.rows.append(_row(section="status", check=name, status=status,
+        report.rows.append(dict(section="status", check=name, status=status,
                                 detail=report.errors.get(name, "")))
     report.wallclock = time.perf_counter() - start
     return report

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +36,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import _stencils
 from .errors import NonConvergenceError
-from .flow import Box, FlowMeasure, GridFunction, integrate_grid, semigroup_apply
+from .flow import Box, FlowMeasure, GridFunction, integrate_grid
 from .potential import QuadratureRule, renormalized_derivatives
 
 DRIFTS = ("script-L", "L", "Lambda")
@@ -44,8 +45,13 @@ DRIFTS = ("script-L", "L", "Lambda")
 # box before assembly; exp(-570) is comfortably inside float range.
 TRIM_LOG = 570.0
 
+# Largest share of nodes whose weight may underflow to zero.
+_UNDERFLOW_FRAC = 0.2
+
 _DENSE_CUTOFF = 600
 _EIG_RESIDUAL_RTOL = 1e-10
+# Restart cap of shift-invert Lanczos: healthy pencils need about two.
+_ARPACK_MAXITER = 100
 _RICHARDSON_RTOL = 5e-3
 
 _GAUSS_1D = (0.5 * (1.0 - 1.0 / math.sqrt(3.0)), 0.5 * (1.0 + 1.0 / math.sqrt(3.0)))
@@ -90,17 +96,27 @@ class GeneratorDiscretization:
         fv = np.asarray(f, dtype=float).reshape(-1)
         return float((self.mass @ fv) / self.mass.sum())
 
-    def potential_derivatives(self):
-        """(grad V_t, hess V_t) on the grid nodes; needs an analytic measure."""
-        if self.flow_measure is None:
-            raise ValueError("generator has no analytic flow measure attached")
+    @cached_property
+    def drift_ingredients(self):
+        """(A_op, mobility C', drift vector field b(X), hess V_t) for the
+        stencil operator, computed once per generator; needs an analytic
+        flow measure."""
         fm = self.flow_measure
+        if fm is None:
+            raise ValueError("generator has no analytic flow measure attached")
         c, _, _ = fm.schedule.eval(self.t)
+        d, cp = self.box.dim, self.mobility
         nodes = self.box.nodes(self.grid_shape)
-        grad, hess = renormalized_derivatives(fm.V0, c, nodes, fm.quad)
-        d = self.box.dim
-        return (grad.reshape(self.grid_shape + (d,)),
-                hess.reshape(self.grid_shape + (d, d)))
+        grad_v, hess_v = renormalized_derivatives(fm.V0, c, nodes, fm.quad)
+        grad_v = grad_v.reshape(self.grid_shape + (d,))
+        hess_v = hess_v.reshape(self.grid_shape + (d, d))
+        nodes = nodes.reshape(self.grid_shape + (d,))
+        bvec = np.einsum("ij,...j->...i", cp, grad_v)
+        if self.drift == "script-L":
+            bvec = bvec + np.einsum("ij,jk,...k->...i", cp,
+                                    self.gauss_precision, nodes)
+        a_op = 0.5 * cp if self.drift == "L" else cp
+        return a_op, cp, bvec, hess_v
 
 
 def _trim_window(log_w: np.ndarray, threshold: float) -> tuple:
@@ -169,8 +185,8 @@ def _assemble(box: Box, shape: tuple, w: np.ndarray, a_matrix: np.ndarray):
 
 
 def build_generator(flow_measure: FlowMeasure, cprime=None,
-                    drift: str = "script-L", trim: bool = True,
-                    underflow_frac: float = 0.2) -> GeneratorDiscretization:
+                    drift: str = "script-L", trim: bool = True
+                    ) -> GeneratorDiscretization:
     """Assemble the generator of the requested drift variant at fm.t."""
     if drift not in DRIFTS:
         raise ValueError(f"unknown drift variant {drift!r}; expected {DRIFTS}")
@@ -188,7 +204,7 @@ def build_generator(flow_measure: FlowMeasure, cprime=None,
 
     raw_w = np.exp(log_w - np.max(log_w))
     frac_zero = float(np.count_nonzero(raw_w == 0.0)) / raw_w.size
-    if frac_zero > underflow_frac:
+    if frac_zero > _UNDERFLOW_FRAC:
         raise ValueError(
             f"box too large / resolution too coarse: weight underflows at "
             f"{100 * frac_zero:.1f}% of nodes")
@@ -280,10 +296,13 @@ def _smallest_pairs(gen: GeneratorDiscretization, k: int):
         try:
             vals, vecs = spla.eigsh(b.tocsc(), k=k + 1,
                                     sigma=-1e-3 * max(scale, 1e-12),
-                                    which="LM", mode="normal", v0=v0)
-        except spla.ArpackNoConvergence as exc:
+                                    which="LM", mode="normal", v0=v0,
+                                    maxiter=_ARPACK_MAXITER)
+        except RuntimeError as exc:
+            # ArpackNoConvergence, or SuperLU finding the shifted pencil singular
             raise NonConvergenceError(
-                f"ARPACK shift-invert eigsh did not converge: {exc}") from exc
+                "shift-invert eigsh failed in the SuperLU factorization or "
+                f"the ARPACK iteration: {exc}") from exc
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
 
@@ -361,12 +380,11 @@ def rayleigh_flow_trace(schedule, V0, phi0: GridFunction, t_grid,
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
+    q = q or QuadratureRule.for_dimension(V0.dimension)
     out = []
     for t in t_grid:
-        phi_t = semigroup_apply(schedule, V0, 0.0, float(t), phi0, q) \
-            if t > 0 else phi0
-        fm = FlowMeasure(schedule, V0, float(t), phi0.box, phi0.shape,
-                         q or QuadratureRule.for_dimension(V0.dimension))
+        fm = FlowMeasure(schedule, V0, float(t), phi0.box, phi0.shape, q)
+        phi_t = fm.semigroup(0.0, phi0) if t > 0 else phi0
         gen = build_generator(fm, drift=drift, trim=False)
         out.append((float(t), rayleigh_quotient(gen, phi_t)))
     return out
@@ -394,33 +412,10 @@ def minmax_trial_bound(gen: GeneratorDiscretization, functions) -> float:
 # Pointwise Gamma-calculus on grids
 # ---------------------------------------------------------------------------
 
-def _drift_ingredients(gen: GeneratorDiscretization):
-    """(A_op, mobility C', drift vector field b(X)) for the stencil operator."""
-    cp = gen.mobility
-    grad_v, hess_v = gen.potential_derivatives()
-    nodes = gen.box.nodes(gen.grid_shape).reshape(gen.grid_shape + (gen.box.dim,))
-    if gen.drift == "script-L":
-        bvec = np.einsum("ij,...j->...i", cp, grad_v) \
-            + np.einsum("ij,jk,...k->...i", cp, gen.gauss_precision, nodes)
-        a_op = cp
-    elif gen.drift == "Lambda":
-        bvec = np.einsum("ij,...j->...i", cp, grad_v)
-        a_op = cp
-    else:
-        bvec = np.einsum("ij,...j->...i", cp, grad_v)
-        a_op = 0.5 * cp
-    return a_op, cp, bvec, hess_v
-
-
-def apply_drift_operator(gen: GeneratorDiscretization, values: np.ndarray,
-                         _cache: dict | None = None) -> np.ndarray:
+def apply_drift_operator(gen: GeneratorDiscretization,
+                         values: np.ndarray) -> np.ndarray:
     """Pointwise stencil action of the drift operator (4th-order interior)."""
-    if _cache is not None and "ingredients" in _cache:
-        a_op, _, bvec, _ = _cache["ingredients"]
-    else:
-        a_op, cp, bvec, hess_v = _drift_ingredients(gen)
-        if _cache is not None:
-            _cache["ingredients"] = (a_op, cp, bvec, hess_v)
+    a_op, _, bvec, _ = gen.drift_ingredients
     h = gen.box.spacing(gen.grid_shape)
     hess = _stencils.hessian(values, h)
     grad = _stencils.gradient(values, h)
@@ -447,17 +442,15 @@ def gamma_two(gen: GeneratorDiscretization, phi: GridFunction,
     <(hess V_t [+ (C_inf - C_t)^{-1} for the full drift]) C' grad phi,
     grad phi>_{C'}; c = 1/2 for the half-Laplacian variant and 1 otherwise.
     """
-    cache: dict = {}
-    a_op, cp, bvec, hess_v = _drift_ingredients(gen)
-    cache["ingredients"] = (a_op, cp, bvec, hess_v)
+    _, cp, _, hess_v = gen.drift_ingredients
     h = gen.box.spacing(gen.grid_shape)
 
     grad_phi = _stencils.gradient(phi.values, h)
     gamma_vals = np.einsum("...i,ij,...j->...", grad_phi, cp, grad_phi)
-    op_phi = apply_drift_operator(gen, phi.values, cache)
+    op_phi = apply_drift_operator(gen, phi.values)
     grad_op_phi = _stencils.gradient(op_phi, h)
     cross = np.einsum("...i,ij,...j->...", grad_phi, cp, grad_op_phi)
-    comp = 0.5 * (apply_drift_operator(gen, gamma_vals, cache) - 2.0 * cross)
+    comp = 0.5 * (apply_drift_operator(gen, gamma_vals) - 2.0 * cross)
 
     hess_phi = _stencils.hessian(phi.values, h)
     hnorm = np.einsum("ij,...jk,kl,...li->...", cp, hess_phi, cp, hess_phi)

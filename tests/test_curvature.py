@@ -194,6 +194,28 @@ def test_intertwining_gaussian_identity_function(gauss):
     assert abs(v) < 1e-12
 
 
+def test_intertwining_evaluates_potential_once(monkeypatch):
+    import rgflow.flow as flow_mod
+
+    sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
+    V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
+    q = QuadratureRule(order=40, dimension=1)
+    box = default_box(sched)
+    xs = box.axes((129,))[0]
+    F = GridFunction(box, np.exp(-xs**2))
+    calls = []
+    real = flow_mod.renormalized_value
+
+    def spy(V0, c, x, *args, **kwargs):
+        if np.shape(x)[0] == 129:
+            calls.append(float(np.atleast_2d(c)[0, 0]))
+        return real(V0, c, x, *args, **kwargs)
+
+    monkeypatch.setattr(flow_mod, "renormalized_value", spy)
+    intertwining_check(sched, V0, F, 1.0, _gauss_curv(tmax=3.0, n=31), q)
+    assert calls == [float(sched.eval(1.0)[0][0, 0])]
+
+
 def test_build_schedule_with_override(gauss):
     sched, V0, q = gauss
     grid = np.linspace(0.0, 1.0, 5)

@@ -144,6 +144,49 @@ def test_semigroup_rejects_kernel_wider_than_box(gauss_chain):
         semigroup_apply(sched, V0, 0.0, 2.0, f, q)
 
 
+def _count_grid_potentials(monkeypatch, n_nodes):
+    """Spy on V_t evaluations over a whole grid; returns {C_t entry: calls}."""
+    import rgflow.flow as flow_mod
+
+    counts = {}
+    real = flow_mod.renormalized_value
+
+    def spy(V0, c, x, *args, **kwargs):
+        if np.shape(x)[0] == n_nodes:
+            key = float(np.atleast_2d(c)[0, 0])
+            counts[key] = counts.get(key, 0) + 1
+        return real(V0, c, x, *args, **kwargs)
+
+    monkeypatch.setattr(flow_mod, "renormalized_value", spy)
+    return counts
+
+
+def test_conservation_evaluates_potential_once_per_time(dwell_chain,
+                                                        monkeypatch):
+    sched, V0, q, box = dwell_chain
+    xs = box.axes((129,))[0]
+    F = GridFunction(box, np.exp(-xs**2))
+    counts = _count_grid_potentials(monkeypatch, 129)
+    t_grid = np.linspace(0.0, 2.0, 5)
+    conservation_check(sched, V0, F, t_grid, q)
+    assert len(counts) == len(t_grid)
+    assert set(counts.values()) == {1}
+
+
+def test_flow_measure_semigroup_rejects_other_grid(gauss_chain):
+    sched, V0, q, box = gauss_chain
+    fm = make_flow_measure(sched, V0, 1.0, 513, box=box, q=q)
+    with pytest.raises(ValueError, match="flow measure lives on"):
+        fm.semigroup(0.0, GridFunction(box, np.ones(257)))
+    wider = Box.cube(2.0 * box.hi[0], 1)
+    with pytest.raises(ValueError, match="flow measure lives on"):
+        fm.semigroup(0.0, GridFunction(wider, np.ones(513)))
+    xs = box.axes((513,))[0]
+    out = fm.semigroup(0.0, GridFunction(box, xs.copy()))
+    want = semigroup_apply(sched, V0, 0.0, 1.0, GridFunction(box, xs.copy()), q)
+    assert np.array_equal(out.values, want.values)
+
+
 def test_conservation_constant_function(gauss_chain):
     sched, V0, q, box = gauss_chain
     F = GridFunction(box, np.ones(513))

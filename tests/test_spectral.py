@@ -355,3 +355,57 @@ def test_arpack_nonconvergence_maps_to_nonconvergence_error(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(NonConvergenceError, match="ARPACK"):
         spectrum(gen, k=2, refine=False)
+
+
+def test_singular_shift_invert_factor_maps_to_nonconvergence_error():
+    from rgflow.errors import NonConvergenceError
+    from rgflow.phi4 import Phi4Model
+
+    # plaquette phi4 on a 65^2 default box: 48 nodes keep zero mass after
+    # trimming, and SuperLU finds the shifted pencil exactly singular
+    model = Phi4Model([[2.0, -1.0], [-1.0, 2.0]], 1.0, -1.0, [0.0, 0.0])
+    sched = model.schedule()
+    q = QuadratureRule(order=40, dimension=2)
+    fm = make_flow_measure(sched, model.potential(), 0.05, 65,
+                           box=default_box(sched), q=q)
+    gen = build_generator(fm)
+    assert np.count_nonzero(gen.mass == 0.0) > 0
+    with np.errstate(divide="ignore"), \
+            pytest.raises(NonConvergenceError, match="SuperLU"):
+        spectrum(gen, k=3, refine=False)
+
+
+def test_shift_invert_solve_has_finite_restart_cap(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    from rgflow.flow import Box
+
+    box = Box((-3.0, -3.0), (3.0, 3.0))
+    xs = box.axes((25, 25))
+    w = np.exp(-0.5 * (xs[0][:, None] ** 2 + xs[1][None, :] ** 2))
+    gen = build_generator_from_density(box, w)
+    seen = []
+    real = spla.eigsh
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("maxiter"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    spectrum(gen, k=2, refine=False)
+    assert len(seen) == 1
+    assert seen[0] is not None and 0 < seen[0] <= 1000
+
+
+def test_stalling_shift_invert_solve_ends_as_nonconvergence():
+    from rgflow.errors import NonConvergenceError
+    from rgflow.phi4 import Phi4Model
+
+    # without a restart cap this solve ran for more than 10 minutes
+    model = Phi4Model([[1.5, -0.5], [-0.5, 1.5]], 1.0, -1.0, [0.0, 0.0])
+    sched = model.schedule()
+    q = QuadratureRule(order=40, dimension=2)
+    fm = make_flow_measure(sched, model.potential(), 0.1, 97,
+                           box=default_box(sched), q=q)
+    with pytest.raises(NonConvergenceError, match="ARPACK"):
+        spectrum(build_generator(fm), k=3, refine=False)
