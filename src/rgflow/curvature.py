@@ -46,6 +46,8 @@ _REFINE_STEPS = 20
 
 # The factor-2 coarsening check allows 3x this gap in the lambda' integral.
 _REFINEMENT_TOL = 1e-4
+# Boundary cells left out of the intertwining comparison.
+_INTERTWINING_MARGIN_CELLS = 4
 
 
 @dataclass(frozen=True)
@@ -370,8 +372,7 @@ def poincare_upper_bound(curv: CurvatureSchedule, c_prime_radius_s: float,
 
 def intertwining_check(schedule: CovarianceSchedule, V0: PotentialDescriptor,
                        F: GridFunction, t: float, curv: CurvatureSchedule,
-                       q: QuadratureRule | None = None,
-                       margin_cells: int = 4) -> float:
+                       q: QuadratureRule | None = None) -> float:
     """Max violation of the gradient-semigroup commutation bound at time t.
 
     Computes max over interior nodes of |grad P_{0,t}F|^2_{C_t'} -
@@ -389,17 +390,17 @@ def intertwining_check(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     sq = F.with_values(np.sum(grad_f**2, axis=-1), tag="|grad F|^2")
     rhs_fn = mt.semigroup(0.0, sq)
     factor = schedule.c0_prime_radius * math.exp(-2.0 * curv.lambda_at(t))
-    interior = _stencils.interior_mask(F.shape, margin_cells)
+    interior = _stencils.interior_mask(F.shape, _INTERTWINING_MARGIN_CELLS)
     violation = lhs[interior] - factor * rhs_fn.values[interior]
     return float(np.max(violation))
 
 
-def rayleigh_trace_margins(trace, curv: CurvatureSchedule,
-                           allowance: float = 1e-3) -> np.ndarray:
+def rayleigh_trace_margins(trace, curv: CurvatureSchedule) -> np.ndarray:
     """Discrete log-derivative of a Rayleigh trace against alpha' - 2 lambda'.
 
     Returns d/dt log R - (alpha'_t - 2 lambda'_t) at interior grid times;
-    entries above ``allowance`` violate the differential inequality.
+    positive entries, beyond discretization error, violate the differential
+    inequality.
     """
     ts = np.array([t for t, _ in trace], dtype=float)
     rs = np.array([r for _, r in trace], dtype=float)

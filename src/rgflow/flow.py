@@ -109,14 +109,15 @@ class GridFunction:
     def spacing(self) -> np.ndarray:
         return self.box.spacing(self.shape)
 
-    def interpolator(self, method: str = "cubic"):
+    def interpolator(self):
+        """Cubic interpolant that extrapolates off the box (a spline in 1-D)."""
         from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
         axes = self.box.axes(self.shape)
-        if self.box.dim == 1 and method == "cubic":
+        if self.box.dim == 1:
             spline = CubicSpline(axes[0], self.values, extrapolate=True)
             return lambda pts: spline(np.asarray(pts)[..., 0])
-        return RegularGridInterpolator(axes, self.values, method=method,
+        return RegularGridInterpolator(axes, self.values, method="cubic",
                                        bounds_error=False, fill_value=None)
 
     def gradient(self) -> np.ndarray:
@@ -131,17 +132,16 @@ def integrate_grid(box: Box, values: np.ndarray) -> float:
     return float(np.sum(box.trapezoid_weights(values.shape) * values))
 
 
-def default_box(schedule: CovarianceSchedule, t_min: float = 0.0,
-                sigmas: float = BOX_HALFWIDTH_SIGMAS) -> Box:
-    """Box sized from the dominating Gaussian factor at the earliest scale.
+def default_box(schedule: CovarianceSchedule) -> Box:
+    """Box sized from the dominating Gaussian factor at t = 0.
 
     One box serves every later scale because the Gaussian part only shrinks
     along the flow.
     """
-    c, _, _ = schedule.eval(t_min)
+    c, _, _ = schedule.eval(0.0)
     resid = schedule.c_infinity - c
     sigma = math.sqrt(max(np.linalg.eigvalsh(resid)[-1], 1e-300))
-    return Box.cube(sigmas * sigma, schedule.dim)
+    return Box.cube(BOX_HALFWIDTH_SIGMAS * sigma, schedule.dim)
 
 
 def _log_density_terms(schedule: CovarianceSchedule, V0: PotentialDescriptor,

@@ -15,7 +15,11 @@ the mass-shifted zero-field measure, and the corrective rate is bounded by
 where Sigma_t(phi) is the covariance of the measure with mass shift 1/t and
 external field C_t^{-1} phi.  Moments are computed by importance-weighted
 tensor Gauss-Hermite quadrature for n <= 3 and by seeded single-site
-random-walk Metropolis otherwise (always available for cross-checks).
+random-walk Metropolis otherwise (always available for cross-checks).  The
+Metropolis path advances a fixed batch of independent chains together in
+numpy, all drawn from one generator seeded by ``seed``; the sweep budget is
+split evenly across the chains, and the error bars are a jackknife over
+whole chains.
 """
 
 from __future__ import annotations
@@ -33,8 +37,12 @@ from .potential import PotentialDescriptor, QuadratureRule
 QUADRATURE_MAX_SITES = 3
 
 _MCMC_BURNIN = 100_000
+_MCMC_CHAINS = 64
 _MCMC_TARGET_ACCEPT = 0.4
+_MCMC_TUNE_TRIALS = 500      # pooled trials per site between scale updates
 _MCMC_MIN_ESS = 1000
+_MCMC_BURNIN_TAUS = 20
+_WOLFF_S = 1.5
 
 # Quadrature reference widths in marginal std devs; descent sweeps for the
 # infimum of lambda_min(Sigma_t); finite-difference step of the identity check.
@@ -99,8 +107,10 @@ class MomentEstimate:
     stderr: float
     method: str                 # "quadrature" | "mcmc"
     seed: int | None = None
-    n_samples: int = 0
+    n_samples: int = 0          # effective sample size for "mcmc"
     converged: bool = True
+    tau: float | None = None    # integrated autocorrelation time, sweeps
+    acceptance: float | None = None
 
     def __post_init__(self):
         if self.stderr < 0:
@@ -177,108 +187,143 @@ def lattice_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
     return mean2, cov2, drift <= 1e-8
 
 
+class MetropolisMoments(tuple):
+    """``(mean, cov, stderr, ess, n_kept)`` with the chain diagnostics
+    ``tau`` (sweeps) and ``acceptance`` (measured, pooled) as attributes."""
+
+    def __new__(cls, values, tau: float, acceptance: float):
+        self = super().__new__(cls, values)
+        self.tau = tau
+        self.acceptance = acceptance
+        return self
+
+
 def metropolis_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
                        seed: int = 0, n_measure_sweeps: int = 60_000,
                        burnin: int = _MCMC_BURNIN):
     """Single-site random-walk Metropolis moments with stderr.
 
-    Proposal scales are tuned toward 0.4 acceptance during burn-in; samples
-    are thinned by the integrated autocorrelation time of the slowest
-    tracked observable and the effective sample size must reach 1000.
-    Returns (mean, cov, stderr_cov, ess, n_kept).
+    ``_MCMC_CHAINS`` independent chains advance together, one vectorized
+    step per site; ``burnin`` and ``n_measure_sweeps`` are the total sweep
+    budgets, split evenly across the chains.  Proposal scales are tuned
+    toward 0.4 acceptance, pooled over the chains, during burn-in only.
+    Every measured sweep is kept: the stderr of the covariance entries is a
+    jackknife over whole chains, which are independent, and tau (Wolff's
+    automatic window on the chain-averaged autocorrelation of the slower of
+    the total field and sum phi^2) sets ess = samples / tau.  Raises
+    NonConvergenceError when ess < 1000 or a chain's burn-in is shorter than
+    20 tau.  Returns (mean, cov, stderr_cov, ess, n_kept), carrying ``tau``
+    and the measured ``acceptance`` as attributes.
     """
     n = model.n_sites
     eta = model.h if field is None else np.broadcast_to(
         np.atleast_1d(np.asarray(field, dtype=float)), (n,))
     rng = np.random.default_rng(seed)
+    chains = _MCMC_CHAINS
+    n_burn, n_meas = burnin // chains, n_measure_sweeps // chains
     a = model.a_matrix
-    m2 = model.nu + mass_shift
-    g = model.g
+    off = a - np.diag(np.diag(a))
+    half_mass = 0.5 * (np.diag(a) + model.nu + mass_shift)
+    quarter_g = 0.25 * model.g
 
-    phi = rng.standard_normal(n) * 0.5
+    phi = rng.standard_normal((n, chains)) * 0.5    # row i: site i of each chain
     scale = np.full(n, 1.0)
-    accepts = np.zeros(n)
-    trials = np.zeros(n)
 
-    def site_energy(i, value, other_sum):
-        return (0.5 * a[i, i] * value**2 + value * other_sum
-                + 0.25 * g * value**4 + 0.5 * m2 * value**2 - eta[i] * value)
+    def advance(sweeps, record=None):
+        """Run ``sweeps`` sweeps of every chain; accepted moves per site."""
+        step = scale[:, None] * rng.standard_normal((sweeps, n, chains))
+        u = rng.random((sweeps, n, chains))
+        accepted = np.zeros(n)
+        for s in range(sweeps):
+            for i in range(n):
+                old = phi[i]
+                d = step[s, i]
+                new = old + d
+                both = new + old
+                # site energy e(v) = (a_ii + m2) v^2/2 + g v^4/4 + v (other - eta_i)
+                de = d * (both * (half_mass[i] + quarter_g * (new * new + old * old))
+                          + (off[i] @ phi - eta[i]))
+                take = u[s, i] < np.exp(-np.maximum(de, 0.0))
+                phi[i] = np.where(take, new, old)
+                accepted[i] += np.count_nonzero(take)
+            if record is not None:
+                record[s] = phi
+        return accepted
 
-    def sweep():
-        for i in range(n):
-            other = a[i] @ phi - a[i, i] * phi[i]
-            old = phi[i]
-            new = old + scale[i] * rng.standard_normal()
-            de = site_energy(i, new, other) - site_energy(i, old, other)
-            trials[i] += 1
-            if de <= 0 or rng.random() < math.exp(-de):
-                phi[i] = new
-                accepts[i] += 1
+    block = -(-_MCMC_TUNE_TRIALS // chains)
+    for start in range(0, n_burn, block):
+        sweeps = min(block, n_burn - start)
+        rate = advance(sweeps) / (sweeps * chains)
+        scale *= np.exp(rate - _MCMC_TARGET_ACCEPT)
 
-    tune_block = 500
-    for step in range(burnin):
-        sweep()
-        if (step + 1) % tune_block == 0:
-            rate = accepts / np.maximum(trials, 1)
-            scale *= np.exp(rate - _MCMC_TARGET_ACCEPT)
-            accepts[:] = 0
-            trials[:] = 0
+    samples = np.empty((n_meas, n, chains))
+    accepted = np.zeros(n)
+    for start in range(0, n_meas, block):
+        sweeps = min(block, n_meas - start)
+        accepted += advance(sweeps, samples[start:start + sweeps])
+    n_kept = n_meas * chains
 
-    samples = np.empty((n_measure_sweeps, n))
-    for step in range(n_measure_sweeps):
-        sweep()
-        samples[step] = phi
-
-    # integrated autocorrelation of the slowest observable (total field,
-    # falling back to sum phi^2 when symmetry kills the linear mode)
-    obs = samples.sum(axis=1)
-    if abs(np.mean(obs)) < 5 * np.std(obs) / math.sqrt(len(obs)) and np.all(eta == 0):
-        obs = (samples**2).sum(axis=1)
-    tau = _integrated_autocorr(obs)
-    stride = max(1, int(math.ceil(tau)))
-    kept = samples[::stride]
-    ess = float(len(kept))
+    series = samples.transpose(2, 0, 1)          # (chains, sweeps, sites)
+    tau = max(_integrated_autocorr(series.sum(axis=2)),
+              _integrated_autocorr((series**2).sum(axis=2))) \
+        if n_meas > 1 else math.inf
+    ess = n_kept / tau
     if ess < _MCMC_MIN_ESS:
         raise NonConvergenceError(
             f"MCMC effective sample size {ess:.0f} < {_MCMC_MIN_ESS} "
             f"(tau = {tau:.1f}, sweeps = {n_measure_sweeps}); run longer")
+    if n_burn < _MCMC_BURNIN_TAUS * tau:
+        raise NonConvergenceError(
+            f"MCMC burn-in of {n_burn} sweeps per chain is shorter than "
+            f"{_MCMC_BURNIN_TAUS} tau = {_MCMC_BURNIN_TAUS * tau:.0f} sweeps "
+            f"(burnin = {burnin}); run longer")
 
-    mean = kept.mean(axis=0)
-    centered = kept - mean
-    cov = centered.T @ centered / (len(kept) - 1)
+    # per-chain sums about the pooled mean; the jackknife leaves out one chain
+    center = series.reshape(-1, n).mean(axis=0)
+    dev = series - center
+    s1 = dev.sum(axis=1)                                   # (chains, sites)
+    s2 = np.einsum("csi,csj->cij", dev, dev)
+    t1, t2 = s1.sum(axis=0), s2.sum(axis=0)
 
-    # block jackknife stderr on the covariance entries
-    nblocks = 20
-    blocks = np.array_split(np.arange(len(kept)), nblocks)
-    cov_blocks = []
-    for b in blocks:
-        mask = np.ones(len(kept), dtype=bool)
-        mask[b] = False
-        sub = kept[mask]
-        sm = sub.mean(axis=0)
-        sc = sub - sm
-        cov_blocks.append(sc.T @ sc / (len(sub) - 1))
-    cov_blocks = np.array(cov_blocks)
+    def cov_from(sum1, sum2, count):
+        shift = sum1 / count
+        return (sum2 - count * shift[..., :, None] * shift[..., None, :]) / (count - 1)
+
+    mean = center + t1 / n_kept
+    cov = cov_from(t1, t2, n_kept)
+    cov_jack = cov_from(t1 - s1, t2 - s2, n_kept - n_meas)
     stderr = float(np.max(np.sqrt(
-        (nblocks - 1) * np.mean((cov_blocks - cov_blocks.mean(0)) ** 2, axis=0))))
-    return mean, cov, stderr, ess, len(kept)
+        (chains - 1) * np.mean((cov_jack - cov_jack.mean(0)) ** 2, axis=0))))
+    acceptance = float(accepted.sum() / (n_kept * n))
+    return MetropolisMoments((mean, cov, stderr, ess, n_kept), tau, acceptance)
 
 
 def _integrated_autocorr(x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    x = x - x.mean()
-    n = len(x)
-    f = np.fft.rfft(x, n=2 * n)
-    acf = np.fft.irfft(f * np.conj(f))[:n].real
-    if acf[0] <= 0:
+    """Integrated autocorrelation time 1 + 2 sum_t rho(t) of the series
+    ``x`` (one row per independent chain), with U. Wolff's automatic window
+    (Comput. Phys. Commun. 156 (2004) 143, S = 1.5) on the autocorrelation
+    averaged over the chains, bias-corrected for the window."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    chains, m = x.shape
+    total = chains * m
+    dev = x - x.mean()
+    f = np.fft.rfft(dev, n=2 * m, axis=1)
+    acov = np.fft.irfft(f * np.conj(f), axis=1)[:, :m].sum(axis=0)
+    w_max = m // 2
+    if acov[0] <= 0 or w_max < 1:
         return 1.0
-    acf /= acf[0]
-    tau = 1.0
-    for k in range(1, min(n // 2, 2000)):
-        if acf[k] < 0.05:
-            break
-        tau += 2.0 * acf[k]
-    return tau
+    gamma = acov[:w_max + 1] / (total - chains * np.arange(w_max + 1))
+    windows = np.arange(1, w_max + 1)
+    tau_int = 0.5 + np.cumsum(gamma[1:]) / gamma[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau_w = np.where(tau_int > 0.5, _WOLFF_S / np.log(
+            (2 * tau_int + 1) / (2 * tau_int - 1)), 1e-300)
+        g = np.exp(-windows / tau_w) - tau_w / np.sqrt(windows * total)
+    below = np.nonzero(g < 0)[0]
+    w = int(windows[below[0]] if len(below) else w_max)
+    c_f = gamma[0] + 2.0 * gamma[1:w + 1].sum()
+    # Wolff's bias correction: every Gamma(t) gains C_F / N
+    return float(c_f * (1.0 + (2 * w + 1) / total) / (gamma[0] + c_f / total))
 
 
 def _shifted_moments(model: Phi4Model, t: float, field, order: int,
@@ -295,11 +340,12 @@ def _shifted_moments(model: Phi4Model, t: float, field, order: int,
                                             field=field, order=order)
         return MomentEstimate(value=cov, stderr=0.0, method="quadrature",
                               converged=converged)
-    _, cov, stderr, ess, kept = metropolis_moments(
-        base, mass_shift=1.0 / t, field=field, seed=seed,
-        n_measure_sweeps=n_measure_sweeps)
+    moments = metropolis_moments(base, mass_shift=1.0 / t, field=field,
+                                 seed=seed, n_measure_sweeps=n_measure_sweeps)
+    _, cov, stderr, ess, _ = moments
     return MomentEstimate(value=cov, stderr=stderr, method="mcmc", seed=seed,
-                          n_samples=kept)
+                          n_samples=int(ess), tau=moments.tau,
+                          acceptance=moments.acceptance)
 
 
 def susceptibility(model: Phi4Model, t: float, order: int = 96,

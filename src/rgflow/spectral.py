@@ -50,9 +50,14 @@ _UNDERFLOW_FRAC = 0.2
 
 _DENSE_CUTOFF = 600
 _EIG_RESIDUAL_RTOL = 1e-10
+# Largest misalignment 1 - |cos| accepted between the ground eigenvector and
+# the known kernel direction.
+_KERNEL_TOL = 1e-6
 # Restart cap of shift-invert Lanczos: healthy pencils need about two.
 _ARPACK_MAXITER = 100
 _RICHARDSON_RTOL = 5e-3
+# Boundary cells left out of the Gamma_2 comparison.
+_GAMMA_MARGIN_CELLS = 5
 
 _GAUSS_1D = (0.5 * (1.0 - 1.0 / math.sqrt(3.0)), 0.5 * (1.0 + 1.0 / math.sqrt(3.0)))
 
@@ -316,6 +321,16 @@ def _smallest_pairs(gen: GeneratorDiscretization, k: int):
             + ", ".join(f"{r:.3e}" for r in residuals)
             + f" against {_EIG_RESIDUAL_RTOL:.1e} * |A| = "
             f"{_EIG_RESIDUAL_RTOL * norm_b:.3e}")
+    # -L is conservative: constants span its kernel, so the ground state of
+    # the symmetrized pencil is sqrt(mass) with mu_0 = 0 exactly
+    kernel = np.sqrt(gen.mass)
+    overlap = abs(kernel @ vecs[:, 0]) / (
+        np.linalg.norm(kernel) * np.linalg.norm(vecs[:, 0]))
+    if overlap < 1.0 - _KERNEL_TOL:
+        raise NonConvergenceError(
+            f"eigensolver lost the kernel: the ground eigenvector (mu_0 = "
+            f"{vals[0]:.3e}, mu_1 = {vals[1]:.3e}) has overlap {overlap:.3e} "
+            f"with sqrt(mass), below 1 - {_KERNEL_TOL:.0e}")
 
     # back to the weighted problem; w-orthonormal by construction
     wvecs = dinv[:, None] * vecs
@@ -433,8 +448,7 @@ class GammaReport:
     max_rel_disagreement: float
 
 
-def gamma_two(gen: GeneratorDiscretization, phi: GridFunction,
-              margin: int = 5) -> GammaReport:
+def gamma_two(gen: GeneratorDiscretization, phi: GridFunction) -> GammaReport:
     """Iterated Gamma operator computed two independent ways.
 
     Composition: (op Gamma(phi) - 2 Gamma(phi, op phi)) / 2 with the carre du
@@ -460,7 +474,7 @@ def gamma_two(gen: GeneratorDiscretization, phi: GridFunction,
     expl = (0.5 if gen.drift == "L" else 1.0) * hnorm + np.einsum(
         "...ij,jk,...k,il,...l->...", curv, cp, grad_phi, cp, grad_phi)
 
-    interior = _stencils.interior_mask(phi.shape, margin)
+    interior = _stencils.interior_mask(phi.shape, _GAMMA_MARGIN_CELLS)
     scale = float(np.max(np.abs(expl[interior]))) or 1.0
     disagreement = float(np.max(np.abs(comp[interior] - expl[interior]))) / scale
     return GammaReport(

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.signal import lfilter
 
 from rgflow import oracles
 from rgflow.curvature import alpha_prime, multiscale_margin
 from rgflow.errors import NonConvergenceError
-from rgflow.phi4 import (Phi4Model, hessian_identity_check, metropolis_moments,
-                         phi4_schedules, susceptibility, tilted_covariance)
+from rgflow.phi4 import (Phi4Model, _integrated_autocorr, hessian_identity_check,
+                         metropolis_moments, phi4_schedules, susceptibility,
+                         tilted_covariance)
 from rgflow.potential import QuadratureRule
 
 A_NN = np.array([[2.0, -1.0], [-1.0, 2.0]])
@@ -59,6 +61,58 @@ def test_mcmc_nonconvergence_raises():
     with pytest.raises(NonConvergenceError, match="effective sample size"):
         metropolis_moments(m, mass_shift=1.0, seed=1,
                            n_measure_sweeps=500, burnin=200)
+
+
+def _ring(n_sites):
+    """A = 2.5 I - (S + S^T)/2 on a periodic ring."""
+    shift = np.roll(np.eye(n_sites), 1, axis=1)
+    return 2.5 * np.eye(n_sites) - 0.5 * (shift + shift.T)
+
+
+def test_batched_mcmc_ring3_agrees_with_quadrature():
+    m = Phi4Model(_ring(3), 1.0, -1.0, np.zeros(3))
+    quad = susceptibility(m, 1.0, order=64)
+    mc = susceptibility(m, 1.0, method="mcmc", seed=11)
+    assert quad.tau is None and quad.acceptance is None
+    assert abs(mc.value - quad.value) <= 3.0 * mc.stderr
+    assert mc.n_samples >= 1000
+    assert mc.tau >= 1.0
+    assert 0.3 < mc.acceptance < 0.5
+
+
+def test_batched_mcmc_is_a_pure_function_of_the_seed():
+    m = Phi4Model(_ring(3), 1.0, -1.0, np.zeros(3))
+    runs = [susceptibility(m, 1.0, method="mcmc", seed=seed,
+                           n_measure_sweeps=20_000) for seed in (5, 5, 6)]
+    assert runs[0].value == runs[1].value
+    assert runs[0].stderr == runs[1].stderr
+    assert runs[0].value != runs[2].value
+
+
+def test_batched_mcmc_gaussian_ring8_matches_closed_form():
+    a = _ring(8)
+    m = Phi4Model(a, 0.0, -1.0, np.zeros(8))
+    t = 1.0
+    exact = np.max(np.linalg.inv(a + (-1.0 + 1.0 / t) * np.eye(8)).sum(axis=1))
+    mc = susceptibility(m, t, method="mcmc", seed=3)
+    assert mc.method == "mcmc"
+    assert abs(mc.value - exact) <= 3.0 * mc.stderr
+
+
+def test_mcmc_short_burnin_raises():
+    # plenty of measured samples, but 10 burn-in sweeps per chain < 20 tau
+    m = Phi4Model([[1.0]], 1.0, 0.0, [0.0])
+    with pytest.raises(NonConvergenceError, match="burn-in"):
+        metropolis_moments(m, mass_shift=1.0, seed=1,
+                           n_measure_sweeps=128_000, burnin=640)
+
+
+def test_wolff_window_recovers_ar1_autocorrelation_time():
+    rho = 0.8
+    rng = np.random.default_rng(7)
+    x = lfilter([1.0], [1.0, -rho], rng.standard_normal((16, 20_000)), axis=1)
+    tau = _integrated_autocorr(x)
+    assert abs(tau - (1 + rho) / (1 - rho)) <= 0.1 * (1 + rho) / (1 - rho)
 
 
 def test_tilted_covariance_gaussian_is_schedule_covariance():

@@ -375,6 +375,23 @@ def test_singular_shift_invert_factor_maps_to_nonconvergence_error():
         spectrum(gen, k=3, refine=False)
 
 
+def test_near_zero_mass_pencil_that_loses_the_kernel_raises():
+    from rgflow.errors import NonConvergenceError
+    from rgflow.phi4 import Phi4Model
+
+    # plaquette phi4 on a 65^2 default box at t = 0.387: no zero-mass node,
+    # but tiny masses blow up the pencil's diagonal; mu_0 came out near 1.5e15
+    model = Phi4Model([[2.0, -1.0], [-1.0, 2.0]], 1.0, -1.0, [0.0, 0.0])
+    sched = model.schedule()
+    q = QuadratureRule(order=40, dimension=2)
+    fm = make_flow_measure(sched, model.potential(), 0.387, 65,
+                           box=default_box(sched), q=q)
+    gen = build_generator(fm)
+    assert np.count_nonzero(gen.mass == 0.0) == 0
+    with pytest.raises(NonConvergenceError, match="kernel"):
+        spectrum(gen, k=3, refine=False)
+
+
 def test_shift_invert_solve_has_finite_restart_cap(monkeypatch):
     import scipy.sparse.linalg as spla
 
