@@ -303,7 +303,6 @@ def _integrated_autocorr(x: np.ndarray) -> float:
     ``x`` (one row per independent chain), with U. Wolff's automatic window
     (Comput. Phys. Commun. 156 (2004) 143, S = 1.5) on the autocorrelation
     averaged over the chains, bias-corrected for the window."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
     chains, m = x.shape
     total = chains * m
     dev = x - x.mean()
