@@ -10,9 +10,11 @@ Two per-scale rates drive everything:
   (C_inf - C_t)^{-1}) sqrt(C'), maximized over the sample set (then refined
   by local ascent).
 
-Rates are batched per scale: one Hessian batch on the sample set feeds both
-rates, C' is factored once, and each rate is one stacked eigenvalue solve
-over all sample points.  Only the local refinement runs point by point.
+Rates are batched per scale: the Gaussian shifts of C_t are factored once,
+one Hessian batch on the sample set feeds both rates, C' is factored once,
+and each rate is one stacked eigenvalue solve over all sample points.  The
+local refinement is a compass search whose sweeps each score their 2d trial
+points as one batch.
 
 Their integrals feed the quasi-monotonicity margins for the Poincare
 constant, for higher eigenvalues, for the semigroup-vs-gradient commutation
@@ -31,7 +33,8 @@ import numpy as np
 from . import _stencils
 from .covariance import CovarianceSchedule
 from .flow import FlowMeasure, GridFunction
-from .potential import PotentialDescriptor, QuadratureRule, renormalized_derivatives
+from .potential import (PotentialDescriptor, QuadratureRule, _gaussian_shifts,
+                        _tilted_derivatives, renormalized_derivatives)
 
 # Pauli-Villars schedules start at this cutoff; the bounded t -> 0+ limit of
 # the rates is used on [0, t0].
@@ -102,31 +105,37 @@ def _alpha_rates(schedule: CovarianceSchedule, t: float):
     return lambda hess: _sym_eigvalsh(root @ (hess + hmat) @ root)[:, -1]
 
 
-def _coordinate_refine(fun, x0: np.ndarray, maximize: bool, step0: float,
-                       bounds=None, steps: int = _REFINE_STEPS) -> float:
-    """Gradient-free local refinement; returns the refined extremal value.
+def _compass_search(fun, x0: np.ndarray, f0: float, maximize: bool,
+                    step0: float, bounds=None,
+                    steps: int = _REFINE_STEPS) -> float:
+    """Gradient-free local refinement from ``x0`` (where ``fun`` is ``f0``);
+    returns the refined extremal value.
 
-    Trial points are clamped to ``bounds`` (the sampled box) when given: the
-    sample set stands in for the x-quantifier, and quadrature accuracy
-    degrades for points far outside the mass region.
+    Compass search (Kolda, Lewis, Torczon, SIAM Rev. 45 (2003) 385): each
+    sweep scores the 2d trials x +/- step e_k as one batch, ``fun`` mapping
+    a (2d, d) batch to its values.  It moves to the best trial if that one
+    strictly improves and otherwise halves the step, so the result is never
+    less extreme than ``f0``.  Trial points are clamped to ``bounds`` (the
+    sampled box) when given: the sample set stands in for the
+    x-quantifier, and quadrature accuracy degrades for points far outside
+    the mass region.
     """
     sign = -1.0 if maximize else 1.0
-    x = x0.copy()
-    best = sign * fun(x)
+    x = np.array(x0, dtype=float)
+    # x + step e_0, x - step e_0, x + step e_1, ...
+    directions = np.repeat(np.eye(len(x)), 2, axis=0)
+    directions[1::2] *= -1.0
+    best = sign * f0
     step = step0
     for _ in range(steps):
-        improved = False
-        for k in range(len(x)):
-            for delta in (step, -step):
-                trial = x.copy()
-                trial[k] += delta
-                if bounds is not None:
-                    trial = np.clip(trial, bounds[0], bounds[1])
-                val = sign * fun(trial)
-                if val < best:
-                    best, x = val, trial
-                    improved = True
-        if not improved:
+        trials = x + step * directions
+        if bounds is not None:
+            trials = np.clip(trials, bounds[0], bounds[1])
+        vals = sign * np.asarray(fun(trials), dtype=float)
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best, x = float(vals[j]), trials[j]
+        else:
             step *= 0.5
     return sign * best
 
@@ -136,16 +145,23 @@ def _sampled_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
                    kinds=("lambda", "alpha")) -> list[float]:
     """Extremal rates at t over the sample set, one per entry of ``kinds``.
 
-    All kinds share one Hessian batch on the samples.  The lambda' rate is
-    minimized and the alpha' rate maximized; each is then refined by
-    single-point coordinate search from its extremal sample.
+    The Gaussian shifts of C_t are factored once, and all kinds share one
+    Hessian batch on the samples.  The lambda' rate is minimized and the
+    alpha' rate maximized; each is then refined by a batched compass search
+    from its extremal sample (``_compass_search``), one Hessian batch of 2d
+    trial points per sweep.
     """
     x_samples = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if x_samples.size == 0:
         raise ValueError("x_samples must be nonempty")
     q = q or QuadratureRule.for_dimension(V0.dimension)
     c, _, _ = schedule.eval(t)
-    _, hess = renormalized_derivatives(V0, c, x_samples, q)
+    closed_form = V0.form in ("zero", "quadratic")
+    if closed_form:
+        _, hess = renormalized_derivatives(V0, c, x_samples, q)
+    else:
+        shifts = _gaussian_shifts(c, V0.dimension, q)
+        _, hess = _tilted_derivatives(V0, shifts, x_samples)
     span = float(np.max(np.abs(x_samples))) or 1.0
     bounds = (x_samples.min(axis=0), x_samples.max(axis=0))
     out = []
@@ -155,14 +171,14 @@ def _sampled_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
         vals = rates(hess)
         i = int(np.argmax(vals) if maximize else np.argmin(vals))
         best = float(vals[i])
-        if refine and V0.form not in ("zero", "quadratic"):
+        if refine and not closed_form:
 
-            def pointwise(x, rates=rates):
-                _, hv = renormalized_derivatives(V0, c, x.reshape(1, -1), q)
-                return float(rates(hv)[0])
+            def batch_rates(xs, rates=rates):
+                return rates(_tilted_derivatives(V0, shifts, xs)[1])
 
-            refined = _coordinate_refine(pointwise, x_samples[i], maximize,
-                                         step0=span / 8.0, bounds=bounds)
+            refined = _compass_search(batch_rates, x_samples[i], best,
+                                      maximize, step0=span / 8.0,
+                                      bounds=bounds)
             best = max(best, refined) if maximize else min(best, refined)
         out.append(best)
     return out

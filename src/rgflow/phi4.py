@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .covariance import CovarianceSchedule, make_schedule
-from .curvature import _coordinate_refine
+from .curvature import _compass_search
 from .errors import NonConvergenceError
 from .potential import PotentialDescriptor, QuadratureRule
 
@@ -44,8 +44,9 @@ _MCMC_MIN_ESS = 1000
 _MCMC_BURNIN_TAUS = 20
 _WOLFF_S = 1.5
 
-# Quadrature reference widths in marginal std devs; descent sweeps for the
-# infimum of lambda_min(Sigma_t); finite-difference step of the identity check.
+# Quadrature reference widths in marginal std devs; compass-search sweeps for
+# the infimum of lambda_min(Sigma_t); finite-difference step of the identity
+# check.
 _WIDTH_FACTOR = 1.6
 _DESCENT_STEPS = 12
 _FD_STEP = 1e-3
@@ -374,10 +375,12 @@ def phi4_schedules(model: Phi4Model, t_grid, phi_samples, order: int = 96):
     """Certified rate lambda'_t = 1/t - chi_t/t^2 and the alpha' formula.
 
     The infimum of lambda_min(Sigma_t(phi)) over phi is approximated from
-    the sample set plus coordinate descent; since the sampled inf is an
-    upper bound for the true one, the reported alpha' formula errs upward
-    (conservative for the monotonicity exponent).  Returns a dict of arrays:
-    lambda_prime, alpha_prime_formula, chi, sigma_min.
+    the sample set plus a compass search (``curvature._compass_search``)
+    from the worst sample, each sweep mapping ``sig_min`` over its 2n trial
+    fields; since the sampled inf is an upper bound for the true one, the
+    reported alpha' formula errs upward (conservative for the monotonicity
+    exponent).  Returns a dict of arrays: lambda_prime,
+    alpha_prime_formula, chi, sigma_min.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     phi_samples = np.atleast_2d(np.asarray(phi_samples, dtype=float))
@@ -390,15 +393,17 @@ def phi4_schedules(model: Phi4Model, t_grid, phi_samples, order: int = 96):
     for i, t in enumerate(t_grid):
         chi = susceptibility(model, t, order=order).value
 
-        def sig_min(phi, t=t):
-            cov = tilted_covariance(model, t, phi, order=order).value
-            return float(np.linalg.eigvalsh(cov)[0])
+        def sig_min(phis, t=t):
+            return np.array([np.linalg.eigvalsh(
+                tilted_covariance(model, t, phi, order=order).value)[0]
+                for phi in phis])
 
-        vals = [sig_min(p) for p in phi_samples]
+        vals = sig_min(phi_samples)
+        j = int(np.argmin(vals))
         step = max(float(np.max(np.abs(phi_samples))), 1.0) / 4.0
-        best = _coordinate_refine(sig_min, phi_samples[int(np.argmin(vals))],
-                                  maximize=False, step0=step,
-                                  steps=_DESCENT_STEPS)
+        best = _compass_search(sig_min, phi_samples[j], float(vals[j]),
+                               maximize=False, step0=step,
+                               steps=_DESCENT_STEPS)
         out["chi"][i] = chi
         out["sigma_min"][i] = best
         out["lambda_prime"][i] = 1.0 / t - chi / t**2

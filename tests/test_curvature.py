@@ -316,3 +316,96 @@ def test_lambda_rates_reject_zero_mobility():
 
     with pytest.raises(ValueError, match="numerically zero"):
         _lambda_rates(_FixedRates(np.zeros((2, 2)), np.eye(2)), 1.0)
+
+
+def _rugged(xs):
+    """A nonconvex test function on a batch (k, d) -> (k,)."""
+    xs = np.atleast_2d(xs)
+    return np.sum(xs**2 - np.cos(3.0 * xs), axis=1) + 0.3 * xs[:, 0]
+
+
+@pytest.mark.parametrize("maximize", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_compass_search_never_less_extreme_than_start(d, maximize):
+    from rgflow.curvature import _compass_search
+
+    sign = -1.0 if maximize else 1.0
+    rng = np.random.default_rng(d)
+    for x0 in rng.uniform(-2.0, 2.0, size=(10, d)):
+        f0 = float(_rugged(x0)[0])
+        got = _compass_search(_rugged, x0, f0, maximize, step0=0.5,
+                              bounds=(-2.0 * np.ones(d), 2.0 * np.ones(d)))
+        assert sign * got <= sign * f0
+
+
+def test_compass_search_scores_one_clamped_batch_per_sweep():
+    from rgflow.curvature import _REFINE_STEPS, _compass_search
+
+    lo, hi = np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 2.0])
+    batches = []
+
+    def fun(xs):
+        batches.append(xs.copy())
+        return _rugged(xs)
+
+    x0 = np.array([0.9, 0.0, 0.1])
+    _compass_search(fun, x0, float(_rugged(x0)[0]), False, step0=0.8,
+                    bounds=(lo, hi))
+    assert len(batches) == _REFINE_STEPS
+    for xs in batches:
+        assert xs.shape == (6, 3)
+        assert np.all(xs >= lo) and np.all(xs <= hi)
+    # the first sweep steps +/- 0.8 along each axis from x0, clamped
+    want = np.clip(x0 + 0.8 * np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                                        [0, -1, 0], [0, 0, 1], [0, 0, -1]]),
+                   lo, hi)
+    assert_allclose(batches[0], want, rtol=0, atol=0)
+
+
+def test_compass_search_is_deterministic_and_moves_to_the_best_trial():
+    from rgflow.curvature import _compass_search
+
+    def run():
+        trace = []
+
+        def fun(xs):
+            trace.append(xs.copy())
+            return _rugged(xs)
+
+        x0 = np.array([1.3, -0.7])
+        return _compass_search(fun, x0, float(_rugged(x0)[0]), False,
+                               step0=0.5), trace
+
+    (a, ta), (b, tb) = run(), run()
+    assert a == b
+    assert all(np.array_equal(x, y) for x, y in zip(ta, tb))
+    # each sweep is centred on the best point seen so far
+    best = np.array([1.3, -0.7])
+    for prev, nxt in zip(ta, ta[1:]):
+        vals = _rugged(prev)
+        if vals.min() < _rugged(best)[0]:
+            best = prev[int(np.argmin(vals))]
+        centre = 0.5 * (nxt[0] + nxt[1])
+        assert_allclose(centre, best, rtol=0, atol=1e-15)
+    assert a == pytest.approx(float(np.min(_rugged(best))))
+
+
+def test_build_schedule_factors_shifts_once_per_rate_time(monkeypatch):
+    import rgflow.curvature as curvature_mod
+
+    sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
+    V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
+    q = QuadratureRule(order=40, dimension=1)
+    calls = []
+    real = curvature_mod._gaussian_shifts
+
+    def spy(c, d, q):
+        calls.append(float(np.atleast_2d(c)[0, 0]))
+        return real(c, d, q)
+
+    monkeypatch.setattr(curvature_mod, "_gaussian_shifts", spy)
+    grid = pv_t_grid(2.0, 5)
+    build_schedule(sched, V0, grid, SAMPLES_1D, q)
+    times = sorted({float(t) for t in grid if t > 0})
+    assert sorted(calls) == sorted(float(sched.eval(t)[0][0, 0])
+                                   for t in times)
