@@ -397,14 +397,12 @@ def intertwining_check(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     """
     q = q or QuadratureRule.for_dimension(V0.dimension)
     _, cp, _ = schedule.eval(t)
-    mt = FlowMeasure(schedule, V0, t, F.box, F.shape, q)
-    phi = mt.semigroup(0.0, F)
-    grad_phi = phi.gradient()
-    lhs = np.einsum("...i,ij,...j->...", grad_phi, cp, grad_phi)
-
     grad_f = F.gradient()
     sq = F.with_values(np.sum(grad_f**2, axis=-1), tag="|grad F|^2")
-    rhs_fn = mt.semigroup(0.0, sq)
+    phi, rhs_fn = FlowMeasure(schedule, V0, t, F.box, F.shape, q,
+                              carry=(F, sq)).transported
+    grad_phi = phi.gradient()
+    lhs = np.einsum("...i,ij,...j->...", grad_phi, cp, grad_phi)
     factor = schedule.c0_prime_radius * math.exp(-2.0 * curv.lambda_at(t))
     interior = _stencils.interior_mask(F.shape, _INTERTWINING_MARGIN_CELLS)
     violation = lhs[interior] - factor * rhs_fn.values[interior]

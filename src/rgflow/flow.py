@@ -10,8 +10,13 @@ semigroup P_{s,t} maps functions at scale s to scale t through
     P_{s,t} f = exp(V_t) * gaussian_{C_t - C_s} conv (f exp(-V_s)),
 
 computed here by Gauss-Hermite quadrature against the kernel with cubic
-interpolation of f between grid nodes.  V_t on a grid is evaluated once, by
-the flow measure at t, whose ``semigroup`` method reads exp(V_t) from it.
+interpolation of f between grid nodes.  Where C_0 = 0 (every built-in
+schedule), V_0 = V0 and the kernel of P_{0,t} is C_t itself, so P_{0,t}f
+is the expectation of f(x + z) under the tilted weights w_q exp(-V0(x + z_q))
+of V_t's own rule, normalized by exp(-V_t(x)).  A flow measure built with
+``carry`` therefore produces P_{0,t} of the carried functions in the same
+chunked pass that builds V_t, one V0 evaluation per node and shift.  Other s
+read exp(V_t) from the flow measure at t and evaluate V_s by its own rule.
 Grids are plain tensor products; trapezoid quadrature over the box is
 spectrally accurate because every integrand decays to numerical zero
 before the boundary.
@@ -20,14 +25,14 @@ before the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import _stencils
 from .covariance import CovarianceSchedule
-from .potential import (PotentialDescriptor, QuadratureRule, _gaussian_shifts,
+from .potential import (_CLOSED_FORMS, PotentialDescriptor, QuadratureRule,
+                        _gaussian_shifts, _smoothed_value, _tilted_log_weights,
                         renormalized_value)
 
 BOX_HALFWIDTH_SIGMAS = 8.0
@@ -35,6 +40,9 @@ BOX_HALFWIDTH_SIGMAS = 8.0
 # Kernel-vs-box guard: the convolution kernel must fit inside the box with
 # this many standard deviations to spare.
 _KERNEL_SIGMAS = 6.0
+
+# Evaluation nodes (grid nodes x Gaussian shifts) per chunk of a grid pass.
+_PASS_NODES = 2_000_000
 
 # Tail tolerance of the variance audit.  Default sample set: tensor points
 # per axis, seeded uniform points, mass left outside the sampled sub-box.
@@ -93,6 +101,7 @@ class GridFunction:
     box: Box
     values: np.ndarray
     tag: str = ""
+    _interp: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -110,15 +119,20 @@ class GridFunction:
         return self.box.spacing(self.shape)
 
     def interpolator(self):
-        """Cubic interpolant that extrapolates off the box (a spline in 1-D)."""
-        from scipy.interpolate import CubicSpline, RegularGridInterpolator
+        """Cubic interpolant that extrapolates off the box (a spline in 1-D),
+        built on first use and kept with the grid function."""
+        if self._interp is None:
+            from scipy.interpolate import CubicSpline, RegularGridInterpolator
 
-        axes = self.box.axes(self.shape)
-        if self.box.dim == 1:
-            spline = CubicSpline(axes[0], self.values, extrapolate=True)
-            return lambda pts: spline(np.asarray(pts)[..., 0])
-        return RegularGridInterpolator(axes, self.values, method="cubic",
-                                       bounds_error=False, fill_value=None)
+            axes = self.box.axes(self.shape)
+            if self.box.dim == 1:
+                spline = CubicSpline(axes[0], self.values, extrapolate=True)
+                self._interp = lambda pts: spline(np.asarray(pts)[..., 0])
+            else:
+                self._interp = RegularGridInterpolator(
+                    axes, self.values, method="cubic", bounds_error=False,
+                    fill_value=None)
+        return self._interp
 
     def gradient(self) -> np.ndarray:
         return _stencils.gradient(self.values, self.spacing())
@@ -144,13 +158,11 @@ def default_box(schedule: CovarianceSchedule) -> Box:
     return Box.cube(BOX_HALFWIDTH_SIGMAS * sigma, schedule.dim)
 
 
-def _log_density_terms(schedule: CovarianceSchedule, V0: PotentialDescriptor,
-                       t: float, xb: np.ndarray, q: QuadratureRule):
-    """(1/2 <x, (C_inf - C_t)^{-1} x>, V_t(x)) on a batch of points."""
+def _residual_quadratic(schedule: CovarianceSchedule, t: float,
+                        xb: np.ndarray) -> np.ndarray:
+    """1/2 <x, (C_inf - C_t)^{-1} x> on a batch of points."""
     prec = schedule.residual_inverse(t)
-    c, _, _ = schedule.eval(t)
-    quad = 0.5 * np.einsum("mi,ij,mj->m", xb, prec, xb)
-    return quad, np.atleast_1d(renormalized_value(V0, c, xb, q))
+    return 0.5 * np.einsum("mi,ij,mj->m", xb, prec, xb)
 
 
 def nu_log_density(schedule: CovarianceSchedule, V0: PotentialDescriptor,
@@ -158,9 +170,54 @@ def nu_log_density(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     """Unnormalized log density of the flow measure at (t, x); batched in x."""
     q = q or QuadratureRule.for_dimension(V0.dimension)
     x = np.asarray(x, dtype=float)
-    quad, v = _log_density_terms(schedule, V0, t, np.atleast_2d(x), q)
-    out = -quad - v
+    xb = np.atleast_2d(x)
+    quad = _residual_quadratic(schedule, t, xb)
+    c, _, _ = schedule.eval(t)
+    out = -quad - np.atleast_1d(renormalized_value(V0, c, xb, q))
     return float(out[0]) if x.ndim <= 1 else out
+
+
+def _grid_pass(V0: PotentialDescriptor, q: QuadratureRule, nodes: np.ndarray,
+               shifts, cs, v, fs) -> tuple:
+    """One chunked pass over grid nodes x Gaussian shifts ``(z, logw)``.
+
+    Per chunk of nodes, the integrand log-weights are le = logw - V_s(x + z).
+    ``cs`` None means C_s = 0, so V_s is V0 itself and le is the tilted
+    kernel of V_t's rule; otherwise V_s is evaluated by its own rule at C_s.
+    ``v`` is V_t on the nodes; None asks for it from the same pass, as
+    -logsumexp(le), which needs ``cs`` None and the shifts of C_t.  Each
+    grid function f in ``fs`` becomes
+    P f = exp(v + max le) sum_q exp(le - max le) f(x + z_q).
+    Returns (v, [P f values per function]).
+    """
+    z, logw = shifts
+    n, d = nodes.shape
+    fill_v = v is None
+    if fill_v:
+        v = np.empty(n)
+    interps = [f.interpolator() for f in fs]
+    images = [np.empty(n) for _ in fs]
+    chunk = max(1, _PASS_NODES // max(len(z), 1))
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        pts = nodes[rows, None, :] + z[None, :, :]
+        if cs is None:
+            le = _tilted_log_weights(V0, pts, logw)
+        else:
+            vs = renormalized_value(V0, cs, pts.reshape(-1, d), q)
+            le = logw[None, :] - np.atleast_1d(vs).reshape(pts.shape[:2])
+        if fill_v:
+            v[rows] = _smoothed_value(le)
+        if not interps:
+            continue
+        flat = pts.reshape(-1, d)
+        shift = np.max(le, axis=1)
+        wts = np.exp(le - shift[:, None])
+        scale = np.exp(v[rows] + shift)
+        for image, interp in zip(images, interps):
+            fv = np.asarray(interp(flat)).reshape(le.shape)
+            image[rows] = scale * np.einsum("mq,mq->m", wts, fv)
+    return v, images
 
 
 @dataclass
@@ -170,6 +227,11 @@ class FlowMeasure:
     Carries V_t and the unnormalized log density on the nodes, the log
     normalizer over the box, and enough context (schedule, potential,
     quadrature rule) to re-evaluate itself on refined grids.
+
+    ``carry`` takes grid functions at scale 0 on the measure's grid;
+    ``transported`` then holds P_{0,t} of each, in order.  Where C_0 = 0
+    they come out of the pass that builds V_t; otherwise, through
+    ``semigroup``.
     """
 
     schedule: CovarianceSchedule
@@ -181,12 +243,16 @@ class FlowMeasure:
     log_density_grid: np.ndarray = field(default=None, repr=False)
     v_grid: np.ndarray = field(default=None, repr=False)
     log_normalizer: float = None
+    carry: InitVar[tuple] = ()
+    transported: tuple = field(default=(), init=False, repr=False,
+                               compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, carry=()):
+        carry = tuple(carry)
         if self.log_density_grid is None:
-            quadform, v = _log_density_terms(
-                self.schedule, self.V0, self.t,
-                self.box.nodes(self.grid_shape), self.quad)
+            nodes = self.box.nodes(self.grid_shape)
+            quadform = _residual_quadratic(self.schedule, self.t, nodes)
+            v = self._scale_pass(nodes, carry)
             self.v_grid = v.reshape(self.grid_shape)
             self.log_density_grid = (-quadform - v).reshape(self.grid_shape)
         if self.log_normalizer is None:
@@ -194,6 +260,77 @@ class FlowMeasure:
             w = self.box.trapezoid_weights(self.grid_shape)
             self.log_normalizer = shift + math.log(
                 float(np.sum(w * np.exp(self.log_density_grid - shift))))
+        if carry and not self.transported:
+            self.transported = self._transport(0.0, carry)
+
+    def _scale_pass(self, nodes: np.ndarray, carry: tuple) -> np.ndarray:
+        """V_t on the nodes; where C_0 = 0, also P_{0,t} of the carried
+        functions (into ``transported``) from the same pass."""
+        ct, _, _ = self.schedule.eval(self.t)
+        shared = ()
+        if carry:
+            c0, shifts = self._kernel_shifts(0.0, carry)
+            if c0 is None and shifts is not None:
+                shared = carry
+        v = None
+        if self.V0.form in _CLOSED_FORMS:
+            v = np.atleast_1d(renormalized_value(self.V0, ct, nodes, self.quad))
+            if not shared:
+                return v
+        if not shared:
+            shifts = _gaussian_shifts(ct, self.box.dim, self.quad)
+        v, images = _grid_pass(self.V0, self.quad, nodes, shifts, None, v,
+                               shared)
+        self.transported = self._images(0.0, shared, images)
+        return v
+
+    def _kernel_shifts(self, s: float, fs: tuple):
+        """(C_s, Gaussian shifts of the kernel C_t - C_s) for P_{s,t} on fs.
+
+        C_s comes back as None when it is exactly zero: then V_s = V0 and
+        the kernel is C_t itself.  The shifts come back as None when the
+        kernel has numerically zero width and P_{s,t} is the identity.
+        """
+        t = self.t
+        if s > t:
+            raise ValueError(f"semigroup requires s <= t, got s={s}, t={t}")
+        for f in fs:
+            if f.box != self.box or f.shape != tuple(self.grid_shape):
+                raise ValueError(f"input grid {f.box}, {f.shape}: the flow "
+                                 f"measure lives on {self.box}, "
+                                 f"{self.grid_shape}")
+        cs, _, _ = self.schedule.eval(s)
+        ct, _, _ = self.schedule.eval(t)
+        if not np.any(cs):
+            cs, kernel = None, ct
+        else:
+            kernel = ct - cs
+        kw = np.linalg.eigvalsh(0.5 * (kernel + kernel.T))
+        if kw[0] < -1e-10 * max(1.0, kw[-1]):
+            raise ValueError("C_t - C_s is not positive-semidefinite")
+        if kw[-1] <= 1e-14:
+            return cs, None
+        reach = _KERNEL_SIGMAS * math.sqrt(kw[-1])
+        halfwidth = float(np.min(self.box.halfwidths()))
+        if reach > halfwidth:
+            raise ValueError(
+                f"convolution kernel ({reach:.2f} at {_KERNEL_SIGMAS} sigma) wider "
+                f"than box halfwidth {halfwidth:.2f}; use a larger box")
+        return cs, _gaussian_shifts(kernel, self.box.dim, self.quad)
+
+    def _images(self, s: float, fs: tuple, images) -> tuple:
+        return tuple(f.with_values(img.reshape(f.shape),
+                                   tag=f"P[{s},{self.t}] {f.tag}")
+                     for f, img in zip(fs, images))
+
+    def _transport(self, s: float, fs: tuple) -> tuple:
+        """P_{s,t} of the grid functions fs, all in one pass."""
+        cs, shifts = self._kernel_shifts(s, fs)
+        if shifts is None:
+            return self._images(s, fs, [f.values.copy() for f in fs])
+        _, images = _grid_pass(self.V0, self.quad, self.box.nodes(self.grid_shape),
+                               shifts, cs, self.v_grid.reshape(-1), fs)
+        return self._images(s, fs, images)
 
     @property
     def density(self) -> GridFunction:
@@ -218,6 +355,8 @@ class FlowMeasure:
         Uses the dominating Gaussian factor and the grid minimum of V_t as a
         proxy for its global minimum (valid when the box is generously sized).
         """
+        from scipy.special import ndtr
+
         prec = self.schedule.residual_inverse(self.t)
         cov = np.linalg.inv(prec)
         sig = np.sqrt(np.diag(cov))
@@ -240,63 +379,27 @@ class FlowMeasure:
 
     def semigroup(self, s: float, f: GridFunction) -> GridFunction:
         """Apply P_{s,t} with t = self.t to a function on the measure's grid."""
-        t = self.t
-        if s > t:
-            raise ValueError(f"semigroup requires s <= t, got s={s}, t={t}")
-        if f.box != self.box or f.shape != tuple(self.grid_shape):
-            raise ValueError(f"input grid {f.box}, {f.shape}: the flow measure "
-                             f"lives on {self.box}, {self.grid_shape}")
-        cs, _, _ = self.schedule.eval(s)
-        ct, _, _ = self.schedule.eval(t)
-        kernel = ct - cs
-        kw = np.linalg.eigvalsh(0.5 * (kernel + kernel.T))
-        if kw[0] < -1e-10 * max(1.0, kw[-1]):
-            raise ValueError("C_t - C_s is not positive-semidefinite")
-        if kw[-1] <= 1e-14:
-            return f.with_values(f.values.copy(), tag=f"P[{s},{t}] {f.tag}")
-        reach = _KERNEL_SIGMAS * math.sqrt(kw[-1])
-        if reach > float(np.min(f.box.halfwidths())):
-            raise ValueError(
-                f"convolution kernel ({reach:.2f} at {_KERNEL_SIGMAS} sigma) wider "
-                f"than box halfwidth {np.min(f.box.halfwidths()):.2f}; "
-                "use a larger box")
-
-        nodes = f.box.nodes(f.shape)
-        z, logw = _gaussian_shifts(kernel, f.box.dim, self.quad)
-        interp = f.interpolator()
-        v_t = self.v_grid.reshape(-1)
-
-        n = nodes.shape[0]
-        out = np.empty(n)
-        chunk = max(1, int(2e6) // max(len(z), 1))
-        for start in range(0, n, chunk):
-            xc = nodes[start:start + chunk]
-            pts = xc[:, None, :] + z[None, :, :]
-            flat = pts.reshape(-1, f.box.dim)
-            fv = np.asarray(interp(flat)).reshape(pts.shape[:2])
-            vs = renormalized_value(self.V0, cs, flat, self.quad)
-            le = logw[None, :] - np.atleast_1d(vs).reshape(pts.shape[:2])
-            shift = np.max(le, axis=1)
-            ssum = np.einsum("mq,mq->m", np.exp(le - shift[:, None]), fv)
-            out[start:start + chunk] = \
-                np.exp(v_t[start:start + chunk] + shift) * ssum
-        return f.with_values(out.reshape(f.shape), tag=f"P[{s},{t}] {f.tag}")
+        return self._transport(s, (f,))[0]
 
 
 def make_flow_measure(schedule, V0, t, grid_shape, box=None,
-                      q: QuadratureRule | None = None) -> FlowMeasure:
+                      q: QuadratureRule | None = None,
+                      carry: tuple = ()) -> FlowMeasure:
     q = q or QuadratureRule.for_dimension(V0.dimension)
     if box is None:
         box = default_box(schedule)
     if isinstance(grid_shape, int):
         grid_shape = (grid_shape,) * box.dim
-    return FlowMeasure(schedule, V0, t, box, tuple(grid_shape), q)
+    return FlowMeasure(schedule, V0, t, box, tuple(grid_shape), q, carry=carry)
 
 
 def semigroup_apply(schedule, V0, s: float, t: float, f: GridFunction,
                     q: QuadratureRule | None = None) -> GridFunction:
     """Apply P_{s,t} to a grid function, returning values on the same grid."""
     q = q or QuadratureRule.for_dimension(V0.dimension)
+    if s == 0:
+        return FlowMeasure(schedule, V0, t, f.box, f.shape, q,
+                           carry=(f,)).transported[0]
     return FlowMeasure(schedule, V0, t, f.box, f.shape, q).semigroup(s, f)
 
 
@@ -346,9 +449,12 @@ def conservation_check(schedule, V0, F: GridFunction, t_grid,
     integrand = np.empty(len(t_grid))
     cons_dev = 0.0
     for i, t in enumerate(t_grid):
-        mt = m0 if t == 0 else make_flow_measure(schedule, V0, t, shape,
-                                                 box=F.box, q=q)
-        phi = mt.semigroup(0.0, F) if t > 0 else F
+        if t == 0:
+            mt, phi = m0, F
+        else:
+            mt = make_flow_measure(schedule, V0, t, shape, box=F.box, q=q,
+                                   carry=(F,))
+            phi, = mt.transported
         _, cp, _ = schedule.eval(t)
         grad = phi.gradient()
         energy = np.einsum("...i,ij,...j->...", grad, cp, grad)

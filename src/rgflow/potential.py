@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import QuadratureOverflowError
 
 FORMS = ("zero", "quadratic", "polynomial", "phi4-site-sum")
+# Forms whose smoothed value and derivatives have exact closed forms.
+_CLOSED_FORMS = ("zero", "quadratic")
 
 DEFAULT_ORDER = 40
 MAX_TENSOR_DIM = 3
@@ -209,22 +210,59 @@ def renormalized_value(V0: PotentialDescriptor, c, x, q: QuadratureRule | None =
     q = q or QuadratureRule.for_dimension(V0.dimension)
     if method not in ("auto", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and V0.form in ("zero", "quadratic"):
+    if method == "auto" and V0.form in _CLOSED_FORMS:
         return _closed_form_value(V0, c, x)
 
     xb, single = _as_batch(x, V0.dimension)
     z, logw = _gaussian_shifts(c, V0.dimension, q)
     pts = xb[:, None, :] + z[None, :, :]
-    m, Q, d = pts.shape
-    exps = -V0.value(pts.reshape(-1, d)).reshape(m, Q)
-    total = logsumexp(exps + logw[None, :], axis=1)
-    if not np.all(np.isfinite(total)):
-        worst = float(np.max(exps))
-        raise QuadratureOverflowError(
-            "quadrature overflow: all weights underflowed "
-            f"(max exponent {worst:.6g}); increase the quadrature order")
-    out = -total
+    out = _smoothed_value(_tilted_log_weights(V0, pts, logw))
     return float(out[0]) if single else out
+
+
+def _tilted_log_weights(V0: PotentialDescriptor, pts: np.ndarray,
+                        logw: np.ndarray) -> np.ndarray:
+    """log w_q - V0(x + z_q) on the points ``pts`` (m, Q, d) = x + z_q.
+
+    These are the log-weights of the tilted measure rho: their
+    -logsumexp over q is V_t(x), and P_{0,t} is the expectation under the
+    normalized weights.  The one kernel that meets V0 with a Gauss-Hermite
+    rule on the V_t path.
+    """
+    m, Q, d = pts.shape
+    return logw[None, :] - V0.value(pts.reshape(-1, d)).reshape(m, Q)
+
+
+def _smoothed_value(le: np.ndarray) -> np.ndarray:
+    """V_t = -logsumexp of the tilted log-weights ``le`` (m, Q), per row."""
+    total = _logsumexp_rows(le)
+    if not np.all(np.isfinite(total)):
+        raise QuadratureOverflowError(
+            "quadrature overflow: all weights underflowed (max exponent "
+            f"{float(np.max(le)):.6g}); increase the quadrature order")
+    return -total
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log sum_q exp(a[:, q]) for each row of a 2-D array.
+
+    Follows ``scipy.special.logsumexp(a, axis=1)`` operation by operation,
+    so the two agree bit for bit: the m entries tied at the row maximum are
+    set aside, s is the sum of exp(a - max) over the rest, and the result is
+    log1p(s / m) + log(m) + max.  A row where that is not finite takes
+    log(sum(exp(a))) instead.
+    """
+    a_max = np.max(a, axis=1, keepdims=True)
+    top = a == a_max
+    m = np.count_nonzero(top, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.exp(a - a_max)
+        e[top] = 0.0
+        out = np.log1p(np.sum(e, axis=1) / m) + np.log(m) + a_max[:, 0]
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
 
 
 def _smoothed_quadratic(V0, c):
@@ -275,7 +313,7 @@ def tilted_moments(V0: PotentialDescriptor, c, x, q: QuadratureRule | None = Non
         raise ValueError("tilted_moments expects a single point")
     z, logw = _gaussian_shifts(c, V0.dimension, q)
     pts = x[0] + z  # (Q, d)
-    le = logw - V0.value(pts)
+    le = _tilted_log_weights(V0, pts[None], logw)[0]
     mshift = np.max(le)
     if not np.isfinite(mshift):
         raise QuadratureOverflowError(
@@ -299,7 +337,7 @@ def renormalized_derivatives(V0: PotentialDescriptor, c, x,
     and ``(m, d), (m, d, d)`` for a batch.
     """
     q = q or QuadratureRule.for_dimension(V0.dimension)
-    if method != "quadrature" and V0.form in ("zero", "quadratic"):
+    if method != "quadrature" and V0.form in _CLOSED_FORMS:
         return _closed_form_derivatives(V0, c, x)
 
     xb, single = _as_batch(x, V0.dimension)

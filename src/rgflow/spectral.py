@@ -398,8 +398,10 @@ def rayleigh_flow_trace(schedule, V0, phi0: GridFunction, t_grid,
     q = q or QuadratureRule.for_dimension(V0.dimension)
     out = []
     for t in t_grid:
-        fm = FlowMeasure(schedule, V0, float(t), phi0.box, phi0.shape, q)
-        phi_t = fm.semigroup(0.0, phi0) if t > 0 else phi0
+        carry = (phi0,) if t > 0 else ()
+        fm = FlowMeasure(schedule, V0, float(t), phi0.box, phi0.shape, q,
+                         carry=carry)
+        phi_t = fm.transported[0] if carry else phi0
         gen = build_generator(fm, drift=drift, trim=False)
         out.append((float(t), rayleigh_quotient(gen, phi_t)))
     return out

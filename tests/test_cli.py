@@ -200,8 +200,8 @@ def test_reports_round_trip_any_detail(tmp_path, detail):
 
 def test_cli_import_skips_unused_scipy_and_oracles():
     code = ("import sys, rgflow.cli; print(' '.join(m for m in "
-            "('scipy.stats', 'scipy.integrate', 'scipy.interpolate', "
-            "'rgflow.oracles') "
+            "('scipy.special', 'scipy.stats', 'scipy.integrate', "
+            "'scipy.interpolate', 'rgflow.oracles') "
             "if m in sys.modules))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True)

@@ -204,16 +204,17 @@ def test_intertwining_evaluates_potential_once(monkeypatch):
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))
     calls = []
-    real = flow_mod.renormalized_value
+    real = flow_mod._tilted_log_weights
 
-    def spy(V0, c, x, *args, **kwargs):
-        if np.shape(x)[0] == 129:
-            calls.append(float(np.atleast_2d(c)[0, 0]))
-        return real(V0, c, x, *args, **kwargs)
+    def spy(V0, pts, logw):
+        calls.append(pts.shape[:2])
+        return real(V0, pts, logw)
 
-    monkeypatch.setattr(flow_mod, "renormalized_value", spy)
+    monkeypatch.setattr(flow_mod, "_tilted_log_weights", spy)
+    monkeypatch.setattr(flow_mod, "renormalized_value", None)
     intertwining_check(sched, V0, F, 1.0, _gauss_curv(tmax=3.0, n=31), q)
-    assert calls == [float(sched.eval(1.0)[0][0, 0])]
+    # V_t, P_{0,t}F and P_{0,t}|grad F|^2 from one pass over nodes x shifts
+    assert calls == [(129, q.order)]
 
 
 def test_build_schedule_with_override(gauss):

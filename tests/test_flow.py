@@ -9,7 +9,8 @@ from rgflow.flow import (Box, GridFunction, conservation_check, default_box,
                          default_sample_points, graded_t_grid,
                          heatflow_harness, load_density_table,
                          make_flow_measure, nu_log_density, semigroup_apply)
-from rgflow.potential import PotentialDescriptor, QuadratureRule
+from rgflow.potential import (PotentialDescriptor, QuadratureRule,
+                              renormalized_value)
 from rgflow import oracles
 
 
@@ -144,21 +145,33 @@ def test_semigroup_rejects_kernel_wider_than_box(gauss_chain):
         semigroup_apply(sched, V0, 0.0, 2.0, f, q)
 
 
-def _count_grid_potentials(monkeypatch, n_nodes):
-    """Spy on V_t evaluations over a whole grid; returns {C_t entry: calls}."""
+def _count_kernel_passes(monkeypatch):
+    """Spy on the V0 kernel of the flow module's grid passes.
+
+    Returns {shift spread: [rows, rule size]}; the spread of the shifts
+    z_q identifies the covariance, hence the scale.  Any call of the nested
+    V_s quadrature from the flow module is recorded under "nested".
+    """
     import rgflow.flow as flow_mod
 
-    counts = {}
-    real = flow_mod.renormalized_value
+    passes = {}
+    real_kernel = flow_mod._tilted_log_weights
+    real_value = flow_mod.renormalized_value
 
-    def spy(V0, c, x, *args, **kwargs):
-        if np.shape(x)[0] == n_nodes:
-            key = float(np.atleast_2d(c)[0, 0])
-            counts[key] = counts.get(key, 0) + 1
-        return real(V0, c, x, *args, **kwargs)
+    def kernel_spy(V0, pts, logw):
+        key = round(float(np.ptp(pts[0, :, 0])), 9)
+        rows, size = passes.setdefault(key, [0, pts.shape[1]])
+        assert size == pts.shape[1]
+        passes[key][0] = rows + pts.shape[0]
+        return real_kernel(V0, pts, logw)
 
-    monkeypatch.setattr(flow_mod, "renormalized_value", spy)
-    return counts
+    def value_spy(*args, **kwargs):
+        passes.setdefault("nested", [0, 0])[0] += 1
+        return real_value(*args, **kwargs)
+
+    monkeypatch.setattr(flow_mod, "_tilted_log_weights", kernel_spy)
+    monkeypatch.setattr(flow_mod, "renormalized_value", value_spy)
+    return passes
 
 
 def test_conservation_evaluates_potential_once_per_time(dwell_chain,
@@ -166,11 +179,14 @@ def test_conservation_evaluates_potential_once_per_time(dwell_chain,
     sched, V0, q, box = dwell_chain
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))
-    counts = _count_grid_potentials(monkeypatch, 129)
+    passes = _count_kernel_passes(monkeypatch)
     t_grid = np.linspace(0.0, 2.0, 5)
     conservation_check(sched, V0, F, t_grid, q)
-    assert len(counts) == len(t_grid)
-    assert set(counts.values()) == {1}
+    # one V0 pass over nodes x shifts per scale: V_t and P_{0,t}F share it
+    assert "nested" not in passes
+    assert len(passes) == len(t_grid)
+    assert passes.pop(0.0) == [129, 1]
+    assert all(p == [129, q.order] for p in passes.values())
 
 
 def test_flow_measure_semigroup_rejects_other_grid(gauss_chain):
@@ -287,3 +303,134 @@ def test_semigroup_unitality_2d():
     ones = GridFunction(box, np.ones((33, 33)))
     out = semigroup_apply(sched, V0, 0.0, 0.8, ones, q)
     assert np.max(np.abs(out.values - 1.0)) < 1e-6
+
+
+def _nested_p0t(sched, V0, t, f, q):
+    """P_{0,t}f by the two-quadrature formula, in one unchunked batch:
+    exp(V_t(x)) sum_q w_q exp(-V_0(x + z_q)) f(x + z_q), with V_t and V_0
+    each from ``renormalized_value`` and z_q the shifts of C_t - C_0."""
+    from rgflow.potential import _gaussian_shifts
+
+    nodes = f.box.nodes(f.shape)
+    d = f.box.dim
+    c0, _, _ = sched.eval(0.0)
+    ct, _, _ = sched.eval(t)
+    z, logw = _gaussian_shifts(ct - c0, d, q)
+    v_t = renormalized_value(V0, ct, nodes, q)
+    pts = nodes[:, None, :] + z[None, :, :]
+    flat = pts.reshape(-1, d)
+    le = logw[None, :] - np.atleast_1d(
+        renormalized_value(V0, c0, flat, q)).reshape(pts.shape[:2])
+    shift = np.max(le, axis=1)
+    fv = np.asarray(f.interpolator()(flat)).reshape(le.shape)
+    out = np.exp(v_t + shift) * np.einsum("mq,mq->m",
+                                          np.exp(le - shift[:, None]), fv)
+    return out.reshape(f.shape)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_shared_pass_matches_nested_formula_bitwise(dim, monkeypatch):
+    import rgflow.flow as flow_mod
+
+    if dim == 1:
+        sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
+        V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.3, dimension=1)
+        q, shape = QuadratureRule(order=80, dimension=1), (257,)
+    else:
+        sched = make_schedule("pauli-villars",
+                              c_infinity=[[1.0, 0.3], [0.3, 0.8]])
+        V0 = PotentialDescriptor.quartic(1.0, -1.0, [0.0, 0.2], dimension=2)
+        q, shape = QuadratureRule(order=12, dimension=2), (33, 33)
+    box = default_box(sched)
+    nodes = box.nodes(shape)
+    F = GridFunction(box, np.exp(-np.sum(nodes**2, axis=1)).reshape(shape))
+    G = GridFunction(box, np.cos(nodes[:, 0]).reshape(shape))
+    # several chunks per pass, with a short last one
+    monkeypatch.setattr(flow_mod, "_PASS_NODES", 37 * q.order ** dim)
+    for t in (0.1, 1.0, 2.5):
+        fm = make_flow_measure(sched, V0, t, shape, box=box, q=q,
+                               carry=(F, G))
+        ct, _, _ = sched.eval(t)
+        assert np.array_equal(fm.v_grid.ravel(),
+                              renormalized_value(V0, ct, nodes, q))
+        for f, image in zip((F, G), fm.transported):
+            assert np.array_equal(image.values, _nested_p0t(sched, V0, t, f, q))
+        assert np.array_equal(fm.transported[0].values,
+                              fm.semigroup(0.0, F).values)
+
+
+def test_shared_pass_preserves_constants():
+    # P_{0,t}1 = exp(V_t + max le) sum exp(le - max le) = 1 up to the
+    # round-off of exp(V_t + max le), of order eps |V_t(x)|
+    cases = [
+        (make_schedule("pauli-villars", c_infinity=[[1.0]]),
+         PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1),
+         QuadratureRule(order=80, dimension=1), (513,)),
+        (make_schedule("pauli-villars", c_infinity=[[1.0, 0.3], [0.3, 0.8]]),
+         PotentialDescriptor.quartic(1.0, -1.0, [0.0, 0.2], dimension=2),
+         QuadratureRule(order=20, dimension=2), (41, 41)),
+    ]
+    for sched, V0, q, shape in cases:
+        box = default_box(sched)
+        ones = GridFunction(box, np.ones(shape))
+        for t in (0.05, 1.0, 3.0):
+            fm = make_flow_measure(sched, V0, t, shape, box=box, q=q,
+                                   carry=(ones,))
+            dev = np.abs(fm.transported[0].values - 1.0)
+            assert np.all(dev <= 1e-14 * np.maximum(1.0, np.abs(fm.v_grid)))
+
+
+def test_custom_table_with_nonzero_origin_takes_nested_path(monkeypatch):
+    import rgflow.flow as flow_mod
+
+    t_nodes = np.linspace(0.0, 2.0, 9)
+    c = 0.2 + t_nodes / (1.0 + t_nodes)       # C_0 = 0.2, not 0
+    cp = 1.0 / (1.0 + t_nodes) ** 2
+    cpp = -2.0 / (1.0 + t_nodes) ** 3
+    sched = make_schedule("custom-table", c_infinity=[[1.5]],
+                          table=(t_nodes, c[:, None, None], cp[:, None, None],
+                                 cpp[:, None, None]))
+    V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
+    q = QuadratureRule(order=40, dimension=1)
+    box = default_box(sched)
+    xs = box.axes((129,))[0]
+    F = GridFunction(box, np.exp(-xs**2))
+    smoothing = []
+    real = flow_mod.renormalized_value
+
+    def spy(V0, c, x, *args, **kwargs):
+        smoothing.append((float(np.atleast_2d(c)[0, 0]), np.shape(x)[0]))
+        return real(V0, c, x, *args, **kwargs)
+
+    monkeypatch.setattr(flow_mod, "renormalized_value", spy)
+    fm = make_flow_measure(sched, V0, 1.0, 129, box=box, q=q, carry=(F,))
+    # V_s at C_0 = 0.2 by its own rule over nodes x shifts
+    assert smoothing == [(0.2, 129 * q.order)]
+    monkeypatch.setattr(flow_mod, "renormalized_value", real)
+    assert np.array_equal(fm.transported[0].values,
+                          _nested_p0t(sched, V0, 1.0, F, q))
+
+
+def test_two_dimensional_flow_measure_bounds_memory():
+    import tracemalloc
+
+    from rgflow.phi4 import Phi4Model
+
+    model = Phi4Model(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1.0, -1.0,
+                      np.zeros(2))
+    sched, V0 = model.schedule(), model.potential()
+    q = QuadratureRule(order=40, dimension=2)
+    tracemalloc.start()
+    try:
+        fm = make_flow_measure(sched, V0, 1.0, 65, q=q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 65^2 nodes x 1600 shifts in one batch peaked at 471 MB; chunked to
+    # 2e6 evaluation nodes it stays near 140 MB
+    assert peak < 200 * 2**20
+    nodes = fm.box.nodes(fm.grid_shape)
+    rows = np.r_[0:40, 2100:2140, 4185:4225]
+    ct, _, _ = sched.eval(1.0)
+    assert np.array_equal(fm.v_grid.ravel()[rows],
+                          renormalized_value(V0, ct, nodes[rows], q))

@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 from rgflow import oracles
 from rgflow.errors import QuadratureOverflowError
 from rgflow.potential import (PotentialDescriptor, QuadratureRule,
-                              renormalized_derivatives, renormalized_value,
-                              tilted_moments)
+                              _logsumexp_rows, renormalized_derivatives,
+                              renormalized_value, tilted_moments)
 
 GAUSS_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0}
 
@@ -237,3 +237,47 @@ def test_derivative_batches_bound_memory_by_evaluation_nodes():
         tracemalloc.stop()
     # one Hessian stack of shape (12, 64000, 3, 3) alone would be 55 MB
     assert peak < 60e6
+
+
+def _same_bits(a, b):
+    """Equal bit for bit, with any NaN matching any NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+_LSE_ENTRIES = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-40.0, max_value=40.0),
+    st.sampled_from([-np.inf, np.inf, 0.0, -0.0, 1e-300, 700.0, -745.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda rows: st.integers(min_value=1, max_value=40).flatmap(
+        lambda cols: st.lists(_LSE_ENTRIES, min_size=rows * cols,
+                              max_size=rows * cols).map(
+            lambda xs: np.array(xs).reshape(rows, cols)))))
+def test_logsumexp_rows_matches_scipy_bitwise(a):
+    from scipy.special import logsumexp
+
+    with np.errstate(all="ignore"):
+        want = logsumexp(a, axis=1)
+    assert _same_bits(_logsumexp_rows(a), want)
+
+
+@pytest.mark.parametrize("a", [
+    np.array([[1.5, 1.5, 1.5, -2.0], [3.0, -1.0, 3.0, 3.0]]),    # tied maxima
+    np.array([[-np.inf, 0.3, -np.inf], [-np.inf, -np.inf, -np.inf]]),
+    np.array([[2.5], [-np.inf], [-700.25], [1e300]]),              # one column
+    np.array([[1e300, -1e300, 1e300], [-745.1, -745.2, -1000.0],
+              [709.7, 709.8, 1.0], [1e-320, -1e-320, 0.0]]),
+    np.random.default_rng(5).normal(scale=200.0, size=(513, 80)),
+])
+def test_logsumexp_rows_fixed_cases_match_scipy_bitwise(a):
+    from scipy.special import logsumexp
+
+    with np.errstate(all="ignore"):
+        want = logsumexp(a, axis=1)
+    assert _same_bits(_logsumexp_rows(a), want)
