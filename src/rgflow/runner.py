@@ -23,9 +23,9 @@ from . import __version__, curvature as curvature_mod, phi4 as phi4_mod
 from .config import ExperimentConfig
 from .covariance import make_schedule, schedule_from_table_file
 from .errors import ConfigError, NonConvergenceError
-from .flow import (Box, GridFunction, conservation_check, default_box,
-                   default_sample_points, graded_t_grid, heatflow_harness,
-                   make_flow_measure)
+from .flow import (Box, GridFunction, _map_scales, conservation_check,
+                   default_box, default_sample_points, graded_t_grid,
+                   heatflow_harness, make_flow_measure)
 from .potential import PotentialDescriptor, QuadratureRule
 from .spectral import build_generator, spectrum
 
@@ -175,11 +175,11 @@ class _Context:
     def flow_measures(self):
         """Flow measures on the spectral t grid, built once per run."""
         if self._measures is None:
-            self._measures = [
-                make_flow_measure(self.schedule, self.V0, float(t),
-                                  self.cfg.grid_points, box=self.box,
-                                  q=self.quad)
-                for t in self.cfg.t_grid()]
+            self._measures = _map_scales(
+                lambda t: make_flow_measure(self.schedule, self.V0, float(t),
+                                            self.cfg.grid_points, box=self.box,
+                                            q=self.quad),
+                self.cfg.t_grid(), self.V0)
         return self._measures
 
     def spectral_trace(self, k: int):

@@ -434,3 +434,160 @@ def test_two_dimensional_flow_measure_bounds_memory():
     ct, _, _ = sched.eval(1.0)
     assert np.array_equal(fm.v_grid.ravel()[rows],
                           renormalized_value(V0, ct, nodes[rows], q))
+
+
+def _use_cores(monkeypatch, count):
+    import rgflow.flow as flow_mod
+
+    monkeypatch.setattr(flow_mod, "_usable_cores", lambda: count)
+
+
+def test_grid_pass_is_bitwise_equal_at_two_chunk_budgets(monkeypatch):
+    import rgflow.flow as flow_mod
+
+    sched = make_schedule("pauli-villars", c_infinity=[[1.0, 0.3], [0.3, 0.8]])
+    V0 = PotentialDescriptor.quartic(1.0, -1.0, [0.0, 0.2], dimension=2)
+    q, shape = QuadratureRule(order=12, dimension=2), (33, 33)
+    box = default_box(sched)
+    nodes = box.nodes(shape)
+    F = GridFunction(box, np.exp(-np.sum(nodes**2, axis=1)).reshape(shape))
+    monkeypatch.setattr(flow_mod, "_PASS_NODES", 100 * q.order ** 2)
+    rows = []
+    real = flow_mod._tilted_log_weights
+
+    def spy(V0, pts, logw):
+        rows.append(pts.shape[0])
+        return real(V0, pts, logw)
+
+    monkeypatch.setattr(flow_mod, "_tilted_log_weights", spy)
+    built = []
+    for cores in (1, 3):
+        _use_cores(monkeypatch, cores)
+        rows.clear()
+        built.append(make_flow_measure(sched, V0, 1.0, shape, box=box, q=q,
+                                       carry=(F,)))
+        # each chunk holds one worker's share of the in-flight budget
+        assert max(rows) == 100 // cores and sum(rows) == nodes.shape[0]
+    one, three = built
+    assert np.array_equal(one.v_grid, three.v_grid)
+    assert np.array_equal(one.transported[0].values,
+                          three.transported[0].values)
+
+
+def test_parallel_scales_share_the_pass_memory_budget(monkeypatch):
+    import tracemalloc
+
+    import rgflow.flow as flow_mod
+    from rgflow.flow import _map_scales
+    from rgflow.phi4 import Phi4Model
+
+    model = Phi4Model(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1.0, -1.0,
+                      np.zeros(2))
+    sched, V0 = model.schedule(), model.potential()
+    q = QuadratureRule(order=20, dimension=2)
+    box = default_box(sched)
+    # a 41^2 grid passes in five chunks serially, nine per worker on 2
+    # cores; either way a chunk's arrays live on while the next is built
+    monkeypatch.setattr(flow_mod, "_PASS_NODES", 400 * q.order ** 2)
+
+    def build(t):
+        return make_flow_measure(sched, V0, t, 41, box=box, q=q)
+
+    peaks, grids = {}, {}
+    for cores in (1, 2):
+        _use_cores(monkeypatch, cores)
+        tracemalloc.start()
+        try:
+            measures = _map_scales(build, (0.1, 0.5, 1.0, 2.0), V0)
+            peaks[cores] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grids[cores] = [fm.v_grid for fm in measures]
+    assert peaks[2] <= 1.1 * peaks[1]
+    assert all(np.array_equal(a, b) for a, b in zip(grids[1], grids[2]))
+
+
+def test_conservation_builds_one_interpolant(dwell_chain, monkeypatch):
+    import time
+
+    import scipy.interpolate
+
+    sched, V0, q, box = dwell_chain
+    xs = box.axes((129,))[0]
+    F = GridFunction(box, np.exp(-xs**2))
+    real = scipy.interpolate.CubicSpline
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(args[0].shape)
+        time.sleep(0.05)  # holds open the check-then-act of interpolator()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.interpolate, "CubicSpline", spy)
+    _use_cores(monkeypatch, 4)
+    conservation_check(sched, V0, F, np.linspace(0.0, 2.0, 9), q)
+    assert built == [(129,)]
+
+
+@pytest.mark.parametrize("V0", [
+    PotentialDescriptor.quadratic([[0.7]]),
+    PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1),
+], ids=["quadratic-serial", "quartic-pooled"])
+def test_parallel_scales_raise_the_serial_failure(V0, monkeypatch):
+    # C_inf - C_t = exp(-t) falls below 1e-12 past t = 27.63, so the last
+    # nine scales all fail; the first of them in t order must be raised
+    sched = make_schedule("heat-kernel", c_infinity=[[1.0]])
+    q = QuadratureRule(order=40, dimension=1)
+    box = default_box(sched)
+    xs = box.axes((129,))[0]
+    F = GridFunction(box, np.exp(-xs**2))
+    t_grid = graded_t_grid(30.0, 380, growth=3.5)
+    messages = []
+    for cores in (1, 4):
+        _use_cores(monkeypatch, cores)
+        with pytest.raises(ValueError, match=r"at t=27\.797") as err:
+            conservation_check(sched, V0, F, t_grid, q)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def test_parallel_scales_match_serial_bitwise_under_stress(dwell_chain,
+                                                           monkeypatch):
+    import dataclasses
+    import sys
+    import threading
+
+    from rgflow.flow import _map_scales
+
+    sched, V0, q, box = dwell_chain
+    xs = box.axes((129,))[0]
+    F = GridFunction(box, np.exp(-xs**2))
+    t_grid = graded_t_grid(3.0, 24)
+
+    def run():
+        rep = conservation_check(sched, V0, F, t_grid, q)
+        measures = _map_scales(
+            lambda t: make_flow_measure(sched, V0, t, 129, box=box, q=q),
+            t_grid[1:9], V0)
+        return rep, [fm.v_grid for fm in measures]
+
+    _use_cores(monkeypatch, 1)
+    want_rep, want_grids = run()
+    # more workers than cores, and a thread switch every microsecond
+    _use_cores(monkeypatch, 4)
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: got.append(run()),
+                                  daemon=True)
+        worker.start()
+        worker.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(got) == 1
+    rep, grids = got[0]
+    for f in dataclasses.fields(rep):
+        assert (np.asarray(getattr(rep, f.name)).tobytes()
+                == np.asarray(getattr(want_rep, f.name)).tobytes()), f.name
+    assert all(np.array_equal(a, b) for a, b in zip(grids, want_grids))
