@@ -6,7 +6,7 @@ Modules
 covariance  covariance decompositions t -> (C_t, C_t', C_t'')
 potential   renormalized potentials and their tilted-moment derivatives
 flow        flow measures, the scale-to-scale semigroup, heat-flow harness
-spectral    weighted divergence-form generators and their spectra
+spectral    the flow measure's divergence-form generator and its spectra
 curvature   multiscale curvature schedules and inequality certification
 phi4        lattice quartic models, susceptibility, schedule formulas
 oracles     independent brute-force references used by the tests
@@ -25,14 +25,14 @@ from .phi4 import (Phi4Model, hessian_identity_check, phi4_schedules,
                    susceptibility, tilted_covariance)
 from .potential import (PotentialDescriptor, QuadratureRule,
                         renormalized_derivatives, renormalized_value)
-from .spectral import (build_generator, gamma_operators, rayleigh_flow_trace,
-                       rayleigh_quotient, spectrum)
+from .spectral import (build_generator, rayleigh_flow_trace, rayleigh_quotient,
+                       spectrum)
 
 __all__ = [
     "Box", "CovarianceSchedule", "CurvatureSchedule", "FlowMeasure",
     "GridFunction", "Phi4Model", "PotentialDescriptor", "QuadratureRule",
     "alpha_prime", "build_generator", "build_schedule", "conservation_check",
-    "default_box", "gamma_operators", "heatflow_harness",
+    "default_box", "heatflow_harness",
     "hessian_identity_check", "higher_eigenvalue_margin",
     "integrate_schedules", "intertwining_check", "make_flow_measure",
     "make_schedule", "multiscale_margin", "nu_log_density", "phi4_schedules",

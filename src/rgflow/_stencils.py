@@ -26,45 +26,11 @@ def diff1(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second derivative along ``axis``, 4th order in the interior."""
-    f = np.moveaxis(values, axis, 0)
-    out = np.empty_like(f)
-    n = f.shape[0]
-    if n < 5:
-        d1 = np.gradient(f, h, axis=0)
-        out[:] = np.gradient(d1, h, axis=0)
-        return np.moveaxis(out, 0, axis)
-    out[2:-2] = (-f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2]
-                 + 16.0 * f[3:-1] - f[4:]) / (12.0 * h * h)
-    edge = (f[0] - 2.0 * f[1] + f[2]) / (h * h)
-    out[0] = edge
-    out[1] = (f[0] - 2.0 * f[1] + f[2]) / (h * h)
-    out[-2] = (f[-3] - 2.0 * f[-2] + f[-1]) / (h * h)
-    out[-1] = (f[-3] - 2.0 * f[-2] + f[-1]) / (h * h)
-    return np.moveaxis(out, 0, axis)
-
-
 def gradient(values: np.ndarray, spacing) -> np.ndarray:
     """Stacked gradient, shape ``values.shape + (d,)``."""
     spacing = np.atleast_1d(spacing)
     return np.stack([diff1(values, spacing[a], a) for a in range(values.ndim)],
                     axis=-1)
-
-
-def hessian(values: np.ndarray, spacing) -> np.ndarray:
-    """Stacked Hessian, shape ``values.shape + (d, d)``."""
-    spacing = np.atleast_1d(spacing)
-    d = values.ndim
-    out = np.empty(values.shape + (d, d))
-    firsts = [diff1(values, spacing[a], a) for a in range(d)]
-    for a in range(d):
-        out[..., a, a] = diff2(values, spacing[a], a)
-        for b in range(a + 1, d):
-            mixed = diff1(firsts[a], spacing[b], b)
-            out[..., a, b] = mixed
-            out[..., b, a] = mixed
-    return out
 
 
 def interior_mask(shape, margin: int = 4) -> np.ndarray:

@@ -189,6 +189,8 @@ def config_from_text(text: str) -> ExperimentConfig:
         raise ConfigError("t_grid.count must be >= 2")
     if t_min <= 0 and t_spacing == "log":
         raise ConfigError("log spacing requires t_grid.min > 0")
+    if t_min < 0:
+        raise ConfigError("t_grid.min must be >= 0: flow times are nonnegative")
 
     checks = _pop(entries, "checks", default=[])
     if isinstance(checks, str):
@@ -203,8 +205,8 @@ def config_from_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"check {c!r} needs {need}; the model has d = {dim}")
 
     seed = _pop(entries, "seed", required=True)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError("seed must be a nonnegative integer")
     output = str(_pop(entries, "output", default="rgflow-out"))
 
     box_halfwidth = _pop(entries, "disc.box_halfwidth")
@@ -212,6 +214,9 @@ def config_from_text(text: str) -> ExperimentConfig:
     quadrature_order = int(_pop(entries, "disc.quadrature_order", default=80))
 
     options = dict(entries)  # remaining dotted keys are per-check options
+    k = options.get("spectrum.k", 1)
+    if not isinstance(k, (int, float)) or int(k) < 1:
+        raise ConfigError(f"spectrum.k must be a number >= 1, got {k!r}")
     return ExperimentConfig(
         model=model, schedule=schedule, t_min=t_min, t_max=t_max,
         t_count=t_count, t_spacing=t_spacing, checks=list(checks), seed=seed,
@@ -228,6 +233,8 @@ def load_config(path: str, seed_override: int | None = None,
     cfg = config_from_text(text)
     echo = text
     if seed_override is not None:
+        if int(seed_override) < 0:
+            raise ConfigError("seed override must be nonnegative")
         cfg.seed = int(seed_override)
         echo += f"\n# override\nseed = {cfg.seed}\n"
     if output_override is not None:

@@ -23,6 +23,9 @@ KINDS = ("heat-kernel", "pauli-villars", "custom-table")
 # Snap tolerance for custom-table queries, relative to the local node gap.
 _TABLE_SNAP_RTOL = 1e-9
 
+# Smallest eigenvalue of C_inf - C_t that ``residual_inverse`` accepts.
+RESIDUAL_FLOOR = 1e-12
+
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
@@ -121,10 +124,11 @@ class CovarianceSchedule:
         c, _, _ = self.eval(t)
         diff = _sym(self.c_infinity - c)
         w, u = np.linalg.eigh(diff)
-        if w[0] < 1e-12:
+        if w[0] < RESIDUAL_FLOOR:
             raise ValueError(
                 "flow time too large for this resolution: "
-                f"C_inf - C_t has eigenvalue {w[0]:.3e} < 1e-12 at t={t}"
+                f"C_inf - C_t has eigenvalue {w[0]:.3e} < {RESIDUAL_FLOOR:.0e} "
+                f"at t={t}"
             )
         return _sym((u / w) @ u.T)
 

@@ -74,9 +74,6 @@ class CurvatureSchedule:
     def lambda_prime_at(self, t: float) -> float:
         return float(np.interp(t, self.t_grid, self.lambda_prime))
 
-    def alpha_prime_at(self, t: float) -> float:
-        return float(np.interp(t, self.t_grid, self.alpha_prime))
-
 
 def _sym_eigvalsh(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of each symmetrized matrix in a stack."""
@@ -408,20 +405,3 @@ def intertwining_check(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     violation = lhs[interior] - factor * rhs_fn.values[interior]
     return float(np.max(violation))
 
-
-def rayleigh_trace_margins(trace, curv: CurvatureSchedule) -> np.ndarray:
-    """Discrete log-derivative of a Rayleigh trace against alpha' - 2 lambda'.
-
-    Returns d/dt log R - (alpha'_t - 2 lambda'_t) at interior grid times;
-    positive entries, beyond discretization error, violate the differential
-    inequality.
-    """
-    ts = np.array([t for t, _ in trace], dtype=float)
-    rs = np.array([r for _, r in trace], dtype=float)
-    if np.any(rs <= 0):
-        raise ValueError("Rayleigh trace must be positive")
-    dlog = (np.log(rs[2:]) - np.log(rs[:-2])) / (ts[2:] - ts[:-2])
-    mids = ts[1:-1]
-    bound = np.array([curv.alpha_prime_at(t) - 2.0 * curv.lambda_prime_at(t)
-                      for t in mids])
-    return dlog - bound

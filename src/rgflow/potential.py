@@ -301,33 +301,6 @@ def _closed_form_derivatives(V0, c, x):
     return (g[0], h[0]) if single else (g, h)
 
 
-def tilted_moments(V0: PotentialDescriptor, c, x, q: QuadratureRule | None = None):
-    """Moments of the tilted measure rho(z) ~ exp(-V0(x+z)) gamma_C(dz).
-
-    Returns (log_mass, mean, cov) of the shifted variable psi = x + z for a
-    single point x; log_mass = -V_t(x).
-    """
-    q = q or QuadratureRule.for_dimension(V0.dimension)
-    x, single = _as_batch(x, V0.dimension)
-    if not single:
-        raise ValueError("tilted_moments expects a single point")
-    z, logw = _gaussian_shifts(c, V0.dimension, q)
-    pts = x[0] + z  # (Q, d)
-    le = _tilted_log_weights(V0, pts[None], logw)[0]
-    mshift = np.max(le)
-    if not np.isfinite(mshift):
-        raise QuadratureOverflowError(
-            "quadrature overflow in tilted moments; increase the order")
-    wts = np.exp(le - mshift)
-    norm = wts.sum()
-    wts = wts / norm
-    mean = wts @ pts
-    centered = pts - mean
-    cov = (centered * wts[:, None]).T @ centered
-    log_mass = mshift + np.log(norm)
-    return float(log_mass), mean, 0.5 * (cov + cov.T)
-
-
 def renormalized_derivatives(V0: PotentialDescriptor, c, x,
                              q: QuadratureRule | None = None,
                              method: str = "auto"):

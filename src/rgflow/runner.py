@@ -16,12 +16,13 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import __version__, curvature as curvature_mod, phi4 as phi4_mod
 from .config import ExperimentConfig
-from .covariance import make_schedule, schedule_from_table_file
+from .covariance import RESIDUAL_FLOOR, make_schedule, schedule_from_table_file
 from .errors import ConfigError, NonConvergenceError
 from .flow import (Box, GridFunction, _map_scales, conservation_check,
                    default_box, default_sample_points, graded_t_grid,
@@ -68,10 +69,7 @@ class _Context:
             self.box = Box.cube(cfg.box_halfwidth, dim)
         else:
             self.box = default_box(self.schedule)
-        self._curv = None
-        self._measures = None
-        self._spec_trace = None
-        self._samples = None
+        self.spectrum_k = int(cfg.option("spectrum.k", 3))
         self._chi = {}
 
     def _build_model(self):
@@ -124,16 +122,13 @@ class _Context:
 
     # -- shared artifacts --------------------------------------------------
 
+    @cached_property
     def samples(self):
-        if self._samples is None:
-            if self.V0.form in ("zero", "quadratic"):
-                self._samples = np.zeros((1, self.V0.dimension))
-            else:
-                fm0 = make_flow_measure(self.schedule, self.V0, 0.0,
-                                        self.cfg.grid_points, box=self.box,
-                                        q=self.quad)
-                self._samples = default_sample_points(fm0, seed=self.cfg.seed)
-        return self._samples
+        if self.V0.form in ("zero", "quadratic"):
+            return np.zeros((1, self.V0.dimension))
+        fm0 = make_flow_measure(self.schedule, self.V0, 0.0,
+                                self.cfg.grid_points, box=self.box, q=self.quad)
+        return default_sample_points(fm0, seed=self.cfg.seed)
 
     def chi(self, t: float):
         """Susceptibility estimate of the phi4 model at t, computed once per t."""
@@ -152,42 +147,42 @@ class _Context:
         extra = cfg.t_grid()
         return np.unique(np.concatenate([base, extra[extra <= t_max + 1e-12]]))
 
-    def curvature(self, sampled: bool = False):
-        """The certified rate schedule, or with ``sampled`` the one sampled
-        on the default set.  They differ for lattice models only, whose
-        certified lambda' is 1/t - chi_t/t^2 (alpha' is sampled either way).
+    @cached_property
+    def sampled_curvature(self):
+        """The rate schedule sampled on the default set."""
+        return curvature_mod.build_schedule(
+            self.schedule, self.V0, self.schedule_t_grid(), self.samples,
+            self.quad, sample_spec=f"default sample set, seed {self.cfg.seed}")
+
+    @cached_property
+    def curvature(self):
+        """The certified rate schedule.  It differs from the sampled one for
+        lattice models only, whose certified lambda' is 1/t - chi_t/t^2
+        (alpha' is sampled either way).
         """
-        if self._curv is None:
-            grid = self.schedule_t_grid()
-            spec = f"default sample set, seed {self.cfg.seed}"
-            curv = curvature_mod.build_schedule(
-                self.schedule, self.V0, grid, self.samples(), self.quad,
-                sample_spec=spec)
-            self._curv = (curv, curv)
-            if self.phi4_model is not None:
-                times = [curvature_mod.rate_time(grid, i)
-                         for i in range(len(grid))]
-                lp = [1.0 / t - self.chi(t).value / t**2 for t in times]
-                self._curv = (curvature_mod.integrate_schedules(
-                    (grid, lp, curv.alpha_prime), sample_spec=spec), curv)
-        return self._curv[1 if sampled else 0]
+        curv = self.sampled_curvature
+        if self.phi4_model is None:
+            return curv
+        grid = curv.t_grid
+        times = [curvature_mod.rate_time(grid, i) for i in range(len(grid))]
+        lp = [1.0 / t - self.chi(t).value / t**2 for t in times]
+        return curvature_mod.integrate_schedules(
+            (grid, lp, curv.alpha_prime), sample_spec=curv.sample_spec)
 
+    @cached_property
     def flow_measures(self):
-        """Flow measures on the spectral t grid, built once per run."""
-        if self._measures is None:
-            self._measures = _map_scales(
-                lambda t: make_flow_measure(self.schedule, self.V0, float(t),
-                                            self.cfg.grid_points, box=self.box,
-                                            q=self.quad),
-                self.cfg.t_grid(), self.V0)
-        return self._measures
+        """Flow measures on the spectral t grid."""
+        return _map_scales(
+            lambda t: make_flow_measure(self.schedule, self.V0, float(t),
+                                        self.cfg.grid_points, box=self.box,
+                                        q=self.quad),
+            self.cfg.t_grid(), self.V0)
 
-    def spectral_trace(self, k: int):
-        if self._spec_trace is None or self._spec_trace[0] < k:
-            self._spec_trace = (k, [spectrum(build_generator(fm), k=k,
-                                             refine=True)
-                                    for fm in self.flow_measures()])
-        return self._spec_trace[1]
+    @cached_property
+    def spectral_trace(self):
+        """Spectra of the flow generators on the spectral t grid."""
+        return [spectrum(build_generator(fm), k=self.spectrum_k, refine=True)
+                for fm in self.flow_measures]
 
 
 def _fmt(v) -> str:
@@ -220,13 +215,12 @@ def _margin_rows(report: RunReport, check: str, margins) -> str:
 
 
 def _check_spectrum(ctx: _Context, report: RunReport):
-    k = int(ctx.cfg.option("spectrum.k", 3))
-    results = ctx.spectral_trace(k)
+    results = ctx.spectral_trace
     for t, res in zip(ctx.cfg.t_grid(), results):
         report.rows.append(_spectrum_row(t, res, "weighted"))
     if ctx.model_kind == "gaussian":
         # metric discrepancy reporting: unweighted constants alongside
-        for t, fm in zip(ctx.cfg.t_grid(), ctx.flow_measures()):
+        for t, fm in zip(ctx.cfg.t_grid(), ctx.flow_measures):
             gen = build_generator(fm, cprime=np.eye(ctx.V0.dimension))
             report.rows.append(_spectrum_row(
                 t, spectrum(gen, k=1, refine=False), "unweighted"))
@@ -234,8 +228,8 @@ def _check_spectrum(ctx: _Context, report: RunReport):
 
 
 def _check_criterion(ctx: _Context, report: RunReport):
-    curv = ctx.curvature()
-    sampled = ctx.curvature(sampled=True).lambda_prime
+    curv = ctx.curvature
+    sampled = ctx.sampled_curvature.lambda_prime
     tol = float(ctx.cfg.option("criterion.tolerance", 1e-6))
     report.tolerances["criterion"] = tol
     ok = True
@@ -246,7 +240,7 @@ def _check_criterion(ctx: _Context, report: RunReport):
                    alpha_prime=float(curv.alpha_prime[i]),
                    lambda_int=float(curv.lambda_integral[i]),
                    alpha_int=float(curv.alpha_integral[i]),
-                   samples_used=len(ctx.samples()))
+                   samples_used=len(ctx.samples))
         if ctx.phi4_model is not None:
             est = ctx.chi(te)
             sig = phi4_mod.tilted_covariance(ctx.phi4_model, te,
@@ -262,26 +256,22 @@ def _check_criterion(ctx: _Context, report: RunReport):
 
 
 def _check_theorem(ctx: _Context, report: RunReport):
-    k = int(ctx.cfg.option("spectrum.k", 3))
     tol = float(ctx.cfg.option("theorem.tolerance", curvature_mod.TOL_TOTAL))
     report.tolerances["theorem"] = tol
-    results = ctx.spectral_trace(k)
     trace = [(float(t), res.poincare_constant)
-             for t, res in zip(ctx.cfg.t_grid(), results)]
-    margins = curvature_mod.theorem_margin(trace, ctx.curvature(),
+             for t, res in zip(ctx.cfg.t_grid(), ctx.spectral_trace)]
+    margins = curvature_mod.theorem_margin(trace, ctx.curvature,
                                            tol_total=tol)
     return _margin_rows(report, "theorem", margins)
 
 
 def _check_higher_k(ctx: _Context, report: RunReport):
-    k = int(ctx.cfg.option("spectrum.k", 3))
     tol = float(ctx.cfg.option("theorem.tolerance", curvature_mod.TOL_TOTAL))
     report.tolerances["higher-k"] = tol
-    results = ctx.spectral_trace(k)
     traces = {kk: [(float(t), res.eigenvalue(kk))
-                   for t, res in zip(ctx.cfg.t_grid(), results)]
-              for kk in range(1, k + 1)}
-    margins = curvature_mod.higher_eigenvalue_margin(traces, ctx.curvature(),
+                   for t, res in zip(ctx.cfg.t_grid(), ctx.spectral_trace)]
+              for kk in range(1, ctx.spectrum_k + 1)}
+    margins = curvature_mod.higher_eigenvalue_margin(traces, ctx.curvature,
                                                      tol_total=tol)
     return _margin_rows(report, "higher-k", margins)
 
@@ -291,7 +281,7 @@ def _check_intertwining(ctx: _Context, report: RunReport):
     n_bumps = int(ctx.cfg.option("intertwining.bumps", 3))
     tol = float(ctx.cfg.option("intertwining.tolerance", 1e-6 + 1e-4))
     report.tolerances["intertwining"] = tol
-    curv = ctx.curvature()
+    curv = ctx.curvature
     xs = ctx.box.axes((ctx.cfg.grid_points,))[0]
     rng = np.random.default_rng(ctx.cfg.seed)
     ok = True
@@ -311,11 +301,31 @@ def _check_intertwining(ctx: _Context, report: RunReport):
     return "pass" if ok else "fail"
 
 
+def _variance_t_max(schedule, t_max: float) -> float:
+    """``t_max``, or the largest smaller time at which C_inf - C_t stays 100x
+    above the floor of ``residual_inverse`` (found by bisection)."""
+
+    def holds(t):
+        c, _, _ = schedule.eval(t)
+        gap = np.linalg.eigvalsh(schedule.c_infinity - c)[0]
+        return gap >= 100.0 * RESIDUAL_FLOOR
+
+    if holds(t_max):
+        return t_max
+    lo, hi = 0.0, t_max
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
 def _check_variance(ctx: _Context, report: RunReport):
     gaussian = ctx.V0.form == "zero"
     tol = float(ctx.cfg.option("variance.tolerance",
                                1e-6 if gaussian else 1e-3))
-    t_max = float(ctx.cfg.option("variance.t_max", 20.0 if gaussian else 30.0))
+    t_max = ctx.cfg.option("variance.t_max")
+    t_max = (_variance_t_max(ctx.schedule, 20.0 if gaussian else 30.0)
+             if t_max is None else float(t_max))
     count = int(ctx.cfg.option("variance.count", 2600 if gaussian else 380))
     report.tolerances["variance"] = tol
     xs = ctx.box.axes((ctx.cfg.grid_points,))[0]
@@ -323,7 +333,7 @@ def _check_variance(ctx: _Context, report: RunReport):
                      tag="variance test function")
     tg = graded_t_grid(t_max, count, growth=3.0 if gaussian else 3.5)
     if gaussian:
-        curv = ctx.curvature()
+        curv = ctx.curvature
         rep = conservation_check(
             ctx.schedule, ctx.V0, F, tg, ctx.quad,
             lambda_at_T=curv.lambda_prime_at(curv.t_grid[-1]) * t_max,
@@ -407,9 +417,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     without aborting independent checks."""
     start = time.perf_counter()
     report = RunReport(config_echo=cfg.raw_text)
-    report.max_k = int(cfg.option("spectrum.k", 3)) if any(
-        c in cfg.checks for c in ("spectrum", "theorem", "higher-k")) else 1
     ctx = _Context(cfg)
+    if any(c in cfg.checks for c in ("spectrum", "theorem", "higher-k")):
+        report.max_k = ctx.spectrum_k
     ordered = [c for c in CHECK_ORDER if c in cfg.checks]
     for name in ordered:
         try:

@@ -1,14 +1,11 @@
-"""Self-adjoint discretizations of the flow generators and their spectra.
+"""Self-adjoint discretization of the flow generator and its spectrum.
 
-The generator at scale t, in divergence form, is
+The generator of the flow measure nu_t (script-L) is, in divergence form,
 
-    L f = (1/w) div( A w grad f )
+    L f = (1/w) div( C_t' w grad f )
 
-with mobility matrix A and weight w chosen by the drift variant:
-
-    script-L : A = C_t',      w ~ flow-measure density      (full drift)
-    Lambda   : A = C_t',      w ~ exp(-V_t)
-    L        : A = C_t' / 2,  w ~ exp(-2 V_t)
+with w the flow-measure density: the carre du champ is |grad f|^2_{C_t'}
+and nu_t is its reversible measure.
 
 Assembly uses Q1 finite elements with 2^d-point Gauss quadrature per cell and
 a lumped (trapezoid) weighted mass matrix, which makes the discrete operator
@@ -27,19 +24,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
-from . import _stencils
 from .errors import NonConvergenceError
 from .flow import Box, FlowMeasure, GridFunction, integrate_grid
-from .potential import QuadratureRule, renormalized_derivatives
-
-DRIFTS = ("script-L", "L", "Lambda")
+from .potential import QuadratureRule
 
 # Nodes whose log weight falls this far below the maximum are trimmed off the
 # box before assembly; exp(-570) is comfortably inside float range.
@@ -56,8 +49,6 @@ _KERNEL_TOL = 1e-6
 # Restart cap of shift-invert Lanczos: healthy pencils need about two.
 _ARPACK_MAXITER = 100
 _RICHARDSON_RTOL = 5e-3
-# Boundary cells left out of the Gamma_2 comparison.
-_GAMMA_MARGIN_CELLS = 5
 
 _GAUSS_1D = (0.5 * (1.0 - 1.0 / math.sqrt(3.0)), 0.5 * (1.0 + 1.0 / math.sqrt(3.0)))
 
@@ -71,12 +62,10 @@ class GeneratorDiscretization:
     grid_shape: tuple
     weight: GridFunction
     mobility: np.ndarray          # matrix entering the carre du champ (C_t')
-    drift: str
     stiffness: sp.csr_matrix = field(repr=False)
     mass: np.ndarray = field(repr=False)  # lumped weighted mass, diagonal
     flow_measure: FlowMeasure | None = None
     refiner: object = None        # () -> GeneratorDiscretization on halved mesh
-    gauss_precision: np.ndarray | None = None  # (C_inf - C_t)^{-1} for script-L
 
     @property
     def n_nodes(self) -> int:
@@ -100,28 +89,6 @@ class GeneratorDiscretization:
     def weighted_mean(self, f) -> float:
         fv = np.asarray(f, dtype=float).reshape(-1)
         return float((self.mass @ fv) / self.mass.sum())
-
-    @cached_property
-    def drift_ingredients(self):
-        """(A_op, mobility C', drift vector field b(X), hess V_t) for the
-        stencil operator, computed once per generator; needs an analytic
-        flow measure."""
-        fm = self.flow_measure
-        if fm is None:
-            raise ValueError("generator has no analytic flow measure attached")
-        c, _, _ = fm.schedule.eval(self.t)
-        d, cp = self.box.dim, self.mobility
-        nodes = self.box.nodes(self.grid_shape)
-        grad_v, hess_v = renormalized_derivatives(fm.V0, c, nodes, fm.quad)
-        grad_v = grad_v.reshape(self.grid_shape + (d,))
-        hess_v = hess_v.reshape(self.grid_shape + (d, d))
-        nodes = nodes.reshape(self.grid_shape + (d,))
-        bvec = np.einsum("ij,...j->...i", cp, grad_v)
-        if self.drift == "script-L":
-            bvec = bvec + np.einsum("ij,jk,...k->...i", cp,
-                                    self.gauss_precision, nodes)
-        a_op = 0.5 * cp if self.drift == "L" else cp
-        return a_op, cp, bvec, hess_v
 
 
 def _trim_window(log_w: np.ndarray, threshold: float) -> tuple:
@@ -190,23 +157,15 @@ def _assemble(box: Box, shape: tuple, w: np.ndarray, a_matrix: np.ndarray):
 
 
 def build_generator(flow_measure: FlowMeasure, cprime=None,
-                    drift: str = "script-L", trim: bool = True
-                    ) -> GeneratorDiscretization:
-    """Assemble the generator of the requested drift variant at fm.t."""
-    if drift not in DRIFTS:
-        raise ValueError(f"unknown drift variant {drift!r}; expected {DRIFTS}")
+                    trim: bool = True) -> GeneratorDiscretization:
+    """Assemble the generator of the flow measure at fm.t (mobility C_t'
+    unless ``cprime`` is given)."""
     fm = flow_measure
     if cprime is None:
         _, cprime, _ = fm.schedule.eval(fm.t)
     cprime = np.atleast_2d(np.asarray(cprime, dtype=float))
 
-    if drift == "script-L":
-        log_w = fm.log_density_grid
-    elif drift == "Lambda":
-        log_w = -fm.v_grid
-    else:
-        log_w = -2.0 * fm.v_grid
-
+    log_w = fm.log_density_grid
     raw_w = np.exp(log_w - np.max(log_w))
     frac_zero = float(np.count_nonzero(raw_w == 0.0)) / raw_w.size
     if frac_zero > _UNDERFLOW_FRAC:
@@ -229,20 +188,16 @@ def build_generator(flow_measure: FlowMeasure, cprime=None,
                              v_grid=fm.v_grid[window])
 
     w = raw_w / integrate_grid(box, raw_w)
-    a_op = cprime if drift != "L" else 0.5 * cprime
-    e, mass = _assemble(box, shape, w, a_op)
+    e, mass = _assemble(box, shape, w, cprime)
 
-    gauss_prec = fm.schedule.residual_inverse(fm.t) if drift == "script-L" else None
-
-    def refiner(fm=fm, cprime=cprime, drift=drift):
-        return build_generator(fm.refined(), cprime=cprime, drift=drift,
-                               trim=False)
+    def refiner(fm=fm, cprime=cprime):
+        return build_generator(fm.refined(), cprime=cprime, trim=False)
 
     return GeneratorDiscretization(
         t=fm.t, box=box, grid_shape=shape,
-        weight=GridFunction(box, w, tag=f"weight {drift}"),
-        mobility=cprime, drift=drift, stiffness=e, mass=mass,
-        flow_measure=fm, refiner=refiner, gauss_precision=gauss_prec)
+        weight=GridFunction(box, w, tag="flow-measure weight"),
+        mobility=cprime, stiffness=e, mass=mass,
+        flow_measure=fm, refiner=refiner)
 
 
 def build_generator_from_density(box: Box, w_values: np.ndarray, mobility=None,
@@ -261,7 +216,7 @@ def build_generator_from_density(box: Box, w_values: np.ndarray, mobility=None,
     return GeneratorDiscretization(
         t=0.0, box=box, grid_shape=shape,
         weight=GridFunction(box, w, tag="tabulated weight"),
-        mobility=mobility, drift="script-L", stiffness=e, mass=mass,
+        mobility=mobility, stiffness=e, mass=mass,
         flow_measure=None, refiner=refiner)
 
 
@@ -390,7 +345,7 @@ def rayleigh_quotient(gen: GeneratorDiscretization, phi) -> float:
 
 
 def rayleigh_flow_trace(schedule, V0, phi0: GridFunction, t_grid,
-                        q=None, drift: str = "script-L") -> list:
+                        q=None) -> list:
     """(t, R_phi(t)) along the flow, with phi_t = P_{0,t} phi0."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
@@ -402,108 +357,6 @@ def rayleigh_flow_trace(schedule, V0, phi0: GridFunction, t_grid,
         fm = FlowMeasure(schedule, V0, float(t), phi0.box, phi0.shape, q,
                          carry=carry)
         phi_t = fm.transported[0] if carry else phi0
-        gen = build_generator(fm, drift=drift, trim=False)
+        gen = build_generator(fm, trim=False)
         out.append((float(t), rayleigh_quotient(gen, phi_t)))
     return out
-
-
-def minmax_trial_bound(gen: GeneratorDiscretization, functions) -> float:
-    """Largest Rayleigh quotient over the span of the given grid functions.
-
-    By min-max this dominates mu_{k}(gen) for any (k+1) independent trials.
-    """
-    cols = []
-    for f in functions:
-        v = (f.values if isinstance(f, GridFunction) else np.asarray(f)).reshape(-1)
-        cols.append(v)
-    basis = np.stack(cols, axis=1)
-    gmat = basis.T @ (gen.stiffness @ basis)
-    mmat = basis.T @ (gen.mass[:, None] * basis)
-    from scipy.linalg import eigh as dense_eigh
-    vals = dense_eigh(0.5 * (gmat + gmat.T), 0.5 * (mmat + mmat.T),
-                      eigvals_only=True)
-    return float(vals[-1])
-
-
-# ---------------------------------------------------------------------------
-# Pointwise Gamma-calculus on grids
-# ---------------------------------------------------------------------------
-
-def apply_drift_operator(gen: GeneratorDiscretization,
-                         values: np.ndarray) -> np.ndarray:
-    """Pointwise stencil action of the drift operator (4th-order interior)."""
-    a_op, _, bvec, _ = gen.drift_ingredients
-    h = gen.box.spacing(gen.grid_shape)
-    hess = _stencils.hessian(values, h)
-    grad = _stencils.gradient(values, h)
-    return np.einsum("ij,...ij->...", a_op, hess) \
-        - np.einsum("...i,...i->...", bvec, grad)
-
-
-@dataclass
-class GammaReport:
-    gamma: GridFunction
-    gamma2_composition: GridFunction
-    gamma2_explicit: GridFunction
-    drift: str
-    interior: np.ndarray
-    max_rel_disagreement: float
-
-
-def gamma_two(gen: GeneratorDiscretization, phi: GridFunction) -> GammaReport:
-    """Iterated Gamma operator computed two independent ways.
-
-    Composition: (op Gamma(phi) - 2 Gamma(phi, op phi)) / 2 with the carre du
-    champ |grad .|^2_{C'}.  Explicit Bochner form: c * |hess phi|^2_{C'} +
-    <(hess V_t [+ (C_inf - C_t)^{-1} for the full drift]) C' grad phi,
-    grad phi>_{C'}; c = 1/2 for the half-Laplacian variant and 1 otherwise.
-    """
-    _, cp, _, hess_v = gen.drift_ingredients
-    h = gen.box.spacing(gen.grid_shape)
-
-    grad_phi = _stencils.gradient(phi.values, h)
-    gamma_vals = np.einsum("...i,ij,...j->...", grad_phi, cp, grad_phi)
-    op_phi = apply_drift_operator(gen, phi.values)
-    grad_op_phi = _stencils.gradient(op_phi, h)
-    cross = np.einsum("...i,ij,...j->...", grad_phi, cp, grad_op_phi)
-    comp = 0.5 * (apply_drift_operator(gen, gamma_vals) - 2.0 * cross)
-
-    hess_phi = _stencils.hessian(phi.values, h)
-    hnorm = np.einsum("ij,...jk,kl,...li->...", cp, hess_phi, cp, hess_phi)
-    curv = hess_v.copy()
-    if gen.drift == "script-L":
-        curv = curv + gen.gauss_precision
-    expl = (0.5 if gen.drift == "L" else 1.0) * hnorm + np.einsum(
-        "...ij,jk,...k,il,...l->...", curv, cp, grad_phi, cp, grad_phi)
-
-    interior = _stencils.interior_mask(phi.shape, _GAMMA_MARGIN_CELLS)
-    scale = float(np.max(np.abs(expl[interior]))) or 1.0
-    disagreement = float(np.max(np.abs(comp[interior] - expl[interior]))) / scale
-    return GammaReport(
-        gamma=phi.with_values(gamma_vals, tag="Gamma"),
-        gamma2_composition=phi.with_values(comp, tag="Gamma2 comp"),
-        gamma2_explicit=phi.with_values(expl, tag="Gamma2 expl"),
-        drift=gen.drift, interior=interior,
-        max_rel_disagreement=disagreement)
-
-
-def gamma_operators(gen_pair, phi: GridFunction):
-    """(Gamma, Gamma2 for the half-Laplacian drift, Gamma2 for the full drift).
-
-    ``gen_pair`` is (generator with drift "L" or "Lambda", generator with
-    drift "script-L") assembled on the same grid; the boundary-touching
-    contract is enforced on the weighted mass of phi near the box faces.
-    """
-    gen_a, gen_script = gen_pair
-    if gen_script.drift != "script-L":
-        raise ValueError("second generator must be the full-drift variant")
-    edge = ~_stencils.interior_mask(phi.shape, 2)
-    w = gen_script.weight.values
-    boundary_mass = float(np.sum(w[edge] * phi.values[edge] ** 2)
-                          / max(np.sum(w * phi.values**2), 1e-300))
-    if boundary_mass > 1e-8:
-        raise ValueError(
-            f"support too large for Gamma2 check: boundary mass {boundary_mass:.2e}")
-    rep_a = gamma_two(gen_a, phi)
-    rep_s = gamma_two(gen_script, phi)
-    return rep_a.gamma, rep_a, rep_s

@@ -24,7 +24,7 @@ from rgflow.phi4 import Phi4Model, hessian_identity_check, phi4_schedules, susce
 from rgflow.potential import (PotentialDescriptor, QuadratureRule,
                               renormalized_derivatives, renormalized_value)
 from rgflow.runner import emit_report, run_experiment
-from rgflow.spectral import build_generator, gamma_two, spectrum
+from rgflow.spectral import build_generator, spectrum
 from rgflow import oracles
 
 
@@ -272,25 +272,6 @@ def test_criterion_10_heatflow_harness():
     _report("10 heat-flow harness", ok,
             f"uniform worst drop={rep_u.worst_drop:.1e}, "
             f"gaussian CP rel err={rel:.2e}")
-
-
-def test_criterion_11_gamma_two_routes(dwell):
-    model, sched, V0, q, box = dwell
-    xs = box.axes((1025,))[0]
-    funcs = [np.exp(-xs**2 / 2.0), xs * np.exp(-xs**2 / 3.0),
-             (xs**2 - 1.0) * np.exp(-xs**2 / 2.5),
-             np.sin(xs) * np.exp(-xs**2 / 2.0),
-             np.exp(-(xs - 0.7) ** 2 / 1.8)]
-    worst = 0.0
-    for t in (0.5, 1.0, 2.0):
-        fm = make_flow_measure(sched, V0, t, 1025, box=box, q=q)
-        for drift in ("L", "script-L"):
-            gen = build_generator(fm, drift=drift, trim=False)
-            for vals in funcs:
-                rep = gamma_two(gen, GridFunction(box, vals))
-                worst = max(worst, rep.max_rel_disagreement)
-    ok = worst <= 1e-5
-    _report("11 Gamma2 Bochner routes", ok, f"max rel disagreement={worst:.2e}")
 
 
 CRITERION6_CFG = """\

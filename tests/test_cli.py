@@ -316,3 +316,66 @@ def test_dimension_limits_table():
                                              "c_infinity = [[1.0, 0.0], [0.0, 1.0]]")
     with pytest.raises(ConfigError, match="'variance' needs d = 1"):
         config_from_text(quad.replace("[spectrum, theorem]", "[variance]"))
+
+
+UNEXECUTABLE = {
+    "t_grid.min": GAUSS_CFG.replace("t_grid.min = 0.5", "t_grid.min = -0.5"),
+    "seed": GAUSS_CFG.replace("checks = [spectrum, theorem]",
+                              "checks = [criterion]").replace("seed = 11",
+                                                              "seed = -1"),
+    "spectrum.k": GAUSS_CFG.replace("spectrum.k = 2", "spectrum.k = 0"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("key", sorted(UNEXECUTABLE))
+def test_unexecutable_values_rejected_before_compute(tmp_path, key, command):
+    path = tmp_path / "bad.cfg"
+    path.write_text(UNEXECUTABLE[key].format(out=tmp_path / "out"))
+    res = _run_cli(command, str(path))
+    assert res.returncode == 2, res.stdout
+    assert f"config error: {key} must be" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_override_rejected(tmp_path):
+    path = tmp_path / "ok.cfg"
+    path.write_text(GAUSS_CFG.format(out=tmp_path / "out"))
+    res = _run_cli("run", str(path), "--seed", "-1")
+    assert res.returncode == 2, res.stdout
+    assert "config error: seed override must be nonnegative" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+QUADRATIC_VARIANCE = """\
+model.kind = quadratic
+model.b_matrix = [[0.7]]
+schedule.kind = heat-kernel
+schedule.c_infinity = [[1.0]]
+disc.grid_points = 257
+checks = [variance]
+seed = 1
+"""
+
+
+def test_variance_default_t_max_follows_the_schedule():
+    # with C_inf = 1 the heat-kernel residual C_inf - C_t = exp(-t) reaches
+    # the 1e-12 floor of residual_inverse near t = 27.6, below the old 30
+    report = run_experiment(config_from_text(QUADRATIC_VARIANCE))
+    assert "variance" not in report.errors
+    (row,) = [r for r in report.rows
+              if r["section"] == "margin" and r["check"] == "variance"]
+    assert np.isfinite(row["margin"]) and row["margin"] < row["tolerance"]
+
+
+def test_variance_default_t_max_keeps_the_old_value_where_it_holds():
+    from rgflow.covariance import make_schedule
+    from rgflow.runner import _variance_t_max
+
+    heat = make_schedule("heat-kernel", c_infinity=[[1.0]])
+    pv = make_schedule("pauli-villars", c_infinity=[[1.0]])
+    assert _variance_t_max(heat, 20.0) == 20.0
+    assert _variance_t_max(pv, 30.0) == 30.0
+    t_max = _variance_t_max(heat, 30.0)
+    # exp(-t) = 100 * 1e-12, up to the cancellation in 1 - C_t
+    assert abs(t_max - 10.0 * np.log(10.0)) < 1e-5

@@ -8,8 +8,7 @@ from rgflow import make_schedule
 from rgflow.curvature import (alpha_prime, build_schedule,
                               integrate_schedules, intertwining_check,
                               multiscale_margin, higher_eigenvalue_margin,
-                              poincare_upper_bound, pv_t_grid,
-                              rayleigh_trace_margins, theorem_margin)
+                              poincare_upper_bound, pv_t_grid, theorem_margin)
 from rgflow.flow import GridFunction, default_box
 from rgflow.potential import PotentialDescriptor, QuadratureRule
 from rgflow import oracles
@@ -229,14 +228,6 @@ def test_build_schedule_with_override(gauss):
     assert curv.refinement_ok
 
 
-def test_rayleigh_trace_margins_gaussian():
-    curv = _gauss_curv(tmax=2.0, n=21)
-    trace = [(t, 1.0) for t in curv.t_grid]
-    viol = rayleigh_trace_margins(trace, curv)
-    # alpha' - 2 lambda' = 0 and dlogR/dt = 0: margins exactly zero
-    assert np.max(np.abs(viol)) < 1e-12
-
-
 def test_lemma_pair_margins_quartic_flow():
     from rgflow.phi4 import Phi4Model, susceptibility
     from rgflow.spectral import rayleigh_flow_trace
@@ -258,9 +249,6 @@ def test_lemma_pair_margins_quartic_flow():
     margins = higher_eigenvalue_margin({0: trace}, curv, tol_total=1e-6 + 1e-3)
     assert len(margins) == 36
     assert all(m.margin >= -m.tolerance for m in margins)
-
-    diff = rayleigh_trace_margins(trace, curv)
-    assert np.max(diff) <= 1e-3
 
 
 class _FixedRates:

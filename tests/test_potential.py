@@ -7,7 +7,7 @@ from rgflow import oracles
 from rgflow.errors import QuadratureOverflowError
 from rgflow.potential import (PotentialDescriptor, QuadratureRule,
                               _logsumexp_rows, renormalized_derivatives,
-                              renormalized_value, tilted_moments)
+                              renormalized_value)
 
 GAUSS_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0}
 
@@ -140,17 +140,6 @@ def test_gradient_matches_finite_differences_2d():
         fd = (renormalized_value(V0, c, x + e, q)
               - renormalized_value(V0, c, x - e, q)) / (2 * eps)
         assert abs(g[k] - fd) < 1e-6
-
-
-def test_tilted_moments_match_oracle():
-    V0 = PotentialDescriptor.quartic(1.0, 0.0, 0.0, dimension=1)
-    q = QuadratureRule(order=100, dimension=1)
-    log_mass, mean, cov = tilted_moments(V0, [[0.5]], [0.7], q)
-    m_or, v_or = oracles.quartic_site_moments(1.0, 0.0, 0.0, 0.5, 0.7)
-    assert abs(mean[0] - m_or) < 1e-9
-    assert abs(cov[0, 0] - v_or) < 1e-9
-    assert abs(-log_mass
-               - oracles.quartic_site_value(1.0, 0.0, 0.0, 0.5, 0.7)) < 1e-9
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -5,12 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rgflow import make_schedule
-from rgflow.flow import GridFunction, default_box, make_flow_measure, semigroup_apply
+from rgflow.flow import GridFunction, default_box, make_flow_measure
 from rgflow.potential import PotentialDescriptor, QuadratureRule
-from rgflow.spectral import (apply_drift_operator, build_generator,
-                             build_generator_from_density, gamma_operators,
-                             gamma_two, minmax_trial_bound, rayleigh_flow_trace,
-                             rayleigh_quotient, spectrum)
+from rgflow.spectral import (build_generator, build_generator_from_density,
+                             rayleigh_flow_trace, rayleigh_quotient, spectrum)
 from rgflow import oracles
 
 
@@ -121,23 +119,6 @@ def test_eigenvalue_convergence_order(ou_setup):
     assert min(order1, order2) >= 1.8
 
 
-def test_drift_variant_difference_is_definitional(ou_setup):
-    sched, V0, q, box, _ = ou_setup
-    fm = make_flow_measure(sched, V0, 0.7, 513, box=box, q=q)
-    gen_s = build_generator(fm, drift="script-L", trim=False)
-    gen_l = build_generator(fm, drift="L", trim=False)
-    xs = box.axes((513,))[0]
-    f = np.exp(-xs**2 / 2.0) * (1.0 + 0.3 * xs)
-    _, cp, _ = sched.eval(0.7)
-    prec = sched.residual_inverse(0.7)
-    lhs = apply_drift_operator(gen_s, f) - apply_drift_operator(gen_l, f)
-    from rgflow._stencils import diff1, diff2
-    h = box.spacing((513,))[0]
-    rhs = 0.5 * cp[0, 0] * diff2(f, h, 0) \
-        - prec[0, 0] * xs * cp[0, 0] * diff1(f, h, 0)
-    assert np.max(np.abs(lhs - rhs)) < 1e-8
-
-
 def test_generator_annihilates_constants(ou_gen):
     out = ou_gen.apply(np.ones(ou_gen.n_nodes))
     assert np.max(np.abs(out)) < 1e-10
@@ -193,22 +174,6 @@ def test_rayleigh_flow_trace_rejects_constant(ou_setup):
         rayleigh_flow_trace(sched, V0, phi0, np.linspace(0.0, 1.0, 3), q)
 
 
-def test_minmax_trial_bound(ou_setup, ou_gen):
-    sched, V0, q, box, _ = ou_setup
-    res = spectrum(ou_gen, k=2, refine=False)
-    xs = box.axes((1025,))[0]
-    trials = [GridFunction(box, np.exp(-xs**2 / 2)),
-              GridFunction(box, xs * np.exp(-xs**2 / 2)),
-              GridFunction(box, (xs**2 - 1) * np.exp(-xs**2 / 2))]
-    t = 0.8
-    images = [semigroup_apply(sched, V0, 0.0, t, f, q) for f in trials]
-    fm_t = make_flow_measure(sched, V0, t, 1025, box=box, q=q)
-    gen_t = build_generator(fm_t, trim=False)
-    res_t = spectrum(gen_t, k=2, refine=False)
-    bound = minmax_trial_bound(gen_t, images)
-    assert bound >= res_t.eigenvalues[2] - 1e-8
-
-
 def test_cauchy_schwarz_slack(ou_gen):
     xs = ou_gen.box.axes(ou_gen.grid_shape)[0]
     for f in (np.exp(-xs**2 / 2), xs * np.exp(-xs**2 / 3), np.tanh(xs)):
@@ -218,61 +183,6 @@ def test_cauchy_schwarz_slack(ou_gen):
         slack = (ou_gen.weighted_inner(f, f)
                  * ou_gen.weighted_inner(lf, lf)) - energy**2
         assert slack >= -1e-10 * max(energy**2, 1.0)
-
-
-def test_gamma_quadratic_ou_closed_form(ou_setup):
-    sched, V0, q, box, _ = ou_setup
-    fm = make_flow_measure(sched, V0, 0.0, 1025, box=box, q=q)
-    gen_s = build_generator(fm, drift="script-L", trim=False)
-    gen_l = build_generator(fm, drift="L", trim=False)
-    xs = box.axes((1025,))[0]
-    phi = GridFunction(box, xs**2)
-    gamma, rep_l, rep_s = gamma_operators((gen_l, gen_s), phi)
-    inner = rep_s.interior
-    assert np.max(np.abs(gamma.values[inner] - 4 * xs[inner] ** 2)) < 1e-10
-    want = 4.0 + 4.0 * xs[inner] ** 2
-    assert np.max(np.abs(rep_s.gamma2_explicit.values[inner] - want)) < 1e-9
-    assert rep_s.max_rel_disagreement < 1e-10
-    assert rep_l.max_rel_disagreement < 1e-10
-
-
-def test_gamma_linear_function_pure_gaussian_term(ou_setup):
-    sched, V0, q, box, _ = ou_setup
-    t = 0.6
-    fm = make_flow_measure(sched, V0, t, 513, box=box, q=q)
-    gen = build_generator(fm, drift="script-L", trim=False)
-    xs = box.axes((513,))[0]
-    phi = GridFunction(box, 2.0 * xs)
-    rep = gamma_two(gen, phi)
-    _, cp, _ = sched.eval(t)
-    prec = sched.residual_inverse(t)
-    want = prec[0, 0] * cp[0, 0] ** 2 * 4.0  # <H C' grad, grad>_{C'}
-    inner = rep.interior
-    assert np.max(np.abs(rep.gamma2_explicit.values[inner] - want)) < 1e-10
-
-
-def test_gamma_routes_agree_on_quartic_flow():
-    sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
-    V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
-    q = QuadratureRule(order=80, dimension=1)
-    box = default_box(sched)
-    xs = box.axes((1025,))[0]
-    phi = GridFunction(box, np.exp(-xs**2 / 2.0))
-    fm = make_flow_measure(sched, V0, 1.0, 1025, box=box, q=q)
-    for drift in ("script-L", "L", "Lambda"):
-        gen = build_generator(fm, drift=drift, trim=False)
-        rep = gamma_two(gen, phi)
-        assert rep.max_rel_disagreement < 1e-5
-
-
-def test_gamma_rejects_boundary_touching_function(ou_setup):
-    sched, V0, q, box, _ = ou_setup
-    fm = make_flow_measure(sched, V0, 0.0, 257, box=box, q=q)
-    gen_s = build_generator(fm, drift="script-L", trim=False)
-    gen_l = build_generator(fm, drift="L", trim=False)
-    xs = box.axes((257,))[0]
-    with pytest.raises(ValueError, match="support too large"):
-        gamma_operators((gen_l, gen_s), GridFunction(box, np.exp(xs**2 / 4.0)))
 
 
 def test_integrated_bochner_identity(ou_gen):
