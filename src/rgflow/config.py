@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .potential import MAX_TENSOR_DIM
 
 KNOWN_CHECKS = ("spectrum", "theorem", "higher-k", "intertwining", "variance",
                 "criterion", "phi4-identity", "heatflow")
@@ -32,8 +33,10 @@ SPACINGS = ("lin", "log")
 
 # Largest model dimension per check: grid eigenproblems d <= 2, tensor
 # quadrature d <= 3, 1-D grid functions d = 1.
-CHECK_MAX_DIM = {"spectrum": 2, "theorem": 2, "higher-k": 2, "criterion": 3,
-                 "phi4-identity": 3, "intertwining": 1, "variance": 1}
+CHECK_MAX_DIM = {"spectrum": 2, "theorem": 2, "higher-k": 2,
+                 "criterion": MAX_TENSOR_DIM, "phi4-identity": MAX_TENSOR_DIM,
+                 "intertwining": 1, "variance": 1}
+SPECTRAL_CHECKS = ("spectrum", "theorem", "higher-k")
 
 
 def _parse_scalar(tok: str):
@@ -214,9 +217,13 @@ def config_from_text(text: str) -> ExperimentConfig:
     quadrature_order = int(_pop(entries, "disc.quadrature_order", default=80))
 
     options = dict(entries)  # remaining dotted keys are per-check options
-    k = options.get("spectrum.k", 1)
+    k = options.get("spectrum.k", 3)
     if not isinstance(k, (int, float)) or int(k) < 1:
         raise ConfigError(f"spectrum.k must be a number >= 1, got {k!r}")
+    if any(c in SPECTRAL_CHECKS for c in checks) and grid_points <= int(k) + 1:
+        raise ConfigError(
+            f"disc.grid_points must be above spectrum.k + 1 = {int(k) + 1} "
+            f"for the spectral checks, got {grid_points}")
     return ExperimentConfig(
         model=model, schedule=schedule, t_min=t_min, t_max=t_max,
         t_count=t_count, t_spacing=t_spacing, checks=list(checks), seed=seed,

@@ -33,8 +33,9 @@ import numpy as np
 from . import _stencils
 from .covariance import CovarianceSchedule
 from .flow import FlowMeasure, GridFunction
-from .potential import (PotentialDescriptor, QuadratureRule, _gaussian_shifts,
-                        _tilted_derivatives, renormalized_derivatives)
+from .potential import (_CLOSED_FORMS, PotentialDescriptor, QuadratureRule,
+                        _gaussian_shifts, _tilted_derivatives,
+                        renormalized_derivatives)
 
 # Pauli-Villars schedules start at this cutoff; the bounded t -> 0+ limit of
 # the rates is used on [0, t0].
@@ -153,7 +154,7 @@ def _sampled_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
         raise ValueError("x_samples must be nonempty")
     q = q or QuadratureRule.for_dimension(V0.dimension)
     c, _, _ = schedule.eval(t)
-    closed_form = V0.form in ("zero", "quadratic")
+    closed_form = V0.form in _CLOSED_FORMS
     if closed_form:
         _, hess = renormalized_derivatives(V0, c, x_samples, q)
     else:
@@ -395,7 +396,7 @@ def intertwining_check(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     q = q or QuadratureRule.for_dimension(V0.dimension)
     _, cp, _ = schedule.eval(t)
     grad_f = F.gradient()
-    sq = F.with_values(np.sum(grad_f**2, axis=-1), tag="|grad F|^2")
+    sq = GridFunction(F.box, np.sum(grad_f**2, axis=-1))
     phi, rhs_fn = FlowMeasure(schedule, V0, t, F.box, F.shape, q,
                               carry=(F, sq)).transported
     grad_phi = phi.gradient()

@@ -113,7 +113,6 @@ class GridFunction:
 
     box: Box
     values: np.ndarray
-    tag: str = ""
     _interp: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -149,10 +148,6 @@ class GridFunction:
 
     def gradient(self) -> np.ndarray:
         return _stencils.gradient(self.values, self.spacing())
-
-    def with_values(self, values, tag=None) -> "GridFunction":
-        return GridFunction(box=self.box, values=values,
-                            tag=self.tag if tag is None else tag)
 
 
 def _usable_cores() -> int:
@@ -237,7 +232,9 @@ def _grid_pass(V0: PotentialDescriptor, q: QuadratureRule, nodes: np.ndarray,
     -logsumexp(le), which needs ``cs`` None and the shifts of C_t.  Each
     grid function f in ``fs`` becomes
     P f = exp(v + max le) sum_q exp(le - max le) f(x + z_q).
-    Returns (v, [P f values per function]).
+    A chunk holds _PASS_NODES // _usable_cores() evaluation nodes: nodes x
+    shifts, times the shifts of V_s's own rule where that is evaluated by
+    quadrature.  Returns (v, [P f values per function]).
     """
     z, logw = shifts
     n, d = nodes.shape
@@ -246,26 +243,31 @@ def _grid_pass(V0: PotentialDescriptor, q: QuadratureRule, nodes: np.ndarray,
         v = np.empty(n)
     interps = [f.interpolator() for f in fs]
     images = [np.empty(n) for _ in fs]
-    chunk = max(1, _PASS_NODES // _usable_cores() // max(len(z), 1))
+    per_node = len(z)
+    if cs is not None and V0.form not in _CLOSED_FORMS:
+        per_node *= len(_gaussian_shifts(cs, d, q)[0])
+    chunk = max(1, _PASS_NODES // _usable_cores() // max(per_node, 1))
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
         pts = nodes[rows, None, :] + z[None, :, :]
         if cs is None:
             le = _tilted_log_weights(V0, pts, logw)
         else:
-            vs = renormalized_value(V0, cs, pts.reshape(-1, d), q)
-            le = logw[None, :] - np.atleast_1d(vs).reshape(pts.shape[:2])
+            le = logw[None, :] - np.atleast_1d(renormalized_value(
+                V0, cs, pts.reshape(-1, d), q)).reshape(pts.shape[:2])
         if fill_v:
             v[rows] = _smoothed_value(le)
-        if not interps:
-            continue
-        flat = pts.reshape(-1, d)
-        shift = np.max(le, axis=1)
-        wts = np.exp(le - shift[:, None])
-        scale = np.exp(v[rows] + shift)
-        for image, interp in zip(images, interps):
-            fv = np.asarray(interp(flat)).reshape(le.shape)
-            image[rows] = scale * np.einsum("mq,mq->m", wts, fv)
+        if interps:
+            shift = np.max(le, axis=1)
+            wts = np.exp(le - shift[:, None])
+            scale = np.exp(v[rows] + shift)
+            for image, interp in zip(images, interps):
+                fv = np.asarray(interp(pts.reshape(-1, d))).reshape(le.shape)
+                image[rows] = scale * np.einsum("mq,mq->m", wts, fv)
+                del fv
+            del wts
+        # released before the next chunk is built
+        del pts, le
     return v, images
 
 
@@ -274,8 +276,8 @@ class FlowMeasure:
     """The flow measure at one scale, materialized on a truncated grid.
 
     Carries V_t and the unnormalized log density on the nodes, the log
-    normalizer over the box, and enough context (schedule, potential,
-    quadrature rule) to re-evaluate itself on refined grids.
+    normalizer over the box, and the schedule, potential and quadrature
+    rule that ``semigroup`` applies P_{s,t} with.
 
     ``carry`` takes grid functions at scale 0 on the measure's grid;
     ``transported`` then holds P_{0,t} of each, in order.  Where C_0 = 0
@@ -289,33 +291,18 @@ class FlowMeasure:
     box: Box
     grid_shape: tuple
     quad: QuadratureRule
-    log_density_grid: np.ndarray = field(default=None, repr=False)
-    v_grid: np.ndarray = field(default=None, repr=False)
-    log_normalizer: float = None
     carry: InitVar[tuple] = ()
-    transported: tuple = field(default=(), init=False, repr=False,
-                               compare=False)
+    v_grid: np.ndarray = field(init=False, repr=False)
+    log_density_grid: np.ndarray = field(init=False, repr=False)
+    log_normalizer: float = field(init=False)
+    transported: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, carry=()):
         carry = tuple(carry)
-        if self.log_density_grid is None:
-            nodes = self.box.nodes(self.grid_shape)
-            quadform = _residual_quadratic(self.schedule, self.t, nodes)
-            v = self._scale_pass(nodes, carry)
-            self.v_grid = v.reshape(self.grid_shape)
-            self.log_density_grid = (-quadform - v).reshape(self.grid_shape)
-        if self.log_normalizer is None:
-            shift = float(np.max(self.log_density_grid))
-            w = self.box.trapezoid_weights(self.grid_shape)
-            self.log_normalizer = shift + math.log(
-                float(np.sum(w * np.exp(self.log_density_grid - shift))))
-        if carry and not self.transported:
-            self.transported = self._transport(0.0, carry)
-
-    def _scale_pass(self, nodes: np.ndarray, carry: tuple) -> np.ndarray:
-        """V_t on the nodes; where C_0 = 0, also P_{0,t} of the carried
-        functions (into ``transported``) from the same pass."""
+        nodes = self.box.nodes(self.grid_shape)
+        quadform = _residual_quadratic(self.schedule, self.t, nodes)
         ct, _, _ = self.schedule.eval(self.t)
+        # where C_0 = 0, P_{0,t} of the carried functions shares V_t's pass
         shared = ()
         if carry:
             c0, shifts = self._kernel_shifts(0.0, carry)
@@ -324,14 +311,21 @@ class FlowMeasure:
         v = None
         if self.V0.form in _CLOSED_FORMS:
             v = np.atleast_1d(renormalized_value(self.V0, ct, nodes, self.quad))
+        if v is None or shared:
             if not shared:
-                return v
-        if not shared:
-            shifts = _gaussian_shifts(ct, self.box.dim, self.quad)
-        v, images = _grid_pass(self.V0, self.quad, nodes, shifts, None, v,
-                               shared)
-        self.transported = self._images(0.0, shared, images)
-        return v
+                shifts = _gaussian_shifts(ct, self.box.dim, self.quad)
+            v, images = _grid_pass(self.V0, self.quad, nodes, shifts, None, v,
+                                   shared)
+        self.v_grid = v.reshape(self.grid_shape)
+        self.log_density_grid = (-quadform - v).reshape(self.grid_shape)
+        shift = float(np.max(self.log_density_grid))
+        w = self.box.trapezoid_weights(self.grid_shape)
+        self.log_normalizer = shift + math.log(
+            float(np.sum(w * np.exp(self.log_density_grid - shift))))
+        if shared:
+            self.transported = self._images(shared, images)
+        else:
+            self.transported = self._transport(0.0, carry) if carry else ()
 
     def _kernel_shifts(self, s: float, fs: tuple):
         """(C_s, Gaussian shifts of the kernel C_t - C_s) for P_{s,t} on fs.
@@ -367,26 +361,25 @@ class FlowMeasure:
                 f"than box halfwidth {halfwidth:.2f}; use a larger box")
         return cs, _gaussian_shifts(kernel, self.box.dim, self.quad)
 
-    def _images(self, s: float, fs: tuple, images) -> tuple:
-        return tuple(f.with_values(img.reshape(f.shape),
-                                   tag=f"P[{s},{self.t}] {f.tag}")
+    @staticmethod
+    def _images(fs: tuple, images) -> tuple:
+        return tuple(GridFunction(f.box, img.reshape(f.shape))
                      for f, img in zip(fs, images))
 
     def _transport(self, s: float, fs: tuple) -> tuple:
         """P_{s,t} of the grid functions fs, all in one pass."""
         cs, shifts = self._kernel_shifts(s, fs)
         if shifts is None:
-            return self._images(s, fs, [f.values.copy() for f in fs])
+            return self._images(fs, [f.values.copy() for f in fs])
         _, images = _grid_pass(self.V0, self.quad, self.box.nodes(self.grid_shape),
                                shifts, cs, self.v_grid.reshape(-1), fs)
-        return self._images(s, fs, images)
+        return self._images(fs, images)
 
     @property
     def density(self) -> GridFunction:
         """Normalized density values on the grid."""
         return GridFunction(self.box,
-                            np.exp(self.log_density_grid - self.log_normalizer),
-                            tag=f"nu_t density t={self.t}")
+                            np.exp(self.log_density_grid - self.log_normalizer))
 
     def expectation(self, values: np.ndarray) -> float:
         w = self.box.trapezoid_weights(self.grid_shape)
@@ -420,11 +413,6 @@ class FlowMeasure:
             return 0.0
         log_out = -v_min + log_gauss_norm + math.log(tail_prob)
         return math.exp(log_out - self.log_normalizer)
-
-    def refined(self, factor: int = 2) -> "FlowMeasure":
-        shape = tuple(factor * (n - 1) + 1 for n in self.grid_shape)
-        return FlowMeasure(self.schedule, self.V0, self.t, self.box, shape,
-                           self.quad)
 
     def semigroup(self, s: float, f: GridFunction) -> GridFunction:
         """Apply P_{s,t} with t = self.t to a function on the measure's grid."""
@@ -462,7 +450,6 @@ class VarianceDecompositionReport:
     integrand: np.ndarray
     t_grid: np.ndarray
     tail_ok: bool
-    flags: list
 
 
 def graded_t_grid(t_max: float, count: int, growth: float = 3.0) -> np.ndarray:
@@ -489,7 +476,6 @@ def conservation_check(schedule, V0, F: GridFunction, t_grid,
         raise ValueError("t_grid must be increasing with at least two entries")
     q = q or QuadratureRule.for_dimension(V0.dimension)
     shape = F.shape
-    flags = []
 
     m0 = make_flow_measure(schedule, V0, 0.0, shape, box=F.box, q=q)
     mean0 = m0.expectation(F.values)
@@ -538,17 +524,14 @@ def conservation_check(schedule, V0, F: GridFunction, t_grid,
         else:
             tail = 0.0
         if not math.isfinite(tail):
-            flags.append("tail estimate divergent (integrand not decaying)")
             tail = math.inf
 
     tail_ok = tail <= _TAIL_TOL
-    if not tail_ok:
-        flags.append("T too small: tail estimate exceeds tolerance")
     mismatch = abs(var0 - integral) / max(abs(var0), 1e-300)
     return VarianceDecompositionReport(
         variance=var0, integral=integral, tail_estimate=tail,
         relative_mismatch=mismatch, conservation_max_dev=cons_dev,
-        integrand=integrand, t_grid=t_grid, tail_ok=tail_ok, flags=flags)
+        integrand=integrand, t_grid=t_grid, tail_ok=tail_ok)
 
 
 def load_density_table(path):
@@ -571,7 +554,6 @@ class HeatflowReport:
     poincare: np.ndarray
     log_concave_input: bool
     monotone: bool
-    monotone_tol: float
     worst_drop: float
     two_sided_margin: float
     normalized_input: bool
@@ -645,7 +627,7 @@ def heatflow_harness(x_nodes, density, s_grid, grid_points: int = 2049,
     two_sided = values[0.0] - (values[1.0] - 1.0)
     return HeatflowReport(
         s_grid=s_grid, poincare=trace, log_concave_input=log_concave,
-        monotone=monotone, monotone_tol=monotone_tol, worst_drop=worst_drop,
+        monotone=monotone, worst_drop=worst_drop,
         two_sided_margin=float(two_sided), normalized_input=normalized)
 
 

@@ -32,9 +32,9 @@ import numpy as np
 from .covariance import CovarianceSchedule, make_schedule
 from .curvature import _compass_search
 from .errors import NonConvergenceError
-from .potential import PotentialDescriptor, QuadratureRule
+from .potential import MAX_TENSOR_DIM, PotentialDescriptor, QuadratureRule
 
-QUADRATURE_MAX_SITES = 3
+QUADRATURE_MAX_SITES = MAX_TENSOR_DIM
 
 _MCMC_BURNIN = 100_000
 _MCMC_CHAINS = 64
@@ -149,12 +149,15 @@ def _marginal_scale(model: Phi4Model, mass_shift: float, eta: np.ndarray):
 
 
 def lattice_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
-                    order: int = 96):
-    """Mean and covariance of the (shifted, tilted) lattice measure.
+                    order: int = 96) -> MomentEstimate:
+    """Covariance of the lattice measure with extra mass ``mass_shift`` and
+    external field ``field`` (``model.h`` when None).
 
     Importance-weighted tensor Gauss-Hermite against a diagonal reference
-    Gaussian sized from the 1D marginals; deterministic.  Returns
-    (mean, cov, converged) where ``converged`` compares order and order+16.
+    Gaussian sized from the 1D marginals; deterministic.  Returns the
+    order+16 covariance as a "quadrature" estimate with stderr 0, and
+    ``converged`` when the means and covariances at order and order+16
+    agree to 1e-8 of the largest covariance entry.
     """
     n = model.n_sites
     if n > QUADRATURE_MAX_SITES:
@@ -185,24 +188,16 @@ def lattice_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
     scale = max(float(np.max(np.abs(cov))), 1e-300)
     drift = max(float(np.max(np.abs(cov - cov2))),
                 float(np.max(np.abs(mean - mean2)))) / scale
-    return mean2, cov2, drift <= 1e-8
-
-
-class MetropolisMoments(tuple):
-    """``(mean, cov, stderr, ess, n_kept)`` with the chain diagnostics
-    ``tau`` (sweeps) and ``acceptance`` (measured, pooled) as attributes."""
-
-    def __new__(cls, values, tau: float, acceptance: float):
-        self = super().__new__(cls, values)
-        self.tau = tau
-        self.acceptance = acceptance
-        return self
+    return MomentEstimate(value=cov2, stderr=0.0, method="quadrature",
+                          converged=drift <= 1e-8)
 
 
 def metropolis_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
                        seed: int = 0, n_measure_sweeps: int = 60_000,
-                       burnin: int = _MCMC_BURNIN):
-    """Single-site random-walk Metropolis moments with stderr.
+                       burnin: int = _MCMC_BURNIN) -> MomentEstimate:
+    """Single-site random-walk Metropolis covariance with stderr, for the
+    measure with extra mass ``mass_shift`` and external field ``field``
+    (``model.h`` when None).
 
     ``_MCMC_CHAINS`` independent chains advance together, one vectorized
     step per site; ``burnin`` and ``n_measure_sweeps`` are the total sweep
@@ -213,8 +208,9 @@ def metropolis_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
     automatic window on the chain-averaged autocorrelation of the slower of
     the total field and sum phi^2) sets ess = samples / tau.  Raises
     NonConvergenceError when ess < 1000 or a chain's burn-in is shorter than
-    20 tau.  Returns (mean, cov, stderr_cov, ess, n_kept), carrying ``tau``
-    and the measured ``acceptance`` as attributes.
+    20 tau.  Returns an "mcmc" estimate of the covariance whose stderr is
+    the largest entry stderr, with ``n_samples`` = ess, ``tau`` and the
+    measured pooled ``acceptance``.
     """
     n = model.n_sites
     eta = model.h if field is None else np.broadcast_to(
@@ -290,13 +286,13 @@ def metropolis_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
         shift = sum1 / count
         return (sum2 - count * shift[..., :, None] * shift[..., None, :]) / (count - 1)
 
-    mean = center + t1 / n_kept
     cov = cov_from(t1, t2, n_kept)
     cov_jack = cov_from(t1 - s1, t2 - s2, n_kept - n_meas)
     stderr = float(np.max(np.sqrt(
         (chains - 1) * np.mean((cov_jack - cov_jack.mean(0)) ** 2, axis=0))))
     acceptance = float(accepted.sum() / (n_kept * n))
-    return MetropolisMoments((mean, cov, stderr, ess, n_kept), tau, acceptance)
+    return MomentEstimate(value=cov, stderr=stderr, method="mcmc", seed=seed,
+                          n_samples=int(ess), tau=tau, acceptance=acceptance)
 
 
 def _integrated_autocorr(x: np.ndarray) -> float:
@@ -329,23 +325,15 @@ def _integrated_autocorr(x: np.ndarray) -> float:
 def _shifted_moments(model: Phi4Model, t: float, field, order: int,
                      method: str, seed: int,
                      n_measure_sweeps: int = 60_000) -> MomentEstimate:
-    """Covariance of the zero-field model with mass shift 1/t and external
-    ``field``, by quadrature (n <= 3 sites under "auto") or Metropolis."""
-    base = Phi4Model(model.a_matrix, model.g, model.nu,
-                     np.zeros(model.n_sites))
-    use_quad = method == "quadrature" or (
-        method == "auto" and model.n_sites <= QUADRATURE_MAX_SITES)
-    if use_quad:
-        _, cov, converged = lattice_moments(base, mass_shift=1.0 / t,
-                                            field=field, order=order)
-        return MomentEstimate(value=cov, stderr=0.0, method="quadrature",
-                              converged=converged)
-    moments = metropolis_moments(base, mass_shift=1.0 / t, field=field,
-                                 seed=seed, n_measure_sweeps=n_measure_sweeps)
-    _, cov, stderr, ess, _ = moments
-    return MomentEstimate(value=cov, stderr=stderr, method="mcmc", seed=seed,
-                          n_samples=int(ess), tau=moments.tau,
-                          acceptance=moments.acceptance)
+    """Covariance of the model with mass shift 1/t and external ``field``
+    (which replaces ``model.h``), by quadrature (n <= 3 sites under "auto")
+    or Metropolis."""
+    if method == "quadrature" or (
+            method == "auto" and model.n_sites <= QUADRATURE_MAX_SITES):
+        return lattice_moments(model, mass_shift=1.0 / t, field=field,
+                               order=order)
+    return metropolis_moments(model, mass_shift=1.0 / t, field=field,
+                              seed=seed, n_measure_sweeps=n_measure_sweeps)
 
 
 def susceptibility(model: Phi4Model, t: float, order: int = 96,
@@ -355,8 +343,8 @@ def susceptibility(model: Phi4Model, t: float, order: int = 96,
     zero-field measure."""
     if t <= 0:
         raise ValueError("susceptibility requires t > 0")
-    est = _shifted_moments(model, t, None, order, method, seed,
-                           n_measure_sweeps)
+    est = _shifted_moments(model, t, np.zeros(model.n_sites), order, method,
+                           seed, n_measure_sweeps)
     return replace(est, value=float(np.max(np.sum(est.value, axis=1))),
                    stderr=model.n_sites * est.stderr)
 

@@ -21,13 +21,13 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__, curvature as curvature_mod, phi4 as phi4_mod
-from .config import ExperimentConfig
+from .config import SPECTRAL_CHECKS, ExperimentConfig
 from .covariance import RESIDUAL_FLOOR, make_schedule, schedule_from_table_file
 from .errors import ConfigError, NonConvergenceError
 from .flow import (Box, GridFunction, _map_scales, conservation_check,
                    default_box, default_sample_points, graded_t_grid,
                    heatflow_harness, make_flow_measure)
-from .potential import PotentialDescriptor, QuadratureRule
+from .potential import _CLOSED_FORMS, PotentialDescriptor, QuadratureRule
 from .spectral import build_generator, spectrum
 
 CHECK_ORDER = ("criterion", "spectrum", "theorem", "higher-k", "intertwining",
@@ -38,7 +38,6 @@ CHECK_ORDER = ("criterion", "spectrum", "theorem", "higher-k", "intertwining",
 class RunReport:
     statuses: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
-    tolerances: dict = field(default_factory=dict)
     errors: dict = field(default_factory=dict)
     wallclock: float = 0.0
     version: str = __version__
@@ -124,7 +123,7 @@ class _Context:
 
     @cached_property
     def samples(self):
-        if self.V0.form in ("zero", "quadratic"):
+        if self.V0.form in _CLOSED_FORMS:
             return np.zeros((1, self.V0.dimension))
         fm0 = make_flow_measure(self.schedule, self.V0, 0.0,
                                 self.cfg.grid_points, box=self.box, q=self.quad)
@@ -231,7 +230,6 @@ def _check_criterion(ctx: _Context, report: RunReport):
     curv = ctx.curvature
     sampled = ctx.sampled_curvature.lambda_prime
     tol = float(ctx.cfg.option("criterion.tolerance", 1e-6))
-    report.tolerances["criterion"] = tol
     ok = True
     for i, t in enumerate(curv.t_grid):
         te = curvature_mod.rate_time(curv.t_grid, i)
@@ -257,7 +255,6 @@ def _check_criterion(ctx: _Context, report: RunReport):
 
 def _check_theorem(ctx: _Context, report: RunReport):
     tol = float(ctx.cfg.option("theorem.tolerance", curvature_mod.TOL_TOTAL))
-    report.tolerances["theorem"] = tol
     trace = [(float(t), res.poincare_constant)
              for t, res in zip(ctx.cfg.t_grid(), ctx.spectral_trace)]
     margins = curvature_mod.theorem_margin(trace, ctx.curvature,
@@ -267,7 +264,6 @@ def _check_theorem(ctx: _Context, report: RunReport):
 
 def _check_higher_k(ctx: _Context, report: RunReport):
     tol = float(ctx.cfg.option("theorem.tolerance", curvature_mod.TOL_TOTAL))
-    report.tolerances["higher-k"] = tol
     traces = {kk: [(float(t), res.eigenvalue(kk))
                    for t, res in zip(ctx.cfg.t_grid(), ctx.spectral_trace)]
               for kk in range(1, ctx.spectrum_k + 1)}
@@ -280,7 +276,6 @@ def _check_intertwining(ctx: _Context, report: RunReport):
     times = ctx.cfg.option("intertwining.times", [0.5, 1.0, 2.0])
     n_bumps = int(ctx.cfg.option("intertwining.bumps", 3))
     tol = float(ctx.cfg.option("intertwining.tolerance", 1e-6 + 1e-4))
-    report.tolerances["intertwining"] = tol
     curv = ctx.curvature
     xs = ctx.box.axes((ctx.cfg.grid_points,))[0]
     rng = np.random.default_rng(ctx.cfg.seed)
@@ -288,8 +283,7 @@ def _check_intertwining(ctx: _Context, report: RunReport):
     for b in range(n_bumps):
         center = rng.uniform(-1.5, 1.5)
         width = rng.uniform(0.6, 1.2)
-        F = GridFunction(ctx.box, np.exp(-(xs - center) ** 2 / (2 * width**2)),
-                         tag=f"bump{b}")
+        F = GridFunction(ctx.box, np.exp(-(xs - center) ** 2 / (2 * width**2)))
         for t in times:
             viol = curvature_mod.intertwining_check(ctx.schedule, ctx.V0, F,
                                                     float(t), curv, ctx.quad)
@@ -327,10 +321,8 @@ def _check_variance(ctx: _Context, report: RunReport):
     t_max = (_variance_t_max(ctx.schedule, 20.0 if gaussian else 30.0)
              if t_max is None else float(t_max))
     count = int(ctx.cfg.option("variance.count", 2600 if gaussian else 380))
-    report.tolerances["variance"] = tol
     xs = ctx.box.axes((ctx.cfg.grid_points,))[0]
-    F = GridFunction(ctx.box, xs.copy() if gaussian else np.exp(-xs**2),
-                     tag="variance test function")
+    F = GridFunction(ctx.box, xs.copy() if gaussian else np.exp(-xs**2))
     tg = graded_t_grid(t_max, count, growth=3.0 if gaussian else 3.5)
     if gaussian:
         curv = ctx.curvature
@@ -354,7 +346,6 @@ def _check_phi4_identity(ctx: _Context, report: RunReport):
     if ctx.phi4_model is None:
         raise ConfigError("phi4-identity check requires a phi4 model")
     tol = float(ctx.cfg.option("phi4.identity_tolerance", 1e-5))
-    report.tolerances["phi4-identity"] = tol
     times = ctx.cfg.option("phi4.identity_times", [0.5, 1.0, 2.0])
     n_samp = int(ctx.cfg.option("phi4.identity_samples", 10))
     rng = np.random.default_rng(ctx.cfg.seed)
@@ -374,7 +365,6 @@ def _check_heatflow(ctx: _Context, report: RunReport):
     s_max = float(ctx.cfg.option("heatflow.s_max", 2.0))
     s_count = int(ctx.cfg.option("heatflow.s_count", 9))
     tol = float(ctx.cfg.option("heatflow.tolerance", 1e-4))
-    report.tolerances["heatflow"] = tol
     if source == "uniform":
         x = np.linspace(-1.0, 1.0, 2001)
         dens = np.full_like(x, 0.5)
@@ -418,7 +408,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     start = time.perf_counter()
     report = RunReport(config_echo=cfg.raw_text)
     ctx = _Context(cfg)
-    if any(c in cfg.checks for c in ("spectrum", "theorem", "higher-k")):
+    if any(c in cfg.checks for c in SPECTRAL_CHECKS):
         report.max_k = ctx.spectrum_k
     ordered = [c for c in CHECK_ORDER if c in cfg.checks]
     for name in ordered:

@@ -60,11 +60,8 @@ class GeneratorDiscretization:
     t: float
     box: Box
     grid_shape: tuple
-    weight: GridFunction
-    mobility: np.ndarray          # matrix entering the carre du champ (C_t')
     stiffness: sp.csr_matrix = field(repr=False)
     mass: np.ndarray = field(repr=False)  # lumped weighted mass, diagonal
-    flow_measure: FlowMeasure | None = None
     refiner: object = None        # () -> GeneratorDiscretization on halved mesh
 
     @property
@@ -156,10 +153,21 @@ def _assemble(box: Box, shape: tuple, w: np.ndarray, a_matrix: np.ndarray):
     raise ValueError("grid eigenproblems are implemented for d <= 2")
 
 
+def _generator(t: float, box: Box, w: np.ndarray, mobility: np.ndarray,
+               refiner) -> GeneratorDiscretization:
+    """Generator of the weight ``w``, normalized over the box, with the
+    carre du champ |grad f|^2 in ``mobility``."""
+    w = w / integrate_grid(box, w)
+    e, mass = _assemble(box, w.shape, w, mobility)
+    return GeneratorDiscretization(t=t, box=box, grid_shape=w.shape,
+                                   stiffness=e, mass=mass, refiner=refiner)
+
+
 def build_generator(flow_measure: FlowMeasure, cprime=None,
                     trim: bool = True) -> GeneratorDiscretization:
     """Assemble the generator of the flow measure at fm.t (mobility C_t'
-    unless ``cprime`` is given)."""
+    unless ``cprime`` is given) on the box trimmed to within TRIM_LOG of
+    the largest log weight; the refiner halves the mesh of that box."""
     fm = flow_measure
     if cprime is None:
         _, cprime, _ = fm.schedule.eval(fm.t)
@@ -183,21 +191,13 @@ def build_generator(flow_measure: FlowMeasure, cprime=None,
             shape = tuple(sl.stop - sl.start for sl in window)
             # the window holds the maximum, so raw_w slices exactly
             raw_w = raw_w[window]
-            fm = FlowMeasure(fm.schedule, fm.V0, fm.t, box, shape, fm.quad,
-                             log_density_grid=fm.log_density_grid[window],
-                             v_grid=fm.v_grid[window])
 
-    w = raw_w / integrate_grid(box, raw_w)
-    e, mass = _assemble(box, shape, w, cprime)
+    def refiner():
+        fine = FlowMeasure(fm.schedule, fm.V0, fm.t, box,
+                           tuple(2 * (n - 1) + 1 for n in shape), fm.quad)
+        return build_generator(fine, cprime=cprime, trim=False)
 
-    def refiner(fm=fm, cprime=cprime):
-        return build_generator(fm.refined(), cprime=cprime, trim=False)
-
-    return GeneratorDiscretization(
-        t=fm.t, box=box, grid_shape=shape,
-        weight=GridFunction(box, w, tag="flow-measure weight"),
-        mobility=cprime, stiffness=e, mass=mass,
-        flow_measure=fm, refiner=refiner)
+    return _generator(fm.t, box, raw_w, cprime, refiner)
 
 
 def build_generator_from_density(box: Box, w_values: np.ndarray, mobility=None,
@@ -206,18 +206,10 @@ def build_generator_from_density(box: Box, w_values: np.ndarray, mobility=None,
     w_values = np.asarray(w_values, dtype=float)
     if np.any(w_values < 0):
         raise ValueError("density values must be nonnegative")
-    shape = w_values.shape
     mobility = np.eye(box.dim) if mobility is None else \
         np.atleast_2d(np.asarray(mobility, dtype=float))
     floor = np.max(w_values) * 1e-290
-    w = np.maximum(w_values, floor)
-    w = w / integrate_grid(box, w)
-    e, mass = _assemble(box, shape, w, mobility)
-    return GeneratorDiscretization(
-        t=0.0, box=box, grid_shape=shape,
-        weight=GridFunction(box, w, tag="tabulated weight"),
-        mobility=mobility, stiffness=e, mass=mass,
-        flow_measure=None, refiner=refiner)
+    return _generator(0.0, box, np.maximum(w_values, floor), mobility, refiner)
 
 
 @dataclass
@@ -325,8 +317,8 @@ def spectrum(gen: GeneratorDiscretization, k: int,
             current = [i]
     clusters.append(current)
 
-    vecs = [GridFunction(gen.box, wvecs[:, i].reshape(gen.grid_shape),
-                         tag=f"eigvec {i}") for i in range(k + 1)]
+    vecs = [GridFunction(gen.box, wvecs[:, i].reshape(gen.grid_shape))
+            for i in range(k + 1)]
     return SpectralResult(
         t=gen.t, eigenvalues=vals, eigenvectors=vecs,
         poincare_constant=1.0 / float(vals[1]), residuals=residuals,

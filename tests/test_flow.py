@@ -60,7 +60,7 @@ def test_flow_measure_normalization_and_tail(dwell_chain):
     sched, V0, q, box = dwell_chain
     fm = make_flow_measure(sched, V0, 0.5, 513, box=box, q=q)
     # normalized density integrates to 1 against an independent refinement
-    fine = fm.refined()
+    fine = make_flow_measure(sched, V0, 0.5, 1025, box=box, q=q)
     mass = float(np.sum(fine.box.trapezoid_weights(fine.grid_shape)
                         * np.exp(fine.log_density_grid - fm.log_normalizer)))
     assert abs(mass - 1.0) < 1e-6
@@ -411,21 +411,26 @@ def test_custom_table_with_nonzero_origin_takes_nested_path(monkeypatch):
                           _nested_p0t(sched, V0, 1.0, F, q))
 
 
-def test_two_dimensional_flow_measure_bounds_memory():
+def _traced_peak(build):
     import tracemalloc
 
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_two_dimensional_flow_measure_bounds_memory(monkeypatch):
+    import rgflow.flow as flow_mod
     from rgflow.phi4 import Phi4Model
 
     model = Phi4Model(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1.0, -1.0,
                       np.zeros(2))
     sched, V0 = model.schedule(), model.potential()
     q = QuadratureRule(order=40, dimension=2)
-    tracemalloc.start()
-    try:
-        fm = make_flow_measure(sched, V0, 1.0, 65, q=q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    fm, peak = _traced_peak(lambda: make_flow_measure(sched, V0, 1.0, 65, q=q))
     # 65^2 nodes x 1600 shifts in one batch peaked at 471 MB; chunked to
     # 2e6 evaluation nodes it stays near 140 MB
     assert peak < 200 * 2**20
@@ -434,6 +439,24 @@ def test_two_dimensional_flow_measure_bounds_memory():
     ct, _, _ = sched.eval(1.0)
     assert np.array_equal(fm.v_grid.ravel()[rows],
                           renormalized_value(V0, ct, nodes[rows], q))
+
+    # s > 0 takes the nested path: V_s is smoothed by its own 6^2 rule at
+    # every node x shift of the 6^2 kernel rule, 36 * 36 evaluation nodes
+    # per grid node, and the chunks are sized by that product
+    q = QuadratureRule(order=6, dimension=2)
+    box = default_box(sched)
+    nodes = box.nodes((15, 15))
+    F = GridFunction(box, np.exp(-np.sum(nodes**2, axis=1)).reshape(15, 15))
+    F.interpolator()
+    _use_cores(monkeypatch, 1)
+    peaks, images = {}, {}
+    for label, budget in (("whole", 10**12), ("chunked", 10 * 36 * 36)):
+        monkeypatch.setattr(flow_mod, "_PASS_NODES", budget)
+        images[label], peaks[label] = _traced_peak(
+            lambda: semigroup_apply(sched, V0, 0.3, 0.9, F, q).values)
+    # 10 grid nodes per chunk instead of all 225 in one batch
+    assert peaks["chunked"] < 0.25 * peaks["whole"], peaks
+    assert np.array_equal(images["chunked"], images["whole"])
 
 
 def _use_cores(monkeypatch, count):

@@ -246,6 +246,27 @@ def test_1d_tridiagonal_solve_matches_dense_pencil():
     assert_allclose(gram, np.eye(4), atol=1e-10)
 
 
+def test_refiner_rebuilds_the_trimmed_box_at_twice_the_resolution():
+    from rgflow.flow import Box, FlowMeasure
+    from rgflow.phi4 import Phi4Model
+
+    # the dwell measure on a box wide enough for its log weight to span
+    # more than TRIM_LOG, so build_generator trims it
+    model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
+    sched, V0 = model.schedule(), model.potential()
+    q = QuadratureRule(order=80, dimension=1)
+    fm = make_flow_measure(sched, V0, 0.5, 513, box=Box.cube(16.0, 1), q=q)
+    gen = build_generator(fm)
+    assert gen.box != fm.box and gen.grid_shape[0] < 513
+    fine = gen.refiner()
+    shape = (2 * (gen.grid_shape[0] - 1) + 1,)
+    assert fine.box == gen.box and fine.grid_shape == shape
+    want = build_generator(FlowMeasure(sched, V0, 0.5, gen.box, shape, q),
+                           trim=False)
+    assert np.array_equal(fine.mass, want.mass)
+    assert (fine.stiffness != want.stiffness).nnz == 0
+
+
 def test_arpack_nonconvergence_maps_to_nonconvergence_error(monkeypatch):
     import scipy.sparse.linalg as spla
 
