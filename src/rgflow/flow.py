@@ -10,13 +10,15 @@ semigroup P_{s,t} maps functions at scale s to scale t through
     P_{s,t} f = exp(V_t) * gaussian_{C_t - C_s} conv (f exp(-V_s)),
 
 computed here by Gauss-Hermite quadrature against the kernel with cubic
-interpolation of f between grid nodes.  Where C_0 = 0 (every built-in
-schedule), V_0 = V0 and the kernel of P_{0,t} is C_t itself, so P_{0,t}f
-is the expectation of f(x + z) under the tilted weights w_q exp(-V0(x + z_q))
-of V_t's own rule, normalized by exp(-V_t(x)).  A flow measure built with
-``carry`` therefore produces P_{0,t} of the carried functions in the same
-chunked pass that builds V_t, one V0 evaluation per node and shift.  Other s
-read exp(V_t) from the flow measure at t and evaluate V_s by its own rule.
+interpolation of f between grid nodes.  Exactly, exp(-V_t) is the kernel's
+convolution of exp(-V_s), so at every s P_{s,t}f is the expectation of
+f(x + z) under the weights w_q exp(-V_s(x + z_q)) of the kernel's rule,
+normalized by their own sum: P_{s,t}1 = 1 by construction.  V_s is V0
+itself where C_s = 0 and otherwise the cubic interpolant of V_s on the
+scale-s grid.  Where C_0 = 0 (every built-in schedule) the kernel of P_{0,t}
+is C_t itself and the normalizer is exp(-V_t), so a flow measure built with
+``carry`` produces P_{0,t} of the carried functions in the same chunked pass
+that builds V_t, one V0 evaluation per node and shift.
 Grids are plain tensor products; trapezoid quadrature over the box is
 spectrally accurate because every integrand decays to numerical zero
 before the boundary.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import InitVar, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -221,42 +224,28 @@ def nu_log_density(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     return float(out[0]) if x.ndim <= 1 else out
 
 
-def _grid_pass(V0: PotentialDescriptor, q: QuadratureRule, nodes: np.ndarray,
-               shifts, cs, v, fs) -> tuple:
+def _grid_pass(nodes: np.ndarray, shifts, tilt, fs) -> tuple:
     """One chunked pass over grid nodes x Gaussian shifts ``(z, logw)``.
 
-    Per chunk of nodes, the integrand log-weights are le = logw - V_s(x + z).
-    ``cs`` None means C_s = 0, so V_s is V0 itself and le is the tilted
-    kernel of V_t's rule; otherwise V_s is evaluated by its own rule at C_s.
-    ``v`` is V_t on the nodes; None asks for it from the same pass, as
-    -logsumexp(le), which needs ``cs`` None and the shifts of C_t.  Each
-    grid function f in ``fs`` becomes
+    Per chunk of nodes, ``tilt(pts, logw)`` gives the integrand log-weights
+    le = logw - V_s(x + z) on pts = x + z.  Each node gets
+    v = -logsumexp(le), and each grid function f in ``fs`` becomes the
+    expectation of f(x + z) under the normalized weights,
     P f = exp(v + max le) sum_q exp(le - max le) f(x + z_q).
-    A chunk holds _PASS_NODES // _usable_cores() evaluation nodes: nodes x
-    shifts, times the shifts of V_s's own rule where that is evaluated by
-    quadrature.  Returns (v, [P f values per function]).
+    A chunk holds _PASS_NODES // _usable_cores() evaluation nodes, nodes x
+    shifts.  Returns (v, [P f values per function]).
     """
     z, logw = shifts
     n, d = nodes.shape
-    fill_v = v is None
-    if fill_v:
-        v = np.empty(n)
+    v = np.empty(n)
     interps = [f.interpolator() for f in fs]
     images = [np.empty(n) for _ in fs]
-    per_node = len(z)
-    if cs is not None and V0.form not in _CLOSED_FORMS:
-        per_node *= len(_gaussian_shifts(cs, d, q)[0])
-    chunk = max(1, _PASS_NODES // _usable_cores() // max(per_node, 1))
+    chunk = max(1, _PASS_NODES // _usable_cores() // max(len(z), 1))
     for start in range(0, n, chunk):
         rows = slice(start, start + chunk)
         pts = nodes[rows, None, :] + z[None, :, :]
-        if cs is None:
-            le = _tilted_log_weights(V0, pts, logw)
-        else:
-            le = logw[None, :] - np.atleast_1d(renormalized_value(
-                V0, cs, pts.reshape(-1, d), q)).reshape(pts.shape[:2])
-        if fill_v:
-            v[rows] = _smoothed_value(le)
+        le = tilt(pts, logw)
+        v[rows] = _smoothed_value(le)
         if interps:
             shift = np.max(le, axis=1)
             wts = np.exp(le - shift[:, None])
@@ -271,18 +260,65 @@ def _grid_pass(V0: PotentialDescriptor, q: QuadratureRule, nodes: np.ndarray,
     return v, images
 
 
+def _transport(schedule, V0, q, s: float, t: float, box: Box, shape,
+               fs: tuple) -> tuple:
+    """P_{s,t} of the grid functions ``fs`` on (box, shape), in one pass.
+
+    Exactly, exp(-V_t) = gamma_{C_t - C_s} conv exp(-V_s), so P_{s,t}f(x) is
+    the expectation of f(x + z) under the weights softmax_q(log w_q -
+    V_s(x + z_q)) of the kernel C_t - C_s: a Markov kernel at every s.  V_s
+    is V0 where C_s = 0; otherwise it is read through the cubic interpolant
+    of the flow measure at s on the same grid and rule.  Returns (v,
+    images): where C_s = 0, v is V_t on the nodes from the same pass, the
+    -logsumexp of its log-weights; otherwise, or where the kernel has
+    numerically zero width and P_{s,t} is the identity, v is None.
+    """
+    if s > t:
+        raise ValueError(f"semigroup requires s <= t, got s={s}, t={t}")
+    for f in fs:
+        if f.box != box or f.shape != tuple(shape):
+            raise ValueError(f"input grid {f.box}, {f.shape}: the flow "
+                             f"measure lives on {box}, {shape}")
+    cs, _, _ = schedule.eval(s)
+    ct, _, _ = schedule.eval(t)
+    kernel = ct - cs
+    kw = np.linalg.eigvalsh(0.5 * (kernel + kernel.T))
+    if kw[0] < -1e-10 * max(1.0, kw[-1]):
+        raise ValueError("C_t - C_s is not positive-semidefinite")
+    if kw[-1] <= 1e-14:
+        return None, tuple(GridFunction(box, f.values.copy()) for f in fs)
+    reach = _KERNEL_SIGMAS * math.sqrt(kw[-1])
+    halfwidth = float(np.min(box.halfwidths()))
+    if reach > halfwidth:
+        raise ValueError(
+            f"convolution kernel ({reach:.2f} at {_KERNEL_SIGMAS} sigma) wider "
+            f"than box halfwidth {halfwidth:.2f}; use a larger box")
+    if np.any(cs):
+        v_s = GridFunction(box, FlowMeasure(schedule, V0, s, box, shape,
+                                            q).v_grid).interpolator()
+
+        def tilt(pts, logw):
+            return logw[None, :] - np.asarray(
+                v_s(pts.reshape(-1, box.dim))).reshape(pts.shape[:2])
+    else:
+        tilt = partial(_tilted_log_weights, V0)
+    v, images = _grid_pass(box.nodes(shape),
+                           _gaussian_shifts(kernel, box.dim, q), tilt, fs)
+    return (None if np.any(cs) else v,
+            tuple(GridFunction(box, img.reshape(shape)) for img in images))
+
+
 @dataclass
 class FlowMeasure:
     """The flow measure at one scale, materialized on a truncated grid.
 
     Carries V_t and the unnormalized log density on the nodes, the log
     normalizer over the box, and the schedule, potential and quadrature
-    rule that ``semigroup`` applies P_{s,t} with.
+    rule it was built with.
 
     ``carry`` takes grid functions at scale 0 on the measure's grid;
-    ``transported`` then holds P_{0,t} of each, in order.  Where C_0 = 0
-    they come out of the pass that builds V_t; otherwise, through
-    ``semigroup``.
+    ``transported`` then holds P_{0,t} of each, in order, from one pass
+    (see ``_transport``).  Where C_0 = 0 that pass also gives V_t.
     """
 
     schedule: CovarianceSchedule
@@ -298,82 +334,26 @@ class FlowMeasure:
     transported: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, carry=()):
-        carry = tuple(carry)
         nodes = self.box.nodes(self.grid_shape)
         quadform = _residual_quadratic(self.schedule, self.t, nodes)
         ct, _, _ = self.schedule.eval(self.t)
-        # where C_0 = 0, P_{0,t} of the carried functions shares V_t's pass
-        shared = ()
+        v, self.transported = None, ()
         if carry:
-            c0, shifts = self._kernel_shifts(0.0, carry)
-            if c0 is None and shifts is not None:
-                shared = carry
-        v = None
+            v, self.transported = _transport(
+                self.schedule, self.V0, self.quad, 0.0, self.t, self.box,
+                self.grid_shape, tuple(carry))
         if self.V0.form in _CLOSED_FORMS:
             v = np.atleast_1d(renormalized_value(self.V0, ct, nodes, self.quad))
-        if v is None or shared:
-            if not shared:
-                shifts = _gaussian_shifts(ct, self.box.dim, self.quad)
-            v, images = _grid_pass(self.V0, self.quad, nodes, shifts, None, v,
-                                   shared)
+        elif v is None:
+            v, _ = _grid_pass(nodes,
+                              _gaussian_shifts(ct, self.box.dim, self.quad),
+                              partial(_tilted_log_weights, self.V0), ())
         self.v_grid = v.reshape(self.grid_shape)
         self.log_density_grid = (-quadform - v).reshape(self.grid_shape)
         shift = float(np.max(self.log_density_grid))
         w = self.box.trapezoid_weights(self.grid_shape)
         self.log_normalizer = shift + math.log(
             float(np.sum(w * np.exp(self.log_density_grid - shift))))
-        if shared:
-            self.transported = self._images(shared, images)
-        else:
-            self.transported = self._transport(0.0, carry) if carry else ()
-
-    def _kernel_shifts(self, s: float, fs: tuple):
-        """(C_s, Gaussian shifts of the kernel C_t - C_s) for P_{s,t} on fs.
-
-        C_s comes back as None when it is exactly zero: then V_s = V0 and
-        the kernel is C_t itself.  The shifts come back as None when the
-        kernel has numerically zero width and P_{s,t} is the identity.
-        """
-        t = self.t
-        if s > t:
-            raise ValueError(f"semigroup requires s <= t, got s={s}, t={t}")
-        for f in fs:
-            if f.box != self.box or f.shape != tuple(self.grid_shape):
-                raise ValueError(f"input grid {f.box}, {f.shape}: the flow "
-                                 f"measure lives on {self.box}, "
-                                 f"{self.grid_shape}")
-        cs, _, _ = self.schedule.eval(s)
-        ct, _, _ = self.schedule.eval(t)
-        if not np.any(cs):
-            cs, kernel = None, ct
-        else:
-            kernel = ct - cs
-        kw = np.linalg.eigvalsh(0.5 * (kernel + kernel.T))
-        if kw[0] < -1e-10 * max(1.0, kw[-1]):
-            raise ValueError("C_t - C_s is not positive-semidefinite")
-        if kw[-1] <= 1e-14:
-            return cs, None
-        reach = _KERNEL_SIGMAS * math.sqrt(kw[-1])
-        halfwidth = float(np.min(self.box.halfwidths()))
-        if reach > halfwidth:
-            raise ValueError(
-                f"convolution kernel ({reach:.2f} at {_KERNEL_SIGMAS} sigma) wider "
-                f"than box halfwidth {halfwidth:.2f}; use a larger box")
-        return cs, _gaussian_shifts(kernel, self.box.dim, self.quad)
-
-    @staticmethod
-    def _images(fs: tuple, images) -> tuple:
-        return tuple(GridFunction(f.box, img.reshape(f.shape))
-                     for f, img in zip(fs, images))
-
-    def _transport(self, s: float, fs: tuple) -> tuple:
-        """P_{s,t} of the grid functions fs, all in one pass."""
-        cs, shifts = self._kernel_shifts(s, fs)
-        if shifts is None:
-            return self._images(fs, [f.values.copy() for f in fs])
-        _, images = _grid_pass(self.V0, self.quad, self.box.nodes(self.grid_shape),
-                               shifts, cs, self.v_grid.reshape(-1), fs)
-        return self._images(fs, images)
 
     @property
     def density(self) -> GridFunction:
@@ -414,10 +394,6 @@ class FlowMeasure:
         log_out = -v_min + log_gauss_norm + math.log(tail_prob)
         return math.exp(log_out - self.log_normalizer)
 
-    def semigroup(self, s: float, f: GridFunction) -> GridFunction:
-        """Apply P_{s,t} with t = self.t to a function on the measure's grid."""
-        return self._transport(s, (f,))[0]
-
 
 def make_flow_measure(schedule, V0, t, grid_shape, box=None,
                       q: QuadratureRule | None = None,
@@ -432,12 +408,13 @@ def make_flow_measure(schedule, V0, t, grid_shape, box=None,
 
 def semigroup_apply(schedule, V0, s: float, t: float, f: GridFunction,
                     q: QuadratureRule | None = None) -> GridFunction:
-    """Apply P_{s,t} to a grid function, returning values on the same grid."""
+    """Apply P_{s,t} to a grid function, returning values on the same grid.
+
+    One rule at every s (see ``_transport``): where C_s != 0, V_s is read
+    from the flow measure at s on f's grid; V_t is never built.
+    """
     q = q or QuadratureRule.for_dimension(V0.dimension)
-    if s == 0:
-        return FlowMeasure(schedule, V0, t, f.box, f.shape, q,
-                           carry=(f,)).transported[0]
-    return FlowMeasure(schedule, V0, t, f.box, f.shape, q).semigroup(s, f)
+    return _transport(schedule, V0, q, s, t, f.box, f.shape, (f,))[1][0]
 
 
 @dataclass

@@ -40,6 +40,12 @@ start = time.perf_counter()
 report = run_experiment(config_from_text(sys.stdin.read()))
 phi4.lattice_moments(phi4.Phi4Model([[1.0]], 1.0, -1.0, [0.0]),
                      mass_shift=1.0, order=40)
+from rgflow import flow, make_schedule, PotentialDescriptor, QuadratureRule
+sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
+box = flow.default_box(sched)
+flow.semigroup_apply(sched, PotentialDescriptor.quartic(1.0, -1.0, 0.0, 1),
+                     0.3, 0.9, flow.GridFunction(box, [1.0] * 129),
+                     QuadratureRule(order=40, dimension=1))
 metrics = spans.layer_metrics(tracer.spans, time.perf_counter() - start)
 print(json.dumps({"errors": report.errors, "metrics": metrics}))
 """
@@ -54,5 +60,6 @@ def test_tracer_counts_work_in_the_layers_it_binds_by_parameter():
     assert out["errors"] == {}
     metrics = out["metrics"]
     for key in ("flow.flow_measure.nodes", "spectral.build_generator.nodes",
-                "spectral.spectrum.nodes", "phi4.lattice_moments.points"):
+                "spectral.spectrum.nodes", "phi4.lattice_moments.points",
+                "flow.semigroup_apply.points"):
         assert metrics[key] > 0, key

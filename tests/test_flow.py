@@ -149,8 +149,8 @@ def _count_kernel_passes(monkeypatch):
     """Spy on the V0 kernel of the flow module's grid passes.
 
     Returns {shift spread: [rows, rule size]}; the spread of the shifts
-    z_q identifies the covariance, hence the scale.  Any call of the nested
-    V_s quadrature from the flow module is recorded under "nested".
+    z_q identifies the covariance, hence the scale.  Any call of
+    ``renormalized_value`` from the flow module is recorded under "value".
     """
     import rgflow.flow as flow_mod
 
@@ -166,7 +166,7 @@ def _count_kernel_passes(monkeypatch):
         return real_kernel(V0, pts, logw)
 
     def value_spy(*args, **kwargs):
-        passes.setdefault("nested", [0, 0])[0] += 1
+        passes.setdefault("value", [0, 0])[0] += 1
         return real_value(*args, **kwargs)
 
     monkeypatch.setattr(flow_mod, "_tilted_log_weights", kernel_spy)
@@ -183,7 +183,7 @@ def test_conservation_evaluates_potential_once_per_time(dwell_chain,
     t_grid = np.linspace(0.0, 2.0, 5)
     conservation_check(sched, V0, F, t_grid, q)
     # one V0 pass over nodes x shifts per scale: V_t and P_{0,t}F share it
-    assert "nested" not in passes
+    assert "value" not in passes
     assert len(passes) == len(t_grid)
     assert passes.pop(0.0) == [129, 1]
     assert all(p == [129, q.order] for p in passes.values())
@@ -191,16 +191,16 @@ def test_conservation_evaluates_potential_once_per_time(dwell_chain,
 
 def test_flow_measure_semigroup_rejects_other_grid(gauss_chain):
     sched, V0, q, box = gauss_chain
-    fm = make_flow_measure(sched, V0, 1.0, 513, box=box, q=q)
-    with pytest.raises(ValueError, match="flow measure lives on"):
-        fm.semigroup(0.0, GridFunction(box, np.ones(257)))
     wider = Box.cube(2.0 * box.hi[0], 1)
-    with pytest.raises(ValueError, match="flow measure lives on"):
-        fm.semigroup(0.0, GridFunction(wider, np.ones(513)))
+    for f in (GridFunction(box, np.ones(257)),
+              GridFunction(wider, np.ones(513))):
+        with pytest.raises(ValueError, match="flow measure lives on"):
+            make_flow_measure(sched, V0, 1.0, 513, box=box, q=q, carry=(f,))
     xs = box.axes((513,))[0]
-    out = fm.semigroup(0.0, GridFunction(box, xs.copy()))
+    fm = make_flow_measure(sched, V0, 1.0, 513, box=box, q=q,
+                           carry=(GridFunction(box, xs.copy()),))
     want = semigroup_apply(sched, V0, 0.0, 1.0, GridFunction(box, xs.copy()), q)
-    assert np.array_equal(out.values, want.values)
+    assert np.array_equal(fm.transported[0].values, want.values)
 
 
 def test_conservation_constant_function(gauss_chain):
@@ -356,7 +356,7 @@ def test_shared_pass_matches_nested_formula_bitwise(dim, monkeypatch):
         for f, image in zip((F, G), fm.transported):
             assert np.array_equal(image.values, _nested_p0t(sched, V0, t, f, q))
         assert np.array_equal(fm.transported[0].values,
-                              fm.semigroup(0.0, F).values)
+                              semigroup_apply(sched, V0, 0.0, t, F, q).values)
 
 
 def test_shared_pass_preserves_constants():
@@ -380,9 +380,8 @@ def test_shared_pass_preserves_constants():
             assert np.all(dev <= 1e-14 * np.maximum(1.0, np.abs(fm.v_grid)))
 
 
-def test_custom_table_with_nonzero_origin_takes_nested_path(monkeypatch):
-    import rgflow.flow as flow_mod
-
+def test_custom_table_with_nonzero_origin_reads_v0_from_its_grid(
+        monkeypatch):
     t_nodes = np.linspace(0.0, 2.0, 9)
     c = 0.2 + t_nodes / (1.0 + t_nodes)       # C_0 = 0.2, not 0
     cp = 1.0 / (1.0 + t_nodes) ** 2
@@ -395,20 +394,38 @@ def test_custom_table_with_nonzero_origin_takes_nested_path(monkeypatch):
     box = default_box(sched)
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))
-    smoothing = []
-    real = flow_mod.renormalized_value
+    ones = GridFunction(box, np.ones(129))
+    passes = _count_kernel_passes(monkeypatch)
+    fm = make_flow_measure(sched, V0, 1.0, 129, box=box, q=q, carry=(F, ones))
+    # one V0 pass each for V_1 and V_0; P_{0,1} reads V_0 through the
+    # interpolant of the scale-0 grid, so it evaluates V0 nowhere
+    assert "value" not in passes
+    assert list(passes.values()) == [[129, q.order]] * 2
+    assert np.max(np.abs(fm.transported[1].values - 1.0)) <= 1e-14
+    want = _nested_p0t(sched, V0, 1.0, F, QuadratureRule(order=160,
+                                                         dimension=1))
+    assert np.max(np.abs(fm.transported[0].values - want)) < 1e-5
 
-    def spy(V0, c, x, *args, **kwargs):
-        smoothing.append((float(np.atleast_2d(c)[0, 0]), np.shape(x)[0]))
-        return real(V0, c, x, *args, **kwargs)
 
-    monkeypatch.setattr(flow_mod, "renormalized_value", spy)
-    fm = make_flow_measure(sched, V0, 1.0, 129, box=box, q=q, carry=(F,))
-    # V_s at C_0 = 0.2 by its own rule over nodes x shifts
-    assert smoothing == [(0.2, 129 * q.order)]
-    monkeypatch.setattr(flow_mod, "renormalized_value", real)
-    assert np.array_equal(fm.transported[0].values,
-                          _nested_p0t(sched, V0, 1.0, F, q))
+def test_semigroup_is_markov_at_every_s_on_the_plaquette():
+    from rgflow.phi4 import Phi4Model
+
+    model = Phi4Model(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1.0, -1.0,
+                      np.zeros(2))
+    sched, V0 = model.schedule(), model.potential()
+    box = default_box(sched)
+    ones = GridFunction(box, np.ones((21, 21)))
+    out = semigroup_apply(sched, V0, 0.3, 0.9, ones,
+                          QuadratureRule(order=12, dimension=2))
+    assert np.max(np.abs(out.values - 1.0)) <= 1e-12
+    q = QuadratureRule(order=20, dimension=2)
+    nodes = box.nodes((41, 41))
+    f = GridFunction(box, np.exp(-np.sum(nodes**2, axis=1) / 2.0)
+                     .reshape(41, 41))
+    inner = semigroup_apply(sched, V0, 0.3, 0.9, f, q)
+    two = semigroup_apply(sched, V0, 0.9, 1.8, inner, q)
+    one = semigroup_apply(sched, V0, 0.3, 1.8, f, q)
+    assert np.max(np.abs(two.values - one.values)) < 1e-3
 
 
 def _traced_peak(build):
@@ -422,8 +439,7 @@ def _traced_peak(build):
         tracemalloc.stop()
 
 
-def test_two_dimensional_flow_measure_bounds_memory(monkeypatch):
-    import rgflow.flow as flow_mod
+def test_two_dimensional_flow_measure_bounds_memory():
     from rgflow.phi4 import Phi4Model
 
     model = Phi4Model(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1.0, -1.0,
@@ -439,24 +455,6 @@ def test_two_dimensional_flow_measure_bounds_memory(monkeypatch):
     ct, _, _ = sched.eval(1.0)
     assert np.array_equal(fm.v_grid.ravel()[rows],
                           renormalized_value(V0, ct, nodes[rows], q))
-
-    # s > 0 takes the nested path: V_s is smoothed by its own 6^2 rule at
-    # every node x shift of the 6^2 kernel rule, 36 * 36 evaluation nodes
-    # per grid node, and the chunks are sized by that product
-    q = QuadratureRule(order=6, dimension=2)
-    box = default_box(sched)
-    nodes = box.nodes((15, 15))
-    F = GridFunction(box, np.exp(-np.sum(nodes**2, axis=1)).reshape(15, 15))
-    F.interpolator()
-    _use_cores(monkeypatch, 1)
-    peaks, images = {}, {}
-    for label, budget in (("whole", 10**12), ("chunked", 10 * 36 * 36)):
-        monkeypatch.setattr(flow_mod, "_PASS_NODES", budget)
-        images[label], peaks[label] = _traced_peak(
-            lambda: semigroup_apply(sched, V0, 0.3, 0.9, F, q).values)
-    # 10 grid nodes per chunk instead of all 225 in one batch
-    assert peaks["chunked"] < 0.25 * peaks["whole"], peaks
-    assert np.array_equal(images["chunked"], images["whole"])
 
 
 def _use_cores(monkeypatch, count):
