@@ -70,11 +70,12 @@ def main(argv=None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    report = run_experiment(cfg)
     try:
-        report = run_experiment(cfg)
         files = emit_report(report, cfg.output)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"config error: cannot write reports under {cfg.output!r}: {exc}",
+              file=sys.stderr)
         return 2
 
     for name, status in report.statuses.items():

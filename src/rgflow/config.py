@@ -1,4 +1,4 @@
-"""Flat key-value experiment configuration.
+"""Flat key-value experiment configuration and the model it describes.
 
 The config format is a plain text file of ``key = value`` lines with dotted
 keys, ``#`` comments, typed scalars, bracketed lists, and matrices as lists
@@ -15,6 +15,12 @@ of row lists:
     checks = [spectrum, theorem]
     seed = 20240601
     output = runs/demo
+
+``config_from_text`` also builds the model: the covariance schedule, the
+base potential V0 and, for ``phi4``, the lattice model.  This is the only
+place a config becomes a model, so ``rgflow validate`` builds exactly what
+``rgflow run`` executes, and a config the constructors reject fails with a
+``ConfigError`` before any compute starts.
 """
 
 from __future__ import annotations
@@ -23,8 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .covariance import CovarianceSchedule, make_schedule, schedule_from_table_file
 from .errors import ConfigError
-from .potential import MAX_TENSOR_DIM
+from .phi4 import Phi4Model
+from .potential import MAX_TENSOR_DIM, PotentialDescriptor
 
 KNOWN_CHECKS = ("spectrum", "theorem", "higher-k", "intertwining", "variance",
                 "criterion", "phi4-identity", "heatflow")
@@ -109,10 +117,14 @@ def parse_config_text(text: str) -> dict:
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description."""
+    """Validated experiment description.
 
-    model: dict
-    schedule: dict
+    ``schedule``, ``V0`` and ``phi4_model`` (None unless ``model.kind`` is
+    phi4) are built by ``config_from_text``; the runner only reads them.
+    """
+
+    schedule: CovarianceSchedule
+    V0: PotentialDescriptor
     t_min: float
     t_max: float
     t_count: int
@@ -120,6 +132,7 @@ class ExperimentConfig:
     checks: list
     seed: int
     output: str
+    phi4_model: Phi4Model | None = None
     box_halfwidth: float | None = None
     grid_points: int = 513
     quadrature_order: int = 80
@@ -143,25 +156,58 @@ def _pop(entries: dict, key: str, default=None, required: bool = False):
     return default
 
 
-def _config_dimension(model: dict, schedule: dict) -> int | None:
-    """Dimension of the configured model, or None when nothing fixes it."""
-    for name in ("model.a_matrix", "model.b_matrix", "schedule.c_infinity",
-                 "schedule.a_matrix"):
-        section, key = name.split(".")
-        value = (model if section == "model" else schedule).get(key)
-        if value is not None:
-            try:
-                return np.atleast_2d(np.asarray(value, dtype=float)).shape[0]
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{name} is not a numeric matrix") from exc
-    if schedule["kind"] == "custom-table" and "table" in schedule:
-        from .covariance import load_table
+def _build_schedule(kind: str, entries: dict) -> CovarianceSchedule:
+    if kind == "custom-table":
+        return schedule_from_table_file(_pop(entries, "schedule.table", required=True))
+    aux = _pop(entries, "schedule.a_matrix") if kind == "pauli-villars" else None
+    return make_schedule(kind, c_infinity=_pop(entries, "schedule.c_infinity"),
+                         aux=aux)
 
-        try:
-            return load_table(schedule["table"])[1].shape[-1]
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot load schedule.table: {exc}") from exc
-    return None
+
+def _build_model(kind: str, sched_kind: str, entries: dict):
+    """Pop the ``model.*``/``schedule.*`` keys of ``entries`` that the kinds
+    read and build (schedule, V0, phi4_model) from them.
+
+    A constructor's ValueError, TypeError or OSError comes back as a
+    ConfigError with its message, and so does any ``model.*`` or
+    ``schedule.*`` key left unread.
+    """
+    phi4_model = None
+    try:
+        if kind == "phi4":
+            if sched_kind != "pauli-villars":
+                raise ConfigError("phi4 models need schedule.kind = pauli-villars, "
+                                  f"got {sched_kind!r}")
+            phi4_model = Phi4Model(_pop(entries, "model.a_matrix", required=True),
+                                   float(_pop(entries, "model.g", 1.0)),
+                                   float(_pop(entries, "model.nu", 0.0)),
+                                   _pop(entries, "model.h", 0.0))
+            schedule, V0 = phi4_model.schedule(), phi4_model.potential()
+        else:
+            schedule = _build_schedule(sched_kind, entries)
+            if kind == "gaussian":
+                V0 = PotentialDescriptor.zero(schedule.dim)
+            elif kind == "quadratic":
+                V0 = PotentialDescriptor.quadratic(
+                    _pop(entries, "model.b_matrix", required=True))
+                if V0.dimension != schedule.dim:
+                    raise ConfigError(
+                        f"model.b_matrix has d = {V0.dimension} but the schedule "
+                        f"has d = {schedule.dim}")
+            else:  # custom-poly
+                V0 = PotentialDescriptor.quartic(
+                    _pop(entries, "model.g", 0.0), _pop(entries, "model.nu", 0.0),
+                    _pop(entries, "model.h", 0.0), dimension=schedule.dim)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, OSError) as exc:
+        raise ConfigError(f"cannot build the {kind} model on the {sched_kind} "
+                          f"schedule: {exc}") from exc
+    unread = [key for key in entries if key.startswith(("model.", "schedule."))]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)} not read by a {kind} model "
+                          f"on the {sched_kind} schedule")
+    return schedule, V0, phi4_model
 
 
 def config_from_text(text: str) -> ExperimentConfig:
@@ -170,17 +216,9 @@ def config_from_text(text: str) -> ExperimentConfig:
     kind = _pop(entries, "model.kind", required=True)
     if kind not in MODEL_KINDS:
         raise ConfigError(f"unknown model.kind {kind!r}; expected {MODEL_KINDS}")
-    model = {"kind": kind}
-    for key in list(entries):
-        if key.startswith("model."):
-            model[key[len("model."):]] = entries.pop(key)
-
     sched_kind = _pop(entries, "schedule.kind",
                       default="pauli-villars" if kind == "phi4" else "heat-kernel")
-    schedule = {"kind": sched_kind}
-    for key in list(entries):
-        if key.startswith("schedule."):
-            schedule[key[len("schedule."):]] = entries.pop(key)
+    schedule, V0, phi4_model = _build_model(kind, sched_kind, entries)
 
     t_min = float(_pop(entries, "t_grid.min", default=0.05))
     t_max = float(_pop(entries, "t_grid.max", default=2.0))
@@ -198,12 +236,15 @@ def config_from_text(text: str) -> ExperimentConfig:
     checks = _pop(entries, "checks", default=[])
     if isinstance(checks, str):
         checks = [checks]
-    dim = _config_dimension(model, schedule)
+    dim = V0.dimension
     for c in checks:
         if c not in KNOWN_CHECKS:
             raise ConfigError(f"unknown check {c!r}; expected subset of {KNOWN_CHECKS}")
-        limit = CHECK_MAX_DIM.get(c)
-        if None not in (dim, limit) and dim > limit:
+        if c == "phi4-identity" and phi4_model is None:
+            raise ConfigError(f"check 'phi4-identity' needs model.kind = phi4, "
+                              f"got {kind!r}")
+        limit = CHECK_MAX_DIM.get(c, dim)
+        if dim > limit:
             need = "d = 1" if limit == 1 else f"d <= {limit}"
             raise ConfigError(f"check {c!r} needs {need}; the model has d = {dim}")
 
@@ -225,9 +266,9 @@ def config_from_text(text: str) -> ExperimentConfig:
             f"disc.grid_points must be above spectrum.k + 1 = {int(k) + 1} "
             f"for the spectral checks, got {grid_points}")
     return ExperimentConfig(
-        model=model, schedule=schedule, t_min=t_min, t_max=t_max,
+        schedule=schedule, V0=V0, t_min=t_min, t_max=t_max,
         t_count=t_count, t_spacing=t_spacing, checks=list(checks), seed=seed,
-        output=output,
+        output=output, phi4_model=phi4_model,
         box_halfwidth=None if box_halfwidth is None else float(box_halfwidth),
         grid_points=grid_points, quadrature_order=quadrature_order,
         options=options, raw_text="")

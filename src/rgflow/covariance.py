@@ -80,8 +80,6 @@ class CovarianceSchedule:
             return self._eval_pv(t)
         return self._eval_table(t)
 
-    __call__ = eval
-
     def _recompose(self, c, cp, cpp):
         u = self._eigvecs
         mk = lambda d: _sym((u * d) @ u.T)

@@ -1,8 +1,8 @@
 """Renormalized potentials V_t = -log(gaussian_C * exp(-V0)) and derivatives.
 
-The base potential V0 comes in four forms: zero, quadratic (1/2 <x, Bx>),
-per-coordinate quartic polynomials, and the lattice quartic site sum
-sum_i (g/4 x_i^4 + nu/2 x_i^2 - h_i x_i).  Smoothing by a Gaussian of
+The base potential V0 comes in three forms: zero, quadratic (1/2 <x, Bx>),
+and the per-coordinate quartic sum_i (g_i/4 x_i^4 + nu_i/2 x_i^2 - h_i x_i),
+which is also the lattice phi^4 site sum.  Smoothing by a Gaussian of
 covariance C is computed with tensorized Gauss-Hermite quadrature restricted
 to the range of C, stabilized in log space.  Zero and quadratic forms also
 have exact closed-form fast paths.
@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import QuadratureOverflowError
 
-FORMS = ("zero", "quadratic", "polynomial", "phi4-site-sum")
 # Forms whose smoothed value and derivatives have exact closed forms.
 _CLOSED_FORMS = ("zero", "quadratic")
 
@@ -43,7 +42,7 @@ _DERIVATIVE_NODES = 256 * 1600
 class PotentialDescriptor:
     """Base potential with value/gradient/Hessian evaluators.
 
-    ``g``/``nu``/``h`` are per-coordinate arrays for the quartic forms;
+    ``g``/``nu``/``h`` are per-coordinate arrays for the quartic form;
     ``b_matrix`` is the symmetric matrix of the quadratic form.  All
     evaluators accept a single point ``(d,)`` or a batch ``(m, d)``.
     """
@@ -68,7 +67,7 @@ class PotentialDescriptor:
                                    b_matrix=0.5 * (b + b.T))
 
     @staticmethod
-    def quartic(g, nu, h=None, dimension=None, form="phi4-site-sum") -> "PotentialDescriptor":
+    def quartic(g, nu, h=None, dimension=None) -> "PotentialDescriptor":
         """Per-coordinate quartic family g/4 x^4 + nu/2 x^2 - h x."""
         g = np.atleast_1d(np.asarray(g, dtype=float))
         nu = np.atleast_1d(np.asarray(nu, dtype=float))
@@ -80,7 +79,7 @@ class PotentialDescriptor:
             np.atleast_1d(np.asarray(h, dtype=float)), (dimension,)).copy()
         if np.any(g < 0):
             raise ValueError("quartic coefficients must be nonnegative for integrability")
-        return PotentialDescriptor(form=form, dimension=dimension, g=g, nu=nu, h=h)
+        return PotentialDescriptor("phi4-site-sum", dimension, g=g, nu=nu, h=h)
 
     def value(self, x) -> np.ndarray | float:
         x, single = _as_batch(x, self.dimension)
@@ -325,15 +324,15 @@ def _tilted_derivatives(V0: PotentialDescriptor, shifts, xb: np.ndarray):
     """Tilted-moment gradient and Hessian at a batch ``xb`` (m, d), for the
     Gaussian shifts ``(z, logw)`` of one covariance (``_gaussian_shifts``).
 
-    Nodes are held axis by axis, ``(d, points, Q)``, and the quartic forms
-    take one fused pass per axis with scalar coefficients and products
+    Nodes are held axis by axis, ``(d, points, Q)``, and the quartic form
+    takes one fused pass per axis with scalar coefficients and products
     only (no libm pow): x^2 once, the value, the gradient in place, and
     E[hess V0] as the weighted mean of the diagonal 3 g x^2 + nu.  Other
     forms call the descriptor's evaluators.
     """
     z, logw = shifts
     m, d = xb.shape
-    quartic = V0.form in ("polynomial", "phi4-site-sum")
+    quartic = V0.form == "phi4-site-sum"
     diag = np.arange(d)
     grads = np.empty((m, d))
     hesss = np.empty((m, d, d))

@@ -1,11 +1,13 @@
 """Config-driven experiment orchestration and machine-readable reports.
 
-Checks declared in the config are executed in dependency order; shared
-artifacts (curvature schedules, spectral traces) are computed once and
-reused.  Reports are emitted as one flat CSV plus a 1:1 JSON-lines mirror,
-with numbers at 17 significant digits; two runs with the same config and
-seed produce byte-identical files.  Wall-clock time lives only in the run
-summary on stdout, never in the data files.
+The model a run executes (schedule, V0 and the phi4 model) is built by
+``config.config_from_text``; this module only reads it from the
+``ExperimentConfig``.  Checks declared in the config are executed in
+dependency order; shared artifacts (curvature schedules, spectral traces)
+are computed once and reused.  Reports are emitted as one flat CSV plus a
+1:1 JSON-lines mirror, with numbers at 17 significant digits; two runs with
+the same config and seed produce byte-identical files.  Wall-clock time
+lives only in the run summary on stdout, never in the data files.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ import numpy as np
 
 from . import __version__, curvature as curvature_mod, phi4 as phi4_mod
 from .config import SPECTRAL_CHECKS, ExperimentConfig
-from .covariance import RESIDUAL_FLOOR, make_schedule, schedule_from_table_file
-from .errors import ConfigError, NonConvergenceError
+from .covariance import RESIDUAL_FLOOR
+from .errors import NonConvergenceError
 from .flow import (Box, GridFunction, _map_scales, conservation_check,
                    default_box, default_sample_points, graded_t_grid,
                    heatflow_harness, make_flow_measure)
-from .potential import _CLOSED_FORMS, PotentialDescriptor, QuadratureRule
+from .potential import _CLOSED_FORMS, QuadratureRule
 from .spectral import build_generator, spectrum
 
 CHECK_ORDER = ("criterion", "spectrum", "theorem", "higher-k", "intertwining",
@@ -59,9 +61,8 @@ class _Context:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.model_kind = cfg.model["kind"]
-        self.phi4_model = None
-        self.schedule, self.V0 = self._build_model()
+        self.schedule, self.V0 = cfg.schedule, cfg.V0
+        self.phi4_model = cfg.phi4_model
         dim = self.V0.dimension
         self.quad = QuadratureRule.for_dimension(dim, order=cfg.quadrature_order)
         if cfg.box_halfwidth is not None:
@@ -70,54 +71,6 @@ class _Context:
             self.box = default_box(self.schedule)
         self.spectrum_k = int(cfg.option("spectrum.k", 3))
         self._chi = {}
-
-    def _build_model(self):
-        cfg = self.cfg
-        m = cfg.model
-        kind = m["kind"]
-        if kind == "phi4":
-            if "a_matrix" not in m:
-                raise ConfigError("phi4 model requires model.a_matrix")
-            model = phi4_mod.Phi4Model(
-                np.array(m["a_matrix"], dtype=float), float(m.get("g", 1.0)),
-                float(m.get("nu", 0.0)), np.atleast_1d(m.get("h", 0.0)))
-            self.phi4_model = model
-            if cfg.schedule["kind"] != "pauli-villars":
-                raise ConfigError("phi4 models use the pauli-villars schedule")
-            return model.schedule(), model.potential()
-
-        sched = self._build_schedule()
-        if kind == "gaussian":
-            return sched, PotentialDescriptor.zero(sched.dim)
-        if kind == "quadratic":
-            if "b_matrix" not in m:
-                raise ConfigError("quadratic model requires model.b_matrix")
-            v0 = PotentialDescriptor.quadratic(np.array(m["b_matrix"], dtype=float))
-            if v0.dimension != sched.dim:
-                raise ConfigError("model and schedule dimensions disagree")
-            return sched, v0
-        # custom-poly
-        v0 = PotentialDescriptor.quartic(
-            np.atleast_1d(m.get("g", 0.0)), np.atleast_1d(m.get("nu", 0.0)),
-            np.atleast_1d(m.get("h", 0.0)), dimension=sched.dim,
-            form="polynomial")
-        return sched, v0
-
-    def _build_schedule(self):
-        s = self.cfg.schedule
-        kind = s["kind"]
-        if kind == "custom-table":
-            if "table" not in s:
-                raise ConfigError("custom-table schedule requires schedule.table")
-            return schedule_from_table_file(s["table"])
-        c_inf = s.get("c_infinity")
-        aux = s.get("a_matrix")
-        if c_inf is None and aux is None:
-            raise ConfigError(
-                "schedule requires schedule.c_infinity or schedule.a_matrix")
-        if kind == "pauli-villars" and c_inf is None:
-            return make_schedule(kind, aux=np.array(aux, dtype=float))
-        return make_schedule(kind, c_infinity=np.array(c_inf, dtype=float))
 
     # -- shared artifacts --------------------------------------------------
 
@@ -217,7 +170,7 @@ def _check_spectrum(ctx: _Context, report: RunReport):
     results = ctx.spectral_trace
     for t, res in zip(ctx.cfg.t_grid(), results):
         report.rows.append(_spectrum_row(t, res, "weighted"))
-    if ctx.model_kind == "gaussian":
+    if ctx.V0.form == "zero":
         # metric discrepancy reporting: unweighted constants alongside
         for t, fm in zip(ctx.cfg.t_grid(), ctx.flow_measures):
             gen = build_generator(fm, cprime=np.eye(ctx.V0.dimension))
@@ -343,8 +296,6 @@ def _check_variance(ctx: _Context, report: RunReport):
 
 
 def _check_phi4_identity(ctx: _Context, report: RunReport):
-    if ctx.phi4_model is None:
-        raise ConfigError("phi4-identity check requires a phi4 model")
     tol = float(ctx.cfg.option("phi4.identity_tolerance", 1e-5))
     times = ctx.cfg.option("phi4.identity_times", [0.5, 1.0, 2.0])
     n_samp = int(ctx.cfg.option("phi4.identity_samples", 10))
@@ -439,10 +390,7 @@ def report_header(report: RunReport) -> list[str]:
 def emit_report(report: RunReport, out_dir: str,
                 formats=("csv", "json-lines")) -> list[str]:
     """Write results.csv / results.jsonl / config.echo under ``out_dir``."""
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot write reports under {out_dir!r}: {exc}") from exc
+    os.makedirs(out_dir, exist_ok=True)
     header = report_header(report)
     written = []
     if "csv" in formats:

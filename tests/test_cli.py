@@ -141,15 +141,17 @@ def test_failing_check_exit_code(tmp_path):
 
 
 def test_module_error_attaches_to_check(tmp_path):
-    # phi4-identity on a gaussian model is a config-level misuse the runner
-    # must attach to the owning check while the rest of the run continues
+    # a missing heat-flow table is met only when the check runs: the error
+    # is attached to that check while the other checks finish
+    missing = tmp_path / "no-such-density.txt"
     text = GAUSS_CFG.format(out=tmp_path / "out").replace(
-        "checks = [spectrum, theorem]", "checks = [spectrum, phi4-identity]")
-    cfg = config_from_text(text)
+        "checks = [spectrum, theorem]", "checks = [spectrum, heatflow]")
+    cfg = config_from_text(text + f"heatflow.input = {missing}\n")
     report = run_experiment(cfg)
-    assert report.statuses["spectrum"] == "pass"
-    assert report.statuses["phi4-identity"] == "fail"
-    assert "phi4" in report.errors["phi4-identity"]
+    assert report.statuses == {"spectrum": "pass", "heatflow": "fail"}
+    assert list(report.errors) == ["heatflow"]
+    assert report.errors["heatflow"].startswith("FileNotFoundError: ")
+    assert str(missing) in report.errors["heatflow"]
 
 
 def test_oracle_subcommand(tmp_path):
@@ -384,3 +386,95 @@ def test_variance_default_t_max_keeps_the_old_value_where_it_holds():
     t_max = _variance_t_max(heat, 30.0)
     # exp(-t) = 100 * 1e-12, up to the cancellation in 1 - C_t
     assert abs(t_max - 10.0 * np.log(10.0)) < 1e-5
+
+
+PHI4_SITE = """\
+model.kind = phi4
+model.a_matrix = [[1.0]]
+model.g = 1.0
+model.nu = -1.0
+checks = [criterion]
+seed = 1
+output = {out}
+"""
+
+# Configs that cannot build the model they describe as written, with the
+# text the error must name.
+UNBUILDABLE = {
+    "phi4-without-a-matrix": (
+        PHI4_SITE.replace("model.a_matrix = [[1.0]]\n", ""),
+        ["model.a_matrix"]),
+    "phi4-on-heat-kernel": (
+        PHI4_SITE + "schedule.kind = heat-kernel\n",
+        ["schedule.kind = pauli-villars", "'heat-kernel'"]),
+    "b-matrix-over-smaller-c-infinity": (
+        QUADRATIC_VARIANCE.replace("[[0.7]]", "[[0.7, 0.0], [0.0, 0.7]]")
+        .replace("checks = [variance]", "checks = [criterion]")
+        + "output = {out}\n",
+        ["model.b_matrix has d = 2", "the schedule has d = 1"]),
+    "c-infinity-not-positive-definite": (
+        GAUSS_CFG.replace("c_infinity = [[1.0]]", "c_infinity = [[-1.0]]"),
+        ["c_infinity is not positive-definite"]),
+    "negative-g": (
+        PHI4_SITE.replace("model.g = 1.0", "model.g = -1"),
+        ["coupling g must be nonnegative"]),
+    "unknown-schedule-kind": (
+        GAUSS_CFG.replace("schedule.kind = heat-kernel", "schedule.kind = wiggly"),
+        ["unknown schedule kind 'wiggly'"]),
+    "phi4-identity-on-gaussian": (
+        GAUSS_CFG.replace("[spectrum, theorem]", "[spectrum, phi4-identity]"),
+        ["'phi4-identity' needs model.kind = phi4", "'gaussian'"]),
+    "pauli-villars-a-matrix-not-inverse": (
+        GAUSS_CFG.replace("schedule.kind = heat-kernel",
+                          "schedule.kind = pauli-villars\nschedule.a_matrix = [[2.0]]"),
+        ["aux must equal c_infinity^{-1}"]),
+    "unread-model-and-schedule-keys": (
+        PHI4_SITE.replace("model.g = 1.0", "model.gg = 1.0")
+        + "schedule.c_infinity = [[1.0]]\n",
+        ["model.gg, schedule.c_infinity not read by a phi4 model"]),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", sorted(UNBUILDABLE))
+def test_unbuildable_models_rejected_before_compute(tmp_path, case, command):
+    text, names = UNBUILDABLE[case]
+    path = tmp_path / "bad.cfg"
+    path.write_text(text.format(out=tmp_path / "out"))
+    res = _run_cli(command, str(path))
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert res.stderr.startswith("config error: "), res.stderr
+    for name in names:
+        assert name in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("a regular file\n")
+    path = tmp_path / "a.cfg"
+    path.write_text(GAUSS_CFG.format(out=blocker / "out").replace(
+        "checks = [spectrum, theorem]", "checks = []"))
+    res = _run_cli("run", str(path))
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert res.stderr.startswith(
+        f"config error: cannot write reports under {str(blocker / 'out')!r}")
+    assert "Traceback" not in res.stderr
+
+
+def test_shipped_configs_validate():
+    import importlib.util
+    import pathlib
+    import re
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```\n(model\.kind = .*?)```", readme, re.S)
+    assert len(blocks) == 1
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    texts = blocks + [text + "seed = 1\n" for text in workloads.CONFIGS.values()]
+    for text in texts:
+        assert config_from_text(text).checks

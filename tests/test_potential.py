@@ -182,10 +182,9 @@ def _reference_derivatives(V0, c, x, q):
     return gbar, hess
 
 
-@pytest.mark.parametrize("form", ["polynomial", "phi4-site-sum"])
 @pytest.mark.parametrize("case", ["d1", "d2", "d3", "rank-deficient"])
 @pytest.mark.parametrize("batch", [1, 300])
-def test_fused_derivatives_match_descriptor_reference(form, case, batch):
+def test_fused_derivatives_match_descriptor_reference(case, batch):
     rng = np.random.default_rng(19)
     if case == "rank-deficient":
         d, c = 2, np.diag([1.0, 0.0])
@@ -196,7 +195,7 @@ def test_fused_derivatives_match_descriptor_reference(form, case, batch):
     V0 = PotentialDescriptor.quartic(rng.uniform(0.5, 1.5, d),
                                      rng.uniform(-1.0, 1.0, d),
                                      rng.uniform(-0.5, 0.5, d),
-                                     dimension=d, form=form)
+                                     dimension=d)
     q = QuadratureRule(order=16 if d == 3 else 40, dimension=d)
     xs = rng.uniform(-2.0, 2.0, size=(batch, d))
     x = xs[0] if batch == 1 else xs
