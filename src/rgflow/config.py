@@ -36,6 +36,18 @@ from .potential import MAX_TENSOR_DIM, PotentialDescriptor
 
 KNOWN_CHECKS = ("spectrum", "theorem", "higher-k", "intertwining", "variance",
                 "criterion", "phi4-identity", "heatflow")
+# The per-check options the runner reads; any other key left after the
+# model, schedule, t grid and discretization keys is an error.
+CHECK_OPTIONS = ("spectrum.k", "criterion.tolerance", "curvature.count",
+                 "theorem.tolerance", "intertwining.times",
+                 "intertwining.bumps", "intertwining.tolerance",
+                 "variance.tolerance", "variance.t_max", "variance.count",
+                 "phi4.identity_tolerance", "phi4.identity_times",
+                 "phi4.identity_samples", "heatflow.input", "heatflow.s_max",
+                 "heatflow.s_count", "heatflow.tolerance")
+# Options that count things: below 1, a check would pass with nothing to do.
+COUNT_OPTIONS = ("spectrum.k", "intertwining.bumps", "curvature.count",
+                 "variance.count", "phi4.identity_samples", "heatflow.s_count")
 MODEL_KINDS = ("gaussian", "quadratic", "phi4", "custom-poly")
 SPACINGS = ("lin", "log")
 
@@ -148,6 +160,16 @@ class ExperimentConfig:
         return self.options.get(key, default)
 
 
+def _number(key: str, value, low: float, strict: bool = False):
+    """``value``, or a ConfigError naming ``key`` unless it is a number at
+    least ``low`` (above it when ``strict``)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            value <= low if strict else value < low):
+        raise ConfigError(f"{key} must be a number {'>' if strict else '>='} "
+                          f"{low}, got {value!r}")
+    return value
+
+
 def _pop(entries: dict, key: str, default=None, required: bool = False):
     if key in entries:
         return entries.pop(key)
@@ -254,13 +276,23 @@ def config_from_text(text: str) -> ExperimentConfig:
     output = str(_pop(entries, "output", default="rgflow-out"))
 
     box_halfwidth = _pop(entries, "disc.box_halfwidth")
+    if box_halfwidth is not None:
+        box_halfwidth = float(_number("disc.box_halfwidth", box_halfwidth, 0,
+                                      strict=True))
     grid_points = int(_pop(entries, "disc.grid_points", default=513))
-    quadrature_order = int(_pop(entries, "disc.quadrature_order", default=80))
+    quadrature_order = int(_number(
+        "disc.quadrature_order",
+        _pop(entries, "disc.quadrature_order", default=80), 1))
 
-    options = dict(entries)  # remaining dotted keys are per-check options
+    unknown = [key for key in entries if key not in CHECK_OPTIONS]
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))}; "
+                          f"per-check options are {', '.join(CHECK_OPTIONS)}")
+    options = dict(entries)
+    for key in COUNT_OPTIONS:
+        if key in options:
+            _number(key, options[key], 1)
     k = options.get("spectrum.k", 3)
-    if not isinstance(k, (int, float)) or int(k) < 1:
-        raise ConfigError(f"spectrum.k must be a number >= 1, got {k!r}")
     if any(c in SPECTRAL_CHECKS for c in checks) and grid_points <= int(k) + 1:
         raise ConfigError(
             f"disc.grid_points must be above spectrum.k + 1 = {int(k) + 1} "
@@ -269,7 +301,7 @@ def config_from_text(text: str) -> ExperimentConfig:
         schedule=schedule, V0=V0, t_min=t_min, t_max=t_max,
         t_count=t_count, t_spacing=t_spacing, checks=list(checks), seed=seed,
         output=output, phi4_model=phi4_model,
-        box_halfwidth=None if box_halfwidth is None else float(box_halfwidth),
+        box_halfwidth=box_halfwidth,
         grid_points=grid_points, quadrature_order=quadrature_order,
         options=options, raw_text="")
 

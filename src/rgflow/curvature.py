@@ -10,11 +10,13 @@ Two per-scale rates drive everything:
   (C_inf - C_t)^{-1}) sqrt(C'), maximized over the sample set (then refined
   by local ascent).
 
-Rates are batched per scale: the Gaussian shifts of C_t are factored once,
-one Hessian batch on the sample set feeds both rates, C' is factored once,
-and each rate is one stacked eigenvalue solve over all sample points.  The
-local refinement is a compass search whose sweeps each score their 2d trial
-points as one batch.
+Rates are extracted for every scale at once.  Each (rate, time) pair is one
+search, and all searches run in lockstep: the Gaussian shifts of each C_t
+are factored once, one Hessian batch covers every sample point at every
+time, and each sweep of the compass-search refinement scores the 2d trial
+points of every search as one more batch.  Both rates are eigenvalues of a
+congruence P^T hess(V_t) P + K with per-time P and K, so each batch takes one
+stacked eigenvalue solve per shape of P.
 
 Their integrals feed the quasi-monotonicity margins for the Poincare
 constant, for higher eigenvalues, for the semigroup-vs-gradient commutation
@@ -76,110 +78,165 @@ class CurvatureSchedule:
         return float(np.interp(t, self.t_grid, self.lambda_prime))
 
 
-def _sym_eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of each symmetrized matrix in a stack."""
-    return np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))
+def _rate_form(schedule: CovarianceSchedule, t: float, kind: str):
+    """(P, K, pick) of one rate at t: its value at a Hessian H is eigenvalue
+    ``pick`` (ascending) of the symmetrized congruence P^T H P + K.
 
-
-def _lambda_rates(schedule: CovarianceSchedule, t: float):
-    """Per-point lambda'_t rates for a Hessian stack (m, d, d) -> (m,): the
-    smallest eigenvalue of G x = mu C' x on range(C'), G = C' H C' - C''/2.
+    lambda': P = C' S and K = -S^T C'' S / 2, with S spanning range(C') and
+    S^T C' S = I, so the eigenvalues are those of G x = mu C' x on range(C'),
+    G = C' H C' - C''/2; pick the smallest.  alpha': P = sqrt(C') and
+    K = sqrt(C')(C_inf - C_t)^{-1}sqrt(C'); pick the largest.
     """
     _, cp, cpp = schedule.eval(t)
     w, u = np.linalg.eigh(cp)
+    if kind == "alpha":
+        root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T  # PSD square root
+        return root, root @ schedule.residual_inverse(t) @ root, len(w) - 1
     keep = w > 1e-12 * max(w[-1], 1e-300)
     if not np.any(keep):
         raise ValueError("mobility matrix is numerically zero")
     s = u[:, keep] / np.sqrt(w[keep])
-    return lambda hess: _sym_eigvalsh(s.T @ (cp @ hess @ cp - 0.5 * cpp) @ s)[:, 0]
+    return cp @ s, -0.5 * (s.T @ cpp @ s), 0
 
 
-def _alpha_rates(schedule: CovarianceSchedule, t: float):
-    """Per-point alpha'_t rates for a Hessian stack (m, d, d) -> (m,)."""
-    _, cp, _ = schedule.eval(t)
-    hmat = schedule.residual_inverse(t)
-    w, u = np.linalg.eigh(cp)
-    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T  # PSD square root
-    return lambda hess: _sym_eigvalsh(root @ (hess + hmat) @ root)[:, -1]
+def _congruence_rates(forms):
+    """Rates of S searches, one ``_rate_form`` each, as a map from a Hessian
+    stack (S, n, d, d) to values (S, n).
 
-
-def _compass_search(fun, x0: np.ndarray, f0: float, maximize: bool,
-                    step0: float, bounds=None,
-                    steps: int = _REFINE_STEPS) -> float:
-    """Gradient-free local refinement from ``x0`` (where ``fun`` is ``f0``);
-    returns the refined extremal value.
-
-    Compass search (Kolda, Lewis, Torczon, SIAM Rev. 45 (2003) 385): each
-    sweep scores the 2d trials x +/- step e_k as one batch, ``fun`` mapping
-    a (2d, d) batch to its values.  It moves to the best trial if that one
-    strictly improves and otherwise halves the step, so the result is never
-    less extreme than ``f0``.  Trial points are clamped to ``bounds`` (the
-    sampled box) when given: the sample set stands in for the
-    x-quantifier, and quadrature accuracy degrades for points far outside
-    the mass region.
+    Searches are grouped by the shape of P (a rank-deficient C' gives the
+    lambda' form fewer columns), and each group is one stacked congruence
+    and one ``eigvalsh``.
     """
-    sign = -1.0 if maximize else 1.0
+    groups = {}
+    for i, (p, _, _) in enumerate(forms):
+        groups.setdefault(p.shape, []).append(i)
+    stacks = [(np.array(idx),
+               np.stack([forms[i][0] for i in idx])[:, None],
+               np.stack([forms[i][1] for i in idx])[:, None],
+               np.array([forms[i][2] for i in idx])[:, None, None])
+              for idx in groups.values()]
+
+    def rates(hess):
+        out = np.empty(hess.shape[:2])
+        for idx, p, k, pick in stacks:
+            m = np.swapaxes(p, -1, -2) @ hess[idx] @ p + k
+            ev = np.linalg.eigvalsh(0.5 * (m + np.swapaxes(m, -1, -2)))
+            out[idx] = np.take_along_axis(ev, pick, axis=2)[..., 0]
+        return out
+
+    return rates
+
+
+def _compass_search(fun, x0, f0, maximize, step0: float, bounds=None,
+                    steps: int = _REFINE_STEPS) -> np.ndarray:
+    """Gradient-free local refinement of S searches in lockstep; returns the
+    refined extremal value of each, shape (S,).
+
+    Search i starts at ``x0[i]`` (x0 is (S, d)), where its objective is
+    ``f0[i]``; ``maximize`` is one flag for all searches or one per search.
+    Compass search (Kolda, Lewis, Torczon, SIAM Rev. 45 (2003) 385): each
+    sweep scores the trials x_i +/- step_i e_k of every search as one batch,
+    ``fun`` mapping (S, 2d, d) trials to (S, 2d) values.  A search moves to
+    its best trial if that one strictly improves and otherwise halves its
+    step, so no result is less extreme than its ``f0``.  Trial points are
+    clamped to ``bounds`` (the sampled box) when given: the sample set
+    stands in for the x-quantifier, and quadrature accuracy degrades for
+    points far outside the mass region.
+    """
     x = np.array(x0, dtype=float)
+    n, d = x.shape
+    sign = np.where(np.broadcast_to(maximize, (n,)), -1.0, 1.0)
     # x + step e_0, x - step e_0, x + step e_1, ...
-    directions = np.repeat(np.eye(len(x)), 2, axis=0)
+    directions = np.repeat(np.eye(d), 2, axis=0)
     directions[1::2] *= -1.0
-    best = sign * f0
-    step = step0
+    best = sign * np.asarray(f0, dtype=float)
+    step = np.full(n, float(step0))
+    rows = np.arange(n)
     for _ in range(steps):
-        trials = x + step * directions
+        trials = x[:, None, :] + step[:, None, None] * directions
         if bounds is not None:
             trials = np.clip(trials, bounds[0], bounds[1])
-        vals = sign * np.asarray(fun(trials), dtype=float)
-        j = int(np.argmin(vals))
-        if vals[j] < best:
-            best, x = float(vals[j]), trials[j]
-        else:
-            step *= 0.5
+        vals = sign[:, None] * np.asarray(fun(trials), dtype=float)
+        j = np.argmin(vals, axis=1)
+        top = vals[rows, j]
+        better = top < best
+        best = np.where(better, top, best)
+        x[better] = trials[rows, j][better]
+        step = np.where(better, step, 0.5 * step)
     return sign * best
 
 
-def _sampled_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
-                   t: float, x_samples, q: QuadratureRule | None, refine: bool,
-                   kinds=("lambda", "alpha")) -> list[float]:
-    """Extremal rates at t over the sample set, one per entry of ``kinds``.
+def _stacked_shifts(covs, d: int, q: QuadratureRule):
+    """Gaussian rules of several covariances as nodes (T, Q, d) and
+    log-weights (T, Q).  A rule of lower rank has fewer nodes; it is padded
+    with nodes of weight zero (log-weight -inf), which add nothing."""
+    rules = [_gaussian_shifts(c, d, q) for c in covs]
+    size = max(len(logw) for _, logw in rules)
+    z = np.zeros((len(rules), size, d))
+    logw = np.full((len(rules), size), -np.inf)
+    for i, (zi, lwi) in enumerate(rules):
+        z[i, :len(lwi)] = zi
+        logw[i, :len(lwi)] = lwi
+    return z, logw
 
-    The Gaussian shifts of C_t are factored once, and all kinds share one
-    Hessian batch on the samples.  The lambda' rate is minimized and the
-    alpha' rate maximized; each is then refined by a batched compass search
-    from its extremal sample (``_compass_search``), one Hessian batch of 2d
-    trial points per sweep.
+
+def _extremal_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
+                    times, kinds, x_samples, q: QuadratureRule | None,
+                    refine: bool) -> np.ndarray:
+    """Extremal rates over the sample set, shape (len(kinds), len(times)).
+
+    The lambda' rate is minimized and the alpha' rate maximized.  Every
+    (kind, time) pair is one search, and all of them run in lockstep: the
+    Gaussian shifts of each C_t are factored once, one Hessian batch covers
+    every sample at every time, and each compass-search sweep
+    (``_compass_search``) from the extremal samples is one more batch of the
+    2d trials of every search.  Each row of a batch reads the shifts of its
+    own time.  Closed-form potentials have x-independent Hessians, so they
+    take no sweeps.
     """
     x_samples = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if x_samples.size == 0:
         raise ValueError("x_samples must be nonempty")
     q = q or QuadratureRule.for_dimension(V0.dimension)
-    c, _, _ = schedule.eval(t)
+    d = V0.dimension
+    covs = [schedule.eval(t)[0] for t in times]
     closed_form = V0.form in _CLOSED_FORMS
     if closed_form:
-        _, hess = renormalized_derivatives(V0, c, x_samples, q)
+        fixed = np.stack([renormalized_derivatives(V0, c, np.zeros(d), q)[1]
+                          for c in covs])
+
+        def hessians(xs, which):
+            return fixed[which]
     else:
-        shifts = _gaussian_shifts(c, V0.dimension, q)
-        _, hess = _tilted_derivatives(V0, shifts, x_samples)
+        shifts = _stacked_shifts(covs, d, q)
+
+        def hessians(xs, which):
+            return _tilted_derivatives(V0, shifts, xs, which)[1]
+
+    searches = [(i, kind) for kind in kinds for i in range(len(times))]
+    which = np.array([i for i, _ in searches])
+    maximize = np.array([kind == "alpha" for _, kind in searches])
+    rates = _congruence_rates([_rate_form(schedule, times[i], kind)
+                               for i, kind in searches])
+    m = len(x_samples)
+    hess = hessians(np.tile(x_samples, (len(times), 1)),
+                    np.repeat(np.arange(len(times)), m))
+    vals = rates(hess.reshape(len(times), m, d, d)[which])
+    start = np.where(maximize, np.argmax(vals, axis=1),
+                     np.argmin(vals, axis=1))
+
+    def score(trials):
+        n = trials.shape[1]
+        h = hessians(trials.reshape(-1, d), np.repeat(which, n))
+        return rates(h.reshape(len(searches), n, d, d))
+
     span = float(np.max(np.abs(x_samples))) or 1.0
-    bounds = (x_samples.min(axis=0), x_samples.max(axis=0))
-    out = []
-    for kind in kinds:
-        maximize = kind == "alpha"
-        rates = (_alpha_rates if maximize else _lambda_rates)(schedule, t)
-        vals = rates(hess)
-        i = int(np.argmax(vals) if maximize else np.argmin(vals))
-        best = float(vals[i])
-        if refine and not closed_form:
-
-            def batch_rates(xs, rates=rates):
-                return rates(_tilted_derivatives(V0, shifts, xs)[1])
-
-            refined = _compass_search(batch_rates, x_samples[i], best,
-                                      maximize, step0=span / 8.0,
-                                      bounds=bounds)
-            best = max(best, refined) if maximize else min(best, refined)
-        out.append(best)
-    return out
+    best = _compass_search(
+        score, x_samples[start], vals[np.arange(len(searches)), start],
+        maximize, step0=span / 8.0,
+        bounds=(x_samples.min(axis=0), x_samples.max(axis=0)),
+        steps=_REFINE_STEPS if refine and not closed_form else 0)
+    return best.reshape(len(kinds), len(times))
 
 
 def multiscale_margin(schedule: CovarianceSchedule, V0: PotentialDescriptor,
@@ -192,7 +249,8 @@ def multiscale_margin(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     bound for the true infimum; local descent from the worst sample tightens
     it.
     """
-    return _sampled_rates(schedule, V0, t, x_samples, q, refine, ("lambda",))[0]
+    return float(_extremal_rates(schedule, V0, [t], ("lambda",), x_samples,
+                                 q, refine)[0, 0])
 
 
 def alpha_prime(schedule: CovarianceSchedule, V0: PotentialDescriptor,
@@ -203,7 +261,8 @@ def alpha_prime(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     Maximized over the sample set; the sampled supremum is reported as a
     lower bound on the true one.
     """
-    return _sampled_rates(schedule, V0, t, x_samples, q, refine, ("alpha",))[0]
+    return float(_extremal_rates(schedule, V0, [t], ("alpha",), x_samples,
+                                 q, refine)[0, 0])
 
 
 def integrate_schedules(prime_samples, sample_spec: str = "") -> CurvatureSchedule:
@@ -264,26 +323,24 @@ def build_schedule(schedule: CovarianceSchedule, V0: PotentialDescriptor,
                    refine: bool = True) -> CurvatureSchedule:
     """Evaluate both rates over a time grid and integrate them.
 
-    Without an override, both rates at each rate time come from one Hessian
-    batch on the sample set.  ``lambda_prime_override`` substitutes an
-    externally certified rate (e.g. the susceptibility formula for lattice
-    quartic models).  A t = 0 node reuses the next grid time's rates
-    (``rate_time``); each distinct rate time is evaluated once.
+    A t = 0 node reuses the next grid time's rates (``rate_time``), and
+    each distinct rate time is evaluated once.  The rates of every rate
+    time come out of one lockstep extraction (``_extremal_rates``): one
+    Hessian batch on the sample set at all times, then one batch per
+    compass-search sweep for all times and both rates, so the derivative
+    kernel runs 1 + ``_REFINE_STEPS`` times whatever the grid.
+    ``lambda_prime_override`` substitutes an externally certified rate
+    (e.g. the susceptibility formula for lattice quartic models), and then
+    only alpha' is extracted.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    lp = np.empty(len(t_grid))
-    ap = np.empty(len(t_grid))
-    rates = {}
-    for i in range(len(t_grid)):
-        te = rate_time(t_grid, i)
-        if te not in rates:
-            if lambda_prime_override is None:
-                rates[te] = _sampled_rates(schedule, V0, te, x_samples, q, refine)
-            else:
-                rates[te] = (float(lambda_prime_override(te)),
-                             alpha_prime(schedule, V0, te, x_samples, q,
-                                         refine=refine))
-        lp[i], ap[i] = rates[te]
+    times, at = np.unique([rate_time(t_grid, i) for i in range(len(t_grid))],
+                          return_inverse=True)
+    kinds = ("lambda", "alpha") if lambda_prime_override is None else ("alpha",)
+    rates = _extremal_rates(schedule, V0, times, kinds, x_samples, q, refine)
+    lam = rates[0] if lambda_prime_override is None else np.array(
+        [float(lambda_prime_override(te)) for te in times])
+    lp, ap = lam[at], rates[-1][at]
     return integrate_schedules((t_grid, lp, ap), sample_spec=sample_spec)
 
 

@@ -261,14 +261,15 @@ def _grid_pass(nodes: np.ndarray, shifts, tilt, fs) -> tuple:
 
 
 def _transport(schedule, V0, q, s: float, t: float, box: Box, shape,
-               fs: tuple) -> tuple:
+               fs: tuple, v_s: GridFunction | None = None) -> tuple:
     """P_{s,t} of the grid functions ``fs`` on (box, shape), in one pass.
 
     Exactly, exp(-V_t) = gamma_{C_t - C_s} conv exp(-V_s), so P_{s,t}f(x) is
     the expectation of f(x + z) under the weights softmax_q(log w_q -
     V_s(x + z_q)) of the kernel C_t - C_s: a Markov kernel at every s.  V_s
     is V0 where C_s = 0; otherwise it is read through the cubic interpolant
-    of the flow measure at s on the same grid and rule.  Returns (v,
+    of the flow measure at s on the same grid and rule, or of ``v_s``, its
+    V_s grid, when the caller already holds it.  Returns (v,
     images): where C_s = 0, v is V_t on the nodes from the same pass, the
     -logsumexp of its log-weights; otherwise, or where the kernel has
     numerically zero width and P_{s,t} is the identity, v is None.
@@ -294,12 +295,14 @@ def _transport(schedule, V0, q, s: float, t: float, box: Box, shape,
             f"convolution kernel ({reach:.2f} at {_KERNEL_SIGMAS} sigma) wider "
             f"than box halfwidth {halfwidth:.2f}; use a larger box")
     if np.any(cs):
-        v_s = GridFunction(box, FlowMeasure(schedule, V0, s, box, shape,
-                                            q).v_grid).interpolator()
+        if v_s is None:
+            v_s = GridFunction(box, FlowMeasure(schedule, V0, s, box, shape,
+                                                q).v_grid)
+        v_at = v_s.interpolator()
 
         def tilt(pts, logw):
             return logw[None, :] - np.asarray(
-                v_s(pts.reshape(-1, box.dim))).reshape(pts.shape[:2])
+                v_at(pts.reshape(-1, box.dim))).reshape(pts.shape[:2])
     else:
         tilt = partial(_tilted_log_weights, V0)
     v, images = _grid_pass(box.nodes(shape),
@@ -460,14 +463,24 @@ def conservation_check(schedule, V0, F: GridFunction, t_grid,
 
     # built here, once: the scales share F's interpolant and only read it
     F.interpolator()
+    # Where C_0 = 0, V_t and P_{0,t}F come out of one pass per scale.
+    # Otherwise P_{0,t} reads V_0 from m0's grid rather than rebuild it.
+    v0 = None
+    if np.any(schedule.eval(0.0)[0]):
+        v0 = GridFunction(F.box, m0.v_grid)
+        v0.interpolator()
 
     def scale(t):
         if t == 0:
             mt, phi = m0, F
-        else:
+        elif v0 is None:
             mt = make_flow_measure(schedule, V0, t, shape, box=F.box, q=q,
                                    carry=(F,))
             phi, = mt.transported
+        else:
+            mt = make_flow_measure(schedule, V0, t, shape, box=F.box, q=q)
+            phi, = _transport(schedule, V0, q, 0.0, t, F.box, shape, (F,),
+                              v0)[1]
         _, cp, _ = schedule.eval(t)
         grad = phi.gradient()
         energy = np.einsum("...i,ij,...j->...", grad, cp, grad)

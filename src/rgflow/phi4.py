@@ -364,40 +364,36 @@ def phi4_schedules(model: Phi4Model, t_grid, phi_samples, order: int = 96):
 
     The infimum of lambda_min(Sigma_t(phi)) over phi is approximated from
     the sample set plus a compass search (``curvature._compass_search``)
-    from the worst sample, each sweep mapping ``sig_min`` over its 2n trial
-    fields; since the sampled inf is an upper bound for the true one, the
-    reported alpha' formula errs upward (conservative for the monotonicity
-    exponent).  Returns a dict of arrays: lambda_prime,
-    alpha_prime_formula, chi, sigma_min.
+    from the worst sample, the searches of all times in lockstep, each sweep
+    mapping ``sig_min`` over the 2n trial fields of every time; since the
+    sampled inf is an upper bound for the true one, the reported alpha'
+    formula errs upward (conservative for the monotonicity exponent).
+    Returns a dict of arrays: lambda_prime, alpha_prime_formula, chi,
+    sigma_min.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     phi_samples = np.atleast_2d(np.asarray(phi_samples, dtype=float))
     amax = float(np.linalg.eigvalsh(model.a_matrix)[-1])
-    out = {"lambda_prime": np.empty(len(t_grid)),
-           "alpha_prime_formula": np.empty(len(t_grid)),
-           "chi": np.empty(len(t_grid)),
-           "sigma_min": np.empty(len(t_grid))}
+    chi = np.array([susceptibility(model, t, order=order).value
+                    for t in t_grid])
 
-    for i, t in enumerate(t_grid):
-        chi = susceptibility(model, t, order=order).value
+    def sig_min(t, phis):
+        return np.array([np.linalg.eigvalsh(
+            tilted_covariance(model, t, phi, order=order).value)[0]
+            for phi in phis])
 
-        def sig_min(phis, t=t):
-            return np.array([np.linalg.eigvalsh(
-                tilted_covariance(model, t, phi, order=order).value)[0]
-                for phi in phis])
-
-        vals = sig_min(phi_samples)
-        j = int(np.argmin(vals))
-        step = max(float(np.max(np.abs(phi_samples))), 1.0) / 4.0
-        best = _compass_search(sig_min, phi_samples[j], float(vals[j]),
-                               maximize=False, step0=step,
-                               steps=_DESCENT_STEPS)
-        out["chi"][i] = chi
-        out["sigma_min"][i] = best
-        out["lambda_prime"][i] = 1.0 / t - chi / t**2
-        out["alpha_prime_formula"][i] = (1.0 / t - best / t**2
-                                         + amax * (t * amax + 1.0))
-    return out
+    vals = np.array([sig_min(t, phi_samples) for t in t_grid])
+    start = np.argmin(vals, axis=1)
+    step = max(float(np.max(np.abs(phi_samples))), 1.0) / 4.0
+    best = _compass_search(
+        lambda trials: np.array([sig_min(t, tr)
+                                 for t, tr in zip(t_grid, trials)]),
+        phi_samples[start], vals[np.arange(len(t_grid)), start],
+        maximize=False, step0=step, steps=_DESCENT_STEPS)
+    return {"lambda_prime": 1.0 / t_grid - chi / t_grid**2,
+            "alpha_prime_formula": (1.0 / t_grid - best / t_grid**2
+                                    + amax * (t_grid * amax + 1.0)),
+            "chi": chi, "sigma_min": best}
 
 
 def hessian_identity_check(model: Phi4Model, t: float, phi_samples,

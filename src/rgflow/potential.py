@@ -34,8 +34,11 @@ MAX_TENSOR_DIM = 3
 _RANK_RTOL = 1e-13
 
 # Evaluation nodes (points x Gaussian shifts) per batch in the tilted-moment
-# derivatives: 256 points of a 40^2 rule.
-_DERIVATIVE_NODES = 256 * 1600
+# derivatives: 32 points of a 40^2 rule, 400 KB per array of a batch.
+# Batches 8x that size made rate extraction 1.3x (1-D, order 80) to 1.6x
+# (2-D, order 40) slower on 2 cores, and once every rate time shares one
+# call they set the peak memory of a 1-D run.
+_DERIVATIVE_NODES = 32 * 1600
 
 
 @dataclass(frozen=True)
@@ -320,15 +323,19 @@ def renormalized_derivatives(V0: PotentialDescriptor, c, x,
     return grads, hesss
 
 
-def _tilted_derivatives(V0: PotentialDescriptor, shifts, xb: np.ndarray):
+def _tilted_derivatives(V0: PotentialDescriptor, shifts, xb: np.ndarray,
+                        which: np.ndarray | None = None):
     """Tilted-moment gradient and Hessian at a batch ``xb`` (m, d), for the
     Gaussian shifts ``(z, logw)`` of one covariance (``_gaussian_shifts``).
 
-    Nodes are held axis by axis, ``(d, points, Q)``, and the quartic form
-    takes one fused pass per axis with scalar coefficients and products
-    only (no libm pow): x^2 once, the value, the gradient in place, and
-    E[hess V0] as the weighted mean of the diagonal 3 g x^2 + nu.  Other
-    forms call the descriptor's evaluators.
+    With ``which`` (m,), the shifts are those of T covariances stacked as
+    ``(T, Q, d)`` and ``(T, Q)``, and row i reads covariance ``which[i]``:
+    each chunk gathers the shifts of its own rows, so one call serves many
+    scales in the memory of one.  Nodes are held axis by axis,
+    ``(d, points, Q)``, and the quartic form takes one fused pass per axis
+    with scalar coefficients and products only (no libm pow): x^2 once, the
+    value, the gradient in place, and E[hess V0] as the weighted mean of the
+    diagonal 3 g x^2 + nu.  Other forms call the descriptor's evaluators.
     """
     z, logw = shifts
     m, d = xb.shape
@@ -336,15 +343,16 @@ def _tilted_derivatives(V0: PotentialDescriptor, shifts, xb: np.ndarray):
     diag = np.arange(d)
     grads = np.empty((m, d))
     hesss = np.empty((m, d, d))
-    Q = len(z)
+    Q = z.shape[-2]
     chunk = max(1, _DERIVATIVE_NODES // Q)
     for start in range(0, m, chunk):
         rows = slice(start, start + chunk)
         xc = xb[rows]
         mm = len(xc)
+        at = slice(None) if which is None else which[rows]
         x = np.empty((d, mm, Q))
         for k in range(d):
-            np.add(xc[:, k, None], z[:, k], out=x[k])
+            np.add(xc[:, k, None], z[at, ..., k], out=x[k])
         if quartic:
             # fused instead of V0.value, which keeps x**4 (see there)
             x2 = x * x
@@ -360,7 +368,7 @@ def _tilted_derivatives(V0: PotentialDescriptor, shifts, xb: np.ndarray):
         else:
             flat = x.reshape(d, -1).T
             value = V0.value(flat).reshape(mm, Q)
-        le = np.subtract(logw[None, :], value, out=value)
+        le = np.subtract(logw[at], value, out=value)
         mshift = np.max(le, axis=1, keepdims=True)
         if not np.all(np.isfinite(mshift)):
             raise QuadratureOverflowError(

@@ -71,6 +71,7 @@ class _Context:
             self.box = default_box(self.schedule)
         self.spectrum_k = int(cfg.option("spectrum.k", 3))
         self._chi = {}
+        self._sigma_min = {}
 
     # -- shared artifacts --------------------------------------------------
 
@@ -87,6 +88,15 @@ class _Context:
         if t not in self._chi:
             self._chi[t] = phi4_mod.susceptibility(self.phi4_model, t)
         return self._chi[t]
+
+    def sigma_min(self, t: float) -> float:
+        """Smallest eigenvalue of the zero-field tilted covariance of the
+        phi4 model at t, computed once per t."""
+        if t not in self._sigma_min:
+            sig = phi4_mod.tilted_covariance(self.phi4_model, t,
+                                             np.zeros(self.V0.dimension))
+            self._sigma_min[t] = float(np.linalg.eigvalsh(sig.value)[0])
+        return self._sigma_min[t]
 
     def schedule_t_grid(self):
         cfg = self.cfg
@@ -194,11 +204,9 @@ def _check_criterion(ctx: _Context, report: RunReport):
                    samples_used=len(ctx.samples))
         if ctx.phi4_model is not None:
             est = ctx.chi(te)
-            sig = phi4_mod.tilted_covariance(ctx.phi4_model, te,
-                                             np.zeros(ctx.V0.dimension))
             row["chi"] = float(est.value)
             row["chi_stderr"] = float(est.stderr)
-            row["sigma_min"] = float(np.linalg.eigvalsh(sig.value)[0])
+            row["sigma_min"] = ctx.sigma_min(te)
             row["margin"] = sampled[i] - curv.lambda_prime[i]
             row["tolerance"] = tol
             ok = ok and (sampled[i] >= curv.lambda_prime[i] - tol)

@@ -211,28 +211,7 @@ def test_cli_import_skips_unused_scipy_and_oracles():
     assert res.stdout.strip() == ""
 
 
-def test_criterion_computes_chi_once_per_t(monkeypatch):
-    import rgflow.curvature as curvature_mod
-    import rgflow.phi4 as phi4_mod
-
-    calls = []
-    real = phi4_mod.susceptibility
-
-    def counting(model, t, *args, **kwargs):
-        calls.append(t)
-        return real(model, t, *args, **kwargs)
-
-    batch_sizes = []
-    real_derivatives = curvature_mod._tilted_derivatives
-
-    def counting_derivatives(V0, shifts, xb):
-        batch_sizes.append(len(xb))
-        return real_derivatives(V0, shifts, xb)
-
-    monkeypatch.setattr(phi4_mod, "susceptibility", counting)
-    monkeypatch.setattr(curvature_mod, "_tilted_derivatives",
-                        counting_derivatives)
-    cfg = config_from_text("""\
+CRITERION_1D = """\
 model.kind = phi4
 model.a_matrix = [[1.0]]
 model.g = 1.0
@@ -246,18 +225,70 @@ disc.quadrature_order = 80
 curvature.count = 4
 checks = [criterion]
 seed = 3
-""")
-    report = run_experiment(cfg)
+"""
+
+
+def _schedule_rate_times(report):
+    from rgflow.curvature import rate_time
+
+    grid = [r["t"] for r in report.rows if r["section"] == "schedule"]
+    return {rate_time(grid, i) for i in range(len(grid))}
+
+
+def test_criterion_computes_chi_once_per_t(monkeypatch):
+    import rgflow.curvature as curvature_mod
+    import rgflow.phi4 as phi4_mod
+
+    calls = []
+    real = phi4_mod.susceptibility
+
+    def counting(model, t, *args, **kwargs):
+        calls.append(t)
+        return real(model, t, *args, **kwargs)
+
+    batches = []
+    real_derivatives = curvature_mod._tilted_derivatives
+
+    def counting_derivatives(V0, shifts, xb, which=None):
+        batches.append(np.bincount(which, minlength=len(shifts[0])))
+        return real_derivatives(V0, shifts, xb, which)
+
+    monkeypatch.setattr(phi4_mod, "susceptibility", counting)
+    monkeypatch.setattr(curvature_mod, "_tilted_derivatives",
+                        counting_derivatives)
+    report = run_experiment(config_from_text(CRITERION_1D))
     assert report.statuses["criterion"] == "pass"
     assert len(calls) == len(set(calls)) > 0
-    # one Hessian batch on the full sample set per distinct rate time; each
-    # compass-search sweep of the refinement sends its 2d trials as one batch
+    # one Hessian batch on the full sample set at every distinct rate time,
+    # then one batch per compass-search sweep holding the 2d trials of both
+    # rates at every rate time
     (n_samples,) = {r["samples_used"] for r in report.rows
                     if r["section"] == "schedule"}
-    assert batch_sizes.count(n_samples) == len(set(calls))
-    refine_batches = [b for b in batch_sizes if b != n_samples]
-    assert refine_batches
-    assert all(1 <= b <= 2 for b in refine_batches)  # 2d trials, d = 1
+    times = len(set(calls))
+    assert len(batches) == 1 + curvature_mod._REFINE_STEPS
+    assert np.array_equal(batches[0], np.full(times, n_samples))
+    for rows in batches[1:]:
+        assert np.array_equal(rows, np.full(times, 2 * 2))   # d = 1
+
+
+def test_criterion_computes_sigma_min_once_per_rate_time(monkeypatch):
+    import rgflow.phi4 as phi4_mod
+
+    calls = []
+    real = phi4_mod.tilted_covariance
+
+    def counting(model, t, *args, **kwargs):
+        calls.append(t)
+        return real(model, t, *args, **kwargs)
+
+    monkeypatch.setattr(phi4_mod, "tilted_covariance", counting)
+    report = run_experiment(config_from_text(CRITERION_1D))
+    assert report.statuses["criterion"] == "pass"
+    # the t = 0 row reads the rates of its neighbour: one row more than times
+    rows = [r for r in report.rows if r["section"] == "schedule"]
+    times = _schedule_rate_times(report)
+    assert len(rows) == len(times) + 1
+    assert sorted(calls) == sorted(times)
 
 
 PHI4_RING4 = """\
@@ -331,6 +362,11 @@ UNEXECUTABLE = {
         "disc.grid_points = 257", "disc.grid_points = 4").replace(
         "checks = [spectrum, theorem]", "checks = [spectrum]").replace(
         "spectrum.k = 2\n", ""),
+    "disc.quadrature_order": GAUSS_CFG.replace(
+        "disc.quadrature_order = 40", "disc.quadrature_order = 0"),
+    "disc.box_halfwidth": GAUSS_CFG.replace(
+        "disc.grid_points = 257", "disc.grid_points = 257\n"
+        "disc.box_halfwidth = -1"),
 }
 
 
@@ -343,6 +379,50 @@ def test_unexecutable_values_rejected_before_compute(tmp_path, key, command):
     assert res.returncode == 2, res.stdout
     assert f"config error: {key} must be" in res.stderr
     assert not (tmp_path / "out").exists()
+
+
+COUNT_OPTIONS = {"intertwining.bumps": -2, "curvature.count": 0,
+                 "variance.count": 0, "phi4.identity_samples": 0,
+                 "heatflow.s_count": 0.5}
+
+
+@pytest.mark.parametrize("key", sorted(COUNT_OPTIONS))
+def test_count_options_below_one_rejected(key):
+    text = GAUSS_CFG.format(out="x") + f"{key} = {COUNT_OPTIONS[key]}\n"
+    with pytest.raises(ConfigError, match=f"{key} must be a number >= 1"):
+        config_from_text(text)
+    # a count of 1 is allowed
+    config_from_text(GAUSS_CFG.format(out="x") + f"{key} = 1\n")
+
+
+@pytest.mark.parametrize("key", ["spectrum.kk", "theorem.tolerence",
+                                 "disc.quadrature_order_X", "sede"])
+def test_unknown_keys_rejected(key):
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+        config_from_text(GAUSS_CFG.format(out="x") + f"{key} = 1\n")
+
+
+def test_validate_names_an_unknown_key(tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text(GAUSS_CFG.format(out=tmp_path / "out")
+                    + "theorem.tolerence = 1e-3\n")
+    res = _run_cli("validate", str(path))
+    assert res.returncode == 2, res.stdout
+    assert "config error: unknown key 'theorem.tolerence'" in res.stderr
+
+
+def test_check_options_are_the_keys_the_runner_reads():
+    import inspect
+    import re
+
+    import rgflow.runner as runner_mod
+    from rgflow.config import CHECK_OPTIONS, COUNT_OPTIONS
+
+    read = set(re.findall(r'option\("([^"]+)"',
+                          inspect.getsource(runner_mod)))
+    assert read == set(CHECK_OPTIONS)
+    assert len(CHECK_OPTIONS) == len(set(CHECK_OPTIONS)) == 17
+    assert set(COUNT_OPTIONS) <= set(CHECK_OPTIONS)
 
 
 def test_negative_seed_override_rejected(tmp_path):

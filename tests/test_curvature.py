@@ -260,6 +260,9 @@ class _FixedRates:
     def eval(self, t):
         return self.mats
 
+    def residual_inverse(self, t):
+        return 2.0 * np.eye(len(self.mats[0]))
+
 
 def _random_sym(rng, shape):
     m = rng.standard_normal(shape)
@@ -281,9 +284,17 @@ def _per_point_lambda(cp, cpp, hess):
     return np.array(out)
 
 
+def _per_point_alpha(cp, hmat, hess):
+    """Reference: one eigensolve per point of sqrt(C')(H + hmat)sqrt(C')."""
+    w, u = np.linalg.eigh(cp)
+    root = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.T
+    return np.array([np.linalg.eigvalsh(root @ (h + hmat) @ root)[-1]
+                     for h in hess])
+
+
 @pytest.mark.parametrize("case", ["d1", "d2", "d3", "rank-deficient"])
 def test_batched_lambda_rates_match_per_point_generalized_eigh(case):
-    from rgflow.curvature import _lambda_rates
+    from rgflow.curvature import _congruence_rates, _rate_form
 
     rng = np.random.default_rng(7)
     if case == "rank-deficient":
@@ -294,23 +305,41 @@ def test_batched_lambda_rates_match_per_point_generalized_eigh(case):
         cp = root @ root.T + 0.1 * np.eye(d)
     cpp = _random_sym(rng, (d, d))
     hess = _random_sym(rng, (50, d, d))
-    got = _lambda_rates(_FixedRates(cp, cpp), 1.0)(hess)
-    want = _per_point_lambda(cp, cpp, hess)
-    assert got.shape == (50,)
-    assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    sched = _FixedRates(cp, cpp)
+    # three searches: lambda' and alpha' on the same Hessians, and lambda'
+    # on others; with a rank-deficient C' the two kinds' P differ in shape
+    # and take separate stacked solves
+    other = _random_sym(rng, (50, d, d))
+    rates = _congruence_rates([_rate_form(sched, 1.0, "lambda"),
+                               _rate_form(sched, 1.0, "alpha"),
+                               _rate_form(sched, 1.0, "lambda")])
+    got = rates(np.stack([hess, hess, other]))
+    assert got.shape == (3, 50)
+    assert_allclose(got[0], _per_point_lambda(cp, cpp, hess), rtol=1e-12,
+                    atol=0.0)
+    assert_allclose(got[1], _per_point_alpha(cp, 2.0 * np.eye(d), hess),
+                    rtol=1e-12, atol=1e-14)
+    assert_allclose(got[2], _per_point_lambda(cp, cpp, other), rtol=1e-12,
+                    atol=0.0)
 
 
 def test_lambda_rates_reject_zero_mobility():
-    from rgflow.curvature import _lambda_rates
+    from rgflow.curvature import _rate_form
 
     with pytest.raises(ValueError, match="numerically zero"):
-        _lambda_rates(_FixedRates(np.zeros((2, 2)), np.eye(2)), 1.0)
+        _rate_form(_FixedRates(np.zeros((2, 2)), np.eye(2)), 1.0, "lambda")
 
 
 def _rugged(xs):
     """A nonconvex test function on a batch (k, d) -> (k,)."""
     xs = np.atleast_2d(xs)
     return np.sum(xs**2 - np.cos(3.0 * xs), axis=1) + 0.3 * xs[:, 0]
+
+
+def _rugged_searches(trials):
+    """``_rugged`` on the (S, 2d, d) trials of S searches -> (S, 2d)."""
+    return _rugged(trials.reshape(-1, trials.shape[-1])).reshape(
+        trials.shape[:2])
 
 
 @pytest.mark.parametrize("maximize", [False, True])
@@ -320,11 +349,12 @@ def test_compass_search_never_less_extreme_than_start(d, maximize):
 
     sign = -1.0 if maximize else 1.0
     rng = np.random.default_rng(d)
-    for x0 in rng.uniform(-2.0, 2.0, size=(10, d)):
-        f0 = float(_rugged(x0)[0])
-        got = _compass_search(_rugged, x0, f0, maximize, step0=0.5,
-                              bounds=(-2.0 * np.ones(d), 2.0 * np.ones(d)))
-        assert sign * got <= sign * f0
+    x0 = rng.uniform(-2.0, 2.0, size=(10, d))
+    f0 = _rugged(x0)
+    got = _compass_search(_rugged_searches, x0, f0, maximize, step0=0.5,
+                          bounds=(-2.0 * np.ones(d), 2.0 * np.ones(d)))
+    assert got.shape == (10,)
+    assert np.all(sign * got <= sign * f0)
 
 
 def test_compass_search_scores_one_clamped_batch_per_sweep():
@@ -333,22 +363,46 @@ def test_compass_search_scores_one_clamped_batch_per_sweep():
     lo, hi = np.array([-1.0, -0.5, 0.0]), np.array([1.0, 0.5, 2.0])
     batches = []
 
-    def fun(xs):
-        batches.append(xs.copy())
-        return _rugged(xs)
+    def fun(trials):
+        batches.append(trials.copy())
+        return _rugged_searches(trials)
 
-    x0 = np.array([0.9, 0.0, 0.1])
-    _compass_search(fun, x0, float(_rugged(x0)[0]), False, step0=0.8,
+    # two searches in lockstep, one minimizing and one maximizing
+    x0 = np.array([[0.9, 0.0, 0.1], [-0.3, 0.2, 1.5]])
+    _compass_search(fun, x0, _rugged(x0), np.array([False, True]), step0=0.8,
                     bounds=(lo, hi))
     assert len(batches) == _REFINE_STEPS
-    for xs in batches:
-        assert xs.shape == (6, 3)
-        assert np.all(xs >= lo) and np.all(xs <= hi)
-    # the first sweep steps +/- 0.8 along each axis from x0, clamped
-    want = np.clip(x0 + 0.8 * np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
-                                        [0, -1, 0], [0, 0, 1], [0, 0, -1]]),
-                   lo, hi)
-    assert_allclose(batches[0], want, rtol=0, atol=0)
+    for trials in batches:
+        assert trials.shape == (2, 6, 3)
+        assert np.all(trials >= lo) and np.all(trials <= hi)
+    # the first sweep steps +/- 0.8 along each axis from each x0, clamped
+    steps = 0.8 * np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
+                            [0, -1, 0], [0, 0, 1], [0, 0, -1]])
+    for i in range(2):
+        assert_allclose(batches[0][i], np.clip(x0[i] + steps, lo, hi),
+                        rtol=0, atol=0)
+
+
+def _scalar_compass(fun, x0, f0, maximize, step0, bounds=None):
+    """One compass search at a time, as a plain loop: the reference for the
+    lockstep form."""
+    from rgflow.curvature import _REFINE_STEPS
+
+    sign = -1.0 if maximize else 1.0
+    directions = np.repeat(np.eye(len(x0)), 2, axis=0)
+    directions[1::2] *= -1.0
+    x, best, step = np.array(x0, dtype=float), sign * f0, step0
+    for _ in range(_REFINE_STEPS):
+        trials = x + step * directions
+        if bounds is not None:
+            trials = np.clip(trials, bounds[0], bounds[1])
+        vals = sign * fun(trials)
+        j = int(np.argmin(vals))
+        if vals[j] < best:
+            best, x = float(vals[j]), trials[j]
+        else:
+            step *= 0.5
+    return sign * best
 
 
 def test_compass_search_is_deterministic_and_moves_to_the_best_trial():
@@ -357,26 +411,172 @@ def test_compass_search_is_deterministic_and_moves_to_the_best_trial():
     def run():
         trace = []
 
-        def fun(xs):
-            trace.append(xs.copy())
-            return _rugged(xs)
+        def fun(trials):
+            trace.append(trials.copy())
+            return _rugged_searches(trials)
 
-        x0 = np.array([1.3, -0.7])
-        return _compass_search(fun, x0, float(_rugged(x0)[0]), False,
+        x0 = np.array([[1.3, -0.7]])
+        return _compass_search(fun, x0, _rugged(x0), False,
                                step0=0.5), trace
 
     (a, ta), (b, tb) = run(), run()
-    assert a == b
+    assert np.array_equal(a, b)
     assert all(np.array_equal(x, y) for x, y in zip(ta, tb))
     # each sweep is centred on the best point seen so far
     best = np.array([1.3, -0.7])
     for prev, nxt in zip(ta, ta[1:]):
-        vals = _rugged(prev)
+        vals = _rugged(prev[0])
         if vals.min() < _rugged(best)[0]:
-            best = prev[int(np.argmin(vals))]
-        centre = 0.5 * (nxt[0] + nxt[1])
+            best = prev[0][int(np.argmin(vals))]
+        centre = 0.5 * (nxt[0][0] + nxt[0][1])
         assert_allclose(centre, best, rtol=0, atol=1e-15)
-    assert a == pytest.approx(float(np.min(_rugged(best))))
+    assert a[0] == pytest.approx(float(np.min(_rugged(best))))
+
+
+def test_lockstep_searches_equal_one_search_at_a_time():
+    from rgflow.curvature import _compass_search
+
+    rng = np.random.default_rng(5)
+    x0 = rng.uniform(-2.0, 2.0, size=(8, 2))
+    maximize = np.arange(8) % 2 == 1
+    bounds = (-2.0 * np.ones(2), 2.0 * np.ones(2))
+    got = _compass_search(_rugged_searches, x0, _rugged(x0), maximize,
+                          step0=0.7, bounds=bounds)
+    want = [_scalar_compass(_rugged, x, float(_rugged(x)[0]), bool(mx), 0.7,
+                            bounds) for x, mx in zip(x0, maximize)]
+    assert np.array_equal(got, want)
+
+
+def _per_time_rates(sched, V0, t, samples, q):
+    """Reference for ``build_schedule``: (lambda', alpha') at one time, one
+    search per rate, per-point scipy eigensolves on the single-covariance
+    derivative path."""
+    from rgflow.potential import renormalized_derivatives
+
+    c, cp, cpp = sched.eval(t)
+    hmat = sched.residual_inverse(t)
+
+    def hess(xs):
+        return renormalized_derivatives(V0, c, xs, q)[1]
+
+    bounds = (samples.min(axis=0), samples.max(axis=0))
+    step0 = float(np.max(np.abs(samples))) / 8.0
+    out = []
+    for rate, maximize in (
+            (lambda xs: _per_point_lambda(cp, cpp, hess(xs)), False),
+            (lambda xs: _per_point_alpha(cp, hmat, hess(xs)), True)):
+        vals = rate(samples)
+        i = int(np.argmax(vals) if maximize else np.argmin(vals))
+        best = float(vals[i])
+        if V0.form not in ("zero", "quadratic"):
+            best = _scalar_compass(rate, samples[i], best, maximize, step0,
+                                   bounds)
+        out.append(best)
+    return out
+
+
+def _rank_deficient_mobility_schedule():
+    """2-D custom table with C' = R diag(c'(t), 0) R^T: one direction never
+    moves.  The rotation R keeps V_t from separating along the axes, where
+    a compass search would meet exact ties."""
+    t = np.linspace(0.0, 3.0, 31)
+    rot = np.array([[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]])
+
+    def table(first, second):
+        diag = np.zeros((len(t), 2, 2))
+        diag[:, 0, 0], diag[:, 1, 1] = first, second
+        return rot @ diag @ rot.T
+
+    return make_schedule(
+        "custom-table", c_infinity=rot @ np.diag([1.6, 0.5]) @ rot.T,
+        table=(t, table(0.4 + t / (1.0 + t), 0.3),
+               table(1.0 / (1.0 + t) ** 2, 0.0),
+               table(-2.0 / (1.0 + t) ** 3, 0.0)))
+
+
+def _lockstep_case(case):
+    from rgflow.phi4 import Phi4Model
+
+    if case == "dwell":
+        model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
+        return (model.schedule(), model.potential(),
+                QuadratureRule(order=80, dimension=1), SAMPLES_1D,
+                pv_t_grid(3.0, 6))
+    samples_2d = np.stack(np.meshgrid(np.linspace(-2, 2, 4),
+                                      np.linspace(-1.5, 2.5, 4)),
+                          -1).reshape(-1, 2)
+    if case == "plaquette":
+        model = Phi4Model([[2.0, -1.0], [-1.0, 2.0]], 1.0, -1.0, [0.0, 0.0])
+        return (model.schedule(), model.potential(),
+                QuadratureRule(order=12, dimension=2), samples_2d,
+                pv_t_grid(3.0, 3))
+    if case == "quadratic":
+        return (make_schedule("heat-kernel", c_infinity=[[1.0, 0.2],
+                                                         [0.2, 0.8]]),
+                PotentialDescriptor.quadratic([[0.7, 0.1], [0.1, 0.4]]),
+                QuadratureRule(order=12, dimension=2), samples_2d,
+                np.linspace(0.0, 2.0, 4))
+    return (_rank_deficient_mobility_schedule(),
+            PotentialDescriptor.quartic(1.0, -0.5, [0.0, 0.1], dimension=2),
+            QuadratureRule(order=12, dimension=2), samples_2d,
+            np.linspace(0.0, 2.0, 4))
+
+
+@pytest.mark.parametrize("case", ["dwell", "plaquette", "quadratic",
+                                  "rank-deficient"])
+def test_lockstep_schedule_matches_one_search_per_time(case):
+    from rgflow.curvature import rate_time
+
+    sched, V0, q, samples, grid = _lockstep_case(case)
+    curv = build_schedule(sched, V0, grid, samples, q)
+    for i in range(len(grid)):
+        want = _per_time_rates(sched, V0, rate_time(grid, i), samples, q)
+        assert_allclose([curv.lambda_prime[i], curv.alpha_prime[i]], want,
+                        rtol=1e-10, atol=0.0)
+
+
+def test_stacked_shifts_serve_every_covariance_in_one_kernel_call():
+    from rgflow.curvature import _stacked_shifts
+    from rgflow.potential import _gaussian_shifts, _tilted_derivatives
+
+    rng = np.random.default_rng(3)
+    V0 = PotentialDescriptor.quartic([1.0, 0.7], [-1.0, 0.4], [0.0, 0.2],
+                                     dimension=2)
+    q = QuadratureRule(order=10, dimension=2)
+    # the rank-1 covariance has 10 nodes, padded to the others' 100
+    covs = [np.array([[0.5, 0.1], [0.1, 0.3]]), np.diag([0.8, 0.0]),
+            0.2 * np.eye(2)]
+    xs = rng.uniform(-2.0, 2.0, size=(40, 2))
+    which = rng.integers(0, len(covs), size=40)
+    grads, hess = _tilted_derivatives(V0, _stacked_shifts(covs, 2, q), xs,
+                                      which)
+    for i, c in enumerate(covs):
+        rows = which == i
+        want_g, want_h = _tilted_derivatives(V0, _gaussian_shifts(c, 2, q),
+                                             xs[rows])
+        assert_allclose(grads[rows], want_g, rtol=1e-12, atol=1e-13)
+        assert_allclose(hess[rows], want_h, rtol=1e-12, atol=1e-13)
+
+
+def test_lockstep_schedule_scores_one_kernel_batch_per_sweep(monkeypatch):
+    import rgflow.curvature as curvature_mod
+
+    sched, V0, q, samples, grid = _lockstep_case("plaquette")
+    batches = []
+    real = curvature_mod._tilted_derivatives
+
+    def spy(V0, shifts, xb, which=None):
+        batches.append(np.bincount(which, minlength=len(shifts[0])))
+        return real(V0, shifts, xb, which)
+
+    monkeypatch.setattr(curvature_mod, "_tilted_derivatives", spy)
+    build_schedule(sched, V0, grid, samples, q)
+    times = len(grid) - 1          # t = 0 reuses the next time's rates
+    assert len(batches) == 1 + curvature_mod._REFINE_STEPS
+    # every sample at every time, then 2d trials per time for both rates
+    assert np.array_equal(batches[0], np.full(times, len(samples)))
+    for rows in batches[1:]:
+        assert np.array_equal(rows, np.full(times, 2 * 2 * V0.dimension))
 
 
 def test_build_schedule_factors_shifts_once_per_rate_time(monkeypatch):

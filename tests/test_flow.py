@@ -407,6 +407,30 @@ def test_custom_table_with_nonzero_origin_reads_v0_from_its_grid(
     assert np.max(np.abs(fm.transported[0].values - want)) < 1e-5
 
 
+def test_variance_audit_builds_v0_once_where_c0_is_nonzero(monkeypatch):
+    from rgflow.potential import _gaussian_shifts
+
+    t_nodes = np.linspace(0.0, 2.0, 9)
+    c = 0.2 + t_nodes / (1.0 + t_nodes)       # C_0 = 0.2, not 0
+    cp = 1.0 / (1.0 + t_nodes) ** 2
+    cpp = -2.0 / (1.0 + t_nodes) ** 3
+    sched = make_schedule("custom-table", c_infinity=[[1.5]],
+                          table=(t_nodes, c[:, None, None], cp[:, None, None],
+                                 cpp[:, None, None]))
+    V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
+    q = QuadratureRule(order=40, dimension=1)
+    box = default_box(sched)
+    xs = box.axes((129,))[0]
+    F = GridFunction(box, np.exp(-xs**2))
+    passes = _count_kernel_passes(monkeypatch)
+    conservation_check(sched, V0, F, np.linspace(0.0, 2.0, 5), q)
+    z0, _ = _gaussian_shifts([[0.2]], 1, q)
+    # one V0 pass over the grid for V_0; every P_{0,t} reads it from there
+    assert passes.pop(round(float(np.ptp(z0[:, 0])), 9)) == [129, q.order]
+    # and one for each later V_t
+    assert list(passes.values()) == [[129, q.order]] * 4
+
+
 def test_semigroup_is_markov_at_every_s_on_the_plaquette():
     from rgflow.phi4 import Phi4Model
 
