@@ -49,6 +49,10 @@ TOLERANCE_BUDGET = {"eigensolver": 5e-5, "quadrature": 2.5e-5, "integration": 2.
 TOL_TOTAL = float(sum(TOLERANCE_BUDGET.values()))
 
 _REFINE_STEPS = 20
+# A compass search moves only on an improvement beyond this share of its
+# best value: smaller gains are round-off, and following them would make
+# the refined rate depend on the order of summation.
+_MOVE_RTOL = 64 * np.finfo(float).eps
 
 # The factor-2 coarsening check allows 3x this gap in the lambda' integral.
 _REFINEMENT_TOL = 1e-4
@@ -137,11 +141,11 @@ def _compass_search(fun, x0, f0, maximize, step0: float, bounds=None,
     Compass search (Kolda, Lewis, Torczon, SIAM Rev. 45 (2003) 385): each
     sweep scores the trials x_i +/- step_i e_k of every search as one batch,
     ``fun`` mapping (S, 2d, d) trials to (S, 2d) values.  A search moves to
-    its best trial if that one strictly improves and otherwise halves its
-    step, so no result is less extreme than its ``f0``.  Trial points are
-    clamped to ``bounds`` (the sampled box) when given: the sample set
-    stands in for the x-quantifier, and quadrature accuracy degrades for
-    points far outside the mass region.
+    its best trial if that one improves by more than ``_MOVE_RTOL`` of the
+    best value and otherwise halves its step, so no result is less extreme
+    than its ``f0``.  Trial points are clamped to ``bounds`` (the sampled
+    box) when given: the sample set stands in for the x-quantifier, and
+    quadrature accuracy degrades for points far outside the mass region.
     """
     x = np.array(x0, dtype=float)
     n, d = x.shape
@@ -159,7 +163,7 @@ def _compass_search(fun, x0, f0, maximize, step0: float, bounds=None,
         vals = sign[:, None] * np.asarray(fun(trials), dtype=float)
         j = np.argmin(vals, axis=1)
         top = vals[rows, j]
-        better = top < best
+        better = top < best - _MOVE_RTOL * np.abs(best)
         best = np.where(better, top, best)
         x[better] = trials[rows, j][better]
         step = np.where(better, step, 0.5 * step)

@@ -9,16 +9,20 @@ semigroup P_{s,t} maps functions at scale s to scale t through
 
     P_{s,t} f = exp(V_t) * gaussian_{C_t - C_s} conv (f exp(-V_s)),
 
-computed here by Gauss-Hermite quadrature against the kernel with cubic
-interpolation of f between grid nodes.  Exactly, exp(-V_t) is the kernel's
-convolution of exp(-V_s), so at every s P_{s,t}f is the expectation of
-f(x + z) under the weights w_q exp(-V_s(x + z_q)) of the kernel's rule,
-normalized by their own sum: P_{s,t}1 = 1 by construction.  V_s is V0
-itself where C_s = 0 and otherwise the cubic interpolant of V_s on the
-scale-s grid.  Where C_0 = 0 (every built-in schedule) the kernel of P_{0,t}
-is C_t itself and the normalizer is exp(-V_t), so a flow measure built with
-``carry`` produces P_{0,t} of the carried functions in the same chunked pass
-that builds V_t, one V0 evaluation per node and shift.
+computed here by Gauss-Hermite quadrature against the kernel, reading f
+between grid nodes through its not-a-knot tensor cubic spline
+(``GridFunction.interpolator``, built in ``_stencils``).  The spline is
+exact at the nodes; off the box it extrapolates with the end cubic.  In
+1-D it is the spline of ``CubicSpline`` with its default ends, bit for
+bit.  Exactly, exp(-V_t) is the kernel's convolution of exp(-V_s), so at
+every s P_{s,t}f is the expectation of f(x + z) under the weights
+w_q exp(-V_s(x + z_q)) of the kernel's rule, normalized by their own sum:
+P_{s,t}1 = 1 by construction.  V_s is V0 itself where C_s = 0 and
+otherwise the spline of V_s on the scale-s grid.  Where C_0 = 0 (every
+built-in schedule) the kernel of P_{0,t} is C_t itself and the normalizer
+is exp(-V_t), so a flow measure built with ``carry`` produces P_{0,t} of
+the carried functions in the same chunked pass that builds V_t, one V0
+evaluation per node and shift.
 Grids are plain tensor products; trapezoid quadrature over the box is
 spectrally accurate because every integrand decays to numerical zero
 before the boundary.
@@ -134,19 +138,19 @@ class GridFunction:
         return self.box.spacing(self.shape)
 
     def interpolator(self):
-        """Cubic interpolant that extrapolates off the box (a spline in 1-D),
-        built on first use and kept with the grid function."""
-        if self._interp is None:
-            from scipy.interpolate import CubicSpline, RegularGridInterpolator
+        """The not-a-knot tensor cubic spline through the node values, as
+        a map from points (N, d) to values (N,); built on first use and
+        kept with the grid function.
 
+        It is exact at the nodes, and in 1-D it is ``CubicSpline``'s
+        spline to the last bit.  Points off the box extrapolate with the
+        cubic of the nearest end cell along each axis.  An axis of two
+        nodes is linear and one of three quadratic.
+        """
+        if self._interp is None:
             axes = self.box.axes(self.shape)
-            if self.box.dim == 1:
-                spline = CubicSpline(axes[0], self.values, extrapolate=True)
-                self._interp = lambda pts: spline(np.asarray(pts)[..., 0])
-            else:
-                self._interp = RegularGridInterpolator(
-                    axes, self.values, method="cubic", bounds_error=False,
-                    fill_value=None)
+            coef = _stencils.spline_coefficients(axes, self.values)
+            self._interp = partial(_stencils.spline_values, axes, coef)
         return self._interp
 
     def gradient(self) -> np.ndarray:
@@ -167,8 +171,8 @@ def _map_scales(fn, items, V0: PotentialDescriptor) -> list:
     reads its flow measure; keep eigensolves out of ``fn`` (see the module
     docstring).  Results come back in input order.  Runs serially when one
     worker would do, and for closed-form potentials: their passes never
-    evaluate V0, and spline evaluation and Python, which hold the GIL, are
-    all that is left, so threads only contend for it.  Otherwise
+    evaluate V0, and the spline reads and Python glue left are too little
+    for threads to share.  Otherwise
     ``Executor.map`` reads every result in input order: the first failure
     cancels the scales not yet started and is raised unchanged, as the
     serial loop would raise it.
@@ -267,8 +271,8 @@ def _transport(schedule, V0, q, s: float, t: float, box: Box, shape,
     Exactly, exp(-V_t) = gamma_{C_t - C_s} conv exp(-V_s), so P_{s,t}f(x) is
     the expectation of f(x + z) under the weights softmax_q(log w_q -
     V_s(x + z_q)) of the kernel C_t - C_s: a Markov kernel at every s.  V_s
-    is V0 where C_s = 0; otherwise it is read through the cubic interpolant
-    of the flow measure at s on the same grid and rule, or of ``v_s``, its
+    is V0 where C_s = 0; otherwise it is read through the spline of the
+    flow measure at s on the same grid and rule, or of ``v_s``, its
     V_s grid, when the caller already holds it.  Returns (v,
     images): where C_s = 0, v is V_t on the nodes from the same pass, the
     -logsumexp of its log-weights; otherwise, or where the kernel has
@@ -380,13 +384,12 @@ class FlowMeasure:
         Uses the dominating Gaussian factor and the grid minimum of V_t as a
         proxy for its global minimum (valid when the box is generously sized).
         """
-        from scipy.special import ndtr
-
         prec = self.schedule.residual_inverse(self.t)
         cov = np.linalg.inv(prec)
         sig = np.sqrt(np.diag(cov))
         hw = self.box.halfwidths()
-        tail_prob = float(sum(2.0 * ndtr(-hw[k] / sig[k])
+        # 2 P(Z > a) = erfc(a / sqrt 2) per axis
+        tail_prob = float(sum(math.erfc(hw[k] / sig[k] / math.sqrt(2.0))
                               for k in range(self.box.dim)))
         d = self.box.dim
         log_gauss_norm = 0.5 * d * math.log(2.0 * math.pi) \

@@ -385,8 +385,9 @@ def test_compass_search_scores_one_clamped_batch_per_sweep():
 
 def _scalar_compass(fun, x0, f0, maximize, step0, bounds=None):
     """One compass search at a time, as a plain loop: the reference for the
-    lockstep form."""
-    from rgflow.curvature import _REFINE_STEPS
+    lockstep form.  It moves on an improvement beyond ``_MOVE_RTOL`` of the
+    best value, as the lockstep form does."""
+    from rgflow.curvature import _MOVE_RTOL, _REFINE_STEPS
 
     sign = -1.0 if maximize else 1.0
     directions = np.repeat(np.eye(len(x0)), 2, axis=0)
@@ -398,7 +399,7 @@ def _scalar_compass(fun, x0, f0, maximize, step0, bounds=None):
             trials = np.clip(trials, bounds[0], bounds[1])
         vals = sign * fun(trials)
         j = int(np.argmin(vals))
-        if vals[j] < best:
+        if vals[j] < best - _MOVE_RTOL * abs(best):
             best, x = float(vals[j]), trials[j]
         else:
             step *= 0.5
@@ -475,12 +476,14 @@ def _per_time_rates(sched, V0, t, samples, q):
     return out
 
 
-def _rank_deficient_mobility_schedule():
+def _rank_deficient_mobility_schedule(angle):
     """2-D custom table with C' = R diag(c'(t), 0) R^T: one direction never
-    moves.  The rotation R keeps V_t from separating along the axes, where
-    a compass search would meet exact ties."""
+    moves.  At angle 0 a separable V0 gives a separable V_t, flat along the
+    still axis, so compass trials there tie with the best value up to
+    round-off; a rotation R keeps V_t from separating."""
     t = np.linspace(0.0, 3.0, 31)
-    rot = np.array([[np.cos(0.5), -np.sin(0.5)], [np.sin(0.5), np.cos(0.5)]])
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
 
     def table(first, second):
         diag = np.zeros((len(t), 2, 2))
@@ -516,14 +519,16 @@ def _lockstep_case(case):
                 PotentialDescriptor.quadratic([[0.7, 0.1], [0.1, 0.4]]),
                 QuadratureRule(order=12, dimension=2), samples_2d,
                 np.linspace(0.0, 2.0, 4))
-    return (_rank_deficient_mobility_schedule(),
+    return (_rank_deficient_mobility_schedule(
+                0.0 if case == "rank-deficient-unrotated" else 0.5),
             PotentialDescriptor.quartic(1.0, -0.5, [0.0, 0.1], dimension=2),
             QuadratureRule(order=12, dimension=2), samples_2d,
             np.linspace(0.0, 2.0, 4))
 
 
 @pytest.mark.parametrize("case", ["dwell", "plaquette", "quadratic",
-                                  "rank-deficient"])
+                                  "rank-deficient",
+                                  "rank-deficient-unrotated"])
 def test_lockstep_schedule_matches_one_search_per_time(case):
     from rgflow.curvature import rate_time
 

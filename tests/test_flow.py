@@ -555,23 +555,142 @@ def test_parallel_scales_share_the_pass_memory_budget(monkeypatch):
 def test_conservation_builds_one_interpolant(dwell_chain, monkeypatch):
     import time
 
-    import scipy.interpolate
+    import rgflow._stencils as stencils
 
     sched, V0, q, box = dwell_chain
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))
-    real = scipy.interpolate.CubicSpline
+    real = stencils.spline_coefficients
     built = []
 
-    def spy(*args, **kwargs):
-        built.append(args[0].shape)
+    def spy(axes, values):
+        built.append(np.shape(values))
         time.sleep(0.05)  # holds open the check-then-act of interpolator()
-        return real(*args, **kwargs)
+        return real(axes, values)
 
-    monkeypatch.setattr(scipy.interpolate, "CubicSpline", spy)
+    monkeypatch.setattr(stencils, "spline_coefficients", spy)
     _use_cores(monkeypatch, 4)
     conservation_check(sched, V0, F, np.linspace(0.0, 2.0, 9), q)
     assert built == [(129,)]
+
+
+_SPLINE_BOXES = {1: Box((-3.0,), (2.5,)),
+                 2: Box((-3.0, -2.5), (3.0, 3.5)),
+                 3: Box((-3.0, -2.5, -1.0), (3.0, 3.5, 1.5))}
+_SPLINE_SHAPES = {1: (65,), 2: (41, 37), 3: (21, 17, 9)}
+
+
+def _smooth_grid_function(dim, shape=None):
+    box = _SPLINE_BOXES[dim]
+    shape = shape or _SPLINE_SHAPES[dim]
+    nodes = box.nodes(shape)
+    vals = np.exp(-0.5 * np.sum(nodes**2, axis=1)) * np.cos(nodes[:, 0]
+                                                             + 0.3)
+    return GridFunction(box, vals.reshape(shape)), nodes
+
+
+def _points_in(box, n, rng, pad=0.0):
+    lo, hi = np.asarray(box.lo) - pad, np.asarray(box.hi) + pad
+    return rng.uniform(lo, hi, size=(n, box.dim))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_interpolator_returns_the_node_values(dim):
+    f, nodes = _smooth_grid_function(dim)
+    out = f.interpolator()(nodes)
+    assert out.shape == (len(nodes),)
+    assert np.max(np.abs(out - f.values.ravel())) <= 1e-12
+
+
+def test_interpolator_is_the_not_a_knot_spline_in_2d():
+    from scipy.interpolate import RectBivariateSpline
+
+    f, _ = _smooth_grid_function(2)
+    xs, ys = f.box.axes(f.shape)
+    exact = RectBivariateSpline(xs, ys, f.values, kx=3, ky=3, s=0)
+    pts = _points_in(f.box, 5000, np.random.default_rng(4))
+    want = exact.ev(pts[:, 0], pts[:, 1])
+    assert np.max(np.abs(f.interpolator()(pts) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 65])
+def test_interpolator_is_cubic_spline_in_1d(n):
+    from scipy.interpolate import CubicSpline
+
+    f, _ = _smooth_grid_function(1, (n,))
+    spline = CubicSpline(f.box.axes(f.shape)[0], f.values, extrapolate=True)
+    # inside the box, then up to one box width beyond either end
+    rng = np.random.default_rng(n)
+    for pad in (0.0, 5.5):
+        pts = _points_in(f.box, 2000, rng, pad)
+        assert_allclose(f.interpolator()(pts), spline(pts[:, 0]),
+                        rtol=0, atol=1e-13)
+
+
+def test_interpolator_reads_short_axes_as_lines_and_parabolas():
+    # a 2-node axis is linear and a 3-node axis quadratic, as CubicSpline
+    # is on such a grid, so a product of both is reproduced everywhere
+    box = Box((-1.0, 0.0), (2.0, 1.5))
+    nodes = box.nodes((3, 2))
+
+    def poly(p):
+        return (1.0 + p[:, 0] - 0.7 * p[:, 0]**2) * (0.4 - 2.0 * p[:, 1])
+
+    f = GridFunction(box, poly(nodes).reshape(3, 2))
+    pts = _points_in(box, 500, np.random.default_rng(2), pad=1.0)
+    assert_allclose(f.interpolator()(pts), poly(pts), rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="at least 2 nodes"):
+        GridFunction(Box((0.0,), (1.0,)), np.ones(1)).interpolator()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_interpolator_extrapolates_with_the_end_cubic(dim):
+    # not-a-knot ends reproduce cubics, and off the box each axis follows
+    # its end cell's cubic, so a tensor cubic is exact everywhere
+    box = _SPLINE_BOXES[dim]
+    shape = _SPLINE_SHAPES[dim]
+
+    def cubic(p):
+        return np.prod(0.3 + p - 0.2 * p**2 + 0.05 * p**3, axis=1)
+
+    f = GridFunction(box, cubic(box.nodes(shape)).reshape(shape))
+    pts = _points_in(box, 2000, np.random.default_rng(dim), pad=1.5)
+    assert_allclose(f.interpolator()(pts), cubic(pts), rtol=1e-10,
+                    atol=1e-10)
+
+
+def test_semigroup_leaves_scipy_interpolate_unloaded():
+    import subprocess
+    import sys
+
+    code = """
+import sys
+import numpy as np
+from rgflow import make_schedule
+from rgflow.flow import (GridFunction, conservation_check, default_box,
+                         semigroup_apply)
+from rgflow.phi4 import Phi4Model
+from rgflow.potential import PotentialDescriptor, QuadratureRule
+
+sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
+V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
+box = default_box(sched)
+xs = box.axes((65,))[0]
+conservation_check(sched, V0, GridFunction(box, np.exp(-xs**2)),
+                   np.linspace(0.0, 1.0, 4), QuadratureRule(order=20, dimension=1))
+model = Phi4Model(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1.0, -1.0,
+                  np.zeros(2))
+box = default_box(model.schedule())
+f = GridFunction(box, np.exp(-np.sum(box.nodes((21, 21))**2, axis=1))
+                 .reshape(21, 21))
+semigroup_apply(model.schedule(), model.potential(), 0.3, 0.9, f,
+                QuadratureRule(order=8, dimension=2))
+print("scipy.interpolate" in sys.modules)
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("V0", [
