@@ -33,9 +33,12 @@ runner's spectral t grid build their flow measures on all usable cores
 that release the GIL, and the grid passes in flight share one memory
 budget.  Closed-form potentials, which never evaluate V0 on the grid, stay
 serial.  Results are byte-identical to a serial build.  Eigensolves stay
-serial: a BLAS-threaded dense solve gives different bytes at different BLAS
-thread counts, so one inside the pool could move the kernel eigenvalue
-mu_0.  The passes in the pool call BLAS on d x d matrices only.
+serial: the merges of LAPACK's tridiagonal divide-and-conquer, like a 2-D
+dense solve, call BLAS ``gemm``, whose bits depend on the BLAS thread
+count (eigenvectors of 1-D pencils of 200-600 nodes differ at round-off
+between one and two threads), so a solve inside the pool could move the
+kernel eigenvalue mu_0.  The passes in the pool call BLAS on d x d
+matrices only.
 """
 
 from __future__ import annotations

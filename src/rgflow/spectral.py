@@ -13,11 +13,20 @@ exactly symmetric in the w-weighted inner product, keeps constants in the
 kernel to machine precision, and converges at second order in the mesh.
 Boundary conditions are natural zero-flux (reflecting) on the truncated box.
 
-Eigenpairs come from dense symmetric solves on small grids.  Larger grids
-use the structure of the operator: a selected-index tridiagonal solve in
-1-D, and shift-invert Lanczos (ARPACK) with a deterministic start vector in
-2-D.  Every solve is residual-verified, and the spectrum carries a
-Richardson consistency check under mesh halving.
+Eigenpairs come from the structure of the operator.  In 1-D it is
+tridiagonal, and no dense matrix is built: up to ``_DENSE_CUTOFF`` nodes
+LAPACK's divide-and-conquer ``dstevd`` solves it whole.  That gives the bits
+of dense ``eigh`` (``dsyevd``), which on an already tridiagonal matrix
+reduces with identity reflectors and then runs the same ``dstedc``.  Above
+the cut-off a selected-index tridiagonal solve returns only the k+1 wanted
+pairs.  The cut-off stays because that solver lands on other round-off in
+the kernel eigenvalue mu_0 (0 in exact arithmetic), and reference spectra
+hold mu_0 to 0.3 % relative; it can go once mu_0 is judged against an
+absolute floor.  In 2-D small grids take a dense symmetric solve and larger
+ones shift-invert Lanczos (ARPACK) with a deterministic start vector.  A
+solver breakdown raises NonConvergenceError, every solve is
+residual-verified, and the spectrum carries a Richardson consistency check
+under mesh halving.
 """
 
 from __future__ import annotations
@@ -26,9 +35,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import NonConvergenceError
 from .flow import Box, FlowMeasure, GridFunction, integrate_grid
@@ -235,13 +244,27 @@ def _smallest_pairs(gen: GeneratorDiscretization, k: int):
     b = 0.5 * (b + b.T)
 
     if n <= _DENSE_CUTOFF or k + 2 >= n - 1:
-        dense = b.toarray()
-        vals, vecs = np.linalg.eigh(dense)
+        if gen.box.dim == 1:
+            # the 1-D operator is tridiagonal: dstevd runs the dstedc that
+            # dense eigh runs after its (here exact) tridiagonal reduction
+            vals, vecs, info = la.lapack.dstevd(b.diagonal(), b.diagonal(1))
+            if info != 0:
+                raise NonConvergenceError(
+                    f"tridiagonal divide-and-conquer (dstevd) failed: "
+                    f"info = {info}")
+        else:
+            try:
+                vals, vecs = np.linalg.eigh(b.toarray())
+            except np.linalg.LinAlgError as exc:
+                raise NonConvergenceError(f"dense eigh failed: {exc}") from exc
         vals, vecs = vals[:k + 1], vecs[:, :k + 1]
     elif gen.box.dim == 1:
-        # the 1-D operator is tridiagonal
-        vals, vecs = eigh_tridiagonal(b.diagonal(), b.diagonal(1),
-                                      select="i", select_range=(0, k))
+        try:
+            vals, vecs = la.eigh_tridiagonal(b.diagonal(), b.diagonal(1),
+                                             select="i", select_range=(0, k))
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(
+                f"selected-index tridiagonal solve failed: {exc}") from exc
     else:
         scale = float(np.mean(b.diagonal()))
         v0 = np.random.default_rng(90210).standard_normal(n)

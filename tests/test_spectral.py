@@ -246,6 +246,46 @@ def test_1d_tridiagonal_solve_matches_dense_pencil():
     assert_allclose(gram, np.eye(4), atol=1e-10)
 
 
+@pytest.mark.parametrize("t", np.geomspace(0.05, 3.0, 8)[[0, 4, 7]],
+                         ids=lambda t: f"t={t:.3g}")
+def test_1d_solve_has_the_bits_of_dense_eigh_without_a_dense_matrix(
+        monkeypatch, t):
+    import scipy.sparse as sp
+    from rgflow.phi4 import Phi4Model
+
+    # the README dwell model, 513 nodes, order 80, at scales of its t grid
+    model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
+    q = QuadratureRule(order=80, dimension=1)
+    fm = make_flow_measure(model.schedule(), model.potential(), float(t), 513,
+                           q=q)
+    gen = build_generator(fm)
+    dinv = 1.0 / np.sqrt(gen.mass)
+    b = sp.diags(dinv) @ gen.stiffness @ sp.diags(dinv)
+    want_vals, want_vecs = np.linalg.eigh(0.5 * (b + b.T).toarray())
+
+    dense = []
+    with monkeypatch.context() as m:
+        def spy(name, original):
+            def wrapper(*args, **kwargs):
+                dense.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+        m.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix,
+                    sp.dia_matrix):
+            m.setattr(cls, "toarray", spy("toarray", cls.toarray))
+        res = spectrum(gen, k=3, refine=False)
+    assert dense == []
+
+    assert np.array_equal(res.eigenvalues, want_vals[:4])
+    vecs = np.stack([v.values.reshape(-1) for v in res.eigenvectors], axis=1)
+    want = dinv[:, None] * want_vecs[:, :4]
+    signs = np.sign(np.sum(want * vecs * gen.mass[:, None], axis=0))
+    assert_allclose(vecs, want * signs, rtol=0, atol=1e-10)
+    gram = vecs.T @ (gen.mass[:, None] * vecs)
+    assert_allclose(gram, np.eye(4), atol=1e-10)
+
+
 def test_refiner_rebuilds_the_trimmed_box_at_twice_the_resolution():
     from rgflow.flow import Box, FlowMeasure
     from rgflow.phi4 import Phi4Model
@@ -285,6 +325,57 @@ def test_arpack_nonconvergence_maps_to_nonconvergence_error(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", no_convergence)
     with pytest.raises(NonConvergenceError, match="ARPACK"):
+        spectrum(gen, k=2, refine=False)
+
+
+def _gaussian_density_generator(shape):
+    from rgflow.flow import Box
+
+    box = Box((-3.0,) * len(shape), (3.0,) * len(shape))
+    xs = np.meshgrid(*box.axes(shape), indexing="ij")
+    return build_generator_from_density(
+        box, np.exp(-0.5 * sum(x ** 2 for x in xs)))
+
+
+def _raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@pytest.mark.parametrize("shape, module, name, fake, match", [
+    ((301,), "scipy.linalg.lapack", "dstevd",
+     lambda d, e: (d, np.eye(len(d)), 7), "dstevd"),
+    ((701,), "scipy.linalg", "eigh_tridiagonal", _raise_linalg_error,
+     "selected-index"),
+    ((15, 15), "numpy.linalg", "eigh", _raise_linalg_error, "dense eigh"),
+], ids=["dstevd-info", "eigh_tridiagonal", "dense-2d"])
+def test_solver_breakdown_maps_to_nonconvergence_error(
+        monkeypatch, shape, module, name, fake, match):
+    import importlib
+
+    from rgflow.errors import NonConvergenceError
+
+    gen = _gaussian_density_generator(shape)
+    monkeypatch.setattr(importlib.import_module(module), name, fake)
+    with pytest.raises(NonConvergenceError, match=match):
+        spectrum(gen, k=2, refine=False)
+
+
+def test_perturbed_ground_vector_from_the_1d_solve_is_rejected(monkeypatch):
+    import scipy.linalg.lapack as lapack
+
+    from rgflow.errors import NonConvergenceError
+
+    gen = _gaussian_density_generator((301,))
+    solve = lapack.dstevd
+
+    def perturbed(d, e):
+        vals, vecs, info = solve(d, e)
+        ground = vecs[:, 0] + 1e-3 * vecs[:, 1]
+        vecs[:, 0] = ground / np.linalg.norm(ground)
+        return vals, vecs, info
+
+    monkeypatch.setattr(lapack, "dstevd", perturbed)
+    with pytest.raises(NonConvergenceError, match="residuals|kernel"):
         spectrum(gen, k=2, refine=False)
 
 
