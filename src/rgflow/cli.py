@@ -71,10 +71,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     report = run_experiment(cfg)
+    out_dir = cfg.options["output"]
     try:
-        files = emit_report(report, cfg.output)
+        files = emit_report(report, out_dir)
     except OSError as exc:
-        print(f"config error: cannot write reports under {cfg.output!r}: {exc}",
+        print(f"config error: cannot write reports under {out_dir!r}: {exc}",
               file=sys.stderr)
         return 2
 

@@ -25,31 +25,22 @@ place a config becomes a model, so ``rgflow validate`` builds exactly what
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .covariance import CovarianceSchedule, make_schedule, schedule_from_table_file
+from .curvature import TOL_TOTAL
 from .errors import ConfigError
+from .flow import _KERNEL_SIGMAS
 from .phi4 import Phi4Model
 from .potential import MAX_TENSOR_DIM, PotentialDescriptor
 
 KNOWN_CHECKS = ("spectrum", "theorem", "higher-k", "intertwining", "variance",
                 "criterion", "phi4-identity", "heatflow")
-# The per-check options the runner reads; any other key left after the
-# model, schedule, t grid and discretization keys is an error.
-CHECK_OPTIONS = ("spectrum.k", "criterion.tolerance", "curvature.count",
-                 "theorem.tolerance", "intertwining.times",
-                 "intertwining.bumps", "intertwining.tolerance",
-                 "variance.tolerance", "variance.t_max", "variance.count",
-                 "phi4.identity_tolerance", "phi4.identity_times",
-                 "phi4.identity_samples", "heatflow.input", "heatflow.s_max",
-                 "heatflow.s_count", "heatflow.tolerance")
-# Options that count things: below 1, a check would pass with nothing to do.
-COUNT_OPTIONS = ("spectrum.k", "intertwining.bumps", "curvature.count",
-                 "variance.count", "phi4.identity_samples", "heatflow.s_count")
 MODEL_KINDS = ("gaussian", "quadratic", "phi4", "custom-poly")
-SPACINGS = ("lin", "log")
 
 # Largest model dimension per check: grid eigenproblems d <= 2, tensor
 # quadrature d <= 3, 1-D grid functions d = 1.
@@ -57,6 +48,57 @@ CHECK_MAX_DIM = {"spectrum": 2, "theorem": 2, "higher-k": 2,
                  "criterion": MAX_TENSOR_DIM, "phi4-identity": MAX_TENSOR_DIM,
                  "intertwining": 1, "variance": 1}
 SPECTRAL_CHECKS = ("spectrum", "theorem", "higher-k")
+
+
+# An option's domain: its text, and the value as the runner reads it, or None.
+_Rule = NamedTuple("_Rule", [("domain", str), ("typed", Callable)])
+
+
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _count(low: int) -> _Rule:
+    return _Rule(f"an integer >= {low}", lambda v: int(v)
+                 if _finite(v) and v == int(v) and v >= low else None)
+
+
+_NUMBER = _Rule("a number", lambda v: float(v) if _finite(v) else None)
+_POSITIVE = _Rule("a number > 0", lambda v: float(v) if _finite(v) and v > 0 else None)
+_TIMES = _Rule("a non-empty list of numbers > 0",
+               lambda v: [float(t) for t in v] if isinstance(v, list) and v
+               and all(_finite(t) and t > 0 for t in v) else None)
+
+# Every optional key: its default and its domain.  A None default depends on
+# the model and is resolved where the key is read.
+OPTIONS = {
+    "t_grid.min": (0.05, _Rule("a number >= 0",
+                               lambda v: float(v) if _finite(v) and v >= 0 else None)),
+    "t_grid.max": (2.0, _NUMBER),
+    "t_grid.count": (8, _count(2)),
+    "t_grid.spacing": ("log", _Rule("lin or log", lambda v: v if v in ("lin", "log") else None)),
+    "disc.box_halfwidth": (None, _POSITIVE),
+    "disc.grid_points": (513, _count(2)),
+    "disc.quadrature_order": (80, _count(1)),
+    "output": ("rgflow-out", _Rule("a path", str)),
+    "spectrum.k": (3, _count(1)),
+    "criterion.tolerance": (1e-6, _NUMBER),
+    "curvature.count": (60, _count(1)),
+    "theorem.tolerance": (TOL_TOTAL, _NUMBER),
+    "intertwining.times": ([0.5, 1.0, 2.0], _TIMES),
+    "intertwining.bumps": (3, _count(1)),
+    "intertwining.tolerance": (1.01e-4, _NUMBER),
+    "variance.tolerance": (None, _NUMBER),
+    "variance.t_max": (None, _POSITIVE),
+    "variance.count": (None, _count(2)),
+    "phi4.identity_tolerance": (1e-5, _NUMBER),
+    "phi4.identity_times": ([0.5, 1.0, 2.0], _TIMES),
+    "phi4.identity_samples": (10, _count(1)),
+    "heatflow.input": ("uniform", _Rule("uniform, gaussian or a density table path", str)),
+    "heatflow.s_max": (2.0, _POSITIVE),
+    "heatflow.s_count": (9, _count(2)),
+    "heatflow.tolerance": (1e-4, _NUMBER),
+}
 
 
 def _parse_scalar(tok: str):
@@ -133,41 +175,22 @@ class ExperimentConfig:
 
     ``schedule``, ``V0`` and ``phi4_model`` (None unless ``model.kind`` is
     phi4) are built by ``config_from_text``; the runner only reads them.
+    ``options`` holds every key of ``OPTIONS``, typed, with its default
+    where the config does not set it.
     """
 
     schedule: CovarianceSchedule
     V0: PotentialDescriptor
-    t_min: float
-    t_max: float
-    t_count: int
-    t_spacing: str
     checks: list
     seed: int
-    output: str
     phi4_model: Phi4Model | None = None
-    box_halfwidth: float | None = None
-    grid_points: int = 513
-    quadrature_order: int = 80
     options: dict = field(default_factory=dict)
     raw_text: str = ""
 
     def t_grid(self) -> np.ndarray:
-        if self.t_spacing == "log":
-            return np.geomspace(self.t_min, self.t_max, self.t_count)
-        return np.linspace(self.t_min, self.t_max, self.t_count)
-
-    def option(self, key: str, default=None):
-        return self.options.get(key, default)
-
-
-def _number(key: str, value, low: float, strict: bool = False):
-    """``value``, or a ConfigError naming ``key`` unless it is a number at
-    least ``low`` (above it when ``strict``)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            value <= low if strict else value < low):
-        raise ConfigError(f"{key} must be a number {'>' if strict else '>='} "
-                          f"{low}, got {value!r}")
-    return value
+        opts = self.options
+        space = np.geomspace if opts["t_grid.spacing"] == "log" else np.linspace
+        return space(opts["t_grid.min"], opts["t_grid.max"], opts["t_grid.count"])
 
 
 def _pop(entries: dict, key: str, default=None, required: bool = False):
@@ -242,19 +265,6 @@ def config_from_text(text: str) -> ExperimentConfig:
                       default="pauli-villars" if kind == "phi4" else "heat-kernel")
     schedule, V0, phi4_model = _build_model(kind, sched_kind, entries)
 
-    t_min = float(_pop(entries, "t_grid.min", default=0.05))
-    t_max = float(_pop(entries, "t_grid.max", default=2.0))
-    t_count = int(_pop(entries, "t_grid.count", default=8))
-    t_spacing = _pop(entries, "t_grid.spacing", default="log")
-    if t_spacing not in SPACINGS:
-        raise ConfigError(f"t_grid.spacing must be one of {SPACINGS}")
-    if t_count < 2:
-        raise ConfigError("t_grid.count must be >= 2")
-    if t_min <= 0 and t_spacing == "log":
-        raise ConfigError("log spacing requires t_grid.min > 0")
-    if t_min < 0:
-        raise ConfigError("t_grid.min must be >= 0: flow times are nonnegative")
-
     checks = _pop(entries, "checks", default=[])
     if isinstance(checks, str):
         checks = [checks]
@@ -273,37 +283,40 @@ def config_from_text(text: str) -> ExperimentConfig:
     seed = _pop(entries, "seed", required=True)
     if not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
-    output = str(_pop(entries, "output", default="rgflow-out"))
 
-    box_halfwidth = _pop(entries, "disc.box_halfwidth")
-    if box_halfwidth is not None:
-        box_halfwidth = float(_number("disc.box_halfwidth", box_halfwidth, 0,
-                                      strict=True))
-    grid_points = int(_pop(entries, "disc.grid_points", default=513))
-    quadrature_order = int(_number(
-        "disc.quadrature_order",
-        _pop(entries, "disc.quadrature_order", default=80), 1))
-
-    unknown = [key for key in entries if key not in CHECK_OPTIONS]
+    unknown = ", ".join(repr(key) for key in entries if key not in OPTIONS)
     if unknown:
-        raise ConfigError(f"unknown key {', '.join(map(repr, unknown))}; "
-                          f"per-check options are {', '.join(CHECK_OPTIONS)}")
-    options = dict(entries)
-    for key in COUNT_OPTIONS:
-        if key in options:
-            _number(key, options[key], 1)
-    k = options.get("spectrum.k", 3)
-    if any(c in SPECTRAL_CHECKS for c in checks) and grid_points <= int(k) + 1:
-        raise ConfigError(
-            f"disc.grid_points must be above spectrum.k + 1 = {int(k) + 1} "
-            f"for the spectral checks, got {grid_points}")
-    return ExperimentConfig(
-        schedule=schedule, V0=V0, t_min=t_min, t_max=t_max,
-        t_count=t_count, t_spacing=t_spacing, checks=list(checks), seed=seed,
-        output=output, phi4_model=phi4_model,
-        box_halfwidth=box_halfwidth,
-        grid_points=grid_points, quadrature_order=quadrature_order,
-        options=options, raw_text="")
+        raise ConfigError(f"unknown key {unknown}; optional keys are {', '.join(OPTIONS)}")
+    options = {}
+    for key, (default, rule) in OPTIONS.items():
+        value = entries.get(key, default)
+        options[key] = None if value is None else rule.typed(value)
+        if value is not None and options[key] is None:
+            raise ConfigError(f"{key} must be {rule.domain}, got {value!r}")
+    if options["t_grid.spacing"] == "log" and options["t_grid.min"] <= 0:
+        raise ConfigError("log spacing requires t_grid.min > 0")
+    if options["t_grid.max"] <= options["t_grid.min"]:
+        raise ConfigError(f"t_grid.max must be above t_grid.min = "
+                          f"{options['t_grid.min']}, got {options['t_grid.max']}")
+    k, grid_points = options["spectrum.k"], options["disc.grid_points"]
+    if any(c in SPECTRAL_CHECKS for c in checks) and grid_points <= k + 1:
+        raise ConfigError(f"disc.grid_points must be above spectrum.k + 1 = {k + 1} "
+                          f"for the spectral checks, got {grid_points}")
+    # intertwining and variance transport grid functions by P_{0,t}, whose
+    # kernel C_t - C_0 must fit in the box
+    box, t_max = options["disc.box_halfwidth"], options["variance.t_max"]
+    ends = ([max(options["intertwining.times"])] if "intertwining" in checks else []) + (
+        [math.inf if t_max is None else t_max] if "variance" in checks else [])
+    if box is not None and ends:
+        c_end = schedule.c_infinity if max(ends) == math.inf else schedule.eval(max(ends))[0]
+        reach = _KERNEL_SIGMAS * math.sqrt(max(
+            np.linalg.eigvalsh(c_end - schedule.eval(0.0)[0])[-1], 0.0))
+        if box < reach:
+            raise ConfigError(f"disc.box_halfwidth must be at least {reach:.6g}, the "
+                              f"{_KERNEL_SIGMAS:g}-sigma reach of P_(0,t) up to t = "
+                              f"{max(ends):g}, got {box}")
+    return ExperimentConfig(schedule=schedule, V0=V0, checks=list(checks),
+                            seed=seed, phi4_model=phi4_model, options=options)
 
 
 def load_config(path: str, seed_override: int | None = None,
@@ -318,7 +331,7 @@ def load_config(path: str, seed_override: int | None = None,
         cfg.seed = int(seed_override)
         echo += f"\n# override\nseed = {cfg.seed}\n"
     if output_override is not None:
-        cfg.output = output_override
-        echo += f"output = {cfg.output}\n"
+        cfg.options["output"] = output_override
+        echo += f"output = {output_override}\n"
     cfg.raw_text = echo
     return cfg

@@ -9,5 +9,5 @@ class NonConvergenceError(RuntimeError):
     """Raised when an iterative solver or estimator fails its convergence contract."""
 
 
-class QuadratureOverflowError(RuntimeError):
-    """Raised when a Gaussian expectation cannot be stabilized at the current order."""
+class QuadratureOverflowError(NonConvergenceError):
+    """Raised when a quadrature overflows or a grid weight underflows."""

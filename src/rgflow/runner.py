@@ -63,13 +63,10 @@ class _Context:
         self.cfg = cfg
         self.schedule, self.V0 = cfg.schedule, cfg.V0
         self.phi4_model = cfg.phi4_model
-        dim = self.V0.dimension
-        self.quad = QuadratureRule.for_dimension(dim, order=cfg.quadrature_order)
-        if cfg.box_halfwidth is not None:
-            self.box = Box.cube(cfg.box_halfwidth, dim)
-        else:
-            self.box = default_box(self.schedule)
-        self.spectrum_k = int(cfg.option("spectrum.k", 3))
+        self.options = opts = cfg.options
+        dim, box = self.V0.dimension, opts["disc.box_halfwidth"]
+        self.quad = QuadratureRule.for_dimension(dim, order=opts["disc.quadrature_order"])
+        self.box = default_box(self.schedule) if box is None else Box.cube(box, dim)
         self._chi = {}
         self._sigma_min = {}
 
@@ -80,7 +77,8 @@ class _Context:
         if self.V0.form in _CLOSED_FORMS:
             return np.zeros((1, self.V0.dimension))
         fm0 = make_flow_measure(self.schedule, self.V0, 0.0,
-                                self.cfg.grid_points, box=self.box, q=self.quad)
+                                self.options["disc.grid_points"], box=self.box,
+                                q=self.quad)
         return default_sample_points(fm0, seed=self.cfg.seed)
 
     def chi(self, t: float):
@@ -99,15 +97,12 @@ class _Context:
         return self._sigma_min[t]
 
     def schedule_t_grid(self):
-        cfg = self.cfg
-        count = int(cfg.option("curvature.count", 60))
-        t_max = cfg.t_max
+        count, t_max = self.options["curvature.count"], self.options["t_grid.max"]
         if self.schedule.kind == "pauli-villars":
             base = curvature_mod.pv_t_grid(t_max, count)
         else:
             base = np.linspace(0.0, t_max, count)
-        extra = cfg.t_grid()
-        return np.unique(np.concatenate([base, extra[extra <= t_max + 1e-12]]))
+        return np.unique(np.concatenate([base, self.cfg.t_grid()]))
 
     @cached_property
     def sampled_curvature(self):
@@ -136,14 +131,14 @@ class _Context:
         """Flow measures on the spectral t grid."""
         return _map_scales(
             lambda t: make_flow_measure(self.schedule, self.V0, float(t),
-                                        self.cfg.grid_points, box=self.box,
-                                        q=self.quad),
+                                        self.options["disc.grid_points"],
+                                        box=self.box, q=self.quad),
             self.cfg.t_grid(), self.V0)
 
     @cached_property
     def spectral_trace(self):
         """Spectra of the flow generators on the spectral t grid."""
-        return [spectrum(build_generator(fm), k=self.spectrum_k, refine=True)
+        return [spectrum(build_generator(fm), k=self.options["spectrum.k"], refine=True)
                 for fm in self.flow_measures]
 
 
@@ -192,7 +187,7 @@ def _check_spectrum(ctx: _Context, report: RunReport):
 def _check_criterion(ctx: _Context, report: RunReport):
     curv = ctx.curvature
     sampled = ctx.sampled_curvature.lambda_prime
-    tol = float(ctx.cfg.option("criterion.tolerance", 1e-6))
+    tol = ctx.options["criterion.tolerance"]
     ok = True
     for i, t in enumerate(curv.t_grid):
         te = curvature_mod.rate_time(curv.t_grid, i)
@@ -215,7 +210,7 @@ def _check_criterion(ctx: _Context, report: RunReport):
 
 
 def _check_theorem(ctx: _Context, report: RunReport):
-    tol = float(ctx.cfg.option("theorem.tolerance", curvature_mod.TOL_TOTAL))
+    tol = ctx.options["theorem.tolerance"]
     trace = [(float(t), res.poincare_constant)
              for t, res in zip(ctx.cfg.t_grid(), ctx.spectral_trace)]
     margins = curvature_mod.theorem_margin(trace, ctx.curvature,
@@ -224,33 +219,29 @@ def _check_theorem(ctx: _Context, report: RunReport):
 
 
 def _check_higher_k(ctx: _Context, report: RunReport):
-    tol = float(ctx.cfg.option("theorem.tolerance", curvature_mod.TOL_TOTAL))
+    tol = ctx.options["theorem.tolerance"]
     traces = {kk: [(float(t), res.eigenvalue(kk))
                    for t, res in zip(ctx.cfg.t_grid(), ctx.spectral_trace)]
-              for kk in range(1, ctx.spectrum_k + 1)}
+              for kk in range(1, ctx.options["spectrum.k"] + 1)}
     margins = curvature_mod.higher_eigenvalue_margin(traces, ctx.curvature,
                                                      tol_total=tol)
     return _margin_rows(report, "higher-k", margins)
 
 
 def _check_intertwining(ctx: _Context, report: RunReport):
-    times = ctx.cfg.option("intertwining.times", [0.5, 1.0, 2.0])
-    n_bumps = int(ctx.cfg.option("intertwining.bumps", 3))
-    tol = float(ctx.cfg.option("intertwining.tolerance", 1e-6 + 1e-4))
+    tol = ctx.options["intertwining.tolerance"]
     curv = ctx.curvature
-    xs = ctx.box.axes((ctx.cfg.grid_points,))[0]
+    xs = ctx.box.axes((ctx.options["disc.grid_points"],))[0]
     rng = np.random.default_rng(ctx.cfg.seed)
     ok = True
-    for b in range(n_bumps):
+    for b in range(ctx.options["intertwining.bumps"]):
         center = rng.uniform(-1.5, 1.5)
         width = rng.uniform(0.6, 1.2)
         F = GridFunction(ctx.box, np.exp(-(xs - center) ** 2 / (2 * width**2)))
-        for t in times:
-            viol = curvature_mod.intertwining_check(ctx.schedule, ctx.V0, F,
-                                                    float(t), curv, ctx.quad)
-            report.rows.append(dict(section="margin", check="intertwining",
-                                    t=float(t), k=b, margin=viol,
-                                    tolerance=tol,
+        for t in ctx.options["intertwining.times"]:
+            viol = curvature_mod.intertwining_check(ctx.schedule, ctx.V0, F, t, curv, ctx.quad)
+            report.rows.append(dict(section="margin", check="intertwining", t=t, k=b,
+                                    margin=viol, tolerance=tol,
                                     detail=f"bump center={center:.3f}"))
             ok = ok and viol <= tol
     return "pass" if ok else "fail"
@@ -276,13 +267,15 @@ def _variance_t_max(schedule, t_max: float) -> float:
 
 def _check_variance(ctx: _Context, report: RunReport):
     gaussian = ctx.V0.form == "zero"
-    tol = float(ctx.cfg.option("variance.tolerance",
-                               1e-6 if gaussian else 1e-3))
-    t_max = ctx.cfg.option("variance.t_max")
-    t_max = (_variance_t_max(ctx.schedule, 20.0 if gaussian else 30.0)
-             if t_max is None else float(t_max))
-    count = int(ctx.cfg.option("variance.count", 2600 if gaussian else 380))
-    xs = ctx.box.axes((ctx.cfg.grid_points,))[0]
+    tol, t_max, count = (ctx.options["variance.tolerance"], ctx.options["variance.t_max"],
+                         ctx.options["variance.count"])
+    if tol is None:  # the model-dependent defaults
+        tol = 1e-6 if gaussian else 1e-3
+    if t_max is None:
+        t_max = _variance_t_max(ctx.schedule, 20.0 if gaussian else 30.0)
+    if count is None:
+        count = 2600 if gaussian else 380
+    xs = ctx.box.axes((ctx.options["disc.grid_points"],))[0]
     F = GridFunction(ctx.box, xs.copy() if gaussian else np.exp(-xs**2))
     tg = graded_t_grid(t_max, count, growth=3.0 if gaussian else 3.5)
     if gaussian:
@@ -304,26 +297,23 @@ def _check_variance(ctx: _Context, report: RunReport):
 
 
 def _check_phi4_identity(ctx: _Context, report: RunReport):
-    tol = float(ctx.cfg.option("phi4.identity_tolerance", 1e-5))
-    times = ctx.cfg.option("phi4.identity_times", [0.5, 1.0, 2.0])
-    n_samp = int(ctx.cfg.option("phi4.identity_samples", 10))
+    tol = ctx.options["phi4.identity_tolerance"]
+    n_samp = ctx.options["phi4.identity_samples"]
     rng = np.random.default_rng(ctx.cfg.seed)
     phis = rng.normal(0.0, 1.0, size=(n_samp, ctx.phi4_model.n_sites))
     ok = True
-    for t in times:
-        err = phi4_mod.hessian_identity_check(ctx.phi4_model, float(t), phis)
+    for t in ctx.options["phi4.identity_times"]:
+        err = phi4_mod.hessian_identity_check(ctx.phi4_model, t, phis)
         report.rows.append(dict(section="margin", check="phi4-identity",
-                                t=float(t), margin=err, tolerance=tol,
+                                t=t, margin=err, tolerance=tol,
                                 detail=f"{n_samp} seeded samples"))
         ok = ok and err <= tol
     return "pass" if ok else "fail"
 
 
 def _check_heatflow(ctx: _Context, report: RunReport):
-    source = ctx.cfg.option("heatflow.input", "uniform")
-    s_max = float(ctx.cfg.option("heatflow.s_max", 2.0))
-    s_count = int(ctx.cfg.option("heatflow.s_count", 9))
-    tol = float(ctx.cfg.option("heatflow.tolerance", 1e-4))
+    opts = ctx.options
+    source, tol = opts["heatflow.input"], opts["heatflow.tolerance"]
     if source == "uniform":
         x = np.linspace(-1.0, 1.0, 2001)
         dens = np.full_like(x, 0.5)
@@ -332,9 +322,9 @@ def _check_heatflow(ctx: _Context, report: RunReport):
         dens = np.exp(-x**2 / 2) / math.sqrt(2 * math.pi)
     else:
         from .flow import load_density_table
-        x, dens = load_density_table(str(source))
-    rep = heatflow_harness(x, dens, np.linspace(0.0, s_max, s_count),
-                           monotone_tol=tol)
+        x, dens = load_density_table(source)
+    s_grid = np.linspace(0.0, opts["heatflow.s_max"], opts["heatflow.s_count"])
+    rep = heatflow_harness(x, dens, s_grid, monotone_tol=tol)
     for s, cp in zip(rep.s_grid, rep.poincare):
         report.rows.append(dict(section="margin", check="heatflow", s=float(s),
                                 value=float(cp),
@@ -368,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     report = RunReport(config_echo=cfg.raw_text)
     ctx = _Context(cfg)
     if any(c in cfg.checks for c in SPECTRAL_CHECKS):
-        report.max_k = ctx.spectrum_k
+        report.max_k = cfg.options["spectrum.k"]
     ordered = [c for c in CHECK_ORDER if c in cfg.checks]
     for name in ordered:
         try:
@@ -395,34 +385,27 @@ def report_header(report: RunReport) -> list[str]:
             + ["converged", "margin", "tolerance", "value", "detail"])
 
 
-def emit_report(report: RunReport, out_dir: str,
-                formats=("csv", "json-lines")) -> list[str]:
+def emit_report(report: RunReport, out_dir: str) -> list[str]:
     """Write results.csv / results.jsonl / config.echo under ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     header = report_header(report)
-    written = []
-    if "csv" in formats:
-        path = os.path.join(out_dir, "results.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            # the minimal quoting leaves a bare "\r" unquoted, which readers
-            # take for a line end; such rows are written fully quoted
-            quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-            writer.writerow(header)
-            for row in report.rows:
-                cells = [_fmt(row.get(col, "")) for col in header]
-                (quoted if any("\r" in c for c in cells) else writer).writerow(cells)
-        written.append(path)
-    if "json-lines" in formats:
-        path = os.path.join(out_dir, "results.jsonl")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in report.rows:
-                cells = {col: _fmt(row.get(col, "")) for col in header}
-                fh.write(json.dumps(cells, separators=(",", ":"),
-                                    ensure_ascii=False) + "\n")
-        written.append(path)
+    csv_path = os.path.join(out_dir, "results.csv")
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        # the minimal quoting leaves a bare "\r" unquoted, which readers
+        # take for a line end; such rows are written fully quoted
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(header)
+        for row in report.rows:
+            cells = [_fmt(row.get(col, "")) for col in header]
+            (quoted if any("\r" in c for c in cells) else writer).writerow(cells)
+    jsonl_path = os.path.join(out_dir, "results.jsonl")
+    with open(jsonl_path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in report.rows:
+            cells = {col: _fmt(row.get(col, "")) for col in header}
+            fh.write(json.dumps(cells, separators=(",", ":"),
+                                ensure_ascii=False) + "\n")
     echo_path = os.path.join(out_dir, "config.echo")
     with open(echo_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.config_echo)
-    written.append(echo_path)
-    return written
+    return [csv_path, jsonl_path, echo_path]

@@ -39,7 +39,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import NonConvergenceError
+from .errors import NonConvergenceError, QuadratureOverflowError
 from .flow import Box, FlowMeasure, GridFunction, integrate_grid
 from .potential import QuadratureRule
 
@@ -186,7 +186,7 @@ def build_generator(flow_measure: FlowMeasure, cprime=None,
     raw_w = np.exp(log_w - np.max(log_w))
     frac_zero = float(np.count_nonzero(raw_w == 0.0)) / raw_w.size
     if frac_zero > _UNDERFLOW_FRAC:
-        raise ValueError(
+        raise QuadratureOverflowError(
             f"box too large / resolution too coarse: weight underflows at "
             f"{100 * frac_zero:.1f}% of nodes")
 

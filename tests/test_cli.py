@@ -367,6 +367,24 @@ UNEXECUTABLE = {
     "disc.box_halfwidth": GAUSS_CFG.replace(
         "disc.grid_points = 257", "disc.grid_points = 257\n"
         "disc.box_halfwidth = -1"),
+    # P_{0,2} of the heat kernel reaches 6 sqrt(1 - e^-2) = 5.58
+    "disc.box_halfwidth=2": GAUSS_CFG.replace(
+        "[spectrum, theorem]", "[intertwining]") + "disc.box_halfwidth = 2\n",
+    "intertwining.times=[]": GAUSS_CFG + "intertwining.times = []\n",
+    "intertwining.times=[0.0]": GAUSS_CFG + "intertwining.times = [0.0]\n",
+    "intertwining.times=[-1.0]": GAUSS_CFG + "intertwining.times = [-1.0]\n",
+    "phi4.identity_times=[]": GAUSS_CFG + "phi4.identity_times = []\n",
+    "phi4.identity_times=[0.0]": GAUSS_CFG + "phi4.identity_times = [0.0]\n",
+    "variance.count=1": GAUSS_CFG + "variance.count = 1\n",
+    "variance.t_max=-1": GAUSS_CFG + "variance.t_max = -1\n",
+    "heatflow.s_max=-1": GAUSS_CFG + "heatflow.s_max = -1\n",
+    "heatflow.s_count=1": GAUSS_CFG + "heatflow.s_count = 1\n",
+    "heatflow.tolerance=abc": GAUSS_CFG + "heatflow.tolerance = abc\n",
+    "intertwining.bumps=2.7": GAUSS_CFG + "intertwining.bumps = 2.7\n",
+    "disc.grid_points=65.7": GAUSS_CFG.replace(
+        "disc.grid_points = 257", "disc.grid_points = 65.7"),
+    "t_grid.count=2.9": GAUSS_CFG.replace("t_grid.count = 5", "t_grid.count = 2.9"),
+    "t_grid.max": GAUSS_CFG.replace("t_grid.max = 2.0", "t_grid.max = 0.4"),
 }
 
 
@@ -377,7 +395,7 @@ def test_unexecutable_values_rejected_before_compute(tmp_path, key, command):
     path.write_text(UNEXECUTABLE[key].format(out=tmp_path / "out"))
     res = _run_cli(command, str(path))
     assert res.returncode == 2, res.stdout
-    assert f"config error: {key} must be" in res.stderr
+    assert f"config error: {key.partition('=')[0]} must be" in res.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -389,10 +407,15 @@ COUNT_OPTIONS = {"intertwining.bumps": -2, "curvature.count": 0,
 @pytest.mark.parametrize("key", sorted(COUNT_OPTIONS))
 def test_count_options_below_one_rejected(key):
     text = GAUSS_CFG.format(out="x") + f"{key} = {COUNT_OPTIONS[key]}\n"
-    with pytest.raises(ConfigError, match=f"{key} must be a number >= 1"):
+    with pytest.raises(ConfigError, match=f"{key} must be an integer"):
         config_from_text(text)
-    # a count of 1 is allowed
-    config_from_text(GAUSS_CFG.format(out="x") + f"{key} = 1\n")
+    # a count of 1 is allowed where one point is enough
+    one = GAUSS_CFG.format(out="x") + f"{key} = 1\n"
+    if key in ("variance.count", "heatflow.s_count"):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer >= 2"):
+            config_from_text(one)
+    else:
+        config_from_text(one)
 
 
 @pytest.mark.parametrize("key", ["spectrum.kk", "theorem.tolerence",
@@ -415,14 +438,39 @@ def test_check_options_are_the_keys_the_runner_reads():
     import inspect
     import re
 
+    import rgflow.cli as cli_mod
     import rgflow.runner as runner_mod
-    from rgflow.config import CHECK_OPTIONS, COUNT_OPTIONS
+    from rgflow.config import OPTIONS, ExperimentConfig
 
-    read = set(re.findall(r'option\("([^"]+)"',
-                          inspect.getsource(runner_mod)))
-    assert read == set(CHECK_OPTIONS)
-    assert len(CHECK_OPTIONS) == len(set(CHECK_OPTIONS)) == 17
-    assert set(COUNT_OPTIONS) <= set(CHECK_OPTIONS)
+    source = "".join(inspect.getsource(m)
+                     for m in (runner_mod, cli_mod, ExperimentConfig))
+    read = set(re.findall(r'opt(?:ion)?s\["([^"]+)"\]', source))
+    assert read == set(OPTIONS)
+    # the table holds every default: no reads with a fallback of their own
+    assert not re.search(r"\.option\(|opt(?:ion)?s\.get\(", source)
+
+
+def test_readme_lists_the_options_table():
+    import pathlib
+
+    from rgflow.config import OPTIONS, _parse_value
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| option | default | domain |\n|---|---|---|\n")[1]
+    rows = {}
+    for line in table.split("\n\n")[0].splitlines():
+        key, default, domain = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[key.strip("`")] = (default, domain)
+    assert list(rows) == list(OPTIONS)
+    for key, (default, rule) in OPTIONS.items():
+        cell, domain = rows[key]
+        assert domain == rule.domain, key
+        if default is None:  # resolved from the model: described in words
+            assert "`" not in cell, key
+        else:
+            assert cell.startswith("`") and cell.endswith("`"), key
+            assert _parse_value(cell.strip("`")) == default, key
 
 
 def test_negative_seed_override_rejected(tmp_path):
@@ -558,3 +606,107 @@ def test_shipped_configs_validate():
     texts = blocks + [text + "seed = 1\n" for text in workloads.CONFIGS.values()]
     for text in texts:
         assert config_from_text(text).checks
+
+
+# 1-site phi4 on 65 nodes at order 20: every check runs on it in about a
+# second with no numerical breakdown.
+SWEEP_BASE = """\
+model.kind = phi4
+model.a_matrix = [[1.0]]
+model.g = 1.0
+model.nu = -1.0
+t_grid.min = 0.5
+t_grid.max = 2.0
+t_grid.count = 3
+t_grid.spacing = lin
+disc.grid_points = 65
+disc.quadrature_order = 20
+seed = 20240601
+"""
+
+
+@pytest.mark.parametrize("edit", ["model.g = 1e6", "disc.box_halfwidth = 1e4"])
+def test_weight_underflow_ends_unconverged(tmp_path, edit):
+    from rgflow import cli
+
+    path = tmp_path / "a.cfg"
+    path.write_text(SWEEP_BASE.replace("model.g = 1.0\n", "") + edit
+                    + f"\nchecks = [spectrum]\noutput = {tmp_path / 'out'}\n")
+    assert cli.main(["run", str(path)]) == 3
+    (status,) = [r for r in csv.DictReader(open(tmp_path / "out" / "results.csv"))
+                 if r["section"] == "status"]
+    assert status["status"] == "unconverged"
+    assert status["detail"].startswith("box too large / resolution too coarse")
+
+
+def _sweep_values(domain: str, tmp_path) -> list:
+    """Config values to try for an option of ``domain``: its boundaries,
+    values just outside it and a few inside."""
+    if domain.startswith("an integer >= "):
+        low = int(domain.rsplit(" ", 1)[1])
+        return [low - 1, low, low + 1, low + 0.5, 12]
+    table = tmp_path / "density.tab"
+    xs = np.linspace(-4.0, 4.0, 161)
+    dens = np.exp(-xs**4)
+    np.savetxt(table, np.column_stack([xs, dens / np.trapezoid(dens, xs)]))
+    return {
+        "a number": [-1.0, 0.0, 1e-12, 1e3, "nan", "abc"],
+        "a number > 0": [-1, 0, 1e-6, 0.5, 50.0],
+        "a number >= 0": [-0.1, 0, 1e-6, 0.3, 1.9],
+        "a non-empty list of numbers > 0": ["[]", "[0.0]", "[-1.0]", "[1e-3]",
+                                            "[0.5]", "[1.0, 2.0]", "[50.0]"],
+        "lin or log": ["lin", "log", "geo"],
+        "a path": [tmp_path / "edited"],
+        # a table that cannot be read is a module error of the check, as
+        # test_module_error_attaches_to_check expects, not a domain error
+        "uniform, gaussian or a density table path": ["uniform", "gaussian", table],
+    }[domain]
+
+
+# The check whose run an edit of a key's section exercises; the t_grid,
+# disc and output keys serve every check.
+SWEEP_OWNER = {"spectrum": "spectrum", "criterion": "criterion",
+               "curvature": "criterion", "theorem": "theorem",
+               "intertwining": "intertwining", "variance": "variance",
+               "phi4": "phi4-identity", "heatflow": "heatflow"}
+
+
+def test_seeded_single_key_sweep(tmp_path, capsys):
+    """Two seeded edits of every option on SWEEP_BASE.  validate rejects an
+    edit with exit 2, naming its key, or the run of the check the key
+    belongs to exits 0, 1 or 3 with parseable reports, no `pass` without a
+    margin row and no Python exception reported as a `fail`."""
+    from rgflow import cli
+    from rgflow.config import KNOWN_CHECKS, OPTIONS
+
+    rng = np.random.default_rng(20240601)
+    for n, (key, (_, rule)) in enumerate(OPTIONS.items()):
+        values = _sweep_values(rule.domain, tmp_path)
+        for m in rng.choice(len(values), size=min(2, len(values)), replace=False):
+            value = values[m]
+            check = SWEEP_OWNER.get(key.split(".")[0]) or rng.choice(KNOWN_CHECKS)
+            out = tmp_path / f"out{n}-{m}"
+            text = "".join(line + "\n" for line in SWEEP_BASE.splitlines()
+                           if not line.startswith(key + " "))
+            text += f"checks = [{check}]\n{key} = {value}\n"
+            if key != "output":
+                text += f"output = {out}\n"
+            path = tmp_path / "edit.cfg"
+            path.write_text(text)
+            capsys.readouterr()
+            code = cli.main(["run", str(path)])
+            edit = f"{key} = {value} [{check}]"
+            if code == 2:
+                assert key in capsys.readouterr().err, edit
+                continue
+            assert code in (0, 1, 3), edit
+            out = value if key == "output" else out
+            rows = list(csv.DictReader(open(out / "results.csv")))
+            assert rows == [json.loads(line)
+                            for line in open(out / "results.jsonl")], edit
+            (status,) = [r for r in rows if r["section"] == "status"]
+            assert status["check"] == check
+            assert status["status"] != "fail" or status["detail"] == "", edit
+            if status["status"] == "pass":
+                assert any(r["margin"] or r["section"] == "spectrum"
+                           for r in rows if r["section"] != "status"), edit

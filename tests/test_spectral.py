@@ -125,12 +125,14 @@ def test_generator_annihilates_constants(ou_gen):
 
 
 def test_underflow_box_rejected():
+    from rgflow.errors import QuadratureOverflowError
+
     sched = make_schedule("heat-kernel", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.zero(1)
     q = QuadratureRule(order=40, dimension=1)
     from rgflow.flow import Box
     fm = make_flow_measure(sched, V0, 0.0, 513, box=Box((-300.0,), (300.0,)), q=q)
-    with pytest.raises(ValueError, match="box too large"):
+    with pytest.raises(QuadratureOverflowError, match="box too large"):
         build_generator(fm)
 
 
