@@ -34,7 +34,7 @@ import numpy as np
 from .covariance import CovarianceSchedule, make_schedule, schedule_from_table_file
 from .curvature import TOL_TOTAL
 from .errors import ConfigError
-from .flow import _KERNEL_SIGMAS
+from .flow import _KERNEL_SIGMAS, load_density_table
 from .phi4 import Phi4Model
 from .potential import MAX_TENSOR_DIM, PotentialDescriptor
 
@@ -58,9 +58,23 @@ def _finite(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
-def _count(low: int) -> _Rule:
-    return _Rule(f"an integer >= {low}", lambda v: int(v)
-                 if _finite(v) and v == int(v) and v >= low else None)
+def _count(low: int, high: float = math.inf) -> _Rule:
+    domain = f"an integer >= {low}" if high == math.inf else f"an integer in [{low}, {high}]"
+    return _Rule(domain, lambda v: int(v)
+                 if _finite(v) and v == int(v) and low <= v <= high else None)
+
+
+def _density_input(v):
+    """The heat-flow input density as nodes and values (x, density): a
+    built-in one, or the table at path ``v``, read here so that a missing or
+    malformed table fails validation."""
+    if v == "uniform":
+        x = np.linspace(-1.0, 1.0, 2001)
+        return x, np.full_like(x, 0.5)
+    if v == "gaussian":
+        x = np.linspace(-9.0, 9.0, 1801)
+        return x, np.exp(-x**2 / 2) / math.sqrt(2 * math.pi)
+    return load_density_table(str(v))
 
 
 _NUMBER = _Rule("a number", lambda v: float(v) if _finite(v) else None)
@@ -70,7 +84,9 @@ _TIMES = _Rule("a non-empty list of numbers > 0",
                and all(_finite(t) and t > 0 for t in v) else None)
 
 # Every optional key: its default and its domain.  A None default depends on
-# the model and is resolved where the key is read.
+# the model and is resolved where the key is read.  ``variance.count`` is
+# capped because its Gauss-Legendre rule solves a dense count x count
+# eigenproblem.
 OPTIONS = {
     "t_grid.min": (0.05, _Rule("a number >= 0",
                                lambda v: float(v) if _finite(v) and v >= 0 else None)),
@@ -90,11 +106,12 @@ OPTIONS = {
     "intertwining.tolerance": (1.01e-4, _NUMBER),
     "variance.tolerance": (None, _NUMBER),
     "variance.t_max": (None, _POSITIVE),
-    "variance.count": (None, _count(2)),
+    "variance.count": (32, _count(2, 256)),
     "phi4.identity_tolerance": (1e-5, _NUMBER),
     "phi4.identity_times": ([0.5, 1.0, 2.0], _TIMES),
     "phi4.identity_samples": (10, _count(1)),
-    "heatflow.input": ("uniform", _Rule("uniform, gaussian or a density table path", str)),
+    "heatflow.input": ("uniform", _Rule("uniform, gaussian or a density table path",
+                                        _density_input)),
     "heatflow.s_max": (2.0, _POSITIVE),
     "heatflow.s_count": (9, _count(2)),
     "heatflow.tolerance": (1e-4, _NUMBER),
@@ -290,9 +307,12 @@ def config_from_text(text: str) -> ExperimentConfig:
     options = {}
     for key, (default, rule) in OPTIONS.items():
         value = entries.get(key, default)
-        options[key] = None if value is None else rule.typed(value)
+        try:
+            options[key], reason = None if value is None else rule.typed(value), ""
+        except (ValueError, OSError) as exc:  # an unreadable table
+            options[key], reason = None, f": {exc}"
         if value is not None and options[key] is None:
-            raise ConfigError(f"{key} must be {rule.domain}, got {value!r}")
+            raise ConfigError(f"{key} must be {rule.domain}, got {value!r}{reason}")
     if options["t_grid.spacing"] == "log" and options["t_grid.min"] <= 0:
         raise ConfigError("log spacing requires t_grid.min > 0")
     if options["t_grid.max"] <= options["t_grid.min"]:

@@ -398,6 +398,10 @@ def _tilted_derivatives(V0: PotentialDescriptor, shifts, xb: np.ndarray,
             hesss[rows, diag, diag] += mean_diag
         else:
             hesss[rows] = mean_hess - cov
+    if not (np.all(np.isfinite(grads)) and np.all(np.isfinite(hesss))):
+        raise QuadratureOverflowError(
+            "quadrature overflow in derivatives: non-finite gradient or "
+            "Hessian; the potential is too large for double precision")
     return grads, hesss
 
 

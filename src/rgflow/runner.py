@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -27,8 +26,8 @@ from .config import SPECTRAL_CHECKS, ExperimentConfig
 from .covariance import RESIDUAL_FLOOR
 from .errors import NonConvergenceError
 from .flow import (Box, GridFunction, _map_scales, conservation_check,
-                   default_box, default_sample_points, graded_t_grid,
-                   heatflow_harness, make_flow_measure)
+                   default_box, default_sample_points, heatflow_harness,
+                   make_flow_measure)
 from .potential import _CLOSED_FORMS, QuadratureRule
 from .spectral import build_generator, spectrum
 
@@ -267,25 +266,20 @@ def _variance_t_max(schedule, t_max: float) -> float:
 
 def _check_variance(ctx: _Context, report: RunReport):
     gaussian = ctx.V0.form == "zero"
-    tol, t_max, count = (ctx.options["variance.tolerance"], ctx.options["variance.t_max"],
-                         ctx.options["variance.count"])
+    tol, t_max = ctx.options["variance.tolerance"], ctx.options["variance.t_max"]
     if tol is None:  # the model-dependent defaults
         tol = 1e-6 if gaussian else 1e-3
     if t_max is None:
         t_max = _variance_t_max(ctx.schedule, 20.0 if gaussian else 30.0)
-    if count is None:
-        count = 2600 if gaussian else 380
     xs = ctx.box.axes((ctx.options["disc.grid_points"],))[0]
     F = GridFunction(ctx.box, xs.copy() if gaussian else np.exp(-xs**2))
-    tg = graded_t_grid(t_max, count, growth=3.0 if gaussian else 3.5)
+    tail_bound = {}
     if gaussian:
         curv = ctx.curvature
-        rep = conservation_check(
-            ctx.schedule, ctx.V0, F, tg, ctx.quad,
-            lambda_at_T=curv.lambda_prime_at(curv.t_grid[-1]) * t_max,
-            lambda_prime_floor=float(np.min(curv.lambda_prime)))
-    else:
-        rep = conservation_check(ctx.schedule, ctx.V0, F, tg, ctx.quad)
+        tail_bound = dict(lambda_at_T=curv.lambda_prime_at(curv.t_grid[-1]) * t_max,
+                          lambda_prime_floor=float(np.min(curv.lambda_prime)))
+    rep = conservation_check(ctx.schedule, ctx.V0, F, t_max,
+                             ctx.options["variance.count"], ctx.quad, **tail_bound)
     report.rows.append(dict(
         section="margin", check="variance", margin=rep.relative_mismatch,
         tolerance=tol, value=rep.variance,
@@ -313,16 +307,7 @@ def _check_phi4_identity(ctx: _Context, report: RunReport):
 
 def _check_heatflow(ctx: _Context, report: RunReport):
     opts = ctx.options
-    source, tol = opts["heatflow.input"], opts["heatflow.tolerance"]
-    if source == "uniform":
-        x = np.linspace(-1.0, 1.0, 2001)
-        dens = np.full_like(x, 0.5)
-    elif source == "gaussian":
-        x = np.linspace(-9.0, 9.0, 1801)
-        dens = np.exp(-x**2 / 2) / math.sqrt(2 * math.pi)
-    else:
-        from .flow import load_density_table
-        x, dens = load_density_table(source)
+    (x, dens), tol = opts["heatflow.input"], opts["heatflow.tolerance"]
     s_grid = np.linspace(0.0, opts["heatflow.s_max"], opts["heatflow.s_count"])
     rep = heatflow_harness(x, dens, s_grid, monotone_tol=tol)
     for s, cp in zip(rep.s_grid, rep.poincare):

@@ -18,8 +18,8 @@ from rgflow.curvature import (alpha_prime, build_schedule, integrate_schedules,
                               multiscale_margin, poincare_upper_bound,
                               pv_t_grid, theorem_margin)
 from rgflow.flow import (GridFunction, conservation_check, default_box,
-                         default_sample_points, graded_t_grid,
-                         heatflow_harness, make_flow_measure)
+                         default_sample_points, heatflow_harness,
+                         make_flow_measure)
 from rgflow.phi4 import Phi4Model, hessian_identity_check, phi4_schedules, susceptibility
 from rgflow.potential import (PotentialDescriptor, QuadratureRule,
                               renormalized_derivatives, renormalized_value)
@@ -201,13 +201,13 @@ def test_criterion_08_variance_decomposition(dwell):
     box = default_box(sched_g)
     xs = box.axes((513,))[0]
     rep_g = conservation_check(sched_g, V0_g, GridFunction(box, xs.copy()),
-                               graded_t_grid(20.0, 2600), qg,
+                               20.0, 32, qg,
                                lambda_at_T=10.0, lambda_prime_floor=0.5)
 
     model, sched, V0, q, box4 = dwell
     xs4 = box4.axes((513,))[0]
     rep_p = conservation_check(sched, V0, GridFunction(box4, np.exp(-xs4**2)),
-                               graded_t_grid(30.0, 380, growth=3.5), q)
+                               30.0, 32, q)
     ok = (rep_g.relative_mismatch <= 1e-6
           and rep_p.relative_mismatch <= 1e-3
           and rep_p.tail_estimate < 1e-4 and rep_p.tail_ok)

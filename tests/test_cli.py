@@ -1,5 +1,7 @@
 import csv
 import json
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from rgflow.config import config_from_text, load_config, parse_config_text
+from rgflow.config import OPTIONS, config_from_text, load_config, parse_config_text
 from rgflow.errors import ConfigError
 from rgflow.runner import RunReport, emit_report, report_header, run_experiment
 
@@ -140,18 +142,31 @@ def test_failing_check_exit_code(tmp_path):
     assert "theorem: fail" in res.stdout
 
 
-def test_module_error_attaches_to_check(tmp_path):
-    # a missing heat-flow table is met only when the check runs: the error
-    # is attached to that check while the other checks finish
-    missing = tmp_path / "no-such-density.txt"
+def test_module_error_attaches_to_check(tmp_path, monkeypatch):
+    # an error raised in a check's module is attached to that check while
+    # the other checks finish
+    import rgflow.runner as runner_mod
+
+    def broken(*args, **kwargs):
+        raise ValueError("density table has negative entries")
+
+    monkeypatch.setattr(runner_mod, "heatflow_harness", broken)
     text = GAUSS_CFG.format(out=tmp_path / "out").replace(
         "checks = [spectrum, theorem]", "checks = [spectrum, heatflow]")
-    cfg = config_from_text(text + f"heatflow.input = {missing}\n")
-    report = run_experiment(cfg)
+    report = run_experiment(config_from_text(text))
     assert report.statuses == {"spectrum": "pass", "heatflow": "fail"}
     assert list(report.errors) == ["heatflow"]
-    assert report.errors["heatflow"].startswith("FileNotFoundError: ")
-    assert str(missing) in report.errors["heatflow"]
+    assert report.errors["heatflow"] == ("ValueError: density table has "
+                                         "negative entries")
+
+
+def test_malformed_density_table_rejected(tmp_path):
+    table = tmp_path / "three-columns.tab"
+    np.savetxt(table, np.ones((5, 3)))
+    text = GAUSS_CFG.format(out="x") + f"heatflow.input = {table}\n"
+    with pytest.raises(ConfigError, match="heatflow.input must be .* exactly "
+                                          "two columns"):
+        config_from_text(text)
 
 
 def test_oracle_subcommand(tmp_path):
@@ -351,6 +366,7 @@ def test_dimension_limits_table():
         config_from_text(quad.replace("[spectrum, theorem]", "[variance]"))
 
 
+MISSING_TABLE = pathlib.Path(__file__).parent / "no-such-density.txt"
 UNEXECUTABLE = {
     "t_grid.min": GAUSS_CFG.replace("t_grid.min = 0.5", "t_grid.min = -0.5"),
     "seed": GAUSS_CFG.replace("checks = [spectrum, theorem]",
@@ -376,6 +392,11 @@ UNEXECUTABLE = {
     "phi4.identity_times=[]": GAUSS_CFG + "phi4.identity_times = []\n",
     "phi4.identity_times=[0.0]": GAUSS_CFG + "phi4.identity_times = [0.0]\n",
     "variance.count=1": GAUSS_CFG + "variance.count = 1\n",
+    # Gauss-Legendre nodes come from a dense count x count eigenproblem
+    "variance.count=1000000": GAUSS_CFG + "variance.count = 1000000\n",
+    "heatflow.input=missing": GAUSS_CFG + f"heatflow.input = {MISSING_TABLE}\n",
+    # a Python source is no two-column table
+    "heatflow.input=malformed": GAUSS_CFG + f"heatflow.input = {__file__}\n",
     "variance.t_max=-1": GAUSS_CFG + "variance.t_max = -1\n",
     "heatflow.s_max=-1": GAUSS_CFG + "heatflow.s_max = -1\n",
     "heatflow.s_count=1": GAUSS_CFG + "heatflow.s_count = 1\n",
@@ -412,7 +433,8 @@ def test_count_options_below_one_rejected(key):
     # a count of 1 is allowed where one point is enough
     one = GAUSS_CFG.format(out="x") + f"{key} = 1\n"
     if key in ("variance.count", "heatflow.s_count"):
-        with pytest.raises(ConfigError, match=f"{key} must be an integer >= 2"):
+        domain = OPTIONS[key][1].domain
+        with pytest.raises(ConfigError, match=re.escape(f"{key} must be {domain}")):
             config_from_text(one)
     else:
         config_from_text(one)
@@ -639,11 +661,27 @@ def test_weight_underflow_ends_unconverged(tmp_path, edit):
     assert status["detail"].startswith("box too large / resolution too coarse")
 
 
+def test_huge_coupling_ends_unconverged(tmp_path):
+    # g = 1e200 overflows the tilted covariance of the Hessian: the run ends
+    # unconverged, not as a fail judged on infinite margins
+    from rgflow import cli
+
+    path = tmp_path / "a.cfg"
+    path.write_text(SWEEP_BASE.replace("model.g = 1.0", "model.g = 1e200")
+                    + f"checks = [criterion]\noutput = {tmp_path / 'out'}\n")
+    assert cli.main(["run", str(path)]) == 3
+    rows = list(csv.DictReader(open(tmp_path / "out" / "results.csv")))
+    (status,) = [r for r in rows if r["section"] == "status"]
+    assert status["status"] == "unconverged"
+    assert status["detail"].startswith("quadrature overflow in derivatives")
+    assert all(r["section"] == "status" for r in rows)
+
+
 def _sweep_values(domain: str, tmp_path) -> list:
     """Config values to try for an option of ``domain``: its boundaries,
     values just outside it and a few inside."""
-    if domain.startswith("an integer >= "):
-        low = int(domain.rsplit(" ", 1)[1])
+    if domain.startswith("an integer"):
+        low = int(re.search(r"\d+", domain).group())
         return [low - 1, low, low + 1, low + 0.5, 12]
     table = tmp_path / "density.tab"
     xs = np.linspace(-4.0, 4.0, 161)
@@ -657,8 +695,8 @@ def _sweep_values(domain: str, tmp_path) -> list:
                                             "[0.5]", "[1.0, 2.0]", "[50.0]"],
         "lin or log": ["lin", "log", "geo"],
         "a path": [tmp_path / "edited"],
-        # a table that cannot be read is a module error of the check, as
-        # test_module_error_attaches_to_check expects, not a domain error
+        # a table that cannot be read is rejected by validate (see
+        # UNEXECUTABLE)
         "uniform, gaussian or a density table path": ["uniform", "gaussian", table],
     }[domain]
 

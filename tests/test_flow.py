@@ -5,10 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rgflow import make_schedule
-from rgflow.flow import (Box, GridFunction, conservation_check, default_box,
-                         default_sample_points, graded_t_grid,
-                         heatflow_harness, load_density_table,
-                         make_flow_measure, nu_log_density, semigroup_apply)
+from rgflow.flow import (Box, GridFunction, _graded_legendre_rule,
+                         conservation_check, default_box,
+                         default_sample_points, heatflow_harness,
+                         load_density_table, make_flow_measure,
+                         nu_log_density, semigroup_apply)
 from rgflow.potential import (PotentialDescriptor, QuadratureRule,
                               renormalized_value)
 from rgflow import oracles
@@ -180,11 +181,12 @@ def test_conservation_evaluates_potential_once_per_time(dwell_chain,
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))
     passes = _count_kernel_passes(monkeypatch)
-    t_grid = np.linspace(0.0, 2.0, 5)
-    conservation_check(sched, V0, F, t_grid, q)
-    # one V0 pass over nodes x shifts per scale: V_t and P_{0,t}F share it
+    count = 4
+    conservation_check(sched, V0, F, 2.0, count, q)
+    # one V0 pass over nodes x shifts per scale: V_t and P_{0,t}F share it;
+    # and one at t = 0 for nu_0
     assert "value" not in passes
-    assert len(passes) == len(t_grid)
+    assert len(passes) == count + 1
     assert passes.pop(0.0) == [129, 1]
     assert all(p == [129, q.order] for p in passes.values())
 
@@ -206,7 +208,7 @@ def test_flow_measure_semigroup_rejects_other_grid(gauss_chain):
 def test_conservation_constant_function(gauss_chain):
     sched, V0, q, box = gauss_chain
     F = GridFunction(box, np.ones(513))
-    rep = conservation_check(sched, V0, F, np.linspace(0, 2, 9), q,
+    rep = conservation_check(sched, V0, F, 2.0, 9, q,
                              lambda_at_T=1.0, lambda_prime_floor=0.5)
     assert abs(rep.variance) < 1e-14
     assert np.max(np.abs(rep.integrand)) < 1e-14
@@ -216,14 +218,21 @@ def test_conservation_gaussian_linear(gauss_chain):
     sched, V0, q, box = gauss_chain
     xs = box.axes((513,))[0]
     F = GridFunction(box, xs.copy())
-    rep = conservation_check(sched, V0, F, graded_t_grid(20.0, 800), q,
+    rep = conservation_check(sched, V0, F, 20.0, 32, q,
                              lambda_at_T=10.0, lambda_prime_floor=0.5)
     assert_allclose(rep.variance, 1.0, atol=1e-9)
     # integrand is exp(-t) pointwise
-    assert_allclose(rep.integrand, np.exp(-rep.t_grid), atol=1e-9)
-    assert rep.relative_mismatch < 1e-5
+    assert_allclose(rep.integrand, np.exp(-rep.t_nodes), atol=1e-9)
+    assert rep.relative_mismatch <= 1e-8
     assert rep.conservation_max_dev < 1e-9
     assert rep.tail_ok
+
+
+def test_graded_legendre_rule_integrates_an_exponential():
+    t, w = _graded_legendre_rule(20.0, 32)
+    assert np.all(np.diff(t) > 0) and 0.0 < t[0] and t[-1] < 20.0
+    exact = -math.expm1(-20.0)
+    assert abs(w @ np.exp(-t) - exact) <= 1e-12 * exact
 
 
 def test_heatflow_gaussian_input_closed_form():
@@ -410,7 +419,9 @@ def test_custom_table_with_nonzero_origin_reads_v0_from_its_grid(
 def test_variance_audit_builds_v0_once_where_c0_is_nonzero(monkeypatch):
     from rgflow.potential import _gaussian_shifts
 
-    t_nodes = np.linspace(0.0, 2.0, 9)
+    # a table reads C_t at its nearest time: fine enough that no rule node
+    # snaps back to t = 0
+    t_nodes = np.linspace(0.0, 2.0, 81)
     c = 0.2 + t_nodes / (1.0 + t_nodes)       # C_0 = 0.2, not 0
     cp = 1.0 / (1.0 + t_nodes) ** 2
     cpp = -2.0 / (1.0 + t_nodes) ** 3
@@ -423,7 +434,7 @@ def test_variance_audit_builds_v0_once_where_c0_is_nonzero(monkeypatch):
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))
     passes = _count_kernel_passes(monkeypatch)
-    conservation_check(sched, V0, F, np.linspace(0.0, 2.0, 5), q)
+    conservation_check(sched, V0, F, 2.0, 4, q)
     z0, _ = _gaussian_shifts([[0.2]], 1, q)
     # one V0 pass over the grid for V_0; every P_{0,t} reads it from there
     assert passes.pop(round(float(np.ptp(z0[:, 0])), 9)) == [129, q.order]
@@ -570,7 +581,7 @@ def test_conservation_builds_one_interpolant(dwell_chain, monkeypatch):
 
     monkeypatch.setattr(stencils, "spline_coefficients", spy)
     _use_cores(monkeypatch, 4)
-    conservation_check(sched, V0, F, np.linspace(0.0, 2.0, 9), q)
+    conservation_check(sched, V0, F, 2.0, 8, q)
     assert built == [(129,)]
 
 
@@ -676,8 +687,8 @@ sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
 V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
 box = default_box(sched)
 xs = box.axes((65,))[0]
-conservation_check(sched, V0, GridFunction(box, np.exp(-xs**2)),
-                   np.linspace(0.0, 1.0, 4), QuadratureRule(order=20, dimension=1))
+conservation_check(sched, V0, GridFunction(box, np.exp(-xs**2)), 1.0, 3,
+                   QuadratureRule(order=20, dimension=1))
 model = Phi4Model(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1.0, -1.0,
                   np.zeros(2))
 box = default_box(model.schedule())
@@ -699,18 +710,18 @@ print("scipy.interpolate" in sys.modules)
 ], ids=["quadratic-serial", "quartic-pooled"])
 def test_parallel_scales_raise_the_serial_failure(V0, monkeypatch):
     # C_inf - C_t = exp(-t) falls below 1e-12 past t = 27.63, so the last
-    # nine scales all fail; the first of them in t order must be raised
+    # three nodes of the 32-node rule on [0, 30] all fail; the first of them
+    # in t order must be raised
     sched = make_schedule("heat-kernel", c_infinity=[[1.0]])
     q = QuadratureRule(order=40, dimension=1)
     box = default_box(sched)
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))
-    t_grid = graded_t_grid(30.0, 380, growth=3.5)
     messages = []
     for cores in (1, 4):
         _use_cores(monkeypatch, cores)
-        with pytest.raises(ValueError, match=r"at t=27\.797") as err:
-            conservation_check(sched, V0, F, t_grid, q)
+        with pytest.raises(ValueError, match=r"at t=28\.374553") as err:
+            conservation_check(sched, V0, F, 30.0, 32, q)
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 
@@ -726,13 +737,11 @@ def test_parallel_scales_match_serial_bitwise_under_stress(dwell_chain,
     sched, V0, q, box = dwell_chain
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))
-    t_grid = graded_t_grid(3.0, 24)
-
     def run():
-        rep = conservation_check(sched, V0, F, t_grid, q)
+        rep = conservation_check(sched, V0, F, 3.0, 24, q)
         measures = _map_scales(
             lambda t: make_flow_measure(sched, V0, t, 129, box=box, q=q),
-            t_grid[1:9], V0)
+            rep.t_nodes[:8], V0)
         return rep, [fm.v_grid for fm in measures]
 
     _use_cores(monkeypatch, 1)
