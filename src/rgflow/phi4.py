@@ -203,6 +203,11 @@ def metropolis_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
     step per site; ``burnin`` and ``n_measure_sweeps`` are the total sweep
     budgets, split evenly across the chains.  Proposal scales are tuned
     toward 0.4 acceptance, pooled over the chains, during burn-in only.
+    A proposal old + d with energy change de is accepted when
+    u < exp(-de), u uniform on [0, 1): every downhill move is taken and a
+    NaN change is rejected.  de is built in place in one buffer with its
+    leading factor d replaced by -d, so the buffer holds -de to the bit
+    and exp is taken of it directly.
     Every measured sweep is kept: the stderr of the covariance entries is a
     jackknife over whole chains, which are independent, and tau (Wolff's
     automatic window on the chain-averaged autocorrelation of the slower of
@@ -225,27 +230,42 @@ def metropolis_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
 
     phi = rng.standard_normal((n, chains)) * 0.5    # row i: site i of each chain
     scale = np.full(n, 1.0)
+    # per site: its row of phi, its row of off(A), (a_ii + nu + mass)/2, eta_i
+    sites = list(zip(phi, off, half_mass.tolist(), eta.tolist()))
 
     def advance(sweeps, record=None):
         """Run ``sweeps`` sweeps of every chain; accepted moves per site."""
         step = scale[:, None] * rng.standard_normal((sweeps, n, chains))
         u = rng.random((sweeps, n, chains))
-        accepted = np.zeros(n)
-        for s in range(sweeps):
-            for i in range(n):
-                old = phi[i]
-                d = step[s, i]
-                new = old + d
-                both = new + old
-                # site energy e(v) = (a_ii + m2) v^2/2 + g v^4/4 + v (other - eta_i)
-                de = d * (both * (half_mass[i] + quarter_g * (new * new + old * old))
-                          + (off[i] @ phi - eta[i]))
-                take = u[s, i] < np.exp(-np.maximum(de, 0.0))
-                phi[i] = np.where(take, new, old)
-                accepted[i] += np.count_nonzero(take)
-            if record is not None:
-                record[s] = phi
-        return accepted
+        back = -step
+        take = np.empty((sweeps, n, chains), dtype=bool)
+        new, w, tmp = np.empty((3, chains))
+        add, mul = np.add, np.multiply     # at 64 chains, call overhead is the cost
+        with np.errstate(over="ignore"):     # exp(-de) = inf accepts
+            for s in range(sweeps):
+                for (old, off_i, hm, eta_i), d, nd, u_i, take_i in zip(
+                        sites, step[s], back[s], u[s], take[s]):
+                    # site energy (a_ii + m2) v^2/2 + g v^4/4 + v (other - eta_i);
+                    # w = (-d) (both (hm + g (new^2 + old^2)/4) + other - eta_i)
+                    add(old, d, new)
+                    mul(new, new, w)
+                    mul(old, old, tmp)
+                    add(w, tmp, w)
+                    mul(w, quarter_g, w)
+                    add(w, hm, w)
+                    add(new, old, tmp)
+                    mul(w, tmp, w)
+                    other = off_i @ phi
+                    if eta_i:                   # x - 0.0 is x, to the bit
+                        other -= eta_i
+                    add(w, other, w)
+                    mul(w, nd, w)
+                    np.exp(w, w)
+                    np.less(u_i, w, take_i)
+                    np.copyto(old, new, where=take_i)
+                if record is not None:
+                    record[s] = phi
+        return np.count_nonzero(take, axis=(0, 2))
 
     block = -(-_MCMC_TUNE_TRIALS // chains)
     for start in range(0, n_burn, block):
@@ -299,12 +319,18 @@ def _integrated_autocorr(x: np.ndarray) -> float:
     """Integrated autocorrelation time 1 + 2 sum_t rho(t) of the series
     ``x`` (one row per independent chain), with U. Wolff's automatic window
     (Comput. Phys. Commun. 156 (2004) 143, S = 1.5) on the autocorrelation
-    averaged over the chains, bias-corrected for the window."""
+    averaged over the chains, bias-corrected for the window.  The summed
+    autocovariance is one inverse FFT of the chains' power spectra summed,
+    each chain zero-padded from m sweeps to the first power of two at or
+    above 2m - 1: any length from 2m - 1 up keeps the lags below m free of
+    wrap-around, and a power of two keeps the transform fast where 2m has a
+    large prime factor."""
     chains, m = x.shape
     total = chains * m
     dev = x - x.mean()
-    f = np.fft.rfft(dev, n=2 * m, axis=1)
-    acov = np.fft.irfft(f * np.conj(f), axis=1)[:, :m].sum(axis=0)
+    size = 1 << (2 * m - 2).bit_length()
+    f = np.fft.rfft(dev, n=size, axis=1)
+    acov = np.fft.irfft((f * np.conj(f)).sum(axis=0), n=size)[:m]
     w_max = m // 2
     if acov[0] <= 0 or w_max < 1:
         return 1.0
@@ -322,8 +348,8 @@ def _integrated_autocorr(x: np.ndarray) -> float:
     return float(c_f * (1.0 + (2 * w + 1) / total) / (gamma[0] + c_f / total))
 
 
-def _shifted_moments(model: Phi4Model, t: float, field, order: int,
-                     method: str, seed: int,
+def _shifted_moments(model: Phi4Model, t: float, field, order: int = 96,
+                     method: str = "auto", seed: int = 0,
                      n_measure_sweeps: int = 60_000) -> MomentEstimate:
     """Covariance of the model with mass shift 1/t and external ``field``
     (which replaces ``model.h``), by quadrature (n <= 3 sites under "auto")
@@ -343,10 +369,15 @@ def susceptibility(model: Phi4Model, t: float, order: int = 96,
     zero-field measure."""
     if t <= 0:
         raise ValueError("susceptibility requires t > 0")
-    est = _shifted_moments(model, t, np.zeros(model.n_sites), order, method,
-                           seed, n_measure_sweeps)
+    return _chi_of(_shifted_moments(model, t, np.zeros(model.n_sites), order,
+                                    method, seed, n_measure_sweeps))
+
+
+def _chi_of(est: MomentEstimate) -> MomentEstimate:
+    """chi from a covariance estimate: the largest row sum, with n_sites
+    times the largest entry stderr as its stderr."""
     return replace(est, value=float(np.max(np.sum(est.value, axis=1))),
-                   stderr=model.n_sites * est.stderr)
+                   stderr=len(est.value) * est.stderr)
 
 
 def tilted_covariance(model: Phi4Model, t: float, phi, order: int = 96,

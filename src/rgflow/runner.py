@@ -66,8 +66,7 @@ class _Context:
         dim, box = self.V0.dimension, opts["disc.box_halfwidth"]
         self.quad = QuadratureRule.for_dimension(dim, order=opts["disc.quadrature_order"])
         self.box = default_box(self.schedule) if box is None else Box.cube(box, dim)
-        self._chi = {}
-        self._sigma_min = {}
+        self._moments = {}
 
     # -- shared artifacts --------------------------------------------------
 
@@ -80,20 +79,26 @@ class _Context:
                                 q=self.quad)
         return default_sample_points(fm0, seed=self.cfg.seed)
 
+    def moments(self, t: float, field: np.ndarray):
+        """Covariance estimate of the phi4 model with mass shift 1/t and
+        external ``field``, computed once per (t, field)."""
+        key = (t, tuple(field.tolist()))
+        if key not in self._moments:
+            self._moments[key] = phi4_mod._shifted_moments(self.phi4_model, t,
+                                                           field)
+        return self._moments[key]
+
     def chi(self, t: float):
-        """Susceptibility estimate of the phi4 model at t, computed once per t."""
-        if t not in self._chi:
-            self._chi[t] = phi4_mod.susceptibility(self.phi4_model, t)
-        return self._chi[t]
+        """Susceptibility estimate of the phi4 model at t, from the
+        zero-field moments at t."""
+        return phi4_mod._chi_of(self.moments(t, np.zeros(self.V0.dimension)))
 
     def sigma_min(self, t: float) -> float:
         """Smallest eigenvalue of the zero-field tilted covariance of the
-        phi4 model at t, computed once per t."""
-        if t not in self._sigma_min:
-            sig = phi4_mod.tilted_covariance(self.phi4_model, t,
-                                             np.zeros(self.V0.dimension))
-            self._sigma_min[t] = float(np.linalg.eigvalsh(sig.value)[0])
-        return self._sigma_min[t]
+        phi4 model at t, whose field is the model's h: the same moments as
+        chi_t where h is zero."""
+        sig = self.moments(t, self.phi4_model.h).value
+        return float(np.linalg.eigvalsh(sig)[0])
 
     def schedule_t_grid(self):
         count, t_max = self.options["curvature.count"], self.options["t_grid.max"]

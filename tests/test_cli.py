@@ -250,17 +250,25 @@ def _schedule_rate_times(report):
     return {rate_time(grid, i) for i in range(len(grid))}
 
 
-def test_criterion_computes_chi_once_per_t(monkeypatch):
-    import rgflow.curvature as curvature_mod
+def _count_moments_passes(monkeypatch):
+    """Record (t, field) of every lattice-moments pass the runner makes."""
     import rgflow.phi4 as phi4_mod
 
     calls = []
-    real = phi4_mod.susceptibility
+    real = phi4_mod._shifted_moments
 
-    def counting(model, t, *args, **kwargs):
-        calls.append(t)
-        return real(model, t, *args, **kwargs)
+    def counting(model, t, field, *args, **kwargs):
+        calls.append((t, tuple(field.tolist())))
+        return real(model, t, field, *args, **kwargs)
 
+    monkeypatch.setattr(phi4_mod, "_shifted_moments", counting)
+    return calls
+
+
+def test_criterion_computes_chi_once_per_t(monkeypatch):
+    import rgflow.curvature as curvature_mod
+
+    calls = _count_moments_passes(monkeypatch)
     batches = []
     real_derivatives = curvature_mod._tilted_derivatives
 
@@ -268,18 +276,21 @@ def test_criterion_computes_chi_once_per_t(monkeypatch):
         batches.append(np.bincount(which, minlength=len(shifts[0])))
         return real_derivatives(V0, shifts, xb, which)
 
-    monkeypatch.setattr(phi4_mod, "susceptibility", counting)
     monkeypatch.setattr(curvature_mod, "_tilted_derivatives",
                         counting_derivatives)
     report = run_experiment(config_from_text(CRITERION_1D))
     assert report.statuses["criterion"] == "pass"
+    # one moments pass per distinct (t, field); h = 0, so chi_t and
+    # sigma_min share the zero-field pass at every rate time
     assert len(calls) == len(set(calls)) > 0
+    assert {field for _, field in calls} == {(0.0,)}
+    assert {t for t, _ in calls} == _schedule_rate_times(report)
     # one Hessian batch on the full sample set at every distinct rate time,
     # then one batch per compass-search sweep holding the 2d trials of both
     # rates at every rate time
     (n_samples,) = {r["samples_used"] for r in report.rows
                     if r["section"] == "schedule"}
-    times = len(set(calls))
+    times = len(calls)
     assert len(batches) == 1 + curvature_mod._REFINE_STEPS
     assert np.array_equal(batches[0], np.full(times, n_samples))
     for rows in batches[1:]:
@@ -287,23 +298,17 @@ def test_criterion_computes_chi_once_per_t(monkeypatch):
 
 
 def test_criterion_computes_sigma_min_once_per_rate_time(monkeypatch):
-    import rgflow.phi4 as phi4_mod
-
-    calls = []
-    real = phi4_mod.tilted_covariance
-
-    def counting(model, t, *args, **kwargs):
-        calls.append(t)
-        return real(model, t, *args, **kwargs)
-
-    monkeypatch.setattr(phi4_mod, "tilted_covariance", counting)
-    report = run_experiment(config_from_text(CRITERION_1D))
+    calls = _count_moments_passes(monkeypatch)
+    # with h != 0 sigma_min's field (h) differs from chi_t's (zero)
+    report = run_experiment(config_from_text(CRITERION_1D + "model.h = [0.25]\n"))
     assert report.statuses["criterion"] == "pass"
     # the t = 0 row reads the rates of its neighbour: one row more than times
     rows = [r for r in report.rows if r["section"] == "schedule"]
     times = _schedule_rate_times(report)
     assert len(rows) == len(times) + 1
-    assert sorted(calls) == sorted(times)
+    assert len(calls) == len(set(calls))
+    assert sorted(t for t, field in calls if field == (0.25,)) == sorted(times)
+    assert sorted(t for t, field in calls if field == (0.0,)) == sorted(times)
 
 
 PHI4_RING4 = """\

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
-from rgflow import oracles
+from rgflow import oracles, phi4
 from rgflow.curvature import alpha_prime, multiscale_margin
 from rgflow.errors import NonConvergenceError
 from rgflow.phi4 import (Phi4Model, _integrated_autocorr, hessian_identity_check,
@@ -113,6 +113,114 @@ def test_wolff_window_recovers_ar1_autocorrelation_time():
     x = lfilter([1.0], [1.0, -rho], rng.standard_normal((16, 20_000)), axis=1)
     tau = _integrated_autocorr(x)
     assert abs(tau - (1 + rho) / (1 - rho)) <= 0.1 * (1 + rho) / (1 - rho)
+
+
+def _direct_wolff_tau(x):
+    """Wolff's windowed tau from autocovariances summed lag by lag, no FFT."""
+    chains, m = x.shape
+    total = chains * m
+    dev = x - x.mean()
+    w_max = m // 2
+    gamma = np.array([np.sum(dev[:, :m - k] * dev[:, k:]) / (total - chains * k)
+                      for k in range(w_max + 1)])
+    for w in range(1, w_max + 1):
+        tau_int = 0.5 + gamma[1:w + 1].sum() / gamma[0]
+        tau_w = (1.5 / np.log((2 * tau_int + 1) / (2 * tau_int - 1))
+                 if tau_int > 0.5 else 1e-300)
+        if np.exp(-w / tau_w) - tau_w / np.sqrt(w * total) < 0:
+            break
+    c_f = gamma[0] + 2.0 * gamma[1:w + 1].sum()
+    return c_f * (1.0 + (2 * w + 1) / total) / (gamma[0] + c_f / total)
+
+
+def test_wolff_window_matches_a_direct_lag_sum():
+    # 937 sweeps: 2m = 2 x 937 with 937 prime, padded to a power of two;
+    # tau near 40 draws the window out to lags that a short pad would wrap
+    rng = np.random.default_rng(5)
+    x = lfilter([1.0], [1.0, -0.97], rng.standard_normal((8, 937)), axis=1)
+    assert_allclose(_integrated_autocorr(x), _direct_wolff_tau(x), rtol=1e-12)
+
+
+def _reference_metropolis(model, mass_shift, seed, n_measure_sweeps, burnin):
+    """``metropolis_moments`` at the model's field with the site update
+    written as one expression per step (no buffers): the chain the in-place
+    sweep must reproduce to the bit.  Returns (cov, stderr, acceptance, tau).
+    """
+    n = model.n_sites
+    eta = model.h
+    rng = np.random.default_rng(seed)
+    chains = phi4._MCMC_CHAINS
+    n_burn, n_meas = burnin // chains, n_measure_sweeps // chains
+    a = model.a_matrix
+    off = a - np.diag(np.diag(a))
+    half_mass = 0.5 * (np.diag(a) + model.nu + mass_shift)
+    quarter_g = 0.25 * model.g
+    phi = rng.standard_normal((n, chains)) * 0.5
+    scale = np.full(n, 1.0)
+
+    def advance(sweeps, record=None):
+        step = scale[:, None] * rng.standard_normal((sweeps, n, chains))
+        u = rng.random((sweeps, n, chains))
+        accepted = np.zeros(n)
+        for s in range(sweeps):
+            for i in range(n):
+                old = phi[i]
+                d = step[s, i]
+                new = old + d
+                both = new + old
+                de = d * (both * (half_mass[i] + quarter_g * (new * new + old * old))
+                          + (off[i] @ phi - eta[i]))
+                take = u[s, i] < np.exp(-np.maximum(de, 0.0))
+                phi[i] = np.where(take, new, old)
+                accepted[i] += np.count_nonzero(take)
+            if record is not None:
+                record[s] = phi
+        return accepted
+
+    block = -(-phi4._MCMC_TUNE_TRIALS // chains)
+    for start in range(0, n_burn, block):
+        sweeps = min(block, n_burn - start)
+        rate = advance(sweeps) / (sweeps * chains)
+        scale *= np.exp(rate - phi4._MCMC_TARGET_ACCEPT)
+    samples = np.empty((n_meas, n, chains))
+    accepted = np.zeros(n)
+    for start in range(0, n_meas, block):
+        sweeps = min(block, n_meas - start)
+        accepted += advance(sweeps, samples[start:start + sweeps])
+    n_kept = n_meas * chains
+
+    series = samples.transpose(2, 0, 1)
+    tau = max(_integrated_autocorr(series.sum(axis=2)),
+              _integrated_autocorr((series**2).sum(axis=2)))
+    dev = series - series.reshape(-1, n).mean(axis=0)
+    s1 = dev.sum(axis=1)
+    s2 = np.einsum("csi,csj->cij", dev, dev)
+    t1, t2 = s1.sum(axis=0), s2.sum(axis=0)
+
+    def cov_from(sum1, sum2, count):
+        shift = sum1 / count
+        return (sum2 - count * shift[..., :, None] * shift[..., None, :]) / (count - 1)
+
+    cov = cov_from(t1, t2, n_kept)
+    cov_jack = cov_from(t1 - s1, t2 - s2, n_kept - n_meas)
+    stderr = float(np.max(np.sqrt(
+        (chains - 1) * np.mean((cov_jack - cov_jack.mean(0)) ** 2, axis=0))))
+    return cov, stderr, float(accepted.sum() / (n_kept * n)), tau
+
+
+@pytest.mark.parametrize("model, mass_shift", [
+    (Phi4Model(_ring(3), 1.0, -1.0, np.zeros(3)), 1.0),
+    (Phi4Model([[1.5]], 1.0, -0.5, [0.7]), 0.8),
+], ids=["ring3", "one-site-field"])
+def test_in_place_sweep_is_the_reference_chain_to_the_bit(model, mass_shift):
+    cov, stderr, acceptance, tau = _reference_metropolis(
+        model, mass_shift, seed=17, n_measure_sweeps=12_800, burnin=12_800)
+    est = metropolis_moments(model, mass_shift=mass_shift, seed=17,
+                             n_measure_sweeps=12_800, burnin=12_800)
+    assert np.array_equal(est.value, cov)
+    assert est.stderr == stderr
+    assert est.acceptance == acceptance
+    assert_allclose(est.tau, tau, rtol=1e-12)
 
 
 def test_tilted_covariance_gaussian_is_schedule_covariance():
