@@ -7,10 +7,19 @@ covariance  covariance decompositions t -> (C_t, C_t', C_t'')
 potential   renormalized potentials and their tilted-moment derivatives
 flow        flow measures, the scale-to-scale semigroup, heat-flow harness
 spectral    the flow measure's divergence-form generator and its spectra
+            (scipy's linear algebra; loaded on first use)
 curvature   multiscale curvature schedules and inequality certification
 phi4        lattice quartic models, susceptibility, schedule formulas
-oracles     independent brute-force references used by the tests
+oracles     independent brute-force references used by the tests (scipy)
 runner/cli  config-driven experiments with machine-readable reports
+
+``import rgflow`` loads numpy but not scipy.  The names of ``spectral``
+(``build_generator``, ``rayleigh_flow_trace``, ``rayleigh_quotient``,
+``spectrum``) resolve on first access, and that first access imports scipy.
+A config whose checks solve an eigenproblem (``spectrum``, ``theorem``,
+``higher-k``, ``heatflow``) loads ``spectral`` when it is parsed, and
+``rgflow oracle`` loads ``scipy.integrate``; every other run stays without
+scipy.
 """
 
 from .covariance import CovarianceSchedule, make_schedule, schedule_from_table_file
@@ -25,8 +34,6 @@ from .phi4 import (Phi4Model, hessian_identity_check, phi4_schedules,
                    susceptibility, tilted_covariance)
 from .potential import (PotentialDescriptor, QuadratureRule,
                         renormalized_derivatives, renormalized_value)
-from .spectral import (build_generator, rayleigh_flow_trace, rayleigh_quotient,
-                       spectrum)
 
 __all__ = [
     "Box", "CovarianceSchedule", "CurvatureSchedule", "FlowMeasure",
@@ -43,3 +50,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_SPECTRAL_NAMES = ("build_generator", "rayleigh_flow_trace", "rayleigh_quotient",
+                   "spectrum")
+
+
+def __getattr__(name):
+    if name in _SPECTRAL_NAMES:
+        from . import spectral
+        return getattr(spectral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

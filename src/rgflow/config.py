@@ -20,7 +20,9 @@ of row lists:
 base potential V0 and, for ``phi4``, the lattice model.  This is the only
 place a config becomes a model, so ``rgflow validate`` builds exactly what
 ``rgflow run`` executes, and a config the constructors reject fails with a
-``ConfigError`` before any compute starts.
+``ConfigError`` before any compute starts.  A config whose checks solve an
+eigenproblem (``EIGEN_CHECKS``) also loads ``rgflow.spectral``, and with it
+scipy, here; other configs run without scipy.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ CHECK_MAX_DIM = {"spectrum": 2, "theorem": 2, "higher-k": 2,
                  "criterion": MAX_TENSOR_DIM, "phi4-identity": MAX_TENSOR_DIM,
                  "intertwining": 1, "variance": 1}
 SPECTRAL_CHECKS = ("spectrum", "theorem", "higher-k")
+# Checks that solve an eigenproblem; ``heatflow_harness`` calls ``spectrum``.
+EIGEN_CHECKS = SPECTRAL_CHECKS + ("heatflow",)
 
 
 # An option's domain: its text, and the value as the runner reads it, or None.
@@ -335,6 +339,9 @@ def config_from_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"disc.box_halfwidth must be at least {reach:.6g}, the "
                               f"{_KERNEL_SIGMAS:g}-sigma reach of P_(0,t) up to t = "
                               f"{max(ends):g}, got {box}")
+    if any(c in EIGEN_CHECKS for c in checks):
+        # scipy loads here, at set-up, not inside the first timed solve
+        from . import spectral  # noqa: F401
     return ExperimentConfig(schedule=schedule, V0=V0, checks=list(checks),
                             seed=seed, phi4_model=phi4_model, options=options)
 

@@ -49,6 +49,11 @@ from dataclasses import InitVar, dataclass, field
 from functools import partial
 
 import numpy as np
+# loaded with the package, not on first access inside a run; np.unique (here,
+# in curvature and in runner) reads np.ma.is_masked
+import numpy.ma  # noqa: F401
+import numpy.polynomial.legendre  # noqa: F401
+import numpy.random  # noqa: F401
 
 from . import _stencils
 from .covariance import CovarianceSchedule

@@ -28,6 +28,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+# loaded with the package, not on first access inside a run
+import numpy.fft  # noqa: F401
+import numpy.random  # noqa: F401
 
 from .covariance import CovarianceSchedule, make_schedule
 from .curvature import _compass_search

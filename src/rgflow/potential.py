@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+# numpy loads this submodule on first access; import it with the package so
+# that a run does not pay for it inside its first timed call
+import numpy.polynomial.hermite_e  # noqa: F401
 
 from .errors import QuadratureOverflowError
 

@@ -29,7 +29,6 @@ from .flow import (Box, GridFunction, _map_scales, conservation_check,
                    default_box, default_sample_points, heatflow_harness,
                    make_flow_measure)
 from .potential import _CLOSED_FORMS, QuadratureRule
-from .spectral import build_generator, spectrum
 
 CHECK_ORDER = ("criterion", "spectrum", "theorem", "higher-k", "intertwining",
                "variance", "phi4-identity", "heatflow")
@@ -142,6 +141,7 @@ class _Context:
     @cached_property
     def spectral_trace(self):
         """Spectra of the flow generators on the spectral t grid."""
+        from .spectral import build_generator, spectrum
         return [spectrum(build_generator(fm), k=self.options["spectrum.k"], refine=True)
                 for fm in self.flow_measures]
 
@@ -176,6 +176,7 @@ def _margin_rows(report: RunReport, check: str, margins) -> str:
 
 
 def _check_spectrum(ctx: _Context, report: RunReport):
+    from .spectral import build_generator, spectrum
     results = ctx.spectral_trace
     for t, res in zip(ctx.cfg.t_grid(), results):
         report.rows.append(_spectrum_row(t, res, "weighted"))

@@ -27,6 +27,12 @@ ones shift-invert Lanczos (ARPACK) with a deterministic start vector.  A
 solver breakdown raises NonConvergenceError, every solve is
 residual-verified, and the spectrum carries a Richardson consistency check
 under mesh halving.
+
+This is the one module of a run that imports scipy.  ``import rgflow`` does
+not load it: its names resolve there on first access, and a config whose
+checks solve an eigenproblem (``spectrum``, ``theorem``, ``higher-k``,
+``heatflow``) imports it while it is parsed.  ``rgflow oracle`` loads
+``scipy.integrate`` through ``oracles`` instead.
 """
 
 from __future__ import annotations

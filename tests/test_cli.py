@@ -215,15 +215,22 @@ def test_reports_round_trip_any_detail(tmp_path, detail):
     assert cells["detail"] == detail and cells["status"] == "fail"
 
 
-def test_cli_import_skips_unused_scipy_and_oracles():
-    code = ("import sys, rgflow.cli; print(' '.join(m for m in "
-            "('scipy.special', 'scipy.stats', 'scipy.integrate', "
-            "'scipy.interpolate', 'rgflow.oracles') "
-            "if m in sys.modules))")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True)
+# Prints the modules loaded so far that are scipy or one of its submodules.
+_PRINT_SCIPY = ("print(' '.join(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.'))))")
+
+
+def _python(code, stdin=None):
+    res = subprocess.run([sys.executable, "-c", code], input=stdin,
+                         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == ""
+    return res.stdout
+
+
+def test_cli_import_skips_unused_scipy_and_oracles():
+    for module in ("rgflow", "rgflow.cli"):
+        assert _python(f"import sys, {module}; {_PRINT_SCIPY}; "
+                       "print('rgflow.oracles' in sys.modules)") == "\nFalse\n"
 
 
 CRITERION_1D = """\
@@ -241,6 +248,44 @@ curvature.count = 4
 checks = [criterion]
 seed = 3
 """
+
+
+def test_criterion_run_imports_no_module_of_numpy_or_scipy():
+    """Every numpy submodule a criterion run and a Metropolis chi_t use is
+    loaded with the package, and scipy not at all: nothing is imported
+    inside the timed region."""
+    code = f"""
+import sys, tempfile
+from rgflow.config import config_from_text
+from rgflow.phi4 import susceptibility
+from rgflow.runner import emit_report, run_experiment
+
+cfg = config_from_text(sys.stdin.read())
+before = set(sys.modules)
+report = run_experiment(cfg)
+emit_report(report, tempfile.mkdtemp())
+est = susceptibility(cfg.phi4_model, 1.0, method="mcmc", seed=5)
+print(report.statuses["criterion"], est.method)
+print(' '.join(sorted(m for m in set(sys.modules) - before
+                      if m.startswith(("numpy.", "scipy")))))
+{_PRINT_SCIPY}
+"""
+    assert _python(code, stdin=CRITERION_1D) == "pass mcmc\n\n\n"
+
+
+@pytest.mark.parametrize("checks, loaded", [
+    ("spectrum", True), ("theorem", True), ("higher-k", True),
+    ("heatflow", True),
+    ("criterion, variance, intertwining, phi4-identity", False),
+])
+def test_config_loads_spectral_only_for_an_eigenproblem(checks, loaded):
+    """A config that will solve an eigenproblem pays for scipy when it is
+    parsed, inside set-up; any other config leaves scipy unloaded."""
+    text = CRITERION_1D.replace("checks = [criterion]", f"checks = [{checks}]")
+    code = ("import sys\nfrom rgflow.config import config_from_text\n"
+            "config_from_text(sys.stdin.read())\n"
+            "print('rgflow.spectral' in sys.modules, 'scipy' in sys.modules)")
+    assert _python(code, stdin=text) == f"{loaded} {loaded}\n"
 
 
 def _schedule_rate_times(report):

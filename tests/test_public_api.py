@@ -3,6 +3,8 @@
 import contextlib
 import io
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import rgflow
@@ -14,6 +16,29 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_every_export_resolves():
     missing = [name for name in rgflow.__all__ if not hasattr(rgflow, name)]
     assert missing == []
+
+
+def test_spectral_names_resolve_on_first_access():
+    code = """
+import sys
+import rgflow
+assert "rgflow.spectral" not in sys.modules
+spectrum = rgflow.spectrum
+import rgflow.spectral
+assert spectrum is rgflow.spectral.spectrum
+ns = {}
+exec("from rgflow import *", ns)
+assert sorted(n for n in ns if n != "__builtins__") == sorted(rgflow.__all__)
+assert ns["build_generator"] is rgflow.spectral.build_generator
+try:
+    rgflow.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "module 'rgflow' has no attribute 'no_such_name'"
 
 
 def test_readme_python_example_runs_and_certifies():
