@@ -1,8 +1,8 @@
 """Flat key-value experiment configuration and the model it describes.
 
 The config format is a plain text file of ``key = value`` lines with dotted
-keys, ``#`` comments, typed scalars, bracketed lists, and matrices as lists
-of row lists:
+keys, ``#`` comments, scalars (an integer, else a float, else a string;
+there are no booleans), bracketed lists, and matrices as lists of row lists:
 
     model.kind = phi4
     model.g = 1.0
@@ -59,7 +59,7 @@ _Rule = NamedTuple("_Rule", [("domain", str), ("typed", Callable)])
 
 
 def _finite(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    return isinstance(v, (int, float)) and math.isfinite(v)
 
 
 def _count(low: int, high: float = math.inf) -> _Rule:
@@ -124,8 +124,6 @@ OPTIONS = {
 
 def _parse_scalar(tok: str):
     tok = tok.strip()
-    if tok.lower() in ("true", "false"):
-        return tok.lower() == "true"
     try:
         return int(tok)
     except ValueError:

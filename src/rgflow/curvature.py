@@ -185,8 +185,8 @@ def _stacked_shifts(covs, d: int, q: QuadratureRule):
 
 
 def _extremal_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
-                    times, kinds, x_samples, q: QuadratureRule | None,
-                    refine: bool) -> np.ndarray:
+                    times, kinds, x_samples,
+                    q: QuadratureRule | None) -> np.ndarray:
     """Extremal rates over the sample set, shape (len(kinds), len(times)).
 
     The lambda' rate is minimized and the alpha' rate maximized.  Every
@@ -239,13 +239,13 @@ def _extremal_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
         score, x_samples[start], vals[np.arange(len(searches)), start],
         maximize, step0=span / 8.0,
         bounds=(x_samples.min(axis=0), x_samples.max(axis=0)),
-        steps=_REFINE_STEPS if refine and not closed_form else 0)
+        steps=0 if closed_form else _REFINE_STEPS)
     return best.reshape(len(kinds), len(times))
 
 
 def multiscale_margin(schedule: CovarianceSchedule, V0: PotentialDescriptor,
-                      t: float, x_samples, q: QuadratureRule | None = None,
-                      refine: bool = True) -> float:
+                      t: float, x_samples,
+                      q: QuadratureRule | None = None) -> float:
     """Largest admissible lambda'_t over the sample set.
 
     Minimizes, over x, the smallest generalized eigenvalue of
@@ -254,19 +254,19 @@ def multiscale_margin(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     it.
     """
     return float(_extremal_rates(schedule, V0, [t], ("lambda",), x_samples,
-                                 q, refine)[0, 0])
+                                 q)[0, 0])
 
 
 def alpha_prime(schedule: CovarianceSchedule, V0: PotentialDescriptor,
-                t: float, x_samples, q: QuadratureRule | None = None,
-                refine: bool = True) -> float:
+                t: float, x_samples,
+                q: QuadratureRule | None = None) -> float:
     """Largest eigenvalue of sqrt(C')(hess V_t + (C_inf - C_t)^{-1})sqrt(C').
 
     Maximized over the sample set; the sampled supremum is reported as a
     lower bound on the true one.
     """
     return float(_extremal_rates(schedule, V0, [t], ("alpha",), x_samples,
-                                 q, refine)[0, 0])
+                                 q)[0, 0])
 
 
 def integrate_schedules(prime_samples, sample_spec: str = "") -> CurvatureSchedule:
@@ -303,13 +303,14 @@ def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)])
 
 
-def pv_t_grid(t_max: float, count: int, t0: float = PV_T0) -> np.ndarray:
-    """Log-spaced grid [t0, t_max] with the origin prepended.
+def pv_t_grid(t_max: float, count: int) -> np.ndarray:
+    """Log-spaced grid [PV_T0, t_max] with the origin prepended.
 
     Rates at the origin are taken as their bounded t -> 0+ limits, which at
-    this cutoff equal the t0 values to the stated integration tolerance.
+    the cutoff PV_T0 equal the PV_T0 values to the stated integration
+    tolerance.
     """
-    return np.concatenate([[0.0], np.geomspace(t0, t_max, count)])
+    return np.concatenate([[0.0], np.geomspace(PV_T0, t_max, count)])
 
 
 def rate_time(t_grid, i: int) -> float:
@@ -323,8 +324,8 @@ def rate_time(t_grid, i: int) -> float:
 
 def build_schedule(schedule: CovarianceSchedule, V0: PotentialDescriptor,
                    t_grid, x_samples, q: QuadratureRule | None = None,
-                   lambda_prime_override=None, sample_spec: str = "",
-                   refine: bool = True) -> CurvatureSchedule:
+                   lambda_prime_override=None,
+                   sample_spec: str = "") -> CurvatureSchedule:
     """Evaluate both rates over a time grid and integrate them.
 
     A t = 0 node reuses the next grid time's rates (``rate_time``), and
@@ -341,7 +342,7 @@ def build_schedule(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     times, at = np.unique([rate_time(t_grid, i) for i in range(len(t_grid))],
                           return_inverse=True)
     kinds = ("lambda", "alpha") if lambda_prime_override is None else ("alpha",)
-    rates = _extremal_rates(schedule, V0, times, kinds, x_samples, q, refine)
+    rates = _extremal_rates(schedule, V0, times, kinds, x_samples, q)
     lam = rates[0] if lambda_prime_override is None else np.array(
         [float(lambda_prime_override(te)) for te in times])
     lp, ap = lam[at], rates[-1][at]
@@ -362,8 +363,8 @@ class PairMargin:
 
 
 def _all_pairs(times):
-    times = list(times)
-    return [(s, t) for i, s in enumerate(times) for t in times[i + 1:] if s < t]
+    """Every pair s < t of the sorted distinct ``times``."""
+    return [(s, t) for i, s in enumerate(times) for t in times[i + 1:]]
 
 
 def _exponent_change(curv: CurvatureSchedule, s: float, t: float) -> float:
@@ -372,24 +373,19 @@ def _exponent_change(curv: CurvatureSchedule, s: float, t: float) -> float:
             - 2.0 * (curv.lambda_at(t) - curv.lambda_at(s)))
 
 
-def theorem_margin(spectral_trace, curv: CurvatureSchedule, pairs=None,
+def theorem_margin(spectral_trace, curv: CurvatureSchedule,
                    tol_total: float = TOL_TOTAL) -> list[PairMargin]:
-    """Quasi-monotonicity margins for the Poincare constant.
+    """Quasi-monotonicity margins for the Poincare constant, one per pair
+    s < t of trace times.
 
-    ``spectral_trace`` is a sequence of (t, C_P(nu_t)).  The margin for a
-    pair s < t is (alpha_t - alpha_s) - 2(lambda_t - lambda_s)
+    ``spectral_trace`` is a sequence of (t, C_P(nu_t)).  The margin for
+    every pair s < t is (alpha_t - alpha_s) - 2(lambda_t - lambda_s)
     + log C_P(nu_t) - log C_P(nu_s); the certified inequality asks for
     margin >= -tol_total.  Margins are reported as computed, never clipped.
     """
     trace = {float(t): float(cp) for t, cp in spectral_trace}
-    if pairs is None:
-        pairs = _all_pairs(sorted(trace))
     out = []
-    for s, t in pairs:
-        if s > t:
-            raise ValueError(f"pair requires s <= t, got ({s}, {t})")
-        if s not in trace or t not in trace:
-            raise ValueError(f"pair ({s}, {t}) not on the spectral trace grid")
+    for s, t in _all_pairs(sorted(trace)):
         margin = (_exponent_change(curv, s, t)
                   + math.log(trace[t]) - math.log(trace[s]))
         out.append(PairMargin(s=s, t=t, k=1, margin=margin, tolerance=tol_total))
@@ -397,9 +393,9 @@ def theorem_margin(spectral_trace, curv: CurvatureSchedule, pairs=None,
 
 
 def higher_eigenvalue_margin(spectral_traces: dict, curv: CurvatureSchedule,
-                             pairs=None,
                              tol_total: float = TOL_TOTAL) -> list[PairMargin]:
-    """Margins for the k-th nonzero eigenvalues, one list entry per (pair, k).
+    """Margins for the k-th nonzero eigenvalues, one list entry per (pair, k),
+    for every pair s < t of the times of trace k.
 
     ``spectral_traces`` maps k -> sequence of (t, lambda_k(nu_t)); the margin
     is (alpha_t - alpha_s) - 2(lambda_t - lambda_s) + log lambda_k(nu_s)
@@ -409,10 +405,7 @@ def higher_eigenvalue_margin(spectral_traces: dict, curv: CurvatureSchedule,
     out = []
     for k, trace_seq in sorted(spectral_traces.items()):
         trace = {float(t): float(v) for t, v in trace_seq}
-        kp = pairs if pairs is not None else _all_pairs(sorted(trace))
-        for s, t in kp:
-            if s not in trace or t not in trace:
-                raise ValueError(f"pair ({s}, {t}) not on the k={k} trace grid")
+        for s, t in _all_pairs(sorted(trace)):
             margin = (_exponent_change(curv, s, t)
                       + math.log(trace[s]) - math.log(trace[t]))
             out.append(PairMargin(s=s, t=t, k=k, margin=margin,

@@ -629,7 +629,7 @@ def heatflow_harness(x_nodes, density, s_grid, grid_points: int = 2049,
             y = (ys[:, None] - x_nodes[None, :]) / sd
             kern = np.exp(-y**2 / 2.0) / math.sqrt(2.0 * math.pi) / sd
             w = kern @ (table_w * density)
-        gen = build_generator_from_density(box, w, mobility=np.eye(1))
+        gen = build_generator_from_density(box, w)
         return spectrum(gen, k=1, refine=False).poincare_constant
 
     values = {s: poincare_at(s) for s in s_eval}

@@ -3,9 +3,9 @@
 The base potential V0 comes in three forms: zero, quadratic (1/2 <x, Bx>),
 and the per-coordinate quartic sum_i (g_i/4 x_i^4 + nu_i/2 x_i^2 - h_i x_i),
 which is also the lattice phi^4 site sum.  Smoothing by a Gaussian of
-covariance C is computed with tensorized Gauss-Hermite quadrature restricted
-to the range of C, stabilized in log space.  Zero and quadratic forms also
-have exact closed-form fast paths.
+covariance C has an exact closed form for the zero and quadratic forms; the
+quartic is smoothed with tensorized Gauss-Hermite quadrature restricted to
+the range of C, stabilized in log space.
 
 Gradient and Hessian of the smoothed potential are tilted moments: with
 rho(z) proportional to exp(-V0(x+z)) gamma_C(dz),
@@ -205,18 +205,15 @@ def _gaussian_shifts(c, d, q: QuadratureRule):
     return nodes @ L.T, logw
 
 
-def renormalized_value(V0: PotentialDescriptor, c, x, q: QuadratureRule | None = None,
-                       method: str = "auto"):
+def renormalized_value(V0: PotentialDescriptor, c, x, q: QuadratureRule | None = None):
     """Smoothed potential -log E_{z~gamma_C}[exp(-V0(x+z))] at x.
 
-    ``method``: "auto" uses closed forms for zero/quadratic V0 and quadrature
-    otherwise; "quadrature" forces the numerical path.  Batched over x.
+    Zero and quadratic V0 take their closed form, the quartic takes
+    quadrature.  Batched over x.
     """
-    q = q or QuadratureRule.for_dimension(V0.dimension)
-    if method not in ("auto", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and V0.form in _CLOSED_FORMS:
+    if V0.form in _CLOSED_FORMS:
         return _closed_form_value(V0, c, x)
+    q = q or QuadratureRule.for_dimension(V0.dimension)
 
     xb, single = _as_batch(x, V0.dimension)
     z, logw = _gaussian_shifts(c, V0.dimension, q)
@@ -307,16 +304,16 @@ def _closed_form_derivatives(V0, c, x):
 
 
 def renormalized_derivatives(V0: PotentialDescriptor, c, x,
-                             q: QuadratureRule | None = None,
-                             method: str = "auto"):
+                             q: QuadratureRule | None = None):
     """Gradient and Hessian of the smoothed potential at x (batched).
 
-    Returns ``(grad, hess)`` with shapes ``(d,), (d, d)`` for a single point
-    and ``(m, d), (m, d, d)`` for a batch.
+    Zero and quadratic V0 take their closed form, the quartic takes
+    quadrature.  Returns ``(grad, hess)`` with shapes ``(d,), (d, d)`` for
+    a single point and ``(m, d), (m, d, d)`` for a batch.
     """
-    q = q or QuadratureRule.for_dimension(V0.dimension)
-    if method != "quadrature" and V0.form in _CLOSED_FORMS:
+    if V0.form in _CLOSED_FORMS:
         return _closed_form_derivatives(V0, c, x)
+    q = q or QuadratureRule.for_dimension(V0.dimension)
 
     xb, single = _as_batch(x, V0.dimension)
     grads, hesss = _tilted_derivatives(
@@ -328,35 +325,36 @@ def renormalized_derivatives(V0: PotentialDescriptor, c, x,
 
 def _tilted_derivatives(V0: PotentialDescriptor, shifts, xb: np.ndarray,
                         which: np.ndarray | None = None):
-    """Tilted-moment gradient and Hessian at a batch ``xb`` (m, d), for the
-    Gaussian shifts ``(z, logw)`` of one covariance (``_gaussian_shifts``).
+    """Tilted-moment gradient and Hessian of the quartic ``V0`` at a batch
+    ``xb`` (m, d), for the Gaussian shifts ``(z, logw)`` of one covariance
+    (``_gaussian_shifts``).
 
     With ``which`` (m,), the shifts are those of T covariances stacked as
     ``(T, Q, d)`` and ``(T, Q)``, and row i reads covariance ``which[i]``:
     each chunk gathers the shifts of its own rows, so one call serves many
     scales in the memory of one.  Nodes are held axis by axis,
-    ``(d, points, Q)``, and the quartic form takes one fused pass per axis
-    with scalar coefficients and products only (no libm pow): x^2 once, the
-    value, the gradient in place, and E[hess V0] as the weighted mean of the
-    diagonal 3 g x^2 + nu.  Other forms call the descriptor's evaluators.
+    ``(d, points, Q)``, and each axis takes one fused pass with scalar
+    coefficients and products only (no libm pow): x^2 once, the value, the
+    gradient in place, and E[hess V0] as the weighted mean of the diagonal
+    3 g x^2 + nu.  Float overflow inside the loop is not warned about: any
+    non-finite result raises QuadratureOverflowError at the end.
     """
     z, logw = shifts
     m, d = xb.shape
-    quartic = V0.form == "phi4-site-sum"
     diag = np.arange(d)
     grads = np.empty((m, d))
     hesss = np.empty((m, d, d))
     Q = z.shape[-2]
     chunk = max(1, _DERIVATIVE_NODES // Q)
-    for start in range(0, m, chunk):
-        rows = slice(start, start + chunk)
-        xc = xb[rows]
-        mm = len(xc)
-        at = slice(None) if which is None else which[rows]
-        x = np.empty((d, mm, Q))
-        for k in range(d):
-            np.add(xc[:, k, None], z[at, ..., k], out=x[k])
-        if quartic:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, chunk):
+            rows = slice(start, start + chunk)
+            xc = xb[rows]
+            mm = len(xc)
+            at = slice(None) if which is None else which[rows]
+            x = np.empty((d, mm, Q))
+            for k in range(d):
+                np.add(xc[:, k, None], z[at, ..., k], out=x[k])
             # fused instead of V0.value, which keeps x**4 (see there)
             x2 = x * x
             value = np.zeros((mm, Q))
@@ -368,18 +366,14 @@ def _tilted_derivatives(V0: PotentialDescriptor, shifts, xb: np.ndarray,
                 terms *= x[k]
                 value += terms
             del terms
-        else:
-            flat = x.reshape(d, -1).T
-            value = V0.value(flat).reshape(mm, Q)
-        le = np.subtract(logw[at], value, out=value)
-        mshift = np.max(le, axis=1, keepdims=True)
-        if not np.all(np.isfinite(mshift)):
-            raise QuadratureOverflowError(
-                "quadrature overflow in derivatives; increase the order")
-        le -= mshift
-        wts = np.exp(le, out=le)
-        wts /= wts.sum(axis=1, keepdims=True)
-        if quartic:
+            le = np.subtract(logw[at], value, out=value)
+            mshift = np.max(le, axis=1, keepdims=True)
+            if not np.all(np.isfinite(mshift)):
+                raise QuadratureOverflowError(
+                    "quadrature overflow in derivatives; increase the order")
+            le -= mshift
+            wts = np.exp(le, out=le)
+            wts /= wts.sum(axis=1, keepdims=True)
             mean_diag = 3.0 * V0.g * _weighted_sum(wts, x2).T + V0.nu
             gv = x2
             for k, (g, nu, h) in enumerate(zip(V0.g, V0.nu, V0.h)):
@@ -387,20 +381,13 @@ def _tilted_derivatives(V0: PotentialDescriptor, shifts, xb: np.ndarray,
                 gv[k] += nu
                 gv[k] *= x[k]
                 gv[k] -= h
-        else:
-            gv = V0.gradient(flat).T.reshape(d, mm, Q)
-            mean_hess = np.einsum("mq,mqij->mij", wts,
-                                  V0.hessian(flat).reshape(mm, Q, d, d))
-        del x
-        gbar = _weighted_sum(wts, gv)
-        gv -= gbar[:, :, None]
-        cov = (gv * wts).transpose(1, 0, 2) @ gv.transpose(1, 2, 0)
-        grads[rows] = gbar.T
-        if quartic:
+            del x
+            gbar = _weighted_sum(wts, gv)
+            gv -= gbar[:, :, None]
+            cov = (gv * wts).transpose(1, 0, 2) @ gv.transpose(1, 2, 0)
+            grads[rows] = gbar.T
             np.negative(cov, out=hesss[rows])
             hesss[rows, diag, diag] += mean_diag
-        else:
-            hesss[rows] = mean_hess - cov
     if not (np.all(np.isfinite(grads)) and np.all(np.isfinite(hesss))):
         raise QuadratureOverflowError(
             "quadrature overflow in derivatives: non-finite gradient or "

@@ -215,16 +215,15 @@ def build_generator(flow_measure: FlowMeasure, cprime=None,
     return _generator(fm.t, box, raw_w, cprime, refiner)
 
 
-def build_generator_from_density(box: Box, w_values: np.ndarray, mobility=None,
-                                 refiner=None) -> GeneratorDiscretization:
-    """Generator for a tabulated density (no analytic potential attached)."""
+def build_generator_from_density(box: Box,
+                                 w_values: np.ndarray) -> GeneratorDiscretization:
+    """Generator for a tabulated density (no analytic potential attached),
+    with the standard carre du champ |grad f|^2 and no mesh refiner."""
     w_values = np.asarray(w_values, dtype=float)
     if np.any(w_values < 0):
         raise ValueError("density values must be nonnegative")
-    mobility = np.eye(box.dim) if mobility is None else \
-        np.atleast_2d(np.asarray(mobility, dtype=float))
     floor = np.max(w_values) * 1e-290
-    return _generator(0.0, box, np.maximum(w_values, floor), mobility, refiner)
+    return _generator(0.0, box, np.maximum(w_values, floor), np.eye(box.dim), None)
 
 
 @dataclass

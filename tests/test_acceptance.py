@@ -105,12 +105,12 @@ def test_criterion_02_ou_spectrum_oracle():
 
 
 def test_criterion_03_quadratic_closed_form():
-    V0 = PotentialDescriptor.quadratic([[1.0]])
+    # x^2/2 written as a quartic runs the quadrature kernel of every run
+    V0 = PotentialDescriptor.quartic(0.0, 1.0, 0.0, dimension=1)
     q = QuadratureRule(order=40, dimension=1)
     want_v, want_g, want_h = oracles.gaussian_smoothed_quadratic(1.0, 1.0, 1.0)
-    got_v = renormalized_value(V0, [[1.0]], [1.0], q, method="quadrature")
-    got_g, got_h = renormalized_derivatives(V0, [[1.0]], [1.0], q,
-                                            method="quadrature")
+    got_v = renormalized_value(V0, [[1.0]], [1.0], q)
+    got_g, got_h = renormalized_derivatives(V0, [[1.0]], [1.0], q)
     dev = max(abs(got_v - want_v), abs(got_g[0] - want_g),
               abs(got_h[0, 0] - want_h))
     ok = dev <= 1e-8

@@ -1,7 +1,8 @@
 """The benchmark's tracer (``bench/spans.py``) binds rgflow functions and
 their parameters by name.  A rename that it no longer finds makes a layer
 metric read 0 instead of failing, so this test runs a small traced config
-and requires the layers it binds by parameter to count work."""
+and requires the layers it binds by parameter (``V0``, ``x`` and ``q`` of
+the smoothing calls among them) to count work."""
 
 import json
 import os
@@ -40,12 +41,15 @@ start = time.perf_counter()
 report = run_experiment(config_from_text(sys.stdin.read()))
 phi4.lattice_moments(phi4.Phi4Model([[1.0]], 1.0, -1.0, [0.0]),
                      mass_shift=1.0, order=40)
-from rgflow import flow, make_schedule, PotentialDescriptor, QuadratureRule
+from rgflow import (flow, make_schedule, PotentialDescriptor, QuadratureRule,
+                    renormalized_derivatives, renormalized_value)
 sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
 box = flow.default_box(sched)
-flow.semigroup_apply(sched, PotentialDescriptor.quartic(1.0, -1.0, 0.0, 1),
-                     0.3, 0.9, flow.GridFunction(box, [1.0] * 129),
-                     QuadratureRule(order=40, dimension=1))
+V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, 1)
+q = QuadratureRule(order=40, dimension=1)
+flow.semigroup_apply(sched, V0, 0.3, 0.9, flow.GridFunction(box, [1.0] * 129), q)
+renormalized_value(V0, [[0.5]], [[0.1], [0.2]], q)
+renormalized_derivatives(V0, [[0.5]], [[0.1], [0.2]], q)
 metrics = spans.layer_metrics(tracer.spans, time.perf_counter() - start)
 print(json.dumps({"errors": report.errors, "metrics": metrics}))
 """
@@ -61,5 +65,7 @@ def test_tracer_counts_work_in_the_layers_it_binds_by_parameter():
     metrics = out["metrics"]
     for key in ("flow.flow_measure.nodes", "spectral.build_generator.nodes",
                 "spectral.spectrum.nodes", "phi4.lattice_moments.points",
-                "flow.semigroup_apply.points"):
+                "flow.semigroup_apply.points",
+                "potential.renormalized_value.points",
+                "potential.renormalized_derivatives.points"):
         assert metrics[key] > 0, key

@@ -40,7 +40,7 @@ def test_parse_types():
         "a = 1\nb = 2.5\nc = true\nd = hello\ne = [1, 2]\nf = [[1.0, 0.0], [0.0, 2.0]]\n")
     assert entries["a"] == 1 and isinstance(entries["a"], int)
     assert entries["b"] == 2.5
-    assert entries["c"] is True
+    assert entries["c"] == "true"  # no booleans: no config key takes one
     assert entries["d"] == "hello"
     assert entries["e"] == [1, 2]
     assert entries["f"] == [[1.0, 0.0], [0.0, 2.0]]
@@ -711,6 +711,7 @@ def test_weight_underflow_ends_unconverged(tmp_path, edit):
     assert status["detail"].startswith("box too large / resolution too coarse")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_coupling_ends_unconverged(tmp_path):
     # g = 1e200 overflows the tilted covariance of the Hessian: the run ends
     # unconverged, not as a fail judged on infinite margins
@@ -725,6 +726,30 @@ def test_huge_coupling_ends_unconverged(tmp_path):
     assert status["status"] == "unconverged"
     assert status["detail"].startswith("quadrature overflow in derivatives")
     assert all(r["section"] == "status" for r in rows)
+
+
+BOOLEAN_EDITS = {
+    "seed": SWEEP_BASE.replace("seed = 20240601", "seed = true"),
+    "model.g": SWEEP_BASE.replace("model.g = 1.0", "model.g = true"),
+    "model.nu": SWEEP_BASE.replace("model.nu = -1.0", "model.nu = true"),
+    "model.h": SWEEP_BASE + "model.h = [true]\n",
+    "model.a_matrix": SWEEP_BASE.replace("model.a_matrix = [[1.0]]",
+                                         "model.a_matrix = true"),
+    "custom-poly model.g": GAUSS_CFG.replace(
+        "model.kind = gaussian", "model.kind = custom-poly\nmodel.g = true"),
+    "schedule.c_infinity": GAUSS_CFG.replace("[[1.0]]", "[[true]]"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(BOOLEAN_EDITS))
+def test_boolean_values_rejected_at_validate(tmp_path, capsys, edit):
+    # `true` is no number: it used to parse as a bool and build with 1.0
+    from rgflow import cli
+
+    path = tmp_path / "bool.cfg"
+    path.write_text(BOOLEAN_EDITS[edit].format(out=tmp_path / "out"))
+    assert cli.main(["validate", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def _sweep_values(domain: str, tmp_path) -> list:

@@ -64,8 +64,8 @@ def test_alpha_sup_monotone_in_sample_set():
     q = QuadratureRule(order=60, dimension=1)
     small = np.linspace(-1, 1, 5).reshape(-1, 1)
     large = np.linspace(-3, 3, 17).reshape(-1, 1)
-    a_small = alpha_prime(sched, V0, 1.0, small, q, refine=False)
-    a_large = alpha_prime(sched, V0, 1.0, large, q, refine=False)
+    a_small = alpha_prime(sched, V0, 1.0, small, q)
+    a_large = alpha_prime(sched, V0, 1.0, large, q)
     assert a_large >= a_small - 1e-12
 
 
@@ -132,19 +132,6 @@ def test_theorem_margin_gaussian_equality():
     assert len(margins) == 36
     assert max(abs(m.margin) for m in margins) < 1e-12
     assert all(m.ok for m in margins)
-
-
-def test_theorem_margin_degenerate_pair():
-    curv = _gauss_curv()
-    trace = [(t, 1.0) for t in curv.t_grid]
-    margins = theorem_margin(trace, curv, pairs=[(0.5, 0.5)])
-    assert margins[0].margin == 0.0
-
-
-def test_theorem_margin_missing_point_rejected():
-    curv = _gauss_curv()
-    with pytest.raises(ValueError, match="not on the spectral trace"):
-        theorem_margin([(0.0, 1.0)], curv, pairs=[(0.0, 0.7)])
 
 
 def test_higher_eigenvalue_margins_ou_chain():

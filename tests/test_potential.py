@@ -53,15 +53,16 @@ def test_zero_potential_smooths_to_zero():
 
 
 def test_quadratic_value_matches_oracle_both_paths():
-    V0 = PotentialDescriptor.quadratic([[1.0]])
+    # x^2/2 by the closed form of the quadratic and by the quartic kernel
     q = QuadratureRule(order=40, dimension=1)
     want, wg, wh = oracles.gaussian_smoothed_quadratic(1.0, 1.0, 1.0)
-    for method in ("auto", "quadrature"):
-        got = renormalized_value(V0, [[1.0]], [1.0], q, method=method)
+    for V0 in (PotentialDescriptor.quadratic([[1.0]]),
+               PotentialDescriptor.quartic(0.0, 1.0, 0.0, dimension=1)):
+        got = renormalized_value(V0, [[1.0]], [1.0], q)
         assert_allclose(got, want, atol=1e-10)
-    g, h = renormalized_derivatives(V0, [[1.0]], [1.0], q, method="quadrature")
-    assert_allclose(g[0], wg, atol=1e-10)
-    assert_allclose(h[0, 0], wh, atol=1e-10)
+        g, h = renormalized_derivatives(V0, [[1.0]], [1.0], q)
+        assert_allclose(g[0], wg, atol=1e-10)
+        assert_allclose(h[0, 0], wh, atol=1e-10)
 
 
 def test_zero_covariance_returns_base_potential():
@@ -91,14 +92,15 @@ def test_quartic_hessian_matches_tilted_identity_oracle():
 
 
 def test_convexity_preserved_for_quadratic_base():
-    b = np.array([[1.0, 0.4], [0.4, 0.7]])
-    V0 = PotentialDescriptor.quadratic(b)
-    q = QuadratureRule(order=20, dimension=2)
+    # a convex quartic (g, nu >= 0) stays convex under Gaussian smoothing
+    # (Prekopa), here under a covariance with off-diagonal terms
+    V0 = PotentialDescriptor.quartic([1.0, 0.5], [0.3, 0.0], [0.2, -0.1])
+    q = QuadratureRule(order=60, dimension=2)
     rng = np.random.default_rng(3)
     for c_scale in (0.0, 0.3, 2.0):
-        c = c_scale * np.eye(2)
+        c = c_scale * np.array([[1.0, 0.6], [0.6, 0.8]])
         xs = rng.uniform(-3, 3, size=(20, 2))
-        _, hess = renormalized_derivatives(V0, c, xs, q, method="quadrature")
+        _, hess = renormalized_derivatives(V0, c, xs, q)
         for hm in hess:
             assert np.linalg.eigvalsh(hm)[0] >= -1e-10
 
@@ -207,6 +209,27 @@ def test_fused_derivatives_match_descriptor_reference(case, batch):
                     atol=1e-12 * np.abs(want_g).max())
     assert_allclose(np.reshape(got_h, want_h.shape), want_h, rtol=1e-12,
                     atol=1e-12 * np.abs(want_h).max())
+
+
+@pytest.mark.parametrize("c", [
+    np.array([[0.8, 0.3], [0.3, 0.6]]),
+    np.array([[0.8, 0.3, 0.1], [0.3, 0.6, 0.2], [0.1, 0.2, 0.5]]),
+    np.diag([1.0, 0.0]),
+], ids=["d2", "d3", "rank-deficient"])
+def test_fused_kernel_matches_quadratic_closed_form(c):
+    # quartic(0, nu) is the quadratic diag(nu)/2: the quadrature of the fused
+    # kernel against the exact smoothed quadratic
+    d = len(c)
+    nu = np.array([1.0, 0.7, 1.3])[:d]
+    q = QuadratureRule(order=32, dimension=d)
+    xs = np.random.default_rng(3).uniform(-2.0, 2.0, size=(6, d))
+    quartic = PotentialDescriptor.quartic(0.0, nu, dimension=d)
+    exact = PotentialDescriptor.quadratic(np.diag(nu))
+    assert_allclose(renormalized_value(quartic, c, xs, q),
+                    renormalized_value(exact, c, xs), rtol=0, atol=1e-10)
+    for got, want in zip(renormalized_derivatives(quartic, c, xs, q),
+                         renormalized_derivatives(exact, c, xs)):
+        assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_derivative_batches_bound_memory_by_evaluation_nodes():
