@@ -5,7 +5,8 @@ Modules
 -------
 covariance  covariance decompositions t -> (C_t, C_t', C_t'')
 potential   renormalized potentials and their tilted-moment derivatives
-flow        flow measures, the scale-to-scale semigroup, heat-flow harness
+flow        flow measures on grids, the scale-to-scale semigroup, the variance
+            audit, heat-flow harness
 spectral    the flow measure's divergence-form generator and its spectra
             (scipy's linear algebra; loaded on first use)
 curvature   multiscale curvature schedules and inequality certification
@@ -29,7 +30,7 @@ from .curvature import (CurvatureSchedule, alpha_prime, build_schedule,
                         poincare_upper_bound, theorem_margin)
 from .flow import (Box, FlowMeasure, GridFunction, conservation_check,
                    default_box, heatflow_harness, make_flow_measure,
-                   nu_log_density, semigroup_apply)
+                   semigroup_apply)
 from .phi4 import (Phi4Model, hessian_identity_check, phi4_schedules,
                    susceptibility, tilted_covariance)
 from .potential import (PotentialDescriptor, QuadratureRule,
@@ -42,7 +43,7 @@ __all__ = [
     "default_box", "heatflow_harness",
     "hessian_identity_check", "higher_eigenvalue_margin",
     "integrate_schedules", "intertwining_check", "make_flow_measure",
-    "make_schedule", "multiscale_margin", "nu_log_density", "phi4_schedules",
+    "make_schedule", "multiscale_margin", "phi4_schedules",
     "poincare_upper_bound", "rayleigh_flow_trace", "rayleigh_quotient",
     "renormalized_derivatives", "renormalized_value", "schedule_from_table_file",
     "semigroup_apply", "spectrum", "susceptibility", "theorem_margin",

@@ -32,10 +32,13 @@ def _sym(m: np.ndarray) -> np.ndarray:
 
 
 def _check_spd(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Validate symmetry and positive-definiteness; return (eigvals, eigvecs)."""
+    """Validate finiteness, symmetry and positive-definiteness; return
+    (eigvals, eigvecs)."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite, got {m.tolist()}")
     asym = np.max(np.abs(m - m.T))
     scale = max(np.max(np.abs(m)), 1.0)
     if asym > 1e-10 * scale:
@@ -130,50 +133,6 @@ class CovarianceSchedule:
             )
         return _sym((u / w) @ u.T)
 
-    def self_check(self, t_grid=None) -> dict:
-        """Numerical audit of the type invariants on a log-spaced grid.
-
-        Returns a dict of worst-case figures; callers assert on them.
-        """
-        if t_grid is None:
-            if self.kind == "custom-table":
-                t_grid = self.table[0]
-            else:
-                t_grid = np.geomspace(1e-3, 1e3, 25)
-        t_grid = np.asarray(t_grid, dtype=float)
-
-        mono_min = np.inf
-        cp_min = np.inf
-        fd_rel = 0.0
-        prev = None
-        for t in t_grid:
-            c, cp, _ = self.eval(t)
-            cp_min = min(cp_min, np.linalg.eigvalsh(cp)[0])
-            if prev is not None:
-                mono_min = min(mono_min, np.linalg.eigvalsh(c - prev)[0])
-            prev = c
-            scale = max(np.max(np.abs(self.c_infinity)), 1.0)
-            if self.kind != "custom-table" and np.max(np.abs(cp)) >= 1e-4 * scale:
-                # below 1e-4 * scale the mobility sits under the float
-                # roundoff of C itself and central differences are noise
-                h = 1e-5 * max(t, 1.0)
-                cm = self.eval(max(t - h, 0.0))[0]
-                cpl = self.eval(t + h)[0]
-                fd = (cpl - cm) / (h + min(t, h))
-                fd_rel = max(fd_rel,
-                             np.max(np.abs(fd - cp)) / np.max(np.abs(cp)))
-
-        # convergence C_t -> C_inf with a decreasing gap along the tail
-        ts = np.sort(t_grid)[-6:]
-        eps = [np.linalg.norm(self.c_infinity - self.eval(t)[0], 2) for t in ts]
-        return {
-            "monotone_min_eig": float(mono_min),
-            "cprime_min_eig": float(cp_min),
-            "fd_consistency_rel": float(fd_rel),
-            "tail_gaps": eps,
-            "tail_decreasing": all(b <= a + 1e-12 for a, b in zip(eps, eps[1:])),
-        }
-
 
 def make_schedule(kind: str, c_infinity=None, aux=None, table=None) -> CovarianceSchedule:
     """Construct a covariance decomposition.
@@ -216,6 +175,9 @@ def make_schedule(kind: str, c_infinity=None, aux=None, table=None) -> Covarianc
 
 def _validate_table(table, c_infinity):
     t_nodes, c, cp, cpp = (np.asarray(x, dtype=float) for x in table)
+    for name, arr in (("t", t_nodes), ("c", c), ("cp", cp), ("cpp", cpp)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"table {name!r} entries must be finite")
     order = np.argsort(t_nodes)
     t_nodes, c, cp, cpp = t_nodes[order], c[order], cp[order], cpp[order]
     if t_nodes[0] < 0:

@@ -217,25 +217,6 @@ def default_box(schedule: CovarianceSchedule) -> Box:
     return Box.cube(BOX_HALFWIDTH_SIGMAS * sigma, schedule.dim)
 
 
-def _residual_quadratic(schedule: CovarianceSchedule, t: float,
-                        xb: np.ndarray) -> np.ndarray:
-    """1/2 <x, (C_inf - C_t)^{-1} x> on a batch of points."""
-    prec = schedule.residual_inverse(t)
-    return 0.5 * np.einsum("mi,ij,mj->m", xb, prec, xb)
-
-
-def nu_log_density(schedule: CovarianceSchedule, V0: PotentialDescriptor,
-                   t: float, x, q: QuadratureRule | None = None):
-    """Unnormalized log density of the flow measure at (t, x); batched in x."""
-    q = q or QuadratureRule.for_dimension(V0.dimension)
-    x = np.asarray(x, dtype=float)
-    xb = np.atleast_2d(x)
-    quad = _residual_quadratic(schedule, t, xb)
-    c, _, _ = schedule.eval(t)
-    out = -quad - np.atleast_1d(renormalized_value(V0, c, xb, q))
-    return float(out[0]) if x.ndim <= 1 else out
-
-
 def _grid_pass(nodes: np.ndarray, shifts, tilt, fs) -> tuple:
     """One chunked pass over grid nodes x Gaussian shifts ``(z, logw)``.
 
@@ -329,7 +310,8 @@ class FlowMeasure:
 
     Carries V_t and the unnormalized log density on the nodes, the log
     normalizer over the box, and the schedule, potential and quadrature
-    rule it was built with.
+    rule it was built with.  Everything else is read from these grids: the
+    normalized ``density`` and trapezoid ``expectation``s over the box.
 
     ``carry`` takes grid functions at scale 0 on the measure's grid;
     ``transported`` then holds P_{0,t} of each, in order, from one pass
@@ -350,7 +332,8 @@ class FlowMeasure:
 
     def __post_init__(self, carry=()):
         nodes = self.box.nodes(self.grid_shape)
-        quadform = _residual_quadratic(self.schedule, self.t, nodes)
+        prec = self.schedule.residual_inverse(self.t)
+        quadform = 0.5 * np.einsum("mi,ij,mj->m", nodes, prec, nodes)
         ct, _, _ = self.schedule.eval(self.t)
         v, self.transported = None, ()
         if carry:
@@ -380,33 +363,6 @@ class FlowMeasure:
         w = self.box.trapezoid_weights(self.grid_shape)
         dens = np.exp(self.log_density_grid - self.log_normalizer)
         return float(np.sum(w * dens * values))
-
-    def second_moment(self) -> float:
-        nodes = self.box.nodes(self.grid_shape)
-        r2 = np.sum(nodes**2, axis=1).reshape(self.grid_shape)
-        return self.expectation(r2)
-
-    def tail_mass_estimate(self) -> float:
-        """Gaussian tail bound on the mass outside the box.
-
-        Uses the dominating Gaussian factor and the grid minimum of V_t as a
-        proxy for its global minimum (valid when the box is generously sized).
-        """
-        prec = self.schedule.residual_inverse(self.t)
-        cov = np.linalg.inv(prec)
-        sig = np.sqrt(np.diag(cov))
-        hw = self.box.halfwidths()
-        # 2 P(Z > a) = erfc(a / sqrt 2) per axis
-        tail_prob = float(sum(math.erfc(hw[k] / sig[k] / math.sqrt(2.0))
-                              for k in range(self.box.dim)))
-        d = self.box.dim
-        log_gauss_norm = 0.5 * d * math.log(2.0 * math.pi) \
-            + 0.5 * float(np.linalg.slogdet(cov)[1])
-        v_min = float(np.min(self.v_grid))
-        if tail_prob == 0.0:
-            return 0.0
-        log_out = -v_min + log_gauss_norm + math.log(tail_prob)
-        return math.exp(log_out - self.log_normalizer)
 
 
 def make_flow_measure(schedule, V0, t, grid_shape, box=None,

@@ -65,6 +65,10 @@ class Phi4Model:
     h: np.ndarray
 
     def __post_init__(self):
+        for name in ("a_matrix", "g", "nu", "h"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value.tolist()}")
         a = np.atleast_2d(np.asarray(self.a_matrix, dtype=float))
         object.__setattr__(self, "a_matrix", 0.5 * (a + a.T))
         object.__setattr__(self, "h", np.broadcast_to(

@@ -46,11 +46,11 @@ _DERIVATIVE_NODES = 32 * 1600
 
 @dataclass(frozen=True)
 class PotentialDescriptor:
-    """Base potential with value/gradient/Hessian evaluators.
+    """Base potential V0: its form, its finite coefficients and its value.
 
     ``g``/``nu``/``h`` are per-coordinate arrays for the quartic form;
-    ``b_matrix`` is the symmetric matrix of the quadratic form.  All
-    evaluators accept a single point ``(d,)`` or a batch ``(m, d)``.
+    ``b_matrix`` is the symmetric matrix of the quadratic form.  ``value``
+    accepts a single point ``(d,)`` or a batch ``(m, d)``.
     """
 
     form: str
@@ -67,6 +67,8 @@ class PotentialDescriptor:
     @staticmethod
     def quadratic(b_matrix) -> "PotentialDescriptor":
         b = np.atleast_2d(np.asarray(b_matrix, dtype=float))
+        if not np.all(np.isfinite(b)):
+            raise ValueError(f"quadratic b_matrix must be finite, got {b.tolist()}")
         if not np.allclose(b, b.T, atol=1e-12 * max(1.0, np.abs(b).max())):
             raise ValueError("quadratic coefficient matrix must be symmetric")
         return PotentialDescriptor(form="quadratic", dimension=b.shape[0],
@@ -83,8 +85,11 @@ class PotentialDescriptor:
         nu = np.broadcast_to(nu, (dimension,)).copy()
         h = np.zeros(dimension) if h is None else np.broadcast_to(
             np.atleast_1d(np.asarray(h, dtype=float)), (dimension,)).copy()
+        for name, v in (("g", g), ("nu", nu), ("h", h)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"quartic {name} must be finite, got {v.tolist()}")
         if np.any(g < 0):
-            raise ValueError("quartic coefficients must be nonnegative for integrability")
+            raise ValueError("quartic g must be nonnegative for integrability")
         return PotentialDescriptor("phi4-site-sum", dimension, g=g, nu=nu, h=h)
 
     def value(self, x) -> np.ndarray | float:
@@ -97,30 +102,6 @@ class PotentialDescriptor:
             # stays x**4: it feeds V_t, whose mu_0 round-off the benchmark gate pins
             out = np.sum(0.25 * self.g * x**4 + 0.5 * self.nu * x**2 - self.h * x,
                          axis=-1)
-        return out[0] if single else out
-
-    def gradient(self, x) -> np.ndarray:
-        x, single = _as_batch(x, self.dimension)
-        if self.form == "zero":
-            out = np.zeros_like(x)
-        elif self.form == "quadratic":
-            out = x @ self.b_matrix
-        else:
-            out = self.g * x**3 + self.nu * x - self.h
-        return out[0] if single else out
-
-    def hessian(self, x) -> np.ndarray:
-        x, single = _as_batch(x, self.dimension)
-        m, d = x.shape
-        if self.form == "zero":
-            out = np.zeros((m, d, d))
-        elif self.form == "quadratic":
-            out = np.broadcast_to(self.b_matrix, (m, d, d)).copy()
-        else:
-            diag = 3.0 * self.g * x**2 + self.nu
-            out = np.zeros((m, d, d))
-            idx = np.arange(d)
-            out[:, idx, idx] = diag
         return out[0] if single else out
 
 

@@ -70,7 +70,9 @@ _GAUSS_1D = (0.5 * (1.0 - 1.0 / math.sqrt(3.0)), 0.5 * (1.0 + 1.0 / math.sqrt(3.
 
 @dataclass
 class GeneratorDiscretization:
-    """Assembled divergence-form generator at one scale."""
+    """Assembled divergence-form generator at one scale: the stiffness E
+    and the lumped weighted mass M of the pencil (E, M), whose generator
+    is L = -M^{-1} E, with the forms that read them."""
 
     t: float
     box: Box
@@ -82,11 +84,6 @@ class GeneratorDiscretization:
     @property
     def n_nodes(self) -> int:
         return int(np.prod(self.grid_shape))
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Generator action L f = -M^{-1} E f on node values."""
-        flat = np.asarray(values, dtype=float).reshape(-1)
-        return (-(self.stiffness @ flat) / self.mass).reshape(self.grid_shape)
 
     def dirichlet_form(self, f, g) -> float:
         fv = np.asarray(f, dtype=float).reshape(-1)

@@ -752,6 +752,49 @@ def test_boolean_values_rejected_at_validate(tmp_path, capsys, edit):
     assert "config error" in capsys.readouterr().err
 
 
+CUSTOM_POLY = GAUSS_CFG.replace("model.kind = gaussian", "model.kind = custom-poly")
+
+# Non-finite model and schedule numbers, with the name of the field the
+# error must give.
+NON_FINITE_EDITS = {
+    "phi4 model.g": (PHI4_SITE.replace("model.g = 1.0", "model.g = nan"), "g"),
+    "phi4 model.nu": (PHI4_SITE.replace("model.nu = -1.0", "model.nu = inf"), "nu"),
+    "phi4 model.h": (PHI4_SITE + "model.h = [nan]\n", "h"),
+    "phi4 model.a_matrix": (PHI4_SITE.replace("[[1.0]]", "[[nan]]"), "a_matrix"),
+    "custom-poly schedule.c_infinity": (CUSTOM_POLY.replace("[[1.0]]", "[[nan]]"),
+                                        "c_infinity"),
+    "custom-poly model.g": (CUSTOM_POLY + "model.g = nan\n", "g"),
+    "custom-poly model.nu": (CUSTOM_POLY + "model.nu = -inf\n", "nu"),
+    "quadratic model.b_matrix": (GAUSS_CFG.replace(
+        "model.kind = gaussian", "model.kind = quadratic\nmodel.b_matrix = [[nan]]"),
+        "b_matrix"),
+    "custom-table row": (GAUSS_CFG.replace(
+        "schedule.kind = heat-kernel\nschedule.c_infinity = [[1.0]]",
+        "schedule.kind = custom-table\nschedule.table = {table}"), "table 'c' entries"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(NON_FINITE_EDITS))
+def test_non_finite_numbers_rejected_at_validate(tmp_path, capsys, edit):
+    # a sign or definiteness test alone lets nan through: every comparison
+    # with nan is False
+    from rgflow import cli
+    from rgflow.covariance import write_table
+
+    t = np.array([0.0, 0.5, 1.0, 2.0])
+    c = -np.expm1(-t)[:, None, None]
+    c[1] = np.nan
+    write_table(tmp_path / "c.tab", t, c, np.exp(-t)[:, None, None],
+                -np.exp(-t)[:, None, None])
+    text, field = NON_FINITE_EDITS[edit]
+    path = tmp_path / "nan.cfg"
+    path.write_text(text.format(out=tmp_path / "out", table=tmp_path / "c.tab"))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: "), err
+    assert re.search(rf"\b{field} must be finite", err), err
+
+
 def _sweep_values(domain: str, tmp_path) -> list:
     """Config values to try for an option of ``domain``: its boundaries,
     values just outside it and a few inside."""
@@ -784,12 +827,37 @@ SWEEP_OWNER = {"spectrum": "spectrum", "criterion": "criterion",
                "phi4": "phi4-identity", "heatflow": "heatflow"}
 
 
+def _assert_edit_contract(tmp_path, capsys, text, name, check, out, edit):
+    """Run the edited config ``text`` with ``checks = [check]`` and reports
+    under ``out``: validate rejects it with exit 2, its message matching
+    ``name``, or the run exits 0, 1 or 3 with parseable reports, no `pass`
+    without a margin row and no Python exception reported as a `fail`."""
+    from rgflow import cli
+
+    path = tmp_path / "edit.cfg"
+    path.write_text(text)
+    capsys.readouterr()
+    code = cli.main(["run", str(path)])
+    if code == 2:
+        assert re.search(name, capsys.readouterr().err), edit
+        return
+    assert code in (0, 1, 3), edit
+    rows = list(csv.DictReader(open(out / "results.csv")))
+    assert rows == [json.loads(line)
+                    for line in open(out / "results.jsonl")], edit
+    (status,) = [r for r in rows if r["section"] == "status"]
+    assert status["check"] == check
+    assert status["status"] != "fail" or status["detail"] == "", edit
+    if status["status"] == "pass":
+        assert any(r["margin"] or r["section"] == "spectrum"
+                   for r in rows if r["section"] != "status"), edit
+
+
 def test_seeded_single_key_sweep(tmp_path, capsys):
     """Two seeded edits of every option on SWEEP_BASE.  validate rejects an
     edit with exit 2, naming its key, or the run of the check the key
     belongs to exits 0, 1 or 3 with parseable reports, no `pass` without a
     margin row and no Python exception reported as a `fail`."""
-    from rgflow import cli
     from rgflow.config import KNOWN_CHECKS, OPTIONS
 
     rng = np.random.default_rng(20240601)
@@ -804,22 +872,49 @@ def test_seeded_single_key_sweep(tmp_path, capsys):
             text += f"checks = [{check}]\n{key} = {value}\n"
             if key != "output":
                 text += f"output = {out}\n"
-            path = tmp_path / "edit.cfg"
-            path.write_text(text)
-            capsys.readouterr()
-            code = cli.main(["run", str(path)])
-            edit = f"{key} = {value} [{check}]"
-            if code == 2:
-                assert key in capsys.readouterr().err, edit
-                continue
-            assert code in (0, 1, 3), edit
-            out = value if key == "output" else out
-            rows = list(csv.DictReader(open(out / "results.csv")))
-            assert rows == [json.loads(line)
-                            for line in open(out / "results.jsonl")], edit
-            (status,) = [r for r in rows if r["section"] == "status"]
-            assert status["check"] == check
-            assert status["status"] != "fail" or status["detail"] == "", edit
-            if status["status"] == "pass":
-                assert any(r["margin"] or r["section"] == "spectrum"
-                           for r in rows if r["section"] != "status"), edit
+            _assert_edit_contract(tmp_path, capsys, text, re.escape(key), check,
+                                  value if key == "output" else out,
+                                  f"{key} = {value} [{check}]")
+
+
+# Values of the model and schedule numbers for test_seeded_number_sweep:
+# non-finite ones, and finite ones on both sides of each sign condition.
+NUMBER_SWEEP = {
+    "model.g": (["nan", "inf", "-inf"], [-1.0, 0.0, 0.5, 2.0]),
+    "model.nu": (["nan", "inf", "-inf"], [-3.0, 0.0, 2.0]),
+    "model.h": (["[nan]", "[inf]", "-inf"], ["[-2.0]", 0.0, 1.5]),
+    "schedule.c_infinity": (["[[nan]]", "[[inf]]", "[[-inf]]"],
+                            ["[[-1.0]]", "[[0.0]]", "[[0.5]]", "[[2.0]]"]),
+}
+# SWEEP_BASE's model as a custom-poly V0 on the heat-kernel schedule.
+SWEEP_POLY = SWEEP_BASE.replace(
+    "model.kind = phi4\nmodel.a_matrix = [[1.0]]",
+    "model.kind = custom-poly\nschedule.kind = heat-kernel\n"
+    "schedule.c_infinity = [[1.0]]")
+
+
+def test_seeded_number_sweep(tmp_path, capsys):
+    """Every non-finite and two seeded finite edits of each model and
+    schedule number, on the phi4 and the custom-poly form of SWEEP_BASE,
+    under the contract of test_seeded_single_key_sweep; validate's message
+    names the field, the key's last part."""
+    rng = np.random.default_rng(20240601)
+    # the checks that read the model; heatflow reads only its input density
+    checks = ["spectrum", "theorem", "higher-k", "intertwining", "variance",
+              "criterion"]
+    for b, (base, base_checks) in enumerate(
+            [(SWEEP_BASE, checks + ["phi4-identity"]), (SWEEP_POLY, checks)]):
+        for n, (key, groups) in enumerate(NUMBER_SWEEP.items()):
+            if key.startswith("schedule.") and base is SWEEP_BASE:
+                continue  # C_inf of a phi4 model is A^{-1}
+            non_finite, finite = groups
+            picks = rng.choice(len(finite), size=2, replace=False)
+            for m, value in enumerate(non_finite + [finite[i] for i in picks]):
+                check = rng.choice(base_checks)
+                out = tmp_path / f"out{b}-{n}-{m}"
+                text = "".join(line + "\n" for line in base.splitlines()
+                               if not line.startswith(key + " "))
+                text += f"checks = [{check}]\n{key} = {value}\noutput = {out}\n"
+                _assert_edit_contract(tmp_path, capsys, text,
+                                      rf"\b{key.split('.')[-1]}\b", check, out,
+                                      f"{key} = {value} [{check}]")

@@ -79,6 +79,43 @@ def test_initial_mobility_radius_is_one():
     assert make_schedule("pauli-villars", aux=[[0.5]]).c0_prime_radius == 1.0
 
 
+def _audit(s, t_grid) -> dict:
+    """Numerical audit of the schedule invariants of ``s`` on ``t_grid``:
+    a dict of worst-case figures for the caller to assert on."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    mono_min = np.inf
+    cp_min = np.inf
+    fd_rel = 0.0
+    prev = None
+    for t in t_grid:
+        c, cp, _ = s.eval(t)
+        cp_min = min(cp_min, np.linalg.eigvalsh(cp)[0])
+        if prev is not None:
+            mono_min = min(mono_min, np.linalg.eigvalsh(c - prev)[0])
+        prev = c
+        scale = max(np.max(np.abs(s.c_infinity)), 1.0)
+        if s.kind != "custom-table" and np.max(np.abs(cp)) >= 1e-4 * scale:
+            # below 1e-4 * scale the mobility sits under the float
+            # roundoff of C itself and central differences are noise
+            h = 1e-5 * max(t, 1.0)
+            cm = s.eval(max(t - h, 0.0))[0]
+            cpl = s.eval(t + h)[0]
+            fd = (cpl - cm) / (h + min(t, h))
+            fd_rel = max(fd_rel,
+                         np.max(np.abs(fd - cp)) / np.max(np.abs(cp)))
+
+    # convergence C_t -> C_inf with a decreasing gap along the tail
+    ts = np.sort(t_grid)[-6:]
+    eps = [np.linalg.norm(s.c_infinity - s.eval(t)[0], 2) for t in ts]
+    return {
+        "monotone_min_eig": float(mono_min),
+        "cprime_min_eig": float(cp_min),
+        "fd_consistency_rel": float(fd_rel),
+        "tail_gaps": eps,
+        "tail_decreasing": all(b <= a + 1e-12 for a, b in zip(eps, eps[1:])),
+    }
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(min_value=0.2, max_value=5.0), min_size=2, max_size=2),
        st.floats(min_value=-0.9, max_value=0.9))
@@ -87,7 +124,7 @@ def test_schedule_invariants_random_spd(diag, corr):
     c_inf = np.array([[diag[0], off], [off, diag[1]]])
     for kind in ("heat-kernel", "pauli-villars"):
         s = make_schedule(kind, c_infinity=c_inf)
-        chk = s.self_check(np.geomspace(1e-2, 1e2, 15))
+        chk = _audit(s, np.geomspace(1e-2, 1e2, 15))
         assert chk["monotone_min_eig"] >= -1e-10
         assert chk["cprime_min_eig"] >= -1e-12
         assert chk["tail_decreasing"]

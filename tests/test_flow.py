@@ -9,7 +9,7 @@ from rgflow.flow import (Box, GridFunction, _graded_legendre_rule,
                          conservation_check, default_box,
                          default_sample_points, heatflow_harness,
                          load_density_table, make_flow_measure,
-                         nu_log_density, semigroup_apply)
+                         semigroup_apply)
 from rgflow.potential import (PotentialDescriptor, QuadratureRule,
                               renormalized_value)
 from rgflow import oracles
@@ -32,9 +32,12 @@ def dwell_chain():
 
 
 def test_log_density_gaussian_values(gauss_chain):
-    sched, V0, q, _ = gauss_chain
-    assert nu_log_density(sched, V0, 1.0, [0.0], q) == 0.0
-    got = nu_log_density(sched, V0, 1.0, [1.0], q)
+    sched, V0, q, box = gauss_chain
+    fm = make_flow_measure(sched, V0, 1.0, 513, box=box, q=q)
+    xs = box.axes(fm.grid_shape)[0]
+    assert xs[256] == 0.0 and xs[288] == 1.0
+    assert fm.log_density_grid[256] == 0.0
+    got = fm.log_density_grid[288]
     assert_allclose(got, -math.e / 2.0, rtol=1e-12)
 
 
@@ -42,19 +45,47 @@ def test_log_density_composes_with_potential_oracle():
     sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.quartic(1.0, -0.5, 0.0, dimension=1)
     q = QuadratureRule(order=120, dimension=1)
-    t, x = 0.5, 1.3
+    t = 0.5
+    fm = make_flow_measure(sched, V0, t, 513, q=q)
+    # the node nearest 1.3 of the 513-node [-8, 8] box
+    x = fm.box.axes(fm.grid_shape)[0][298]
+    assert x == 1.3125
     c, _, _ = sched.eval(t)
     v_t = oracles.quartic_site_value(1.0, -0.5, 0.0, c[0, 0], x)
     prec = 1.0 / (1.0 - c[0, 0])
     want = -0.5 * prec * x * x - v_t
-    got = nu_log_density(sched, V0, t, [x], q)
+    got = fm.log_density_grid[298]
     assert abs(got - want) < 1e-8
 
 
 def test_log_density_rejects_exhausted_time(gauss_chain):
-    sched, V0, q, _ = gauss_chain
+    sched, V0, q, box = gauss_chain
     with pytest.raises(ValueError, match="flow time too large"):
-        nu_log_density(sched, V0, 60.0, [0.0], q)
+        make_flow_measure(sched, V0, 60.0, 513, box=box, q=q)
+
+
+def _tail_mass_estimate(fm) -> float:
+    """Gaussian tail bound on the mass of the flow measure ``fm`` outside
+    its box.
+
+    Uses the dominating Gaussian factor and the grid minimum of V_t as a
+    proxy for its global minimum (valid when the box is generously sized).
+    """
+    prec = fm.schedule.residual_inverse(fm.t)
+    cov = np.linalg.inv(prec)
+    sig = np.sqrt(np.diag(cov))
+    hw = fm.box.halfwidths()
+    # 2 P(Z > a) = erfc(a / sqrt 2) per axis
+    tail_prob = float(sum(math.erfc(hw[k] / sig[k] / math.sqrt(2.0))
+                          for k in range(fm.box.dim)))
+    d = fm.box.dim
+    log_gauss_norm = 0.5 * d * math.log(2.0 * math.pi) \
+        + 0.5 * float(np.linalg.slogdet(cov)[1])
+    v_min = float(np.min(fm.v_grid))
+    if tail_prob == 0.0:
+        return 0.0
+    log_out = -v_min + log_gauss_norm + math.log(tail_prob)
+    return math.exp(log_out - fm.log_normalizer)
 
 
 def test_flow_measure_normalization_and_tail(dwell_chain):
@@ -65,12 +96,13 @@ def test_flow_measure_normalization_and_tail(dwell_chain):
     mass = float(np.sum(fine.box.trapezoid_weights(fine.grid_shape)
                         * np.exp(fine.log_density_grid - fm.log_normalizer)))
     assert abs(mass - 1.0) < 1e-6
-    assert fm.tail_mass_estimate() < 1e-6
+    assert _tail_mass_estimate(fm) < 1e-6
 
 
 def test_gaussian_second_moment_decreases(gauss_chain):
     sched, V0, q, box = gauss_chain
-    moments = [make_flow_measure(sched, V0, t, 513, box=box, q=q).second_moment()
+    r2 = box.axes((513,))[0] ** 2
+    moments = [make_flow_measure(sched, V0, t, 513, box=box, q=q).expectation(r2)
                for t in (1.0, 1.5, 2.0, 3.0)]
     assert all(b <= a + 1e-12 for a, b in zip(moments, moments[1:]))
     # closed form: variance exp(-t)

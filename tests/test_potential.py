@@ -164,8 +164,9 @@ def test_quartic_requires_nonnegative_coefficient():
 
 
 def _reference_derivatives(V0, c, x, q):
-    """Tilted moments straight from the descriptor's value/gradient/Hessian
-    on the Gaussian-shift rule, without the fused kernel."""
+    """Tilted moments of the quartic ``V0`` straight from its value and
+    its gradient g x^3 + nu x - h and Hessian diag(3 g x^2 + nu) on the
+    Gaussian-shift rule, without the fused kernel."""
     from rgflow.potential import _gaussian_shifts
 
     xb = np.atleast_2d(np.asarray(x, dtype=float))
@@ -175,8 +176,10 @@ def _reference_derivatives(V0, c, x, q):
     le = logw[None, :] - V0.value(flat).reshape(m, -1)
     wts = np.exp(le - le.max(axis=1, keepdims=True))
     wts /= wts.sum(axis=1, keepdims=True)
-    gv = V0.gradient(flat).reshape(m, -1, d)
-    hv = V0.hessian(flat).reshape(m, -1, d, d)
+    gv = (V0.g * flat**3 + V0.nu * flat - V0.h).reshape(m, -1, d)
+    hv = np.zeros((len(flat), d, d))
+    hv[:, np.arange(d), np.arange(d)] = 3.0 * V0.g * flat**2 + V0.nu
+    hv = hv.reshape(m, -1, d, d)
     gbar = np.einsum("mq,mqi->mi", wts, gv)
     centered = gv - gbar[:, None, :]
     hess = (np.einsum("mq,mqij->mij", wts, hv)
