@@ -24,10 +24,10 @@ scipy.
 """
 
 from .covariance import CovarianceSchedule, make_schedule, schedule_from_table_file
-from .curvature import (CurvatureSchedule, alpha_prime, build_schedule,
+from .curvature import (CurvatureSchedule, build_schedule,
                         higher_eigenvalue_margin, integrate_schedules,
-                        intertwining_check, multiscale_margin,
-                        poincare_upper_bound, theorem_margin)
+                        intertwining_check, poincare_upper_bound,
+                        theorem_margin)
 from .flow import (Box, FlowMeasure, GridFunction, conservation_check,
                    default_box, heatflow_harness, make_flow_measure,
                    semigroup_apply)
@@ -39,11 +39,11 @@ from .potential import (PotentialDescriptor, QuadratureRule,
 __all__ = [
     "Box", "CovarianceSchedule", "CurvatureSchedule", "FlowMeasure",
     "GridFunction", "Phi4Model", "PotentialDescriptor", "QuadratureRule",
-    "alpha_prime", "build_generator", "build_schedule", "conservation_check",
+    "build_generator", "build_schedule", "conservation_check",
     "default_box", "heatflow_harness",
     "hessian_identity_check", "higher_eigenvalue_margin",
     "integrate_schedules", "intertwining_check", "make_flow_measure",
-    "make_schedule", "multiscale_margin", "phi4_schedules",
+    "make_schedule", "phi4_schedules",
     "poincare_upper_bound", "rayleigh_flow_trace", "rayleigh_quotient",
     "renormalized_derivatives", "renormalized_value", "schedule_from_table_file",
     "semigroup_apply", "spectrum", "susceptibility", "theorem_margin",

@@ -88,9 +88,9 @@ _TIMES = _Rule("a non-empty list of numbers > 0",
                and all(_finite(t) and t > 0 for t in v) else None)
 
 # Every optional key: its default and its domain.  A None default depends on
-# the model and is resolved where the key is read.  ``variance.count`` is
-# capped because its Gauss-Legendre rule solves a dense count x count
-# eigenproblem.
+# the model and is resolved where the key is read (``variance.t_max`` in
+# ``config_from_text``).  ``variance.count`` is capped because its
+# Gauss-Legendre rule solves a dense count x count eigenproblem.
 OPTIONS = {
     "t_grid.min": (0.05, _Rule("a number >= 0",
                                lambda v: float(v) if _finite(v) and v >= 0 else None)),
@@ -274,6 +274,21 @@ def _build_model(kind: str, sched_kind: str, entries: dict):
     return schedule, V0, phi4_model
 
 
+def _check_horizon(schedule: CovarianceSchedule, key: str, t: float | None,
+                   default: float | None = None) -> float:
+    """``t``, or ``default`` lowered by ``residual_horizon``, where
+    ``residual_inverse`` accepts it; otherwise a ConfigError naming ``key``."""
+    shown = f"{default:g} (the default)" if t is None else f"{t:g}"
+    try:
+        if t is None:
+            t = schedule.residual_horizon(default)
+        schedule.residual_inverse(t)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must lie in the schedule's domain, got "
+                          f"{shown}: {exc}") from exc
+    return t
+
+
 def config_from_text(text: str) -> ExperimentConfig:
     entries = parse_config_text(text)
 
@@ -324,9 +339,19 @@ def config_from_text(text: str) -> ExperimentConfig:
     if any(c in SPECTRAL_CHECKS for c in checks) and grid_points <= k + 1:
         raise ConfigError(f"disc.grid_points must be above spectrum.k + 1 = {k + 1} "
                           f"for the spectral checks, got {grid_points}")
-    # intertwining and variance transport grid functions by P_{0,t}, whose
-    # kernel C_t - C_0 must fit in the box
+    # the last time each check evaluates the schedule at must lie in its
+    # domain: inside a table's range, with C_inf - C_t invertible there
     box, t_max = options["disc.box_halfwidth"], options["variance.t_max"]
+    if any(c != "heatflow" for c in checks):
+        _check_horizon(schedule, "t_grid.max", options["t_grid.max"])
+    if "intertwining" in checks:
+        _check_horizon(schedule, "intertwining.times", max(options["intertwining.times"]))
+    if "variance" in checks:
+        options["variance.t_max"] = _check_horizon(
+            schedule, "variance.t_max", t_max, 20.0 if V0.form == "zero" else 30.0)
+    # intertwining and variance transport grid functions by P_{0,t}, whose
+    # kernel C_t - C_0 must fit in the box (up to C_inf where variance.t_max
+    # is not set)
     ends = ([max(options["intertwining.times"])] if "intertwining" in checks else []) + (
         [math.inf if t_max is None else t_max] if "variance" in checks else [])
     if box is not None and ends:

@@ -133,6 +133,23 @@ class CovarianceSchedule:
             )
         return _sym((u / w) @ u.T)
 
+    def residual_horizon(self, t_max: float) -> float:
+        """``t_max``, or the largest smaller time at which C_inf - C_t stays
+        100x above the floor of ``residual_inverse`` (found by bisection)."""
+
+        def holds(t):
+            c, _, _ = self.eval(t)
+            gap = np.linalg.eigvalsh(self.c_infinity - c)[0]
+            return gap >= 100.0 * RESIDUAL_FLOOR
+
+        if holds(t_max):
+            return t_max
+        lo, hi = 0.0, t_max
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+        return lo
+
 
 def make_schedule(kind: str, c_infinity=None, aux=None, table=None) -> CovarianceSchedule:
     """Construct a covariance decomposition.

@@ -34,6 +34,7 @@ import numpy as np
 
 from . import _stencils
 from .covariance import CovarianceSchedule
+from .errors import NonConvergenceError
 from .flow import FlowMeasure, GridFunction
 from .potential import (_CLOSED_FORMS, PotentialDescriptor, QuadratureRule,
                         _gaussian_shifts, _tilted_derivatives,
@@ -69,7 +70,6 @@ class CurvatureSchedule:
     alpha_prime: np.ndarray
     lambda_integral: np.ndarray
     alpha_integral: np.ndarray
-    sample_spec: str = ""
     refinement_ok: bool = True
 
     def lambda_at(self, t: float) -> float:
@@ -185,14 +185,13 @@ def _stacked_shifts(covs, d: int, q: QuadratureRule):
 
 
 def _extremal_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
-                    times, kinds, x_samples,
-                    q: QuadratureRule | None) -> np.ndarray:
-    """Extremal rates over the sample set, shape (len(kinds), len(times)).
+                    times, x_samples, q: QuadratureRule) -> np.ndarray:
+    """Extremal rates over the sample set, shape (2, len(times)): row 0 the
+    minimized lambda', row 1 the maximized alpha'.
 
-    The lambda' rate is minimized and the alpha' rate maximized.  Every
-    (kind, time) pair is one search, and all of them run in lockstep: the
-    Gaussian shifts of each C_t are factored once, one Hessian batch covers
-    every sample at every time, and each compass-search sweep
+    Every (rate, time) pair is one search, and all of them run in lockstep:
+    the Gaussian shifts of each C_t are factored once, one Hessian batch
+    covers every sample at every time, and each compass-search sweep
     (``_compass_search``) from the extremal samples is one more batch of the
     2d trials of every search.  Each row of a batch reads the shifts of its
     own time.  Closed-form potentials have x-independent Hessians, so they
@@ -201,7 +200,6 @@ def _extremal_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     x_samples = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if x_samples.size == 0:
         raise ValueError("x_samples must be nonempty")
-    q = q or QuadratureRule.for_dimension(V0.dimension)
     d = V0.dimension
     covs = [schedule.eval(t)[0] for t in times]
     closed_form = V0.form in _CLOSED_FORMS
@@ -217,7 +215,8 @@ def _extremal_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
         def hessians(xs, which):
             return _tilted_derivatives(V0, shifts, xs, which)[1]
 
-    searches = [(i, kind) for kind in kinds for i in range(len(times))]
+    searches = [(i, kind) for kind in ("lambda", "alpha")
+                for i in range(len(times))]
     which = np.array([i for i, _ in searches])
     maximize = np.array([kind == "alpha" for _, kind in searches])
     rates = _congruence_rates([_rate_form(schedule, times[i], kind)
@@ -240,36 +239,10 @@ def _extremal_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
         maximize, step0=span / 8.0,
         bounds=(x_samples.min(axis=0), x_samples.max(axis=0)),
         steps=0 if closed_form else _REFINE_STEPS)
-    return best.reshape(len(kinds), len(times))
+    return best.reshape(2, len(times))
 
 
-def multiscale_margin(schedule: CovarianceSchedule, V0: PotentialDescriptor,
-                      t: float, x_samples,
-                      q: QuadratureRule | None = None) -> float:
-    """Largest admissible lambda'_t over the sample set.
-
-    Minimizes, over x, the smallest generalized eigenvalue of
-    (C' hess V_t(x) C' - C''/2) against C'.  The sampled minimum is an upper
-    bound for the true infimum; local descent from the worst sample tightens
-    it.
-    """
-    return float(_extremal_rates(schedule, V0, [t], ("lambda",), x_samples,
-                                 q)[0, 0])
-
-
-def alpha_prime(schedule: CovarianceSchedule, V0: PotentialDescriptor,
-                t: float, x_samples,
-                q: QuadratureRule | None = None) -> float:
-    """Largest eigenvalue of sqrt(C')(hess V_t + (C_inf - C_t)^{-1})sqrt(C').
-
-    Maximized over the sample set; the sampled supremum is reported as a
-    lower bound on the true one.
-    """
-    return float(_extremal_rates(schedule, V0, [t], ("alpha",), x_samples,
-                                 q)[0, 0])
-
-
-def integrate_schedules(prime_samples, sample_spec: str = "") -> CurvatureSchedule:
+def integrate_schedules(prime_samples) -> CurvatureSchedule:
     """Cumulative trapezoid integration of sampled (lambda', alpha').
 
     ``prime_samples`` is (t_grid, lambda_prime, alpha_prime) with t_grid
@@ -294,8 +267,7 @@ def integrate_schedules(prime_samples, sample_spec: str = "") -> CurvatureSchedu
     ok = abs(lam_coarse - lam[-1]) <= 3.0 * _REFINEMENT_TOL
     return CurvatureSchedule(
         t_grid=t_grid, lambda_prime=lp, alpha_prime=ap,
-        lambda_integral=lam, alpha_integral=alp,
-        sample_spec=sample_spec, refinement_ok=bool(ok))
+        lambda_integral=lam, alpha_integral=alp, refinement_ok=bool(ok))
 
 
 def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -323,9 +295,7 @@ def rate_time(t_grid, i: int) -> float:
 
 
 def build_schedule(schedule: CovarianceSchedule, V0: PotentialDescriptor,
-                   t_grid, x_samples, q: QuadratureRule | None = None,
-                   lambda_prime_override=None,
-                   sample_spec: str = "") -> CurvatureSchedule:
+                   t_grid, x_samples, q: QuadratureRule) -> CurvatureSchedule:
     """Evaluate both rates over a time grid and integrate them.
 
     A t = 0 node reuses the next grid time's rates (``rate_time``), and
@@ -333,20 +303,15 @@ def build_schedule(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     time come out of one lockstep extraction (``_extremal_rates``): one
     Hessian batch on the sample set at all times, then one batch per
     compass-search sweep for all times and both rates, so the derivative
-    kernel runs 1 + ``_REFINE_STEPS`` times whatever the grid.
-    ``lambda_prime_override`` substitutes an externally certified rate
-    (e.g. the susceptibility formula for lattice quartic models), and then
-    only alpha' is extracted.
+    kernel runs 1 + ``_REFINE_STEPS`` times whatever the grid.  A certified
+    rate from elsewhere (1/t - chi_t/t^2 for lattice models) replaces the
+    sampled lambda' through ``integrate_schedules``.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     times, at = np.unique([rate_time(t_grid, i) for i in range(len(t_grid))],
                           return_inverse=True)
-    kinds = ("lambda", "alpha") if lambda_prime_override is None else ("alpha",)
-    rates = _extremal_rates(schedule, V0, times, kinds, x_samples, q)
-    lam = rates[0] if lambda_prime_override is None else np.array(
-        [float(lambda_prime_override(te)) for te in times])
-    lp, ap = lam[at], rates[-1][at]
-    return integrate_schedules((t_grid, lp, ap), sample_spec=sample_spec)
+    lam, alp = _extremal_rates(schedule, V0, times, x_samples, q)
+    return integrate_schedules((t_grid, lam[at], alp[at]))
 
 
 @dataclass(frozen=True)
@@ -362,15 +327,22 @@ class PairMargin:
         return self.margin >= -self.tolerance
 
 
-def _all_pairs(times):
-    """Every pair s < t of the sorted distinct ``times``."""
-    return [(s, t) for i, s in enumerate(times) for t in times[i + 1:]]
-
-
-def _exponent_change(curv: CurvatureSchedule, s: float, t: float) -> float:
-    """(alpha_t - alpha_s) - 2(lambda_t - lambda_s), shared by every margin."""
-    return ((curv.alpha_at(t) - curv.alpha_at(s))
-            - 2.0 * (curv.lambda_at(t) - curv.lambda_at(s)))
+def _pair_margins(trace_seq, curv: CurvatureSchedule, k: int,
+                  tol_total: float, decay: bool) -> list[PairMargin]:
+    """(alpha_t - alpha_s) - 2(lambda_t - lambda_s) + log v_t - log v_s for
+    every pair s < t of the times of the trace (t, v); ``decay`` swaps v_t
+    and v_s."""
+    trace = {float(t): float(v) for t, v in trace_seq}
+    times = sorted(trace)
+    out = []
+    for i, s in enumerate(times):
+        for t in times[i + 1:]:
+            up, down = (s, t) if decay else (t, s)
+            margin = ((curv.alpha_at(t) - curv.alpha_at(s))
+                      - 2.0 * (curv.lambda_at(t) - curv.lambda_at(s))
+                      + math.log(trace[up]) - math.log(trace[down]))
+            out.append(PairMargin(s, t, k, margin, tol_total))
+    return out
 
 
 def theorem_margin(spectral_trace, curv: CurvatureSchedule,
@@ -383,13 +355,7 @@ def theorem_margin(spectral_trace, curv: CurvatureSchedule,
     + log C_P(nu_t) - log C_P(nu_s); the certified inequality asks for
     margin >= -tol_total.  Margins are reported as computed, never clipped.
     """
-    trace = {float(t): float(cp) for t, cp in spectral_trace}
-    out = []
-    for s, t in _all_pairs(sorted(trace)):
-        margin = (_exponent_change(curv, s, t)
-                  + math.log(trace[t]) - math.log(trace[s]))
-        out.append(PairMargin(s=s, t=t, k=1, margin=margin, tolerance=tol_total))
-    return out
+    return _pair_margins(spectral_trace, curv, 1, tol_total, decay=False)
 
 
 def higher_eigenvalue_margin(spectral_traces: dict, curv: CurvatureSchedule,
@@ -402,28 +368,20 @@ def higher_eigenvalue_margin(spectral_traces: dict, curv: CurvatureSchedule,
     - log lambda_k(nu_t) >= -tol_total.  A Rayleigh trace (t, R(t)) under
     k = 0 gives the quasi-decay margins of the trace over all grid pairs.
     """
-    out = []
-    for k, trace_seq in sorted(spectral_traces.items()):
-        trace = {float(t): float(v) for t, v in trace_seq}
-        for s, t in _all_pairs(sorted(trace)):
-            margin = (_exponent_change(curv, s, t)
-                      + math.log(trace[s]) - math.log(trace[t]))
-            out.append(PairMargin(s=s, t=t, k=k, margin=margin,
-                                  tolerance=tol_total))
-    return out
+    return [m for k, trace_seq in sorted(spectral_traces.items())
+            for m in _pair_margins(trace_seq, curv, k, tol_total, decay=True)]
 
 
 def poincare_upper_bound(curv: CurvatureSchedule, c_prime_radius_s: float,
-                         s: float, t_max: float | None = None) -> float:
-    """Integrated bound |C_s'| (int_s^T exp(-2 lambda_t) dt + tail).
+                         s: float) -> float:
+    """Integrated bound |C_s'| (int_s^T exp(-2 lambda_t) dt + tail), T the
+    end of the schedule's grid.
 
-    The tail uses the smallest rate over the second half of the schedule as
-    a positive floor; a nonpositive floor means the bound diverges.
+    The tail uses the smallest rate over the second half of [s, T] as a
+    positive floor; a nonpositive floor means the bound diverges.
     """
     t = curv.t_grid
-    if t_max is None:
-        t_max = float(t[-1])
-    mask = (t >= s - 1e-12) & (t <= t_max + 1e-12)
+    mask = t >= s - 1e-12
     if mask.sum() < 2:
         raise ValueError("schedule grid too coarse between s and T")
     tt = t[mask]
@@ -439,24 +397,35 @@ def poincare_upper_bound(curv: CurvatureSchedule, c_prime_radius_s: float,
 
 
 def intertwining_check(schedule: CovarianceSchedule, V0: PotentialDescriptor,
-                       F: GridFunction, t: float, curv: CurvatureSchedule,
-                       q: QuadratureRule | None = None) -> float:
-    """Max violation of the gradient-semigroup commutation bound at time t.
+                       fs, t: float, curv: CurvatureSchedule,
+                       q: QuadratureRule) -> list[float]:
+    """Max violation of the gradient-semigroup commutation bound at time t,
+    one per grid function of ``fs``.
 
     Computes max over interior nodes of |grad P_{0,t}F|^2_{C_t'} -
     |C_0'| exp(-2 lambda_t) P_{0,t}(|grad F|^2); nonpositive up to tolerance
-    when the curvature schedule is admissible.
+    when the curvature schedule is admissible.  V_t and the P_{0,t} images
+    of every F and |grad F|^2 come from one flow-measure pass.  A rate
+    integral lambda_t so negative that exp(-2 lambda_t) is not finite
+    raises ``NonConvergenceError``.
     """
-    q = q or QuadratureRule.for_dimension(V0.dimension)
+    lam = curv.lambda_at(t)
+    if not -2.0 * lam < math.log(np.finfo(float).max):  # a nan fails too
+        raise NonConvergenceError(
+            f"intertwining factor exp(-2 lambda_t) is not finite at t={t:g}: "
+            f"lambda_t = {lam:.6g}")
+    factor = schedule.c0_prime_radius * math.exp(-2.0 * lam)
     _, cp, _ = schedule.eval(t)
-    grad_f = F.gradient()
-    sq = GridFunction(F.box, np.sum(grad_f**2, axis=-1))
-    phi, rhs_fn = FlowMeasure(schedule, V0, t, F.box, F.shape, q,
-                              carry=(F, sq)).transported
-    grad_phi = phi.gradient()
-    lhs = np.einsum("...i,ij,...j->...", grad_phi, cp, grad_phi)
-    factor = schedule.c0_prime_radius * math.exp(-2.0 * curv.lambda_at(t))
-    interior = _stencils.interior_mask(F.shape, _INTERTWINING_MARGIN_CELLS)
-    violation = lhs[interior] - factor * rhs_fn.values[interior]
-    return float(np.max(violation))
-
+    carry = []
+    for F in fs:
+        carry += [F, GridFunction(F.box, np.sum(F.gradient()**2, axis=-1))]
+    box, shape = carry[0].box, carry[0].shape
+    images = FlowMeasure(schedule, V0, t, box, shape, q,
+                         carry=tuple(carry)).transported
+    interior = _stencils.interior_mask(shape, _INTERTWINING_MARGIN_CELLS)
+    out = []
+    for phi, rhs_fn in zip(images[::2], images[1::2]):
+        grad_phi = phi.gradient()
+        lhs = np.einsum("...i,ij,...j->...", grad_phi, cp, grad_phi)
+        out.append(float(np.max(lhs[interior] - factor * rhs_fn.values[interior])))
+    return out

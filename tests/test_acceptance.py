@@ -13,10 +13,10 @@ import pytest
 
 from rgflow import make_schedule
 from rgflow.config import config_from_text
-from rgflow.curvature import (alpha_prime, build_schedule, integrate_schedules,
+from rgflow.curvature import (build_schedule, integrate_schedules,
                               higher_eigenvalue_margin, intertwining_check,
-                              multiscale_margin, poincare_upper_bound,
-                              pv_t_grid, theorem_margin)
+                              poincare_upper_bound, pv_t_grid, rate_time,
+                              theorem_margin)
 from rgflow.flow import (GridFunction, conservation_check, default_box,
                          default_sample_points, heatflow_harness,
                          make_flow_measure)
@@ -43,6 +43,16 @@ def dwell():
     return model, sched, V0, q, box
 
 
+def _lattice_curvature(model, grid, samples, q):
+    """The certified schedule of a lattice model, as the runner composes it:
+    lambda'_t = 1/t - chi_t/t^2 at each node's rate time, alpha' sampled."""
+    sampled = build_schedule(model.schedule(), model.potential(), grid,
+                             samples, q)
+    lam = [1.0 / t - susceptibility(model, t).value / t**2
+           for t in (rate_time(grid, i) for i in range(len(grid)))]
+    return integrate_schedules((grid, lam, sampled.alpha_prime))
+
+
 @pytest.fixture(scope="module")
 def dwell_curvature(dwell):
     model, sched, V0, q, box = dwell
@@ -50,11 +60,7 @@ def dwell_curvature(dwell):
     samples = default_sample_points(fm0, seed=77)
     grid = np.unique(np.concatenate([pv_t_grid(3.0, 50),
                                      np.geomspace(0.05, 3.0, 8)]))
-    return build_schedule(
-        sched, V0, grid, samples, q,
-        lambda_prime_override=lambda t: 1.0 / t
-        - susceptibility(model, t).value / t**2,
-        sample_spec="17-grid + 100 uniform, seed 77")
+    return _lattice_curvature(model, grid, samples, q)
 
 
 def test_criterion_01_gaussian_equality_chain():
@@ -73,11 +79,9 @@ def test_criterion_01_gaussian_equality_chain():
         trace.append((float(t), res.poincare_constant))
         cp_dev = max(cp_dev, abs(res.poincare_constant - 1.0))
 
-    samples = np.zeros((1, 1))
-    lam_dev = max(abs(multiscale_margin(sched, V0, float(t), samples, q) - 0.5)
-                  for t in t_grid[1:])
-    alp_dev = max(abs(alpha_prime(sched, V0, float(t), samples, q) - 1.0)
-                  for t in t_grid[1:])
+    sampled = build_schedule(sched, V0, t_grid, np.zeros((1, 1)), q)
+    lam_dev = float(np.max(np.abs(sampled.lambda_prime[1:] - 0.5)))
+    alp_dev = float(np.max(np.abs(sampled.alpha_prime[1:] - 1.0)))
     curv = integrate_schedules((t_grid, np.full(len(t_grid), 0.5),
                                 np.ones(len(t_grid))))
     margins = theorem_margin(trace, curv)
@@ -143,9 +147,9 @@ def test_criterion_05_criterion_certification():
         samples = np.stack(np.meshgrid(*axes, indexing="ij"),
                            axis=-1).reshape(-1, n)
         sch = phi4_schedules(model, [0.5, 1.0, 2.0], [np.zeros(n)])
-        for i, t in enumerate((0.5, 1.0, 2.0)):
-            margin = multiscale_margin(sched, V0, t, samples, q)
-            worst = min(worst, margin - sch["lambda_prime"][i])
+        sampled = build_schedule(sched, V0, [0.0, 0.5, 1.0, 2.0], samples, q)
+        worst = min(worst, float(np.min(sampled.lambda_prime[1:]
+                                        - sch["lambda_prime"])))
     elapsed = time.perf_counter() - start
     ok = worst >= -1e-6 and elapsed < 120.0
     _report("05 multiscale criterion certification", ok,
@@ -182,14 +186,14 @@ def test_criterion_07_intertwining(dwell, dwell_curvature):
     model, sched, V0, q, box = dwell
     xs = box.axes((513,))[0]
     rng = np.random.default_rng(5)
-    worst = -math.inf
+    bumps = []
     for _ in range(3):
         center = rng.uniform(-1.5, 1.5)
         width = rng.uniform(0.6, 1.2)
-        F = GridFunction(box, np.exp(-(xs - center) ** 2 / (2 * width**2)))
-        for t in (0.5, 1.0, 2.0):
-            worst = max(worst, intertwining_check(sched, V0, F, t,
-                                                  dwell_curvature, q))
+        bumps.append(GridFunction(box, np.exp(-(xs - center) ** 2
+                                              / (2 * width**2))))
+    worst = max(max(intertwining_check(sched, V0, bumps, t, dwell_curvature, q))
+                for t in (0.5, 1.0, 2.0))
     ok = worst <= 1e-6 + 1e-4
     _report("07 intertwining bound", ok, f"max violation={worst:.2e}")
 
@@ -239,11 +243,7 @@ def test_criterion_09_poincare_upper_bound(dwell):
     model, sched, V0, q, box = dwell
     fm0 = make_flow_measure(sched, V0, 0.0, 513, box=box, q=q)
     samples = default_sample_points(fm0, seed=77)
-    grid = pv_t_grid(60.0, 400)
-    curv_p = build_schedule(
-        sched, V0, grid, samples, q,
-        lambda_prime_override=lambda tt: 1.0 / tt
-        - susceptibility(model, tt).value / tt**2)
+    curv_p = _lattice_curvature(model, pv_t_grid(60.0, 400), samples, q)
     for s in (0.0, 0.5, 1.0):
         fm = make_flow_measure(sched, V0, s, 513, box=box, q=q)
         cp = spectrum(build_generator(fm, cprime=np.eye(1)), k=1,

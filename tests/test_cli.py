@@ -356,6 +356,31 @@ def test_criterion_computes_sigma_min_once_per_rate_time(monkeypatch):
     assert sorted(t for t, field in calls if field == (0.0,)) == sorted(times)
 
 
+def test_intertwining_builds_v_t_once_per_time(monkeypatch):
+    import rgflow.flow as flow_mod
+
+    passes = {}
+    real = flow_mod._tilted_log_weights
+
+    def spy(V0, pts, logw):
+        # the spread of the shifts z_q identifies the scale
+        key = round(float(np.ptp(pts[0, :, 0])), 9)
+        passes[key] = passes.get(key, 0) + pts.shape[0]
+        return real(V0, pts, logw)
+
+    monkeypatch.setattr(flow_mod, "_tilted_log_weights", spy)
+    report = run_experiment(config_from_text(CRITERION_1D.replace(
+        "checks = [criterion]", "checks = [intertwining]")))
+    assert report.statuses["intertwining"] == "pass"
+    rows = [(r["k"], r["t"]) for r in report.rows if r["section"] == "margin"]
+    # rows stay bump-major: every bump at every time
+    assert rows == [(b, t) for b in range(3) for t in (0.5, 1.0, 2.0)]
+    # the t = 0 measure of the default sample set, then one pass over the
+    # 129 nodes per intertwining time that serves all three bumps
+    assert passes.pop(0.0) == 129
+    assert sorted(passes.values()) == [129, 129, 129]
+
+
 PHI4_RING4 = """\
 model.kind = phi4
 model.a_matrix = [[2.5, -0.5, 0.0, -0.5], [-0.5, 2.5, -0.5, 0.0], [0.0, -0.5, 2.5, -0.5], [-0.5, 0.0, -0.5, 2.5]]
@@ -577,13 +602,12 @@ def test_variance_default_t_max_follows_the_schedule():
 
 def test_variance_default_t_max_keeps_the_old_value_where_it_holds():
     from rgflow.covariance import make_schedule
-    from rgflow.runner import _variance_t_max
 
     heat = make_schedule("heat-kernel", c_infinity=[[1.0]])
     pv = make_schedule("pauli-villars", c_infinity=[[1.0]])
-    assert _variance_t_max(heat, 20.0) == 20.0
-    assert _variance_t_max(pv, 30.0) == 30.0
-    t_max = _variance_t_max(heat, 30.0)
+    assert heat.residual_horizon(20.0) == 20.0
+    assert pv.residual_horizon(30.0) == 30.0
+    t_max = heat.residual_horizon(30.0)
     # exp(-t) = 100 * 1e-12, up to the cancellation in 1 - C_t
     assert abs(t_max - 10.0 * np.log(10.0)) < 1e-5
 
@@ -918,3 +942,86 @@ def test_seeded_number_sweep(tmp_path, capsys):
                 _assert_edit_contract(tmp_path, capsys, text,
                                       rf"\b{key.split('.')[-1]}\b", check, out,
                                       f"{key} = {value} [{check}]")
+
+
+@pytest.mark.parametrize("edit", ["model.g = 1e6", "model.nu = 1e3",
+                                  "model.h = 1e3"])
+def test_intertwining_overflow_ends_unconverged(tmp_path, edit):
+    # the sampled rates integrate to lambda_t below -355, where
+    # exp(-2 lambda_t) overflows: no margin can be judged
+    from rgflow import cli
+
+    key = edit.partition(" =")[0]
+    text = "".join(line + "\n" for line in SWEEP_POLY.splitlines()
+                   if not line.startswith(key + " "))
+    path = tmp_path / "a.cfg"
+    path.write_text(text + f"{edit}\nchecks = [intertwining]\n"
+                    f"output = {tmp_path / 'out'}\n")
+    assert cli.main(["run", str(path)]) == 3
+    rows = list(csv.DictReader(open(tmp_path / "out" / "results.csv")))
+    (status,) = [r for r in rows if r["section"] == "status"]
+    assert status["status"] == "unconverged"
+    assert status["detail"].startswith(
+        "intertwining factor exp(-2 lambda_t) is not finite at t=0.5")
+
+
+def _short_table(tmp_path):
+    """A custom table C_t = 1.3 (1 - e^-t) on [0, 2]; C_inf is its last row."""
+    from rgflow.covariance import write_table
+
+    t = np.linspace(0.0, 2.0, 41)
+    decay = np.exp(-t)[:, None, None]
+    path = tmp_path / "short.tab"
+    write_table(path, t, 1.3 * (1.0 - decay), 1.3 * decay, -1.3 * decay)
+    return path
+
+
+SHORT_TABLE = GAUSS_CFG.replace(
+    "schedule.kind = heat-kernel\nschedule.c_infinity = [[1.0]]",
+    "schedule.kind = custom-table\nschedule.table = {table}").replace(
+    "t_grid.max = 2.0", "t_grid.max = 1.5")
+
+# Configs whose last time of some check lies outside the schedule's domain,
+# with the key validate must name.
+PAST_THE_SCHEDULE = {
+    # C_inf - C_t = 1e-6 exp(-t / 1e-6) is exhausted long before t = 2
+    "heat-kernel exhausted": (GAUSS_CFG.replace("[[1.0]]", "[[1e-6]]"),
+                              "t_grid.max"),
+    "table, box, late intertwining time": (
+        SHORT_TABLE.replace("[spectrum, theorem]", "[intertwining]")
+        + "disc.box_halfwidth = 8\nintertwining.times = [5.0]\n",
+        "intertwining.times"),
+    "table, late intertwining time": (
+        SHORT_TABLE.replace("[spectrum, theorem]", "[spectrum, intertwining]")
+        + "intertwining.times = [5.0]\n", "intertwining.times"),
+    "table, spectra past its end": (
+        SHORT_TABLE.replace("t_grid.max = 1.5", "t_grid.max = 3.0"),
+        "t_grid.max"),
+    # the default variance horizon of a Gaussian V0 is t = 20
+    "table, default variance horizon": (
+        SHORT_TABLE.replace("[spectrum, theorem]", "[variance]"),
+        "variance.t_max"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_THE_SCHEDULE))
+def test_times_past_the_schedule_rejected_at_validate(tmp_path, capsys, case):
+    from rgflow import cli
+
+    text, key = PAST_THE_SCHEDULE[case]
+    path = tmp_path / "late.cfg"
+    path.write_text(text.format(out=tmp_path / "out",
+                                table=_short_table(tmp_path)))
+    assert cli.main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} must lie in the schedule's "
+                          "domain"), err
+
+
+def test_times_inside_the_short_table_validate(tmp_path):
+    text = SHORT_TABLE.replace("[spectrum, theorem]",
+                               "[spectrum, intertwining, variance]")
+    cfg = config_from_text(text.format(out=tmp_path / "out",
+                                       table=_short_table(tmp_path))
+                           + "intertwining.times = [1.5]\nvariance.t_max = 1.5\n")
+    assert cfg.options["variance.t_max"] == 1.5

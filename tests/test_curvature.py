@@ -5,10 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rgflow import make_schedule
-from rgflow.curvature import (alpha_prime, build_schedule,
-                              integrate_schedules, intertwining_check,
-                              multiscale_margin, higher_eigenvalue_margin,
-                              poincare_upper_bound, pv_t_grid, theorem_margin)
+from rgflow.curvature import (build_schedule, integrate_schedules,
+                              intertwining_check, higher_eigenvalue_margin,
+                              poincare_upper_bound, pv_t_grid, rate_time,
+                              theorem_margin)
 from rgflow.flow import GridFunction, default_box
 from rgflow.potential import PotentialDescriptor, QuadratureRule
 from rgflow import oracles
@@ -24,23 +24,20 @@ def gauss():
 
 def test_heat_kernel_rates_flat_potential(gauss):
     sched, V0, q = gauss
-    for t in (0.1, 1.0, 3.0):
-        assert_allclose(multiscale_margin(sched, V0, t, SAMPLES_1D, q), 0.5,
-                        atol=1e-12)
-        assert_allclose(alpha_prime(sched, V0, t, SAMPLES_1D, q), 1.0,
-                        atol=1e-12)
+    curv = build_schedule(sched, V0, [0.0, 0.1, 1.0, 3.0], SAMPLES_1D, q)
+    assert_allclose(curv.lambda_prime[1:], 0.5, atol=1e-12)
+    assert_allclose(curv.alpha_prime[1:], 1.0, atol=1e-12)
 
 
 def test_pauli_villars_rates_flat_potential():
     sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.zero(1)
     q = QuadratureRule(order=40, dimension=1)
-    for t in (0.5, 1.0, 2.0):
+    curv = build_schedule(sched, V0, [0.0, 0.5, 1.0, 2.0], SAMPLES_1D, q)
+    for i, t in enumerate((0.5, 1.0, 2.0), start=1):
         facts = oracles.pauli_villars_facts(1.0, t)
-        assert_allclose(multiscale_margin(sched, V0, t, SAMPLES_1D, q),
-                        facts["lambda_prime"], atol=1e-12)
-        assert_allclose(alpha_prime(sched, V0, t, SAMPLES_1D, q),
-                        facts["alpha_prime"], atol=1e-12)
+        assert_allclose(curv.lambda_prime[i], facts["lambda_prime"], atol=1e-12)
+        assert_allclose(curv.alpha_prime[i], facts["alpha_prime"], atol=1e-12)
 
 
 def test_admissibility_of_extracted_rate():
@@ -49,7 +46,7 @@ def test_admissibility_of_extracted_rate():
     V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
     q = QuadratureRule(order=80, dimension=1)
     t = 0.8
-    lam = multiscale_margin(sched, V0, t, SAMPLES_1D, q)
+    lam = build_schedule(sched, V0, [0.0, t], SAMPLES_1D, q).lambda_prime[1]
     c, cp, cpp = sched.eval(t)
     from rgflow.potential import renormalized_derivatives
     _, hess = renormalized_derivatives(V0, c, SAMPLES_1D, q)
@@ -64,15 +61,15 @@ def test_alpha_sup_monotone_in_sample_set():
     q = QuadratureRule(order=60, dimension=1)
     small = np.linspace(-1, 1, 5).reshape(-1, 1)
     large = np.linspace(-3, 3, 17).reshape(-1, 1)
-    a_small = alpha_prime(sched, V0, 1.0, small, q)
-    a_large = alpha_prime(sched, V0, 1.0, large, q)
+    a_small = build_schedule(sched, V0, [0.0, 1.0], small, q).alpha_prime[1]
+    a_large = build_schedule(sched, V0, [0.0, 1.0], large, q).alpha_prime[1]
     assert a_large >= a_small - 1e-12
 
 
 def test_empty_samples_rejected(gauss):
     sched, V0, q = gauss
     with pytest.raises(ValueError, match="nonempty"):
-        multiscale_margin(sched, V0, 1.0, np.zeros((0, 1)), q)
+        build_schedule(sched, V0, [0.0, 1.0], np.zeros((0, 1)), q)
 
 
 def test_integrate_constant_rate():
@@ -172,11 +169,11 @@ def test_intertwining_gaussian_identity_function(gauss):
     curv = _gauss_curv(tmax=3.0, n=31)
     F = GridFunction(box, xs.copy())
     for t in (0.5, 1.5):
-        v = intertwining_check(sched, V0, F, t, curv, q)
+        (v,) = intertwining_check(sched, V0, [F], t, curv, q)
         assert abs(v) < 1e-9  # equality case
     Fc = GridFunction(box, np.ones_like(xs))
     # constant functions: both sides vanish
-    v = intertwining_check(sched, V0, Fc, 1.0, curv, q)
+    (v,) = intertwining_check(sched, V0, [Fc], 1.0, curv, q)
     assert abs(v) < 1e-12
 
 
@@ -198,7 +195,7 @@ def test_intertwining_evaluates_potential_once(monkeypatch):
 
     monkeypatch.setattr(flow_mod, "_tilted_log_weights", spy)
     monkeypatch.setattr(flow_mod, "renormalized_value", None)
-    intertwining_check(sched, V0, F, 1.0, _gauss_curv(tmax=3.0, n=31), q)
+    intertwining_check(sched, V0, [F], 1.0, _gauss_curv(tmax=3.0, n=31), q)
     # V_t, P_{0,t}F and P_{0,t}|grad F|^2 from one pass over nodes x shifts
     assert calls == [(129, q.order)]
 
@@ -206,13 +203,14 @@ def test_intertwining_evaluates_potential_once(monkeypatch):
 def test_build_schedule_with_override(gauss):
     sched, V0, q = gauss
     grid = np.linspace(0.0, 1.0, 5)
-    curv = build_schedule(sched, V0, grid, SAMPLES_1D, q,
-                          lambda_prime_override=lambda t: 0.5,
-                          sample_spec="flat chain")
-    assert_allclose(curv.lambda_prime, 0.5)
-    assert_allclose(curv.alpha_prime, 1.0)
-    assert curv.sample_spec == "flat chain"
-    assert curv.refinement_ok
+    sampled = build_schedule(sched, V0, grid, SAMPLES_1D, q)
+    assert_allclose(sampled.lambda_prime, 0.5)
+    assert_allclose(sampled.alpha_prime, 1.0)
+    assert sampled.refinement_ok
+    # a certified lambda' overrides the sampled one; alpha' stays sampled
+    curv = integrate_schedules((grid, np.full(5, 0.25), sampled.alpha_prime))
+    assert_allclose(curv.lambda_integral, 0.25 * grid)
+    assert_allclose(curv.alpha_integral, grid)
 
 
 def test_lemma_pair_margins_quartic_flow():
@@ -229,10 +227,10 @@ def test_lemma_pair_margins_quartic_flow():
     trace = rayleigh_flow_trace(sched, V0, phi0, t_grid, q)
 
     grid = pv_t_grid(2.5, 40)
-    curv = build_schedule(
-        sched, V0, grid, SAMPLES_1D, q,
-        lambda_prime_override=lambda t: 1.0 / t
-        - susceptibility(model, t).value / t**2)
+    sampled = build_schedule(sched, V0, grid, SAMPLES_1D, q)
+    lam = [1.0 / t - susceptibility(model, t).value / t**2
+           for t in (rate_time(grid, i) for i in range(len(grid)))]
+    curv = integrate_schedules((grid, lam, sampled.alpha_prime))
     margins = higher_eigenvalue_margin({0: trace}, curv, tol_total=1e-6 + 1e-3)
     assert len(margins) == 36
     assert all(m.margin >= -m.tolerance for m in margins)

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
 from rgflow import oracles, phi4
-from rgflow.curvature import alpha_prime, multiscale_margin
+from rgflow.curvature import build_schedule
 from rgflow.errors import NonConvergenceError
 from rgflow.phi4 import (Phi4Model, _integrated_autocorr, hessian_identity_check,
                          metropolis_moments, phi4_schedules, susceptibility,
@@ -256,8 +256,9 @@ def test_schedules_gaussian_closed_forms():
     assert_allclose(out["lambda_prime"][0], 0.5, atol=1e-12)
     assert_allclose(out["alpha_prime_formula"][0], 2.5, atol=1e-10)
     # exact corrective rate is dominated by the formula
-    exact = alpha_prime(m.schedule(), m.potential(), 1.0,
-                        np.zeros((1, 1)), QuadratureRule(order=40, dimension=1))
+    exact = build_schedule(m.schedule(), m.potential(), [0.0, 1.0],
+                           np.zeros((1, 1)),
+                           QuadratureRule(order=40, dimension=1)).alpha_prime[1]
     assert_allclose(exact, 0.5, atol=1e-12)
     assert out["alpha_prime_formula"][0] >= exact - 1e-8
 
@@ -283,9 +284,9 @@ def test_bound_domination_quartic():
     q = QuadratureRule(order=60, dimension=1)
     samples = np.linspace(-3, 3, 9).reshape(-1, 1)
     out = phi4_schedules(m, [0.5, 1.0, 2.0], [[0.0], [1.0], [-1.0]])
-    for i, t in enumerate((0.5, 1.0, 2.0)):
-        exact = alpha_prime(sched, V0, t, samples, q)
-        assert out["alpha_prime_formula"][i] >= exact - 1e-8
+    exact = build_schedule(sched, V0, [0.0, 0.5, 1.0, 2.0], samples,
+                           q).alpha_prime[1:]
+    assert np.all(out["alpha_prime_formula"] >= exact - 1e-8)
 
 
 def test_schedule_rate_is_admissible():
@@ -294,7 +295,7 @@ def test_schedule_rate_is_admissible():
     q = QuadratureRule(order=60, dimension=1)
     samples = np.linspace(-4, 4, 17).reshape(-1, 1)
     out = phi4_schedules(m, [1.0], [[0.0]])
-    margin = multiscale_margin(sched, V0, 1.0, samples, q)
+    margin = build_schedule(sched, V0, [0.0, 1.0], samples, q).lambda_prime[1]
     assert margin >= out["lambda_prime"][0] - 1e-6
 
 
