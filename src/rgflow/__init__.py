@@ -8,7 +8,8 @@ potential   renormalized potentials and their tilted-moment derivatives
 flow        flow measures on grids, the scale-to-scale semigroup, the variance
             audit, heat-flow harness
 spectral    the flow measure's divergence-form generator and its spectra
-            (scipy's linear algebra; loaded on first use)
+            (scipy's compiled LAPACK in 1-D, scipy.sparse in 2-D; loaded on
+            first use)
 curvature   multiscale curvature schedules and inequality certification
 phi4        lattice quartic models, susceptibility, schedule formulas
 oracles     independent brute-force references used by the tests (scipy)
@@ -16,11 +17,13 @@ runner/cli  config-driven experiments with machine-readable reports
 
 ``import rgflow`` loads numpy but not scipy.  The names of ``spectral``
 (``build_generator``, ``rayleigh_flow_trace``, ``rayleigh_quotient``,
-``spectrum``) resolve on first access, and that first access imports scipy.
-A config whose checks solve an eigenproblem (``spectrum``, ``theorem``,
-``higher-k``, ``heatflow``) loads ``spectral`` when it is parsed, and
-``rgflow oracle`` loads ``scipy.integrate``; every other run stays without
-scipy.
+``spectrum``) resolve on first access, and that first access loads scipy's
+compiled LAPACK wrappers, with no scipy Python package; a 2-D generator
+loads ``scipy.sparse`` when it is built.  A config whose checks solve an
+eigenproblem (``spectrum``, ``theorem``, ``higher-k``, ``heatflow``) loads
+``spectral`` when it is parsed, and ``scipy.sparse`` too when the model is
+2-D; ``rgflow oracle`` loads ``scipy.integrate``; every other run stays
+without scipy.
 """
 
 from .covariance import CovarianceSchedule, make_schedule, schedule_from_table_file

@@ -21,8 +21,10 @@ base potential V0 and, for ``phi4``, the lattice model.  This is the only
 place a config becomes a model, so ``rgflow validate`` builds exactly what
 ``rgflow run`` executes, and a config the constructors reject fails with a
 ``ConfigError`` before any compute starts.  A config whose checks solve an
-eigenproblem (``EIGEN_CHECKS``) also loads ``rgflow.spectral``, and with it
-scipy, here; other configs run without scipy.
+eigenproblem (``EIGEN_CHECKS``) also loads its solvers here: a 1-D one loads
+``rgflow.spectral`` and with it only scipy's compiled LAPACK, a 2-D one
+also ``scipy.sparse``.  Other configs run without scipy.  A run whose scales
+go to threads (``flow._map_scales``) loads the thread pool here as well.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .covariance import CovarianceSchedule, make_schedule, schedule_from_table_file
 from .curvature import TOL_TOTAL
 from .errors import ConfigError
-from .flow import _KERNEL_SIGMAS, load_density_table
+from .flow import _KERNEL_SIGMAS, _scale_workers, load_density_table
 from .phi4 import Phi4Model
 from .potential import MAX_TENSOR_DIM, PotentialDescriptor
 
@@ -363,8 +365,19 @@ def config_from_text(text: str) -> ExperimentConfig:
                               f"{_KERNEL_SIGMAS:g}-sigma reach of P_(0,t) up to t = "
                               f"{max(ends):g}, got {box}")
     if any(c in EIGEN_CHECKS for c in checks):
-        # scipy loads here, at set-up, not inside the first timed solve
+        # the solvers load here, at set-up, not inside the first timed solve:
+        # ``spectral`` loads scipy's compiled LAPACK, which is all a 1-D
+        # eigenproblem (heatflow's always) needs; the 2-D generator is a
+        # scipy.sparse matrix solved by its eigsh
         from . import spectral  # noqa: F401
+        if V0.dimension == 2 and any(c in SPECTRAL_CHECKS for c in checks):
+            import scipy.sparse.linalg  # noqa: F401
+    # the thread pool that maps the scales of the spectral checks' flow
+    # measures and of the variance audit (at least 2 each) loads at set-up
+    # too
+    if (any(c in SPECTRAL_CHECKS + ("variance",) for c in checks)
+            and _scale_workers(V0, 2) > 1):
+        import concurrent.futures.thread  # noqa: F401
     return ExperimentConfig(schedule=schedule, V0=V0, checks=list(checks),
                             seed=seed, phi4_model=phi4_model, options=options)
 

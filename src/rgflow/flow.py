@@ -172,6 +172,12 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _scale_workers(V0: PotentialDescriptor, n_items: int) -> int:
+    """Threads ``_map_scales`` runs ``n_items`` scales of ``V0`` on; 1 runs
+    them serially."""
+    return 1 if V0.form in _CLOSED_FORMS else min(n_items, _usable_cores())
+
+
 def _map_scales(fn, items, V0: PotentialDescriptor) -> list:
     """``[fn(item) for item in items]``, one thread per usable core.
 
@@ -185,8 +191,7 @@ def _map_scales(fn, items, V0: PotentialDescriptor) -> list:
     cancels the scales not yet started and is raised unchanged, as the
     serial loop would raise it.
     """
-    workers = 1 if V0.form in _CLOSED_FORMS else min(len(items),
-                                                      _usable_cores())
+    workers = _scale_workers(V0, len(items))
     if workers <= 1:
         # filled in place, not grown: a results list that reallocates
         # between scales made glibc trim and refault the heap every scale
@@ -504,10 +509,13 @@ def conservation_check(schedule, V0, F: GridFunction, t_max: float,
 
 
 def load_density_table(path):
-    """Two-column text table (x, density), uniform strictly increasing x."""
+    """Two-column text table (x, density) of finite numbers, uniform
+    strictly increasing x."""
     data = np.loadtxt(path, comments="#")
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("density table must have exactly two columns")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("density table entries must be finite")
     x, dens = data[:, 0], data[:, 1]
     dx = np.diff(x)
     if np.any(dx <= 0):

@@ -14,12 +14,14 @@ kernel to machine precision, and converges at second order in the mesh.
 Boundary conditions are natural zero-flux (reflecting) on the truncated box.
 
 Eigenpairs come from the structure of the operator.  In 1-D it is
-tridiagonal, and no dense matrix is built: up to ``_DENSE_CUTOFF`` nodes
-LAPACK's divide-and-conquer ``dstevd`` solves it whole.  That gives the bits
-of dense ``eigh`` (``dsyevd``), which on an already tridiagonal matrix
-reduces with identity reflectors and then runs the same ``dstedc``.  Above
-the cut-off a selected-index tridiagonal solve returns only the k+1 wanted
-pairs.  The cut-off stays because that solver lands on other round-off in
+tridiagonal, held as its two diagonals (``Tridiagonal``), and no dense or
+sparse matrix is built: up to ``_DENSE_CUTOFF`` nodes LAPACK's
+divide-and-conquer ``dstevd`` solves it whole.  That gives the bits of dense
+``eigh`` (``dsyevd``), which on an already tridiagonal matrix reduces with
+identity reflectors and then runs the same ``dstedc``.  Above the cut-off
+bisection (``dstebz``) and inverse iteration (``dstein``) return only the
+k+1 wanted pairs, as ``scipy.linalg.eigh_tridiagonal(select="i")`` does.
+The cut-off stays because that solver lands on other round-off in
 the kernel eigenvalue mu_0 (0 in exact arithmetic), and reference spectra
 hold mu_0 to 0.3 % relative; it can go once mu_0 is judged against an
 absolute floor.  In 2-D small grids take a dense symmetric solve and larger
@@ -28,22 +30,26 @@ solver breakdown raises NonConvergenceError, every solve is
 residual-verified, and the spectrum carries a Richardson consistency check
 under mesh halving.
 
-This is the one module of a run that imports scipy.  ``import rgflow`` does
-not load it: its names resolve there on first access, and a config whose
-checks solve an eigenproblem (``spectrum``, ``theorem``, ``higher-k``,
-``heatflow``) imports it while it is parsed.  ``rgflow oracle`` loads
-``scipy.integrate`` through ``oracles`` instead.
+This is the one module of a run that imports scipy.  In 1-D it loads only
+scipy's compiled LAPACK wrappers (``scipy.linalg._flapack``) and no scipy
+Python package; the 2-D assembly and solves import ``scipy.sparse``.
+``import rgflow`` does not load this module: its names resolve there on
+first access, and a config whose checks solve an eigenproblem
+(``spectrum``, ``theorem``, ``higher-k``, ``heatflow``) imports it while it
+is parsed.  ``rgflow oracle`` loads ``scipy.integrate`` through ``oracles``
+instead.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NonConvergenceError, QuadratureOverflowError
 from .flow import Box, FlowMeasure, GridFunction, integrate_grid
@@ -68,6 +74,63 @@ _RICHARDSON_RTOL = 5e-3
 _GAUSS_1D = (0.5 * (1.0 - 1.0 / math.sqrt(3.0)), 0.5 * (1.0 + 1.0 / math.sqrt(3.0)))
 
 
+def _load_flapack():
+    """scipy's compiled LAPACK wrappers, the module behind
+    ``scipy.linalg.lapack``, loaded from its file.
+
+    ``import scipy.linalg`` runs the package's ``__init__``, which loads
+    about 150 scipy modules (and with them numpy.f2py and numpy.testing)
+    that a 1-D solve never calls; it needs three routines of this one
+    extension.  The module is registered under its own name, so a later
+    ``import scipy.linalg`` reuses it and ``scipy.linalg.lapack.dstevd`` is
+    the routine called here.  Loaded here first, the package attribute
+    ``scipy.linalg._flapack`` stays unset; ``from scipy.linalg import
+    _flapack`` still finds the module.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    roots = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(root, "linalg") for root in roots])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = _load_flapack()
+
+
+@dataclass(frozen=True)
+class Tridiagonal:
+    """Symmetric tridiagonal matrix held as its diagonal and off-diagonal,
+    with what callers use of a sparse matrix: ``@``, ``diagonal(k)`` and
+    ``toarray()``."""
+
+    diag: np.ndarray
+    off: np.ndarray
+
+    def __matmul__(self, v):
+        # summed per row as a CSR product is: lower, diagonal, upper
+        v = np.asarray(v, dtype=float)
+        d, e = ((self.diag, self.off) if v.ndim == 1
+                else (self.diag[:, None], self.off[:, None]))
+        out = d * v
+        out[1:] = e * v[:-1] + out[1:]
+        out[:-1] += e * v[1:]
+        return out
+
+    def diagonal(self, k: int = 0) -> np.ndarray:
+        if abs(k) > 1:
+            return np.zeros(max(len(self.diag) - abs(k), 0))
+        return (self.off if k else self.diag).copy()
+
+    def toarray(self) -> np.ndarray:
+        return (np.diag(self.diag) + np.diag(self.off, 1)
+                + np.diag(self.off, -1))
+
+
 @dataclass
 class GeneratorDiscretization:
     """Assembled divergence-form generator at one scale: the stiffness E
@@ -77,7 +140,7 @@ class GeneratorDiscretization:
     t: float
     box: Box
     grid_shape: tuple
-    stiffness: sp.csr_matrix = field(repr=False)
+    stiffness: object = field(repr=False)  # Tridiagonal in 1-D, CSR in 2-D
     mass: np.ndarray = field(repr=False)  # lumped weighted mass, diagonal
     refiner: object = None        # () -> GeneratorDiscretization on halved mesh
 
@@ -126,10 +189,11 @@ def _assemble(box: Box, shape: tuple, w: np.ndarray, a_matrix: np.ndarray):
         diag = np.zeros(n)
         diag[:-1] += k
         diag[1:] += k
-        e = sp.diags([diag, -k, -k], [0, -1, 1], format="csr")
-        return e, mass
+        return Tridiagonal(diag, -k), mass
 
     if d == 2:
+        import scipy.sparse as sp
+
         nx, ny = shape
         hx, hy = h
         corners = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -238,52 +302,79 @@ class SpectralResult:
         return float(self.eigenvalues[k])
 
 
+def _check_info(info: int, solve: str):
+    if info != 0:
+        raise NonConvergenceError(f"{solve} failed: info = {info}")
+
+
+def _tridiagonal_pairs(b: Tridiagonal, k: int, whole: bool):
+    """(k+1) smallest eigenpairs of a symmetric tridiagonal B by LAPACK:
+    ``dstevd`` on the whole spectrum, else ``dstebz`` + ``dstein`` on the
+    wanted index range."""
+    if not (np.all(np.isfinite(b.diag)) and np.all(np.isfinite(b.off))):
+        raise NonConvergenceError("tridiagonal pencil has non-finite entries")
+    if whole:
+        # dstevd runs the dstedc that dense eigh runs after its (here
+        # exact) tridiagonal reduction
+        vals, vecs, info = _flapack.dstevd(b.diag, b.off)
+        _check_info(info, "tridiagonal divide-and-conquer (dstevd)")
+        return vals[:k + 1], vecs[:, :k + 1]
+    # eigh_tridiagonal(select="i", select_range=(0, k)), call for call
+    m, w, iblock, isplit, info = _flapack.dstebz(
+        b.diag, b.off, 2, 0.0, 1.0, 1, k + 1, 0.0, "B")
+    _check_info(info, "selected-index tridiagonal solve (dstebz)")
+    vecs, info = _flapack.dstein(b.diag, b.off, w[:m], iblock, isplit)
+    _check_info(info, "selected-index tridiagonal solve (dstein)")
+    order = np.argsort(w[:m])
+    return w[:m][order], vecs[:, order]
+
+
 def _smallest_pairs(gen: GeneratorDiscretization, k: int):
     """(k+1) smallest eigenpairs of the pencil (E, diag(mass))."""
     n = gen.n_nodes
     dinv = 1.0 / np.sqrt(gen.mass)
-    b = sp.diags(dinv) @ gen.stiffness @ sp.diags(dinv)
-    b = 0.5 * (b + b.T)
+    whole = n <= _DENSE_CUTOFF or k + 2 >= n - 1
 
-    if n <= _DENSE_CUTOFF or k + 2 >= n - 1:
-        if gen.box.dim == 1:
-            # the 1-D operator is tridiagonal: dstevd runs the dstedc that
-            # dense eigh runs after its (here exact) tridiagonal reduction
-            vals, vecs, info = la.lapack.dstevd(b.diagonal(), b.diagonal(1))
-            if info != 0:
-                raise NonConvergenceError(
-                    f"tridiagonal divide-and-conquer (dstevd) failed: "
-                    f"info = {info}")
-        else:
+    if gen.box.dim == 1:
+        # B = M^{-1/2} E M^{-1/2}, symmetrized, in the order of operations
+        # of the sparse 0.5 * (D @ E @ D + (D @ E @ D).T), D = M^{-1/2}
+        e = gen.stiffness
+        b = Tridiagonal((dinv * e.diag) * dinv,
+                        0.5 * ((dinv[:-1] * e.off) * dinv[1:]
+                               + (dinv[1:] * e.off) * dinv[:-1]))
+        norm_b = float(np.max(
+            Tridiagonal(np.abs(b.diag), np.abs(b.off)) @ np.ones(n)))
+        vals, vecs = _tridiagonal_pairs(b, k, whole)
+    else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        b = sp.diags(dinv) @ gen.stiffness @ sp.diags(dinv)
+        b = 0.5 * (b + b.T)
+        norm_b = float(np.max(np.abs(b).sum(axis=1)))
+        if whole:
             try:
                 vals, vecs = np.linalg.eigh(b.toarray())
             except np.linalg.LinAlgError as exc:
                 raise NonConvergenceError(f"dense eigh failed: {exc}") from exc
-        vals, vecs = vals[:k + 1], vecs[:, :k + 1]
-    elif gen.box.dim == 1:
-        try:
-            vals, vecs = la.eigh_tridiagonal(b.diagonal(), b.diagonal(1),
-                                             select="i", select_range=(0, k))
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(
-                f"selected-index tridiagonal solve failed: {exc}") from exc
-    else:
-        scale = float(np.mean(b.diagonal()))
-        v0 = np.random.default_rng(90210).standard_normal(n)
-        try:
-            vals, vecs = spla.eigsh(b.tocsc(), k=k + 1,
-                                    sigma=-1e-3 * max(scale, 1e-12),
-                                    which="LM", mode="normal", v0=v0,
-                                    maxiter=_ARPACK_MAXITER)
-        except RuntimeError as exc:
-            # ArpackNoConvergence, or SuperLU finding the shifted pencil singular
-            raise NonConvergenceError(
-                "shift-invert eigsh failed in the SuperLU factorization or "
-                f"the ARPACK iteration: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
+            vals, vecs = vals[:k + 1], vecs[:, :k + 1]
+        else:
+            scale = float(np.mean(b.diagonal()))
+            v0 = np.random.default_rng(90210).standard_normal(n)
+            try:
+                vals, vecs = spla.eigsh(b.tocsc(), k=k + 1,
+                                        sigma=-1e-3 * max(scale, 1e-12),
+                                        which="LM", mode="normal", v0=v0,
+                                        maxiter=_ARPACK_MAXITER)
+            except RuntimeError as exc:
+                # ArpackNoConvergence, or SuperLU finding the shifted pencil
+                # singular
+                raise NonConvergenceError(
+                    "shift-invert eigsh failed in the SuperLU factorization "
+                    f"or the ARPACK iteration: {exc}") from exc
+            order = np.argsort(vals)
+            vals, vecs = vals[order], vecs[:, order]
 
-    norm_b = float(np.max(np.abs(b).sum(axis=1)))
     residuals = np.array([
         np.linalg.norm(b @ vecs[:, i] - vals[i] * vecs[:, i])
         for i in range(k + 1)])

@@ -169,6 +169,19 @@ def test_malformed_density_table_rejected(tmp_path):
         config_from_text(text)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_density_table_rejected(tmp_path, bad):
+    x = np.linspace(-3.0, 3.0, 61)
+    dens = np.exp(-x ** 2 / 2)
+    dens[30] = float(bad)
+    table = tmp_path / "density.tab"
+    np.savetxt(table, np.column_stack([x, dens]))
+    text = GAUSS_CFG.format(out="x") + f"heatflow.input = {table}\n"
+    with pytest.raises(ConfigError, match="heatflow.input must be .* entries "
+                                          "must be finite"):
+        config_from_text(text)
+
+
 def test_oracle_subcommand(tmp_path):
     res = _run_cli("oracle", "--out", str(tmp_path))
     assert res.returncode == 0
@@ -273,19 +286,90 @@ print(' '.join(sorted(m for m in set(sys.modules) - before
     assert _python(code, stdin=CRITERION_1D) == "pass mcmc\n\n\n"
 
 
+# Prints whether rgflow.spectral is loaded, then the scipy modules loaded.
+_PRINT_SOLVERS = "print('rgflow.spectral' in sys.modules)\n" + _PRINT_SCIPY
+
+
 @pytest.mark.parametrize("checks, loaded", [
     ("spectrum", True), ("theorem", True), ("higher-k", True),
     ("heatflow", True),
     ("criterion, variance, intertwining, phi4-identity", False),
 ])
 def test_config_loads_spectral_only_for_an_eigenproblem(checks, loaded):
-    """A config that will solve an eigenproblem pays for scipy when it is
-    parsed, inside set-up; any other config leaves scipy unloaded."""
+    """A config that will solve a 1-D eigenproblem pays for its solver when
+    it is parsed, inside set-up, and that solver is scipy's compiled LAPACK
+    alone: no scipy.linalg, no scipy.sparse.  Any other config leaves scipy
+    unloaded."""
     text = CRITERION_1D.replace("checks = [criterion]", f"checks = [{checks}]")
     code = ("import sys\nfrom rgflow.config import config_from_text\n"
+            "config_from_text(sys.stdin.read())\n" + _PRINT_SOLVERS)
+    want = "scipy.linalg._flapack" if loaded else ""
+    assert _python(code, stdin=text) == f"{loaded}\n{want}\n"
+
+
+def test_config_loads_scipy_sparse_for_a_2d_eigenproblem():
+    """A 2-D generator is a scipy.sparse matrix solved by eigsh: the config
+    loads both while it is parsed, so the run imports nothing."""
+    text = (CRITERION_1D.replace("[[1.0]]", "[[2.0, -1.0], [-1.0, 2.0]]")
+            .replace("checks = [criterion]", "checks = [spectrum]"))
+    code = ("import sys\nfrom rgflow.config import config_from_text\n"
             "config_from_text(sys.stdin.read())\n"
-            "print('rgflow.spectral' in sys.modules, 'scipy' in sys.modules)")
-    assert _python(code, stdin=text) == f"{loaded} {loaded}\n"
+            "print('rgflow.spectral' in sys.modules, "
+            "'scipy.sparse.linalg' in sys.modules)")
+    assert _python(code, stdin=text) == "True True\n"
+
+
+def test_1d_eigenproblem_run_loads_only_the_lapack_extension_of_scipy():
+    """A 1-D spectral run imports no module inside the timed region (the
+    solver and, on more than one core, the scale map's thread pool load at
+    set-up), and the only scipy module it ever loads is the compiled LAPACK
+    wrapper."""
+    text = (CRITERION_1D.replace("checks = [criterion]",
+                                 "checks = [spectrum, theorem, higher-k]"))
+    code = f"""
+import sys, tempfile
+from rgflow.config import config_from_text
+from rgflow.runner import emit_report, run_experiment
+
+cfg = config_from_text(sys.stdin.read())
+before = set(sys.modules)
+report = run_experiment(cfg)
+emit_report(report, tempfile.mkdtemp())
+print(sorted(set(report.statuses.values())))
+print(' '.join(sorted(set(sys.modules) - before)))
+{_PRINT_SCIPY}
+"""
+    assert _python(code, stdin=text) == "['pass']\n\nscipy.linalg._flapack\n"
+
+
+@pytest.mark.parametrize("first", ["rgflow", "scipy"])
+def test_lapack_loader_shares_its_module_with_scipy_linalg(first):
+    """Loaded before or after scipy.linalg, rgflow calls the very routines
+    of scipy.linalg.lapack, and scipy's own solvers still run."""
+    imports = ["import rgflow.spectral as spectral",
+               "import scipy.linalg, scipy.sparse, scipy.sparse.linalg"]
+    code = "\n".join(imports if first == "rgflow" else imports[::-1]) + """
+import numpy as np
+from scipy.linalg import _flapack
+from rgflow.flow import Box
+
+assert _flapack is spectral._flapack
+for name in ("dstevd", "dstebz", "dstein"):
+    assert getattr(scipy.linalg.lapack, name) is getattr(spectral._flapack, name)
+d, e = np.arange(1.0, 9.0), np.ones(7)
+vals = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(0, 2))[0]
+a = scipy.sparse.diags([e, d, e], [-1, 0, 1], format="csc")
+ref = np.linalg.eigvalsh(a.toarray())
+assert np.allclose(vals, ref[:3])
+mu = scipy.sparse.linalg.eigsh(a, k=2, sigma=0.0, which="LM")[0]
+assert np.allclose(np.sort(mu), ref[:2])
+box = Box((-3.0,), (3.0,))
+w = np.exp(-0.5 * box.axes((129,))[0] ** 2)
+res = spectral.spectrum(spectral.build_generator_from_density(box, w), k=2,
+                        refine=False)
+print(round(float(res.eigenvalues[1]), 1))
+"""
+    assert _python(code) == "1.0\n"
 
 
 def _schedule_rate_times(report):

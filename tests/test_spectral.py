@@ -49,7 +49,8 @@ def test_generator_weighted_symmetry_and_kernel(ou_gen):
         scale = max(abs(lhs), abs(rhs), 1.0)
         assert abs(lhs - rhs) <= 1e-10 * scale
     const = np.ones(n)
-    norm_e = np.max(np.abs(ou_gen.stiffness.data)) * n
+    stiffness = ou_gen.stiffness
+    norm_e = np.max(np.abs(np.concatenate([stiffness.diag, stiffness.off]))) * n
     assert np.linalg.norm(ou_gen.stiffness @ const) <= 1e-10 * norm_e
     # positive semidefinite Rayleigh quotients
     rng = np.random.default_rng(1)
@@ -248,22 +249,40 @@ def test_1d_tridiagonal_solve_matches_dense_pencil():
     assert_allclose(gram, np.eye(4), atol=1e-10)
 
 
+def _sparse_pencil(gen):
+    """The symmetrized B = M^{-1/2} E M^{-1/2} of a 1-D generator as a
+    scipy.sparse CSR matrix, built as sparse D @ E @ D and 0.5 * (b + b.T)."""
+    import scipy.sparse as sp
+
+    e = gen.stiffness
+    e = sp.diags([e.diag, e.off, e.off], [0, -1, 1], format="csr")
+    dinv = 1.0 / np.sqrt(gen.mass)
+    b = sp.diags(dinv) @ e @ sp.diags(dinv)
+    return 0.5 * (b + b.T)
+
+
+def _dwell_generator(t, n):
+    """Generator of the README dwell model (order 80) at scale t, n nodes."""
+    from rgflow.phi4 import Phi4Model
+
+    model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
+    q = QuadratureRule(order=80, dimension=1)
+    fm = make_flow_measure(model.schedule(), model.potential(), float(t), n,
+                           q=q)
+    return build_generator(fm)
+
+
 @pytest.mark.parametrize("t", np.geomspace(0.05, 3.0, 8)[[0, 4, 7]],
                          ids=lambda t: f"t={t:.3g}")
 def test_1d_solve_has_the_bits_of_dense_eigh_without_a_dense_matrix(
         monkeypatch, t):
     import scipy.sparse as sp
-    from rgflow.phi4 import Phi4Model
+    from rgflow.spectral import Tridiagonal
 
     # the README dwell model, 513 nodes, order 80, at scales of its t grid
-    model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
-    q = QuadratureRule(order=80, dimension=1)
-    fm = make_flow_measure(model.schedule(), model.potential(), float(t), 513,
-                           q=q)
-    gen = build_generator(fm)
+    gen = _dwell_generator(t, 513)
     dinv = 1.0 / np.sqrt(gen.mass)
-    b = sp.diags(dinv) @ gen.stiffness @ sp.diags(dinv)
-    want_vals, want_vecs = np.linalg.eigh(0.5 * (b + b.T).toarray())
+    want_vals, want_vecs = np.linalg.eigh(_sparse_pencil(gen).toarray())
 
     dense = []
     with monkeypatch.context() as m:
@@ -273,8 +292,8 @@ def test_1d_solve_has_the_bits_of_dense_eigh_without_a_dense_matrix(
                 return original(*args, **kwargs)
             return wrapper
         m.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
-        for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix,
-                    sp.dia_matrix):
+        for cls in (Tridiagonal, sp.csr_matrix, sp.csc_matrix,
+                    sp.coo_matrix, sp.dia_matrix):
             m.setattr(cls, "toarray", spy("toarray", cls.toarray))
         res = spectrum(gen, k=3, refine=False)
     assert dense == []
@@ -286,6 +305,28 @@ def test_1d_solve_has_the_bits_of_dense_eigh_without_a_dense_matrix(
     assert_allclose(vecs, want * signs, rtol=0, atol=1e-10)
     gram = vecs.T @ (gen.mass[:, None] * vecs)
     assert_allclose(gram, np.eye(4), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [601, 1025])
+def test_selected_index_solve_has_the_bits_of_eigh_tridiagonal(n):
+    from scipy.linalg import eigh_tridiagonal
+
+    from rgflow.spectral import _DENSE_CUTOFF
+
+    # past the dense cut-off: dstebz + dstein, not dstevd
+    gen = _dwell_generator(0.5, n)
+    assert gen.n_nodes > _DENSE_CUTOFF
+    b = _sparse_pencil(gen)
+    want_vals, want_vecs = eigh_tridiagonal(b.diagonal(), b.diagonal(1),
+                                            select="i", select_range=(0, 3))
+    res = spectrum(gen, k=3, refine=False)
+
+    assert np.array_equal(res.eigenvalues, want_vals)
+    vecs = np.stack([v.values.reshape(-1) for v in res.eigenvectors], axis=1)
+    want = (1.0 / np.sqrt(gen.mass))[:, None] * want_vecs
+    signs = np.sign(np.sum(want * vecs, axis=0))
+    assert np.all(signs != 0)
+    assert np.array_equal(vecs, want * signs)
 
 
 def test_refiner_rebuilds_the_trimmed_box_at_twice_the_resolution():
@@ -306,7 +347,8 @@ def test_refiner_rebuilds_the_trimmed_box_at_twice_the_resolution():
     want = build_generator(FlowMeasure(sched, V0, 0.5, gen.box, shape, q),
                            trim=False)
     assert np.array_equal(fine.mass, want.mass)
-    assert (fine.stiffness != want.stiffness).nnz == 0
+    assert np.array_equal(fine.stiffness.diag, want.stiffness.diag)
+    assert np.array_equal(fine.stiffness.off, want.stiffness.off)
 
 
 def test_arpack_nonconvergence_maps_to_nonconvergence_error(monkeypatch):
@@ -343,42 +385,67 @@ def _raise_linalg_error(*args, **kwargs):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-@pytest.mark.parametrize("shape, module, name, fake, match", [
-    ((301,), "scipy.linalg.lapack", "dstevd",
-     lambda d, e: (d, np.eye(len(d)), 7), "dstevd"),
-    ((701,), "scipy.linalg", "eigh_tridiagonal", _raise_linalg_error,
-     "selected-index"),
-    ((15, 15), "numpy.linalg", "eigh", _raise_linalg_error, "dense eigh"),
-], ids=["dstevd-info", "eigh_tridiagonal", "dense-2d"])
-def test_solver_breakdown_maps_to_nonconvergence_error(
-        monkeypatch, shape, module, name, fake, match):
-    import importlib
+def _dstebz_info(d, e, *args):
+    n = len(d)
+    return 0, np.zeros(n), np.zeros(n, np.int32), np.zeros(n, np.int32), 2
 
+
+# rgflow's LAPACK binding (``rgflow.spectral._flapack``) or numpy's eigh
+@pytest.mark.parametrize("shape, target, fake, match", [
+    ((301,), "rgflow.spectral._flapack.dstevd",
+     lambda d, e: (d, np.eye(len(d)), 7), "dstevd"),
+    ((701,), "rgflow.spectral._flapack.dstebz", _dstebz_info,
+     r"selected-index tridiagonal solve \(dstebz\) failed"),
+    ((701,), "rgflow.spectral._flapack.dstein",
+     lambda d, e, w, iblock, isplit: (np.zeros((len(d), len(w))), 1),
+     r"selected-index tridiagonal solve \(dstein\) failed"),
+    ((15, 15), "numpy.linalg.eigh", _raise_linalg_error, "dense eigh"),
+], ids=["dstevd-info", "dstebz-info", "dstein-info", "dense-2d"])
+def test_solver_breakdown_maps_to_nonconvergence_error(
+        monkeypatch, shape, target, fake, match):
     from rgflow.errors import NonConvergenceError
 
     gen = _gaussian_density_generator(shape)
-    monkeypatch.setattr(importlib.import_module(module), name, fake)
+    monkeypatch.setattr(target, fake)
     with pytest.raises(NonConvergenceError, match=match):
         spectrum(gen, k=2, refine=False)
 
 
-def test_perturbed_ground_vector_from_the_1d_solve_is_rejected(monkeypatch):
-    import scipy.linalg.lapack as lapack
+@pytest.mark.parametrize("n", [301, 701])
+def test_non_finite_1d_pencil_maps_to_nonconvergence_error(n):
+    from rgflow.errors import NonConvergenceError
+    from rgflow.flow import Box
 
+    box = Box((-3.0,), (3.0,))
+    w = np.exp(-0.5 * box.axes((n,))[0] ** 2)
+    w[n // 2] = np.nan
+    with np.errstate(invalid="ignore"):
+        gen = build_generator_from_density(box, w)
+    with pytest.raises(NonConvergenceError, match="non-finite"):
+        spectrum(gen, k=2, refine=False)
+
+
+def test_perturbed_ground_vector_from_the_1d_solve_is_rejected(monkeypatch):
+    from rgflow import spectral
     from rgflow.errors import NonConvergenceError
 
-    gen = _gaussian_density_generator((301,))
-    solve = lapack.dstevd
+    # the whole-spectrum solve, then inverse iteration past the cut-off;
+    # both return the eigenvectors second to last
+    for shape, name in (((301,), "dstevd"), ((701,), "dstein")):
+        gen = _gaussian_density_generator(shape)
+        solve = getattr(spectral._flapack, name)
 
-    def perturbed(d, e):
-        vals, vecs, info = solve(d, e)
-        ground = vecs[:, 0] + 1e-3 * vecs[:, 1]
-        vecs[:, 0] = ground / np.linalg.norm(ground)
-        return vals, vecs, info
+        def perturbed(*args, solve=solve):
+            out = list(solve(*args))
+            vecs = out[-2]
+            ground = vecs[:, 0] + 1e-3 * vecs[:, 1]
+            vecs[:, 0] = ground / np.linalg.norm(ground)
+            return tuple(out)
 
-    monkeypatch.setattr(lapack, "dstevd", perturbed)
-    with pytest.raises(NonConvergenceError, match="residuals|kernel"):
-        spectrum(gen, k=2, refine=False)
+        with monkeypatch.context() as m:
+            m.setattr(spectral._flapack, name, perturbed)
+            with pytest.raises(NonConvergenceError, match="residuals|kernel"):
+                spectrum(gen, k=2, refine=False)
 
 
 def test_singular_shift_invert_factor_maps_to_nonconvergence_error():
