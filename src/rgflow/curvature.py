@@ -12,11 +12,12 @@ Two per-scale rates drive everything:
 
 Rates are extracted for every scale at once.  Each (rate, time) pair is one
 search, and all searches run in lockstep: the Gaussian shifts of each C_t
-are factored once, one Hessian batch covers every sample point at every
-time, and each sweep of the compass-search refinement scores the 2d trial
-points of every search as one more batch.  Both rates are eigenvalues of a
-congruence P^T hess(V_t) P + K with per-time P and K, so each batch takes one
-stacked eigenvalue solve per shape of P.
+are factored once into one monomial basis, one Hessian batch covers every
+sample point at every time, and each sweep of the compass-search
+refinement scores the 2d trial points of every search as one more batch.
+Both rates are eigenvalues of a congruence P^T hess(V_t) P + K with
+per-time P and K, so each batch takes one stacked eigenvalue solve per
+shape of P.
 
 Their integrals feed the quasi-monotonicity margins for the Poincare
 constant, for higher eigenvalues, for the semigroup-vs-gradient commutation
@@ -37,8 +38,8 @@ from .covariance import CovarianceSchedule
 from .errors import NonConvergenceError
 from .flow import FlowMeasure, GridFunction
 from .potential import (_CLOSED_FORMS, PotentialDescriptor, QuadratureRule,
-                        _gaussian_shifts, _tilted_derivatives,
-                        renormalized_derivatives)
+                        _gaussian_shifts, _monomial_basis,
+                        _tilted_derivatives, renormalized_derivatives)
 
 # Pauli-Villars schedules start at this cutoff; the bounded t -> 0+ limit of
 # the rates is used on [0, t0].
@@ -189,13 +190,14 @@ def _extremal_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
     """Extremal rates over the sample set, shape (2, len(times)): row 0 the
     minimized lambda', row 1 the maximized alpha'.
 
-    Every (rate, time) pair is one search, and all of them run in lockstep:
-    the Gaussian shifts of each C_t are factored once, one Hessian batch
-    covers every sample at every time, and each compass-search sweep
+    Every (time, rate) pair is one search, and all of them run in lockstep:
+    the Gaussian shifts of each C_t are factored once and their monomial
+    basis (``_monomial_basis``) is built once, one Hessian batch covers
+    every sample at every time, and each compass-search sweep
     (``_compass_search``) from the extremal samples is one more batch of the
-    2d trials of every search.  Each row of a batch reads the shifts of its
-    own time.  Closed-form potentials have x-independent Hessians, so they
-    take no sweeps.
+    2d trials of every search.  Searches go time-major, so the rows of one
+    time reach the kernel as one block.  Closed-form potentials have
+    x-independent Hessians, so they take no sweeps.
     """
     x_samples = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if x_samples.size == 0:
@@ -207,30 +209,29 @@ def _extremal_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
         fixed = np.stack([renormalized_derivatives(V0, c, np.zeros(d), q)[1]
                           for c in covs])
 
-        def hessians(xs, which):
-            return fixed[which]
+        def hessians(xs):
+            return np.broadcast_to(fixed[:, None], xs.shape[:2] + (d, d))
     else:
-        shifts = _stacked_shifts(covs, d, q)
+        z, logw = _stacked_shifts(covs, d, q)
+        basis = _monomial_basis(z)
 
-        def hessians(xs, which):
-            return _tilted_derivatives(V0, shifts, xs, which)[1]
+        def hessians(xs):
+            return _tilted_derivatives(V0, basis, logw, xs)[1]
 
-    searches = [(i, kind) for kind in ("lambda", "alpha")
-                for i in range(len(times))]
+    searches = [(i, kind) for i in range(len(times))
+                for kind in ("lambda", "alpha")]
     which = np.array([i for i, _ in searches])
     maximize = np.array([kind == "alpha" for _, kind in searches])
     rates = _congruence_rates([_rate_form(schedule, times[i], kind)
                                for i, kind in searches])
-    m = len(x_samples)
-    hess = hessians(np.tile(x_samples, (len(times), 1)),
-                    np.repeat(np.arange(len(times)), m))
-    vals = rates(hess.reshape(len(times), m, d, d)[which])
+    hess = hessians(np.broadcast_to(x_samples, (len(times),) + x_samples.shape))
+    vals = rates(hess[which])
     start = np.where(maximize, np.argmax(vals, axis=1),
                      np.argmin(vals, axis=1))
 
     def score(trials):
         n = trials.shape[1]
-        h = hessians(trials.reshape(-1, d), np.repeat(which, n))
+        h = hessians(trials.reshape(len(times), 2 * n, d))
         return rates(h.reshape(len(searches), n, d, d))
 
     span = float(np.max(np.abs(x_samples))) or 1.0
@@ -239,7 +240,7 @@ def _extremal_rates(schedule: CovarianceSchedule, V0: PotentialDescriptor,
         maximize, step0=span / 8.0,
         bounds=(x_samples.min(axis=0), x_samples.max(axis=0)),
         steps=0 if closed_form else _REFINE_STEPS)
-    return best.reshape(2, len(times))
+    return best.reshape(len(times), 2).T
 
 
 def integrate_schedules(prime_samples) -> CurvatureSchedule:

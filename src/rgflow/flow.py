@@ -510,13 +510,15 @@ def conservation_check(schedule, V0, F: GridFunction, t_max: float,
 
 def load_density_table(path):
     """Two-column text table (x, density) of finite numbers, uniform
-    strictly increasing x."""
+    strictly increasing x, and some positive density."""
     data = np.loadtxt(path, comments="#")
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("density table must have exactly two columns")
     if not np.all(np.isfinite(data)):
         raise ValueError("density table entries must be finite")
     x, dens = data[:, 0], data[:, 1]
+    if not np.any(dens > 0):
+        raise ValueError("density table has no positive mass")
     dx = np.diff(x)
     if np.any(dx <= 0):
         raise ValueError("density table x must be strictly increasing")

@@ -12,10 +12,17 @@ rho(z) proportional to exp(-V0(x+z)) gamma_C(dz),
 
     grad V_t(x) = E_rho[grad V0(x+z)]
     hess V_t(x) = E_rho[hess V0(x+z)] - Cov_rho(grad V0(x+z)).
+
+For the quartic, V0(x+z) - V0(x) and grad V0(x+z) are polynomials in the
+shift z with coefficients that depend on x alone.  So the log-weights of a
+batch are one matrix product of those coefficients with the powers of the
+rule's nodes, and every moment the derivatives need is one more product of
+the weights with a monomial basis of the nodes, built once per covariance.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,12 +43,14 @@ MAX_TENSOR_DIM = 3
 # degenerate and dropped from the quadrature (convolution on range(C) only).
 _RANK_RTOL = 1e-13
 
-# Evaluation nodes (points x Gaussian shifts) per batch in the tilted-moment
-# derivatives: 32 points of a 40^2 rule, 400 KB per array of a batch.
-# Batches 8x that size made rate extraction 1.3x (1-D, order 80) to 1.6x
-# (2-D, order 40) slower on 2 cores, and once every rate time shares one
-# call they set the peak memory of a 1-D run.
-_DERIVATIVE_NODES = 32 * 1600
+# Evaluation nodes (points x Gaussian shifts) per chunk of the tilted-moment
+# derivatives: 24 points of a 40^2 rule.  Both limits were measured on 2
+# cores.  With 32 such points the moment product (32 x 1600 @ 1600 x 21)
+# was large enough for OpenBLAS to run it on 2 threads, and after the
+# machine had idled for 15 s each such product took 3 to 5 ms instead of
+# 0.07 ms, so a lone plaquette run was 0.8 s slower.  Chunks of 87,000
+# nodes raised the peak memory of the dwell benchmark by 2.7 MB.
+_DERIVATIVE_NODES = 24 * 1600
 
 
 @dataclass(frozen=True)
@@ -297,85 +306,112 @@ def renormalized_derivatives(V0: PotentialDescriptor, c, x,
     q = q or QuadratureRule.for_dimension(V0.dimension)
 
     xb, single = _as_batch(x, V0.dimension)
-    grads, hesss = _tilted_derivatives(
-        V0, _gaussian_shifts(c, V0.dimension, q), xb)
+    z, logw = _gaussian_shifts(c, V0.dimension, q)
+    grads, hesss = _tilted_derivatives(V0, _monomial_basis(z[None]),
+                                       logw[None], xb[None])
     if single:
-        return grads[0], hesss[0]
-    return grads, hesss
+        return grads[0, 0], hesss[0, 0]
+    return grads[0], hesss[0]
 
 
-def _tilted_derivatives(V0: PotentialDescriptor, shifts, xb: np.ndarray,
-                        which: np.ndarray | None = None):
-    """Tilted-moment gradient and Hessian of the quartic ``V0`` at a batch
-    ``xb`` (m, d), for the Gaussian shifts ``(z, logw)`` of one covariance
-    (``_gaussian_shifts``).
+def _monomial_basis(z: np.ndarray) -> np.ndarray:
+    """The monomials of stacked Gaussian shifts ``z`` (T, Q, d) that every
+    tilted moment of the quartic needs, as one array (T, K, Q).
 
-    With ``which`` (m,), the shifts are those of T covariances stacked as
-    ``(T, Q, d)`` and ``(T, Q)``, and row i reads covariance ``which[i]``:
-    each chunk gathers the shifts of its own rows, so one call serves many
-    scales in the memory of one.  Nodes are held axis by axis,
-    ``(d, points, Q)``, and each axis takes one fused pass with scalar
-    coefficients and products only (no libm pow): x^2 once, the value, the
-    gradient in place, and E[hess V0] as the weighted mean of the diagonal
-    3 g x^2 + nu.  Float overflow inside the loop is not warned about: any
-    non-finite result raises QuadratureOverflowError at the end.
+    Row p*d + k holds z_k^(p+1) for p < 6, so rows [:4d] are the powers of
+    the log-weights; then come z_k^i z_l^j for k < l and i, j <= 3.  K is
+    6d + 9 d(d-1)/2: 6, 21 and 45 for d = 1, 2 and 3.  Each block is written
+    in place from the one before.
     """
-    z, logw = shifts
-    m, d = xb.shape
-    diag = np.arange(d)
-    grads = np.empty((m, d))
-    hesss = np.empty((m, d, d))
-    Q = z.shape[-2]
-    chunk = max(1, _DERIVATIVE_NODES // Q)
+    T, Q, d = z.shape
+    basis = np.empty((T, 6 * d + 9 * (d * (d - 1) // 2), Q))
+    basis[:, :d] = z.transpose(0, 2, 1)
+    for p in range(1, 6):
+        np.multiply(basis[:, (p - 1) * d:p * d], basis[:, :d],
+                    out=basis[:, p * d:(p + 1) * d])
+    row = 6 * d
+    for k, l in itertools.combinations(range(d), 2):
+        for i in range(3):
+            np.multiply(basis[:, i * d + k, None], basis[:, l:3 * d:d],
+                        out=basis[:, row:row + 3])
+            row += 3
+    return basis
+
+
+def _tilted_derivatives(V0: PotentialDescriptor, basis: np.ndarray,
+                        logw: np.ndarray, xb: np.ndarray):
+    """Tilted-moment gradient and Hessian of the quartic ``V0`` at points
+    ``xb`` (T, r, d), row block t under the Gaussian rule of covariance t:
+    its monomial basis ``basis[t]`` (``_monomial_basis``) and log-weights
+    ``logw[t]``.  Returns arrays (T, r, d) and (T, r, d, d).
+
+    Per axis the quartic is a polynomial in the shift, v(x + z) - v(x) =
+    sum_{j<=4} c_j(x) z^j with c = (v'(x), v''(x)/2, g x, g/4).  So one
+    product of the coefficients (rows, 4d) with the powers (4d, Q) gives the
+    log-weights, and one product of the weights (rows, Q) with the basis
+    (Q, K) gives every moment: E z_k^j for j <= 6 and E z_k^i z_l^j for
+    i, j <= 3.  Rows go through the products in chunks of
+    ``_DERIVATIVE_NODES`` evaluation nodes, several times to a chunk when a
+    time has few rows.  The gradient is v'(x) + a . (E z, E z^2, E z^3) with
+    a = (v''(x), 3 g x, g), and the Hessian diag(E v''(x + z)) minus the
+    covariance of a . (z, z^2, z^3), which leaves v'(x) out; both are
+    assembled once for the whole batch.
+
+    The covariance comes from raw moments, so it cancels where the tilted
+    shift sits far from 0.  Against direct per-node sums, the worst Hessian
+    error relative to its row maximum was 1.3e-12 for |x| <= 2 and C <= I,
+    and 2e-10 for |x| <= 5 and C up to 10 I.  Float overflow is not warned
+    about: any non-finite result raises QuadratureOverflowError.
+    """
+    T, r, d = xb.shape
+    K, Q = basis.shape[1:]
+    g = V0.g
+    x2 = xb * xb
+    slope = (g * x2 + V0.nu) * xb - V0.h                    # v'(x)
+    a1 = 3.0 * g * x2 + V0.nu                               # v''(x)
+    a2 = 3.0 * g * xb
+    coef = -np.concatenate([slope, 0.5 * a1, g * xb,
+                            np.broadcast_to(0.25 * g, xb.shape)], axis=-1)
+    mom = np.empty((T, r, K))
+    cap = max(1, _DERIVATIVE_NODES // Q)
+    rows = min(r, cap) or 1
+    times = cap // rows
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, m, chunk):
-            rows = slice(start, start + chunk)
-            xc = xb[rows]
-            mm = len(xc)
-            at = slice(None) if which is None else which[rows]
-            x = np.empty((d, mm, Q))
-            for k in range(d):
-                np.add(xc[:, k, None], z[at, ..., k], out=x[k])
-            # fused instead of V0.value, which keeps x**4 (see there)
-            x2 = x * x
-            value = np.zeros((mm, Q))
-            for k, (g, nu, h) in enumerate(zip(V0.g, V0.nu, V0.h)):
-                terms = x2[k] * (0.25 * g)
-                terms += 0.5 * nu
-                terms *= x[k]
-                terms -= h
-                terms *= x[k]
-                value += terms
-            del terms
-            le = np.subtract(logw[at], value, out=value)
-            mshift = np.max(le, axis=1, keepdims=True)
-            if not np.all(np.isfinite(mshift)):
-                raise QuadratureOverflowError(
-                    "quadrature overflow in derivatives; increase the order")
-            le -= mshift
-            wts = np.exp(le, out=le)
-            wts /= wts.sum(axis=1, keepdims=True)
-            mean_diag = 3.0 * V0.g * _weighted_sum(wts, x2).T + V0.nu
-            gv = x2
-            for k, (g, nu, h) in enumerate(zip(V0.g, V0.nu, V0.h)):
-                gv[k] *= g
-                gv[k] += nu
-                gv[k] *= x[k]
-                gv[k] -= h
-            del x
-            gbar = _weighted_sum(wts, gv)
-            gv -= gbar[:, :, None]
-            cov = (gv * wts).transpose(1, 0, 2) @ gv.transpose(1, 2, 0)
-            grads[rows] = gbar.T
-            np.negative(cov, out=hesss[rows])
-            hesss[rows, diag, diag] += mean_diag
-    if not (np.all(np.isfinite(grads)) and np.all(np.isfinite(hesss))):
+        for t0 in range(0, T, times):
+            ts = slice(t0, t0 + times)
+            for r0 in range(0, r, rows):
+                rs = slice(r0, r0 + rows)
+                le = coef[ts, rs] @ basis[ts, :4 * d]
+                le += logw[ts, None, :]
+                top = np.max(le, axis=-1, keepdims=True)
+                if not np.all(np.isfinite(top)):
+                    raise QuadratureOverflowError(
+                        "quadrature overflow in derivatives; increase the order")
+                le -= top
+                wts = np.exp(le, out=le)
+                mom[ts, rs] = wts @ basis[ts].transpose(0, 2, 1)
+                mom[ts, rs] /= wts.sum(axis=-1, keepdims=True)
+        e1, e2, e3, e4, e5, e6 = (mom[..., p * d:(p + 1) * d] for p in range(6))
+        mean = a1 * e1 + a2 * e2 + g * e3
+        # E (a . (z, z^2, z^3))^2, axis by axis
+        square = (a1 * a1 * e2 + 2.0 * a1 * a2 * e3
+                  + (a2 * a2 + 2.0 * g * a1) * e4 + 2.0 * g * a2 * e5
+                  + g * g * e6)
+        hess = mean[..., :, None] * mean[..., None, :]
+        diag = np.arange(d)
+        hess[..., diag, diag] += a1 + 2.0 * a2 * e1 + 3.0 * g * e2 - square
+        a = np.stack([a1, a2, np.broadcast_to(g, xb.shape)], axis=-1)
+        row = 6 * d
+        for k, l in itertools.combinations(range(d), 2):
+            cross = mom[..., row:row + 9].reshape(mom.shape[:-1] + (3, 3))
+            s = np.einsum("...i,...ij,...j->...", a[..., k, :], cross,
+                          a[..., l, :])
+            hess[..., k, l] -= s
+            hess[..., l, k] -= s
+            row += 9
+        grads = slope + mean
+    if not (np.all(np.isfinite(grads)) and np.all(np.isfinite(hess))):
         raise QuadratureOverflowError(
             "quadrature overflow in derivatives: non-finite gradient or "
             "Hessian; the potential is too large for double precision")
-    return grads, hesss
-
-
-def _weighted_sum(wts: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_q wts[p, q] a[..., p, q] as one batch of dot products."""
-    return (a[..., None, :] @ wts[..., None])[..., 0, 0]
+    return grads, hess

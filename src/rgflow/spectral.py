@@ -281,6 +281,8 @@ def build_generator_from_density(box: Box,
     """Generator for a tabulated density (no analytic potential attached),
     with the standard carre du champ |grad f|^2 and no mesh refiner."""
     w_values = np.asarray(w_values, dtype=float)
+    if not np.all(np.isfinite(w_values)):
+        raise ValueError("density values must be finite")
     if np.any(w_values < 0):
         raise ValueError("density values must be nonnegative")
     floor = np.max(w_values) * 1e-290

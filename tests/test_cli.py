@@ -182,6 +182,26 @@ def test_non_finite_density_table_rejected(tmp_path, bad):
         config_from_text(text)
 
 
+def test_zero_mass_density_table_rejected_at_validate(tmp_path):
+    # a table with no mass cannot be normalized: it stops at validate,
+    # before any compute, and names its key
+    x = np.linspace(-3.0, 3.0, 61)
+    table = tmp_path / "zero.tab"
+    np.savetxt(table, np.column_stack([x, np.zeros_like(x)]))
+    text = GAUSS_CFG.format(out=tmp_path / "out").replace(
+        "checks = [spectrum, theorem]", "checks = [heatflow]")
+    cfg_path = tmp_path / "zero.cfg"
+    cfg_path.write_text(text + f"heatflow.input = {table}\n")
+    with pytest.raises(ConfigError, match="heatflow.input must be .* no "
+                                          "positive mass"):
+        config_from_text(cfg_path.read_text())
+    for command in ("validate", "run"):
+        res = _run_cli(command, str(cfg_path))
+        assert res.returncode == 2
+        assert "heatflow.input" in res.stdout + res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_oracle_subcommand(tmp_path):
     res = _run_cli("oracle", "--out", str(tmp_path))
     assert res.returncode == 0
@@ -401,9 +421,11 @@ def test_criterion_computes_chi_once_per_t(monkeypatch):
     batches = []
     real_derivatives = curvature_mod._tilted_derivatives
 
-    def counting_derivatives(V0, shifts, xb, which=None):
-        batches.append(np.bincount(which, minlength=len(shifts[0])))
-        return real_derivatives(V0, shifts, xb, which)
+    def counting_derivatives(V0, basis, logw, xb):
+        # rows per rate time: block t of xb reads the rule of time t
+        assert len(xb) == len(basis) == len(logw)
+        batches.append(np.full(len(xb), xb.shape[1]))
+        return real_derivatives(V0, basis, logw, xb)
 
     monkeypatch.setattr(curvature_mod, "_tilted_derivatives",
                         counting_derivatives)

@@ -527,7 +527,8 @@ def test_lockstep_schedule_matches_one_search_per_time(case):
 
 def test_stacked_shifts_serve_every_covariance_in_one_kernel_call():
     from rgflow.curvature import _stacked_shifts
-    from rgflow.potential import _gaussian_shifts, _tilted_derivatives
+    from rgflow.potential import (_gaussian_shifts, _monomial_basis,
+                                  _tilted_derivatives)
 
     rng = np.random.default_rng(3)
     V0 = PotentialDescriptor.quartic([1.0, 0.7], [-1.0, 0.4], [0.0, 0.2],
@@ -536,30 +537,45 @@ def test_stacked_shifts_serve_every_covariance_in_one_kernel_call():
     # the rank-1 covariance has 10 nodes, padded to the others' 100
     covs = [np.array([[0.5, 0.1], [0.1, 0.3]]), np.diag([0.8, 0.0]),
             0.2 * np.eye(2)]
-    xs = rng.uniform(-2.0, 2.0, size=(40, 2))
-    which = rng.integers(0, len(covs), size=40)
-    grads, hess = _tilted_derivatives(V0, _stacked_shifts(covs, 2, q), xs,
-                                      which)
+    xs = rng.uniform(-2.0, 2.0, size=(len(covs), 14, 2))
+    z, logw = _stacked_shifts(covs, 2, q)
+    grads, hess = _tilted_derivatives(V0, _monomial_basis(z), logw, xs)
     for i, c in enumerate(covs):
-        rows = which == i
-        want_g, want_h = _tilted_derivatives(V0, _gaussian_shifts(c, 2, q),
-                                             xs[rows])
-        assert_allclose(grads[rows], want_g, rtol=1e-12, atol=1e-13)
-        assert_allclose(hess[rows], want_h, rtol=1e-12, atol=1e-13)
+        zi, lwi = _gaussian_shifts(c, 2, q)
+        want_g, want_h = _tilted_derivatives(V0, _monomial_basis(zi[None]),
+                                             lwi[None], xs[i][None])
+        assert_allclose(grads[i], want_g[0], rtol=1e-12, atol=1e-13)
+        assert_allclose(hess[i], want_h[0], rtol=1e-12, atol=1e-13)
+
+
+def _spy_kernel_batches(monkeypatch):
+    """Record the rows per time of every derivative-kernel batch that
+    ``build_schedule`` makes, and how often it builds a monomial basis."""
+    import rgflow.curvature as curvature_mod
+
+    batches, bases = [], []
+    real, real_basis = (curvature_mod._tilted_derivatives,
+                        curvature_mod._monomial_basis)
+
+    def spy(V0, basis, logw, xb):
+        assert len(xb) == len(basis) == len(logw)
+        batches.append(np.full(len(xb), xb.shape[1]))
+        return real(V0, basis, logw, xb)
+
+    def basis_spy(z):
+        bases.append(z.shape)
+        return real_basis(z)
+
+    monkeypatch.setattr(curvature_mod, "_tilted_derivatives", spy)
+    monkeypatch.setattr(curvature_mod, "_monomial_basis", basis_spy)
+    return batches, bases
 
 
 def test_lockstep_schedule_scores_one_kernel_batch_per_sweep(monkeypatch):
     import rgflow.curvature as curvature_mod
 
     sched, V0, q, samples, grid = _lockstep_case("plaquette")
-    batches = []
-    real = curvature_mod._tilted_derivatives
-
-    def spy(V0, shifts, xb, which=None):
-        batches.append(np.bincount(which, minlength=len(shifts[0])))
-        return real(V0, shifts, xb, which)
-
-    monkeypatch.setattr(curvature_mod, "_tilted_derivatives", spy)
+    batches, _ = _spy_kernel_batches(monkeypatch)
     build_schedule(sched, V0, grid, samples, q)
     times = len(grid) - 1          # t = 0 reuses the next time's rates
     assert len(batches) == 1 + curvature_mod._REFINE_STEPS
@@ -567,6 +583,16 @@ def test_lockstep_schedule_scores_one_kernel_batch_per_sweep(monkeypatch):
     assert np.array_equal(batches[0], np.full(times, len(samples)))
     for rows in batches[1:]:
         assert np.array_equal(rows, np.full(times, 2 * 2 * V0.dimension))
+
+
+@pytest.mark.parametrize("case", ["dwell", "plaquette"])
+def test_build_schedule_builds_the_monomial_basis_once(monkeypatch, case):
+    sched, V0, q, samples, grid = _lockstep_case(case)
+    batches, bases = _spy_kernel_batches(monkeypatch)
+    build_schedule(sched, V0, grid, samples, q)
+    # one basis for every rate time, shared by the sample batch and sweeps
+    assert len(bases) == 1
+    assert bases[0][0] == len(batches[0]) == len(grid) - 1
 
 
 def test_build_schedule_factors_shifts_once_per_rate_time(monkeypatch):

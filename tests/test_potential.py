@@ -166,7 +166,7 @@ def test_quartic_requires_nonnegative_coefficient():
 def _reference_derivatives(V0, c, x, q):
     """Tilted moments of the quartic ``V0`` straight from its value and
     its gradient g x^3 + nu x - h and Hessian diag(3 g x^2 + nu) on the
-    Gaussian-shift rule, without the fused kernel."""
+    Gaussian-shift rule, node by node, without the moment kernel."""
     from rgflow.potential import _gaussian_shifts
 
     xb = np.atleast_2d(np.asarray(x, dtype=float))
@@ -212,6 +212,48 @@ def test_fused_derivatives_match_descriptor_reference(case, batch):
                     atol=1e-12 * np.abs(want_g).max())
     assert_allclose(np.reshape(got_h, want_h.shape), want_h, rtol=1e-12,
                     atol=1e-12 * np.abs(want_h).max())
+
+
+def _row_relative_error(got, want):
+    """Worst |got - want| of each row over the largest |want| of that row."""
+    got, want = (np.reshape(a, (len(want), -1)) for a in (got, want))
+    return np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_moment_kernel_matches_direct_sums_on_a_stress_set(d):
+    # The kernel takes the covariance from raw moments of the shift, which
+    # cancel where the tilted shift sits far from 0: large |x|, large C.
+    # Bound: 1e-8 of the row maximum.  Measured worst over d = 1, 2, 3:
+    # 1.5e-10 (gradients 2.9e-13).
+    from rgflow.curvature import _stacked_shifts
+    from rgflow.potential import _monomial_basis, _tilted_derivatives
+
+    rng = np.random.default_rng(29 + d)
+    V0 = PotentialDescriptor.quartic(rng.uniform(0.5, 1.5, d),
+                                     rng.uniform(-1.0, 1.0, d),
+                                     rng.choice([-1.0, 1.0], d)
+                                     * rng.uniform(0.2, 0.6, d),
+                                     dimension=d)
+    root = rng.standard_normal((d, d))
+    full = root @ root.T
+    full *= 10.0 / np.linalg.eigvalsh(full)[-1]      # C <= 10 I, reached
+    u = rng.standard_normal(d)
+    deficient = (8.0 * np.outer(u, u) / (u @ u) if d > 1
+                 else np.zeros((1, 1)))
+    # three covariances in one call, the padded rule between the others
+    covs = [full, deficient, 0.05 * np.eye(d)]
+    q = QuadratureRule(order=12 if d == 3 else 40, dimension=d)
+    xs = rng.uniform(-5.0, 5.0, size=(len(covs), 24, d))
+    xs[:, 0] = 5.0
+    xs[:, 1] = -5.0
+    z, logw = _stacked_shifts(covs, d, q)
+    assert np.isneginf(logw[1]).any()
+    grads, hess = _tilted_derivatives(V0, _monomial_basis(z), logw, xs)
+    for i, c in enumerate(covs):
+        want_g, want_h = _reference_derivatives(V0, c, xs[i], q)
+        assert np.all(_row_relative_error(grads[i], want_g) <= 1e-8)
+        assert np.all(_row_relative_error(hess[i], want_h) <= 1e-8)
 
 
 @pytest.mark.parametrize("c", [

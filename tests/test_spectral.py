@@ -416,13 +416,24 @@ def test_non_finite_1d_pencil_maps_to_nonconvergence_error(n):
     from rgflow.errors import NonConvergenceError
     from rgflow.flow import Box
 
-    box = Box((-3.0,), (3.0,))
-    w = np.exp(-0.5 * box.axes((n,))[0] ** 2)
-    w[n // 2] = np.nan
+    # a finite density builds a finite pencil; the guard in
+    # _tridiagonal_pairs is reached by a nan put into the built mass
+    gen = _gaussian_density_generator((n,))
+    gen.mass[n // 2] = np.nan
     with np.errstate(invalid="ignore"):
-        gen = build_generator_from_density(box, w)
-    with pytest.raises(NonConvergenceError, match="non-finite"):
-        spectrum(gen, k=2, refine=False)
+        with pytest.raises(NonConvergenceError, match="non-finite"):
+            spectrum(gen, k=2, refine=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_density_values_are_rejected(bad):
+    from rgflow.flow import Box
+
+    box = Box((-3.0,), (3.0,))
+    w = np.exp(-0.5 * box.axes((101,))[0] ** 2)
+    w[50] = bad
+    with pytest.raises(ValueError, match="density values must be finite"):
+        build_generator_from_density(box, w)
 
 
 def test_perturbed_ground_vector_from_the_1d_solve_is_rejected(monkeypatch):
