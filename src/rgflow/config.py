@@ -90,9 +90,11 @@ _TIMES = _Rule("a non-empty list of numbers > 0",
                and all(_finite(t) and t > 0 for t in v) else None)
 
 # Every optional key: its default and its domain.  A None default depends on
-# the model and is resolved where the key is read (``variance.t_max`` in
-# ``config_from_text``).  ``variance.count`` is capped because its
-# Gauss-Legendre rule solves a dense count x count eigenproblem.
+# the model.  ``config_from_text`` resolves ``variance.t_max`` and
+# ``variance.tolerance`` from the form of V0; an unset
+# ``disc.box_halfwidth`` means the schedule's default box.
+# ``variance.count`` is capped because its Gauss-Legendre rule solves a
+# dense count x count eigenproblem.
 OPTIONS = {
     "t_grid.min": (0.05, _Rule("a number >= 0",
                                lambda v: float(v) if _finite(v) and v >= 0 else None)),
@@ -349,8 +351,11 @@ def config_from_text(text: str) -> ExperimentConfig:
     if "intertwining" in checks:
         _check_horizon(schedule, "intertwining.times", max(options["intertwining.times"]))
     if "variance" in checks:
+        gaussian = V0.form == "zero"
         options["variance.t_max"] = _check_horizon(
-            schedule, "variance.t_max", t_max, 20.0 if V0.form == "zero" else 30.0)
+            schedule, "variance.t_max", t_max, 20.0 if gaussian else 30.0)
+        if options["variance.tolerance"] is None:
+            options["variance.tolerance"] = 1e-6 if gaussian else 1e-3
     # intertwining and variance transport grid functions by P_{0,t}, whose
     # kernel C_t - C_0 must fit in the box (up to C_inf where variance.t_max
     # is not set)

@@ -510,13 +510,16 @@ def conservation_check(schedule, V0, F: GridFunction, t_max: float,
 
 def load_density_table(path):
     """Two-column text table (x, density) of finite numbers, uniform
-    strictly increasing x, and some positive density."""
+    strictly increasing x, and a nonnegative density with some positive
+    entry."""
     data = np.loadtxt(path, comments="#")
     if data.ndim != 2 or data.shape[1] != 2:
         raise ValueError("density table must have exactly two columns")
     if not np.all(np.isfinite(data)):
         raise ValueError("density table entries must be finite")
     x, dens = data[:, 0], data[:, 1]
+    if np.any(dens < 0):
+        raise ValueError("density table has negative entries")
     if not np.any(dens > 0):
         raise ValueError("density table has no positive mass")
     dx = np.diff(x)
@@ -535,7 +538,6 @@ class HeatflowReport:
     monotone: bool
     worst_drop: float
     two_sided_margin: float
-    normalized_input: bool
 
 
 def _discrete_log_concave(density: np.ndarray) -> bool:
@@ -569,8 +571,7 @@ def heatflow_harness(x_nodes, density, s_grid, grid_points: int = 2049,
         raise ValueError("density table has negative entries")
     dx = x_nodes[1] - x_nodes[0]
     total = float(np.trapezoid(density, x_nodes))
-    normalized = abs(total - 1.0) <= 1e-8
-    if not normalized:
+    if abs(total - 1.0) > 1e-8:
         warnings.warn(f"input density integrates to {total:.6g}; normalizing",
                       stacklevel=2)
         density = density / total
@@ -607,7 +608,7 @@ def heatflow_harness(x_nodes, density, s_grid, grid_points: int = 2049,
     return HeatflowReport(
         s_grid=s_grid, poincare=trace, log_concave_input=log_concave,
         monotone=monotone, worst_drop=worst_drop,
-        two_sided_margin=float(two_sided), normalized_input=normalized)
+        two_sided_margin=float(two_sided))
 
 
 def default_sample_points(measure: FlowMeasure, seed: int = 1234) -> np.ndarray:

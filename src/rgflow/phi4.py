@@ -15,11 +15,12 @@ the mass-shifted zero-field measure, and the corrective rate is bounded by
 where Sigma_t(phi) is the covariance of the measure with mass shift 1/t and
 external field C_t^{-1} phi.  Moments are computed by importance-weighted
 tensor Gauss-Hermite quadrature for n <= 3 and by seeded single-site
-random-walk Metropolis otherwise (always available for cross-checks).  The
-Metropolis path advances a fixed batch of independent chains together in
-numpy, all drawn from one generator seeded by ``seed``; the sweep budget is
-split evenly across the chains, and the error bars are a jackknife over
-whole chains.
+random-walk Metropolis otherwise (always available for cross-checks); each
+estimator sets its own budget (quadrature order, sweeps), and
+``_shifted_moments`` alone picks between them.  The Metropolis path
+advances a fixed batch of independent chains together in numpy, all drawn
+from one generator seeded by ``seed``; the sweep budget is split evenly
+across the chains, and the error bars are a jackknife over whole chains.
 """
 
 from __future__ import annotations
@@ -98,15 +99,13 @@ class Phi4Model:
         """Mass-regularized covariance decomposition with C_inf = A^{-1}."""
         return make_schedule("pauli-villars", aux=self.a_matrix)
 
-    def action(self, phi: np.ndarray, mass_shift: float = 0.0,
-               field=None) -> np.ndarray:
-        """S(phi) with optional extra mass and external field; batched."""
+    def action(self, phi: np.ndarray, mass_shift: float, field) -> np.ndarray:
+        """S(phi) with extra mass and external field (for h); batched."""
         phi = np.atleast_2d(np.asarray(phi, dtype=float))
-        eta = self.h if field is None else np.asarray(field, dtype=float)
         quad = 0.5 * np.einsum("mi,ij,mj->m", phi, self.a_matrix, phi)
         local = np.sum(0.25 * self.g * phi**4
                        + 0.5 * (self.nu + mass_shift) * phi**2, axis=-1)
-        return quad + local - phi @ eta
+        return quad + local - phi @ field
 
 
 @dataclass
@@ -114,7 +113,6 @@ class MomentEstimate:
     value: object               # scalar or matrix
     stderr: float
     method: str                 # "quadrature" | "mcmc"
-    seed: int | None = None
     n_samples: int = 0          # effective sample size for "mcmc"
     converged: bool = True
     tau: float | None = None    # integrated autocorrelation time, sweeps
@@ -155,10 +153,10 @@ def _marginal_scale(model: Phi4Model, mass_shift: float, eta: np.ndarray):
     return centers, widths
 
 
-def lattice_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
+def lattice_moments(model: Phi4Model, mass_shift: float, field,
                     order: int = 96) -> MomentEstimate:
     """Covariance of the lattice measure with extra mass ``mass_shift`` and
-    external field ``field`` (``model.h`` when None).
+    external field ``field`` in place of ``model.h``.
 
     Importance-weighted tensor Gauss-Hermite against a diagonal reference
     Gaussian sized from the 1D marginals; deterministic.  Returns the
@@ -170,8 +168,7 @@ def lattice_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
     if n > QUADRATURE_MAX_SITES:
         raise ValueError(
             f"quadrature path supports n <= {QUADRATURE_MAX_SITES} sites")
-    eta = model.h if field is None else np.broadcast_to(
-        np.atleast_1d(np.asarray(field, dtype=float)), (n,))
+    eta = np.broadcast_to(np.asarray(field, dtype=float), (n,))
     centers, widths = _marginal_scale(model, mass_shift, eta)
     widths = widths * _WIDTH_FACTOR
 
@@ -199,12 +196,12 @@ def lattice_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
                           converged=drift <= 1e-8)
 
 
-def metropolis_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
+def metropolis_moments(model: Phi4Model, mass_shift: float, field,
                        seed: int = 0, n_measure_sweeps: int = 60_000,
                        burnin: int = _MCMC_BURNIN) -> MomentEstimate:
     """Single-site random-walk Metropolis covariance with stderr, for the
-    measure with extra mass ``mass_shift`` and external field ``field``
-    (``model.h`` when None).
+    measure with extra mass ``mass_shift`` and external field ``field`` in
+    place of ``model.h``.
 
     ``_MCMC_CHAINS`` independent chains advance together, one vectorized
     step per site; ``burnin`` and ``n_measure_sweeps`` are the total sweep
@@ -225,8 +222,7 @@ def metropolis_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
     measured pooled ``acceptance``.
     """
     n = model.n_sites
-    eta = model.h if field is None else np.broadcast_to(
-        np.atleast_1d(np.asarray(field, dtype=float)), (n,))
+    eta = np.broadcast_to(np.asarray(field, dtype=float), (n,))
     rng = np.random.default_rng(seed)
     chains = _MCMC_CHAINS
     n_burn, n_meas = burnin // chains, n_measure_sweeps // chains
@@ -318,7 +314,7 @@ def metropolis_moments(model: Phi4Model, mass_shift: float = 0.0, field=None,
     stderr = float(np.max(np.sqrt(
         (chains - 1) * np.mean((cov_jack - cov_jack.mean(0)) ** 2, axis=0))))
     acceptance = float(accepted.sum() / (n_kept * n))
-    return MomentEstimate(value=cov, stderr=stderr, method="mcmc", seed=seed,
+    return MomentEstimate(value=cov, stderr=stderr, method="mcmc",
                           n_samples=int(ess), tau=tau, acceptance=acceptance)
 
 
@@ -355,29 +351,25 @@ def _integrated_autocorr(x: np.ndarray) -> float:
     return float(c_f * (1.0 + (2 * w + 1) / total) / (gamma[0] + c_f / total))
 
 
-def _shifted_moments(model: Phi4Model, t: float, field, order: int = 96,
-                     method: str = "auto", seed: int = 0,
-                     n_measure_sweeps: int = 60_000) -> MomentEstimate:
+def _shifted_moments(model: Phi4Model, t: float, field, method: str = "auto",
+                     seed: int = 0) -> MomentEstimate:
     """Covariance of the model with mass shift 1/t and external ``field``
     (which replaces ``model.h``), by quadrature (n <= 3 sites under "auto")
-    or Metropolis."""
+    or Metropolis from ``seed``, each at its own budget."""
     if method == "quadrature" or (
             method == "auto" and model.n_sites <= QUADRATURE_MAX_SITES):
-        return lattice_moments(model, mass_shift=1.0 / t, field=field,
-                               order=order)
-    return metropolis_moments(model, mass_shift=1.0 / t, field=field,
-                              seed=seed, n_measure_sweeps=n_measure_sweeps)
+        return lattice_moments(model, 1.0 / t, field)
+    return metropolis_moments(model, 1.0 / t, field, seed=seed)
 
 
-def susceptibility(model: Phi4Model, t: float, order: int = 96,
-                   method: str = "auto", seed: int = 0,
-                   n_measure_sweeps: int = 60_000) -> MomentEstimate:
+def susceptibility(model: Phi4Model, t: float, method: str = "auto",
+                   seed: int = 0) -> MomentEstimate:
     """chi_t: max over sites of covariance row sums of the mass-shifted,
     zero-field measure."""
     if t <= 0:
         raise ValueError("susceptibility requires t > 0")
-    return _chi_of(_shifted_moments(model, t, np.zeros(model.n_sites), order,
-                                    method, seed, n_measure_sweeps))
+    return _chi_of(_shifted_moments(model, t, np.zeros(model.n_sites), method,
+                                    seed))
 
 
 def _chi_of(est: MomentEstimate) -> MomentEstimate:
@@ -387,17 +379,16 @@ def _chi_of(est: MomentEstimate) -> MomentEstimate:
                    stderr=len(est.value) * est.stderr)
 
 
-def tilted_covariance(model: Phi4Model, t: float, phi, order: int = 96,
-                      method: str = "auto", seed: int = 0) -> MomentEstimate:
+def tilted_covariance(model: Phi4Model, t: float, phi) -> MomentEstimate:
     """Covariance of the measure with mass shift 1/t and field C_t^{-1} phi."""
     if t <= 0:
         raise ValueError("tilted covariance requires t > 0")
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     field = (model.a_matrix + np.eye(model.n_sites) / t) @ phi + model.h
-    return _shifted_moments(model, t, field, order, method, seed)
+    return _shifted_moments(model, t, field)
 
 
-def phi4_schedules(model: Phi4Model, t_grid, phi_samples, order: int = 96):
+def phi4_schedules(model: Phi4Model, t_grid, phi_samples):
     """Certified rate lambda'_t = 1/t - chi_t/t^2 and the alpha' formula.
 
     The infimum of lambda_min(Sigma_t(phi)) over phi is approximated from
@@ -412,12 +403,11 @@ def phi4_schedules(model: Phi4Model, t_grid, phi_samples, order: int = 96):
     t_grid = np.asarray(t_grid, dtype=float)
     phi_samples = np.atleast_2d(np.asarray(phi_samples, dtype=float))
     amax = float(np.linalg.eigvalsh(model.a_matrix)[-1])
-    chi = np.array([susceptibility(model, t, order=order).value
-                    for t in t_grid])
+    chi = np.array([susceptibility(model, t).value for t in t_grid])
 
     def sig_min(t, phis):
         return np.array([np.linalg.eigvalsh(
-            tilted_covariance(model, t, phi, order=order).value)[0]
+            tilted_covariance(model, t, phi).value)[0]
             for phi in phis])
 
     vals = np.array([sig_min(t, phi_samples) for t in t_grid])
@@ -434,13 +424,13 @@ def phi4_schedules(model: Phi4Model, t_grid, phi_samples, order: int = 96):
             "chi": chi, "sigma_min": best}
 
 
-def hessian_identity_check(model: Phi4Model, t: float, phi_samples,
-                           order: int = 96) -> float:
+def hessian_identity_check(model: Phi4Model, t: float, phi_samples) -> float:
     """Max relative error of hess V_t = C^{-1} - C^{-1} Sigma_t(phi) C^{-1}.
 
     The right side uses the tilted covariance; the left side is a central
     finite-difference Hessian of the smoothed potential value, so the two
-    routes share no differentiation machinery.
+    routes share no differentiation machinery.  The value is smoothed on a
+    96-node rule for one site and on a 60^n-node rule for two or three.
     """
     if model.n_sites > QUADRATURE_MAX_SITES:
         raise ValueError("identity check runs on the quadrature path (n <= 3)")
@@ -451,12 +441,12 @@ def hessian_identity_check(model: Phi4Model, t: float, phi_samples,
     c, _, _ = sched.eval(t)
     cinv = np.linalg.inv(c)
     V0 = model.potential()
-    q = QuadratureRule(order=min(order, 60 if model.n_sites >= 2 else order),
+    q = QuadratureRule(order=96 if model.n_sites == 1 else 60,
                        dimension=model.n_sites)
     n = model.n_sites
     worst = 0.0
     for phi in phi_samples:
-        sigma = tilted_covariance(model, t, phi, order=order).value
+        sigma = tilted_covariance(model, t, phi).value
         rhs = cinv - cinv @ sigma @ cinv
 
         lhs = np.empty((n, n))

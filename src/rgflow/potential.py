@@ -241,8 +241,9 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     Follows ``scipy.special.logsumexp(a, axis=1)`` operation by operation,
     so the two agree bit for bit: the m entries tied at the row maximum are
     set aside, s is the sum of exp(a - max) over the rest, and the result is
-    log1p(s / m) + log(m) + max.  A row where that is not finite takes
-    log(sum(exp(a))) instead.
+    log1p(s / m) + log(m) + max.  That is finite wherever the row maximum
+    is.  Where the maximum is +inf, -inf or nan, the result is that same
+    value, and so is log(sum(exp(a))) of the row: no row needs a fallback.
     """
     a_max = np.max(a, axis=1, keepdims=True)
     top = a == a_max
@@ -250,11 +251,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         e = np.exp(a - a_max)
         e[top] = 0.0
-        out = np.log1p(np.sum(e, axis=1) / m) + np.log(m) + a_max[:, 0]
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
-    return out
+        return np.log1p(np.sum(e, axis=1) / m) + np.log(m) + a_max[:, 0]
 
 
 def _smoothed_quadratic(V0, c):

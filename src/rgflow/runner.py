@@ -256,8 +256,6 @@ def _check_intertwining(ctx: _Context, report: RunReport):
 def _check_variance(ctx: _Context, report: RunReport):
     gaussian = ctx.V0.form == "zero"
     tol, t_max = ctx.options["variance.tolerance"], ctx.options["variance.t_max"]
-    if tol is None:  # the model-dependent default
-        tol = 1e-6 if gaussian else 1e-3
     xs = ctx.box.axes((ctx.options["disc.grid_points"],))[0]
     F = GridFunction(ctx.box, xs.copy() if gaussian else np.exp(-xs**2))
     tail_bound = {}

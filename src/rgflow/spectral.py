@@ -104,9 +104,8 @@ _flapack = _load_flapack()
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Symmetric tridiagonal matrix held as its diagonal and off-diagonal,
-    with what callers use of a sparse matrix: ``@``, ``diagonal(k)`` and
-    ``toarray()``."""
+    """Symmetric tridiagonal matrix held as its diagonal and off-diagonal;
+    ``@`` applies it to one vector."""
 
     diag: np.ndarray
     off: np.ndarray
@@ -114,21 +113,10 @@ class Tridiagonal:
     def __matmul__(self, v):
         # summed per row as a CSR product is: lower, diagonal, upper
         v = np.asarray(v, dtype=float)
-        d, e = ((self.diag, self.off) if v.ndim == 1
-                else (self.diag[:, None], self.off[:, None]))
-        out = d * v
-        out[1:] = e * v[:-1] + out[1:]
-        out[:-1] += e * v[1:]
+        out = self.diag * v
+        out[1:] = self.off * v[:-1] + out[1:]
+        out[:-1] += self.off * v[1:]
         return out
-
-    def diagonal(self, k: int = 0) -> np.ndarray:
-        if abs(k) > 1:
-            return np.zeros(max(len(self.diag) - abs(k), 0))
-        return (self.off if k else self.diag).copy()
-
-    def toarray(self) -> np.ndarray:
-        return (np.diag(self.diag) + np.diag(self.off, 1)
-                + np.diag(self.off, -1))
 
 
 @dataclass
@@ -298,7 +286,6 @@ class SpectralResult:
     residuals: np.ndarray
     converged: bool
     richardson_change: float | None
-    clusters: list
 
     def eigenvalue(self, k: int) -> float:
         return float(self.eigenvalues[k])
@@ -424,23 +411,12 @@ def spectrum(gen: GeneratorDiscretization, k: int,
         richardson = abs(fvals[1] - vals[1]) / max(abs(vals[1]), 1e-300)
         converged = richardson <= _RICHARDSON_RTOL
 
-    scale = max(float(vals[-1]), 1.0)
-    clusters = []
-    current = [0]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] <= 1e-6 * scale:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    clusters.append(current)
-
     vecs = [GridFunction(gen.box, wvecs[:, i].reshape(gen.grid_shape))
             for i in range(k + 1)]
     return SpectralResult(
         t=gen.t, eigenvalues=vals, eigenvectors=vecs,
         poincare_constant=1.0 / float(vals[1]), residuals=residuals,
-        converged=converged, richardson_change=richardson, clusters=clusters)
+        converged=converged, richardson_change=richardson)
 
 
 def rayleigh_quotient(gen: GeneratorDiscretization, phi) -> float:

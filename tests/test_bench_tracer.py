@@ -2,7 +2,8 @@
 their parameters by name.  A rename that it no longer finds makes a layer
 metric read 0 instead of failing, so this test runs a small traced config
 and requires the layers it binds by parameter (``V0``, ``x`` and ``q`` of
-the smoothing calls among them) to count work."""
+the smoothing calls among them) to count work.  It makes the Metropolis and
+quadrature ``susceptibility`` calls of the ring3-mcmc child too."""
 
 import json
 import os
@@ -39,8 +40,11 @@ from rgflow.config import config_from_text
 from rgflow.runner import run_experiment
 start = time.perf_counter()
 report = run_experiment(config_from_text(sys.stdin.read()))
-phi4.lattice_moments(phi4.Phi4Model([[1.0]], 1.0, -1.0, [0.0]),
-                     mass_shift=1.0, order=40)
+dwell = phi4.Phi4Model([[1.0]], 1.0, -1.0, [0.0])
+phi4.lattice_moments(dwell, mass_shift=1.0, field=[0.0], order=40)
+# the calls of the benchmark's ring3-mcmc child
+phi4.susceptibility(dwell, 1.0, method="mcmc", seed=1)
+phi4.susceptibility(dwell, 1.0, method="quadrature")
 from rgflow import (flow, make_schedule, PotentialDescriptor, QuadratureRule,
                     renormalized_derivatives, renormalized_value)
 sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
@@ -65,6 +69,8 @@ def test_tracer_counts_work_in_the_layers_it_binds_by_parameter():
     metrics = out["metrics"]
     for key in ("flow.flow_measure.nodes", "spectral.build_generator.nodes",
                 "spectral.spectrum.nodes", "phi4.lattice_moments.points",
+                "phi4.metropolis_moments.site_updates",
+                "phi4.susceptibility.calls",
                 "flow.semigroup_apply.points",
                 "potential.renormalized_value.points",
                 "potential.renormalized_derivatives.points"):

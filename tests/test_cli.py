@@ -182,24 +182,36 @@ def test_non_finite_density_table_rejected(tmp_path, bad):
         config_from_text(text)
 
 
-def test_zero_mass_density_table_rejected_at_validate(tmp_path):
-    # a table with no mass cannot be normalized: it stops at validate,
-    # before any compute, and names its key
+def _assert_table_stops_at_validate(tmp_path, dens, message):
+    """A [heatflow] config reading ``dens`` as its table stops at validate
+    and at run, before any compute, with exit 2 naming its key."""
     x = np.linspace(-3.0, 3.0, 61)
-    table = tmp_path / "zero.tab"
-    np.savetxt(table, np.column_stack([x, np.zeros_like(x)]))
+    table = tmp_path / "density.tab"
+    np.savetxt(table, np.column_stack([x, dens]))
     text = GAUSS_CFG.format(out=tmp_path / "out").replace(
         "checks = [spectrum, theorem]", "checks = [heatflow]")
-    cfg_path = tmp_path / "zero.cfg"
+    cfg_path = tmp_path / "density.cfg"
     cfg_path.write_text(text + f"heatflow.input = {table}\n")
-    with pytest.raises(ConfigError, match="heatflow.input must be .* no "
-                                          "positive mass"):
+    with pytest.raises(ConfigError, match=f"heatflow.input must be .* {message}"):
         config_from_text(cfg_path.read_text())
     for command in ("validate", "run"):
         res = _run_cli(command, str(cfg_path))
         assert res.returncode == 2
         assert "heatflow.input" in res.stdout + res.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_zero_mass_density_table_rejected_at_validate(tmp_path):
+    # a table with no mass cannot be normalized
+    _assert_table_stops_at_validate(tmp_path, np.zeros(61), "no positive mass")
+
+
+def test_negative_density_table_rejected_at_validate(tmp_path):
+    # a density cannot be negative: one bad entry would otherwise fail the
+    # heatflow run after validate passed it
+    dens = np.exp(-np.linspace(-3.0, 3.0, 61) ** 2 / 2) / np.sqrt(2.0 * np.pi)
+    dens[40] = -0.1
+    _assert_table_stops_at_validate(tmp_path, dens, "negative entries")
 
 
 def test_oracle_subcommand(tmp_path):
@@ -727,6 +739,19 @@ checks = [criterion]
 seed = 1
 output = {out}
 """
+
+
+@pytest.mark.parametrize("text, tolerance", [
+    (GAUSS_CFG.replace("[spectrum, theorem]", "[variance]"), 1e-6),
+    (PHI4_SITE.replace("[criterion]", "[variance]"), 1e-3),
+], ids=["gaussian", "phi4"])
+def test_variance_tolerance_default_is_resolved_at_parse(text, tolerance):
+    # the runner reads the resolved value; a set key is kept as written
+    text = text.format(out="x")
+    assert config_from_text(text).options["variance.tolerance"] == tolerance
+    set_text = text + "variance.tolerance = 0.5\n"
+    assert config_from_text(set_text).options["variance.tolerance"] == 0.5
+
 
 # Configs that cannot build the model they describe as written, with the
 # text the error must name.

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,10 +302,14 @@ def test_heatflow_bimodal_contract():
 
 def test_heatflow_normalizes_with_warning():
     x = np.linspace(-1, 1, 1001)
-    with pytest.warns(UserWarning, match="normalizing"):
-        rep = heatflow_harness(x, np.full_like(x, 1.7),
-                               np.array([0.0, 0.5]), grid_points=257)
-    assert not rep.normalized_input
+    with pytest.warns(UserWarning, match="integrates to 3.4; normalizing"):
+        heatflow_harness(x, np.full_like(x, 1.7), np.array([0.0, 0.5]),
+                         grid_points=257)
+    # a normalized table passes without the warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        heatflow_harness(x, np.full_like(x, 0.5), np.array([0.0, 0.5]),
+                         grid_points=257)
 
 
 def test_density_table_roundtrip(tmp_path):

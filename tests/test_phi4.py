@@ -6,7 +6,8 @@ from scipy.signal import lfilter
 from rgflow import oracles, phi4
 from rgflow.curvature import build_schedule
 from rgflow.errors import NonConvergenceError
-from rgflow.phi4 import (Phi4Model, _integrated_autocorr, hessian_identity_check,
+from rgflow.phi4 import (Phi4Model, _chi_of, _integrated_autocorr,
+                         hessian_identity_check, lattice_moments,
                          metropolis_moments, phi4_schedules, susceptibility,
                          tilted_covariance)
 from rgflow.potential import QuadratureRule
@@ -49,8 +50,9 @@ def test_quartic_susceptibility_vs_adaptive_oracle():
 def test_mcmc_agrees_with_quadrature_within_three_stderr():
     m = Phi4Model([[1.0]], 1.0, 0.0, [0.0])
     quad = susceptibility(m, 1.0).value
-    mc = susceptibility(m, 1.0, method="mcmc", seed=2024,
-                        n_measure_sweeps=40_000)
+    # chi_1 as susceptibility(method="mcmc") takes it, on a shorter chain
+    mc = _chi_of(metropolis_moments(m, 1.0, [0.0], seed=2024,
+                                    n_measure_sweeps=40_000))
     assert mc.method == "mcmc"
     assert mc.stderr > 0
     assert abs(mc.value - quad) <= 3.0 * mc.stderr
@@ -59,7 +61,7 @@ def test_mcmc_agrees_with_quadrature_within_three_stderr():
 def test_mcmc_nonconvergence_raises():
     m = Phi4Model([[1.0]], 1.0, 0.0, [0.0])
     with pytest.raises(NonConvergenceError, match="effective sample size"):
-        metropolis_moments(m, mass_shift=1.0, seed=1,
+        metropolis_moments(m, mass_shift=1.0, field=[0.0], seed=1,
                            n_measure_sweeps=500, burnin=200)
 
 
@@ -71,7 +73,8 @@ def _ring(n_sites):
 
 def test_batched_mcmc_ring3_agrees_with_quadrature():
     m = Phi4Model(_ring(3), 1.0, -1.0, np.zeros(3))
-    quad = susceptibility(m, 1.0, order=64)
+    # chi_1 as susceptibility() takes it, on a coarser rule for speed
+    quad = _chi_of(lattice_moments(m, 1.0, np.zeros(3), order=64))
     mc = susceptibility(m, 1.0, method="mcmc", seed=11)
     assert quad.tau is None and quad.acceptance is None
     assert abs(mc.value - quad.value) <= 3.0 * mc.stderr
@@ -82,8 +85,9 @@ def test_batched_mcmc_ring3_agrees_with_quadrature():
 
 def test_batched_mcmc_is_a_pure_function_of_the_seed():
     m = Phi4Model(_ring(3), 1.0, -1.0, np.zeros(3))
-    runs = [susceptibility(m, 1.0, method="mcmc", seed=seed,
-                           n_measure_sweeps=20_000) for seed in (5, 5, 6)]
+    runs = [_chi_of(metropolis_moments(m, 1.0, np.zeros(3), seed=seed,
+                                       n_measure_sweeps=20_000))
+            for seed in (5, 5, 6)]
     assert runs[0].value == runs[1].value
     assert runs[0].stderr == runs[1].stderr
     assert runs[0].value != runs[2].value
@@ -103,7 +107,7 @@ def test_mcmc_short_burnin_raises():
     # plenty of measured samples, but 10 burn-in sweeps per chain < 20 tau
     m = Phi4Model([[1.0]], 1.0, 0.0, [0.0])
     with pytest.raises(NonConvergenceError, match="burn-in"):
-        metropolis_moments(m, mass_shift=1.0, seed=1,
+        metropolis_moments(m, mass_shift=1.0, field=[0.0], seed=1,
                            n_measure_sweeps=128_000, burnin=640)
 
 
@@ -215,8 +219,8 @@ def _reference_metropolis(model, mass_shift, seed, n_measure_sweeps, burnin):
 def test_in_place_sweep_is_the_reference_chain_to_the_bit(model, mass_shift):
     cov, stderr, acceptance, tau = _reference_metropolis(
         model, mass_shift, seed=17, n_measure_sweeps=12_800, burnin=12_800)
-    est = metropolis_moments(model, mass_shift=mass_shift, seed=17,
-                             n_measure_sweeps=12_800, burnin=12_800)
+    est = metropolis_moments(model, mass_shift=mass_shift, field=model.h,
+                             seed=17, n_measure_sweeps=12_800, burnin=12_800)
     assert np.array_equal(est.value, cov)
     assert est.stderr == stderr
     assert est.acceptance == acceptance
