@@ -13,18 +13,19 @@ the mass-shifted zero-field measure, and the corrective rate is bounded by
                + lambda_max(A) (t lambda_max(A) + 1),
 
 where Sigma_t(phi) is the covariance of the measure with mass shift 1/t and
-external field C_t^{-1} phi.  Moments are computed by importance-weighted
-tensor Gauss-Hermite quadrature for n <= 3 and by seeded single-site
-random-walk Metropolis otherwise (always available for cross-checks); each
-estimator sets its own budget (quadrature order, sweeps), and
-``_shifted_moments`` alone picks between them.  The Metropolis path
-advances a fixed batch of independent chains together in numpy, all drawn
-from one generator seeded by ``seed``; the sweep budget is split evenly
-across the chains, and the error bars are a jackknife over whole chains.
+external field C_t^{-1} phi.  For n <= 3 sites, moments are Gauss-Hermite
+sums on a tensor grid, contracted as per-site vectors and pair marginals;
+otherwise (and for cross-checks) they come from seeded single-site
+random-walk Metropolis.  Each estimator sets its own budget (quadrature
+order, sweeps), and ``_shifted_moments`` alone picks between them.  The
+Metropolis path advances a fixed batch of independent chains together in
+numpy, from one generator seeded by ``seed``; the sweep budget is split
+evenly across them, and the error bars are a jackknife over whole chains.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -36,7 +37,8 @@ import numpy.random  # noqa: F401
 from .covariance import CovarianceSchedule, make_schedule
 from .curvature import _compass_search
 from .errors import NonConvergenceError
-from .potential import MAX_TENSOR_DIM, PotentialDescriptor, QuadratureRule
+from .potential import (MAX_TENSOR_DIM, PotentialDescriptor, QuadratureRule,
+                        _hermite_rule)
 
 QUADRATURE_MAX_SITES = MAX_TENSOR_DIM
 
@@ -99,14 +101,6 @@ class Phi4Model:
         """Mass-regularized covariance decomposition with C_inf = A^{-1}."""
         return make_schedule("pauli-villars", aux=self.a_matrix)
 
-    def action(self, phi: np.ndarray, mass_shift: float, field) -> np.ndarray:
-        """S(phi) with extra mass and external field (for h); batched."""
-        phi = np.atleast_2d(np.asarray(phi, dtype=float))
-        quad = 0.5 * np.einsum("mi,ij,mj->m", phi, self.a_matrix, phi)
-        local = np.sum(0.25 * self.g * phi**4
-                       + 0.5 * (self.nu + mass_shift) * phi**2, axis=-1)
-        return quad + local - phi @ field
-
 
 @dataclass
 class MomentEstimate:
@@ -158,9 +152,9 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
     """Covariance of the lattice measure with extra mass ``mass_shift`` and
     external field ``field`` in place of ``model.h``.
 
-    Importance-weighted tensor Gauss-Hermite against a diagonal reference
-    Gaussian sized from the 1D marginals; deterministic.  Returns the
-    order+16 covariance as a "quadrature" estimate with stderr 0, and
+    Importance-weighted Gauss-Hermite (``_grid_moments``) against a diagonal
+    reference Gaussian sized from the 1D marginals; deterministic.  Returns
+    the order+16 covariance as a "quadrature" estimate with stderr 0, and
     ``converged`` when the means and covariances at order and order+16
     agree to 1e-8 of the largest covariance entry.
     """
@@ -169,31 +163,51 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
         raise ValueError(
             f"quadrature path supports n <= {QUADRATURE_MAX_SITES} sites")
     eta = np.broadcast_to(np.asarray(field, dtype=float), (n,))
+    for name, value in (("mass_shift", mass_shift), ("field", eta)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
     centers, widths = _marginal_scale(model, mass_shift, eta)
     widths = widths * _WIDTH_FACTOR
-
-    def moments_at(p: int):
-        # standard-normal weights; their constant factor cancels below
-        z, logw = QuadratureRule(order=p, dimension=n).rule()
-        phi = centers[None, :] + z * widths[None, :]
-        # remove the reference Gaussian, reweight by the true action
-        log_ref = -0.5 * np.sum(z**2, axis=-1)
-        le = logw - model.action(phi, mass_shift, eta) - log_ref
-        le -= le.max()
-        wts = np.exp(le)
-        wts /= wts.sum()
-        mean = wts @ phi
-        centered = phi - mean
-        cov = (centered * wts[:, None]).T @ centered
-        return mean, 0.5 * (cov + cov.T)
-
-    mean, cov = moments_at(order)
-    mean2, cov2 = moments_at(order + 16)
+    mean, cov = _grid_moments(model, mass_shift, eta, centers, widths, order)
+    mean2, cov2 = _grid_moments(model, mass_shift, eta, centers, widths, order + 16)
     scale = max(float(np.max(np.abs(cov))), 1e-300)
     drift = max(float(np.max(np.abs(cov - cov2))),
                 float(np.max(np.abs(mean - mean2)))) / scale
     return MomentEstimate(value=cov2, stderr=0.0, method="quadrature",
                           converged=drift <= 1e-8)
+
+
+def _grid_moments(model: Phi4Model, mass_shift, eta, centers, widths, p: int):
+    """Mean and covariance on the p^n grid phi_i = centers_i + widths_i z.
+    Its log-weight is one 1-D term per site plus an outer product
+    -a_ij phi_i phi_j per coupling; means and variances contract each site's
+    nodes with its 1-D marginal of the weights, and entry (i, j) is
+    c_i @ P_ij @ c_j, with P_ij a pair marginal and c_i the centred nodes."""
+    n, a = model.n_sites, model.a_matrix
+    pairs = list(itertools.combinations(range(n), 2))
+
+    def others(*axes):
+        return tuple(k for k in range(n) if k not in axes)
+
+    z, logw = _hermite_rule(p)  # standard normal: its constant cancels below
+    phi = centers[:, None] + widths[:, None] * z            # (n, p)
+    phi2 = phi * phi
+    # remove the reference Gaussian, reweight by the true action
+    site = logw + 0.5 * z * z + eta[:, None] * phi - phi2 * (
+        0.5 * (np.diag(a) + model.nu + mass_shift)[:, None] + 0.25 * model.g * phi2)
+    grid = np.ix_(*phi)                  # phi_i broadcast along axis i
+    le = sum([*np.ix_(*site)] + [-a[i, j] * grid[i] * grid[j]
+                                 for i, j in pairs if a[i, j]])
+    le -= le.max()
+    wts = np.exp(le, out=le)
+    wts /= wts.sum()
+    marginal = [wts.sum(axis=others(i)) for i in range(n)]
+    mean = np.array([m @ x for m, x in zip(marginal, phi)])
+    c = phi - mean[:, None]
+    cov = np.diag([m @ (x * x) for m, x in zip(marginal, c)])
+    for i, j in pairs:
+        cov[i, j] = cov[j, i] = c[i] @ wts.sum(axis=others(i, j)) @ c[j]
+    return mean, cov
 
 
 def metropolis_moments(model: Phi4Model, mass_shift: float, field,

@@ -129,17 +129,23 @@ def _as_batch(x, d):
 
 
 @lru_cache(maxsize=64)
+def _hermite_rule(order: int):
+    """1-D Gauss-Hermite (nodes, log-weights) for the standard normal."""
+    nodes, w = np.polynomial.hermite_e.hermegauss(order)
+    logw = np.log(w / np.sqrt(2.0 * np.pi))
+    nodes.flags.writeable = logw.flags.writeable = False
+    return nodes, logw
+
+
+@lru_cache(maxsize=64)
 def _hermite_tensor(order: int, dim: int):
-    nodes1, w1 = np.polynomial.hermite_e.hermegauss(order)
-    w1 = w1 / np.sqrt(2.0 * np.pi)  # standard normal expectation weights
     if dim == 0:
         return np.zeros((1, 0)), np.array([0.0])
+    nodes1, lw1 = _hermite_rule(order)
     grids = np.meshgrid(*([nodes1] * dim), indexing="ij")
     nodes = np.stack([g.ravel() for g in grids], axis=-1)
     logw = np.zeros(nodes.shape[0])
-    lw1 = np.log(w1)
-    for axis in range(dim):
-        grid = np.meshgrid(*([lw1] * dim), indexing="ij")[axis]
+    for grid in np.meshgrid(*([lw1] * dim), indexing="ij"):
         logw += grid.ravel()
     return nodes, logw
 

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
-from rgflow import oracles, phi4
+from rgflow import oracles, phi4, potential
 from rgflow.curvature import build_schedule
 from rgflow.errors import NonConvergenceError
 from rgflow.phi4 import (Phi4Model, _chi_of, _integrated_autocorr,
@@ -81,6 +81,63 @@ def test_batched_mcmc_ring3_agrees_with_quadrature():
     assert mc.n_samples >= 1000
     assert mc.tau >= 1.0
     assert 0.3 < mc.acceptance < 0.5
+
+
+A3 = np.array([[2.0, -0.7, 0.0], [-0.7, 2.5, 0.4], [0.0, 0.4, 1.8]])
+
+
+@pytest.mark.parametrize("mass_shift", [0.5, 2.0])
+def test_three_site_gaussian_moments_match_the_closed_form(mass_shift, monkeypatch):
+    # distinct couplings and a zero a_13 catch an i/j mix-up in the pair terms
+    m = Phi4Model(A3, 0.0, 0.3, np.zeros(3))
+    field = np.array([0.2, -0.1, 0.35])
+    grid_moments, means = phi4._grid_moments, []
+
+    def spy(*args):
+        mean, cov = grid_moments(*args)
+        means.append(mean)
+        return mean, cov
+
+    monkeypatch.setattr(phi4, "_grid_moments", spy)
+    est = lattice_moments(m, mass_shift, field)
+    exact = np.linalg.inv(A3 + (0.3 + mass_shift) * np.eye(3))
+    assert est.converged
+    assert np.max(np.abs(est.value - exact)) <= 1e-12 * np.max(np.abs(exact))
+    assert len(means) == 2
+    assert np.max(np.abs(means[-1] - exact @ field)) <= 1e-12 * np.max(
+        np.abs(exact @ field))
+
+
+@pytest.mark.parametrize("t, chi", [(0.5, 0.3145623499897383),
+                                    (1.0, 0.4281512565920163),
+                                    (2.0, 0.5158116871039145)])
+def test_ring3_quadrature_chi_is_pinned(t, chi):
+    m = Phi4Model(_ring(3), 1.0, -1.0, np.zeros(3))
+    est = susceptibility(m, t, method="quadrature")
+    assert est.converged
+    assert abs(est.value - chi) <= 1e-12 * chi
+
+
+def test_three_site_moments_request_no_tensor_rule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lattice_moments built a tensor rule")
+
+    monkeypatch.setattr(potential, "_hermite_tensor", refuse)
+    m = Phi4Model(_ring(3), 1.0, -1.0, np.zeros(3))
+    est = lattice_moments(m, 1.0, np.zeros(3))
+    assert est.converged and est.value.shape == (3, 3)
+
+
+@pytest.mark.parametrize("mass_shift, field, name", [
+    (1.0, [np.inf, 0.0], "field"),
+    (1.0, [0.0, np.nan], "field"),
+    (np.inf, [0.0, 0.0], "mass_shift"),
+    (np.nan, [0.0, 0.0], "mass_shift"),
+])
+def test_lattice_moments_rejects_non_finite_inputs(mass_shift, field, name):
+    m = Phi4Model(A_NN, 1.0, 0.0, [0.0, 0.0])
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        lattice_moments(m, mass_shift, field)
 
 
 def test_batched_mcmc_is_a_pure_function_of_the_seed():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from rgflow import oracles
+from rgflow import oracles, potential
 from rgflow.errors import QuadratureOverflowError
 from rgflow.potential import (PotentialDescriptor, QuadratureRule,
                               _logsumexp_rows, renormalized_derivatives,
@@ -35,6 +35,25 @@ def test_quadrature_exactness_property(k):
     nodes, logw = q.rule(1)
     got = float(np.exp(logw) @ nodes[:, 0] ** k)
     assert abs(got - GAUSS_MOMENTS[k]) < 1e-10
+
+
+def test_tensor_rule_is_the_outer_sum_of_the_1d_rule(monkeypatch):
+    calls = []
+    hermegauss = np.polynomial.hermite_e.hermegauss
+    monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss",
+                        lambda order: calls.append(order) or hermegauss(order))
+    potential._hermite_rule.cache_clear()
+    potential._hermite_tensor.cache_clear()
+    for order in (5, 20, 40):
+        z, lw = potential._hermite_rule(order)
+        for dim in (1, 2, 3):
+            nodes, logw = potential._hermite_tensor(order, dim)
+            grids = np.meshgrid(*([z] * dim), indexing="ij")
+            assert np.array_equal(nodes, np.stack([g.ravel() for g in grids], axis=-1))
+            total = sum(np.ix_(*([lw] * dim)))     # axis 0 first, as the rule adds
+            assert np.array_equal(logw, total.ravel())
+    assert calls == [5, 20, 40]   # one 1-D rule per order, shared by every dim
+    assert not z.flags.writeable and not lw.flags.writeable
 
 
 def test_quadrature_rejects_high_dimension():
