@@ -56,8 +56,6 @@ _REFINE_STEPS = 20
 # the refined rate depend on the order of summation.
 _MOVE_RTOL = 64 * np.finfo(float).eps
 
-# The factor-2 coarsening check allows 3x this gap in the lambda' integral.
-_REFINEMENT_TOL = 1e-4
 # Boundary cells left out of the intertwining comparison.
 _INTERTWINING_MARGIN_CELLS = 4
 
@@ -71,7 +69,6 @@ class CurvatureSchedule:
     alpha_prime: np.ndarray
     lambda_integral: np.ndarray
     alpha_integral: np.ndarray
-    refinement_ok: bool = True
 
     def lambda_at(self, t: float) -> float:
         return float(np.interp(t, self.t_grid, self.lambda_integral))
@@ -248,8 +245,8 @@ def integrate_schedules(prime_samples) -> CurvatureSchedule:
 
     ``prime_samples`` is (t_grid, lambda_prime, alpha_prime) with t_grid
     starting at 0.  Pauli-Villars rate arrays should already carry the t0
-    cutoff node (see ``pv_t_grid``).  A factor-2 coarsening check flags
-    under-resolved grids.
+    cutoff node (see ``pv_t_grid``).  Nothing here estimates the
+    integration error.
     """
     t_grid, lp, ap = (np.asarray(x, dtype=float) for x in prime_samples)
     if t_grid.ndim != 1 or len(t_grid) < 2:
@@ -259,16 +256,10 @@ def integrate_schedules(prime_samples) -> CurvatureSchedule:
     if abs(t_grid[0]) > PV_T0:
         raise ValueError(f"t_grid must start at 0 (or below {PV_T0}), "
                          f"got {t_grid[0]}")
-    lam = _cumulative_trapezoid(lp, t_grid)
-    alp = _cumulative_trapezoid(ap, t_grid)
-    idx = list(range(0, len(t_grid), 2))
-    if idx[-1] != len(t_grid) - 1:
-        idx.append(len(t_grid) - 1)
-    lam_coarse = np.trapezoid(lp[idx], t_grid[idx])
-    ok = abs(lam_coarse - lam[-1]) <= 3.0 * _REFINEMENT_TOL
     return CurvatureSchedule(
         t_grid=t_grid, lambda_prime=lp, alpha_prime=ap,
-        lambda_integral=lam, alpha_integral=alp, refinement_ok=bool(ok))
+        lambda_integral=_cumulative_trapezoid(lp, t_grid),
+        alpha_integral=_cumulative_trapezoid(ap, t_grid))
 
 
 def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:

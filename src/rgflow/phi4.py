@@ -21,6 +21,9 @@ order, sweeps), and ``_shifted_moments`` alone picks between them.  The
 Metropolis path advances a fixed batch of independent chains together in
 numpy, from one generator seeded by ``seed``; the sweep budget is split
 evenly across them, and the error bars are a jackknife over whole chains.
+``hessian_identity_check`` ties the two estimators the certificate rests on:
+the tilted-moment Hessian every sampled rate is taken from, and the lattice
+covariance behind chi_t, through hess V_t = C^{-1} - C^{-1} Sigma_t C^{-1}.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .covariance import CovarianceSchedule, make_schedule
 from .curvature import _compass_search
 from .errors import NonConvergenceError
 from .potential import (MAX_TENSOR_DIM, PotentialDescriptor, QuadratureRule,
-                        _hermite_rule)
+                        _hermite_rule, renormalized_derivatives)
 
 QUADRATURE_MAX_SITES = MAX_TENSOR_DIM
 
@@ -51,11 +54,9 @@ _MCMC_BURNIN_TAUS = 20
 _WOLFF_S = 1.5
 
 # Quadrature reference widths in marginal std devs; compass-search sweeps for
-# the infimum of lambda_min(Sigma_t); finite-difference step of the identity
-# check.
+# the infimum of lambda_min(Sigma_t).
 _WIDTH_FACTOR = 1.6
 _DESCENT_STEPS = 12
-_FD_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,11 @@ class MomentEstimate:
 
 
 def _marginal_scale(model: Phi4Model, mass_shift: float, eta: np.ndarray):
-    """Per-site reference center and width from the 1D marginal actions."""
+    """Per-site reference center and width from the 1D marginal actions,
+    each on a 1,601-point trapezoid over [-span, span].  Where the site mass
+    m2 = a_ii + nu + mass_shift is positive the span is at most the Gaussian
+    one, 10/sqrt(m2) + 3|eta|/m2: the quartic term only narrows the
+    marginal, and a mass shift of 1/t keeps it about sqrt(t) wide."""
     n = model.n_sites
     centers = np.empty(n)
     widths = np.empty(n)
@@ -129,12 +134,14 @@ def _marginal_scale(model: Phi4Model, mass_shift: float, eta: np.ndarray):
         def u(y, i=i, m2=m2):
             return 0.25 * model.g * y**4 + 0.5 * m2 * y**2 - eta[i] * y
 
-        if model.g > 0:
-            span = (60.0 / model.g) ** 0.25 + 3.0 * abs(eta[i]) / max(aii, 0.1) + 3.0
-        else:
-            if m2 <= 0:
-                raise ValueError("g = 0 marginal requires a positive mass")
+        if model.g == 0 and m2 <= 0:
+            raise ValueError("g = 0 marginal requires a positive mass")
+        span = math.inf
+        if m2 > 0:
             span = 10.0 / math.sqrt(m2) + 3.0 * abs(eta[i]) / m2
+        if model.g > 0:
+            span = min(span, (60.0 / model.g) ** 0.25
+                       + 3.0 * abs(eta[i]) / max(aii, 0.1) + 3.0)
         ys = np.linspace(-span, span, 1601)
         uy = u(ys)
         uy -= uy.min()
@@ -441,55 +448,27 @@ def phi4_schedules(model: Phi4Model, t_grid, phi_samples):
 def hessian_identity_check(model: Phi4Model, t: float, phi_samples) -> float:
     """Max relative error of hess V_t = C^{-1} - C^{-1} Sigma_t(phi) C^{-1}.
 
-    The right side uses the tilted covariance; the left side is a central
-    finite-difference Hessian of the smoothed potential value, so the two
-    routes share no differentiation machinery.  The value is smoothed on a
-    96-node rule for one site and on a 60^n-node rule for two or three.
+    The left side is the tilted-moment Hessian of
+    ``renormalized_derivatives``, the kernel every sampled rate of
+    ``build_schedule`` is taken from, on a 96-node rule for one site and a
+    60^n-node rule for two or three, all samples in one batch.  The right
+    side uses the lattice covariance of ``tilted_covariance``, the estimator
+    behind chi_t and the certified lambda'.
     """
     if model.n_sites > QUADRATURE_MAX_SITES:
         raise ValueError("identity check runs on the quadrature path (n <= 3)")
-    from .potential import renormalized_value
-
     phi_samples = np.atleast_2d(np.asarray(phi_samples, dtype=float))
-    sched = model.schedule()
-    c, _, _ = sched.eval(t)
+    c, _, _ = model.schedule().eval(t)
     cinv = np.linalg.inv(c)
-    V0 = model.potential()
     q = QuadratureRule(order=96 if model.n_sites == 1 else 60,
                        dimension=model.n_sites)
-    n = model.n_sites
+    _, lhs = renormalized_derivatives(model.potential(), c, phi_samples, q)
     worst = 0.0
-    for phi in phi_samples:
+    for phi, hess in zip(phi_samples, lhs):
         sigma = tilted_covariance(model, t, phi).value
         rhs = cinv - cinv @ sigma @ cinv
-
-        lhs = np.empty((n, n))
-        base = phi.copy()
-        for i in range(n):
-            for j in range(i, n):
-                if i == j:
-                    pts = np.array([base + _FD_STEP * _unit(n, i),
-                                    base,
-                                    base - _FD_STEP * _unit(n, i)])
-                    v = renormalized_value(V0, c, pts, q)
-                    lhs[i, i] = (v[0] - 2 * v[1] + v[2]) / _FD_STEP**2
-                else:
-                    ei, ej = _unit(n, i), _unit(n, j)
-                    pts = np.array([base + _FD_STEP * (ei + ej),
-                                    base + _FD_STEP * (ei - ej),
-                                    base - _FD_STEP * (ei - ej),
-                                    base - _FD_STEP * (ei + ej)])
-                    v = renormalized_value(V0, c, pts, q)
-                    val = (v[0] - v[1] - v[2] + v[3]) / (4 * _FD_STEP**2)
-                    lhs[i, j] = lhs[j, i] = val
         # ambient scale C^{-1}: both sides are differences of such terms
         scale = max(float(np.max(np.abs(rhs))),
                     1e-6 * float(np.max(np.abs(cinv))))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
+        worst = max(worst, float(np.max(np.abs(hess - rhs))) / scale)
     return worst
-
-
-def _unit(n: int, i: int) -> np.ndarray:
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e

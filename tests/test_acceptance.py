@@ -123,16 +123,21 @@ def test_criterion_03_quadratic_closed_form():
 
 
 def test_criterion_04_hessian_identity():
+    start = time.perf_counter()
     worst = 0.0
     rng = np.random.default_rng(20240601)
-    for a_matrix in (np.array([[1.0]]), np.array([[2.0, -1.0], [-1.0, 2.0]])):
+    ring3 = 2.5 * np.eye(3) - 0.5 * (np.ones((3, 3)) - np.eye(3))
+    for a_matrix in (np.array([[1.0]]), np.array([[2.0, -1.0], [-1.0, 2.0]]),
+                     ring3):
         n = a_matrix.shape[0]
         model = Phi4Model(a_matrix, 1.0, 0.0, np.zeros(n))
         phis = rng.normal(0.0, 1.0, size=(10, n))
         for t in (0.5, 1.0, 2.0):
             worst = max(worst, hessian_identity_check(model, t, phis))
+    elapsed = time.perf_counter() - start
     ok = worst <= 1e-5
-    _report("04 hessian identity", ok, f"max rel err={worst:.2e}")
+    _report("04 hessian identity", ok,
+            f"max rel err={worst:.2e}, runtime={elapsed:.1f}s")
 
 
 def test_criterion_05_criterion_certification():

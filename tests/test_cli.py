@@ -142,6 +142,34 @@ def test_failing_check_exit_code(tmp_path):
     assert "theorem: fail" in res.stdout
 
 
+SMALL_T_DWELL = """\
+model.kind = phi4
+model.a_matrix = [[1.0]]
+model.g = 1.0
+model.nu = -1.0
+model.h = [0.0]
+schedule.kind = pauli-villars
+t_grid.min = 1e-6
+t_grid.max = 3.0
+t_grid.count = 4
+t_grid.spacing = log
+disc.grid_points = 129
+disc.quadrature_order = 80
+checks = [criterion]
+seed = 20240601
+output = {out}
+"""
+
+
+def test_criterion_passes_down_to_a_mass_shift_of_1e6(tmp_path):
+    # at t = 1e-6 the lattice marginal is 1e-3 wide; chi_t must resolve it
+    cfg_path = tmp_path / "small_t.cfg"
+    cfg_path.write_text(SMALL_T_DWELL.format(out=tmp_path / "out"))
+    res = _run_cli("run", str(cfg_path))
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "criterion: pass" in res.stdout
+
+
 def test_module_error_attaches_to_check(tmp_path, monkeypatch):
     # an error raised in a check's module is attached to that check while
     # the other checks finish

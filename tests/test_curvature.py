@@ -206,7 +206,6 @@ def test_build_schedule_with_override(gauss):
     sampled = build_schedule(sched, V0, grid, SAMPLES_1D, q)
     assert_allclose(sampled.lambda_prime, 0.5)
     assert_allclose(sampled.alpha_prime, 1.0)
-    assert sampled.refinement_ok
     # a certified lambda' overrides the sampled one; alpha' stays sampled
     curv = integrate_schedules((grid, np.full(5, 0.25), sampled.alpha_prime))
     assert_allclose(curv.lambda_integral, 0.25 * grid)

@@ -382,6 +382,34 @@ def test_hessian_identity_quartic(a_matrix, phis):
     assert err <= 1e-5
 
 
+def test_hessian_identity_takes_the_rates_hessian(monkeypatch):
+    # a 1e-3 bias in the kernel every sampled rate comes from shows in the check
+    kernel = potential._tilted_derivatives
+
+    def biased(*args):
+        grads, hess = kernel(*args)
+        return grads, hess * (1.0 + 1e-3)
+
+    monkeypatch.setattr(potential, "_tilted_derivatives", biased)
+    m = Phi4Model(A_NN, 1.0, 0.0, np.zeros(2))
+    assert hessian_identity_check(m, 1.0, [[0.0, 0.0], [0.4, -0.7]]) > 1e-4
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+def test_hessian_identity_ring3(t):
+    m = Phi4Model(_ring(3), 1.0, -1.0, np.zeros(3))
+    phis = np.random.default_rng(5).normal(0.0, 1.0, size=(4, 3))
+    assert hessian_identity_check(m, t, phis) <= 1e-5
+
+
+@pytest.mark.parametrize("t", [3e-6, 1e-6])
+def test_chi_at_large_mass_shift_matches_the_oracle(t):
+    # the marginal is about sqrt(t) wide: the reference span must shrink too
+    m = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
+    _, var = oracles.quartic_site_moments(1.0, -1.0, 0.0, t / (1.0 + t), 0.0)
+    assert abs(susceptibility(m, t).value - var) <= 1e-10 * var
+
+
 def test_susceptibility_rejects_zero_time():
     m = Phi4Model([[1.0]], 1.0, 0.0, [0.0])
     with pytest.raises(ValueError, match="t > 0"):
