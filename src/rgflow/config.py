@@ -40,7 +40,7 @@ from .curvature import TOL_TOTAL
 from .errors import ConfigError
 from .flow import _KERNEL_SIGMAS, _scale_workers, load_density_table
 from .phi4 import Phi4Model
-from .potential import MAX_TENSOR_DIM, PotentialDescriptor
+from .potential import _CLOSED_FORMS, MAX_TENSOR_DIM, PotentialDescriptor
 
 KNOWN_CHECKS = ("spectrum", "theorem", "higher-k", "intertwining", "variance",
                 "criterion", "phi4-identity", "heatflow")
@@ -54,6 +54,11 @@ CHECK_MAX_DIM = {"spectrum": 2, "theorem": 2, "higher-k": 2,
 SPECTRAL_CHECKS = ("spectrum", "theorem", "higher-k")
 # Checks that solve an eigenproblem; ``heatflow_harness`` calls ``spectrum``.
 EIGEN_CHECKS = SPECTRAL_CHECKS + ("heatflow",)
+# Most grid nodes, disc.grid_points^d, that one flow measure may hold.  The
+# 3-site sample measure on 129^3 (2.1e6 nodes) peaks at 205 MB RSS, about
+# 80 bytes a node over the interpreter's 39 MB; this budget keeps a measure
+# near half a GB, where the default 513^3 would take about 11 GB.
+NODE_BUDGET = 2**22
 
 
 # An option's domain: its text, and the value as the runner reads it, or None.
@@ -343,6 +348,16 @@ def config_from_text(text: str) -> ExperimentConfig:
     if any(c in SPECTRAL_CHECKS for c in checks) and grid_points <= k + 1:
         raise ConfigError(f"disc.grid_points must be above spectrum.k + 1 = {k + 1} "
                           f"for the spectral checks, got {grid_points}")
+    # the spectral checks build flow measures on the grid, and so do
+    # intertwining and variance (d = 1); every check but phi4-identity and
+    # heatflow samples the rates of a V0 with no closed form on one
+    grid_checks = set(checks) - {"phi4-identity", "heatflow"}
+    if V0.form in _CLOSED_FORMS:
+        grid_checks &= {*SPECTRAL_CHECKS, "intertwining", "variance"}
+    if grid_checks and grid_points ** dim > NODE_BUDGET:
+        raise ConfigError(f"disc.grid_points = {grid_points} puts {grid_points ** dim:,} "
+                          f"nodes in a {dim}-D flow measure, above the budget of "
+                          f"{NODE_BUDGET:,}")
     # the last time each check evaluates the schedule at must lie in its
     # domain: inside a table's range, with C_inf - C_t invertible there
     box, t_max = options["disc.box_halfwidth"], options["variance.t_max"]

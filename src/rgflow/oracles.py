@@ -9,10 +9,11 @@ functions and writes their reference values to disk.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 
 def gaussian_smoothed_quadratic(beta: float, c: float, x: float):
@@ -27,6 +28,27 @@ def gaussian_smoothed_quadratic(beta: float, c: float, x: float):
     return value, grad, hess
 
 
+def _site_window(g: float, nu: float, h: float, c: float, x: float):
+    """The integrand exp(-(E(y) - E(y*))), with E(y) = V0(y) + (y - x)^2 /
+    (2c) and V0(y) = g y^4/4 + nu y^2/2 - h y, the ends of the window
+    y* +- 14 sqrt(c) it is integrated over, and E(y*): window and shift sit
+    on the minimum y* of E, however far a strong field h moves it from x.
+
+    E' is a cubic and y* one of its roots; no real y has E(y) < E(y*), so
+    y* is the real part of a root with the smallest E.
+    """
+    def neg_exponent(y):
+        return (0.25 * g * y**4 + 0.5 * nu * y**2 - h * y
+                + (y - x) ** 2 / (2.0 * c))
+
+    centre = min(np.roots([g, 0.0, nu + 1.0 / c, -(h + x / c)]).real,
+                 key=neg_exponent)
+    shift = float(neg_exponent(centre))
+    reach = 14.0 * math.sqrt(c)
+    return (lambda y: math.exp(-(neg_exponent(y) - shift)),
+            centre - reach, centre + reach, shift)
+
+
 def quartic_site_value(g: float, nu: float, h: float, c: float, x: float,
                        tol: float = 1e-12) -> float:
     """-log E_{z~N(0,c)}[exp(-V0(x+z))] by adaptive quadrature, 1D.
@@ -36,38 +58,20 @@ def quartic_site_value(g: float, nu: float, h: float, c: float, x: float,
     """
     if c <= 0:
         return 0.25 * g * x**4 + 0.5 * nu * x**2 - h * x
-    sig = math.sqrt(c)
-
-    def neg_exponent(y):
-        return (0.25 * g * y**4 + 0.5 * nu * y**2 - h * y
-                + (y - x) ** 2 / (2.0 * c))
-
-    ys = np.linspace(x - 12 * sig, x + 12 * sig, 4001)
-    shift = float(np.min(neg_exponent(ys)))
-
-    def integrand(y):
-        return math.exp(-(neg_exponent(y) - shift))
-
-    total, _ = integrate.quad(integrand, x - 14 * sig, x + 14 * sig,
+    integrand, lo, hi, shift = _site_window(g, nu, h, c, x)
+    total, _ = integrate.quad(integrand, lo, hi,
                               epsabs=tol, epsrel=tol, limit=400)
-    return -(math.log(total) - math.log(math.sqrt(2.0 * math.pi) * sig) - shift)
+    return -(math.log(total) - math.log(math.sqrt(2.0 * math.pi) * math.sqrt(c))
+             - shift)
 
 
 def quartic_site_moments(g: float, nu: float, h: float, c: float, x: float,
                          tol: float = 1e-12):
     """Mean and variance of psi ~ exp(-V0(psi)) N(psi; x, c) by adaptive quad."""
-    sig = math.sqrt(c)
-
-    def neg_exponent(y):
-        return (0.25 * g * y**4 + 0.5 * nu * y**2 - h * y
-                + (y - x) ** 2 / (2.0 * c))
-
-    ys = np.linspace(x - 12 * sig, x + 12 * sig, 4001)
-    shift = float(np.min(neg_exponent(ys)))
+    integrand, lo, hi, _ = _site_window(g, nu, h, c, x)
 
     def moment(power):
-        f = lambda y: y**power * math.exp(-(neg_exponent(y) - shift))
-        val, _ = integrate.quad(f, x - 14 * sig, x + 14 * sig,
+        val, _ = integrate.quad(lambda y: y**power * integrand(y), lo, hi,
                                 epsabs=tol, epsrel=tol, limit=400)
         return val
 
@@ -85,6 +89,8 @@ def quartic_lattice_moments(a_matrix, g: float, nu: float, h, tol: float = 1e-10
     """
     a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
     n = a.shape[0]
+    if n > 2:
+        raise ValueError("nested-quad oracle implemented for n <= 2 only")
     h = np.broadcast_to(np.atleast_1d(np.asarray(h, dtype=float)), (n,))
 
     def action(phi):
@@ -92,33 +98,36 @@ def quartic_lattice_moments(a_matrix, g: float, nu: float, h, tol: float = 1e-10
         return (0.5 * phi @ a @ phi
                 + np.sum(0.25 * g * phi**4 + 0.5 * nu * phi**2) - h @ phi)
 
-    lim = 1.5 * (abs(40.0 / max(g, 1e-9))) ** 0.25 + 3.0 * np.max(np.abs(h)) + 4.0
+    # the window spans reach around the minimum of S, found from the best
+    # node of a grid that also reaches the tilt
+    reach = 1.5 * (abs(40.0 / max(g, 1e-9))) ** 0.25 + 4.0
+    axis = np.linspace(-1.0, 1.0, 2001 if n == 1 else 201) * (
+        reach + 3.0 * np.max(np.abs(h)))
+    centre = optimize.minimize(
+        action, min(itertools.product(axis, repeat=n), key=action)).x
+    shift = action(centre)
+    lo, hi = centre - reach, centre + reach
     if n == 1:
-        shift = min(action([y]) for y in np.linspace(-lim, lim, 2001))
-
         def mom(p):
             f = lambda y: y**p * math.exp(-(action([y]) - shift))
-            return integrate.quad(f, -lim, lim, epsabs=tol, epsrel=tol, limit=300)[0]
+            return integrate.quad(f, lo[0], hi[0], epsabs=tol, epsrel=tol,
+                                  limit=300)[0]
 
         z0 = mom(0)
         m1 = mom(1) / z0
         m2 = mom(2) / z0
         return np.array([m1]), np.array([[m2 - m1 * m1]])
-    if n == 2:
-        grid = np.linspace(-lim, lim, 201)
-        shift = min(action([u, v]) for u in grid for v in grid)
 
-        def mom(pu, pv):
-            f = lambda v, u: (u**pu * v**pv
-                              * math.exp(-(action([u, v]) - shift)))
-            return integrate.dblquad(f, -lim, lim, -lim, lim,
-                                     epsabs=tol, epsrel=tol)[0]
+    def mom(pu, pv):
+        f = lambda v, u: (u**pu * v**pv
+                          * math.exp(-(action([u, v]) - shift)))
+        return integrate.dblquad(f, lo[0], hi[0], lo[1], hi[1],
+                                 epsabs=tol, epsrel=tol)[0]
 
-        z0 = mom(0, 0)
-        m = np.array([mom(1, 0), mom(0, 1)]) / z0
-        s = np.array([[mom(2, 0), mom(1, 1)], [mom(1, 1), mom(0, 2)]]) / z0
-        return m, s - np.outer(m, m)
-    raise ValueError("nested-quad oracle implemented for n <= 2 only")
+    z0 = mom(0, 0)
+    m = np.array([mom(1, 0), mom(0, 1)]) / z0
+    s = np.array([[mom(2, 0), mom(1, 1)], [mom(1, 1), mom(0, 2)]]) / z0
+    return m, s - np.outer(m, m)
 
 
 def ou_spectrum(k: int) -> np.ndarray:

@@ -118,12 +118,27 @@ class MomentEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
+def _site_minimum(g: float, m2: float, eta: float) -> float:
+    """The real root of g y^3 + m2 y = eta for m2 > 0, the minimum of the
+    convex site action g y^4/4 + m2 y^2/2 - eta y.  Cardano's y = u - v,
+    with u v = m2/(3g) and u^3 - v^3 = eta/g, is taken as
+    (eta/g) / (u^2 + u v + v^2), whose terms are all positive."""
+    if g == 0:
+        return eta / m2
+    p3 = m2 / (3.0 * g)
+    half = 0.5 * abs(eta) / g
+    u = np.cbrt(half + math.sqrt(half * half + p3**3))
+    v = p3 / u
+    return (eta / g) / (u * u + p3 + v * v)
+
+
 def _marginal_scale(model: Phi4Model, mass_shift: float, eta: np.ndarray):
     """Per-site reference center and width from the 1D marginal actions,
-    each on a 1,601-point trapezoid over [-span, span].  Where the site mass
-    m2 = a_ii + nu + mass_shift is positive the span is at most the Gaussian
-    one, 10/sqrt(m2) + 3|eta|/m2: the quartic term only narrows the
-    marginal, and a mass shift of 1/t keeps it about sqrt(t) wide."""
+    each on a 1,601-point trapezoid over [center - span, center + span].
+    Where the site mass m2 = a_ii + nu + mass_shift is positive the action
+    is convex: the trapezoid centres on its minimum and spans at most the
+    Gaussian 10/sqrt(m2), since the quartic term only narrows the marginal
+    and a mass shift of 1/t keeps it about sqrt(t) wide."""
     n = model.n_sites
     centers = np.empty(n)
     widths = np.empty(n)
@@ -136,13 +151,15 @@ def _marginal_scale(model: Phi4Model, mass_shift: float, eta: np.ndarray):
 
         if model.g == 0 and m2 <= 0:
             raise ValueError("g = 0 marginal requires a positive mass")
-        span = math.inf
+        center, span = 0.0, math.inf
         if m2 > 0:
-            span = 10.0 / math.sqrt(m2) + 3.0 * abs(eta[i]) / m2
+            span = 10.0 / math.sqrt(m2)
+            if eta[i]:
+                center = _site_minimum(model.g, m2, eta[i])
         if model.g > 0:
             span = min(span, (60.0 / model.g) ** 0.25
                        + 3.0 * abs(eta[i]) / max(aii, 0.1) + 3.0)
-        ys = np.linspace(-span, span, 1601)
+        ys = np.linspace(center - span, center + span, 1601)
         uy = u(ys)
         uy -= uy.min()
         w = np.exp(-uy)

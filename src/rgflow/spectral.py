@@ -24,11 +24,12 @@ k+1 wanted pairs, as ``scipy.linalg.eigh_tridiagonal(select="i")`` does.
 The cut-off stays because that solver lands on other round-off in
 the kernel eigenvalue mu_0 (0 in exact arithmetic), and reference spectra
 hold mu_0 to 0.3 % relative; it can go once mu_0 is judged against an
-absolute floor.  In 2-D small grids take a dense symmetric solve and larger
-ones shift-invert Lanczos (ARPACK) with a deterministic start vector.  A
-solver breakdown raises NonConvergenceError, every solve is
-residual-verified, and the spectrum carries a Richardson consistency check
-under mesh halving.
+absolute floor.  In 2-D every grid takes shift-invert Lanczos (ARPACK) with
+a deterministic start vector, shifted below mu_0 = 0 by a tenth of the
+smallest Rayleigh quotient of the centred coordinate functions, an upper
+bound on mu_1 that the pencil sets itself.  A solver breakdown raises
+NonConvergenceError, every solve is residual-verified, and the spectrum
+carries a Richardson consistency check under mesh halving.
 
 This is the one module of a run that imports scipy.  In 1-D it loads only
 scipy's compiled LAPACK wrappers (``scipy.linalg._flapack``) and no scipy
@@ -322,7 +323,6 @@ def _smallest_pairs(gen: GeneratorDiscretization, k: int):
     """(k+1) smallest eigenpairs of the pencil (E, diag(mass))."""
     n = gen.n_nodes
     dinv = 1.0 / np.sqrt(gen.mass)
-    whole = n <= _DENSE_CUTOFF or k + 2 >= n - 1
 
     if gen.box.dim == 1:
         # B = M^{-1/2} E M^{-1/2}, symmetrized, in the order of operations
@@ -333,7 +333,8 @@ def _smallest_pairs(gen: GeneratorDiscretization, k: int):
                                + (dinv[1:] * e.off) * dinv[:-1]))
         norm_b = float(np.max(
             Tridiagonal(np.abs(b.diag), np.abs(b.off)) @ np.ones(n)))
-        vals, vecs = _tridiagonal_pairs(b, k, whole)
+        vals, vecs = _tridiagonal_pairs(
+            b, k, n <= _DENSE_CUTOFF or k + 2 >= n - 1)
     else:
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
@@ -341,28 +342,24 @@ def _smallest_pairs(gen: GeneratorDiscretization, k: int):
         b = sp.diags(dinv) @ gen.stiffness @ sp.diags(dinv)
         b = 0.5 * (b + b.T)
         norm_b = float(np.max(np.abs(b).sum(axis=1)))
-        if whole:
-            try:
-                vals, vecs = np.linalg.eigh(b.toarray())
-            except np.linalg.LinAlgError as exc:
-                raise NonConvergenceError(f"dense eigh failed: {exc}") from exc
-            vals, vecs = vals[:k + 1], vecs[:, :k + 1]
-        else:
-            scale = float(np.mean(b.diagonal()))
-            v0 = np.random.default_rng(90210).standard_normal(n)
-            try:
-                vals, vecs = spla.eigsh(b.tocsc(), k=k + 1,
-                                        sigma=-1e-3 * max(scale, 1e-12),
-                                        which="LM", mode="normal", v0=v0,
-                                        maxiter=_ARPACK_MAXITER)
-            except RuntimeError as exc:
-                # ArpackNoConvergence, or SuperLU finding the shifted pencil
-                # singular
-                raise NonConvergenceError(
-                    "shift-invert eigsh failed in the SuperLU factorization "
-                    f"or the ARPACK iteration: {exc}") from exc
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
+        # each centred coordinate's Rayleigh quotient bounds mu_1 from above,
+        # so a tenth of the smallest, below 0, sits next to mu_0 = 0 on the
+        # scale of the low spectrum, however large B's diagonal grows
+        bound = min(rayleigh_quotient(gen, x) for x in
+                    np.meshgrid(*gen.box.axes(gen.grid_shape), indexing="ij"))
+        v0 = np.random.default_rng(90210).standard_normal(n)
+        try:
+            vals, vecs = spla.eigsh(b.tocsc(), k=k + 1, sigma=-0.1 * bound,
+                                    which="LM", mode="normal", v0=v0,
+                                    maxiter=_ARPACK_MAXITER)
+        except RuntimeError as exc:
+            # ArpackNoConvergence, or SuperLU finding the shifted pencil
+            # singular
+            raise NonConvergenceError(
+                "shift-invert eigsh failed in the SuperLU factorization "
+                f"or the ARPACK iteration: {exc}") from exc
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
 
     residuals = np.array([
         np.linalg.norm(b @ vecs[:, i] - vals[i] * vecs[:, i])

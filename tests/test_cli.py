@@ -548,6 +548,34 @@ output = {out}
 """
 
 
+RING3_CRITERION = """\
+model.kind = phi4
+model.a_matrix = [[2.5, -0.5, -0.5], [-0.5, 2.5, -0.5], [-0.5, -0.5, 2.5]]
+model.g = 1.0
+model.nu = -1.0
+checks = [criterion]
+seed = 20240601
+"""
+
+
+def test_validate_rejects_grids_past_the_node_budget(tmp_path, capsys):
+    # validate only: the default 513^3 sample measure would take about 11 GB
+    from rgflow import cli
+
+    path = tmp_path / "ring3.cfg"
+    path.write_text(RING3_CRITERION)
+    assert cli.main(["validate", str(path)]) == 2
+    assert "disc.grid_points = 513 puts 135,005,697 nodes" in capsys.readouterr().err
+    for n in (33, 129):
+        path.write_text(RING3_CRITERION + f"disc.grid_points = {n}\n")
+        assert cli.main(["validate", str(path)]) == 0
+    # a closed-form V0 samples no measure: its rates need no grid
+    path.write_text("model.kind = gaussian\nschedule.c_infinity = "
+                    "[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]\n"
+                    "checks = [criterion]\nseed = 1\n")
+    assert cli.main(["validate", str(path)]) == 0
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_dimension_limits_rejected_before_compute(tmp_path, command):
     ring = tmp_path / "ring4.cfg"
@@ -572,8 +600,10 @@ def test_dimension_limits_table():
                                                  "[spectrum, theorem, higher-k]")
     assert config_from_text(spectral).checks == ["spectrum", "theorem",
                                                  "higher-k"]
+    # 129^3 nodes: within the node budget, which the default 513^3 is not
     three = spectral.replace("[[2.0, -1.0], [-1.0, 2.0]]",
-                             "[[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]")
+                             "[[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]"
+                             ) + "disc.grid_points = 129\n"
     for check, limit in CHECK_MAX_DIM.items():
         text = three.replace("[spectrum, theorem, higher-k]", f"[{check}]")
         if limit >= 3:
@@ -892,6 +922,31 @@ def test_weight_underflow_ends_unconverged(tmp_path, edit):
                  if r["section"] == "status"]
     assert status["status"] == "unconverged"
     assert status["detail"].startswith("box too large / resolution too coarse")
+
+
+def test_2d_gaussian_spectral_checks_exit_0(tmp_path):
+    # every spectral check on an 81^2 heat-kernel Gaussian; its shift-invert
+    # solves ended at ARPACK's restart cap when the shift followed diag B
+    from rgflow import cli
+
+    c_inf = [[1.0, 0.3], [0.3, 0.8]]
+    path = tmp_path / "g2.cfg"
+    path.write_text(GAUSS_CFG.format(out=tmp_path / "out")
+                    .replace("[[1.0]]", str(c_inf))
+                    .replace("t_grid.min = 0.5", "t_grid.min = 0.1")
+                    .replace("t_grid.max = 2.0", "t_grid.max = 1.0")
+                    .replace("t_grid.count = 5", "t_grid.count = 4")
+                    .replace("t_grid.spacing = lin", "t_grid.spacing = log")
+                    .replace("disc.grid_points = 257", "disc.grid_points = 81")
+                    .replace("disc.quadrature_order = 40",
+                             "disc.quadrature_order = 20")
+                    .replace("[spectrum, theorem]", "[spectrum, theorem, higher-k]")
+                    .replace("spectrum.k = 2", "spectrum.k = 3"))
+    assert cli.main(["run", str(path)]) == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "results.csv")))
+    first = next(r for r in rows if r["section"] == "spectrum")
+    mu_1 = 1.0 / np.linalg.eigvalsh(c_inf)[-1]
+    assert abs(float(first["mu_1"]) - mu_1) <= 1e-3 * mu_1
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

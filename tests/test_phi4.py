@@ -410,6 +410,29 @@ def test_chi_at_large_mass_shift_matches_the_oracle(t):
     assert abs(susceptibility(m, t).value - var) <= 1e-10 * var
 
 
+@pytest.mark.parametrize("phi", [2.0, 3.0])
+def test_tilted_marginal_at_large_mass_shift_matches_the_oracle(phi):
+    # the tilt (1 + 1/t) phi puts a marginal about sqrt(t) wide near phi
+    t = 1e-6
+    m = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
+    _, var = oracles.quartic_site_moments(1.0, -1.0, 0.0, t / (1.0 + t), phi)
+    got = tilted_covariance(m, t, [phi]).value[0, 0]
+    assert abs(got - var) <= 1e-8 * var
+
+
+def test_strong_field_matches_both_oracles():
+    # h = 1e3 at t = 0.5: the site action has its minimum near 9.93, and
+    # the marginal there is about 0.06 wide
+    m = Phi4Model([[1.0]], 1.0, -1.0, [1e3])
+    mean, var = oracles.quartic_site_moments(1.0, -1.0, 1e3, 1.0 / 3.0, 0.0)
+    lattice_mean, lattice_cov = oracles.quartic_lattice_moments(
+        [[1.0]], 1.0, 1.0, [1e3])
+    assert abs(lattice_mean[0] - mean) <= 1e-12 * mean
+    assert abs(lattice_cov[0, 0] - var) <= 1e-10 * var
+    got = tilted_covariance(m, 0.5, [0.0]).value[0, 0]
+    assert abs(got - var) <= 1e-10 * var
+
+
 def test_susceptibility_rejects_zero_time():
     m = Phi4Model([[1.0]], 1.0, 0.0, [0.0])
     with pytest.raises(ValueError, match="t > 0"):

@@ -361,7 +361,6 @@ def test_arpack_nonconvergence_maps_to_nonconvergence_error(monkeypatch):
     xs = box.axes((25, 25))
     w = np.exp(-0.5 * (xs[0][:, None] ** 2 + xs[1][None, :] ** 2))
     gen = build_generator_from_density(box, w)
-    assert gen.n_nodes > 600  # past the dense cutoff: the ARPACK branch
 
     def no_convergence(*args, **kwargs):
         raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
@@ -381,16 +380,12 @@ def _gaussian_density_generator(shape):
         box, np.exp(-0.5 * sum(x ** 2 for x in xs)))
 
 
-def _raise_linalg_error(*args, **kwargs):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-
 def _dstebz_info(d, e, *args):
     n = len(d)
     return 0, np.zeros(n), np.zeros(n, np.int32), np.zeros(n, np.int32), 2
 
 
-# rgflow's LAPACK binding (``rgflow.spectral._flapack``) or numpy's eigh
+# rgflow's LAPACK binding (``rgflow.spectral._flapack``)
 @pytest.mark.parametrize("shape, target, fake, match", [
     ((301,), "rgflow.spectral._flapack.dstevd",
      lambda d, e: (d, np.eye(len(d)), 7), "dstevd"),
@@ -399,8 +394,7 @@ def _dstebz_info(d, e, *args):
     ((701,), "rgflow.spectral._flapack.dstein",
      lambda d, e, w, iblock, isplit: (np.zeros((len(d), len(w))), 1),
      r"selected-index tridiagonal solve \(dstein\) failed"),
-    ((15, 15), "numpy.linalg.eigh", _raise_linalg_error, "dense eigh"),
-], ids=["dstevd-info", "dstebz-info", "dstein-info", "dense-2d"])
+], ids=["dstevd-info", "dstebz-info", "dstein-info"])
 def test_solver_breakdown_maps_to_nonconvergence_error(
         monkeypatch, shape, target, fake, match):
     from rgflow.errors import NonConvergenceError
@@ -477,21 +471,24 @@ def test_singular_shift_invert_factor_maps_to_nonconvergence_error():
         spectrum(gen, k=3, refine=False)
 
 
-def test_near_zero_mass_pencil_that_loses_the_kernel_raises():
-    from rgflow.errors import NonConvergenceError
-    from rgflow.phi4 import Phi4Model
+def test_perturbed_ground_vector_from_the_2d_solve_is_rejected(monkeypatch):
+    import scipy.sparse.linalg as spla
 
-    # plaquette phi4 on a 65^2 default box at t = 0.387: no zero-mass node,
-    # but tiny masses blow up the pencil's diagonal; mu_0 came out near 1.5e15
-    model = Phi4Model([[2.0, -1.0], [-1.0, 2.0]], 1.0, -1.0, [0.0, 0.0])
-    sched = model.schedule()
-    q = QuadratureRule(order=40, dimension=2)
-    fm = make_flow_measure(sched, model.potential(), 0.387, 65,
-                           box=default_box(sched), q=q)
-    gen = build_generator(fm)
-    assert np.count_nonzero(gen.mass == 0.0) == 0
-    with pytest.raises(NonConvergenceError, match="kernel"):
-        spectrum(gen, k=3, refine=False)
+    from rgflow.errors import NonConvergenceError
+
+    gen = _gaussian_density_generator((25, 25))
+    real = spla.eigsh
+
+    def perturbed(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        ground = np.argmin(vals)
+        tilted = vecs[:, ground] + 1e-3 * vecs[:, np.argsort(vals)[1]]
+        vecs[:, ground] = tilted / np.linalg.norm(tilted)
+        return vals, vecs
+
+    monkeypatch.setattr(spla, "eigsh", perturbed)
+    with pytest.raises(NonConvergenceError, match="residuals|kernel"):
+        spectrum(gen, k=2, refine=False)
 
 
 def test_shift_invert_solve_has_finite_restart_cap(monkeypatch):
@@ -516,15 +513,65 @@ def test_shift_invert_solve_has_finite_restart_cap(monkeypatch):
     assert seen[0] is not None and 0 < seen[0] <= 1000
 
 
-def test_stalling_shift_invert_solve_ends_as_nonconvergence():
-    from rgflow.errors import NonConvergenceError
+# Plaquette pencils whose tiny masses put up to 1e34 on the diagonal of B:
+# shifted by -1e-3 mean(diag B), the 65^2 solve at t = 0.387 lost the kernel
+# (mu_0 near 1.5e15) and the 97^2 one at t = 0.1 ran into the restart cap
+# (more than 10 minutes without one).  mu_fine is mu_1 of the same pencil
+# on 129^2.
+@pytest.mark.parametrize("a_matrix, t, n, mu_fine", [
+    ([[2.0, -1.0], [-1.0, 2.0]], 0.387, 65, 0.84013),
+    ([[1.5, -0.5], [-0.5, 1.5]], 0.1, 97, 1.14152),
+], ids=["lost-kernel-65", "stalled-97"])
+def test_stiff_plaquette_pencils_converge(a_matrix, t, n, mu_fine):
     from rgflow.phi4 import Phi4Model
 
-    # without a restart cap this solve ran for more than 10 minutes
-    model = Phi4Model([[1.5, -0.5], [-0.5, 1.5]], 1.0, -1.0, [0.0, 0.0])
+    model = Phi4Model(a_matrix, 1.0, -1.0, [0.0, 0.0])
     sched = model.schedule()
     q = QuadratureRule(order=40, dimension=2)
-    fm = make_flow_measure(sched, model.potential(), 0.1, 97,
+    fm = make_flow_measure(sched, model.potential(), t, n,
                            box=default_box(sched), q=q)
-    with pytest.raises(NonConvergenceError, match="ARPACK"):
-        spectrum(build_generator(fm), k=3, refine=False)
+    gen = build_generator(fm)
+    assert 0.0 < np.min(gen.mass) < 1e-30 * np.max(gen.mass)
+    res = spectrum(gen, k=3, refine=False)
+    assert abs(res.eigenvalues[0]) <= 1e-12
+    assert np.max(res.residuals) <= 1e-12
+    assert abs(res.eigenvalues[1] - mu_fine) <= 1e-2 * mu_fine
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5])
+def test_2d_gaussian_converges_on_small_grids(t):
+    # heat-kernel Gaussian: mu_1 = 1 / lambda_max(C_inf) at every t
+    c_inf = np.array([[1.0, 0.3], [0.3, 0.8]])
+    sched = make_schedule("heat-kernel", c_infinity=c_inf)
+    mu_1 = 1.0 / np.linalg.eigvalsh(c_inf)[-1]
+    q = QuadratureRule(order=20, dimension=2)
+    errors = []
+    for n in (15, 21):
+        fm = make_flow_measure(sched, PotentialDescriptor.zero(2), t, n,
+                               box=default_box(sched), q=q)
+        res = spectrum(build_generator(fm), k=3, refine=False)
+        assert abs(res.eigenvalues[0]) <= 1e-14
+        errors.append(abs(res.eigenvalues[1] - mu_1))
+    assert errors[1] < errors[0] < 0.2 * mu_1
+
+
+@pytest.mark.parametrize("shape, k", [((2, 2), 1), ((2, 2), 2), ((3, 3), 6),
+                                      ((3, 3), 7)],
+                         ids=["2x2-k1", "2x2-k2", "3x3-k6", "3x3-k7"])
+def test_smallest_2d_pencils_take_one_eigsh_call(monkeypatch, shape, k):
+    import scipy.sparse.linalg as spla
+
+    gen = _gaussian_density_generator(shape)
+    calls = []
+    real = spla.eigsh
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["k"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", spy)
+    res = spectrum(gen, k=k, refine=False)
+    assert calls == [k + 1]
+    dinv = 1.0 / np.sqrt(gen.mass)
+    want = np.linalg.eigvalsh(dinv[:, None] * gen.stiffness.toarray() * dinv)
+    assert_allclose(res.eigenvalues, want[:k + 1], rtol=0, atol=1e-10 * want[-1])
