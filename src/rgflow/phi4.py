@@ -18,9 +18,11 @@ sums on a tensor grid, contracted as per-site vectors and pair marginals;
 otherwise (and for cross-checks) they come from seeded single-site
 random-walk Metropolis.  Each estimator sets its own budget (quadrature
 order, sweeps), and ``_shifted_moments`` alone picks between them.  The
-Metropolis path advances a fixed batch of independent chains together in
-numpy, from one generator seeded by ``seed``; the sweep budget is split
-evenly across them, and the error bars are a jackknife over whole chains.
+Metropolis path advances a fixed batch of 256 independent chains together
+in numpy, from one generator seeded by ``seed``, with one vectorized step
+per colour class of the coupling graph (sites that share no coupling move
+together); the sweep budget is split evenly across the chains, and the
+error bars are a jackknife over whole chains.
 ``hessian_identity_check`` ties the two estimators the certificate rests on:
 the tilted-moment Hessian every sampled rate is taken from, and the lattice
 covariance behind chi_t, through hess V_t = C^{-1} - C^{-1} Sigma_t C^{-1}.
@@ -46,7 +48,9 @@ from .potential import (MAX_TENSOR_DIM, PotentialDescriptor, QuadratureRule,
 QUADRATURE_MAX_SITES = MAX_TENSOR_DIM
 
 _MCMC_BURNIN = 100_000
-_MCMC_CHAINS = 64
+# 256, not 512: at 512 a chain keeps 195 burn-in sweeps, against
+# 20 tau = 156 at the largest ring3 tau seen (7.8)
+_MCMC_CHAINS = 256
 _MCMC_TARGET_ACCEPT = 0.4
 _MCMC_TUNE_TRIALS = 500      # pooled trials per site between scale updates
 _MCMC_MIN_ESS = 1000
@@ -119,17 +123,29 @@ class MomentEstimate:
 
 
 def _site_minimum(g: float, m2: float, eta: float) -> float:
-    """The real root of g y^3 + m2 y = eta for m2 > 0, the minimum of the
-    convex site action g y^4/4 + m2 y^2/2 - eta y.  Cardano's y = u - v,
-    with u v = m2/(3g) and u^3 - v^3 = eta/g, is taken as
-    (eta/g) / (u^2 + u v + v^2), whose terms are all positive."""
+    """The global minimum of the site action g y^4/4 + m2 y^2/2 - eta y: the
+    real root of g y^3 + m2 y = eta of least action (eta != 0 where m2 <= 0).
+    For m2 > 0 it is the only real root.  Cardano's y = u - v, with
+    u v = m2/(3g) and u^3 - v^3 = eta/g, is taken as
+    (eta/g) / (u^2 + u v + v^2), whose terms are all positive.  For m2 <= 0
+    (a double well) it is the outermost root on eta's side: with
+    r^3 = (-m2/(3g))^(3/2) and half = |eta|/(2g), Cardano's u + r^2/u where
+    half > r^3 (one real root), else the largest of three roots,
+    2 r cos(acos(half/r^3)/3)."""
     if g == 0:
         return eta / m2
     p3 = m2 / (3.0 * g)
     half = 0.5 * abs(eta) / g
-    u = np.cbrt(half + math.sqrt(half * half + p3**3))
-    v = p3 / u
-    return (eta / g) / (u * u + p3 + v * v)
+    if m2 > 0:
+        u = np.cbrt(half + math.sqrt(half * half + p3**3))
+        v = p3 / u
+        return (eta / g) / (u * u + p3 + v * v)
+    r3 = (-p3) ** 1.5
+    if half > r3:
+        u = np.cbrt(half + math.sqrt(half * half - r3 * r3))
+        return math.copysign(u - p3 / u, eta)
+    return math.copysign(
+        2.0 * math.sqrt(-p3) * math.cos(math.acos(half / r3) / 3.0), eta)
 
 
 def _marginal_scale(model: Phi4Model, mass_shift: float, eta: np.ndarray):
@@ -138,7 +154,11 @@ def _marginal_scale(model: Phi4Model, mass_shift: float, eta: np.ndarray):
     Where the site mass m2 = a_ii + nu + mass_shift is positive the action
     is convex: the trapezoid centres on its minimum and spans at most the
     Gaussian 10/sqrt(m2), since the quartic term only narrows the marginal
-    and a mass shift of 1/t keeps it about sqrt(t) wide."""
+    and a mass shift of 1/t keeps it about sqrt(t) wide.  A tilted double
+    well (m2 <= 0, eta_i != 0) centres on its global minimum y and spans at
+    most 10/sqrt(3 g y^2 + m2), the Gaussian width of the curvature there,
+    which is at least -2 m2; its other well is left out where the tilt is
+    weak."""
     n = model.n_sites
     centers = np.empty(n)
     widths = np.empty(n)
@@ -152,10 +172,12 @@ def _marginal_scale(model: Phi4Model, mass_shift: float, eta: np.ndarray):
         if model.g == 0 and m2 <= 0:
             raise ValueError("g = 0 marginal requires a positive mass")
         center, span = 0.0, math.inf
+        if eta[i]:
+            center = _site_minimum(model.g, m2, eta[i])
         if m2 > 0:
             span = 10.0 / math.sqrt(m2)
-            if eta[i]:
-                center = _site_minimum(model.g, m2, eta[i])
+        elif eta[i]:
+            span = 10.0 / math.sqrt(3.0 * model.g * center * center + m2)
         if model.g > 0:
             span = min(span, (60.0 / model.g) ** 0.25
                        + 3.0 * abs(eta[i]) / max(aii, 0.1) + 3.0)
@@ -234,6 +256,22 @@ def _grid_moments(model: Phi4Model, mass_shift, eta, centers, widths, p: int):
     return mean, cov
 
 
+def _colour_classes(off: np.ndarray) -> list[list[int]]:
+    """Greedy colouring, in site order, of the graph whose edges are the
+    nonzero entries of ``off``: each site takes the least colour that none of
+    its lower-numbered neighbours has.  Returns the sites of each colour in
+    site order, colour by colour."""
+    colour = []
+    for i in range(len(off)):
+        taken = {colour[j] for j in np.flatnonzero(off[i, :i])}
+        c = 0
+        while c in taken:
+            c += 1
+        colour.append(c)
+    return [[i for i, c in enumerate(colour) if c == k]
+            for k in range(max(colour) + 1)]
+
+
 def metropolis_moments(model: Phi4Model, mass_shift: float, field,
                        seed: int = 0, n_measure_sweeps: int = 60_000,
                        burnin: int = _MCMC_BURNIN) -> MomentEstimate:
@@ -241,10 +279,15 @@ def metropolis_moments(model: Phi4Model, mass_shift: float, field,
     measure with extra mass ``mass_shift`` and external field ``field`` in
     place of ``model.h``.
 
-    ``_MCMC_CHAINS`` independent chains advance together, one vectorized
-    step per site; ``burnin`` and ``n_measure_sweeps`` are the total sweep
-    budgets, split evenly across the chains.  Proposal scales are tuned
-    toward 0.4 acceptance, pooled over the chains, during burn-in only.
+    ``_MCMC_CHAINS`` independent chains advance together; ``burnin`` and
+    ``n_measure_sweeps`` are the total sweep budgets, split evenly across the
+    chains.  A sweep is one vectorized step per colour class of the coupling
+    graph (``_colour_classes`` of off(A)), the classes in colour order: the
+    sites of a class share no coupling, so their proposals are independent
+    and the class step is the sequential update of its sites.  The sites
+    are stored class by class, so each class is a contiguous block of rows.
+    Proposal scales are tuned toward 0.4 acceptance, pooled over the chains,
+    during burn-in only.
     A proposal old + d with energy change de is accepted when
     u < exp(-de), u uniform on [0, 1): every downhill move is taken and a
     NaN change is rejected.  de is built in place in one buffer with its
@@ -266,26 +309,38 @@ def metropolis_moments(model: Phi4Model, mass_shift: float, field,
     n_burn, n_meas = burnin // chains, n_measure_sweeps // chains
     a = model.a_matrix
     off = a - np.diag(np.diag(a))
-    half_mass = 0.5 * (np.diag(a) + model.nu + mass_shift)
+    classes = _colour_classes(off)
+    order = np.concatenate(classes)
+    off = off[np.ix_(order, order)]               # rows and columns by class
+    eta = eta[order]
+    half_mass = 0.5 * (np.diag(a) + model.nu + mass_shift)[order]
     quarter_g = 0.25 * model.g
 
-    phi = rng.standard_normal((n, chains)) * 0.5    # row i: site i of each chain
+    phi = rng.standard_normal((n, chains)) * 0.5    # row r: site order[r]
     scale = np.full(n, 1.0)
-    # per site: its row of phi, its row of off(A), (a_ii + nu + mass)/2, eta_i
-    sites = list(zip(phi, off, half_mass.tolist(), eta.tolist()))
+    buffers = np.empty((3, n, chains))
+    bounds = np.cumsum([0] + [len(c) for c in classes])
+    # per class: its rows, of phi, of off(A) and of the buffers, with
+    # (a_ii + nu + mass)/2 at full width (an add of equal shapes is the
+    # cheaper call), eta_i as a column, and whether any eta_i is set
+    blocks = [(rows, phi[rows], off[rows], *buffers[:, rows],
+               np.repeat(half_mass[rows, None], chains, axis=1),
+               eta[rows, None], bool(eta[rows].any()))
+              for rows in map(slice, bounds[:-1], bounds[1:])]
 
     def advance(sweeps, record=None):
-        """Run ``sweeps`` sweeps of every chain; accepted moves per site."""
+        """Run ``sweeps`` sweeps of every chain; accepted moves per row."""
         step = scale[:, None] * rng.standard_normal((sweeps, n, chains))
         u = rng.random((sweeps, n, chains))
         back = -step
         take = np.empty((sweeps, n, chains), dtype=bool)
-        new, w, tmp = np.empty((3, chains))
-        add, mul = np.add, np.multiply     # at 64 chains, call overhead is the cost
+        add, mul = np.add, np.multiply     # call overhead is the cost here
         with np.errstate(over="ignore"):     # exp(-de) = inf accepts
             for s in range(sweeps):
-                for (old, off_i, hm, eta_i), d, nd, u_i, take_i in zip(
-                        sites, step[s], back[s], u[s], take[s]):
+                d_s, nd_s, u_s, take_s = step[s], back[s], u[s], take[s]
+                for rows, old, off_c, new, w, tmp, hm, eta_c, tilted in blocks:
+                    d, nd, u_c, take_c = (
+                        d_s[rows], nd_s[rows], u_s[rows], take_s[rows])
                     # site energy (a_ii + m2) v^2/2 + g v^4/4 + v (other - eta_i);
                     # w = (-d) (both (hm + g (new^2 + old^2)/4) + other - eta_i)
                     add(old, d, new)
@@ -296,14 +351,14 @@ def metropolis_moments(model: Phi4Model, mass_shift: float, field,
                     add(w, hm, w)
                     add(new, old, tmp)
                     mul(w, tmp, w)
-                    other = off_i @ phi
-                    if eta_i:                   # x - 0.0 is x, to the bit
-                        other -= eta_i
+                    other = off_c @ phi
+                    if tilted:                  # x - 0.0 is x, to the bit
+                        other -= eta_c
                     add(w, other, w)
                     mul(w, nd, w)
                     np.exp(w, w)
-                    np.less(u_i, w, take_i)
-                    np.copyto(old, new, where=take_i)
+                    np.less(u_c, w, take_c)
+                    np.copyto(old, new, where=take_c)
                 if record is not None:
                     record[s] = phi
         return np.count_nonzero(take, axis=(0, 2))
@@ -352,8 +407,10 @@ def metropolis_moments(model: Phi4Model, mass_shift: float, field,
     stderr = float(np.max(np.sqrt(
         (chains - 1) * np.mean((cov_jack - cov_jack.mean(0)) ** 2, axis=0))))
     acceptance = float(accepted.sum() / (n_kept * n))
-    return MomentEstimate(value=cov, stderr=stderr, method="mcmc",
-                          n_samples=int(ess), tau=tau, acceptance=acceptance)
+    row = np.argsort(order)                      # the row of each site
+    return MomentEstimate(value=cov[np.ix_(row, row)], stderr=stderr,
+                          method="mcmc", n_samples=int(ess), tau=tau,
+                          acceptance=acceptance)
 
 
 def _integrated_autocorr(x: np.ndarray) -> float:

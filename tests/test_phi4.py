@@ -150,14 +150,27 @@ def test_batched_mcmc_is_a_pure_function_of_the_seed():
     assert runs[0].value != runs[2].value
 
 
-def test_batched_mcmc_gaussian_ring8_matches_closed_form():
-    a = _ring(8)
-    m = Phi4Model(a, 0.0, -1.0, np.zeros(8))
+@pytest.mark.parametrize("n_sites", [8, 16])
+def test_batched_mcmc_gaussian_ring_matches_closed_form(n_sites):
+    a = _ring(n_sites)
+    m = Phi4Model(a, 0.0, -1.0, np.zeros(n_sites))
     t = 1.0
-    exact = np.max(np.linalg.inv(a + (-1.0 + 1.0 / t) * np.eye(8)).sum(axis=1))
+    exact = np.max(np.linalg.inv(
+        a + (-1.0 + 1.0 / t) * np.eye(n_sites)).sum(axis=1))
     mc = susceptibility(m, t, method="mcmc", seed=3)
     assert mc.method == "mcmc"
     assert abs(mc.value - exact) <= 3.0 * mc.stderr
+
+
+@pytest.mark.parametrize("a, classes", [
+    (_ring(3), [[0], [1], [2]]),
+    (_ring(16), [list(range(0, 16, 2)), list(range(1, 16, 2))]),
+    (A3 + 0.1, [[0], [1], [2]]),
+    (np.diag([1.0, 2.0, 3.0, 4.0]), [[0, 1, 2, 3]]),
+], ids=["ring3", "ring16", "dense", "diagonal"])
+def test_colour_classes_of_the_coupling_graph(a, classes):
+    off = a - np.diag(np.diag(a))
+    assert phi4._colour_classes(off) == classes
 
 
 def test_mcmc_short_burnin_raises():
@@ -203,10 +216,11 @@ def test_wolff_window_matches_a_direct_lag_sum():
 
 
 def _reference_metropolis(model, mass_shift, seed, n_measure_sweeps, burnin):
-    """``metropolis_moments`` at the model's field with the site update
-    written as one expression per step (no buffers): the chain the in-place
-    sweep must reproduce to the bit.  Returns (cov, stderr, acceptance, tau).
-    """
+    """``metropolis_moments`` at the model's field with the state kept in
+    site order and each colour class updated by one expression per step (no
+    buffers, no row permutation): the chain the in-place class sweep must
+    reproduce to the bit.  Row r of each random draw belongs to the r-th
+    site in class order.  Returns (cov, stderr, acceptance, tau)."""
     n = model.n_sites
     eta = model.h
     rng = np.random.default_rng(seed)
@@ -216,24 +230,31 @@ def _reference_metropolis(model, mass_shift, seed, n_measure_sweeps, burnin):
     off = a - np.diag(np.diag(a))
     half_mass = 0.5 * (np.diag(a) + model.nu + mass_shift)
     quarter_g = 0.25 * model.g
-    phi = rng.standard_normal((n, chains)) * 0.5
-    scale = np.full(n, 1.0)
+    classes = phi4._colour_classes(off)
+    order = np.concatenate(classes)
+    bounds = np.cumsum([0] + [len(c) for c in classes])
+    rows = list(map(slice, bounds[:-1], bounds[1:]))
+    coupling = off[np.ix_(order, order)]        # summed in class order
+    phi = np.empty((n, chains))
+    phi[order] = rng.standard_normal((n, chains)) * 0.5
+    scale = np.full(n, 1.0)                     # per site
 
     def advance(sweeps, record=None):
-        step = scale[:, None] * rng.standard_normal((sweeps, n, chains))
+        step = scale[order, None] * rng.standard_normal((sweeps, n, chains))
         u = rng.random((sweeps, n, chains))
         accepted = np.zeros(n)
         for s in range(sweeps):
-            for i in range(n):
-                old = phi[i]
-                d = step[s, i]
+            for sites, r in zip(classes, rows):
+                old = phi[sites]
+                d = step[s, r]
                 new = old + d
                 both = new + old
-                de = d * (both * (half_mass[i] + quarter_g * (new * new + old * old))
-                          + (off[i] @ phi - eta[i]))
-                take = u[s, i] < np.exp(-np.maximum(de, 0.0))
-                phi[i] = np.where(take, new, old)
-                accepted[i] += np.count_nonzero(take)
+                de = d * (both * (half_mass[sites, None]
+                                  + quarter_g * (new * new + old * old))
+                          + (coupling[r] @ phi[order] - eta[sites, None]))
+                take = u[s, r] < np.exp(-np.maximum(de, 0.0))
+                phi[sites] = np.where(take, new, old)
+                accepted[sites] += np.count_nonzero(take, axis=1)
             if record is not None:
                 record[s] = phi
         return accepted
@@ -271,13 +292,18 @@ def _reference_metropolis(model, mass_shift, seed, n_measure_sweeps, burnin):
 
 @pytest.mark.parametrize("model, mass_shift", [
     (Phi4Model(_ring(3), 1.0, -1.0, np.zeros(3)), 1.0),
+    (Phi4Model(_ring(4), 1.0, -1.0, [0.3, 0.0, -0.2, 0.1]), 1.0),
+    # class order 0 2 4 1 3 5 is not its own inverse, as 0 2 1 3 is
+    (Phi4Model(_ring(6), 1.0, -1.0, [0.3, 0.0, -0.2, 0.1, 0.0, 0.5]), 1.0),
     (Phi4Model([[1.5]], 1.0, -0.5, [0.7]), 0.8),
-], ids=["ring3", "one-site-field"])
+], ids=["ring3", "ring4-classes", "ring6-classes", "one-site-field"])
 def test_in_place_sweep_is_the_reference_chain_to_the_bit(model, mass_shift):
+    # 200 sweeps per chain of each budget: 20 tau of burn-in up to tau = 10
+    budget = 200 * phi4._MCMC_CHAINS
     cov, stderr, acceptance, tau = _reference_metropolis(
-        model, mass_shift, seed=17, n_measure_sweeps=12_800, burnin=12_800)
+        model, mass_shift, seed=17, n_measure_sweeps=budget, burnin=budget)
     est = metropolis_moments(model, mass_shift=mass_shift, field=model.h,
-                             seed=17, n_measure_sweeps=12_800, burnin=12_800)
+                             seed=17, n_measure_sweeps=budget, burnin=budget)
     assert np.array_equal(est.value, cov)
     assert est.stderr == stderr
     assert est.acceptance == acceptance
@@ -431,6 +457,16 @@ def test_strong_field_matches_both_oracles():
     assert abs(lattice_cov[0, 0] - var) <= 1e-10 * var
     got = tilted_covariance(m, 0.5, [0.0]).value[0, 0]
     assert abs(got - var) <= 1e-10 * var
+
+
+@pytest.mark.parametrize("h", [1e3, 30.0, 3.0])
+def test_tilted_double_well_matches_the_oracle(h):
+    # m2 = 1 - 5 + 2 < 0: the trapezoid centres on the well the tilt favours
+    m = Phi4Model([[1.0]], 1.0, -5.0, [h])
+    est = tilted_covariance(m, 0.5, [0.0])
+    _, cov = oracles.quartic_lattice_moments([[1.0]], 1.0, -3.0, [h])
+    assert est.converged
+    assert abs(est.value[0, 0] - cov[0, 0]) <= 1e-10 * cov[0, 0]
 
 
 def test_susceptibility_rejects_zero_time():
