@@ -22,7 +22,9 @@ otherwise the spline of V_s on the scale-s grid.  Where C_0 = 0 (every
 built-in schedule) the kernel of P_{0,t} is C_t itself and the normalizer
 is exp(-V_t), so a flow measure built with ``carry`` produces P_{0,t} of
 the carried functions in the same chunked pass that builds V_t, one V0
-evaluation per node and shift.
+evaluation per node and shift.  That pass is ``potential._grid_pass``;
+without carried functions a measure reads V_t from ``renormalized_value``,
+which runs the same pass.
 Grids are plain tensor products; trapezoid quadrature over the box is
 spectrally accurate because every integrand decays to numerical zero
 before the boundary.
@@ -33,18 +35,16 @@ runner's spectral t grid build their flow measures on all usable cores
 that release the GIL, and the grid passes in flight share one memory
 budget.  Closed-form potentials, which never evaluate V0 on the grid, stay
 serial.  Results are byte-identical to a serial build.  Eigensolves stay
-serial: the merges of LAPACK's tridiagonal divide-and-conquer, like a 2-D
-dense solve, call BLAS ``gemm``, whose bits depend on the BLAS thread
-count (eigenvectors of 1-D pencils of 200-600 nodes differ at round-off
-between one and two threads), so a solve inside the pool could move the
-kernel eigenvalue mu_0.  The passes in the pool call BLAS on d x d
-matrices only.
+serial: the merges of LAPACK's tridiagonal divide-and-conquer call BLAS
+``gemm``, whose bits depend on the BLAS thread count (eigenvectors of 1-D
+pencils of 200-600 nodes differ at round-off between one and two threads),
+so a solve inside the pool could move the kernel eigenvalue mu_0.  The
+passes in the pool call BLAS on d x d matrices only.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import InitVar, dataclass, field
 from functools import partial
 
@@ -57,20 +57,15 @@ import numpy.random  # noqa: F401
 
 from . import _stencils
 from .covariance import CovarianceSchedule
-from .potential import (_CLOSED_FORMS, PotentialDescriptor, QuadratureRule,
-                        _gaussian_shifts, _smoothed_value, _tilted_log_weights,
-                        renormalized_value)
+from .potential import (_CLOSED_FORMS, DEFAULT_RULE, PotentialDescriptor,
+                        QuadratureRule, _gaussian_shifts, _grid_pass,
+                        _tilted_log_weights, _usable_cores, renormalized_value)
 
 BOX_HALFWIDTH_SIGMAS = 8.0
 
 # Kernel-vs-box guard: the convolution kernel must fit inside the box with
 # this many standard deviations to spare.
 _KERNEL_SIGMAS = 6.0
-
-# Evaluation nodes (grid nodes x Gaussian shifts) in flight at once: each
-# chunk of a grid pass gets _PASS_NODES // _usable_cores(), so the workers of
-# ``_map_scales`` together stay within one serial pass's memory.
-_PASS_NODES = 2_000_000
 
 # Tail tolerance of the variance audit.  Default sample set: tensor points
 # per axis, seeded uniform points, mass left outside the sampled sub-box.
@@ -165,13 +160,6 @@ class GridFunction:
         return _stencils.gradient(self.values, self.spacing())
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _scale_workers(V0: PotentialDescriptor, n_items: int) -> int:
     """Threads ``_map_scales`` runs ``n_items`` scales of ``V0`` on; 1 runs
     them serially."""
@@ -220,42 +208,6 @@ def default_box(schedule: CovarianceSchedule) -> Box:
     resid = schedule.c_infinity - c
     sigma = math.sqrt(max(np.linalg.eigvalsh(resid)[-1], 1e-300))
     return Box.cube(BOX_HALFWIDTH_SIGMAS * sigma, schedule.dim)
-
-
-def _grid_pass(nodes: np.ndarray, shifts, tilt, fs) -> tuple:
-    """One chunked pass over grid nodes x Gaussian shifts ``(z, logw)``.
-
-    Per chunk of nodes, ``tilt(pts, logw)`` gives the integrand log-weights
-    le = logw - V_s(x + z) on pts = x + z.  Each node gets
-    v = -logsumexp(le), and each grid function f in ``fs`` becomes the
-    expectation of f(x + z) under the normalized weights,
-    P f = exp(v + max le) sum_q exp(le - max le) f(x + z_q).
-    A chunk holds _PASS_NODES // _usable_cores() evaluation nodes, nodes x
-    shifts.  Returns (v, [P f values per function]).
-    """
-    z, logw = shifts
-    n, d = nodes.shape
-    v = np.empty(n)
-    interps = [f.interpolator() for f in fs]
-    images = [np.empty(n) for _ in fs]
-    chunk = max(1, _PASS_NODES // _usable_cores() // max(len(z), 1))
-    for start in range(0, n, chunk):
-        rows = slice(start, start + chunk)
-        pts = nodes[rows, None, :] + z[None, :, :]
-        le = tilt(pts, logw)
-        v[rows] = _smoothed_value(le)
-        if interps:
-            shift = np.max(le, axis=1)
-            wts = np.exp(le - shift[:, None])
-            scale = np.exp(v[rows] + shift)
-            for image, interp in zip(images, interps):
-                fv = np.asarray(interp(pts.reshape(-1, d))).reshape(le.shape)
-                image[rows] = scale * np.einsum("mq,mq->m", wts, fv)
-                del fv
-            del wts
-        # released before the next chunk is built
-        del pts, le
-    return v, images
 
 
 def _transport(schedule, V0, q, s: float, t: float, box: Box, shape,
@@ -345,12 +297,9 @@ class FlowMeasure:
             v, self.transported = _transport(
                 self.schedule, self.V0, self.quad, 0.0, self.t, self.box,
                 self.grid_shape, tuple(carry))
-        if self.V0.form in _CLOSED_FORMS:
-            v = np.atleast_1d(renormalized_value(self.V0, ct, nodes, self.quad))
-        elif v is None:
-            v, _ = _grid_pass(nodes,
-                              _gaussian_shifts(ct, self.box.dim, self.quad),
-                              partial(_tilted_log_weights, self.V0), ())
+        # a closed form needs no pass, and its value replaces the pass's
+        if v is None or self.V0.form in _CLOSED_FORMS:
+            v = renormalized_value(self.V0, ct, nodes, self.quad)
         self.v_grid = v.reshape(self.grid_shape)
         self.log_density_grid = (-quadform - v).reshape(self.grid_shape)
         shift = float(np.max(self.log_density_grid))
@@ -371,9 +320,8 @@ class FlowMeasure:
 
 
 def make_flow_measure(schedule, V0, t, grid_shape, box=None,
-                      q: QuadratureRule | None = None,
+                      q: QuadratureRule = DEFAULT_RULE,
                       carry: tuple = ()) -> FlowMeasure:
-    q = q or QuadratureRule.for_dimension(V0.dimension)
     if box is None:
         box = default_box(schedule)
     if isinstance(grid_shape, int):
@@ -382,13 +330,12 @@ def make_flow_measure(schedule, V0, t, grid_shape, box=None,
 
 
 def semigroup_apply(schedule, V0, s: float, t: float, f: GridFunction,
-                    q: QuadratureRule | None = None) -> GridFunction:
+                    q: QuadratureRule = DEFAULT_RULE) -> GridFunction:
     """Apply P_{s,t} to a grid function, returning values on the same grid.
 
     One rule at every s (see ``_transport``): where C_s != 0, V_s is read
     from the flow measure at s on f's grid; V_t is never built.
     """
-    q = q or QuadratureRule.for_dimension(V0.dimension)
     return _transport(schedule, V0, q, s, t, f.box, f.shape, (f,))[1][0]
 
 
@@ -417,7 +364,7 @@ def _graded_legendre_rule(t_max: float, count: int) -> tuple:
 
 
 def conservation_check(schedule, V0, F: GridFunction, t_max: float,
-                       count: int, q: QuadratureRule | None = None,
+                       count: int, q: QuadratureRule = DEFAULT_RULE,
                        lambda_at_T: float | None = None,
                        lambda_prime_floor: float | None = None
                        ) -> VarianceDecompositionReport:
@@ -438,7 +385,6 @@ def conservation_check(schedule, V0, F: GridFunction, t_max: float,
     if not t_max > 0 or count < 2:
         raise ValueError(f"need t_max > 0 and at least two nodes, got "
                          f"t_max={t_max}, count={count}")
-    q = q or QuadratureRule.for_dimension(V0.dimension)
     shape = F.shape
     t_nodes, weights = _graded_legendre_rule(t_max, count)
 

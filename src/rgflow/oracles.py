@@ -86,6 +86,9 @@ def quartic_lattice_moments(a_matrix, g: float, nu: float, h, tol: float = 1e-10
 
     S(phi) = phi.A phi/2 + sum(g phi^4/4 + nu phi^2/2) - h.phi.  Slow and
     simple on purpose; this is the reference for the fast tensor rules.
+    The covariance comes from second moments about a first-pass mean, not
+    from m2 - m1^2, which cancels where a strong field puts the mean many
+    standard deviations from 0.
     """
     a = np.atleast_2d(np.asarray(a_matrix, dtype=float))
     n = a.shape[0]
@@ -108,26 +111,26 @@ def quartic_lattice_moments(a_matrix, g: float, nu: float, h, tol: float = 1e-10
     shift = action(centre)
     lo, hi = centre - reach, centre + reach
     if n == 1:
-        def mom(p):
-            f = lambda y: y**p * math.exp(-(action([y]) - shift))
+        def mom(p, about=0.0):
+            f = lambda y: (y - about)**p * math.exp(-(action([y]) - shift))
             return integrate.quad(f, lo[0], hi[0], epsabs=tol, epsrel=tol,
                                   limit=300)[0]
 
         z0 = mom(0)
         m1 = mom(1) / z0
-        m2 = mom(2) / z0
-        return np.array([m1]), np.array([[m2 - m1 * m1]])
+        return np.array([m1]), np.array([[mom(2, m1) / z0]])
 
-    def mom(pu, pv):
-        f = lambda v, u: (u**pu * v**pv
+    def mom(pu, pv, about=(0.0, 0.0)):
+        f = lambda v, u: ((u - about[0])**pu * (v - about[1])**pv
                           * math.exp(-(action([u, v]) - shift)))
         return integrate.dblquad(f, lo[0], hi[0], lo[1], hi[1],
                                  epsabs=tol, epsrel=tol)[0]
 
     z0 = mom(0, 0)
     m = np.array([mom(1, 0), mom(0, 1)]) / z0
-    s = np.array([[mom(2, 0), mom(1, 1)], [mom(1, 1), mom(0, 2)]]) / z0
-    return m, s - np.outer(m, m)
+    cross = mom(1, 1, m)
+    s = np.array([[mom(2, 0, m), cross], [cross, mom(0, 2, m)]]) / z0
+    return m, s
 
 
 def ou_spectrum(k: int) -> np.ndarray:

@@ -201,8 +201,9 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
     Importance-weighted Gauss-Hermite (``_grid_moments``) against a diagonal
     reference Gaussian sized from the 1D marginals; deterministic.  Returns
     the order+16 covariance as a "quadrature" estimate with stderr 0, and
-    ``converged`` when the means and covariances at order and order+16
-    agree to 1e-8 of the largest covariance entry.
+    ``converged`` when the covariances at order and order+16 agree to 1e-8
+    of the largest covariance entry, and the means to 1e-8 of its square
+    root, the widest marginal standard deviation.
     """
     n = model.n_sites
     if n > QUADRATURE_MAX_SITES:
@@ -217,8 +218,8 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
     mean, cov = _grid_moments(model, mass_shift, eta, centers, widths, order)
     mean2, cov2 = _grid_moments(model, mass_shift, eta, centers, widths, order + 16)
     scale = max(float(np.max(np.abs(cov))), 1e-300)
-    drift = max(float(np.max(np.abs(cov - cov2))),
-                float(np.max(np.abs(mean - mean2)))) / scale
+    drift = max(float(np.max(np.abs(cov - cov2))) / scale,
+                float(np.max(np.abs(mean - mean2))) / math.sqrt(scale))
     return MomentEstimate(value=cov2, stderr=0.0, method="quadrature",
                           converged=drift <= 1e-8)
 
@@ -534,8 +535,7 @@ def hessian_identity_check(model: Phi4Model, t: float, phi_samples) -> float:
     phi_samples = np.atleast_2d(np.asarray(phi_samples, dtype=float))
     c, _, _ = model.schedule().eval(t)
     cinv = np.linalg.inv(c)
-    q = QuadratureRule(order=96 if model.n_sites == 1 else 60,
-                       dimension=model.n_sites)
+    q = QuadratureRule(order=96 if model.n_sites == 1 else 60)
     _, lhs = renormalized_derivatives(model.potential(), c, phi_samples, q)
     worst = 0.0
     for phi, hess in zip(phi_samples, lhs):

@@ -5,7 +5,11 @@ and the per-coordinate quartic sum_i (g_i/4 x_i^4 + nu_i/2 x_i^2 - h_i x_i),
 which is also the lattice phi^4 site sum.  Smoothing by a Gaussian of
 covariance C has an exact closed form for the zero and quadratic forms; the
 quartic is smoothed with tensorized Gauss-Hermite quadrature restricted to
-the range of C, stabilized in log space.
+the range of C, stabilized in log space.  A rule is its order
+(``QuadratureRule``), and ``DEFAULT_RULE`` is the rule of every call that
+names none.  V_t on points, a flow measure's grid nodes among them, comes
+from one chunked pass (``_grid_pass``), which also carries the semigroup's
+images of grid functions when the flow asks for them.
 
 Gradient and Hessian of the smoothed potential are tilted moments: with
 rho(z) proportional to exp(-V0(x+z)) gamma_C(dz),
@@ -23,8 +27,9 @@ the weights with a monomial basis of the nodes, built once per covariance.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 # numpy loads this submodule on first access; import it with the package so
@@ -42,6 +47,12 @@ MAX_TENSOR_DIM = 3
 # Relative eigenvalue cutoff below which a covariance direction is treated as
 # degenerate and dropped from the quadrature (convolution on range(C) only).
 _RANK_RTOL = 1e-13
+
+# Evaluation nodes (points x Gaussian shifts) in flight at once in a V_t
+# pass: each chunk of ``_grid_pass`` gets _PASS_NODES // _usable_cores(), so
+# the workers of ``flow._map_scales`` together stay within one serial pass's
+# memory.
+_PASS_NODES = 2_000_000
 
 # Evaluation nodes (points x Gaussian shifts) per chunk of the tilted-moment
 # derivatives: 24 points of a 40^2 rule.  Both limits were measured on 2
@@ -154,34 +165,28 @@ def _hermite_tensor(order: int, dim: int):
 class QuadratureRule:
     """Tensor Gauss-Hermite rule for expectations against the standard normal.
 
-    Exact for per-axis polynomials of degree <= 2*order - 1.  Tensor grids
-    are capped at dimension 3; higher dimensions go through sampling paths
-    elsewhere.
+    The rule is its order: ``rule(dim)`` builds the tensor grid on ``dim``
+    axes, exact for per-axis polynomials of degree <= 2*order - 1.  Grids are
+    capped at MAX_TENSOR_DIM axes; higher dimensions go through sampling
+    paths elsewhere.
     """
 
     order: int = DEFAULT_ORDER
-    dimension: int = 1
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("quadrature order must be >= 1")
-        if self.dimension > MAX_TENSOR_DIM:
-            raise ValueError(
-                f"tensor quadrature capped at dimension {MAX_TENSOR_DIM}, "
-                f"got {self.dimension}")
 
-    def rule(self, dim: int | None = None):
+    def rule(self, dim: int):
         """(nodes, log-weights) for a standard normal in ``dim`` axes."""
-        dim = self.dimension if dim is None else dim
         if dim > MAX_TENSOR_DIM:
-            raise ValueError(f"tensor quadrature capped at dimension {MAX_TENSOR_DIM}")
+            raise ValueError(f"tensor quadrature capped at dimension "
+                             f"{MAX_TENSOR_DIM}, got {dim}")
         return _hermite_tensor(self.order, dim)
 
-    @staticmethod
-    def for_dimension(dimension: int, order: int = DEFAULT_ORDER) -> "QuadratureRule":
-        """Default rule for a potential on R^dimension: the tensor grid is
-        capped at MAX_TENSOR_DIM axes."""
-        return QuadratureRule(order=order, dimension=min(dimension, MAX_TENSOR_DIM))
+
+# The rule every smoothing call takes when none is given.
+DEFAULT_RULE = QuadratureRule()
 
 
 def _gaussian_shifts(c, d, q: QuadratureRule):
@@ -201,21 +206,62 @@ def _gaussian_shifts(c, d, q: QuadratureRule):
     return nodes @ L.T, logw
 
 
-def renormalized_value(V0: PotentialDescriptor, c, x, q: QuadratureRule | None = None):
+def renormalized_value(V0: PotentialDescriptor, c, x,
+                       q: QuadratureRule = DEFAULT_RULE):
     """Smoothed potential -log E_{z~gamma_C}[exp(-V0(x+z))] at x.
 
     Zero and quadratic V0 take their closed form, the quartic takes
-    quadrature.  Batched over x.
+    quadrature in one chunked pass (``_grid_pass``).  Batched over x.
     """
     if V0.form in _CLOSED_FORMS:
         return _closed_form_value(V0, c, x)
-    q = q or QuadratureRule.for_dimension(V0.dimension)
-
     xb, single = _as_batch(x, V0.dimension)
-    z, logw = _gaussian_shifts(c, V0.dimension, q)
-    pts = xb[:, None, :] + z[None, :, :]
-    out = _smoothed_value(_tilted_log_weights(V0, pts, logw))
-    return float(out[0]) if single else out
+    v, _ = _grid_pass(xb, _gaussian_shifts(c, V0.dimension, q),
+                      partial(_tilted_log_weights, V0), ())
+    return float(v[0]) if single else v
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _grid_pass(nodes: np.ndarray, shifts, tilt, fs) -> tuple:
+    """One chunked pass over nodes x Gaussian shifts ``(z, logw)``.
+
+    Per chunk of nodes, ``tilt(pts, logw)`` gives the integrand log-weights
+    le = logw - V_s(x + z) on pts = x + z.  Each node gets
+    v = -logsumexp(le), and each grid function f in ``fs`` becomes the
+    expectation of f(x + z) under the normalized weights,
+    P f = exp(v + max le) sum_q exp(le - max le) f(x + z_q).
+    A chunk holds _PASS_NODES // _usable_cores() evaluation nodes, nodes x
+    shifts.  Returns (v, [P f values per function]).
+    """
+    z, logw = shifts
+    n, d = nodes.shape
+    v = np.empty(n)
+    interps = [f.interpolator() for f in fs]
+    images = [np.empty(n) for _ in fs]
+    chunk = max(1, _PASS_NODES // _usable_cores() // max(len(z), 1))
+    for start in range(0, n, chunk):
+        rows = slice(start, start + chunk)
+        pts = nodes[rows, None, :] + z[None, :, :]
+        le = tilt(pts, logw)
+        v[rows] = _smoothed_value(le)
+        if interps:
+            shift = np.max(le, axis=1)
+            wts = np.exp(le - shift[:, None])
+            scale = np.exp(v[rows] + shift)
+            for image, interp in zip(images, interps):
+                fv = np.asarray(interp(pts.reshape(-1, d))).reshape(le.shape)
+                image[rows] = scale * np.einsum("mq,mq->m", wts, fv)
+                del fv
+            del wts
+        # released before the next chunk is built
+        del pts, le
+    return v, images
 
 
 def _tilted_log_weights(V0: PotentialDescriptor, pts: np.ndarray,
@@ -297,7 +343,7 @@ def _closed_form_derivatives(V0, c, x):
 
 
 def renormalized_derivatives(V0: PotentialDescriptor, c, x,
-                             q: QuadratureRule | None = None):
+                             q: QuadratureRule = DEFAULT_RULE):
     """Gradient and Hessian of the smoothed potential at x (batched).
 
     Zero and quadratic V0 take their closed form, the quartic takes
@@ -306,8 +352,6 @@ def renormalized_derivatives(V0: PotentialDescriptor, c, x,
     """
     if V0.form in _CLOSED_FORMS:
         return _closed_form_derivatives(V0, c, x)
-    q = q or QuadratureRule.for_dimension(V0.dimension)
-
     xb, single = _as_batch(x, V0.dimension)
     z, logw = _gaussian_shifts(c, V0.dimension, q)
     grads, hesss = _tilted_derivatives(V0, _monomial_basis(z[None]),

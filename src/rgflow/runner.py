@@ -62,7 +62,7 @@ class _Context:
         self.phi4_model = cfg.phi4_model
         self.options = opts = cfg.options
         dim, box = self.V0.dimension, opts["disc.box_halfwidth"]
-        self.quad = QuadratureRule.for_dimension(dim, order=opts["disc.quadrature_order"])
+        self.quad = QuadratureRule(order=opts["disc.quadrature_order"])
         self.box = default_box(self.schedule) if box is None else Box.cube(box, dim)
         self._moments = {}
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, QuadratureOverflowError
 from .flow import Box, FlowMeasure, GridFunction, integrate_grid
-from .potential import QuadratureRule
+from .potential import DEFAULT_RULE, QuadratureRule
 
 # Nodes whose log weight falls this far below the maximum are trimmed off the
 # box before assembly; exp(-570) is comfortably inside float range.
@@ -428,12 +428,11 @@ def rayleigh_quotient(gen: GeneratorDiscretization, phi) -> float:
 
 
 def rayleigh_flow_trace(schedule, V0, phi0: GridFunction, t_grid,
-                        q=None) -> list:
+                        q: QuadratureRule = DEFAULT_RULE) -> list:
     """(t, R_phi(t)) along the flow, with phi_t = P_{0,t} phi0."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    q = q or QuadratureRule.for_dimension(V0.dimension)
     out = []
     for t in t_grid:
         carry = (phi0,) if t > 0 else ()

@@ -38,7 +38,7 @@ def dwell():
     """Single-site double-well quartic instance used by criteria 4 to 9."""
     model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
     sched, V0 = model.schedule(), model.potential()
-    q = QuadratureRule(order=80, dimension=1)
+    q = QuadratureRule(order=80)
     box = default_box(sched)
     return model, sched, V0, q, box
 
@@ -67,7 +67,7 @@ def test_criterion_01_gaussian_equality_chain():
     start = time.perf_counter()
     sched = make_schedule("heat-kernel", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.zero(1)
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     box = default_box(sched)
     t_grid = np.arange(0.0, 2.0 + 1e-12, 0.25)
 
@@ -98,7 +98,7 @@ def test_criterion_01_gaussian_equality_chain():
 def test_criterion_02_ou_spectrum_oracle():
     sched = make_schedule("heat-kernel", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.zero(1)
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     fm = make_flow_measure(sched, V0, 0.0, 1025, box=default_box(sched), q=q)
     res = spectrum(build_generator(fm, trim=False), k=4, refine=True)
     want = oracles.ou_spectrum(4)[1:]
@@ -111,7 +111,7 @@ def test_criterion_02_ou_spectrum_oracle():
 def test_criterion_03_quadratic_closed_form():
     # x^2/2 written as a quartic runs the quadrature kernel of every run
     V0 = PotentialDescriptor.quartic(0.0, 1.0, 0.0, dimension=1)
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     want_v, want_g, want_h = oracles.gaussian_smoothed_quadratic(1.0, 1.0, 1.0)
     got_v = renormalized_value(V0, [[1.0]], [1.0], q)
     got_g, got_h = renormalized_derivatives(V0, [[1.0]], [1.0], q)
@@ -147,7 +147,7 @@ def test_criterion_05_criterion_certification():
         n = a_matrix.shape[0]
         model = Phi4Model(a_matrix, 1.0, 0.0, np.zeros(n))
         sched, V0 = model.schedule(), model.potential()
-        q = QuadratureRule(order=40 if n == 2 else 80, dimension=n)
+        q = QuadratureRule(order=40 if n == 2 else 80)
         axes = [np.linspace(-3.5, 3.5, 9 if n == 2 else 17)] * n
         samples = np.stack(np.meshgrid(*axes, indexing="ij"),
                            axis=-1).reshape(-1, n)
@@ -206,7 +206,7 @@ def test_criterion_07_intertwining(dwell, dwell_curvature):
 def test_criterion_08_variance_decomposition(dwell):
     sched_g = make_schedule("heat-kernel", c_infinity=[[1.0]])
     V0_g = PotentialDescriptor.zero(1)
-    qg = QuadratureRule(order=40, dimension=1)
+    qg = QuadratureRule(order=40)
     box = default_box(sched_g)
     xs = box.axes((513,))[0]
     rep_g = conservation_check(sched_g, V0_g, GridFunction(box, xs.copy()),
@@ -234,7 +234,7 @@ def test_criterion_09_poincare_upper_bound(dwell):
     curv_g = integrate_schedules((t, np.full(len(t), 0.5), np.ones(len(t))))
     sched_g = make_schedule("heat-kernel", c_infinity=[[1.0]])
     V0_g = PotentialDescriptor.zero(1)
-    qg = QuadratureRule(order=40, dimension=1)
+    qg = QuadratureRule(order=40)
     box_g = default_box(sched_g)
     for s in (0.0, 0.5, 1.0):
         fm = make_flow_measure(sched_g, V0_g, s, 513, box=box_g, q=qg)

@@ -2,7 +2,8 @@
 their parameters by name.  A rename that it no longer finds makes a layer
 metric read 0 instead of failing, so this test runs a small traced config
 and requires the layers it binds by parameter (``V0``, ``x`` and ``q`` of
-the smoothing calls among them) to count work.  It makes the Metropolis and
+the smoothing calls among them) to count work, the smoothed values of the
+config's flow measures among them.  It makes the Metropolis and
 quadrature ``susceptibility`` calls of the ring3-mcmc child too."""
 
 import json
@@ -40,6 +41,7 @@ from rgflow.config import config_from_text
 from rgflow.runner import run_experiment
 start = time.perf_counter()
 report = run_experiment(config_from_text(sys.stdin.read()))
+config = spans.layer_metrics(list(tracer.spans), time.perf_counter() - start)
 dwell = phi4.Phi4Model([[1.0]], 1.0, -1.0, [0.0])
 phi4.lattice_moments(dwell, mass_shift=1.0, field=[0.0], order=40)
 # the calls of the benchmark's ring3-mcmc child
@@ -50,12 +52,13 @@ from rgflow import (flow, make_schedule, PotentialDescriptor, QuadratureRule,
 sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
 box = flow.default_box(sched)
 V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, 1)
-q = QuadratureRule(order=40, dimension=1)
+q = QuadratureRule(order=40)
 flow.semigroup_apply(sched, V0, 0.3, 0.9, flow.GridFunction(box, [1.0] * 129), q)
 renormalized_value(V0, [[0.5]], [[0.1], [0.2]], q)
 renormalized_derivatives(V0, [[0.5]], [[0.1], [0.2]], q)
 metrics = spans.layer_metrics(tracer.spans, time.perf_counter() - start)
-print(json.dumps({"errors": report.errors, "metrics": metrics}))
+print(json.dumps({"errors": report.errors, "config": config,
+                  "metrics": metrics}))
 """
 
 
@@ -75,3 +78,6 @@ def test_tracer_counts_work_in_the_layers_it_binds_by_parameter():
                 "potential.renormalized_value.points",
                 "potential.renormalized_derivatives.points"):
         assert metrics[key] > 0, key
+    # every V_t of the config's flow measures goes through the smoothing
+    # call, so the config alone counts its points
+    assert out["config"]["potential.renormalized_value.points"] > 0

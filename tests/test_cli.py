@@ -504,9 +504,10 @@ def test_criterion_computes_sigma_min_once_per_rate_time(monkeypatch):
 
 def test_intertwining_builds_v_t_once_per_time(monkeypatch):
     import rgflow.flow as flow_mod
+    import rgflow.potential as potential_mod
 
     passes = {}
-    real = flow_mod._tilted_log_weights
+    real = potential_mod._tilted_log_weights
 
     def spy(V0, pts, logw):
         # the spread of the shifts z_q identifies the scale
@@ -514,7 +515,9 @@ def test_intertwining_builds_v_t_once_per_time(monkeypatch):
         passes[key] = passes.get(key, 0) + pts.shape[0]
         return real(V0, pts, logw)
 
-    monkeypatch.setattr(flow_mod, "_tilted_log_weights", spy)
+    # the semigroup's passes and the pass of ``renormalized_value``
+    for mod in (flow_mod, potential_mod):
+        monkeypatch.setattr(mod, "_tilted_log_weights", spy)
     report = run_experiment(config_from_text(CRITERION_1D.replace(
         "checks = [criterion]", "checks = [intertwining]")))
     assert report.statuses["intertwining"] == "pass"

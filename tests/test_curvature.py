@@ -19,7 +19,7 @@ SAMPLES_1D = np.linspace(-4.0, 4.0, 9).reshape(-1, 1)
 @pytest.fixture(scope="module")
 def gauss():
     sched = make_schedule("heat-kernel", c_infinity=[[1.0]])
-    return sched, PotentialDescriptor.zero(1), QuadratureRule(order=40, dimension=1)
+    return sched, PotentialDescriptor.zero(1), QuadratureRule(order=40)
 
 
 def test_heat_kernel_rates_flat_potential(gauss):
@@ -32,7 +32,7 @@ def test_heat_kernel_rates_flat_potential(gauss):
 def test_pauli_villars_rates_flat_potential():
     sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.zero(1)
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     curv = build_schedule(sched, V0, [0.0, 0.5, 1.0, 2.0], SAMPLES_1D, q)
     for i, t in enumerate((0.5, 1.0, 2.0), start=1):
         facts = oracles.pauli_villars_facts(1.0, t)
@@ -44,7 +44,7 @@ def test_admissibility_of_extracted_rate():
     # plugging the extracted rate back leaves the criterion matrix PSD
     sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
-    q = QuadratureRule(order=80, dimension=1)
+    q = QuadratureRule(order=80)
     t = 0.8
     lam = build_schedule(sched, V0, [0.0, t], SAMPLES_1D, q).lambda_prime[1]
     c, cp, cpp = sched.eval(t)
@@ -58,7 +58,7 @@ def test_admissibility_of_extracted_rate():
 def test_alpha_sup_monotone_in_sample_set():
     sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.quartic(1.0, 0.0, 0.0, dimension=1)
-    q = QuadratureRule(order=60, dimension=1)
+    q = QuadratureRule(order=60)
     small = np.linspace(-1, 1, 5).reshape(-1, 1)
     large = np.linspace(-3, 3, 17).reshape(-1, 1)
     a_small = build_schedule(sched, V0, [0.0, 1.0], small, q).alpha_prime[1]
@@ -182,7 +182,7 @@ def test_intertwining_evaluates_potential_once(monkeypatch):
 
     sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     box = default_box(sched)
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))
@@ -218,7 +218,7 @@ def test_lemma_pair_margins_quartic_flow():
 
     model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
     sched, V0 = model.schedule(), model.potential()
-    q = QuadratureRule(order=80, dimension=1)
+    q = QuadratureRule(order=80)
     box = default_box(sched)
     xs = box.axes((513,))[0]
     phi0 = GridFunction(box, xs * np.exp(-xs**2 / 4.0))
@@ -487,7 +487,7 @@ def _lockstep_case(case):
     if case == "dwell":
         model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
         return (model.schedule(), model.potential(),
-                QuadratureRule(order=80, dimension=1), SAMPLES_1D,
+                QuadratureRule(order=80), SAMPLES_1D,
                 pv_t_grid(3.0, 6))
     samples_2d = np.stack(np.meshgrid(np.linspace(-2, 2, 4),
                                       np.linspace(-1.5, 2.5, 4)),
@@ -495,18 +495,18 @@ def _lockstep_case(case):
     if case == "plaquette":
         model = Phi4Model([[2.0, -1.0], [-1.0, 2.0]], 1.0, -1.0, [0.0, 0.0])
         return (model.schedule(), model.potential(),
-                QuadratureRule(order=12, dimension=2), samples_2d,
+                QuadratureRule(order=12), samples_2d,
                 pv_t_grid(3.0, 3))
     if case == "quadratic":
         return (make_schedule("heat-kernel", c_infinity=[[1.0, 0.2],
                                                          [0.2, 0.8]]),
                 PotentialDescriptor.quadratic([[0.7, 0.1], [0.1, 0.4]]),
-                QuadratureRule(order=12, dimension=2), samples_2d,
+                QuadratureRule(order=12), samples_2d,
                 np.linspace(0.0, 2.0, 4))
     return (_rank_deficient_mobility_schedule(
                 0.0 if case == "rank-deficient-unrotated" else 0.5),
             PotentialDescriptor.quartic(1.0, -0.5, [0.0, 0.1], dimension=2),
-            QuadratureRule(order=12, dimension=2), samples_2d,
+            QuadratureRule(order=12), samples_2d,
             np.linspace(0.0, 2.0, 4))
 
 
@@ -532,7 +532,7 @@ def test_stacked_shifts_serve_every_covariance_in_one_kernel_call():
     rng = np.random.default_rng(3)
     V0 = PotentialDescriptor.quartic([1.0, 0.7], [-1.0, 0.4], [0.0, 0.2],
                                      dimension=2)
-    q = QuadratureRule(order=10, dimension=2)
+    q = QuadratureRule(order=10)
     # the rank-1 covariance has 10 nodes, padded to the others' 100
     covs = [np.array([[0.5, 0.1], [0.1, 0.3]]), np.diag([0.8, 0.0]),
             0.2 * np.eye(2)]
@@ -599,7 +599,7 @@ def test_build_schedule_factors_shifts_once_per_rate_time(monkeypatch):
 
     sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     calls = []
     real = curvature_mod._gaussian_shifts
 

@@ -20,7 +20,7 @@ from rgflow import oracles
 def gauss_chain():
     sched = make_schedule("heat-kernel", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.zero(1)
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     return sched, V0, q, default_box(sched)
 
 
@@ -28,7 +28,7 @@ def gauss_chain():
 def dwell_chain():
     sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
-    q = QuadratureRule(order=160, dimension=1)
+    q = QuadratureRule(order=160)
     return sched, V0, q, default_box(sched)
 
 
@@ -45,7 +45,7 @@ def test_log_density_gaussian_values(gauss_chain):
 def test_log_density_composes_with_potential_oracle():
     sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.quartic(1.0, -0.5, 0.0, dimension=1)
-    q = QuadratureRule(order=120, dimension=1)
+    q = QuadratureRule(order=120)
     t = 0.5
     fm = make_flow_measure(sched, V0, t, 513, q=q)
     # the node nearest 1.3 of the 513-node [-8, 8] box
@@ -134,7 +134,7 @@ def test_semigroup_positivity(dwell_chain):
 
 def test_semigroup_composition_property(gauss_chain):
     sched, V0, _, box = gauss_chain
-    q = QuadratureRule(order=60, dimension=1)
+    q = QuadratureRule(order=60)
     xs = box.axes((1025,))[0]
     rng = np.random.default_rng(42)
     funcs = [np.exp(-xs**2 / 2.0), xs * np.exp(-xs**2 / 3.0),
@@ -154,7 +154,7 @@ def test_semigroup_composition_property(gauss_chain):
 def test_semigroup_composition_quartic():
     sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
-    q = QuadratureRule(order=120, dimension=1)
+    q = QuadratureRule(order=120)
     box = default_box(sched)
     xs = box.axes((1025,))[0]
     f = GridFunction(box, np.exp(-xs**2 / 2.0))
@@ -180,17 +180,17 @@ def test_semigroup_rejects_kernel_wider_than_box(gauss_chain):
 
 
 def _count_kernel_passes(monkeypatch):
-    """Spy on the V0 kernel of the flow module's grid passes.
+    """Spy on the V0 kernel of every V_t pass: the flow module's semigroup
+    passes and the pass of ``renormalized_value``.
 
     Returns {shift spread: [rows, rule size]}; the spread of the shifts
-    z_q identifies the covariance, hence the scale.  Any call of
-    ``renormalized_value`` from the flow module is recorded under "value".
+    z_q identifies the covariance, hence the scale.
     """
     import rgflow.flow as flow_mod
+    import rgflow.potential as potential_mod
 
     passes = {}
-    real_kernel = flow_mod._tilted_log_weights
-    real_value = flow_mod.renormalized_value
+    real_kernel = potential_mod._tilted_log_weights
 
     def kernel_spy(V0, pts, logw):
         key = round(float(np.ptp(pts[0, :, 0])), 9)
@@ -199,12 +199,8 @@ def _count_kernel_passes(monkeypatch):
         passes[key][0] = rows + pts.shape[0]
         return real_kernel(V0, pts, logw)
 
-    def value_spy(*args, **kwargs):
-        passes.setdefault("value", [0, 0])[0] += 1
-        return real_value(*args, **kwargs)
-
-    monkeypatch.setattr(flow_mod, "_tilted_log_weights", kernel_spy)
-    monkeypatch.setattr(flow_mod, "renormalized_value", value_spy)
+    for mod in (flow_mod, potential_mod):
+        monkeypatch.setattr(mod, "_tilted_log_weights", kernel_spy)
     return passes
 
 
@@ -218,7 +214,6 @@ def test_conservation_evaluates_potential_once_per_time(dwell_chain,
     conservation_check(sched, V0, F, 2.0, count, q)
     # one V0 pass over nodes x shifts per scale: V_t and P_{0,t}F share it;
     # and one at t = 0 for nu_0
-    assert "value" not in passes
     assert len(passes) == count + 1
     assert passes.pop(0.0) == [129, 1]
     assert all(p == [129, q.order] for p in passes.values())
@@ -344,7 +339,7 @@ def test_default_sample_points_deterministic(dwell_chain):
 def test_semigroup_unitality_2d():
     sched = make_schedule("heat-kernel", c_infinity=np.diag([1.0, 0.8]))
     V0 = PotentialDescriptor.quartic(0.5, 0.0, [0.0, 0.0], dimension=2)
-    q = QuadratureRule(order=14, dimension=2)
+    q = QuadratureRule(order=14)
     box = default_box(sched)
     ones = GridFunction(box, np.ones((33, 33)))
     out = semigroup_apply(sched, V0, 0.0, 0.8, ones, q)
@@ -376,23 +371,23 @@ def _nested_p0t(sched, V0, t, f, q):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_shared_pass_matches_nested_formula_bitwise(dim, monkeypatch):
-    import rgflow.flow as flow_mod
+    import rgflow.potential as potential_mod
 
     if dim == 1:
         sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
         V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.3, dimension=1)
-        q, shape = QuadratureRule(order=80, dimension=1), (257,)
+        q, shape = QuadratureRule(order=80), (257,)
     else:
         sched = make_schedule("pauli-villars",
                               c_infinity=[[1.0, 0.3], [0.3, 0.8]])
         V0 = PotentialDescriptor.quartic(1.0, -1.0, [0.0, 0.2], dimension=2)
-        q, shape = QuadratureRule(order=12, dimension=2), (33, 33)
+        q, shape = QuadratureRule(order=12), (33, 33)
     box = default_box(sched)
     nodes = box.nodes(shape)
     F = GridFunction(box, np.exp(-np.sum(nodes**2, axis=1)).reshape(shape))
     G = GridFunction(box, np.cos(nodes[:, 0]).reshape(shape))
     # several chunks per pass, with a short last one
-    monkeypatch.setattr(flow_mod, "_PASS_NODES", 37 * q.order ** dim)
+    monkeypatch.setattr(potential_mod, "_PASS_NODES", 37 * q.order ** dim)
     for t in (0.1, 1.0, 2.5):
         fm = make_flow_measure(sched, V0, t, shape, box=box, q=q,
                                carry=(F, G))
@@ -411,10 +406,10 @@ def test_shared_pass_preserves_constants():
     cases = [
         (make_schedule("pauli-villars", c_infinity=[[1.0]]),
          PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1),
-         QuadratureRule(order=80, dimension=1), (513,)),
+         QuadratureRule(order=80), (513,)),
         (make_schedule("pauli-villars", c_infinity=[[1.0, 0.3], [0.3, 0.8]]),
          PotentialDescriptor.quartic(1.0, -1.0, [0.0, 0.2], dimension=2),
-         QuadratureRule(order=20, dimension=2), (41, 41)),
+         QuadratureRule(order=20), (41, 41)),
     ]
     for sched, V0, q, shape in cases:
         box = default_box(sched)
@@ -436,7 +431,7 @@ def test_custom_table_with_nonzero_origin_reads_v0_from_its_grid(
                           table=(t_nodes, c[:, None, None], cp[:, None, None],
                                  cpp[:, None, None]))
     V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     box = default_box(sched)
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))
@@ -445,11 +440,9 @@ def test_custom_table_with_nonzero_origin_reads_v0_from_its_grid(
     fm = make_flow_measure(sched, V0, 1.0, 129, box=box, q=q, carry=(F, ones))
     # one V0 pass each for V_1 and V_0; P_{0,1} reads V_0 through the
     # interpolant of the scale-0 grid, so it evaluates V0 nowhere
-    assert "value" not in passes
     assert list(passes.values()) == [[129, q.order]] * 2
     assert np.max(np.abs(fm.transported[1].values - 1.0)) <= 1e-14
-    want = _nested_p0t(sched, V0, 1.0, F, QuadratureRule(order=160,
-                                                         dimension=1))
+    want = _nested_p0t(sched, V0, 1.0, F, QuadratureRule(order=160))
     assert np.max(np.abs(fm.transported[0].values - want)) < 1e-5
 
 
@@ -466,7 +459,7 @@ def test_variance_audit_builds_v0_once_where_c0_is_nonzero(monkeypatch):
                           table=(t_nodes, c[:, None, None], cp[:, None, None],
                                  cpp[:, None, None]))
     V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     box = default_box(sched)
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))
@@ -488,9 +481,9 @@ def test_semigroup_is_markov_at_every_s_on_the_plaquette():
     box = default_box(sched)
     ones = GridFunction(box, np.ones((21, 21)))
     out = semigroup_apply(sched, V0, 0.3, 0.9, ones,
-                          QuadratureRule(order=12, dimension=2))
+                          QuadratureRule(order=12))
     assert np.max(np.abs(out.values - 1.0)) <= 1e-12
-    q = QuadratureRule(order=20, dimension=2)
+    q = QuadratureRule(order=20)
     nodes = box.nodes((41, 41))
     f = GridFunction(box, np.exp(-np.sum(nodes**2, axis=1) / 2.0)
                      .reshape(41, 41))
@@ -517,7 +510,7 @@ def test_two_dimensional_flow_measure_bounds_memory():
     model = Phi4Model(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1.0, -1.0,
                       np.zeros(2))
     sched, V0 = model.schedule(), model.potential()
-    q = QuadratureRule(order=40, dimension=2)
+    q = QuadratureRule(order=40)
     fm, peak = _traced_peak(lambda: make_flow_measure(sched, V0, 1.0, 65, q=q))
     # 65^2 nodes x 1600 shifts in one batch peaked at 471 MB; chunked to
     # 2e6 evaluation nodes it stays near 140 MB
@@ -531,20 +524,24 @@ def test_two_dimensional_flow_measure_bounds_memory():
 
 def _use_cores(monkeypatch, count):
     import rgflow.flow as flow_mod
+    import rgflow.potential as potential_mod
 
-    monkeypatch.setattr(flow_mod, "_usable_cores", lambda: count)
+    # the pass sizes its chunks by the cores, ``_map_scales`` its workers
+    for mod in (flow_mod, potential_mod):
+        monkeypatch.setattr(mod, "_usable_cores", lambda: count)
 
 
 def test_grid_pass_is_bitwise_equal_at_two_chunk_budgets(monkeypatch):
     import rgflow.flow as flow_mod
+    import rgflow.potential as potential_mod
 
     sched = make_schedule("pauli-villars", c_infinity=[[1.0, 0.3], [0.3, 0.8]])
     V0 = PotentialDescriptor.quartic(1.0, -1.0, [0.0, 0.2], dimension=2)
-    q, shape = QuadratureRule(order=12, dimension=2), (33, 33)
+    q, shape = QuadratureRule(order=12), (33, 33)
     box = default_box(sched)
     nodes = box.nodes(shape)
     F = GridFunction(box, np.exp(-np.sum(nodes**2, axis=1)).reshape(shape))
-    monkeypatch.setattr(flow_mod, "_PASS_NODES", 100 * q.order ** 2)
+    monkeypatch.setattr(potential_mod, "_PASS_NODES", 100 * q.order ** 2)
     rows = []
     real = flow_mod._tilted_log_weights
 
@@ -570,18 +567,18 @@ def test_grid_pass_is_bitwise_equal_at_two_chunk_budgets(monkeypatch):
 def test_parallel_scales_share_the_pass_memory_budget(monkeypatch):
     import tracemalloc
 
-    import rgflow.flow as flow_mod
+    import rgflow.potential as potential_mod
     from rgflow.flow import _map_scales
     from rgflow.phi4 import Phi4Model
 
     model = Phi4Model(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1.0, -1.0,
                       np.zeros(2))
     sched, V0 = model.schedule(), model.potential()
-    q = QuadratureRule(order=20, dimension=2)
+    q = QuadratureRule(order=20)
     box = default_box(sched)
     # a 41^2 grid passes in five chunks serially, nine per worker on 2
     # cores; either way a chunk's arrays live on while the next is built
-    monkeypatch.setattr(flow_mod, "_PASS_NODES", 400 * q.order ** 2)
+    monkeypatch.setattr(potential_mod, "_PASS_NODES", 400 * q.order ** 2)
 
     def build(t):
         return make_flow_measure(sched, V0, t, 41, box=box, q=q)
@@ -725,14 +722,14 @@ V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
 box = default_box(sched)
 xs = box.axes((65,))[0]
 conservation_check(sched, V0, GridFunction(box, np.exp(-xs**2)), 1.0, 3,
-                   QuadratureRule(order=20, dimension=1))
+                   QuadratureRule(order=20))
 model = Phi4Model(np.array([[2.0, -1.0], [-1.0, 2.0]]), 1.0, -1.0,
                   np.zeros(2))
 box = default_box(model.schedule())
 f = GridFunction(box, np.exp(-np.sum(box.nodes((21, 21))**2, axis=1))
                  .reshape(21, 21))
 semigroup_apply(model.schedule(), model.potential(), 0.3, 0.9, f,
-                QuadratureRule(order=8, dimension=2))
+                QuadratureRule(order=8))
 print("scipy.interpolate" in sys.modules)
 """
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -750,7 +747,7 @@ def test_parallel_scales_raise_the_serial_failure(V0, monkeypatch):
     # three nodes of the 32-node rule on [0, 30] all fail; the first of them
     # in t order must be raised
     sched = make_schedule("heat-kernel", c_infinity=[[1.0]])
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     box = default_box(sched)
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))

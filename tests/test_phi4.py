@@ -345,7 +345,7 @@ def test_schedules_gaussian_closed_forms():
     # exact corrective rate is dominated by the formula
     exact = build_schedule(m.schedule(), m.potential(), [0.0, 1.0],
                            np.zeros((1, 1)),
-                           QuadratureRule(order=40, dimension=1)).alpha_prime[1]
+                           QuadratureRule(order=40)).alpha_prime[1]
     assert_allclose(exact, 0.5, atol=1e-12)
     assert out["alpha_prime_formula"][0] >= exact - 1e-8
 
@@ -368,7 +368,7 @@ def test_gaussian_reduction_matches_schedule_closed_forms():
 def test_bound_domination_quartic():
     m = Phi4Model([[1.0]], 1.0, 0.0, [0.0])
     sched, V0 = m.schedule(), m.potential()
-    q = QuadratureRule(order=60, dimension=1)
+    q = QuadratureRule(order=60)
     samples = np.linspace(-3, 3, 9).reshape(-1, 1)
     out = phi4_schedules(m, [0.5, 1.0, 2.0], [[0.0], [1.0], [-1.0]])
     exact = build_schedule(sched, V0, [0.0, 0.5, 1.0, 2.0], samples,
@@ -379,7 +379,7 @@ def test_bound_domination_quartic():
 def test_schedule_rate_is_admissible():
     m = Phi4Model([[1.0]], 1.0, 0.0, [0.0])
     sched, V0 = m.schedule(), m.potential()
-    q = QuadratureRule(order=60, dimension=1)
+    q = QuadratureRule(order=60)
     samples = np.linspace(-4, 4, 17).reshape(-1, 1)
     out = phi4_schedules(m, [1.0], [[0.0]])
     margin = build_schedule(sched, V0, [0.0, 1.0], samples, q).lambda_prime[1]
@@ -467,6 +467,35 @@ def test_tilted_double_well_matches_the_oracle(h):
     _, cov = oracles.quartic_lattice_moments([[1.0]], 1.0, -3.0, [h])
     assert est.converged
     assert abs(est.value[0, 0] - cov[0, 0]) <= 1e-10 * cov[0, 0]
+
+
+def _strong_field_site_variance(h):
+    """Variance of exp(-(1.5 y^2 + y^4/4 - h y)), the site of
+    Phi4Model([[1]], 1, 0, [h]) at mass shift 2, by a dense trapezoid
+    about its mean: mean 46.4 and variance 1.5e-4 at h = 1e5."""
+    centre = np.roots([1.0, 0.0, 3.0, -h]).real.max()
+    y = np.linspace(centre - 0.5, centre + 0.5, 200_001)
+    s = 1.5 * y**2 + 0.25 * y**4 - h * y
+    w = np.exp(-(s - s.min()))
+    mean = np.trapezoid(y * w, y) / np.trapezoid(w, y)
+    return np.trapezoid((y - mean) ** 2 * w, y) / np.trapezoid(w, y)
+
+
+def test_oracle_variance_of_a_strongly_tilted_site():
+    # m2 - m1^2 cancels seven digits of m2 = 2152; moments about the mean
+    # do not
+    want = _strong_field_site_variance(1e5)
+    _, cov = oracles.quartic_lattice_moments([[1.0]], 1.0, 2.0, [1e5])
+    assert abs(cov[0, 0] - want) <= 1e-8 * want
+
+
+def test_strongly_tilted_site_converges():
+    # the means at orders 96 and 112 differ by 5e-12 at 46.4: round-off,
+    # small against the marginal's standard deviation 0.012
+    est = lattice_moments(Phi4Model([[1.0]], 1.0, 0.0, [1e5]), 2.0, [1e5])
+    want = _strong_field_site_variance(1e5)
+    assert est.converged
+    assert abs(est.value[0, 0] - want) <= 1e-8 * want
 
 
 def test_susceptibility_rejects_zero_time():

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,14 +17,14 @@ GAUSS_MOMENTS = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0}
 
 @pytest.mark.parametrize("degree", sorted(GAUSS_MOMENTS))
 def test_quadrature_monomial_exactness(degree):
-    q = QuadratureRule(order=4, dimension=1)  # exact through degree 7
+    q = QuadratureRule(order=4)  # exact through degree 7
     nodes, logw = q.rule(1)
     got = float(np.exp(logw) @ nodes[:, 0] ** degree)
     assert_allclose(got, GAUSS_MOMENTS[degree], atol=1e-12)
 
 
 def test_quadrature_tensor_mixed_moment():
-    q = QuadratureRule(order=5, dimension=2)
+    q = QuadratureRule(order=5)
     nodes, logw = q.rule(2)
     w = np.exp(logw)
     assert_allclose(w @ (nodes[:, 0] ** 2 * nodes[:, 1] ** 4), 3.0, atol=1e-12)
@@ -31,7 +34,7 @@ def test_quadrature_tensor_mixed_moment():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=6))
 def test_quadrature_exactness_property(k):
-    q = QuadratureRule(order=8, dimension=1)
+    q = QuadratureRule(order=8)
     nodes, logw = q.rule(1)
     got = float(np.exp(logw) @ nodes[:, 0] ** k)
     assert abs(got - GAUSS_MOMENTS[k]) < 1e-10
@@ -57,13 +60,44 @@ def test_tensor_rule_is_the_outer_sum_of_the_1d_rule(monkeypatch):
 
 
 def test_quadrature_rejects_high_dimension():
-    with pytest.raises(ValueError, match="capped"):
-        QuadratureRule(order=10, dimension=4)
+    # a rule is its order; the tensor cap is raised where a grid is built
+    q = QuadratureRule(order=10)
+    assert [f.name for f in dataclasses.fields(q)] == ["order"]
+    assert q.rule(3)[0].shape == (1000, 3)
+    with pytest.raises(ValueError, match="capped at dimension 3, got 4"):
+        q.rule(4)
+    V0 = PotentialDescriptor.quartic(1.0, 0.0, dimension=4)
+    for smooth in (renormalized_value, renormalized_derivatives):
+        with pytest.raises(ValueError, match="capped"):
+            smooth(V0, np.eye(4), np.zeros(4))
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        QuadratureRule(order=0)
+
+
+def test_smoothed_value_memory_does_not_grow_with_the_batch():
+    # V_t on points runs the chunked pass of the flow measures; one
+    # (m, 1600, 2) array of 8,000 points would peak near 780 MB
+    V0 = PotentialDescriptor.quartic(1.0, -1.0, [0.0, 0.2], dimension=2)
+    c = np.array([[1.0, 0.3], [0.3, 0.8]])
+    q = QuadratureRule(order=40)
+    rng = np.random.default_rng(3)
+    peaks = []
+    for m in (2000, 8000):
+        x = rng.uniform(-2.0, 2.0, (m, 2))
+        tracemalloc.start()
+        try:
+            v = renormalized_value(V0, c, x, q)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(v[:5], [renormalized_value(V0, c, p, q)
+                                      for p in x[:5]])
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_zero_potential_smooths_to_zero():
     V0 = PotentialDescriptor.zero(2)
-    q = QuadratureRule(order=12, dimension=2)
+    q = QuadratureRule(order=12)
     c = np.array([[0.8, 0.1], [0.1, 0.5]])
     assert renormalized_value(V0, c, [0.3, -1.2], q) == 0.0
     g, h = renormalized_derivatives(V0, c, [0.3, -1.2], q)
@@ -73,7 +107,7 @@ def test_zero_potential_smooths_to_zero():
 
 def test_quadratic_value_matches_oracle_both_paths():
     # x^2/2 by the closed form of the quadratic and by the quartic kernel
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     want, wg, wh = oracles.gaussian_smoothed_quadratic(1.0, 1.0, 1.0)
     for V0 in (PotentialDescriptor.quadratic([[1.0]]),
                PotentialDescriptor.quartic(0.0, 1.0, 0.0, dimension=1)):
@@ -86,7 +120,7 @@ def test_quadratic_value_matches_oracle_both_paths():
 
 def test_zero_covariance_returns_base_potential():
     V0 = PotentialDescriptor.quartic(1.0, -0.3, 0.2, dimension=1)
-    q = QuadratureRule(order=24, dimension=1)
+    q = QuadratureRule(order=24)
     x = np.array([1.7])
     got = renormalized_value(V0, [[0.0]], x, q)
     assert_allclose(got, V0.value(x), rtol=1e-14)
@@ -94,7 +128,7 @@ def test_zero_covariance_returns_base_potential():
 
 def test_quartic_value_matches_adaptive_oracle():
     V0 = PotentialDescriptor.quartic(1.0, 0.0, 0.0, dimension=1)
-    q = QuadratureRule(order=80, dimension=1)
+    q = QuadratureRule(order=80)
     got = renormalized_value(V0, [[0.5]], [0.0], q)
     want = oracles.quartic_site_value(1.0, 0.0, 0.0, 0.5, 0.0)
     assert abs(got - want) < 1e-8
@@ -104,7 +138,7 @@ def test_quartic_hessian_matches_tilted_identity_oracle():
     # hess V_t = 1/c - var/c^2 for the single-site tilted measure
     c = 0.5
     V0 = PotentialDescriptor.quartic(1.0, 0.0, 0.0, dimension=1)
-    q = QuadratureRule(order=80, dimension=1)
+    q = QuadratureRule(order=80)
     _, h = renormalized_derivatives(V0, [[c]], [0.7], q)
     _, var = oracles.quartic_site_moments(1.0, 0.0, 0.0, c, 0.7)
     assert abs(h[0, 0] - (1.0 / c - var / c**2)) < 1e-6
@@ -114,7 +148,7 @@ def test_convexity_preserved_for_quadratic_base():
     # a convex quartic (g, nu >= 0) stays convex under Gaussian smoothing
     # (Prekopa), here under a covariance with off-diagonal terms
     V0 = PotentialDescriptor.quartic([1.0, 0.5], [0.3, 0.0], [0.2, -0.1])
-    q = QuadratureRule(order=60, dimension=2)
+    q = QuadratureRule(order=60)
     rng = np.random.default_rng(3)
     for c_scale in (0.0, 0.3, 2.0):
         c = c_scale * np.array([[1.0, 0.6], [0.6, 0.8]])
@@ -127,14 +161,14 @@ def test_convexity_preserved_for_quadratic_base():
 def test_order_doubling_stability():
     V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
     xs = np.linspace(-3.0, 3.0, 11).reshape(-1, 1)
-    v1 = renormalized_value(V0, [[0.5]], xs, QuadratureRule(order=80, dimension=1))
-    v2 = renormalized_value(V0, [[0.5]], xs, QuadratureRule(order=160, dimension=1))
+    v1 = renormalized_value(V0, [[0.5]], xs, QuadratureRule(order=80))
+    v2 = renormalized_value(V0, [[0.5]], xs, QuadratureRule(order=160))
     assert np.max(np.abs(v1 - v2)) < 1e-8
 
 
 def test_tilted_hessian_matches_finite_differences():
     V0 = PotentialDescriptor.quartic(0.8, -0.5, 0.1, dimension=1)
-    q = QuadratureRule(order=80, dimension=1)
+    q = QuadratureRule(order=80)
     c = [[0.6]]
     rng = np.random.default_rng(11)
     for x in rng.uniform(-2, 2, size=4):
@@ -150,7 +184,7 @@ def test_tilted_hessian_matches_finite_differences():
 def test_gradient_matches_finite_differences_2d():
     V0 = PotentialDescriptor.quartic([1.0, 0.5], [0.2, -0.1], [0.0, 0.3],
                                      dimension=2)
-    q = QuadratureRule(order=24, dimension=2)
+    q = QuadratureRule(order=24)
     c = np.array([[0.5, 0.1], [0.1, 0.4]])
     x = np.array([0.4, -0.8])
     g, _ = renormalized_derivatives(V0, c, x, q)
@@ -166,7 +200,7 @@ def test_gradient_matches_finite_differences_2d():
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_overflow_reports_exponent():
     V0 = PotentialDescriptor.quartic(1.0, 0.0, 0.0, dimension=1)
-    q = QuadratureRule(order=8, dimension=1)
+    q = QuadratureRule(order=8)
     with pytest.raises(QuadratureOverflowError, match="order"):
         renormalized_value(V0, [[1.0]], [1e100], q)
 
@@ -220,7 +254,7 @@ def test_fused_derivatives_match_descriptor_reference(case, batch):
                                      rng.uniform(-1.0, 1.0, d),
                                      rng.uniform(-0.5, 0.5, d),
                                      dimension=d)
-    q = QuadratureRule(order=16 if d == 3 else 40, dimension=d)
+    q = QuadratureRule(order=16 if d == 3 else 40)
     xs = rng.uniform(-2.0, 2.0, size=(batch, d))
     x = xs[0] if batch == 1 else xs
     got_g, got_h = renormalized_derivatives(V0, c, x, q)
@@ -262,7 +296,7 @@ def test_moment_kernel_matches_direct_sums_on_a_stress_set(d):
                  else np.zeros((1, 1)))
     # three covariances in one call, the padded rule between the others
     covs = [full, deficient, 0.05 * np.eye(d)]
-    q = QuadratureRule(order=12 if d == 3 else 40, dimension=d)
+    q = QuadratureRule(order=12 if d == 3 else 40)
     xs = rng.uniform(-5.0, 5.0, size=(len(covs), 24, d))
     xs[:, 0] = 5.0
     xs[:, 1] = -5.0
@@ -285,7 +319,7 @@ def test_fused_kernel_matches_quadratic_closed_form(c):
     # kernel against the exact smoothed quadratic
     d = len(c)
     nu = np.array([1.0, 0.7, 1.3])[:d]
-    q = QuadratureRule(order=32, dimension=d)
+    q = QuadratureRule(order=32)
     xs = np.random.default_rng(3).uniform(-2.0, 2.0, size=(6, d))
     quartic = PotentialDescriptor.quartic(0.0, nu, dimension=d)
     exact = PotentialDescriptor.quadratic(np.diag(nu))
@@ -300,7 +334,7 @@ def test_derivative_batches_bound_memory_by_evaluation_nodes():
     import tracemalloc
 
     V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=3)
-    q = QuadratureRule(order=40, dimension=3)      # 64,000 shifts per point
+    q = QuadratureRule(order=40)      # 64,000 shifts per point
     xs = np.random.default_rng(5).uniform(-1.0, 1.0, size=(12, 3))
     c = 0.3 * np.eye(3)
     renormalized_derivatives(V0, c, xs[:1], q)     # warm the cached rule

@@ -16,7 +16,7 @@ from rgflow import oracles
 def ou_setup():
     sched = make_schedule("heat-kernel", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.zero(1)
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     box = default_box(sched)
     fm = make_flow_measure(sched, V0, 0.0, 1025, box=box, q=q)
     return sched, V0, q, box, fm
@@ -98,7 +98,7 @@ def test_weighted_vs_unweighted_discrepancy_flagged(ou_setup):
 def test_double_well_fine_grid_oracle():
     sched = make_schedule("pauli-villars", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1)
-    q = QuadratureRule(order=80, dimension=1)
+    q = QuadratureRule(order=80)
     box = default_box(sched)
     fm_fine = make_flow_measure(sched, V0, 0.0, 4097, box=box, q=q)
     cp_fine = spectrum(build_generator(fm_fine), k=1,
@@ -130,7 +130,7 @@ def test_underflow_box_rejected():
 
     sched = make_schedule("heat-kernel", c_infinity=[[1.0]])
     V0 = PotentialDescriptor.zero(1)
-    q = QuadratureRule(order=40, dimension=1)
+    q = QuadratureRule(order=40)
     from rgflow.flow import Box
     fm = make_flow_measure(sched, V0, 0.0, 513, box=Box((-300.0,), (300.0,)), q=q)
     with pytest.raises(QuadratureOverflowError, match="box too large"):
@@ -218,7 +218,7 @@ def test_2d_gaussian_degenerate_cluster():
     # planar standard Gaussian: eigenvalues 0, 1, 1; the pair is a cluster
     sched = make_schedule("heat-kernel", c_infinity=np.eye(2))
     V0 = PotentialDescriptor.zero(2)
-    q = QuadratureRule(order=16, dimension=2)
+    q = QuadratureRule(order=16)
     box = default_box(sched)
     fm = make_flow_measure(sched, V0, 0.0, (65, 65), box=box, q=q)
     gen = build_generator(fm, trim=False)
@@ -233,7 +233,7 @@ def test_1d_tridiagonal_solve_matches_dense_pencil():
 
     # the Richardson refine grid of the 513-node dwell spectrum
     model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
-    q = QuadratureRule(order=80, dimension=1)
+    q = QuadratureRule(order=80)
     fm = make_flow_measure(model.schedule(), model.potential(), 0.5, 513, q=q)
     gen = build_generator(fm).refiner()
     assert gen.n_nodes > _DENSE_CUTOFF
@@ -267,7 +267,7 @@ def _dwell_generator(t, n):
     from rgflow.phi4 import Phi4Model
 
     model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
-    q = QuadratureRule(order=80, dimension=1)
+    q = QuadratureRule(order=80)
     fm = make_flow_measure(model.schedule(), model.potential(), float(t), n,
                            q=q)
     return build_generator(fm)
@@ -337,7 +337,7 @@ def test_refiner_rebuilds_the_trimmed_box_at_twice_the_resolution():
     # more than TRIM_LOG, so build_generator trims it
     model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
     sched, V0 = model.schedule(), model.potential()
-    q = QuadratureRule(order=80, dimension=1)
+    q = QuadratureRule(order=80)
     fm = make_flow_measure(sched, V0, 0.5, 513, box=Box.cube(16.0, 1), q=q)
     gen = build_generator(fm)
     assert gen.box != fm.box and gen.grid_shape[0] < 513
@@ -461,7 +461,7 @@ def test_singular_shift_invert_factor_maps_to_nonconvergence_error():
     # trimming, and SuperLU finds the shifted pencil exactly singular
     model = Phi4Model([[2.0, -1.0], [-1.0, 2.0]], 1.0, -1.0, [0.0, 0.0])
     sched = model.schedule()
-    q = QuadratureRule(order=40, dimension=2)
+    q = QuadratureRule(order=40)
     fm = make_flow_measure(sched, model.potential(), 0.05, 65,
                            box=default_box(sched), q=q)
     gen = build_generator(fm)
@@ -527,7 +527,7 @@ def test_stiff_plaquette_pencils_converge(a_matrix, t, n, mu_fine):
 
     model = Phi4Model(a_matrix, 1.0, -1.0, [0.0, 0.0])
     sched = model.schedule()
-    q = QuadratureRule(order=40, dimension=2)
+    q = QuadratureRule(order=40)
     fm = make_flow_measure(sched, model.potential(), t, n,
                            box=default_box(sched), q=q)
     gen = build_generator(fm)
@@ -544,7 +544,7 @@ def test_2d_gaussian_converges_on_small_grids(t):
     c_inf = np.array([[1.0, 0.3], [0.3, 0.8]])
     sched = make_schedule("heat-kernel", c_infinity=c_inf)
     mu_1 = 1.0 / np.linalg.eigvalsh(c_inf)[-1]
-    q = QuadratureRule(order=20, dimension=2)
+    q = QuadratureRule(order=20)
     errors = []
     for n in (15, 21):
         fm = make_flow_measure(sched, PotentialDescriptor.zero(2), t, n,
