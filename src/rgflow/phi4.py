@@ -13,16 +13,16 @@ the mass-shifted zero-field measure, and the corrective rate is bounded by
                + lambda_max(A) (t lambda_max(A) + 1),
 
 where Sigma_t(phi) is the covariance of the measure with mass shift 1/t and
-external field C_t^{-1} phi.  For n <= 3 sites, moments are Gauss-Hermite
-sums on a tensor grid, contracted as per-site vectors and pair marginals;
-otherwise (and for cross-checks) they come from seeded single-site
-random-walk Metropolis.  Each estimator sets its own budget (quadrature
-order, sweeps), and ``_shifted_moments`` alone picks between them.  The
-Metropolis path advances a fixed batch of 256 independent chains together
-in numpy, from one generator seeded by ``seed``, with one vectorized step
-per colour class of the coupling graph (sites that share no coupling move
-together); the sweep budget is split evenly across the chains, and the
-error bars are a jackknife over whole chains.
+external field C_t^{-1} phi.  For n <= 3 sites, moments are sums on the
+tensor grid of the sites' own Gauss rules, contracted as per-site vectors
+and pair marginals; otherwise (and for cross-checks) they come from seeded
+single-site random-walk Metropolis.  Each estimator sets its own budget
+(quadrature order, sweeps), and ``_shifted_moments`` alone picks between
+them.  The Metropolis path advances a fixed batch of 256 independent chains
+together in numpy, from one generator seeded by ``seed``, with one
+vectorized step per colour class of the coupling graph (sites that share no
+coupling move together); the sweep budget is split evenly across the
+chains, and the error bars are a jackknife over whole chains.
 ``hessian_identity_check`` ties the two estimators the certificate rests on:
 the tilted-moment Hessian every sampled rate is taken from, and the lattice
 covariance behind chi_t, through hess V_t = C^{-1} - C^{-1} Sigma_t C^{-1}.
@@ -43,7 +43,7 @@ from .covariance import CovarianceSchedule, make_schedule
 from .curvature import _compass_search
 from .errors import NonConvergenceError
 from .potential import (MAX_TENSOR_DIM, PotentialDescriptor, QuadratureRule,
-                        _hermite_rule, renormalized_derivatives)
+                        renormalized_derivatives)
 
 QUADRATURE_MAX_SITES = MAX_TENSOR_DIM
 
@@ -57,9 +57,7 @@ _MCMC_MIN_ESS = 1000
 _MCMC_BURNIN_TAUS = 20
 _WOLFF_S = 1.5
 
-# Quadrature reference widths in marginal std devs; compass-search sweeps for
-# the infimum of lambda_min(Sigma_t).
-_WIDTH_FACTOR = 1.6
+# Compass-search sweeps for the infimum of lambda_min(Sigma_t).
 _DESCENT_STEPS = 12
 
 
@@ -124,14 +122,13 @@ class MomentEstimate:
 
 def _site_minimum(g: float, m2: float, eta: float) -> float:
     """The global minimum of the site action g y^4/4 + m2 y^2/2 - eta y: the
-    real root of g y^3 + m2 y = eta of least action (eta != 0 where m2 <= 0).
-    For m2 > 0 it is the only real root.  Cardano's y = u - v, with
-    u v = m2/(3g) and u^3 - v^3 = eta/g, is taken as
-    (eta/g) / (u^2 + u v + v^2), whose terms are all positive.  For m2 <= 0
-    (a double well) it is the outermost root on eta's side: with
+    real root of g y^3 + m2 y = eta of least action, for m2 > 0 the only
+    one.  Cardano's y = u - v, with u v = m2/(3g) and u^3 - v^3 = eta/g, is
+    taken as (eta/g) / (u^2 + u v + v^2), whose terms are all positive.  For
+    m2 <= 0 (a double well) it is the outermost root on eta's side: with
     r^3 = (-m2/(3g))^(3/2) and half = |eta|/(2g), Cardano's u + r^2/u where
     half > r^3 (one real root), else the largest of three roots,
-    2 r cos(acos(half/r^3)/3)."""
+    2 r cos(acos(half/r^3)/3), with half/r^3 read as 0 where both vanish."""
     if g == 0:
         return eta / m2
     p3 = m2 / (3.0 * g)
@@ -144,66 +141,76 @@ def _site_minimum(g: float, m2: float, eta: float) -> float:
     if half > r3:
         u = np.cbrt(half + math.sqrt(half * half - r3 * r3))
         return math.copysign(u - p3 / u, eta)
-    return math.copysign(
-        2.0 * math.sqrt(-p3) * math.cos(math.acos(half / r3) / 3.0), eta)
+    return math.copysign(2.0 * math.sqrt(-p3) * math.cos(
+        math.acos(half / r3 if r3 else 0.0) / 3.0), eta)
 
 
-def _marginal_scale(model: Phi4Model, mass_shift: float, eta: np.ndarray):
-    """Per-site reference center and width from the 1D marginal actions,
-    each on a 1,601-point trapezoid over [center - span, center + span].
-    Where the site mass m2 = a_ii + nu + mass_shift is positive the action
-    is convex: the trapezoid centres on its minimum and spans at most the
-    Gaussian 10/sqrt(m2), since the quartic term only narrows the marginal
-    and a mass shift of 1/t keeps it about sqrt(t) wide.  A tilted double
-    well (m2 <= 0, eta_i != 0) centres on its global minimum y and spans at
-    most 10/sqrt(3 g y^2 + m2), the Gaussian width of the curvature there,
-    which is at least -2 m2; its other well is left out where the tilt is
-    weak."""
-    n = model.n_sites
-    centers = np.empty(n)
-    widths = np.empty(n)
+def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
+    """(nodes, log-weights), each (n, p), of the Gauss rules of the site
+    measures exp(-u_i), u_i = m2 y^2/2 + g y^4/4 - eta_i y, m2 = a_ii + nu
+    + mass_shift, for each p in ``orders``: Lanczos (discretized Stieltjes,
+    Gautschi, SIAM J. Sci. Stat. Comput. 3 (1982) 289) in (y - mode)/half-
+    width on a 601-point trapezoid where u_i is within 60 of its minimum,
+    then Golub-Welsch (Math. Comp. 23 (1969) 221) on p x p Jacobi blocks."""
+    n, g, steps = model.n_sites, model.g, max(orders)
+    jacobi = np.zeros((n, steps + 1, steps + 1))   # the last row is unread
+    modes, halves = np.empty(n), np.empty(n)
     for i in range(n):
-        aii = model.a_matrix[i, i]
-        m2 = aii + model.nu + mass_shift
-
-        def u(y, i=i, m2=m2):
-            return 0.25 * model.g * y**4 + 0.5 * m2 * y**2 - eta[i] * y
-
-        if model.g == 0 and m2 <= 0:
+        m2 = model.a_matrix[i, i] + model.nu + mass_shift
+        if g == 0 and m2 <= 0:
             raise ValueError("g = 0 marginal requires a positive mass")
-        center, span = 0.0, math.inf
-        if eta[i]:
-            center = _site_minimum(model.g, m2, eta[i])
-        if m2 > 0:
-            span = 10.0 / math.sqrt(m2)
-        elif eta[i]:
-            span = 10.0 / math.sqrt(3.0 * model.g * center * center + m2)
-        if model.g > 0:
-            span = min(span, (60.0 / model.g) ** 0.25
-                       + 3.0 * abs(eta[i]) / max(aii, 0.1) + 3.0)
-        ys = np.linspace(center - span, center + span, 1601)
-        uy = u(ys)
-        uy -= uy.min()
-        w = np.exp(-uy)
-        w /= np.trapezoid(w, ys)
-        mean = np.trapezoid(ys * w, ys)
-        var = np.trapezoid((ys - mean) ** 2 * w, ys)
-        centers[i] = mean
-        widths[i] = math.sqrt(max(var, 1e-12))
-    return centers, widths
+        mode = _site_minimum(g, m2, eta[i])
+        curv = m2 + 3.0 * g * mode * mode
+
+        def rise(d, curv=curv, mode=mode):     # u(mode + d) - u(mode)
+            return (0.5 * curv + (g * mode + 0.25 * g * d) * d) * d * d
+
+        # u' may vanish off the mode only between 0 and -sign(mode) sqrt(-m2/g)
+        # (m2 < 0), where u - u(mode) >= |eta| sqrt(-m2/g); unless that is over
+        # 60 the window spans it, then each side doubles till u - u(mode) > 60
+        weak = m2 < 0 and abs(eta[i]) * math.sqrt(-m2 / g) <= 60.0
+        far = -math.copysign(math.sqrt(-m2 / g), mode) - mode if weak else 0.0
+        edges = []
+        for end, side in ((min(0.0, far), -1.0), (max(0.0, far), 1.0)):
+            s = 1.0 / max(math.sqrt(curv), g ** 0.25)
+            while rise(end + side * s) <= 60.0:
+                s *= 2.0
+            edges.append(end + side * s)
+        d = np.linspace(*edges, 601)               # y - mode
+        modes[i], halves[i] = mode, 0.5 * (edges[1] - edges[0])
+        x = d / halves[i]
+        q = np.exp(-0.5 * rise(d))                 # sqrt of the weight
+        q[[0, -1]] *= math.sqrt(0.5)
+        q /= math.sqrt(q @ q)
+        prev, beta = q, 0.0
+        for j in range(steps):
+            v = x * q - beta * prev
+            alpha = v @ q
+            v -= alpha * q
+            beta = math.sqrt(v @ v)
+            jacobi[i, j, j], jacobi[i, j + 1, j] = alpha, beta
+            prev, q = q, v / beta
+    for p in orders:
+        nodes, vecs = np.linalg.eigh(jacobi[:, :p, :p])
+        w = vecs[:, 0] ** 2
+        # mean and variance back to alpha_0, beta_0^2 from eigh's round-off
+        c = nodes - np.sum(w * nodes, axis=1, keepdims=True)
+        c *= jacobi[:, 1:2, 0] / np.sqrt(np.sum(w * c * c, axis=1, keepdims=True))
+        with np.errstate(divide="ignore"):    # a weight that underflows to 0
+            logw = np.log(w)
+        yield modes[:, None] + halves[:, None] * (jacobi[:, :1, 0] + c), logw
 
 
 def lattice_moments(model: Phi4Model, mass_shift: float, field,
-                    order: int = 96) -> MomentEstimate:
+                    order: int = 12) -> MomentEstimate:
     """Covariance of the lattice measure with extra mass ``mass_shift`` and
-    external field ``field`` in place of ``model.h``.
+    external field ``field`` in place of ``model.h``, by ``_grid_moments``
+    on the sites' own Gauss rules (``_site_rules``) at order and order+4.
 
-    Importance-weighted Gauss-Hermite (``_grid_moments``) against a diagonal
-    reference Gaussian sized from the 1D marginals; deterministic.  Returns
-    the order+16 covariance as a "quadrature" estimate with stderr 0, and
-    ``converged`` when the covariances at order and order+16 agree to 1e-8
-    of the largest covariance entry, and the means to 1e-8 of its square
-    root, the widest marginal standard deviation.
+    Returns the order+4 covariance as a "quadrature" estimate with stderr
+    0, and ``converged`` when the covariances at the two orders agree to
+    1e-8 of the largest covariance entry, and the means to 1e-8 of its
+    square root, the widest marginal standard deviation.
     """
     n = model.n_sites
     if n > QUADRATURE_MAX_SITES:
@@ -213,10 +220,8 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
     for name, value in (("mass_shift", mass_shift), ("field", eta)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
-    centers, widths = _marginal_scale(model, mass_shift, eta)
-    widths = widths * _WIDTH_FACTOR
-    mean, cov = _grid_moments(model, mass_shift, eta, centers, widths, order)
-    mean2, cov2 = _grid_moments(model, mass_shift, eta, centers, widths, order + 16)
+    rules = _site_rules(model, mass_shift, eta, (order, order + 4))
+    (mean, cov), (mean2, cov2) = [_grid_moments(model.a_matrix, *r) for r in rules]
     scale = max(float(np.max(np.abs(cov))), 1e-300)
     drift = max(float(np.max(np.abs(cov - cov2))) / scale,
                 float(np.max(np.abs(mean - mean2))) / math.sqrt(scale))
@@ -224,24 +229,17 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
                           converged=drift <= 1e-8)
 
 
-def _grid_moments(model: Phi4Model, mass_shift, eta, centers, widths, p: int):
-    """Mean and covariance on the p^n grid phi_i = centers_i + widths_i z.
-    Its log-weight is one 1-D term per site plus an outer product
-    -a_ij phi_i phi_j per coupling; means and variances contract each site's
-    nodes with its 1-D marginal of the weights, and entry (i, j) is
+def _grid_moments(a: np.ndarray, phi: np.ndarray, site: np.ndarray):
+    """Mean and covariance on the tensor grid of site nodes phi[i] and
+    log-weights site[i], plus -a_ij phi_i phi_j per coupling: each site's
+    1-D marginal gives its mean and variance, and entry (i, j) is
     c_i @ P_ij @ c_j, with P_ij a pair marginal and c_i the centred nodes."""
-    n, a = model.n_sites, model.a_matrix
+    n = len(phi)
     pairs = list(itertools.combinations(range(n), 2))
 
     def others(*axes):
         return tuple(k for k in range(n) if k not in axes)
 
-    z, logw = _hermite_rule(p)  # standard normal: its constant cancels below
-    phi = centers[:, None] + widths[:, None] * z            # (n, p)
-    phi2 = phi * phi
-    # remove the reference Gaussian, reweight by the true action
-    site = logw + 0.5 * z * z + eta[:, None] * phi - phi2 * (
-        0.5 * (np.diag(a) + model.nu + mass_shift)[:, None] + 0.25 * model.g * phi2)
     grid = np.ix_(*phi)                  # phi_i broadcast along axis i
     le = sum([*np.ix_(*site)] + [-a[i, j] * grid[i] * grid[j]
                                  for i, j in pairs if a[i, j]])

@@ -322,6 +322,12 @@ def _tridiagonal_pairs(b: Tridiagonal, k: int, whole: bool):
 def _smallest_pairs(gen: GeneratorDiscretization, k: int):
     """(k+1) smallest eigenpairs of the pencil (E, diag(mass))."""
     n = gen.n_nodes
+    # a node without mass puts inf into M^{-1/2}, which no solver may see
+    massless = np.count_nonzero(~(gen.mass > 0))
+    if massless:
+        raise NonConvergenceError(
+            f"{massless} of {n} nodes have zero or non-finite lumped mass; "
+            "the grid cannot resolve the measure")
     dinv = 1.0 / np.sqrt(gen.mass)
 
     if gen.box.dim == 1:
@@ -341,12 +347,18 @@ def _smallest_pairs(gen: GeneratorDiscretization, k: int):
 
         b = sp.diags(dinv) @ gen.stiffness @ sp.diags(dinv)
         b = 0.5 * (b + b.T)
+        if not np.all(np.isfinite(b.data)):
+            raise NonConvergenceError("2-D pencil has non-finite entries")
         norm_b = float(np.max(np.abs(b).sum(axis=1)))
         # each centred coordinate's Rayleigh quotient bounds mu_1 from above,
         # so a tenth of the smallest, below 0, sits next to mu_0 = 0 on the
         # scale of the low spectrum, however large B's diagonal grows
-        bound = min(rayleigh_quotient(gen, x) for x in
-                    np.meshgrid(*gen.box.axes(gen.grid_shape), indexing="ij"))
+        try:
+            bound = min(rayleigh_quotient(gen, x) for x in np.meshgrid(
+                *gen.box.axes(gen.grid_shape), indexing="ij"))
+        except ValueError as exc:
+            raise NonConvergenceError(
+                f"no shift for the 2-D eigensolve: {exc}") from exc
         v0 = np.random.default_rng(90210).standard_normal(n)
         try:
             vals, vecs = spla.eigsh(b.tocsc(), k=k + 1, sigma=-0.1 * bound,

@@ -952,6 +952,35 @@ def test_2d_gaussian_spectral_checks_exit_0(tmp_path):
     assert abs(float(first["mu_1"]) - mu_1) <= 1e-3 * mu_1
 
 
+def test_degenerate_2d_shift_ends_unconverged(tmp_path):
+    # a 9^2 Pauli-Villars quadratic: on the trimmed grid a centred
+    # coordinate has no variance, so the 2-D shift has no Rayleigh bound;
+    # that is a grid that cannot resolve the problem, not a failed check
+    from rgflow import cli
+
+    path = tmp_path / "pv.cfg"
+    path.write_text(f"""\
+model.kind = quadratic
+model.b_matrix = [[1.242, -0.4274], [-0.4274, 0.2368]]
+schedule.kind = pauli-villars
+schedule.c_infinity = [[1.801, 0.02122], [0.02122, 0.7032]]
+t_grid.min = 0.08011
+t_grid.max = 4.75
+t_grid.count = 5
+t_grid.spacing = log
+disc.grid_points = 9
+disc.quadrature_order = 20
+checks = [spectrum]
+seed = 1
+output = {tmp_path / 'out'}
+""")
+    assert cli.main(["run", str(path)]) == 3
+    (status,) = [r for r in csv.DictReader(open(tmp_path / "out" / "results.csv"))
+                 if r["section"] == "status"]
+    assert status["status"] == "unconverged"
+    assert "degenerate test function" in status["detail"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_coupling_ends_unconverged(tmp_path):
     # g = 1e200 overflows the tilted covariance of the Hessian: the run ends

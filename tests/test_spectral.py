@@ -410,8 +410,8 @@ def test_non_finite_1d_pencil_maps_to_nonconvergence_error(n):
     from rgflow.errors import NonConvergenceError
     from rgflow.flow import Box
 
-    # a finite density builds a finite pencil; the guard in
-    # _tridiagonal_pairs is reached by a nan put into the built mass
+    # a finite density builds a finite pencil; a nan put into the built
+    # mass is stopped before any solver sees it
     gen = _gaussian_density_generator((n,))
     gen.mass[n // 2] = np.nan
     with np.errstate(invalid="ignore"):
@@ -458,7 +458,8 @@ def test_singular_shift_invert_factor_maps_to_nonconvergence_error():
     from rgflow.phi4 import Phi4Model
 
     # plaquette phi4 on a 65^2 default box: 48 nodes keep zero mass after
-    # trimming, and SuperLU finds the shifted pencil exactly singular
+    # trimming, and SuperLU would find the shifted pencil exactly singular;
+    # the pencil is refused before it is formed
     model = Phi4Model([[2.0, -1.0], [-1.0, 2.0]], 1.0, -1.0, [0.0, 0.0])
     sched = model.schedule()
     q = QuadratureRule(order=40)
@@ -466,9 +467,31 @@ def test_singular_shift_invert_factor_maps_to_nonconvergence_error():
                            box=default_box(sched), q=q)
     gen = build_generator(fm)
     assert np.count_nonzero(gen.mass == 0.0) > 0
-    with np.errstate(divide="ignore"), \
-            pytest.raises(NonConvergenceError, match="SuperLU"):
+    with pytest.raises(NonConvergenceError, match="zero or non-finite lumped mass"):
         spectrum(gen, k=3, refine=False)
+
+
+def test_no_zero_mass_pencil_reaches_the_2d_eigensolver(monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    from rgflow.errors import NonConvergenceError
+
+    # a 33^2 heat-kernel Gaussian with 108 zero-mass nodes at t = 0.1975:
+    # SuperLU found its pencil exactly singular, and in a long-lived
+    # process the factorization crashed the interpreter
+    sched = make_schedule("heat-kernel",
+                          c_infinity=[[0.9427, 1.05], [1.05, 1.81]])
+    fm = make_flow_measure(sched, PotentialDescriptor.zero(2), 0.1975, 33,
+                           box=default_box(sched), q=QuadratureRule(order=12))
+    gen = build_generator(fm)
+    assert np.count_nonzero(gen.mass == 0.0) > 0
+
+    def refuse(*args, **kwargs):
+        pytest.fail("eigsh was called on a pencil with a zero-mass node")
+
+    monkeypatch.setattr(spla, "eigsh", refuse)
+    with pytest.raises(NonConvergenceError, match="lumped mass"):
+        spectrum(gen, k=1, refine=False)
 
 
 def test_perturbed_ground_vector_from_the_2d_solve_is_rejected(monkeypatch):
