@@ -129,7 +129,7 @@ def _congruence_rates(forms):
     return rates
 
 
-def _compass_search(fun, x0, f0, maximize, step0: float, bounds=None,
+def _compass_search(fun, x0, f0, maximize, step0: float, bounds,
                     steps: int = _REFINE_STEPS) -> np.ndarray:
     """Gradient-free local refinement of S searches in lockstep; returns the
     refined extremal value of each, shape (S,).
@@ -142,8 +142,8 @@ def _compass_search(fun, x0, f0, maximize, step0: float, bounds=None,
     its best trial if that one improves by more than ``_MOVE_RTOL`` of the
     best value and otherwise halves its step, so no result is less extreme
     than its ``f0``.  Trial points are clamped to ``bounds`` (the sampled
-    box) when given: the sample set stands in for the x-quantifier, and
-    quadrature accuracy degrades for points far outside the mass region.
+    box): the sample set stands in for the x-quantifier, and quadrature
+    accuracy degrades for points far outside the mass region.
     """
     x = np.array(x0, dtype=float)
     n, d = x.shape
@@ -155,9 +155,8 @@ def _compass_search(fun, x0, f0, maximize, step0: float, bounds=None,
     step = np.full(n, float(step0))
     rows = np.arange(n)
     for _ in range(steps):
-        trials = x[:, None, :] + step[:, None, None] * directions
-        if bounds is not None:
-            trials = np.clip(trials, bounds[0], bounds[1])
+        trials = np.clip(x[:, None, :] + step[:, None, None] * directions,
+                         bounds[0], bounds[1])
         vals = sign[:, None] * np.asarray(fun(trials), dtype=float)
         j = np.argmin(vals, axis=1)
         top = vals[rows, j]

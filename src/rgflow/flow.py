@@ -515,8 +515,8 @@ def heatflow_harness(x_nodes, density, s_grid, grid_points: int = 2049,
     density = np.asarray(density, dtype=float)
     if np.any(density < 0):
         raise ValueError("density table has negative entries")
-    dx = x_nodes[1] - x_nodes[0]
-    total = float(np.trapezoid(density, x_nodes))
+    table_box = Box((x_nodes[0],), (x_nodes[-1],))
+    total = integrate_grid(table_box, density)
     if abs(total - 1.0) > 1e-8:
         warnings.warn(f"input density integrates to {total:.6g}; normalizing",
                       stacklevel=2)
@@ -526,12 +526,11 @@ def heatflow_harness(x_nodes, density, s_grid, grid_points: int = 2049,
     s_grid = np.asarray(s_grid, dtype=float)
     s_eval = np.unique(np.concatenate([s_grid, [0.0, 1.0]]))
 
-    table_w = np.full(len(x_nodes), dx)
-    table_w[0] = table_w[-1] = 0.5 * dx
+    table_w = table_box.trapezoid_weights(density.shape)
 
     def poincare_at(s: float) -> float:
         if s == 0.0:
-            box = Box((x_nodes[0],), (x_nodes[-1],))
+            box = table_box
             ys = box.axes((grid_points,))[0]
             w = np.interp(ys, x_nodes, density)
         else:

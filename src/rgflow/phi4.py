@@ -13,7 +13,9 @@ the mass-shifted zero-field measure, and the corrective rate is bounded by
                + lambda_max(A) (t lambda_max(A) + 1),
 
 where Sigma_t(phi) is the covariance of the measure with mass shift 1/t and
-external field C_t^{-1} phi.  For n <= 3 sites, moments are sums on the
+external field C_t^{-1} phi.  For g > 0 that measure concentrates as |phi|
+grows, so the infimum is 0 and the bound reads 1/t + lambda_max(A)
+(t lambda_max(A) + 1).  For n <= 3 sites, moments are sums on the
 tensor grid of the sites' own Gauss rules, contracted as per-site vectors
 and pair marginals; otherwise (and for cross-checks) they come from seeded
 single-site random-walk Metropolis.  Each estimator sets its own budget
@@ -40,7 +42,6 @@ import numpy.fft  # noqa: F401
 import numpy.random  # noqa: F401
 
 from .covariance import CovarianceSchedule, make_schedule
-from .curvature import _compass_search
 from .errors import NonConvergenceError
 from .potential import (MAX_TENSOR_DIM, PotentialDescriptor, QuadratureRule,
                         renormalized_derivatives)
@@ -56,9 +57,6 @@ _MCMC_TUNE_TRIALS = 500      # pooled trials per site between scale updates
 _MCMC_MIN_ESS = 1000
 _MCMC_BURNIN_TAUS = 20
 _WOLFF_S = 1.5
-
-# Compass-search sweeps for the infimum of lambda_min(Sigma_t).
-_DESCENT_STEPS = 12
 
 
 @dataclass(frozen=True)
@@ -146,15 +144,18 @@ def _site_minimum(g: float, m2: float, eta: float) -> float:
 
 
 def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
-    """(nodes, log-weights), each (n, p), of the Gauss rules of the site
+    """[(nodes, log-weights)], each (n, p), of the Gauss rules of the site
     measures exp(-u_i), u_i = m2 y^2/2 + g y^4/4 - eta_i y, m2 = a_ii + nu
     + mass_shift, for each p in ``orders``: Lanczos (discretized Stieltjes,
     Gautschi, SIAM J. Sci. Stat. Comput. 3 (1982) 289) in (y - mode)/half-
     width on a 601-point trapezoid where u_i is within 60 of its minimum,
-    then Golub-Welsch (Math. Comp. 23 (1969) 221) on p x p Jacobi blocks."""
+    then Golub-Welsch (Math. Comp. 23 (1969) 221) on p x p Jacobi blocks;
+    and the largest relative change of a site variance from the 301
+    even-indexed nodes to all 601, the trapezoid's own error estimate."""
     n, g, steps = model.n_sites, model.g, max(orders)
     jacobi = np.zeros((n, steps + 1, steps + 1))   # the last row is unread
     modes, halves = np.empty(n), np.empty(n)
+    halving = 0.0
     for i in range(n):
         m2 = model.a_matrix[i, i] + model.nu + mass_shift
         if g == 0 and m2 <= 0:
@@ -182,6 +183,7 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
         q = np.exp(-0.5 * rise(d))                 # sqrt of the weight
         q[[0, -1]] *= math.sqrt(0.5)
         q /= math.sqrt(q @ q)
+        var2 = np.cov(x[::2], aweights=(q * q)[::2], bias=True)  # step 2h
         prev, beta = q, 0.0
         for j in range(steps):
             v = x * q - beta * prev
@@ -190,6 +192,9 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
             beta = math.sqrt(v @ v)
             jacobi[i, j, j], jacobi[i, j + 1, j] = alpha, beta
             prev, q = q, v / beta
+        # beta_0^2 is the variance on all 601 nodes
+        halving = max(halving, abs(float(var2 / jacobi[i, 1, 0] ** 2) - 1.0))
+    rules = []
     for p in orders:
         nodes, vecs = np.linalg.eigh(jacobi[:, :p, :p])
         w = vecs[:, 0] ** 2
@@ -198,7 +203,9 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
         c *= jacobi[:, 1:2, 0] / np.sqrt(np.sum(w * c * c, axis=1, keepdims=True))
         with np.errstate(divide="ignore"):    # a weight that underflows to 0
             logw = np.log(w)
-        yield modes[:, None] + halves[:, None] * (jacobi[:, :1, 0] + c), logw
+        rules.append((modes[:, None] + halves[:, None] * (jacobi[:, :1, 0] + c),
+                      logw))
+    return rules, halving
 
 
 def lattice_moments(model: Phi4Model, mass_shift: float, field,
@@ -209,8 +216,11 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
 
     Returns the order+4 covariance as a "quadrature" estimate with stderr
     0, and ``converged`` when the covariances at the two orders agree to
-    1e-8 of the largest covariance entry, and the means to 1e-8 of its
-    square root, the widest marginal standard deviation.
+    1e-8 of the largest covariance entry, the means to 1e-8 of its square
+    root, the widest marginal standard deviation, and each site trapezoid
+    passes its halving test: for an analytic integrand its error squares
+    when h halves, so the relative change delta of a site variance from the
+    301 to the 601 nodes must have delta^2 <= 1e-8.
     """
     n = model.n_sites
     if n > QUADRATURE_MAX_SITES:
@@ -220,11 +230,12 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
     for name, value in (("mass_shift", mass_shift), ("field", eta)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
-    rules = _site_rules(model, mass_shift, eta, (order, order + 4))
+    rules, halving = _site_rules(model, mass_shift, eta, (order, order + 4))
     (mean, cov), (mean2, cov2) = [_grid_moments(model.a_matrix, *r) for r in rules]
     scale = max(float(np.max(np.abs(cov))), 1e-300)
     drift = max(float(np.max(np.abs(cov - cov2))) / scale,
-                float(np.max(np.abs(mean - mean2))) / math.sqrt(scale))
+                float(np.max(np.abs(mean - mean2))) / math.sqrt(scale),
+                halving * halving)
     return MomentEstimate(value=cov2, stderr=0.0, method="quadrature",
                           converged=drift <= 1e-8)
 
@@ -482,40 +493,24 @@ def tilted_covariance(model: Phi4Model, t: float, phi) -> MomentEstimate:
     return _shifted_moments(model, t, field)
 
 
-def phi4_schedules(model: Phi4Model, t_grid, phi_samples):
+def phi4_schedules(model: Phi4Model, t_grid):
     """Certified rate lambda'_t = 1/t - chi_t/t^2 and the alpha' formula.
 
-    The infimum of lambda_min(Sigma_t(phi)) over phi is approximated from
-    the sample set plus a compass search (``curvature._compass_search``)
-    from the worst sample, the searches of all times in lockstep, each sweep
-    mapping ``sig_min`` over the 2n trial fields of every time; since the
-    sampled inf is an upper bound for the true one, the reported alpha'
-    formula errs upward (conservative for the monotonicity exponent).
-    Returns a dict of arrays: lambda_prime, alpha_prime_formula, chi,
-    sigma_min.
+    The formula takes inf_phi lambda_min(Sigma_t(phi)) in closed form.  For
+    g > 0 the tilted measure concentrates as |phi| grows, so the infimum is
+    0 (not attained); for g = 0, Sigma_t(phi) = (A + nu + 1/t)^{-1} for every
+    phi, so it is 1/(lambda_max(A) + nu + 1/t).  Returns a dict of arrays:
+    lambda_prime, alpha_prime_formula, chi, sigma_min.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    phi_samples = np.atleast_2d(np.asarray(phi_samples, dtype=float))
     amax = float(np.linalg.eigvalsh(model.a_matrix)[-1])
     chi = np.array([susceptibility(model, t).value for t in t_grid])
-
-    def sig_min(t, phis):
-        return np.array([np.linalg.eigvalsh(
-            tilted_covariance(model, t, phi).value)[0]
-            for phi in phis])
-
-    vals = np.array([sig_min(t, phi_samples) for t in t_grid])
-    start = np.argmin(vals, axis=1)
-    step = max(float(np.max(np.abs(phi_samples))), 1.0) / 4.0
-    best = _compass_search(
-        lambda trials: np.array([sig_min(t, tr)
-                                 for t, tr in zip(t_grid, trials)]),
-        phi_samples[start], vals[np.arange(len(t_grid)), start],
-        maximize=False, step0=step, steps=_DESCENT_STEPS)
+    sigma = (np.zeros_like(t_grid) if model.g > 0
+             else 1.0 / (amax + model.nu + 1.0 / t_grid))
     return {"lambda_prime": 1.0 / t_grid - chi / t_grid**2,
-            "alpha_prime_formula": (1.0 / t_grid - best / t_grid**2
+            "alpha_prime_formula": (1.0 / t_grid - sigma / t_grid**2
                                     + amax * (t_grid * amax + 1.0)),
-            "chi": chi, "sigma_min": best}
+            "chi": chi, "sigma_min": sigma}
 
 
 def hessian_identity_check(model: Phi4Model, t: float, phi_samples) -> float:

@@ -79,11 +79,14 @@ class _Context:
 
     def moments(self, t: float, field: np.ndarray):
         """Covariance estimate of the phi4 model with mass shift 1/t and
-        external ``field``, computed once per (t, field)."""
+        external ``field``, computed once per (t, field).  Raises
+        NonConvergenceError when the estimate is not converged."""
         key = (t, tuple(field.tolist()))
         if key not in self._moments:
-            self._moments[key] = phi4_mod._shifted_moments(self.phi4_model, t,
-                                                           field)
+            est = phi4_mod._shifted_moments(self.phi4_model, t, field)
+            if not est.converged:
+                raise NonConvergenceError(f"lattice moments at t = {t:.6g} did not converge")
+            self._moments[key] = est
         return self._moments[key]
 
     def chi(self, t: float):

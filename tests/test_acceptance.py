@@ -151,7 +151,7 @@ def test_criterion_05_criterion_certification():
         axes = [np.linspace(-3.5, 3.5, 9 if n == 2 else 17)] * n
         samples = np.stack(np.meshgrid(*axes, indexing="ij"),
                            axis=-1).reshape(-1, n)
-        sch = phi4_schedules(model, [0.5, 1.0, 2.0], [np.zeros(n)])
+        sch = phi4_schedules(model, [0.5, 1.0, 2.0])
         sampled = build_schedule(sched, V0, [0.0, 0.5, 1.0, 2.0], samples, q)
         worst = min(worst, float(np.min(sampled.lambda_prime[1:]
                                         - sch["lambda_prime"])))

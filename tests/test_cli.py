@@ -998,6 +998,30 @@ def test_huge_coupling_ends_unconverged(tmp_path):
     assert all(r["section"] == "status" for r in rows)
 
 
+def test_unconverged_lattice_moments_end_unconverged(tmp_path, monkeypatch):
+    # an estimate flagged unconverged ends its check instead of being read
+    import dataclasses
+
+    import rgflow.phi4 as phi4_mod
+    from rgflow import cli
+
+    real = phi4_mod._shifted_moments
+
+    def unconverged(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(phi4_mod, "_shifted_moments", unconverged)
+    path = tmp_path / "a.cfg"
+    path.write_text(SWEEP_BASE
+                    + f"checks = [criterion]\noutput = {tmp_path / 'out'}\n")
+    assert cli.main(["run", str(path)]) == 3
+    (status,) = [r for r in csv.DictReader(open(tmp_path / "out" / "results.csv"))
+                 if r["section"] == "status"]
+    assert status["status"] == "unconverged"
+    assert re.fullmatch(r"lattice moments at t = \S+ did not converge",
+                        status["detail"])
+
+
 BOOLEAN_EDITS = {
     "seed": SWEEP_BASE.replace("seed = 20240601", "seed = true"),
     "model.g": SWEEP_BASE.replace("model.g = 1.0", "model.g = true"),

@@ -401,8 +401,9 @@ def test_compass_search_is_deterministic_and_moves_to_the_best_trial():
             return _rugged_searches(trials)
 
         x0 = np.array([[1.3, -0.7]])
-        return _compass_search(fun, x0, _rugged(x0), False,
-                               step0=0.5), trace
+        return _compass_search(fun, x0, _rugged(x0), False, step0=0.5,
+                               bounds=(np.full(2, -np.inf),
+                                       np.full(2, np.inf))), trace
 
     (a, ta), (b, tb) = run(), run()
     assert np.array_equal(a, b)

@@ -345,9 +345,12 @@ def test_tilted_covariance_2d_vs_dense_oracle():
 
 def test_schedules_gaussian_closed_forms():
     m = Phi4Model([[1.0]], 0.0, 0.0, [0.0])
-    out = phi4_schedules(m, [1.0], [[0.0]])
+    out = phi4_schedules(m, [1.0])
     assert_allclose(out["lambda_prime"][0], 0.5, atol=1e-12)
     assert_allclose(out["alpha_prime_formula"][0], 2.5, atol=1e-10)
+    # g = 0: Sigma_t(phi) = (A + nu + 1/t)^{-1} at every phi
+    sigma = tilted_covariance(m, 1.0, [0.9]).value[0, 0]
+    assert_allclose(out["sigma_min"][0], sigma, atol=1e-12)
     # exact corrective rate is dominated by the formula
     exact = build_schedule(m.schedule(), m.potential(), [0.0, 1.0],
                            np.zeros((1, 1)),
@@ -376,7 +379,7 @@ def test_bound_domination_quartic():
     sched, V0 = m.schedule(), m.potential()
     q = QuadratureRule(order=60)
     samples = np.linspace(-3, 3, 9).reshape(-1, 1)
-    out = phi4_schedules(m, [0.5, 1.0, 2.0], [[0.0], [1.0], [-1.0]])
+    out = phi4_schedules(m, [0.5, 1.0, 2.0])
     exact = build_schedule(sched, V0, [0.0, 0.5, 1.0, 2.0], samples,
                            q).alpha_prime[1:]
     assert np.all(out["alpha_prime_formula"] >= exact - 1e-8)
@@ -387,9 +390,34 @@ def test_schedule_rate_is_admissible():
     sched, V0 = m.schedule(), m.potential()
     q = QuadratureRule(order=60)
     samples = np.linspace(-4, 4, 17).reshape(-1, 1)
-    out = phi4_schedules(m, [1.0], [[0.0]])
+    out = phi4_schedules(m, [1.0])
     margin = build_schedule(sched, V0, [0.0, 1.0], samples, q).lambda_prime[1]
     assert margin >= out["lambda_prime"][0] - 1e-6
+
+
+@pytest.mark.parametrize("a_matrix", [[[1.0]], A_NN.tolist()])
+@pytest.mark.parametrize("t", [0.5, 2.0])
+def test_tilted_sigma_min_has_no_positive_floor(a_matrix, t):
+    # the tilted measure concentrates as |phi| grows, so for g > 0
+    # inf_phi lambda_min(Sigma_t(phi)) is 0 and is not attained
+    m = Phi4Model(a_matrix, 1.0, -1.0, np.zeros(len(a_matrix)))
+    sig = []
+    for size in (0.0, 10.0, 100.0, 1000.0):
+        est = tilted_covariance(m, t, np.full(m.n_sites, size))
+        assert est.converged
+        sig.append(np.linalg.eigvalsh(est.value)[0])
+    assert all(b < a for a, b in zip(sig, sig[1:]))
+    assert sig[-1] < 1e-2
+
+
+@pytest.mark.parametrize("a_matrix, want", [([[1.0]], [3.5, 3.5]),
+                                            (A_NN.tolist(), [9.5, 21.5])])
+def test_alpha_prime_formula_takes_the_zero_infimum(a_matrix, want):
+    # g > 0: alpha' <= 1/t + lambda_max(A) (t lambda_max(A) + 1)
+    m = Phi4Model(a_matrix, 1.0, -1.0, np.zeros(len(a_matrix)))
+    out = phi4_schedules(m, [0.5, 2.0])
+    assert np.array_equal(out["sigma_min"], [0.0, 0.0])
+    assert_allclose(out["alpha_prime_formula"], want, rtol=1e-14)
 
 
 def test_susceptibility_nondecreasing_in_t():
@@ -513,6 +541,30 @@ def test_site_minimum_at_zero_site_mass(eta):
     y = phi4._site_minimum(2.0, 0.0, eta)
     assert math.isfinite(y)
     assert abs(y - np.cbrt(eta / 2.0)) <= 1e-15 * max(1.0, abs(y))
+
+
+def _wide_double_well_variance(eta):
+    """Variance of exp(-(-10 y^2 + y^4/400 - eta y)), the site of
+    Phi4Model([[1]], 0.01, -22, [0]) at mass shift 1: wells at +-44.7,
+    each about 0.16 wide, by a dense trapezoid over both."""
+    y = np.linspace(-60.0, 60.0, 2_000_001)
+    s = -10.0 * y**2 + 0.0025 * y**4 - eta * y
+    w = np.exp(-(s - s.min()))
+    mean = np.trapezoid(y * w, y) / np.trapezoid(w, y)
+    return np.trapezoid((y - mean) ** 2 * w, y) / np.trapezoid(w, y)
+
+
+@pytest.mark.parametrize("eta, resolved", [(0.0, True), (0.3, False)])
+def test_site_trapezoid_halving_flags_an_unresolved_window(eta, resolved):
+    # at eta = 0.3 the 601-point site trapezoid misses the variance by
+    # 2.3e-8, which the order drift cannot see; its variance moves by 8.2e-2
+    # from 301 to 601 nodes.  At eta = 0 it moves by 5.1e-5 and is right
+    # to 5e-13
+    est = lattice_moments(Phi4Model([[1.0]], 0.01, -22.0, [0.0]), 1.0, [eta])
+    assert est.converged is resolved
+    if resolved:
+        want = _wide_double_well_variance(eta)
+        assert abs(est.value[0, 0] - want) <= 1e-11 * want
 
 
 def _strong_field_site_variance(h):
