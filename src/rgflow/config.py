@@ -42,8 +42,9 @@ from .flow import _KERNEL_SIGMAS, _scale_workers, load_density_table
 from .phi4 import Phi4Model
 from .potential import _CLOSED_FORMS, MAX_TENSOR_DIM, PotentialDescriptor
 
-KNOWN_CHECKS = ("spectrum", "theorem", "higher-k", "intertwining", "variance",
-                "criterion", "phi4-identity", "heatflow")
+# in run order, which is the order of a report's rows
+KNOWN_CHECKS = ("criterion", "spectrum", "theorem", "higher-k", "intertwining",
+                "variance", "phi4-identity", "heatflow")
 MODEL_KINDS = ("gaussian", "quadratic", "phi4", "custom-poly")
 
 # Largest model dimension per check: grid eigenproblems d <= 2, tensor

@@ -28,6 +28,8 @@ chains, and the error bars are a jackknife over whole chains.
 ``hessian_identity_check`` ties the two estimators the certificate rests on:
 the tilted-moment Hessian every sampled rate is taken from, and the lattice
 covariance behind chi_t, through hess V_t = C^{-1} - C^{-1} Sigma_t C^{-1}.
+``phi4_schedules`` is the one route from lattice moments to the values a
+run reports.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ _MCMC_TUNE_TRIALS = 500      # pooled trials per site between scale updates
 _MCMC_MIN_ESS = 1000
 _MCMC_BURNIN_TAUS = 20
 _WOLFF_S = 1.5
+_DRIFT_TOL = 1e-8           # relative drift of a converged quadrature estimate
+_TRAPEZOID_DOUBLINGS = 6    # a site trapezoid: 601 nodes, up to 38,401
 
 
 @dataclass(frozen=True)
@@ -148,10 +152,11 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
     measures exp(-u_i), u_i = m2 y^2/2 + g y^4/4 - eta_i y, m2 = a_ii + nu
     + mass_shift, for each p in ``orders``: Lanczos (discretized Stieltjes,
     Gautschi, SIAM J. Sci. Stat. Comput. 3 (1982) 289) in (y - mode)/half-
-    width on a 601-point trapezoid where u_i is within 60 of its minimum,
-    then Golub-Welsch (Math. Comp. 23 (1969) 221) on p x p Jacobi blocks;
-    and the largest relative change of a site variance from the 301
-    even-indexed nodes to all 601, the trapezoid's own error estimate."""
+    width on a trapezoid where u_i is within 60 of its minimum, then
+    Golub-Welsch (Math. Comp. 23 (1969) 221) on p x p Jacobi blocks; and the
+    largest relative change delta of a site variance from the even-indexed
+    nodes to all, the trapezoid's own error estimate.  The 601 nodes double
+    (1201, 2401, ...) till delta^2 <= ``_DRIFT_TOL`` or they reach 38,401."""
     n, g, steps = model.n_sites, model.g, max(orders)
     jacobi = np.zeros((n, steps + 1, steps + 1))   # the last row is unread
     modes, halves = np.empty(n), np.empty(n)
@@ -177,23 +182,27 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
             while rise(end + side * s) <= 60.0:
                 s *= 2.0
             edges.append(end + side * s)
-        d = np.linspace(*edges, 601)               # y - mode
         modes[i], halves[i] = mode, 0.5 * (edges[1] - edges[0])
-        x = d / halves[i]
-        q = np.exp(-0.5 * rise(d))                 # sqrt of the weight
-        q[[0, -1]] *= math.sqrt(0.5)
-        q /= math.sqrt(q @ q)
-        var2 = np.cov(x[::2], aweights=(q * q)[::2], bias=True)  # step 2h
-        prev, beta = q, 0.0
-        for j in range(steps):
-            v = x * q - beta * prev
-            alpha = v @ q
-            v -= alpha * q
-            beta = math.sqrt(v @ v)
-            jacobi[i, j, j], jacobi[i, j + 1, j] = alpha, beta
-            prev, q = q, v / beta
-        # beta_0^2 is the variance on all 601 nodes
-        halving = max(halving, abs(float(var2 / jacobi[i, 1, 0] ** 2) - 1.0))
+        for k in range(_TRAPEZOID_DOUBLINGS + 1):
+            d = np.linspace(*edges, 600 * 2**k + 1)    # y - mode
+            x = d / halves[i]
+            q = np.exp(-0.5 * rise(d))                 # sqrt of the weight
+            q[[0, -1]] *= math.sqrt(0.5)
+            q /= math.sqrt(q @ q)
+            var2 = np.cov(x[::2], aweights=(q * q)[::2], bias=True)  # step 2h
+            prev, beta = q, 0.0
+            for j in range(steps):
+                v = x * q - beta * prev
+                alpha = v @ q
+                v -= alpha * q
+                beta = math.sqrt(v @ v)
+                jacobi[i, j, j], jacobi[i, j + 1, j] = alpha, beta
+                prev, q = q, v / beta
+            # beta_0^2 is the variance on all nodes
+            delta = abs(float(var2 / jacobi[i, 1, 0] ** 2) - 1.0)
+            if delta * delta <= _DRIFT_TOL:
+                break
+        halving = max(halving, delta)
     rules = []
     for p in orders:
         nodes, vecs = np.linalg.eigh(jacobi[:, :p, :p])
@@ -218,9 +227,10 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
     0, and ``converged`` when the covariances at the two orders agree to
     1e-8 of the largest covariance entry, the means to 1e-8 of its square
     root, the widest marginal standard deviation, and each site trapezoid
-    passes its halving test: for an analytic integrand its error squares
-    when h halves, so the relative change delta of a site variance from the
-    301 to the 601 nodes must have delta^2 <= 1e-8.
+    passes its halving test within its node cap (``_site_rules``): for an
+    analytic integrand its error squares when h halves, so the relative
+    change delta of a site variance from the even-indexed nodes to all
+    must have delta^2 <= 1e-8.
     """
     n = model.n_sites
     if n > QUADRATURE_MAX_SITES:
@@ -237,7 +247,7 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
                 float(np.max(np.abs(mean - mean2))) / math.sqrt(scale),
                 halving * halving)
     return MomentEstimate(value=cov2, stderr=0.0, method="quadrature",
-                          converged=drift <= 1e-8)
+                          converged=drift <= _DRIFT_TOL)
 
 
 def _grid_moments(a: np.ndarray, phi: np.ndarray, site: np.ndarray):
@@ -494,23 +504,38 @@ def tilted_covariance(model: Phi4Model, t: float, phi) -> MomentEstimate:
 
 
 def phi4_schedules(model: Phi4Model, t_grid):
-    """Certified rate lambda'_t = 1/t - chi_t/t^2 and the alpha' formula.
-
-    The formula takes inf_phi lambda_min(Sigma_t(phi)) in closed form.  For
-    g > 0 the tilted measure concentrates as |phi| grows, so the infimum is
-    0 (not attained); for g = 0, Sigma_t(phi) = (A + nu + 1/t)^{-1} for every
-    phi, so it is 1/(lambda_max(A) + nu + 1/t).  Returns a dict of arrays:
-    lambda_prime, alpha_prime_formula, chi, sigma_min.
+    """The lattice values a run reports, at each time of ``t_grid``, as a
+    dict of arrays.  Each distinct time takes the zero-field moments with
+    mass shift 1/t once, for chi, chi_stderr (``_chi_of``) and lambda_prime
+    = 1/t - chi/t^2, and those at the model's field h once (one pass where
+    h = 0), for sigma_min = lambda_min(Sigma_t(0)).  In closed form:
+    sigma_inf = inf_phi lambda_min(Sigma_t(phi)), which is 0 for g > 0 and
+    1/(lambda_max(A) + nu + 1/t) for g = 0, where Sigma_t(phi) =
+    (A + nu + 1/t)^{-1} at every phi; and alpha_prime_formula, the alpha'
+    bound 1/t - sigma_inf/t^2 + lambda_max(A) (t lambda_max(A) + 1).
+    Raises NonConvergenceError on an estimate flagged unconverged.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if np.any(t_grid <= 0):
+        raise ValueError("phi4_schedules requires t > 0")
+    times, at = np.unique(t_grid, return_inverse=True)
+    fields = [np.zeros(model.n_sites)] + ([model.h] if model.h.any() else [])
+    rows = []
+    for t in times.tolist():
+        ests = [_shifted_moments(model, t, f) for f in fields]
+        if not all(est.converged for est in ests):
+            raise NonConvergenceError(f"lattice moments at t = {t:.6g} did not converge")
+        chi = _chi_of(ests[0])
+        rows.append((chi.value, chi.stderr, 1.0 / t - chi.value / t**2,
+                     np.linalg.eigvalsh(ests[-1].value)[0]))
+    chi, chi_stderr, lambda_prime, sigma_min = np.array(rows)[at].T
     amax = float(np.linalg.eigvalsh(model.a_matrix)[-1])
-    chi = np.array([susceptibility(model, t).value for t in t_grid])
-    sigma = (np.zeros_like(t_grid) if model.g > 0
-             else 1.0 / (amax + model.nu + 1.0 / t_grid))
-    return {"lambda_prime": 1.0 / t_grid - chi / t_grid**2,
-            "alpha_prime_formula": (1.0 / t_grid - sigma / t_grid**2
-                                    + amax * (t_grid * amax + 1.0)),
-            "chi": chi, "sigma_min": sigma}
+    sigma_inf = (np.zeros_like(t_grid) if model.g > 0
+                 else 1.0 / (amax + model.nu + 1.0 / t_grid))
+    return {"chi": chi, "chi_stderr": chi_stderr, "lambda_prime": lambda_prime,
+            "sigma_min": sigma_min, "sigma_inf": sigma_inf,
+            "alpha_prime_formula": (1.0 / t_grid - sigma_inf / t_grid**2
+                                    + amax * (t_grid * amax + 1.0))}
 
 
 def hessian_identity_check(model: Phi4Model, t: float, phi_samples) -> float:

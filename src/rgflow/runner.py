@@ -3,7 +3,7 @@
 The model a run executes (schedule, V0 and the phi4 model) is built by
 ``config.config_from_text``; this module only reads it from the
 ``ExperimentConfig``.  Checks declared in the config are executed in
-dependency order; shared artifacts (curvature schedules, spectral traces)
+``KNOWN_CHECKS`` order; shared artifacts (curvature schedules, spectral traces)
 are computed once and reused.  Reports are emitted as one flat CSV plus a
 1:1 JSON-lines mirror, with numbers at 17 significant digits; two runs with
 the same config and seed produce byte-identical files.  Wall-clock time
@@ -22,15 +22,12 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__, curvature as curvature_mod, phi4 as phi4_mod
-from .config import SPECTRAL_CHECKS, ExperimentConfig
+from .config import KNOWN_CHECKS, SPECTRAL_CHECKS, ExperimentConfig
 from .errors import NonConvergenceError
 from .flow import (Box, GridFunction, _map_scales, conservation_check,
                    default_box, default_sample_points, heatflow_harness,
                    make_flow_measure)
 from .potential import _CLOSED_FORMS, QuadratureRule
-
-CHECK_ORDER = ("criterion", "spectrum", "theorem", "higher-k", "intertwining",
-               "variance", "phi4-identity", "heatflow")
 
 
 @dataclass
@@ -64,7 +61,6 @@ class _Context:
         dim, box = self.V0.dimension, opts["disc.box_halfwidth"]
         self.quad = QuadratureRule(order=opts["disc.quadrature_order"])
         self.box = default_box(self.schedule) if box is None else Box.cube(box, dim)
-        self._moments = {}
 
     # -- shared artifacts --------------------------------------------------
 
@@ -76,30 +72,6 @@ class _Context:
                                 self.options["disc.grid_points"], box=self.box,
                                 q=self.quad)
         return default_sample_points(fm0, seed=self.cfg.seed)
-
-    def moments(self, t: float, field: np.ndarray):
-        """Covariance estimate of the phi4 model with mass shift 1/t and
-        external ``field``, computed once per (t, field).  Raises
-        NonConvergenceError when the estimate is not converged."""
-        key = (t, tuple(field.tolist()))
-        if key not in self._moments:
-            est = phi4_mod._shifted_moments(self.phi4_model, t, field)
-            if not est.converged:
-                raise NonConvergenceError(f"lattice moments at t = {t:.6g} did not converge")
-            self._moments[key] = est
-        return self._moments[key]
-
-    def chi(self, t: float):
-        """Susceptibility estimate of the phi4 model at t, from the
-        zero-field moments at t."""
-        return phi4_mod._chi_of(self.moments(t, np.zeros(self.V0.dimension)))
-
-    def sigma_min(self, t: float) -> float:
-        """Smallest eigenvalue of the zero-field tilted covariance of the
-        phi4 model at t, whose field is the model's h: the same moments as
-        chi_t where h is zero."""
-        sig = self.moments(t, self.phi4_model.h).value
-        return float(np.linalg.eigvalsh(sig)[0])
 
     def schedule_t_grid(self):
         count, t_max = self.options["curvature.count"], self.options["t_grid.max"]
@@ -117,18 +89,24 @@ class _Context:
             self.quad)
 
     @cached_property
+    def lattice(self):
+        """``phi4_schedules`` at the rate time of each schedule grid node."""
+        grid = self.sampled_curvature.t_grid
+        return phi4_mod.phi4_schedules(
+            self.phi4_model,
+            [curvature_mod.rate_time(grid, i) for i in range(len(grid))])
+
+    @cached_property
     def curvature(self):
         """The certified rate schedule.  It differs from the sampled one for
-        lattice models only, whose certified lambda' is 1/t - chi_t/t^2
-        (alpha' is sampled either way).
+        lattice models only, whose certified lambda' comes from
+        ``phi4_schedules`` (alpha' is sampled either way).
         """
         curv = self.sampled_curvature
         if self.phi4_model is None:
             return curv
-        grid = curv.t_grid
-        times = [curvature_mod.rate_time(grid, i) for i in range(len(grid))]
-        lp = [1.0 / t - self.chi(t).value / t**2 for t in times]
-        return curvature_mod.integrate_schedules((grid, lp, curv.alpha_prime))
+        return curvature_mod.integrate_schedules(
+            (curv.t_grid, self.lattice["lambda_prime"], curv.alpha_prime))
 
     @cached_property
     def flow_measures(self):
@@ -196,7 +174,6 @@ def _check_criterion(ctx: _Context, report: RunReport):
     tol = ctx.options["criterion.tolerance"]
     ok = True
     for i, t in enumerate(curv.t_grid):
-        te = curvature_mod.rate_time(curv.t_grid, i)
         row = dict(section="schedule", check="criterion", t=float(t),
                    lambda_prime=float(curv.lambda_prime[i]),
                    alpha_prime=float(curv.alpha_prime[i]),
@@ -204,12 +181,9 @@ def _check_criterion(ctx: _Context, report: RunReport):
                    alpha_int=float(curv.alpha_integral[i]),
                    samples_used=len(ctx.samples))
         if ctx.phi4_model is not None:
-            est = ctx.chi(te)
-            row["chi"] = float(est.value)
-            row["chi_stderr"] = float(est.stderr)
-            row["sigma_min"] = ctx.sigma_min(te)
-            row["margin"] = sampled[i] - curv.lambda_prime[i]
-            row["tolerance"] = tol
+            row.update({k: float(ctx.lattice[k][i])
+                        for k in ("chi", "chi_stderr", "sigma_min")},
+                       margin=sampled[i] - curv.lambda_prime[i], tolerance=tol)
             ok = ok and (sampled[i] >= curv.lambda_prime[i] - tol)
         report.rows.append(row)
     return "pass" if ok else "fail"
@@ -313,8 +287,8 @@ def _check_heatflow(ctx: _Context, report: RunReport):
 
 
 _CHECKS = {
-    "spectrum": _check_spectrum,
     "criterion": _check_criterion,
+    "spectrum": _check_spectrum,
     "theorem": _check_theorem,
     "higher-k": _check_higher_k,
     "intertwining": _check_intertwining,
@@ -332,8 +306,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     ctx = _Context(cfg)
     if any(c in cfg.checks for c in SPECTRAL_CHECKS):
         report.max_k = cfg.options["spectrum.k"]
-    ordered = [c for c in CHECK_ORDER if c in cfg.checks]
-    for name in ordered:
+    for name in (c for c in KNOWN_CHECKS if c in cfg.checks):
         try:
             report.statuses[name] = _CHECKS[name](ctx, report)
         except NonConvergenceError as exc:

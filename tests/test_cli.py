@@ -896,6 +896,35 @@ def test_shipped_configs_validate():
         assert config_from_text(text).checks
 
 
+def _bench_module(name, monkeypatch):
+    """``bench/<name>.py`` as a module; its sibling imports resolve in
+    ``bench/``."""
+    import importlib.util
+
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  bench / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["dwell", "plaquette", "flow-1d"])
+def test_bench_config_matches_its_reference(workload, tmp_path, monkeypatch):
+    # the benchmark's correctness gate, run in process: every check passes
+    # and results.csv is within the reference tolerances of bench/run.py
+    workloads = _bench_module("workloads", monkeypatch)
+    bench_run = _bench_module("run", monkeypatch)
+    text = workloads.CONFIGS[workload] + f"seed = {workloads.DEFAULT_SEED}\n"
+    report = run_experiment(config_from_text(text))
+    assert set(report.statuses.values()) == {"pass"}, report.errors
+    emit_report(report, str(tmp_path))
+    with open(tmp_path / "results.csv", encoding="utf-8", newline="") as fh:
+        got = fh.read()
+    assert bench_run.compare_results(got, bench_run._reference(workload)) == []
+
+
 # 1-site phi4 on 65 nodes at order 20: every check runs on it in about a
 # second with no numerical breakdown.
 SWEEP_BASE = """\

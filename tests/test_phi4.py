@@ -350,6 +350,7 @@ def test_schedules_gaussian_closed_forms():
     assert_allclose(out["alpha_prime_formula"][0], 2.5, atol=1e-10)
     # g = 0: Sigma_t(phi) = (A + nu + 1/t)^{-1} at every phi
     sigma = tilted_covariance(m, 1.0, [0.9]).value[0, 0]
+    assert_allclose(out["sigma_inf"][0], sigma, atol=1e-12)
     assert_allclose(out["sigma_min"][0], sigma, atol=1e-12)
     # exact corrective rate is dominated by the formula
     exact = build_schedule(m.schedule(), m.potential(), [0.0, 1.0],
@@ -416,8 +417,52 @@ def test_alpha_prime_formula_takes_the_zero_infimum(a_matrix, want):
     # g > 0: alpha' <= 1/t + lambda_max(A) (t lambda_max(A) + 1)
     m = Phi4Model(a_matrix, 1.0, -1.0, np.zeros(len(a_matrix)))
     out = phi4_schedules(m, [0.5, 2.0])
-    assert np.array_equal(out["sigma_min"], [0.0, 0.0])
+    assert np.array_equal(out["sigma_inf"], [0.0, 0.0])
     assert_allclose(out["alpha_prime_formula"], want, rtol=1e-14)
+
+
+def _count_shifted_moments(monkeypatch, converged=True):
+    """Record (t, field) of every moments pass; flag each estimate
+    unconverged unless ``converged``."""
+    import dataclasses
+
+    calls = []
+    real = phi4._shifted_moments
+
+    def counting(model, t, field, *args, **kwargs):
+        calls.append((t, tuple(field.tolist())))
+        est = real(model, t, field, *args, **kwargs)
+        return est if converged else dataclasses.replace(est, converged=False)
+
+    monkeypatch.setattr(phi4, "_shifted_moments", counting)
+    return calls
+
+
+def test_schedules_read_each_distinct_time_once_per_field(monkeypatch):
+    # chi_t and lambda'_t from the zero-field moments, sigma_min from the
+    # moments at the model's field h, each taken once per distinct time
+    m = Phi4Model(A_NN, 1.0, -1.0, [0.25, -0.5])
+    calls = _count_shifted_moments(monkeypatch)
+    out = phi4_schedules(m, [1.0, 0.5, 1.0])
+    assert sorted(calls) == [(0.5, (0.0, 0.0)), (0.5, (0.25, -0.5)),
+                             (1.0, (0.0, 0.0)), (1.0, (0.25, -0.5))]
+    monkeypatch.undo()
+    for i, t in enumerate([1.0, 0.5, 1.0]):
+        chi = susceptibility(m, t)
+        sigma = np.linalg.eigvalsh(tilted_covariance(m, t, [0.0, 0.0]).value)[0]
+        assert out["chi"][i] == chi.value
+        assert out["chi_stderr"][i] == chi.stderr
+        assert out["lambda_prime"][i] == 1.0 / t - chi.value / t**2
+        assert out["sigma_min"][i] == sigma
+        assert out["sigma_inf"][i] == 0.0
+
+
+def test_schedules_reject_an_unconverged_estimate(monkeypatch):
+    # an estimate flagged unconverged raises instead of being read
+    _count_shifted_moments(monkeypatch, converged=False)
+    with pytest.raises(NonConvergenceError,
+                       match=r"^lattice moments at t = 0\.5 did not converge$"):
+        phi4_schedules(Phi4Model([[1.0]], 1.0, -1.0, [0.0]), [0.5, 2.0])
 
 
 def test_susceptibility_nondecreasing_in_t():
@@ -543,28 +588,51 @@ def test_site_minimum_at_zero_site_mass(eta):
     assert abs(y - np.cbrt(eta / 2.0)) <= 1e-15 * max(1.0, abs(y))
 
 
-def _wide_double_well_variance(eta):
-    """Variance of exp(-(-10 y^2 + y^4/400 - eta y)), the site of
-    Phi4Model([[1]], 0.01, -22, [0]) at mass shift 1: wells at +-44.7,
-    each about 0.16 wide, by a dense trapezoid over both."""
-    y = np.linspace(-60.0, 60.0, 2_000_001)
-    s = -10.0 * y**2 + 0.0025 * y**4 - eta * y
+def _wide_double_well_variance(eta, g=0.01, m2=-20.0):
+    """Variance of exp(-(m2 y^2/2 + g y^4/4 - eta y)), the site of
+    Phi4Model([[1]], g, m2 - 2, [0]) at mass shift 1, by a dense trapezoid
+    over both wells: at the defaults they sit at +-44.7, each about 0.16
+    wide."""
+    span = 1.35 * math.sqrt(-m2 / g)
+    y = np.linspace(-span, span, 2_000_001)
+    s = 0.5 * m2 * y**2 + 0.25 * g * y**4 - eta * y
     w = np.exp(-(s - s.min()))
     mean = np.trapezoid(y * w, y) / np.trapezoid(w, y)
     return np.trapezoid((y - mean) ** 2 * w, y) / np.trapezoid(w, y)
 
 
 @pytest.mark.parametrize("eta, resolved", [(0.0, True), (0.3, False)])
-def test_site_trapezoid_halving_flags_an_unresolved_window(eta, resolved):
+def test_site_trapezoid_halving_flags_an_unresolved_window(eta, resolved,
+                                                           monkeypatch):
     # at eta = 0.3 the 601-point site trapezoid misses the variance by
     # 2.3e-8, which the order drift cannot see; its variance moves by 8.2e-2
     # from 301 to 601 nodes.  At eta = 0 it moves by 5.1e-5 and is right
-    # to 5e-13
+    # to 5e-13.  No doubling: the 601 nodes alone are judged
+    monkeypatch.setattr(phi4, "_TRAPEZOID_DOUBLINGS", 0)
     est = lattice_moments(Phi4Model([[1.0]], 0.01, -22.0, [0.0]), 1.0, [eta])
     assert est.converged is resolved
     if resolved:
         want = _wide_double_well_variance(eta)
         assert abs(est.value[0, 0] - want) <= 1e-11 * want
+
+
+@pytest.mark.parametrize("g, nu, eta, doublings", [(0.01, -22.0, 0.3, 1),
+                                                   (0.001, -21.0, 0.0, 2)])
+def test_site_trapezoid_doubles_until_its_halving_test_passes(
+        g, nu, eta, doublings, monkeypatch):
+    # the window above passes at 1,201 nodes; the chi_t of
+    # Phi4Model([[1]], 0.001, -21, [0]) at t = 1 (wells at +-138) at 2,401,
+    # where 601 nodes read chi = 18993.8, 3.2e-4 low
+    model = Phi4Model([[1.0]], g, nu, [0.0])
+    want = _wide_double_well_variance(eta, g, nu + 2.0)
+    est = lattice_moments(model, 1.0, [eta])
+    assert est.converged
+    assert abs(est.value[0, 0] - want) <= 1e-11 * want
+    monkeypatch.setattr(phi4, "_TRAPEZOID_DOUBLINGS", doublings)
+    assert np.array_equal(lattice_moments(model, 1.0, [eta]).value, est.value)
+    # past the cap the estimate stays flagged
+    monkeypatch.setattr(phi4, "_TRAPEZOID_DOUBLINGS", doublings - 1)
+    assert not lattice_moments(model, 1.0, [eta]).converged
 
 
 def _strong_field_site_variance(h):
