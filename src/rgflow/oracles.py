@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the production code paths: smoothed
 potentials are integrated with adaptive quadrature (scipy.integrate.quad),
-Gaussian facts come from closed forms, and the harmonic-oscillator spectrum
-is the textbook ladder.  The CLI ``oracle`` subcommand evaluates the same
-functions and writes their reference values to disk.
+Gaussian facts come from closed forms, a ring's susceptibility comes from
+one eigendecomposition of a trapezoid transfer kernel, and the
+harmonic-oscillator spectrum is the textbook ladder.  The CLI ``oracle``
+subcommand evaluates the same functions and writes their reference values
+to disk.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ def quartic_lattice_moments(a_matrix, g: float, nu: float, h, tol: float = 1e-10
     """Mean vector and covariance of exp(-S) on R^n, n <= 2, by nested quad.
 
     S(phi) = phi.A phi/2 + sum(g phi^4/4 + nu phi^2/2) - h.phi.  Slow and
-    simple on purpose; this is the reference for the fast tensor rules.
+    simple on purpose; this is the reference for the site Gauss rules and
+    transfer matrices of ``phi4.lattice_moments``.
     The covariance comes from second moments about a first-pass mean, not
     from m2 - m1^2, which cancels where a strong field puts the mean many
     standard deviations from 0.
@@ -131,6 +134,30 @@ def quartic_lattice_moments(a_matrix, g: float, nu: float, h, tol: float = 1e-10
     cross = mom(1, 1, m)
     s = np.array([[mom(2, 0, m), cross], [cross, mom(0, 2, m)]]) / z0
     return m, s
+
+
+def ring_chi(n: int, diag: float, g: float, nu: float, bond: float,
+             t: float) -> float:
+    """chi_t of the uniform n-site ring at zero field: the row sum
+    sum_j <phi_0 phi_j> of the measure exp(-sum_x u(phi_x) + bond sum_x
+    phi_x phi_{x+1}), x + 1 mod n, with u(y) = (diag + nu + 1/t) y^2/2 +
+    g y^4/4, i.e. A = diag - bond (S + S^T) for n >= 3.
+
+    The transfer kernel T(x, y) = h exp(-(u(x) + u(y))/2 + bond x y), h the
+    node spacing, is the 400-node trapezoid rule on [-6, 6], so the site
+    weight must lie well inside that window.  With one eigendecomposition
+    of T, chi = sum_j Tr(D T^j D T^(n-j)) / Tr T^n, D = diag(x), each
+    eigenvalue divided by the largest so that no power overflows.
+    """
+    x = np.linspace(-6.0, 6.0, 400)
+    u = 0.5 * (diag + nu + 1.0 / t) * x**2 + 0.25 * g * x**4
+    kernel = (x[1] - x[0]) * np.exp(-0.5 * (u[:, None] + u[None, :])
+                                    + bond * np.outer(x, x))
+    lam, vec = np.linalg.eigh(kernel)
+    d2 = (vec.T @ (x[:, None] * vec)) ** 2
+    power = (lam / lam[-1]) ** np.arange(n + 1)[:, None]
+    return float(sum(power[n - j] @ d2 @ power[j] for j in range(n))
+                 / power[n].sum())
 
 
 def ou_spectrum(k: int) -> np.ndarray:
@@ -185,6 +212,7 @@ ORACLE_TABLE = (
     ("pv-chi-a1-t1", lambda: pauli_villars_facts(1.0, 1.0)["chi"]),
     ("pv-lambda-prime-a1-t1", lambda: pauli_villars_facts(1.0, 1.0)["lambda_prime"]),
     ("heatflow-gaussian-cp-s2", lambda: heatflow_gaussian_poincare(2.0)),
+    ("ring16-chi-t1", lambda: ring_chi(16, 2.5, 1.0, -1.0, 0.5, 1.0)),
 )
 
 

@@ -15,9 +15,9 @@ the mass-shifted zero-field measure, and the corrective rate is bounded by
 where Sigma_t(phi) is the covariance of the measure with mass shift 1/t and
 external field C_t^{-1} phi.  For g > 0 that measure concentrates as |phi|
 grows, so the infimum is 0 and the bound reads 1/t + lambda_max(A)
-(t lambda_max(A) + 1).  For n <= 3 sites, moments are sums on the
-tensor grid of the sites' own Gauss rules, contracted as per-site vectors
-and pair marginals; otherwise (and for cross-checks) they come from seeded
+(t lambda_max(A) + 1).  By quadrature, moments are traces of transfer
+matrices around the site ring on the sites' own Gauss rules (A coupling
+ring neighbours only); past 3 sites, and for cross-checks, from seeded
 single-site random-walk Metropolis.  Each estimator sets its own budget
 (quadrature order, sweeps), and ``_shifted_moments`` alone picks between
 them.  The Metropolis path advances a fixed batch of 256 independent chains
@@ -34,7 +34,6 @@ run reports.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -61,6 +60,7 @@ _MCMC_BURNIN_TAUS = 20
 _WOLFF_S = 1.5
 _DRIFT_TOL = 1e-8           # relative drift of a converged quadrature estimate
 _TRAPEZOID_DOUBLINGS = 6    # a site trapezoid: 601 nodes, up to 38,401
+_LANCZOS_ROUNDOFF = 1e-12   # a Lanczos beta at round-off, in window units
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,10 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
     Golub-Welsch (Math. Comp. 23 (1969) 221) on p x p Jacobi blocks; and the
     largest relative change delta of a site variance from the even-indexed
     nodes to all, the trapezoid's own error estimate.  The 601 nodes double
-    (1201, 2401, ...) till delta^2 <= ``_DRIFT_TOL`` or they reach 38,401."""
+    (1201, 2401, ...) till delta^2 <= ``_DRIFT_TOL`` or they reach 38,401.
+    Raises NonConvergenceError when a Lanczos beta falls to round-off: the
+    trapezoid then holds the site's weight on fewer nodes than the order
+    needs."""
     n, g, steps = model.n_sites, model.g, max(orders)
     jacobi = np.zeros((n, steps + 1, steps + 1))   # the last row is unread
     modes, halves = np.empty(n), np.empty(n)
@@ -196,6 +199,11 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
                 alpha = v @ q
                 v -= alpha * q
                 beta = math.sqrt(v @ v)
+                if beta <= _LANCZOS_ROUNDOFF:
+                    raise NonConvergenceError(
+                        f"site {i}: Lanczos broke down at step {j + 1} of "
+                        f"{steps}: its trapezoid holds the weight on too "
+                        "few nodes")
                 jacobi[i, j, j], jacobi[i, j + 1, j] = alpha, beta
                 prev, q = q, v / beta
             # beta_0^2 is the variance on all nodes
@@ -220,8 +228,9 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
 def lattice_moments(model: Phi4Model, mass_shift: float, field,
                     order: int = 12) -> MomentEstimate:
     """Covariance of the lattice measure with extra mass ``mass_shift`` and
-    external field ``field`` in place of ``model.h``, by ``_grid_moments``
-    on the sites' own Gauss rules (``_site_rules``) at order and order+4.
+    external field ``field`` in place of ``model.h``, by ``_ring_moments``
+    on the sites' own Gauss rules (``_site_rules``) at order and order+4;
+    A must couple neighbours on the site ring only (ValueError otherwise).
 
     Returns the order+4 covariance as a "quadrature" estimate with stderr
     0, and ``converged`` when the covariances at the two orders agree to
@@ -233,15 +242,16 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
     must have delta^2 <= 1e-8.
     """
     n = model.n_sites
-    if n > QUADRATURE_MAX_SITES:
-        raise ValueError(
-            f"quadrature path supports n <= {QUADRATURE_MAX_SITES} sites")
+    for i, j in zip(*np.nonzero(np.triu(model.a_matrix, 1))):
+        if j - i not in (1, n - 1):
+            raise ValueError(f"A couples sites ({i}, {j}), which are not "
+                             f"neighbours on the site ring 0, 1, ..., {n - 1}")
     eta = np.broadcast_to(np.asarray(field, dtype=float), (n,))
     for name, value in (("mass_shift", mass_shift), ("field", eta)):
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
     rules, halving = _site_rules(model, mass_shift, eta, (order, order + 4))
-    (mean, cov), (mean2, cov2) = [_grid_moments(model.a_matrix, *r) for r in rules]
+    (mean, cov), (mean2, cov2) = [_ring_moments(model.a_matrix, *r) for r in rules]
     scale = max(float(np.max(np.abs(cov))), 1e-300)
     drift = max(float(np.max(np.abs(cov - cov2))) / scale,
                 float(np.max(np.abs(mean - mean2))) / math.sqrt(scale),
@@ -250,29 +260,44 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
                           converged=drift <= _DRIFT_TOL)
 
 
-def _grid_moments(a: np.ndarray, phi: np.ndarray, site: np.ndarray):
-    """Mean and covariance on the tensor grid of site nodes phi[i] and
-    log-weights site[i], plus -a_ij phi_i phi_j per coupling: each site's
-    1-D marginal gives its mean and variance, and entry (i, j) is
-    c_i @ P_ij @ c_j, with P_ij a pair marginal and c_i the centred nodes."""
-    n = len(phi)
-    pairs = list(itertools.combinations(range(n), 2))
+def _ring_moments(a: np.ndarray, phi: np.ndarray, site: np.ndarray):
+    """Mean and covariance on site nodes phi[i] and log-weights site[i] by
+    transfer matrices around the site ring (Scalapino, Sears and Ferrell,
+    Phys. Rev. B 6 (1972) 3409): K_k = exp((site_k + site_{k+1})/2 - a_{k,k+1}
+    phi_k phi_{k+1}), k + 1 mod n, the closing bond for n >= 3 only.  The pair
+    marginal of i < j is M_ij * (R_j L_i)^T and site i's is diag(R_i L_i),
+    with M_ij = K_i..K_{j-1}, R_j = K_j..K_{n-1} and L_i = K_0..K_{i-1}, each
+    product over its largest entry, a scale the normalization cancels."""
+    n, p = phi.shape
+    right = np.arange(1, n + 1) % n
+    # for n = 2 the closing bond is bond 0 again, and n = 1 has none
+    bond = np.append(np.diag(a, 1), a[0, -1] if n >= 3 else 0.0)
+    le = (0.5 * (site[:, :, None] + site[right, None, :])
+          - bond[:, None, None] * phi[:, :, None] * phi[right, None, :])
+    k = np.exp(le - le.max(axis=(1, 2), keepdims=True))
 
-    def others(*axes):
-        return tuple(k for k in range(n) if k not in axes)
+    def unit(m):
+        return m / m.max(axis=(-2, -1), keepdims=True)
 
-    grid = np.ix_(*phi)                  # phi_i broadcast along axis i
-    le = sum([*np.ix_(*site)] + [-a[i, j] * grid[i] * grid[j]
-                                 for i, j in pairs if a[i, j]])
-    le -= le.max()
-    wts = np.exp(le, out=le)
-    wts /= wts.sum()
-    marginal = [wts.sum(axis=others(i)) for i in range(n)]
-    mean = np.array([m @ x for m, x in zip(marginal, phi)])
+    left, rest = np.empty_like(k), np.empty_like(k)
+    left[0], rest[-1] = np.eye(p), k[-1]
+    for i in range(1, n):
+        left[i] = unit(left[i - 1] @ k[i - 1])
+        rest[-1 - i] = unit(k[-1 - i] @ rest[-i])
+    marginal = np.einsum("ikl,ilk->ik", rest, left)
+    marginal /= marginal.sum(axis=1, keepdims=True)
+    mean = np.einsum("ik,ik->i", marginal, phi)
     c = phi - mean[:, None]
-    cov = np.diag([m @ (x * x) for m, x in zip(marginal, c)])
-    for i, j in pairs:
-        cov[i, j] = cov[j, i] = c[i] @ wts.sum(axis=others(i, j)) @ c[j]
+    cov = np.diag(np.einsum("ik,ik->i", marginal, c * c))
+    seg = k[:-1]
+    for d in range(1, n):               # the pairs (i, i + d)
+        if d > 1:
+            seg = unit(seg[:-1] @ k[d - 1:-1])
+        pair = seg * (rest[d:] @ left[:n - d]).transpose(0, 2, 1)
+        i = np.arange(n - d)
+        cov[i, i + d] = cov[i + d, i] = (
+            (c[:n - d, None, :] @ pair @ c[d:, :, None])[:, 0, 0]
+            / pair.sum(axis=(1, 2)))
     return mean, cov
 
 
@@ -469,8 +494,8 @@ def _integrated_autocorr(x: np.ndarray) -> float:
 def _shifted_moments(model: Phi4Model, t: float, field, method: str = "auto",
                      seed: int = 0) -> MomentEstimate:
     """Covariance of the model with mass shift 1/t and external ``field``
-    (which replaces ``model.h``), by quadrature (n <= 3 sites under "auto")
-    or Metropolis from ``seed``, each at its own budget."""
+    (which replaces ``model.h``), by quadrature (rings of any length; under
+    "auto" n <= 3 sites) or Metropolis from ``seed``, each at its own budget."""
     if method == "quadrature" or (
             method == "auto" and model.n_sites <= QUADRATURE_MAX_SITES):
         return lattice_moments(model, 1.0 / t, field)

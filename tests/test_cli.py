@@ -250,6 +250,7 @@ def test_oracle_subcommand(tmp_path):
     values = {row.split(",")[0]: float(row.split(",")[1]) for row in lines[1:]}
     assert abs(values["smoothed-quadratic-value"] - 0.5965735902799727) < 1e-12
     assert values["ou-mu-4"] == 4.0
+    assert abs(values["ring16-chi-t1"] - 0.4288545792590158) <= 1e-12
 
 
 def test_seed_override_changes_echo(tmp_path):
@@ -1049,6 +1050,22 @@ def test_unconverged_lattice_moments_end_unconverged(tmp_path, monkeypatch):
     assert status["status"] == "unconverged"
     assert re.fullmatch(r"lattice moments at t = \S+ did not converge",
                         status["detail"])
+
+
+def test_lanczos_breakdown_ends_unconverged(tmp_path):
+    # the site weight of this double well sits on two trapezoid nodes
+    from rgflow import cli
+
+    path = tmp_path / "a.cfg"
+    path.write_text(SWEEP_BASE.replace("model.g = 1.0", "model.g = 1e-6")
+                    .replace("model.nu = -1.0", "model.nu = -22.0")
+                    + "model.h = [2e-4]\nchecks = [criterion]\n"
+                    + f"output = {tmp_path / 'out'}\n")
+    assert cli.main(["run", str(path)]) == 3
+    (status,) = [r for r in csv.DictReader(open(tmp_path / "out" / "results.csv"))
+                 if r["section"] == "status"]
+    assert status["status"] == "unconverged"
+    assert status["detail"].startswith("site 0: Lanczos broke down")
 
 
 BOOLEAN_EDITS = {

@@ -91,23 +91,72 @@ A3 = np.array([[2.0, -0.7, 0.0], [-0.7, 2.5, 0.4], [0.0, 0.4, 1.8]])
 @pytest.mark.parametrize("mass_shift", [0.5, 2.0])
 def test_three_site_gaussian_moments_match_the_closed_form(mass_shift, monkeypatch):
     # distinct couplings and a zero a_13 catch an i/j mix-up in the pair terms
-    m = Phi4Model(A3, 0.0, 0.3, np.zeros(3))
-    field = np.array([0.2, -0.1, 0.35])
-    grid_moments, means = phi4._grid_moments, []
+    _assert_gaussian_moments(A3, 0.3, mass_shift, np.array([0.2, -0.1, 0.35]),
+                             monkeypatch)
+
+
+def _assert_gaussian_moments(a, nu, mass_shift, field, monkeypatch):
+    """lattice_moments of the g = 0 model with coupling a against the
+    covariance (a + nu + mass_shift)^{-1}, and the mean of its two
+    ``_ring_moments`` calls (orders p and p + 4) against that times field."""
+    ring_moments, means = phi4._ring_moments, []
 
     def spy(*args):
-        mean, cov = grid_moments(*args)
+        mean, cov = ring_moments(*args)
         means.append(mean)
         return mean, cov
 
-    monkeypatch.setattr(phi4, "_grid_moments", spy)
-    est = lattice_moments(m, mass_shift, field)
-    exact = np.linalg.inv(A3 + (0.3 + mass_shift) * np.eye(3))
+    monkeypatch.setattr(phi4, "_ring_moments", spy)
+    est = lattice_moments(Phi4Model(a, 0.0, nu, np.zeros(len(a))),
+                          mass_shift, field)
+    exact = np.linalg.inv(a + (nu + mass_shift) * np.eye(len(a)))
     assert est.converged
     assert np.max(np.abs(est.value - exact)) <= 1e-12 * np.max(np.abs(exact))
     assert len(means) == 2
     assert np.max(np.abs(means[-1] - exact @ field)) <= 1e-12 * np.max(
         np.abs(exact @ field))
+
+
+def test_gaussian_ring_of_64_sites_matches_the_closed_form(monkeypatch):
+    # the closing bond (63, 0) and a diagonal and field that vary by site
+    rng = np.random.default_rng(64)
+    a = _ring(64) + np.diag(rng.uniform(-0.5, 0.5, 64))
+    _assert_gaussian_moments(a, 0.3, 1.0, rng.normal(size=64), monkeypatch)
+
+
+def test_gaussian_open_chain_matches_the_closed_form(monkeypatch):
+    # four sites in site order with distinct bonds and no closing bond
+    a = np.diag([2.0, 2.5, 1.8, 2.2]) + np.diag([-0.7, 0.4, -0.6], 1)
+    _assert_gaussian_moments(a + np.triu(a, 1).T, 0.3, 0.5,
+                             np.array([0.2, -0.1, 0.35, 0.5]), monkeypatch)
+
+
+def test_lattice_moments_rejects_a_bond_off_the_site_ring():
+    a = _ring(4)
+    a[0, 2] = a[2, 0] = -0.3
+    with pytest.raises(ValueError, match=r"sites \(0, 2\)"):
+        lattice_moments(Phi4Model(a, 1.0, -1.0, np.zeros(4)), 1.0, np.zeros(4))
+
+
+def test_ring16_quadrature_chi_matches_the_transfer_kernel_oracle():
+    m = Phi4Model(_ring(16), 1.0, -1.0, np.zeros(16))
+    est = susceptibility(m, 1.0, method="quadrature")
+    want = oracles.ring_chi(16, 2.5, 1.0, -1.0, 0.5, 1.0)
+    assert est.converged
+    assert abs(est.value - want) <= 1e-12 * want
+
+
+def test_ring_chi_oracle_matches_the_gaussian_closed_form():
+    # g = 0: chi = 1 / (diag - 2 bond + nu + 1/t) = 1 / 3.2
+    assert abs(oracles.ring_chi(16, 2.5, 0.0, 0.7, 0.5, 1.0) - 0.3125) <= 1e-14
+
+
+def test_lanczos_breakdown_is_unconverged():
+    # wells at +-4,472 about 0.16 wide on a 601-node trapezoid about 15
+    # apart: the site weight sits on two nodes, and beta_2 is 0
+    model = Phi4Model([[1.0]], 1e-6, -22.0, [0.0])
+    with pytest.raises(NonConvergenceError, match="site 0: Lanczos broke down"):
+        lattice_moments(model, 1.0, [2e-4])
 
 
 # Independent references: order-200 Gauss-Hermite on the p^3 tensor grid
