@@ -59,7 +59,7 @@ _MCMC_MIN_ESS = 1000
 _MCMC_BURNIN_TAUS = 20
 _WOLFF_S = 1.5
 _DRIFT_TOL = 1e-8           # relative drift of a converged quadrature estimate
-_TRAPEZOID_DOUBLINGS = 6    # a site trapezoid: 601 nodes, up to 38,401
+_SITE_NODES = 601           # trapezoid nodes on each interval of a site
 _LANCZOS_ROUNDOFF = 1e-12   # a Lanczos beta at round-off, in window units
 
 
@@ -152,11 +152,11 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
     measures exp(-u_i), u_i = m2 y^2/2 + g y^4/4 - eta_i y, m2 = a_ii + nu
     + mass_shift, for each p in ``orders``: Lanczos (discretized Stieltjes,
     Gautschi, SIAM J. Sci. Stat. Comput. 3 (1982) 289) in (y - mode)/half-
-    width on a trapezoid where u_i is within 60 of its minimum, then
+    width on 601 trapezoid nodes on each interval where u_i is within 60 of
+    its minimum (two where a barrier over 60 parts a second well), then
     Golub-Welsch (Math. Comp. 23 (1969) 221) on p x p Jacobi blocks; and the
-    largest relative change delta of a site variance from the even-indexed
-    nodes to all, the trapezoid's own error estimate.  The 601 nodes double
-    (1201, 2401, ...) till delta^2 <= ``_DRIFT_TOL`` or they reach 38,401.
+    largest relative change delta of a site variance from each interval's
+    even-indexed nodes to all, the trapezoid's own error estimate.
     Raises NonConvergenceError when a Lanczos beta falls to round-off: the
     trapezoid then holds the site's weight on fewer nodes than the order
     needs."""
@@ -170,47 +170,45 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
             raise ValueError("g = 0 marginal requires a positive mass")
         mode = _site_minimum(g, m2, eta[i])
         curv = m2 + 3.0 * g * mode * mode
-
-        def rise(d, curv=curv, mode=mode):     # u(mode + d) - u(mode)
-            return (0.5 * curv + (g * mode + 0.25 * g * d) * d) * d * d
-
-        # u' may vanish off the mode only between 0 and -sign(mode) sqrt(-m2/g)
-        # (m2 < 0), where u - u(mode) >= |eta| sqrt(-m2/g); unless that is over
-        # 60 the window spans it, then each side doubles till u - u(mode) > 60
-        weak = m2 < 0 and abs(eta[i]) * math.sqrt(-m2 / g) <= 60.0
-        far = -math.copysign(math.sqrt(-m2 / g), mode) - mode if weak else 0.0
-        edges = []
-        for end, side in ((min(0.0, far), -1.0), (max(0.0, far), 1.0)):
-            s = 1.0 / max(math.sqrt(curv), g ** 0.25)
-            while rise(end + side * s) <= 60.0:
-                s *= 2.0
-            edges.append(end + side * s)
-        modes[i], halves[i] = mode, 0.5 * (edges[1] - edges[0])
-        for k in range(_TRAPEZOID_DOUBLINGS + 1):
-            d = np.linspace(*edges, 600 * 2**k + 1)    # y - mode
-            x = d / halves[i]
-            q = np.exp(-0.5 * rise(d))                 # sqrt of the weight
-            q[[0, -1]] *= math.sqrt(0.5)
-            q /= math.sqrt(q @ q)
-            var2 = np.cov(x[::2], aweights=(q * q)[::2], bias=True)  # step 2h
-            prev, beta = q, 0.0
-            for j in range(steps):
-                v = x * q - beta * prev
-                alpha = v @ q
-                v -= alpha * q
-                beta = math.sqrt(v @ v)
-                if beta <= _LANCZOS_ROUNDOFF:
-                    raise NonConvergenceError(
-                        f"site {i}: Lanczos broke down at step {j + 1} of "
-                        f"{steps}: its trapezoid holds the weight on too "
-                        "few nodes")
-                jacobi[i, j, j], jacobi[i, j + 1, j] = alpha, beta
-                prev, q = q, v / beta
-            # beta_0^2 is the variance on all nodes
-            delta = abs(float(var2 / jacobi[i, 1, 0] ** 2) - 1.0)
-            if delta * delta <= _DRIFT_TOL:
-                break
-        halving = max(halving, delta)
+        # the ends are the real roots of u(mode + d) - u(mode) = 60; a pair
+        # of conjugate roots shares |imag|, so both are kept or both dropped
+        ends = np.roots([0.25 * g, g * mode, 0.5 * curv, 0.0, -60.0])
+        ends = np.sort(ends.real[np.abs(ends.imag) <= 1e-9 * np.abs(ends)])
+        modes[i], halves[i] = mode, 0.5 * (ends[-1] - ends[0])
+        x, q = np.empty((2, len(ends) // 2, _SITE_NODES))
+        for k, (lo, hi) in enumerate(ends.reshape(-1, 2)):
+            # a second well's rise is taken about its own minimum mode + c (about
+            # the mode, g d^4 cancels); the roots of u' multiply to eta/g, so
+            # its lift u(mode + c) - u(mode) subtracts no two large terms
+            c = lift = 0.0
+            if not lo <= 0.0 <= hi:
+                c = -0.5 * (3.0 * mode + math.copysign(
+                    math.sqrt(9.0 * mode * mode - 4.0 * curv / g), mode))
+                lift = c**3 * eta[i] / (4.0 * mode * (mode + c))
+            y = mode + c
+            e = np.linspace(lo - c, hi - c, _SITE_NODES)
+            rise = lift + (0.5 * (m2 + 3.0 * g * y * y)
+                           + (g * y + 0.25 * g * e) * e) * e * e
+            x[k] = (c + e) / halves[i]
+            q[k] = math.sqrt(e[1] - e[0]) * np.exp(-0.5 * rise)  # sqrt of the weight
+        q[:, [0, -1]] *= math.sqrt(0.5)
+        q /= math.sqrt(np.sum(q * q))
+        var2 = np.cov(x[:, ::2].ravel(), aweights=(q * q)[:, ::2].ravel(), bias=True)
+        prev, beta = q, 0.0
+        for j in range(steps):
+            v = x * q - beta * prev
+            alpha = np.vdot(v, q)
+            v -= alpha * q
+            beta = math.sqrt(np.vdot(v, v))
+            if beta <= _LANCZOS_ROUNDOFF:
+                raise NonConvergenceError(
+                    f"site {i}: Lanczos broke down at step {j + 1} of "
+                    f"{steps}: its trapezoid holds the weight on too "
+                    "few nodes")
+            jacobi[i, j, j], jacobi[i, j + 1, j] = alpha, beta
+            prev, q = q, v / beta
+        # beta_0^2 is the variance on all nodes
+        halving = max(halving, abs(float(var2 / jacobi[i, 1, 0] ** 2) - 1.0))
     rules = []
     for p in orders:
         nodes, vecs = np.linalg.eigh(jacobi[:, :p, :p])
@@ -236,10 +234,10 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
     0, and ``converged`` when the covariances at the two orders agree to
     1e-8 of the largest covariance entry, the means to 1e-8 of its square
     root, the widest marginal standard deviation, and each site trapezoid
-    passes its halving test within its node cap (``_site_rules``): for an
-    analytic integrand its error squares when h halves, so the relative
-    change delta of a site variance from the even-indexed nodes to all
-    must have delta^2 <= 1e-8.
+    passes its halving test (``_site_rules``): for an analytic integrand
+    its error squares when h halves, so the relative change delta of a
+    site variance from the even-indexed nodes to all must have
+    delta^2 <= 1e-8.
     """
     n = model.n_sites
     for i, j in zip(*np.nonzero(np.triu(model.a_matrix, 1))):

@@ -1052,14 +1052,13 @@ def test_unconverged_lattice_moments_end_unconverged(tmp_path, monkeypatch):
                         status["detail"])
 
 
-def test_lanczos_breakdown_ends_unconverged(tmp_path):
-    # the site weight of this double well sits on two trapezoid nodes
-    from rgflow import cli
+def test_lanczos_breakdown_ends_unconverged(tmp_path, monkeypatch):
+    # on 3 trapezoid nodes the site weight sits on the middle one
+    from rgflow import cli, phi4
 
+    monkeypatch.setattr(phi4, "_SITE_NODES", 3)
     path = tmp_path / "a.cfg"
-    path.write_text(SWEEP_BASE.replace("model.g = 1.0", "model.g = 1e-6")
-                    .replace("model.nu = -1.0", "model.nu = -22.0")
-                    + "model.h = [2e-4]\nchecks = [criterion]\n"
+    path.write_text(SWEEP_BASE + "checks = [criterion]\n"
                     + f"output = {tmp_path / 'out'}\n")
     assert cli.main(["run", str(path)]) == 3
     (status,) = [r for r in csv.DictReader(open(tmp_path / "out" / "results.csv"))

@@ -1,8 +1,11 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import simpson
 from scipy.signal import lfilter
 
 from rgflow import oracles, phi4, potential
@@ -151,12 +154,13 @@ def test_ring_chi_oracle_matches_the_gaussian_closed_form():
     assert abs(oracles.ring_chi(16, 2.5, 0.0, 0.7, 0.5, 1.0) - 0.3125) <= 1e-14
 
 
-def test_lanczos_breakdown_is_unconverged():
-    # wells at +-4,472 about 0.16 wide on a 601-node trapezoid about 15
-    # apart: the site weight sits on two nodes, and beta_2 is 0
-    model = Phi4Model([[1.0]], 1e-6, -22.0, [0.0])
+def test_lanczos_breakdown_is_unconverged(monkeypatch):
+    # on 3 trapezoid nodes the ends sit where u is 60 above its minimum, so
+    # the dwell site's weight sits on the middle node and beta_1 is 0
+    monkeypatch.setattr(phi4, "_SITE_NODES", 3)
+    model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
     with pytest.raises(NonConvergenceError, match="site 0: Lanczos broke down"):
-        lattice_moments(model, 1.0, [2e-4])
+        lattice_moments(model, 1.0, [0.0])
 
 
 # Independent references: order-200 Gauss-Hermite on the p^3 tensor grid
@@ -650,38 +654,109 @@ def _wide_double_well_variance(eta, g=0.01, m2=-20.0):
     return np.trapezoid((y - mean) ** 2 * w, y) / np.trapezoid(w, y)
 
 
-@pytest.mark.parametrize("eta, resolved", [(0.0, True), (0.3, False)])
-def test_site_trapezoid_halving_flags_an_unresolved_window(eta, resolved,
+@pytest.mark.parametrize("nodes, resolved", [(21, False), (41, True)])
+def test_site_trapezoid_halving_flags_an_unresolved_window(nodes, resolved,
                                                            monkeypatch):
-    # at eta = 0.3 the 601-point site trapezoid misses the variance by
-    # 2.3e-8, which the order drift cannot see; its variance moves by 8.2e-2
-    # from 301 to 601 nodes.  At eta = 0 it moves by 5.1e-5 and is right
-    # to 5e-13.  No doubling: the 601 nodes alone are judged
-    monkeypatch.setattr(phi4, "_TRAPEZOID_DOUBLINGS", 0)
-    est = lattice_moments(Phi4Model([[1.0]], 0.01, -22.0, [0.0]), 1.0, [eta])
-    assert est.converged is resolved
-    if resolved:
-        want = _wide_double_well_variance(eta)
-        assert abs(est.value[0, 0] - want) <= 1e-11 * want
+    # on 21 nodes per interval the variances of the two wells at +-44.7
+    # (eta = 0.3) and of the dwell site are 5.4e-7 and 5.2e-7 off, which the
+    # order drift (2e-14) cannot see; their variances move by 0.22 and 9e-3
+    # from the even-indexed nodes to all.  On 41 nodes they move by 5e-7
+    monkeypatch.setattr(phi4, "_SITE_NODES", nodes)
+    _, dwell = oracles.quartic_lattice_moments([[1.0]], 1.0, 0.0, [0.0],
+                                               tol=1e-13)
+    for model, eta, want in (
+            (Phi4Model([[1.0]], 0.01, -22.0, [0.0]), 0.3,
+             _wide_double_well_variance(0.3)),
+            (Phi4Model([[1.0]], 1.0, -1.0, [0.0]), 0.0, dwell[0, 0])):
+        est = lattice_moments(model, 1.0, [eta])
+        assert est.converged is resolved
+        if resolved:
+            assert abs(est.value[0, 0] - want) <= 1e-11 * want
 
 
-@pytest.mark.parametrize("g, nu, eta, doublings", [(0.01, -22.0, 0.3, 1),
-                                                   (0.001, -21.0, 0.0, 2)])
-def test_site_trapezoid_doubles_until_its_halving_test_passes(
-        g, nu, eta, doublings, monkeypatch):
-    # the window above passes at 1,201 nodes; the chi_t of
-    # Phi4Model([[1]], 0.001, -21, [0]) at t = 1 (wells at +-138) at 2,401,
-    # where 601 nodes read chi = 18993.8, 3.2e-4 low
-    model = Phi4Model([[1.0]], g, nu, [0.0])
+@pytest.mark.parametrize("g, nu, eta", [(0.01, -22.0, 0.3), (0.001, -21.0, 0.0)])
+def test_site_trapezoid_matches_a_dense_reference(g, nu, eta):
+    # narrow wells far apart (at +-44.7 and at +-138): 601 nodes on one
+    # window over the latter pair read chi 3.2e-4 low, so each well takes
+    # its own 601
+    est = lattice_moments(Phi4Model([[1.0]], g, nu, [0.0]), 1.0, [eta])
     want = _wide_double_well_variance(eta, g, nu + 2.0)
-    est = lattice_moments(model, 1.0, [eta])
     assert est.converged
     assert abs(est.value[0, 0] - want) <= 1e-11 * want
-    monkeypatch.setattr(phi4, "_TRAPEZOID_DOUBLINGS", doublings)
-    assert np.array_equal(lattice_moments(model, 1.0, [eta]).value, est.value)
-    # past the cap the estimate stays flagged
-    monkeypatch.setattr(phi4, "_TRAPEZOID_DOUBLINGS", doublings - 1)
-    assert not lattice_moments(model, 1.0, [eta]).converged
+
+
+# Narrow wells far apart, which one window over both hides between its
+# nodes: at +-424, +-4,472 and +-990, 0.07 to 0.17 wide.  References:
+# 50-digit mpmath quad of exp(-(u - min u)) times 1, y - y_k and
+# (y - y_k - mean_k)^2 over each basin of the site action u (split at its
+# local maximum and about its minimum y_k)
+@pytest.mark.parametrize("g, nu, eta, variance", [
+    (1e-4, -20.0, 0.0, 179999.944444392995),
+    (1e-6, -22.0, 2e-4, 9816256.47336139607),
+    (1e-4, -100.0, 1 / 989.95, 411575.179000728941),
+])
+def test_narrow_far_wells_are_pinned(g, nu, eta, variance):
+    est = lattice_moments(Phi4Model([[1.0]], g, nu, [0.0]), 1.0, [eta])
+    assert est.converged
+    assert abs(est.value[0, 0] - variance) <= 1e-9 * variance
+
+
+def _site_variance(g, m2, eta):
+    """Variance of exp(-u), u = g y^4/4 + m2 y^2/2 - eta y with g > 0, by
+    Simpson's rule on 40,001 nodes over each basin of u: about its minimum
+    y_k, out to where u - u(y_k) passes 80 or to the local maximum, and
+    weighted by exp(min u - u(y_k)), that lift taken exactly in rationals
+    (a basin lifted past 100 is left out).  Simpson, not the trapezoid:
+    y exp(-u) is not flat at the barrier."""
+    crit = np.roots([g, 0.0, m2, -eta])
+    crit = np.sort(crit[np.abs(crit.imag) <= 1e-9 * np.abs(crit)].real)
+    basins = [(crit[0], -math.inf, math.inf)] if len(crit) == 1 else [
+        (crit[0], -math.inf, crit[1]), (crit[2], crit[1], math.inf)]
+    lifts = [Fraction(g) * Fraction(y) ** 4 / 4 + Fraction(m2) * Fraction(y) ** 2 / 2
+             - Fraction(eta) * Fraction(y) for y, _, _ in basins]
+    lifts = [float(lift - min(lifts)) for lift in lifts]
+    parts = []
+    for (y, lo, hi), lift in zip(basins, lifts):
+        if lift > 100.0:
+            continue
+
+        def rise(e, y=y):                        # u(y + e) - u(y)
+            return (0.5 * (m2 + 3.0 * g * y * y)
+                    + (g * y + 0.25 * g * e) * e) * e * e
+
+        ends = []
+        for side, wall in ((-1.0, lo), (1.0, hi)):
+            s = 1.0 / max(math.sqrt(abs(m2 + 3.0 * g * y * y)), g ** 0.25)
+            while rise(side * s) <= 80.0 and s < abs(wall - y):
+                s *= 2.0
+            ends.append(side * min(s, abs(wall - y)))
+        e = np.linspace(*ends, 40_001)
+        w = np.exp(-lift - rise(e))
+        z = simpson(w, x=e)
+        mean = simpson(w * e, x=e) / z
+        parts.append((z, y + mean, simpson(w * (e - mean) ** 2, x=e) / z))
+    z, mean, var = np.array(parts).T
+    centre = z @ mean / z.sum()
+    return z @ (var + (mean - centre) ** 2) / z.sum()
+
+
+def test_site_sweep_converges_to_the_dense_reference_or_raises():
+    # one-site models over a grid of g, m2 = nu + 2 and both signs of eta:
+    # a converged variance must hold to 1e-9, and no error but
+    # NonConvergenceError may escape
+    bad = []
+    for g, nu, eta in itertools.product(
+            [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4],
+            [-100.0, -20.0, -3.0, -2.0, -1.0, 1.0, 100.0],
+            [0.0, 1e-4, -1e-4, 0.3, -0.3, 10.0, -10.0, 1e3, -1e3]):
+        try:
+            est = lattice_moments(Phi4Model([[1.0]], g, nu, [0.0]), 1.0, [eta])
+        except NonConvergenceError:
+            continue
+        want = _site_variance(g, nu + 2.0, eta)
+        if not (est.converged and abs(est.value[0, 0] - want) <= 1e-9 * want):
+            bad.append((g, nu, eta, est.converged, est.value[0, 0], want))
+    assert not bad
 
 
 def _strong_field_site_variance(h):
