@@ -38,7 +38,7 @@ import numpy as np
 from .covariance import CovarianceSchedule, make_schedule, schedule_from_table_file
 from .curvature import TOL_TOTAL
 from .errors import ConfigError
-from .flow import _KERNEL_SIGMAS, _scale_workers, load_density_table
+from .flow import _KERNEL_SIGMAS, load_density_table
 from .phi4 import Phi4Model
 from .potential import _CLOSED_FORMS, MAX_TENSOR_DIM, PotentialDescriptor
 
@@ -394,10 +394,8 @@ def config_from_text(text: str) -> ExperimentConfig:
         if V0.dimension == 2 and any(c in SPECTRAL_CHECKS for c in checks):
             import scipy.sparse.linalg  # noqa: F401
     # the thread pool that maps the scales of the spectral checks' flow
-    # measures and of the variance audit (at least 2 each) loads at set-up
-    # too
-    if (any(c in SPECTRAL_CHECKS + ("variance",) for c in checks)
-            and _scale_workers(V0, 2) > 1):
+    # measures and of the variance audit loads at set-up too
+    if any(c in SPECTRAL_CHECKS + ("variance",) for c in checks):
         import concurrent.futures.thread  # noqa: F401
     return ExperimentConfig(schedule=schedule, V0=V0, checks=list(checks),
                             seed=seed, phi4_model=phi4_model, options=options)

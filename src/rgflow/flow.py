@@ -31,15 +31,14 @@ before the boundary.
 
 Scales do not depend on one another, so the variance decomposition and the
 runner's spectral t grid build their flow measures on all usable cores
-(``_map_scales``): a measure spends its time evaluating V0 in numpy kernels
-that release the GIL, and the grid passes in flight share one memory
-budget.  Closed-form potentials, which never evaluate V0 on the grid, stay
-serial.  Results are byte-identical to a serial build.  Eigensolves stay
-serial: the merges of LAPACK's tridiagonal divide-and-conquer call BLAS
-``gemm``, whose bits depend on the BLAS thread count (eigenvectors of 1-D
-pencils of 200-600 nodes differ at round-off between one and two threads),
-so a solve inside the pool could move the kernel eigenvalue mu_0.  The
-passes in the pool call BLAS on d x d matrices only.
+(``_map_scales``): a measure spends its time in numpy kernels that release
+the GIL, and the grid passes in flight share one memory budget.  Results
+are byte-identical to a serial build.  Eigensolves stay serial: the merges
+of LAPACK's tridiagonal divide-and-conquer call BLAS ``gemm``, whose bits
+depend on the BLAS thread count (eigenvectors of 1-D pencils of 200-600
+nodes differ at round-off between one and two threads), so a solve inside
+the pool could move the kernel eigenvalue mu_0.  The passes in the pool
+call BLAS on d x d matrices only.
 """
 
 from __future__ import annotations
@@ -160,36 +159,19 @@ class GridFunction:
         return _stencils.gradient(self.values, self.spacing())
 
 
-def _scale_workers(V0: PotentialDescriptor, n_items: int) -> int:
-    """Threads ``_map_scales`` runs ``n_items`` scales of ``V0`` on; 1 runs
-    them serially."""
-    return 1 if V0.form in _CLOSED_FORMS else min(n_items, _usable_cores())
+def _map_scales(fn, items) -> list:
+    """``[fn(item) for item in items]`` on one thread pool.
 
-
-def _map_scales(fn, items, V0: PotentialDescriptor) -> list:
-    """``[fn(item) for item in items]``, one thread per usable core.
-
-    Each item is one scale of the potential ``V0``, and ``fn`` builds or
-    reads its flow measure; keep eigensolves out of ``fn`` (see the module
-    docstring).  Results come back in input order.  Runs serially when one
-    worker would do, and for closed-form potentials: their passes never
-    evaluate V0, and the spline reads and Python glue left are too little
-    for threads to share.  Otherwise
-    ``Executor.map`` reads every result in input order: the first failure
-    cancels the scales not yet started and is raised unchanged, as the
-    serial loop would raise it.
+    Each item is one scale, and ``fn`` builds or reads its flow measure;
+    keep eigensolves out of ``fn`` (see the module docstring).  The pool
+    has one worker per usable core, at most one per item.  Results come
+    back in input order, and the first failure in input order cancels the
+    scales not yet started and is raised unchanged, as a serial loop would
+    raise it.
     """
-    workers = _scale_workers(V0, len(items))
-    if workers <= 1:
-        # filled in place, not grown: a results list that reallocates
-        # between scales made glibc trim and refault the heap every scale
-        # (440k page faults, +25 % on a 2,600-scale Gaussian audit)
-        out = [None] * len(items)
-        for i, item in enumerate(items):
-            out[i] = fn(item)
-        return out
     from concurrent.futures import ThreadPoolExecutor
 
+    workers = max(1, min(len(items), _usable_cores()))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -417,7 +399,7 @@ def conservation_check(schedule, V0, F: GridFunction, t_max: float,
 
     integrand = np.empty(count)
     cons_dev = 0.0
-    for i, (energy, dev) in enumerate(_map_scales(scale, t_nodes, V0)):
+    for i, (energy, dev) in enumerate(_map_scales(scale, t_nodes)):
         integrand[i] = energy
         cons_dev = max(cons_dev, dev)
 

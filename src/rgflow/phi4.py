@@ -148,18 +148,19 @@ def _site_minimum(g: float, m2: float, eta: float) -> float:
 
 
 def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
-    """[(nodes, log-weights)], each (n, p), of the Gauss rules of the site
+    """[(modes, offsets, log-weights)] of the Gauss rules of the site
     measures exp(-u_i), u_i = m2 y^2/2 + g y^4/4 - eta_i y, m2 = a_ii + nu
-    + mass_shift, for each p in ``orders``: Lanczos (discretized Stieltjes,
-    Gautschi, SIAM J. Sci. Stat. Comput. 3 (1982) 289) in (y - mode)/half-
-    width on 601 trapezoid nodes on each interval where u_i is within 60 of
-    its minimum (two where a barrier over 60 parts a second well), then
-    Golub-Welsch (Math. Comp. 23 (1969) 221) on p x p Jacobi blocks; and the
-    largest relative change delta of a site variance from each interval's
-    even-indexed nodes to all, the trapezoid's own error estimate.
-    Raises NonConvergenceError when a Lanczos beta falls to round-off: the
-    trapezoid then holds the site's weight on fewer nodes than the order
-    needs."""
+    + mass_shift, for each p in ``orders``: the (n,) site modes, and the
+    nodes' (n, p) offsets from them and their log-weights.  Lanczos
+    (discretized Stieltjes, Gautschi, SIAM J. Sci. Stat. Comput. 3 (1982)
+    289) in (y - mode)/half-width on 601 trapezoid nodes on each interval
+    where u_i is within 60 of its minimum (two where a barrier over 60 parts
+    a second well), then Golub-Welsch (Math. Comp. 23 (1969) 221) on p x p
+    Jacobi blocks; and the largest relative change delta of a site variance
+    from each interval's even-indexed nodes to all, the trapezoid's own
+    error estimate.  Raises NonConvergenceError when a Lanczos beta falls to
+    round-off: the trapezoid then holds the site's weight on fewer nodes
+    than the order needs."""
     n, g, steps = model.n_sites, model.g, max(orders)
     jacobi = np.zeros((n, steps + 1, steps + 1))   # the last row is unread
     modes, halves = np.empty(n), np.empty(n)
@@ -193,7 +194,10 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
             q[k] = math.sqrt(e[1] - e[0]) * np.exp(-0.5 * rise)  # sqrt of the weight
         q[:, [0, -1]] *= math.sqrt(0.5)
         q /= math.sqrt(np.sum(q * q))
-        var2 = np.cov(x[:, ::2].ravel(), aweights=(q * q)[:, ::2].ravel(), bias=True)
+        x2, w2 = x[:, ::2], (q * q)[:, ::2]
+        w2 = w2 / np.sum(w2)
+        d2 = x2 - np.sum(w2 * x2)
+        var2 = np.sum(w2 * d2 * d2)
         prev, beta = q, 0.0
         for j in range(steps):
             v = x * q - beta * prev
@@ -218,8 +222,7 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
         c *= jacobi[:, 1:2, 0] / np.sqrt(np.sum(w * c * c, axis=1, keepdims=True))
         with np.errstate(divide="ignore"):    # a weight that underflows to 0
             logw = np.log(w)
-        rules.append((modes[:, None] + halves[:, None] * (jacobi[:, :1, 0] + c),
-                      logw))
+        rules.append((modes, halves[:, None] * (jacobi[:, :1, 0] + c), logw))
     return rules, halving
 
 
@@ -258,15 +261,20 @@ def lattice_moments(model: Phi4Model, mass_shift: float, field,
                           converged=drift <= _DRIFT_TOL)
 
 
-def _ring_moments(a: np.ndarray, phi: np.ndarray, site: np.ndarray):
-    """Mean and covariance on site nodes phi[i] and log-weights site[i] by
-    transfer matrices around the site ring (Scalapino, Sears and Ferrell,
-    Phys. Rev. B 6 (1972) 3409): K_k = exp((site_k + site_{k+1})/2 - a_{k,k+1}
-    phi_k phi_{k+1}), k + 1 mod n, the closing bond for n >= 3 only.  The pair
+def _ring_moments(a: np.ndarray, mode: np.ndarray, offset: np.ndarray,
+                  site: np.ndarray):
+    """Mean and covariance on site nodes phi[i] = mode[i] + offset[i] and
+    log-weights site[i] by transfer matrices around the site ring
+    (Scalapino, Sears and Ferrell, Phys. Rev. B 6 (1972) 3409):
+    K_k = exp((site_k + site_{k+1})/2 - a_{k,k+1} phi_k phi_{k+1}),
+    k + 1 mod n, the closing bond for n >= 3 only.  The pair
     marginal of i < j is M_ij * (R_j L_i)^T and site i's is diag(R_i L_i),
     with M_ij = K_i..K_{j-1}, R_j = K_j..K_{n-1} and L_i = K_0..K_{i-1}, each
-    product over its largest entry, a scale the normalization cancels."""
-    n, p = phi.shape
+    product over its largest entry, a scale the normalization cancels.  The
+    moments are taken of the offsets, which keep their digits where a mode
+    is far larger than its site's spread."""
+    n, p = offset.shape
+    phi = mode[:, None] + offset
     right = np.arange(1, n + 1) % n
     # for n = 2 the closing bond is bond 0 again, and n = 1 has none
     bond = np.append(np.diag(a, 1), a[0, -1] if n >= 3 else 0.0)
@@ -284,8 +292,8 @@ def _ring_moments(a: np.ndarray, phi: np.ndarray, site: np.ndarray):
         rest[-1 - i] = unit(k[-1 - i] @ rest[-i])
     marginal = np.einsum("ikl,ilk->ik", rest, left)
     marginal /= marginal.sum(axis=1, keepdims=True)
-    mean = np.einsum("ik,ik->i", marginal, phi)
-    c = phi - mean[:, None]
+    shift = np.einsum("ik,ik->i", marginal, offset)
+    c = offset - shift[:, None]
     cov = np.diag(np.einsum("ik,ik->i", marginal, c * c))
     seg = k[:-1]
     for d in range(1, n):               # the pairs (i, i + d)
@@ -296,7 +304,7 @@ def _ring_moments(a: np.ndarray, phi: np.ndarray, site: np.ndarray):
         cov[i, i + d] = cov[i + d, i] = (
             (c[:n - d, None, :] @ pair @ c[d:, :, None])[:, 0, 0]
             / pair.sum(axis=(1, 2)))
-    return mean, cov
+    return mode + shift, cov
 
 
 def _colour_classes(off: np.ndarray) -> list[list[int]]:

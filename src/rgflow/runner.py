@@ -115,7 +115,7 @@ class _Context:
             lambda t: make_flow_measure(self.schedule, self.V0, float(t),
                                         self.options["disc.grid_points"],
                                         box=self.box, q=self.quad),
-            self.cfg.t_grid(), self.V0)
+            self.cfg.t_grid())
 
     @cached_property
     def spectral_trace(self):

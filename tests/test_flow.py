@@ -588,7 +588,7 @@ def test_parallel_scales_share_the_pass_memory_budget(monkeypatch):
         _use_cores(monkeypatch, cores)
         tracemalloc.start()
         try:
-            measures = _map_scales(build, (0.1, 0.5, 1.0, 2.0), V0)
+            measures = _map_scales(build, (0.1, 0.5, 1.0, 2.0))
             peaks[cores] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -602,9 +602,8 @@ def test_conservation_builds_one_interpolant(dwell_chain, monkeypatch):
 
     import rgflow._stencils as stencils
 
-    sched, V0, q, box = dwell_chain
+    sched, quartic, q, box = dwell_chain
     xs = box.axes((129,))[0]
-    F = GridFunction(box, np.exp(-xs**2))
     real = stencils.spline_coefficients
     built = []
 
@@ -615,8 +614,18 @@ def test_conservation_builds_one_interpolant(dwell_chain, monkeypatch):
 
     monkeypatch.setattr(stencils, "spline_coefficients", spy)
     _use_cores(monkeypatch, 4)
-    conservation_check(sched, V0, F, 2.0, 8, q)
-    assert built == [(129,)]
+    # a closed form's scales go to the same pool as a quartic's
+    for V0 in (quartic, PotentialDescriptor.quadratic([[0.7]])):
+        built.clear()
+        F = GridFunction(box, np.exp(-xs**2))
+        conservation_check(sched, V0, F, 2.0, 8, q)
+        assert built == [(129,)]
+
+
+def test_map_scales_of_no_items_is_empty():
+    from rgflow.flow import _map_scales
+
+    assert _map_scales(lambda t: t, []) == []
 
 
 _SPLINE_BOXES = {1: Box((-3.0,), (2.5,)),
@@ -741,7 +750,7 @@ print("scipy.interpolate" in sys.modules)
 @pytest.mark.parametrize("V0", [
     PotentialDescriptor.quadratic([[0.7]]),
     PotentialDescriptor.quartic(1.0, -1.0, 0.0, dimension=1),
-], ids=["quadratic-serial", "quartic-pooled"])
+], ids=["quadratic", "quartic"])
 def test_parallel_scales_raise_the_serial_failure(V0, monkeypatch):
     # C_inf - C_t = exp(-t) falls below 1e-12 past t = 27.63, so the last
     # three nodes of the 32-node rule on [0, 30] all fail; the first of them
@@ -768,33 +777,35 @@ def test_parallel_scales_match_serial_bitwise_under_stress(dwell_chain,
 
     from rgflow.flow import _map_scales
 
-    sched, V0, q, box = dwell_chain
+    sched, quartic, q, box = dwell_chain
     xs = box.axes((129,))[0]
     F = GridFunction(box, np.exp(-xs**2))
-    def run():
+    def run(V0):
         rep = conservation_check(sched, V0, F, 3.0, 24, q)
         measures = _map_scales(
             lambda t: make_flow_measure(sched, V0, t, 129, box=box, q=q),
-            rep.t_nodes[:8], V0)
+            rep.t_nodes[:8])
         return rep, [fm.v_grid for fm in measures]
 
-    _use_cores(monkeypatch, 1)
-    want_rep, want_grids = run()
-    # more workers than cores, and a thread switch every microsecond
-    _use_cores(monkeypatch, 4)
-    got = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        worker = threading.Thread(target=lambda: got.append(run()),
-                                  daemon=True)
-        worker.start()
-        worker.join(timeout=300)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not worker.is_alive() and len(got) == 1
-    rep, grids = got[0]
-    for f in dataclasses.fields(rep):
-        assert (np.asarray(getattr(rep, f.name)).tobytes()
-                == np.asarray(getattr(want_rep, f.name)).tobytes()), f.name
-    assert all(np.array_equal(a, b) for a, b in zip(grids, want_grids))
+    for V0 in (quartic, PotentialDescriptor.quadratic([[0.7]])):
+        _use_cores(monkeypatch, 1)
+        want_rep, want_grids = run(V0)
+        # more workers than cores, and a thread switch every microsecond
+        _use_cores(monkeypatch, 4)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=lambda: got.append(run(V0)),
+                                      daemon=True)
+            worker.start()
+            worker.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive() and len(got) == 1
+        rep, grids = got[0]
+        for f in dataclasses.fields(rep):
+            assert (np.asarray(getattr(rep, f.name)).tobytes()
+                    == np.asarray(getattr(want_rep, f.name)).tobytes()), \
+                f.name
+        assert all(np.array_equal(a, b) for a, b in zip(grids, want_grids))

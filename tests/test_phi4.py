@@ -701,6 +701,18 @@ def test_narrow_far_wells_are_pinned(g, nu, eta, variance):
     assert abs(est.value[0, 0] - variance) <= 1e-9 * variance
 
 
+def test_site_far_from_zero_keeps_its_variance_digits():
+    # mean 9,899.5 and standard deviation 0.071: moments taken of absolute
+    # nodes lost digits (6.9e-12 off).  Reference: 50-digit mpmath quad of
+    # exp(-(u - u(y*))) times 1, y and (y - mean)^2 over [y* - 2, y* + 2],
+    # y* = 9899.5459566 the mode of u = g y^4/4 + m2 y^2/2 - eta y
+    est = lattice_moments(Phi4Model([[1.0]], 1e-6, -100.0, [0.0]), 1.0,
+                          [10.0])
+    want = 0.0051019619346461238349
+    assert est.converged
+    assert abs(est.value[0, 0] - want) <= 1e-13 * want
+
+
 def _site_variance(g, m2, eta):
     """Variance of exp(-u), u = g y^4/4 + m2 y^2/2 - eta y with g > 0, by
     Simpson's rule on 40,001 nodes over each basin of u: about its minimum
