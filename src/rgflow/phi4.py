@@ -18,7 +18,9 @@ grows, so the infimum is 0 and the bound reads 1/t + lambda_max(A)
 (t lambda_max(A) + 1).  By quadrature, moments are traces of transfer
 matrices around the site ring on the sites' own Gauss rules (A coupling
 ring neighbours only); past 3 sites, and for cross-checks, from seeded
-single-site random-walk Metropolis.  Each estimator sets its own budget
+single-site Metropolis-Hastings: each site drawn from a Gaussian fitted to
+its own conditional action where every site action is convex, by a tuned
+random walk where one is a double well.  Each estimator sets its own budget
 (quadrature order, sweeps), and ``_shifted_moments`` alone picks between
 them.  The Metropolis path advances a fixed batch of 256 independent chains
 together in numpy, from one generator seeded by ``seed``, with one
@@ -49,10 +51,15 @@ from .potential import (MAX_TENSOR_DIM, PotentialDescriptor, QuadratureRule,
 
 QUADRATURE_MAX_SITES = MAX_TENSOR_DIM
 
-_MCMC_BURNIN = 100_000
-# 256, not 512: at 512 a chain keeps 195 burn-in sweeps, against
-# 20 tau = 156 at the largest ring3 tau seen (7.8)
+_MCMC_BURNIN = 32_768          # 128 sweeps per chain
+_MCMC_MEASURE = 16_384         # 64 sweeps per chain
+_MCMC_WALK_BURNIN = 100_000    # the random walk's, for a site with m2 <= 0
+_MCMC_WALK_MEASURE = 60_000
+# 256, not 512: at 512 a chain keeps 64 burn-in sweeps of the default
+# budget, against 20 tau = 88 at the largest tau seen on a 16-ring with
+# m2 = 0.5 (4.4)
 _MCMC_CHAINS = 256
+_MCMC_DRAW_SWEEPS = 32         # sweeps of the independence update per draw
 _MCMC_TARGET_ACCEPT = 0.4
 _MCMC_TUNE_TRIALS = 500      # pooled trials per site between scale updates
 _MCMC_MIN_ESS = 1000
@@ -122,7 +129,7 @@ class MomentEstimate:
             raise ValueError("stderr must be nonnegative")
 
 
-def _site_minimum(g: float, m2: float, eta: float) -> float:
+def _site_minimum(g: float, m2: float, eta):
     """The global minimum of the site action g y^4/4 + m2 y^2/2 - eta y: the
     real root of g y^3 + m2 y = eta of least action, for m2 > 0 the only
     one.  Cardano's y = u - v, with u v = m2/(3g) and u^3 - v^3 = eta/g, is
@@ -130,13 +137,15 @@ def _site_minimum(g: float, m2: float, eta: float) -> float:
     m2 <= 0 (a double well) it is the outermost root on eta's side: with
     r^3 = (-m2/(3g))^(3/2) and half = |eta|/(2g), Cardano's u + r^2/u where
     half > r^3 (one real root), else the largest of three roots,
-    2 r cos(acos(half/r^3)/3), with half/r^3 read as 0 where both vanish."""
+    2 r cos(acos(half/r^3)/3), with half/r^3 read as 0 where both vanish.
+    ``eta`` may be an array where g = 0 or m2 > 0 (``m2`` stays a scalar);
+    each entry then has the bits of the scalar call."""
     if g == 0:
         return eta / m2
     p3 = m2 / (3.0 * g)
-    half = 0.5 * abs(eta) / g
+    half = np.abs(eta) / (2.0 * g)
     if m2 > 0:
-        u = np.cbrt(half + math.sqrt(half * half + p3**3))
+        u = np.cbrt(half + np.sqrt(half * half + p3**3))
         v = p3 / u
         return (eta / g) / (u * u + p3 + v * v)
     r3 = (-p3) ** 1.5
@@ -324,9 +333,9 @@ def _colour_classes(off: np.ndarray) -> list[list[int]]:
 
 
 def metropolis_moments(model: Phi4Model, mass_shift: float, field,
-                       seed: int = 0, n_measure_sweeps: int = 60_000,
+                       seed: int = 0, n_measure_sweeps: int = _MCMC_MEASURE,
                        burnin: int = _MCMC_BURNIN) -> MomentEstimate:
-    """Single-site random-walk Metropolis covariance with stderr, for the
+    """Single-site Metropolis-Hastings covariance with stderr, for the
     measure with extra mass ``mass_shift`` and external field ``field`` in
     place of ``model.h``.
 
@@ -337,13 +346,31 @@ def metropolis_moments(model: Phi4Model, mass_shift: float, field,
     sites of a class share no coupling, so their proposals are independent
     and the class step is the sequential update of its sites.  The sites
     are stored class by class, so each class is a contiguous block of rows.
-    Proposal scales are tuned toward 0.4 acceptance, pooled over the chains,
-    during burn-in only.
-    A proposal old + d with energy change de is accepted when
-    u < exp(-de), u uniform on [0, 1): every downhill move is taken and a
-    NaN change is rejected.  de is built in place in one buffer with its
-    leading factor d replaced by -d, so the buffer holds -de to the bit
-    and exp is taken of it directly.
+
+    Where every site mass m2_i = a_ii + nu + mass_shift is positive, each
+    site's conditional action u(y) = m2 y^2/2 + g y^4/4 - b y, with b =
+    eta_i - (off(A) phi)_i, is convex, and a class step is an independence
+    update (``_independence_chains``; Tierney, Ann. Statist. 22 (1994)
+    1701): y = y* + xi/sqrt(kappa), xi standard normal, accepted by the
+    Metropolis-Hastings ratio of that Gaussian proposal.  y* is the minimum
+    of u (``_site_minimum``) and kappa = sqrt(s^2 + 2g), with s = m2 + g y*^2
+    the least secant curvature 2 (u(y) - u(y*))/(y - y*)^2 over all y.  So
+    the proposal is nowhere much narrower than the site, and the 2g term
+    keeps it from growing wide where the site is flat (m2 -> 0): its weight
+    exp(-u)/q never exceeds e^2 times its value at the mode (the supremum
+    over 20,000 random m2, g and y*), so no state holds a chain for long.
+    Taken from u''(y*) = m2 + 3 g y*^2 instead, kappa leaves the proposal
+    too narrow on the side of a tilted site toward 0, where chains stick.  The chains start at their
+    conditional modes after one class pass from phi = 0, and nothing is
+    tuned.  The default budgets, 128 burn-in and 64 measured sweeps per
+    chain, are sized to it.
+
+    A site with m2 <= 0 has a double-well conditional, of which a one-mode
+    proposal misses a well.  Such a call runs seeded random-walk chains
+    (``_walk_chains``), their proposal scales tuned toward 0.4 acceptance
+    during burn-in, which need the longer budgets ``_shifted_moments``
+    passes.
+
     Every measured sweep is kept: the stderr of the covariance entries is a
     jackknife over whole chains, which are independent, and tau (Wolff's
     automatic window on the chain-averaged autocorrelation of the slower of
@@ -363,14 +390,134 @@ def metropolis_moments(model: Phi4Model, mass_shift: float, field,
     classes = _colour_classes(off)
     order = np.concatenate(classes)
     off = off[np.ix_(order, order)]               # rows and columns by class
-    eta = eta[order]
-    half_mass = 0.5 * (np.diag(a) + model.nu + mass_shift)[order]
-    quarter_g = 0.25 * model.g
+    m2 = (np.diag(a) + model.nu + mass_shift)[order]
+    bounds = np.cumsum([0] + [len(c) for c in classes])
+    run = _independence_chains if np.all(m2 > 0) else _walk_chains
+    samples, accepted = run(rng, off, eta[order], m2, model.g, bounds,
+                            n_burn, n_meas)
+    n_kept = n_meas * chains
 
-    phi = rng.standard_normal((n, chains)) * 0.5    # row r: site order[r]
+    series = samples.transpose(2, 0, 1)          # (chains, sweeps, sites)
+    tau = max(_integrated_autocorr(series.sum(axis=2)),
+              _integrated_autocorr((series**2).sum(axis=2))) \
+        if n_meas > 1 else math.inf
+    ess = n_kept / tau
+    if ess < _MCMC_MIN_ESS:
+        raise NonConvergenceError(
+            f"MCMC effective sample size {ess:.0f} < {_MCMC_MIN_ESS} "
+            f"(tau = {tau:.1f}, sweeps = {n_measure_sweeps}); run longer")
+    if n_burn < _MCMC_BURNIN_TAUS * tau:
+        raise NonConvergenceError(
+            f"MCMC burn-in of {n_burn} sweeps per chain is shorter than "
+            f"{_MCMC_BURNIN_TAUS} tau = {_MCMC_BURNIN_TAUS * tau:.0f} sweeps "
+            f"(burnin = {burnin}); run longer")
+
+    # per-chain sums about the pooled mean; the jackknife leaves out one chain
+    center = series.reshape(-1, n).mean(axis=0)
+    dev = series - center
+    s1 = dev.sum(axis=1)                                   # (chains, sites)
+    s2 = np.einsum("csi,csj->cij", dev, dev)
+    t1, t2 = s1.sum(axis=0), s2.sum(axis=0)
+
+    def cov_from(sum1, sum2, count):
+        shift = sum1 / count
+        return (sum2 - count * shift[..., :, None] * shift[..., None, :]) / (count - 1)
+
+    cov = cov_from(t1, t2, n_kept)
+    cov_jack = cov_from(t1 - s1, t2 - s2, n_kept - n_meas)
+    stderr = float(np.max(np.sqrt(
+        (chains - 1) * np.mean((cov_jack - cov_jack.mean(0)) ** 2, axis=0))))
+    acceptance = float(accepted.sum() / (n_kept * n))
+    row = np.argsort(order)                      # the row of each site
+    return MomentEstimate(value=cov[np.ix_(row, row)], stderr=stderr,
+                          method="mcmc", n_samples=int(ess), tau=tau,
+                          acceptance=acceptance)
+
+
+def _independence_chains(rng, off, eta, m2, g, bounds, n_burn, n_meas):
+    """(samples, accepted moves per row) of ``metropolis_moments``'s
+    independence update, every m2 > 0, rows by class.  A class step splits
+    its rows where m2 changes, so each part passes ``_site_minimum`` one
+    scalar mass; parts of a class share no coupling, so this is still the
+    sequential update of its sites.  With b = eta - off(A) phi, y* the
+    minimum of u(y) = m2 y^2/2 + g y^4/4 - b y and kappa/2 = sqrt(((m2 +
+    g y*^2)/2)^2 + g/2), the proposal y = y* + z/sqrt(kappa/2) from z ~
+    N(0, 1/2) is accepted when log U < u(x) - u(y) + kappa ((y - y*)^2 -
+    (x - y*)^2)/2 = (x - y) ((x + y)(m2/2 + g (x^2 + y^2)/4) - b - kappa
+    (x + y - 2 y*)/2), U uniform on [0, 1): a NaN ratio is rejected."""
+    n, chains = len(m2), _MCMC_CHAINS
+    phi = np.zeros((n, chains))
+    cuts = sorted(set(bounds.tolist())
+                  | set((np.flatnonzero(np.diff(m2)) + 1).tolist()))
+    # per part: its rows, of phi and of -off(A), its mass, m2/2 at full
+    # width (an add of equal shapes is the cheaper call), and its eta_i as
+    # a column when any is set
+    parts = [(rows, phi[rows], -off[rows], m2[rows.start],
+              np.full((rows.stop - rows.start, chains), 0.5 * m2[rows.start]),
+              eta[rows, None] if eta[rows].any() else None)
+             for rows in map(slice, cuts[:-1], cuts[1:])]
+    quarter_g, half_g = (np.full((1, chains), c * g) for c in (0.25, 0.5))
+
+    def field(neg_off, eta_c):
+        b = neg_off @ phi
+        if eta_c is not None:
+            b += eta_c
+        return b
+
+    for _, x, neg_off, mass, _, eta_c in parts:   # start at the modes
+        x[...] = _site_minimum(g, mass, field(neg_off, eta_c))
+
+    def advance(sweeps, record=None):
+        """Run ``sweeps`` sweeps of every chain; accepted moves per row."""
+        z = rng.standard_normal((sweeps, n, chains))
+        z *= math.sqrt(0.5)
+        with np.errstate(divide="ignore"):        # log 0 = -inf accepts
+            log_u = np.log(rng.random((sweeps, n, chains)))
+        take = np.empty((sweeps, n, chains), dtype=bool)
+        for s in range(sweeps):
+            z_s, log_u_s, take_s = z[s], log_u[s], take[s]
+            for rows, x, neg_off, mass, half_mass, eta_c in parts:
+                b = field(neg_off, eta_c)
+                mode = _site_minimum(g, mass, b)
+                half_s = half_mass + half_g * mode * mode   # (m2 + g y*^2)/2
+                half_kappa = np.sqrt(half_s * half_s + half_g)
+                y = mode + z_s[rows] / np.sqrt(half_kappa)
+                both = x + y
+                ratio = (both * (half_mass + quarter_g * (x * x + y * y)) - b
+                         - half_kappa * (both - (mode + mode))) * (x - y)
+                take_c = take_s[rows]
+                np.less(log_u_s[rows], ratio, take_c)
+                np.putmask(x, take_c, y)
+            if record is not None:
+                record[s] = phi
+        return np.count_nonzero(take, axis=(0, 2))
+
+    block = _MCMC_DRAW_SWEEPS
+    for start in range(0, n_burn, block):
+        advance(min(block, n_burn - start))
+    samples = np.empty((n_meas, n, chains))
+    accepted = np.zeros(n)
+    for start in range(0, n_meas, block):
+        sweeps = min(block, n_meas - start)
+        accepted += advance(sweeps, samples[start:start + sweeps])
+    return samples, accepted
+
+
+def _walk_chains(rng, off, eta, m2, g, bounds, n_burn, n_meas):
+    """(samples, accepted moves per row) of ``metropolis_moments``'s
+    random-walk update, rows by class, for a call with a site of m2 <= 0.
+    Proposal scales are tuned toward 0.4 acceptance, pooled over the
+    chains, during burn-in only.  A proposal old + d with energy change de
+    is accepted when u < exp(-de), u uniform on [0, 1): every downhill move
+    is taken and a NaN change is rejected.  de is built in place in one
+    buffer with its leading factor d replaced by -d, so the buffer holds
+    -de to the bit and exp is taken of it directly."""
+    n, chains = len(m2), _MCMC_CHAINS
+    half_mass = 0.5 * m2
+    quarter_g = 0.25 * g
+    phi = rng.standard_normal((n, chains)) * 0.5    # rows by class
     scale = np.full(n, 1.0)
     buffers = np.empty((3, n, chains))
-    bounds = np.cumsum([0] + [len(c) for c in classes])
     # per class: its rows, of phi, of off(A) and of the buffers, with
     # (a_ii + nu + mass)/2 at full width (an add of equal shapes is the
     # cheaper call), eta_i as a column, and whether any eta_i is set
@@ -425,43 +572,7 @@ def metropolis_moments(model: Phi4Model, mass_shift: float, field,
     for start in range(0, n_meas, block):
         sweeps = min(block, n_meas - start)
         accepted += advance(sweeps, samples[start:start + sweeps])
-    n_kept = n_meas * chains
-
-    series = samples.transpose(2, 0, 1)          # (chains, sweeps, sites)
-    tau = max(_integrated_autocorr(series.sum(axis=2)),
-              _integrated_autocorr((series**2).sum(axis=2))) \
-        if n_meas > 1 else math.inf
-    ess = n_kept / tau
-    if ess < _MCMC_MIN_ESS:
-        raise NonConvergenceError(
-            f"MCMC effective sample size {ess:.0f} < {_MCMC_MIN_ESS} "
-            f"(tau = {tau:.1f}, sweeps = {n_measure_sweeps}); run longer")
-    if n_burn < _MCMC_BURNIN_TAUS * tau:
-        raise NonConvergenceError(
-            f"MCMC burn-in of {n_burn} sweeps per chain is shorter than "
-            f"{_MCMC_BURNIN_TAUS} tau = {_MCMC_BURNIN_TAUS * tau:.0f} sweeps "
-            f"(burnin = {burnin}); run longer")
-
-    # per-chain sums about the pooled mean; the jackknife leaves out one chain
-    center = series.reshape(-1, n).mean(axis=0)
-    dev = series - center
-    s1 = dev.sum(axis=1)                                   # (chains, sites)
-    s2 = np.einsum("csi,csj->cij", dev, dev)
-    t1, t2 = s1.sum(axis=0), s2.sum(axis=0)
-
-    def cov_from(sum1, sum2, count):
-        shift = sum1 / count
-        return (sum2 - count * shift[..., :, None] * shift[..., None, :]) / (count - 1)
-
-    cov = cov_from(t1, t2, n_kept)
-    cov_jack = cov_from(t1 - s1, t2 - s2, n_kept - n_meas)
-    stderr = float(np.max(np.sqrt(
-        (chains - 1) * np.mean((cov_jack - cov_jack.mean(0)) ** 2, axis=0))))
-    acceptance = float(accepted.sum() / (n_kept * n))
-    row = np.argsort(order)                      # the row of each site
-    return MomentEstimate(value=cov[np.ix_(row, row)], stderr=stderr,
-                          method="mcmc", n_samples=int(ess), tau=tau,
-                          acceptance=acceptance)
+    return samples, accepted
 
 
 def _integrated_autocorr(x: np.ndarray) -> float:
@@ -501,11 +612,17 @@ def _shifted_moments(model: Phi4Model, t: float, field, method: str = "auto",
                      seed: int = 0) -> MomentEstimate:
     """Covariance of the model with mass shift 1/t and external ``field``
     (which replaces ``model.h``), by quadrature (rings of any length; under
-    "auto" n <= 3 sites) or Metropolis from ``seed``, each at its own budget."""
+    "auto" n <= 3 sites) or Metropolis from ``seed``, each at its own budget:
+    ``metropolis_moments``'s defaults where every site mass a_ii + nu + 1/t
+    is positive, else the random walk's 100,000 burn-in and 60,000
+    measured sweeps."""
     if method == "quadrature" or (
             method == "auto" and model.n_sites <= QUADRATURE_MAX_SITES):
         return lattice_moments(model, 1.0 / t, field)
-    return metropolis_moments(model, 1.0 / t, field, seed=seed)
+    walk = np.any(np.diag(model.a_matrix) + model.nu + 1.0 / t <= 0)
+    budgets = (dict(n_measure_sweeps=_MCMC_WALK_MEASURE,
+                    burnin=_MCMC_WALK_BURNIN) if walk else {})
+    return metropolis_moments(model, 1.0 / t, field, seed=seed, **budgets)
 
 
 def susceptibility(model: Phi4Model, t: float, method: str = "auto",

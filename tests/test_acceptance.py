@@ -6,6 +6,7 @@ run.  Tolerances are pinned here, not configurable.
 """
 
 import math
+import pathlib
 import time
 
 import numpy as np
@@ -304,7 +305,7 @@ def test_criterion_12_determinism(tmp_path):
     files1 = emit_report(rep1, str(tmp_path / "run1"))
     rep2 = run_experiment(cfg)
     files2 = emit_report(rep2, str(tmp_path / "run2"))
-    same = all(open(a, "rb").read() == open(b, "rb").read()
+    same = all(pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
                for a, b in zip(files1, files2))
     statuses_ok = all(v == "pass" for v in rep1.statuses.values())
     ok = same and statuses_ok

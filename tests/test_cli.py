@@ -35,6 +35,12 @@ def _run_cli(*args):
                           capture_output=True, text=True)
 
 
+def _csv_rows(path):
+    """The rows of a results.csv as dicts, with the file closed."""
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_parse_types():
     entries = parse_config_text(
         "a = 1\nb = 2.5\nc = true\nd = hello\ne = [1, 2]\nf = [[1.0, 0.0], [0.0, 2.0]]\n")
@@ -95,7 +101,7 @@ def test_empty_checks_header_only(tmp_path):
     cfg = config_from_text(text)
     report = run_experiment(cfg)
     files = emit_report(report, str(tmp_path / "out"))
-    lines = open(files[0]).read().splitlines()
+    lines = pathlib.Path(files[0]).read_text().splitlines()
     assert len(lines) == 1  # header only
     assert lines[0].startswith("section,check,status")
 
@@ -124,11 +130,11 @@ def test_run_deterministic_outputs(tmp_path):
     assert res1.returncode == 0, res1.stderr
     res2 = _run_cli("run", str(cfg_path), "--out", str(tmp_path / "out2"))
     assert res2.returncode == 0
-    a = open(tmp_path / "out1" / "results.csv", "rb").read()
-    b = open(tmp_path / "out2" / "results.csv", "rb").read()
+    a = (tmp_path / "out1" / "results.csv").read_bytes()
+    b = (tmp_path / "out2" / "results.csv").read_bytes()
     assert a == b
-    aj = open(tmp_path / "out1" / "results.jsonl", "rb").read()
-    bj = open(tmp_path / "out2" / "results.jsonl", "rb").read()
+    aj = (tmp_path / "out1" / "results.jsonl").read_bytes()
+    bj = (tmp_path / "out2" / "results.jsonl").read_bytes()
     assert aj == bj
 
 
@@ -245,7 +251,7 @@ def test_negative_density_table_rejected_at_validate(tmp_path):
 def test_oracle_subcommand(tmp_path):
     res = _run_cli("oracle", "--out", str(tmp_path))
     assert res.returncode == 0
-    lines = open(tmp_path / "oracle_values.csv").read().splitlines()
+    lines = (tmp_path / "oracle_values.csv").read_text().splitlines()
     assert lines[0] == "oracle,value"
     values = {row.split(",")[0]: float(row.split(",")[1]) for row in lines[1:]}
     assert abs(values["smoothed-quadratic-value"] - 0.5965735902799727) < 1e-12
@@ -951,7 +957,7 @@ def test_weight_underflow_ends_unconverged(tmp_path, edit):
     path.write_text(SWEEP_BASE.replace("model.g = 1.0\n", "") + edit
                     + f"\nchecks = [spectrum]\noutput = {tmp_path / 'out'}\n")
     assert cli.main(["run", str(path)]) == 3
-    (status,) = [r for r in csv.DictReader(open(tmp_path / "out" / "results.csv"))
+    (status,) = [r for r in _csv_rows(tmp_path / "out" / "results.csv")
                  if r["section"] == "status"]
     assert status["status"] == "unconverged"
     assert status["detail"].startswith("box too large / resolution too coarse")
@@ -976,7 +982,7 @@ def test_2d_gaussian_spectral_checks_exit_0(tmp_path):
                     .replace("[spectrum, theorem]", "[spectrum, theorem, higher-k]")
                     .replace("spectrum.k = 2", "spectrum.k = 3"))
     assert cli.main(["run", str(path)]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "out" / "results.csv")))
+    rows = _csv_rows(tmp_path / "out" / "results.csv")
     first = next(r for r in rows if r["section"] == "spectrum")
     mu_1 = 1.0 / np.linalg.eigvalsh(c_inf)[-1]
     assert abs(float(first["mu_1"]) - mu_1) <= 1e-3 * mu_1
@@ -1005,7 +1011,7 @@ seed = 1
 output = {tmp_path / 'out'}
 """)
     assert cli.main(["run", str(path)]) == 3
-    (status,) = [r for r in csv.DictReader(open(tmp_path / "out" / "results.csv"))
+    (status,) = [r for r in _csv_rows(tmp_path / "out" / "results.csv")
                  if r["section"] == "status"]
     assert status["status"] == "unconverged"
     assert "degenerate test function" in status["detail"]
@@ -1021,7 +1027,7 @@ def test_huge_coupling_ends_unconverged(tmp_path):
     path.write_text(SWEEP_BASE.replace("model.g = 1.0", "model.g = 1e200")
                     + f"checks = [criterion]\noutput = {tmp_path / 'out'}\n")
     assert cli.main(["run", str(path)]) == 3
-    rows = list(csv.DictReader(open(tmp_path / "out" / "results.csv")))
+    rows = _csv_rows(tmp_path / "out" / "results.csv")
     (status,) = [r for r in rows if r["section"] == "status"]
     assert status["status"] == "unconverged"
     assert status["detail"].startswith("quadrature overflow in derivatives")
@@ -1045,7 +1051,7 @@ def test_unconverged_lattice_moments_end_unconverged(tmp_path, monkeypatch):
     path.write_text(SWEEP_BASE
                     + f"checks = [criterion]\noutput = {tmp_path / 'out'}\n")
     assert cli.main(["run", str(path)]) == 3
-    (status,) = [r for r in csv.DictReader(open(tmp_path / "out" / "results.csv"))
+    (status,) = [r for r in _csv_rows(tmp_path / "out" / "results.csv")
                  if r["section"] == "status"]
     assert status["status"] == "unconverged"
     assert re.fullmatch(r"lattice moments at t = \S+ did not converge",
@@ -1061,7 +1067,7 @@ def test_lanczos_breakdown_ends_unconverged(tmp_path, monkeypatch):
     path.write_text(SWEEP_BASE + "checks = [criterion]\n"
                     + f"output = {tmp_path / 'out'}\n")
     assert cli.main(["run", str(path)]) == 3
-    (status,) = [r for r in csv.DictReader(open(tmp_path / "out" / "results.csv"))
+    (status,) = [r for r in _csv_rows(tmp_path / "out" / "results.csv")
                  if r["section"] == "status"]
     assert status["status"] == "unconverged"
     assert status["detail"].startswith("site 0: Lanczos broke down")
@@ -1181,9 +1187,9 @@ def _assert_edit_contract(tmp_path, capsys, text, name, check, out, edit):
         assert re.search(name, capsys.readouterr().err), edit
         return
     assert code in (0, 1, 3), edit
-    rows = list(csv.DictReader(open(out / "results.csv")))
-    assert rows == [json.loads(line)
-                    for line in open(out / "results.jsonl")], edit
+    rows = _csv_rows(out / "results.csv")
+    assert rows == [json.loads(line) for line in
+                    (out / "results.jsonl").read_text().splitlines()], edit
     (status,) = [r for r in rows if r["section"] == "status"]
     assert status["check"] == check
     assert status["status"] != "fail" or status["detail"] == "", edit
@@ -1273,7 +1279,7 @@ def test_intertwining_overflow_ends_unconverged(tmp_path, edit):
     path.write_text(text + f"{edit}\nchecks = [intertwining]\n"
                     f"output = {tmp_path / 'out'}\n")
     assert cli.main(["run", str(path)]) == 3
-    rows = list(csv.DictReader(open(tmp_path / "out" / "results.csv")))
+    rows = _csv_rows(tmp_path / "out" / "results.csv")
     (status,) = [r for r in rows if r["section"] == "status"]
     assert status["status"] == "unconverged"
     assert status["detail"].startswith(
