@@ -33,12 +33,18 @@ Scales do not depend on one another, so the variance decomposition and the
 runner's spectral t grid build their flow measures on all usable cores
 (``_map_scales``): a measure spends its time in numpy kernels that release
 the GIL, and the grid passes in flight share one memory budget.  Results
-are byte-identical to a serial build.  Eigensolves stay serial: the merges
-of LAPACK's tridiagonal divide-and-conquer call BLAS ``gemm``, whose bits
-depend on the BLAS thread count (eigenvectors of 1-D pencils of 200-600
-nodes differ at round-off between one and two threads), so a solve inside
-the pool could move the kernel eigenvalue mu_0.  The passes in the pool
-call BLAS on d x d matrices only.
+are byte-identical to a serial build.  Eigensolves stay serial, for two
+reasons.  The merges of LAPACK's tridiagonal divide-and-conquer call BLAS
+``gemm``, whose bits depend on the BLAS thread count (eigenvectors of 1-D
+pencils of 200-600 nodes differ at round-off between one and two threads),
+so a solve inside the pool could move the kernel eigenvalue mu_0.  And the
+pool would not speed them up: scipy's ``dstevd`` wrapper holds the GIL,
+and on 2 cores the 24 solves of the flow-1d benchmark's 513-node pencils
+took 0.34 s in turn and 0.31 s on two threads.  The passes in the pool call
+BLAS on d x d matrices only.  Generators and their Richardson refine meshes
+are built serially too: building them in the pool before the solves saved
+3.5 % of flow-1d's run time, no more than its run-to-run spread, and held
+one fine mesh per scale (``BENCH_41.json``).
 """
 
 from __future__ import annotations
@@ -243,6 +249,16 @@ def _transport(schedule, V0, q, s: float, t: float, box: Box, shape,
             tuple(GridFunction(box, img.reshape(shape)) for img in images))
 
 
+def _log_density(schedule: CovarianceSchedule, t: float, nodes: np.ndarray,
+                v: np.ndarray) -> np.ndarray:
+    """Unnormalized log density -1/2 <x, (C_inf - C_t)^{-1} x> - V_t(x) of
+    the flow measure at the points ``nodes`` (N, d), given V_t there as
+    ``v`` (N,)."""
+    prec = schedule.residual_inverse(t)
+    quadform = 0.5 * np.einsum("mi,ij,mj->m", nodes, prec, nodes)
+    return -quadform - v
+
+
 @dataclass
 class FlowMeasure:
     """The flow measure at one scale, materialized on a truncated grid.
@@ -271,8 +287,6 @@ class FlowMeasure:
 
     def __post_init__(self, carry=()):
         nodes = self.box.nodes(self.grid_shape)
-        prec = self.schedule.residual_inverse(self.t)
-        quadform = 0.5 * np.einsum("mi,ij,mj->m", nodes, prec, nodes)
         ct, _, _ = self.schedule.eval(self.t)
         v, self.transported = None, ()
         if carry:
@@ -283,7 +297,8 @@ class FlowMeasure:
         if v is None or self.V0.form in _CLOSED_FORMS:
             v = renormalized_value(self.V0, ct, nodes, self.quad)
         self.v_grid = v.reshape(self.grid_shape)
-        self.log_density_grid = (-quadform - v).reshape(self.grid_shape)
+        self.log_density_grid = _log_density(
+            self.schedule, self.t, nodes, v).reshape(self.grid_shape)
         shift = float(np.max(self.log_density_grid))
         w = self.box.trapezoid_weights(self.grid_shape)
         self.log_normalizer = shift + math.log(

@@ -29,7 +29,13 @@ a deterministic start vector, shifted below mu_0 = 0 by a tenth of the
 smallest Rayleigh quotient of the centred coordinate functions, an upper
 bound on mu_1 that the pencil sets itself.  A solver breakdown raises
 NonConvergenceError, every solve is residual-verified, and the spectrum
-carries a Richardson consistency check under mesh halving.
+carries a Richardson consistency check under mesh halving.  The refine
+mesh is the trimmed coarse mesh plus the midpoints between its nodes.  Its
+coarse nodes keep the flow measure's own V_t, and one
+``renormalized_value`` pass evaluates V_t at the new nodes only: n - 1 of
+2n - 1 in 1-D, (2n - 1)^2 - n^2 in 2-D.  Its log weight is the flow
+measure's own formula, ``flow._log_density``.  Each refiner call builds
+the refine mesh on the calling thread, when ``spectrum`` asks for it.
 
 This is the one module of a run that imports scipy.  In 1-D it loads only
 scipy's compiled LAPACK wrappers (``scipy.linalg._flapack``) and no scipy
@@ -49,12 +55,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import NonConvergenceError, QuadratureOverflowError
-from .flow import Box, FlowMeasure, GridFunction, integrate_grid
-from .potential import DEFAULT_RULE, QuadratureRule
+from .flow import (Box, FlowMeasure, GridFunction, _log_density,
+                   integrate_grid)
+from .potential import DEFAULT_RULE, QuadratureRule, renormalized_value
 
 # Nodes whose log weight falls this far below the maximum are trimmed off the
 # box before assembly; exp(-570) is comfortably inside float range.
@@ -131,7 +139,9 @@ class GeneratorDiscretization:
     grid_shape: tuple
     stiffness: object = field(repr=False)  # Tridiagonal in 1-D, CSR in 2-D
     mass: np.ndarray = field(repr=False)  # lumped weighted mass, diagonal
-    refiner: object = None        # () -> GeneratorDiscretization on halved mesh
+    # () -> the generator on the halved mesh; its V_t is the coarse one at
+    # the coarse nodes and one renormalized_value pass at the midpoints
+    refiner: object = None
 
     @property
     def n_nodes(self) -> int:
@@ -228,6 +238,42 @@ def _generator(t: float, box: Box, w: np.ndarray, mobility: np.ndarray,
                                    stiffness=e, mass=mass, refiner=refiner)
 
 
+def _weights(log_w: np.ndarray) -> np.ndarray:
+    """exp(log_w - max log_w), refused when more than _UNDERFLOW_FRAC of
+    the nodes underflow to zero."""
+    raw_w = np.exp(log_w - np.max(log_w))
+    frac_zero = float(np.count_nonzero(raw_w == 0.0)) / raw_w.size
+    if frac_zero > _UNDERFLOW_FRAC:
+        raise QuadratureOverflowError(
+            f"box too large / resolution too coarse: weight underflows at "
+            f"{100 * frac_zero:.1f}% of nodes")
+    return raw_w
+
+
+def _refined(fm: FlowMeasure, box: Box, v_coarse: np.ndarray,
+             cprime: np.ndarray) -> GeneratorDiscretization:
+    """Generator of fm's measure on ``box`` at half the mesh width of the
+    coarse mesh that carries V_t as ``v_coarse``.
+
+    The fine mesh is the coarse one plus the midpoints between its nodes.
+    Coarse nodes keep their V_t; one ``renormalized_value`` pass gives it
+    at the new nodes only.
+    """
+    shape = tuple(2 * n - 1 for n in v_coarse.shape)
+    nodes = box.nodes(shape)
+    coarse = (slice(None, None, 2),) * box.dim
+    v = np.empty(shape)
+    v[coarse] = v_coarse
+    new = np.ones(shape, dtype=bool)
+    new[coarse] = False
+    new = new.reshape(-1)
+    v = v.reshape(-1)
+    ct, _, _ = fm.schedule.eval(fm.t)
+    v[new] = renormalized_value(fm.V0, ct, nodes[new], fm.quad)
+    log_w = _log_density(fm.schedule, fm.t, nodes, v).reshape(shape)
+    return _generator(fm.t, box, _weights(log_w), cprime, None)
+
+
 def build_generator(flow_measure: FlowMeasure, cprime=None,
                     trim: bool = True) -> GeneratorDiscretization:
     """Assemble the generator of the flow measure at fm.t (mobility C_t'
@@ -239,29 +285,19 @@ def build_generator(flow_measure: FlowMeasure, cprime=None,
     cprime = np.atleast_2d(np.asarray(cprime, dtype=float))
 
     log_w = fm.log_density_grid
-    raw_w = np.exp(log_w - np.max(log_w))
-    frac_zero = float(np.count_nonzero(raw_w == 0.0)) / raw_w.size
-    if frac_zero > _UNDERFLOW_FRAC:
-        raise QuadratureOverflowError(
-            f"box too large / resolution too coarse: weight underflows at "
-            f"{100 * frac_zero:.1f}% of nodes")
-
+    raw_w = _weights(log_w)
     box, shape = fm.box, fm.grid_shape
+    window = (slice(None),) * box.dim
     if trim:
         window = _trim_window(log_w, TRIM_LOG)
         if any(sl.stop - sl.start < shape[k] for k, sl in enumerate(window)):
             axes = box.axes(shape)
             box = Box(tuple(axes[k][window[k].start] for k in range(box.dim)),
                       tuple(axes[k][window[k].stop - 1] for k in range(box.dim)))
-            shape = tuple(sl.stop - sl.start for sl in window)
             # the window holds the maximum, so raw_w slices exactly
             raw_w = raw_w[window]
 
-    def refiner():
-        fine = FlowMeasure(fm.schedule, fm.V0, fm.t, box,
-                           tuple(2 * (n - 1) + 1 for n in shape), fm.quad)
-        return build_generator(fine, cprime=cprime, trim=False)
-
+    refiner = partial(_refined, fm, box, fm.v_grid[window], cprime)
     return _generator(fm.t, box, raw_w, cprime, refiner)
 
 

@@ -537,6 +537,38 @@ def test_intertwining_builds_v_t_once_per_time(monkeypatch):
     assert sorted(passes.values()) == [129, 129, 129]
 
 
+def test_spectral_trace_raises_the_first_error_in_t_order(monkeypatch):
+    import rgflow.spectral as spectral_mod
+    from rgflow.errors import NonConvergenceError, QuadratureOverflowError
+
+    cfg = config_from_text(SWEEP_BASE.replace("t_grid.count = 3",
+                                              "t_grid.count = 4")
+                           + "checks = [spectrum]\n")
+    ts = cfg.t_grid()
+    real_pairs, real_refined = spectral_mod._smallest_pairs, spectral_mod._refined
+
+    def pairs(gen, k):
+        # the coarse generator is the one with a refiner
+        if gen.t == ts[1] and gen.refiner is not None:
+            raise NonConvergenceError("coarse solve at scale 1")
+        return real_pairs(gen, k)
+
+    def refined(fm, *args):
+        if fm.t == ts[3]:
+            raise QuadratureOverflowError("refine pass at scale 3")
+        return real_refined(fm, *args)
+
+    monkeypatch.setattr(spectral_mod, "_refined", refined)
+    details = []
+    for solve in (real_pairs, pairs):
+        monkeypatch.setattr(spectral_mod, "_smallest_pairs", solve)
+        report = run_experiment(cfg)
+        assert report.statuses["spectrum"] == "unconverged"
+        details.append(report.errors["spectrum"])
+    # scale 3's refine error waits for scale 1's solve, as in t order
+    assert details == ["refine pass at scale 3", "coarse solve at scale 1"]
+
+
 PHI4_RING4 = """\
 model.kind = phi4
 model.a_matrix = [[2.5, -0.5, 0.0, -0.5], [-0.5, 2.5, -0.5, 0.0], [0.0, -0.5, 2.5, -0.5], [-0.5, 0.0, -0.5, 2.5]]

@@ -670,9 +670,15 @@ def test_susceptibility_nondecreasing_in_t():
 
 
 def test_hessian_identity_gaussian_exact():
+    # Both sides are C_t^{-1} less a term of its size, and they agree to
+    # k = 4 roundings of |C_t^{-1}|: the inverse, the two products and the
+    # difference.  The right side vanishes here, so the check divides by
+    # its floor 1e-6 |C_t^{-1}|, and k eps |C_t^{-1}| reads k eps / 1e-6.
     m = Phi4Model([[1.0]], 0.0, 0.0, [0.0])
-    err = hessian_identity_check(m, 1.0, [[0.0], [0.7]])
-    assert err < 1e-9
+    bound = 4 * np.finfo(float).eps / 1e-6
+    assert bound <= 1e-9
+    for t in np.geomspace(0.2, 5.0, 15):
+        assert hessian_identity_check(m, t, [[0.0], [0.7]]) <= bound
 
 
 @pytest.mark.parametrize("a_matrix,phis", [

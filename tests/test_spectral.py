@@ -351,6 +351,62 @@ def test_refiner_rebuilds_the_trimmed_box_at_twice_the_resolution():
     assert np.array_equal(fine.stiffness.off, want.stiffness.off)
 
 
+def _trimmed_quartic_measure(dim):
+    """A quartic flow measure on a box wide enough, along some axis, for
+    build_generator to trim it."""
+    from rgflow.flow import Box
+    from rgflow.phi4 import Phi4Model
+
+    if dim == 1:
+        model = Phi4Model([[1.0]], 1.0, -1.0, [0.0])
+        sched, V0, q, n = model.schedule(), model.potential(), 80, 513
+        box = Box.cube(16.0, 1)
+    else:
+        sched = make_schedule("pauli-villars", c_infinity=[[1.0, 0.0],
+                                                           [0.0, 0.2]])
+        V0 = PotentialDescriptor.quartic(1.0, -1.0, [0.0, 0.2], dimension=2)
+        q, n, box = 12, 33, Box.cube(8.0, 2)
+    return make_flow_measure(sched, V0, 0.5, n, box=box,
+                             q=QuadratureRule(order=q))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_refine_evaluates_v_t_at_its_new_nodes_only(monkeypatch, dim):
+    import rgflow.spectral as spectral_mod
+
+    fm = _trimmed_quartic_measure(dim)
+    gen = build_generator(fm)
+    assert gen.box != fm.box
+    passes, densities = [], []
+    real_value, real_density = (spectral_mod.renormalized_value,
+                                spectral_mod._log_density)
+
+    def value_spy(V0, c, x, q):
+        passes.append(np.array(x))
+        return real_value(V0, c, x, q)
+
+    def density_spy(schedule, t, nodes, v):
+        densities.append(v.copy())
+        return real_density(schedule, t, nodes, v)
+
+    monkeypatch.setattr(spectral_mod, "renormalized_value", value_spy)
+    monkeypatch.setattr(spectral_mod, "_log_density", density_spy)
+    fine = gen.refiner()
+    coarse = gen.grid_shape
+    assert fine.grid_shape == tuple(2 * m - 1 for m in coarse)
+    # one pass, over exactly the nodes with an odd index on some axis
+    (points,) = passes
+    assert len(points) == fine.n_nodes - gen.n_nodes
+    nodes = gen.box.nodes(fine.grid_shape)
+    odd = np.any(np.indices(fine.grid_shape).reshape(dim, -1) % 2 == 1, axis=0)
+    assert np.array_equal(points, nodes[odd])
+    # the coarse nodes carry the measure's own V_t, bit for bit
+    (v,) = densities
+    window = spectral_mod._trim_window(fm.log_density_grid, spectral_mod.TRIM_LOG)
+    keep = (slice(None, None, 2),) * dim
+    assert np.array_equal(v.reshape(fine.grid_shape)[keep], fm.v_grid[window])
+
+
 def test_arpack_nonconvergence_maps_to_nonconvergence_error(monkeypatch):
     import scipy.sparse.linalg as spla
 
