@@ -164,10 +164,14 @@ class GeneratorDiscretization:
 
 def _trim_window(log_w: np.ndarray, threshold: float) -> tuple:
     """Smallest axis-aligned index window containing {log_w >= max - threshold}."""
-    keep = log_w >= np.max(log_w) - threshold
+    return _bounding_window(log_w >= np.max(log_w) - threshold)
+
+
+def _bounding_window(keep: np.ndarray) -> tuple:
+    """Smallest axis-aligned index window containing every True of ``keep``."""
     slices = []
-    for axis in range(log_w.ndim):
-        other = tuple(i for i in range(log_w.ndim) if i != axis)
+    for axis in range(keep.ndim):
+        other = tuple(i for i in range(keep.ndim) if i != axis)
         line = np.any(keep, axis=other)
         idx = np.nonzero(line)[0]
         slices.append(slice(int(idx[0]), int(idx[-1]) + 1))
@@ -238,15 +242,31 @@ def _generator(t: float, box: Box, w: np.ndarray, mobility: np.ndarray,
                                    stiffness=e, mass=mass, refiner=refiner)
 
 
-def _weights(log_w: np.ndarray) -> np.ndarray:
-    """exp(log_w - max log_w), refused when more than _UNDERFLOW_FRAC of
-    the nodes underflow to zero."""
+def _weights(log_w: np.ndarray, window: tuple = ()) -> np.ndarray:
+    """exp(log_w - max log_w) on the index ``window`` of the grid, which
+    holds the maximum (the whole grid by default).
+
+    Refused when, along some axis, more than _UNDERFLOW_FRAC of the grid's
+    nodes lie beyond the last weight above zero (the box is too large for
+    its nodes), or when more than _UNDERFLOW_FRAC of the window's own nodes
+    underflow to zero.  Nodes that the window leaves out count only for
+    the first.
+    """
     raw_w = np.exp(log_w - np.max(log_w))
-    frac_zero = float(np.count_nonzero(raw_w == 0.0)) / raw_w.size
-    if frac_zero > _UNDERFLOW_FRAC:
+    live = _bounding_window(raw_w > 0.0)
+    for axis, sl in enumerate(live):
+        frac = 1.0 - (sl.stop - sl.start) / raw_w.shape[axis]
+        if frac > _UNDERFLOW_FRAC:
+            raise QuadratureOverflowError(
+                f"box too large / resolution too coarse: {100 * frac:.1f}% of "
+                f"the nodes along axis {axis} lie beyond the last weight that "
+                f"does not underflow")
+    raw_w = raw_w[window]
+    frac = float(np.count_nonzero(raw_w == 0.0)) / raw_w.size
+    if frac > _UNDERFLOW_FRAC:
         raise QuadratureOverflowError(
             f"box too large / resolution too coarse: weight underflows at "
-            f"{100 * frac_zero:.1f}% of nodes")
+            f"{100 * frac:.1f}% of nodes")
     return raw_w
 
 
@@ -285,7 +305,6 @@ def build_generator(flow_measure: FlowMeasure, cprime=None,
     cprime = np.atleast_2d(np.asarray(cprime, dtype=float))
 
     log_w = fm.log_density_grid
-    raw_w = _weights(log_w)
     box, shape = fm.box, fm.grid_shape
     window = (slice(None),) * box.dim
     if trim:
@@ -294,11 +313,9 @@ def build_generator(flow_measure: FlowMeasure, cprime=None,
             axes = box.axes(shape)
             box = Box(tuple(axes[k][window[k].start] for k in range(box.dim)),
                       tuple(axes[k][window[k].stop - 1] for k in range(box.dim)))
-            # the window holds the maximum, so raw_w slices exactly
-            raw_w = raw_w[window]
 
     refiner = partial(_refined, fm, box, fm.v_grid[window], cprime)
-    return _generator(fm.t, box, raw_w, cprime, refiner)
+    return _generator(fm.t, box, _weights(log_w, window), cprime, refiner)
 
 
 def build_generator_from_density(box: Box,

@@ -309,6 +309,43 @@ def test_moment_kernel_matches_direct_sums_on_a_stress_set(d):
         assert np.all(_row_relative_error(hess[i], want_h) <= 1e-8)
 
 
+@pytest.mark.parametrize("padded", [False, True], ids=["plaquette", "padded"])
+def test_weight_floor_keeps_every_bit_of_plain_exp(monkeypatch, padded):
+    # The kernel gives a weight of exactly 0 to every shifted log-weight
+    # below its floor (-700) instead of exponentiating it.  The batch reaches
+    # past exp's underflow to 0 (below -745.13) and into its subnormal band
+    # (-745.13, -708.40).  The reference is the same kernel with the floor
+    # at -inf, so that every weight goes through np.exp, the padding's -inf
+    # log-weights included.
+    from rgflow.curvature import _stacked_shifts
+    from rgflow.phi4 import Phi4Model
+
+    model = Phi4Model([[2.0, -1.0], [-1.0, 2.0]], 1.0, -1.0, [0.0, 0.0])
+    sched, V0 = model.schedule(), model.potential()
+    covs = [sched.eval(t)[0] for t in (0.5, 1.0)]
+    if padded:
+        covs.insert(1, np.diag([0.8, 0.0]))    # 40 nodes, padded to 1600
+    z, logw = _stacked_shifts(covs, 2, QuadratureRule(order=40))
+    axis = np.linspace(-2.0, 2.0, 9)
+    xs = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(1, -1, 2)
+    xs = np.repeat(xs, len(covs), axis=0)
+    assert np.isneginf(logw).any() == padded
+    # the shifted log-weights, from V0 itself
+    pts = xs[:, :, None, :] + z[:, None, :, :]
+    le = logw[:, None, :] - V0.value(pts.reshape(-1, 2)).reshape(pts.shape[:3])
+    le -= np.max(le, axis=-1, keepdims=True)
+    assert np.any(le < -745.2)
+    assert np.any((le > -745.1) & (le < -708.5))
+
+    basis = potential._monomial_basis(z)
+    got = potential._tilted_derivatives(V0, basis, logw, xs)
+    monkeypatch.setattr(potential, "_WEIGHT_FLOOR", -np.inf)
+    want = potential._tilted_derivatives(V0, basis, logw, xs)
+    for g, w in zip(got, want):
+        assert np.all(np.isfinite(w))
+        assert np.array_equal(g, w)
+
+
 @pytest.mark.parametrize("c", [
     np.array([[0.8, 0.3], [0.3, 0.6]]),
     np.array([[0.8, 0.3, 0.1], [0.3, 0.6, 0.2], [0.1, 0.2, 0.5]]),

@@ -137,6 +137,26 @@ def test_underflow_box_rejected():
         build_generator(fm)
 
 
+@pytest.mark.parametrize("half_width, window", [(12.0, 31), (13.0, 29)])
+def test_underflow_share_is_counted_on_the_trimmed_window(half_width, window):
+    # plaquette phi4 at t = 0.5 on 33^2 nodes: more than a fifth of the
+    # grid's weights underflow (27.4 % and 37.5 %), but the trim cuts most
+    # of them off, and in the window the generator is assembled on 19.4 %
+    # and 19.0 % do
+    from rgflow import spectral
+    from rgflow.flow import Box
+    from rgflow.phi4 import Phi4Model
+
+    model = Phi4Model([[2.0, -1.0], [-1.0, 2.0]], 1.0, -1.0, [0.0, 0.0])
+    fm = make_flow_measure(model.schedule(), model.potential(), 0.5, 33,
+                           box=Box.cube(half_width, 2), q=QuadratureRule(order=20))
+    log_w = fm.log_density_grid
+    assert np.mean(np.exp(log_w - np.max(log_w)) == 0.0) > spectral._UNDERFLOW_FRAC
+    gen = build_generator(fm)
+    assert gen.grid_shape == (window, window)
+    assert 0.0 < np.mean(gen.mass == 0.0) <= spectral._UNDERFLOW_FRAC
+
+
 def test_rayleigh_quotient_contracts(ou_gen):
     res = spectrum(ou_gen, k=2, refine=False)
     mu1, mu2 = res.eigenvalues[1], res.eigenvalues[2]
