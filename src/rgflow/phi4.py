@@ -19,8 +19,8 @@ grows, so the infimum is 0 and the bound reads 1/t + lambda_max(A)
 matrices around the site ring on the sites' own Gauss rules (A coupling
 ring neighbours only); past 3 sites, and for cross-checks, from seeded
 single-site Metropolis-Hastings: each site drawn from a Gaussian fitted to
-its own conditional action where every site action is convex, by a tuned
-random walk where one is a double well.  Each estimator sets its own budget
+its own conditional action, or from a mixture of two, one on each well,
+where that action is a double well.  Each estimator sets its own budget
 (quadrature order, sweeps), and ``_shifted_moments`` alone picks between
 them.  The Metropolis path advances a fixed batch of 256 independent chains
 together in numpy, from one generator seeded by ``seed``, with one
@@ -53,15 +53,15 @@ QUADRATURE_MAX_SITES = MAX_TENSOR_DIM
 
 _MCMC_BURNIN = 32_768          # 128 sweeps per chain
 _MCMC_MEASURE = 16_384         # 64 sweeps per chain
-_MCMC_WALK_BURNIN = 100_000    # the random walk's, for a site with m2 <= 0
-_MCMC_WALK_MEASURE = 60_000
+# for a call with a site of m2 <= 0: coupled wells flip together, and tau
+# near 15 to 17 sweeps on a 4-ring at nu = -4 puts 20 tau past 128 sweeps
+_MCMC_WELLS_BURNIN = 100_000
+_MCMC_WELLS_MEASURE = 60_000
 # 256, not 512: at 512 a chain keeps 64 burn-in sweeps of the default
 # budget, against 20 tau = 88 at the largest tau seen on a 16-ring with
 # m2 = 0.5 (4.4)
 _MCMC_CHAINS = 256
 _MCMC_DRAW_SWEEPS = 32         # sweeps of the independence update per draw
-_MCMC_TARGET_ACCEPT = 0.4
-_MCMC_TUNE_TRIALS = 500      # pooled trials per site between scale updates
 _MCMC_MIN_ESS = 1000
 _MCMC_BURNIN_TAUS = 20
 _WOLFF_S = 1.5
@@ -138,8 +138,8 @@ def _site_minimum(g: float, m2: float, eta):
     r^3 = (-m2/(3g))^(3/2) and half = |eta|/(2g), Cardano's u + r^2/u where
     half > r^3 (one real root), else the largest of three roots,
     2 r cos(acos(half/r^3)/3), with half/r^3 read as 0 where both vanish.
-    ``eta`` may be an array where g = 0 or m2 > 0 (``m2`` stays a scalar);
-    each entry then has the bits of the scalar call."""
+    ``eta`` may be an array (``m2`` stays a scalar); each entry then has the
+    bits of the scalar call."""
     if g == 0:
         return eta / m2
     p3 = m2 / (3.0 * g)
@@ -149,11 +149,22 @@ def _site_minimum(g: float, m2: float, eta):
         v = p3 / u
         return (eta / g) / (u * u + p3 + v * v)
     r3 = (-p3) ** 1.5
-    if half > r3:
-        u = np.cbrt(half + math.sqrt(half * half - r3 * r3))
-        return math.copysign(u - p3 / u, eta)
-    return math.copysign(2.0 * math.sqrt(-p3) * math.cos(
-        math.acos(half / r3 if r3 else 0.0) / 3.0), eta)
+    with np.errstate(invalid="ignore", divide="ignore"):   # the form not taken
+        u = np.cbrt(half + np.sqrt(half * half - r3 * r3))
+        three = 2.0 * math.sqrt(-p3) * np.cos(
+            np.arccos(half / r3 if r3 else 0.0) / 3.0)
+        return np.copysign(np.where(half > r3, u - p3 / u, three), eta)
+
+
+def _far_well(g: float, m2: float, mode):
+    """The offset c from the global minimum ``mode`` (``_site_minimum``) of
+    the site action u(y) = m2 y^2/2 + g y^4/4 - eta y to its other local
+    minimum mode + c, the far outer root of u' = g y^3 + m2 y - eta: the
+    roots of u' sum to 0, so c = -(3 mode + sign(mode) sqrt(9 mode^2 - 4
+    u''(mode)/g))/2.  NaN where u' has one real root."""
+    curv = m2 + 3.0 * g * mode * mode
+    return -0.5 * (3.0 * mode + np.copysign(
+        np.sqrt(9.0 * mode * mode - 4.0 * curv / g), mode))
 
 
 def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
@@ -192,8 +203,7 @@ def _site_rules(model: Phi4Model, mass_shift: float, eta, orders):
             # its lift u(mode + c) - u(mode) subtracts no two large terms
             c = lift = 0.0
             if not lo <= 0.0 <= hi:
-                c = -0.5 * (3.0 * mode + math.copysign(
-                    math.sqrt(9.0 * mode * mode - 4.0 * curv / g), mode))
+                c = _far_well(g, m2, mode)
                 lift = c**3 * eta[i] / (4.0 * mode * (mode + c))
             y = mode + c
             e = np.linspace(lo - c, hi - c, _SITE_NODES)
@@ -347,11 +357,11 @@ def metropolis_moments(model: Phi4Model, mass_shift: float, field,
     and the class step is the sequential update of its sites.  The sites
     are stored class by class, so each class is a contiguous block of rows.
 
-    Where every site mass m2_i = a_ii + nu + mass_shift is positive, each
-    site's conditional action u(y) = m2 y^2/2 + g y^4/4 - b y, with b =
-    eta_i - (off(A) phi)_i, is convex, and a class step is an independence
-    update (``_independence_chains``; Tierney, Ann. Statist. 22 (1994)
-    1701): y = y* + xi/sqrt(kappa), xi standard normal, accepted by the
+    A class step is an independence update (``_independence_chains``;
+    Tierney, Ann. Statist. 22 (1994) 1701) of each site's conditional action
+    u(y) = m2 y^2/2 + g y^4/4 - b y, with m2 = a_ii + nu + mass_shift and b =
+    eta_i - (off(A) phi)_i.  Where u has one well, as it has wherever m2 >
+    0: y = y* + xi/sqrt(kappa), xi standard normal, accepted by the
     Metropolis-Hastings ratio of that Gaussian proposal.  y* is the minimum
     of u (``_site_minimum``) and kappa = sqrt(s^2 + 2g), with s = m2 + g y*^2
     the least secant curvature 2 (u(y) - u(y*))/(y - y*)^2 over all y.  So
@@ -360,16 +370,13 @@ def metropolis_moments(model: Phi4Model, mass_shift: float, field,
     exp(-u)/q never exceeds e^2 times its value at the mode (the supremum
     over 20,000 random m2, g and y*), so no state holds a chain for long.
     Taken from u''(y*) = m2 + 3 g y*^2 instead, kappa leaves the proposal
-    too narrow on the side of a tilted site toward 0, where chains stick.  The chains start at their
-    conditional modes after one class pass from phi = 0, and nothing is
-    tuned.  The default budgets, 128 burn-in and 64 measured sweeps per
-    chain, are sized to it.
-
-    A site with m2 <= 0 has a double-well conditional, of which a one-mode
-    proposal misses a well.  Such a call runs seeded random-walk chains
-    (``_walk_chains``), their proposal scales tuned toward 0.4 acceptance
-    during burn-in, which need the longer budgets ``_shifted_moments``
-    passes.
+    too narrow on the side of a tilted site toward 0, where chains stick.
+    Where u has two wells (m2 <= 0 and |b| small), a one-mode proposal
+    misses one, and y is drawn from a mixture of two Gaussians, one on each
+    well (``_two_well_move``).  The chains start at their conditional modes
+    after one class pass from phi = 0, and nothing is tuned.  The default
+    budgets, 128 burn-in and 64 measured sweeps per chain, are sized to
+    it.
 
     Every measured sweep is kept: the stderr of the covariance entries is a
     jackknife over whole chains, which are independent, and tau (Wolff's
@@ -392,9 +399,8 @@ def metropolis_moments(model: Phi4Model, mass_shift: float, field,
     off = off[np.ix_(order, order)]               # rows and columns by class
     m2 = (np.diag(a) + model.nu + mass_shift)[order]
     bounds = np.cumsum([0] + [len(c) for c in classes])
-    run = _independence_chains if np.all(m2 > 0) else _walk_chains
-    samples, accepted = run(rng, off, eta[order], m2, model.g, bounds,
-                            n_burn, n_meas)
+    samples, accepted = _independence_chains(rng, off, eta[order], m2, model.g,
+                                             bounds, n_burn, n_meas)
     n_kept = n_meas * chains
 
     series = samples.transpose(2, 0, 1)          # (chains, sweeps, sites)
@@ -436,15 +442,17 @@ def metropolis_moments(model: Phi4Model, mass_shift: float, field,
 
 def _independence_chains(rng, off, eta, m2, g, bounds, n_burn, n_meas):
     """(samples, accepted moves per row) of ``metropolis_moments``'s
-    independence update, every m2 > 0, rows by class.  A class step splits
-    its rows where m2 changes, so each part passes ``_site_minimum`` one
-    scalar mass; parts of a class share no coupling, so this is still the
-    sequential update of its sites.  With b = eta - off(A) phi, y* the
-    minimum of u(y) = m2 y^2/2 + g y^4/4 - b y and kappa/2 = sqrt(((m2 +
-    g y*^2)/2)^2 + g/2), the proposal y = y* + z/sqrt(kappa/2) from z ~
-    N(0, 1/2) is accepted when log U < u(x) - u(y) + kappa ((y - y*)^2 -
-    (x - y*)^2)/2 = (x - y) ((x + y)(m2/2 + g (x^2 + y^2)/4) - b - kappa
-    (x + y - 2 y*)/2), U uniform on [0, 1): a NaN ratio is rejected."""
+    independence update, rows by class.  A class step splits its rows where
+    m2 changes, so each part passes ``_site_minimum`` one scalar mass; parts
+    of a class share no coupling, so this is still the sequential update of
+    its sites.  With b = eta - off(A) phi, y* the minimum of u(y) = m2 y^2/2
+    + g y^4/4 - b y and kappa/2 = sqrt(((m2 + g y*^2)/2)^2 + g/2), a part
+    with m2 > 0 proposes y = y* + z/sqrt(kappa/2) from z ~ N(0, 1/2),
+    accepted when log U < u(x) - u(y) + kappa ((y - y*)^2 - (x - y*)^2)/2 =
+    (x - y) ((x + y)(m2/2 + g (x^2 + y^2)/4) - b - kappa (x + y - 2 y*)/2),
+    U uniform on [0, 1): a NaN ratio is rejected.  A part with m2 <= 0
+    takes ``_two_well_move``, whose component choices are drawn only in a
+    call with such a part."""
     n, chains = len(m2), _MCMC_CHAINS
     phi = np.zeros((n, chains))
     cuts = sorted(set(bounds.tolist())
@@ -457,6 +465,7 @@ def _independence_chains(rng, off, eta, m2, g, bounds, n_burn, n_meas):
               eta[rows, None] if eta[rows].any() else None)
              for rows in map(slice, cuts[:-1], cuts[1:])]
     quarter_g, half_g = (np.full((1, chains), c * g) for c in (0.25, 0.5))
+    wells = bool(np.any(m2 <= 0))
 
     def field(neg_off, eta_c):
         b = neg_off @ phi
@@ -473,6 +482,7 @@ def _independence_chains(rng, off, eta, m2, g, bounds, n_burn, n_meas):
         z *= math.sqrt(0.5)
         with np.errstate(divide="ignore"):        # log 0 = -inf accepts
             log_u = np.log(rng.random((sweeps, n, chains)))
+            log_v = np.log(rng.random((sweeps, n, chains))) if wells else None
         take = np.empty((sweeps, n, chains), dtype=bool)
         for s in range(sweeps):
             z_s, log_u_s, take_s = z[s], log_u[s], take[s]
@@ -481,10 +491,15 @@ def _independence_chains(rng, off, eta, m2, g, bounds, n_burn, n_meas):
                 mode = _site_minimum(g, mass, b)
                 half_s = half_mass + half_g * mode * mode   # (m2 + g y*^2)/2
                 half_kappa = np.sqrt(half_s * half_s + half_g)
-                y = mode + z_s[rows] / np.sqrt(half_kappa)
-                both = x + y
-                ratio = (both * (half_mass + quarter_g * (x * x + y * y)) - b
-                         - half_kappa * (both - (mode + mode))) * (x - y)
+                if mass > 0:
+                    y = mode + z_s[rows] / np.sqrt(half_kappa)
+                    both = x + y
+                    ratio = (both * (half_mass + quarter_g * (x * x + y * y))
+                             - b - half_kappa * (both - (mode + mode))
+                             ) * (x - y)
+                else:
+                    y, ratio = _two_well_move(g, mass, b, mode, half_kappa, x,
+                                              z_s[rows], log_v[s, rows])
                 take_c = take_s[rows]
                 np.less(log_u_s[rows], ratio, take_c)
                 np.putmask(x, take_c, y)
@@ -503,76 +518,40 @@ def _independence_chains(rng, off, eta, m2, g, bounds, n_burn, n_meas):
     return samples, accepted
 
 
-def _walk_chains(rng, off, eta, m2, g, bounds, n_burn, n_meas):
-    """(samples, accepted moves per row) of ``metropolis_moments``'s
-    random-walk update, rows by class, for a call with a site of m2 <= 0.
-    Proposal scales are tuned toward 0.4 acceptance, pooled over the
-    chains, during burn-in only.  A proposal old + d with energy change de
-    is accepted when u < exp(-de), u uniform on [0, 1): every downhill move
-    is taken and a NaN change is rejected.  de is built in place in one
-    buffer with its leading factor d replaced by -d, so the buffer holds
-    -de to the bit and exp is taken of it directly."""
-    n, chains = len(m2), _MCMC_CHAINS
-    half_mass = 0.5 * m2
-    quarter_g = 0.25 * g
-    phi = rng.standard_normal((n, chains)) * 0.5    # rows by class
-    scale = np.full(n, 1.0)
-    buffers = np.empty((3, n, chains))
-    # per class: its rows, of phi, of off(A) and of the buffers, with
-    # (a_ii + nu + mass)/2 at full width (an add of equal shapes is the
-    # cheaper call), eta_i as a column, and whether any eta_i is set
-    blocks = [(rows, phi[rows], off[rows], *buffers[:, rows],
-               np.repeat(half_mass[rows, None], chains, axis=1),
-               eta[rows, None], bool(eta[rows].any()))
-              for rows in map(slice, bounds[:-1], bounds[1:])]
+def _two_well_move(g, m2, b, mode, half_kappa, x, z, log_v):
+    """(proposal, log Metropolis-Hastings ratio) of the independence update
+    of sites with mass m2 <= 0 in fields b, from states x, N(0, 1/2) draws
+    z and log uniforms log_v.  Where u(y) = m2 y^2/2 + g y^4/4 - b y has a
+    second well y2 (``_far_well``), the proposal is drawn from a mixture of
+    Gaussians of precision kappa_k = u''(y_k)/2 about y1 = mode and y2,
+    weighted by exp(-u(y_k))/sqrt(kappa_k): from y2 when log_v <
+    -log(1 + exp(u(y2) - u(y1)) sqrt(kappa_2/kappa_1)).  With log q(y) =
+    log(exp(-kappa_1 (y - y1)^2/2) + exp(-(u(y2) - u(y1)) - kappa_2 (y -
+    y2)^2/2)), the ratio is u(x) - u(y) + log q(x) - log q(y).  Where u has
+    one well the far weight is 0 and kappa_1 the secant ``half_kappa``
+    times 2: the update of a part with m2 > 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):   # NaN: one well
+        c = _far_well(g, m2, mode)
+        far = mode + c
+        # u(y2) - u(y1), in ``_site_rules``'s form
+        lift = c * c * c * b / (4.0 * mode * far)
+    half_far = 0.25 * m2 + 0.75 * g * far * far          # u''(y2)/4
+    two = half_far > 0
+    half_near = np.where(two, 0.25 * m2 + 0.75 * g * mode * mode, half_kappa)
+    far = np.where(two, far, mode)
+    half_far = np.where(two, half_far, half_near)
+    lift = np.where(two, lift, np.inf)
+    at_far = log_v < -np.logaddexp(
+        0.0, lift + 0.5 * np.log(half_far / half_near))
+    y = (np.where(at_far, far, mode)
+         + z / np.sqrt(np.where(at_far, half_far, half_near)))
 
-    def advance(sweeps, record=None):
-        """Run ``sweeps`` sweeps of every chain; accepted moves per row."""
-        step = scale[:, None] * rng.standard_normal((sweeps, n, chains))
-        u = rng.random((sweeps, n, chains))
-        back = -step
-        take = np.empty((sweeps, n, chains), dtype=bool)
-        add, mul = np.add, np.multiply     # call overhead is the cost here
-        with np.errstate(over="ignore"):     # exp(-de) = inf accepts
-            for s in range(sweeps):
-                d_s, nd_s, u_s, take_s = step[s], back[s], u[s], take[s]
-                for rows, old, off_c, new, w, tmp, hm, eta_c, tilted in blocks:
-                    d, nd, u_c, take_c = (
-                        d_s[rows], nd_s[rows], u_s[rows], take_s[rows])
-                    # site energy (a_ii + m2) v^2/2 + g v^4/4 + v (other - eta_i);
-                    # w = (-d) (both (hm + g (new^2 + old^2)/4) + other - eta_i)
-                    add(old, d, new)
-                    mul(new, new, w)
-                    mul(old, old, tmp)
-                    add(w, tmp, w)
-                    mul(w, quarter_g, w)
-                    add(w, hm, w)
-                    add(new, old, tmp)
-                    mul(w, tmp, w)
-                    other = off_c @ phi
-                    if tilted:                  # x - 0.0 is x, to the bit
-                        other -= eta_c
-                    add(w, other, w)
-                    mul(w, nd, w)
-                    np.exp(w, w)
-                    np.less(u_c, w, take_c)
-                    np.copyto(old, new, where=take_c)
-                if record is not None:
-                    record[s] = phi
-        return np.count_nonzero(take, axis=(0, 2))
+    def log_q(v):
+        return np.logaddexp(-half_near * (v - mode) ** 2,
+                            -lift - half_far * (v - far) ** 2)
 
-    block = -(-_MCMC_TUNE_TRIALS // chains)
-    for start in range(0, n_burn, block):
-        sweeps = min(block, n_burn - start)
-        rate = advance(sweeps) / (sweeps * chains)
-        scale *= np.exp(rate - _MCMC_TARGET_ACCEPT)
-
-    samples = np.empty((n_meas, n, chains))
-    accepted = np.zeros(n)
-    for start in range(0, n_meas, block):
-        sweeps = min(block, n_meas - start)
-        accepted += advance(sweeps, samples[start:start + sweeps])
-    return samples, accepted
+    ratio = ((x + y) * (0.5 * m2 + 0.25 * g * (x * x + y * y)) - b) * (x - y)
+    return y, ratio + log_q(x) - log_q(y)
 
 
 def _integrated_autocorr(x: np.ndarray) -> float:
@@ -614,14 +593,14 @@ def _shifted_moments(model: Phi4Model, t: float, field, method: str = "auto",
     (which replaces ``model.h``), by quadrature (rings of any length; under
     "auto" n <= 3 sites) or Metropolis from ``seed``, each at its own budget:
     ``metropolis_moments``'s defaults where every site mass a_ii + nu + 1/t
-    is positive, else the random walk's 100,000 burn-in and 60,000
-    measured sweeps."""
+    is positive, else 100,000 burn-in and 60,000 measured sweeps, for the
+    wells of coupled sites flip together."""
     if method == "quadrature" or (
             method == "auto" and model.n_sites <= QUADRATURE_MAX_SITES):
         return lattice_moments(model, 1.0 / t, field)
-    walk = np.any(np.diag(model.a_matrix) + model.nu + 1.0 / t <= 0)
-    budgets = (dict(n_measure_sweeps=_MCMC_WALK_MEASURE,
-                    burnin=_MCMC_WALK_BURNIN) if walk else {})
+    wells = np.any(np.diag(model.a_matrix) + model.nu + 1.0 / t <= 0)
+    budgets = (dict(n_measure_sweeps=_MCMC_WELLS_MEASURE,
+                    burnin=_MCMC_WELLS_BURNIN) if wells else {})
     return metropolis_moments(model, 1.0 / t, field, seed=seed, **budgets)
 
 

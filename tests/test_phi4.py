@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import simpson
 from scipy.signal import lfilter
@@ -286,59 +287,6 @@ def _class_rows(model):
         np.concatenate(classes)
 
 
-def _reference_walk(model, mass_shift, seed, n_measure_sweeps, burnin):
-    """``metropolis_moments``'s random walk at the model's field with the
-    state kept in site order and each colour class updated by one expression
-    per step (no buffers, no row permutation): the chain the in-place class
-    sweep must reproduce to the bit.  Row r of each random draw belongs to
-    the r-th site in class order.  Returns (samples, accepted per site)."""
-    n = model.n_sites
-    eta = model.h
-    rng = np.random.default_rng(seed)
-    chains = phi4._MCMC_CHAINS
-    n_burn, n_meas = burnin // chains, n_measure_sweeps // chains
-    a = model.a_matrix
-    half_mass = 0.5 * (np.diag(a) + model.nu + mass_shift)
-    quarter_g = 0.25 * model.g
-    off, classes, rows, order = _class_rows(model)
-    coupling = off[np.ix_(order, order)]        # summed in class order
-    phi = np.empty((n, chains))
-    phi[order] = rng.standard_normal((n, chains)) * 0.5
-    scale = np.full(n, 1.0)                     # per site
-
-    def advance(sweeps, record=None):
-        step = scale[order, None] * rng.standard_normal((sweeps, n, chains))
-        u = rng.random((sweeps, n, chains))
-        accepted = np.zeros(n)
-        for s in range(sweeps):
-            for sites, r in zip(classes, rows):
-                old = phi[sites]
-                d = step[s, r]
-                new = old + d
-                both = new + old
-                de = d * (both * (half_mass[sites, None]
-                                  + quarter_g * (new * new + old * old))
-                          + (coupling[r] @ phi[order] - eta[sites, None]))
-                take = u[s, r] < np.exp(-np.maximum(de, 0.0))
-                phi[sites] = np.where(take, new, old)
-                accepted[sites] += np.count_nonzero(take, axis=1)
-            if record is not None:
-                record[s] = phi
-        return accepted
-
-    block = -(-phi4._MCMC_TUNE_TRIALS // chains)
-    for start in range(0, n_burn, block):
-        sweeps = min(block, n_burn - start)
-        rate = advance(sweeps) / (sweeps * chains)
-        scale *= np.exp(rate - phi4._MCMC_TARGET_ACCEPT)
-    samples = np.empty((n_meas, n, chains))
-    accepted = np.zeros(n)
-    for start in range(0, n_meas, block):
-        sweeps = min(block, n_meas - start)
-        accepted += advance(sweeps, samples[start:start + sweeps])
-    return samples, accepted
-
-
 def _reference_independence(model, mass_shift, seed, n_measure_sweeps,
                             burnin):
     """``metropolis_moments``'s independence update at the model's field,
@@ -346,9 +294,15 @@ def _reference_independence(model, mass_shift, seed, n_measure_sweeps,
     takes its field b, its mode y* (``_site_minimum``), kappa/2 = sqrt(((m2
     + g y*^2)/2)^2 + g/2) and the proposal y = y* + z/sqrt(kappa/2), z ~
     N(0, 1/2), and keeps y when log U < u(x) - u(y) + kappa ((y - y*)^2 -
-    (x - y*)^2)/2.  The chains start from phi = 0 at their conditional
-    modes, one site at a time.  Row r of each random draw belongs to the
-    r-th site in class order.  Returns (samples, accepted per site)."""
+    (x - y*)^2)/2.  A site with m2 <= 0 whose u has a second well y2 = y* +
+    c (``_far_well``) draws y from the mixture of N(y_k, 2/u''(y_k)), picking
+    y2 when log V < -log(1 + exp(u(y2) - u(y*)) sqrt(u''(y2)/u''(y*))), and
+    keeps it when log U < u(x) - u(y) + log q(x) - log q(y), q the mixture
+    density; where u has one well the far weight is 0 and the near
+    component is the secant one.  The V are drawn only where some m2 <= 0.
+    The chains start from phi = 0 at their conditional modes, one site at a
+    time.  Row r of each random draw belongs to the r-th site in class
+    order.  Returns (samples, accepted per site)."""
     n, g = model.n_sites, model.g
     rng = np.random.default_rng(seed)
     chains = phi4._MCMC_CHAINS
@@ -363,9 +317,36 @@ def _reference_independence(model, mass_shift, seed, n_measure_sweeps,
     for i in order:
         phi[i] = phi4._site_minimum(g, mass[i], field(i))
 
+    def two_wells(m2, b, mode, half_kappa, x, z, log_v):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c = phi4._far_well(g, m2, mode)
+            far = mode + c
+            lift = c * c * c * b / (4.0 * mode * far)
+        half_far = 0.25 * m2 + 0.75 * g * far * far
+        two = half_far > 0
+        half_near = np.where(two, 0.25 * m2 + 0.75 * g * mode * mode,
+                             half_kappa)
+        far = np.where(two, far, mode)
+        half_far = np.where(two, half_far, half_near)
+        lift = np.where(two, lift, np.inf)
+        at_far = log_v < -np.logaddexp(
+            0.0, lift + 0.5 * np.log(half_far / half_near))
+        y = (np.where(at_far, far, mode)
+             + z / np.sqrt(np.where(at_far, half_far, half_near)))
+
+        def log_q(v):
+            return np.logaddexp(-half_near * (v - mode) ** 2,
+                                -lift - half_far * (v - far) ** 2)
+
+        ratio = ((x + y) * (0.5 * m2 + 0.25 * g * (x * x + y * y)) - b
+                 ) * (x - y)
+        return y, ratio + log_q(x) - log_q(y)
+
     def advance(sweeps, record=None):
         z = rng.standard_normal((sweeps, n, chains)) * math.sqrt(0.5)
         log_u = np.log(rng.random((sweeps, n, chains)))
+        if np.any(mass <= 0):
+            log_v = np.log(rng.random((sweeps, n, chains)))
         accepted = np.zeros(n)
         for s in range(sweeps):
             for r, i in enumerate(order):
@@ -373,9 +354,15 @@ def _reference_independence(model, mass_shift, seed, n_measure_sweeps,
                 mode = phi4._site_minimum(g, mass[i], b)
                 curv = 0.5 * mass[i] + 0.5 * g * mode * mode
                 half_kappa = np.sqrt(curv * curv + 0.5 * g)
-                y = mode + z[s, r] / np.sqrt(half_kappa)
-                ratio = ((x + y) * (0.5 * mass[i] + 0.25 * g * (x * x + y * y))
-                         - b - half_kappa * ((x + y) - (mode + mode))) * (x - y)
+                if mass[i] > 0:
+                    y = mode + z[s, r] / np.sqrt(half_kappa)
+                    ratio = ((x + y) * (0.5 * mass[i]
+                                        + 0.25 * g * (x * x + y * y))
+                             - b - half_kappa * ((x + y) - (mode + mode))
+                             ) * (x - y)
+                else:
+                    y, ratio = two_wells(mass[i], b, mode, half_kappa, x,
+                                         z[s, r], log_v[s, r])
                 take = log_u[s, r] < ratio
                 phi[i] = np.where(take, y, x)
                 accepted[i] += np.count_nonzero(take)
@@ -428,18 +415,16 @@ def _reference_estimate(samples, accepted):
     # each class {0, 2} and {1, 3} holds two site masses, so two parts
     (Phi4Model(_ring(4) + np.diag([0.0, 0.3, 0.2, -0.2]), 1.0, -1.0,
                [0.3, 0.0, -0.2, 0.1]), 1.0, (200, 200)),
-    # m2 = -1.5 on every site: the random walk, whose tau here is near 57
+    # m2 = -1.5 on every site: two wells, whose coupled flips put tau near 38
     (Phi4Model(_ring(4), 1.0, -5.0, [0.3, 0.0, -0.2, 0.1]), 1.0, (1280, 320)),
 ], ids=["ring3", "ring4-classes", "ring6-classes", "one-site-field",
-        "ring4-site-masses", "ring4-double-well-walk"])
+        "ring4-site-masses", "ring4-double-wells"])
 def test_in_place_sweep_is_the_reference_chain_to_the_bit(model, mass_shift,
                                                           sweeps):
     burnin, n_measure = (k * phi4._MCMC_CHAINS for k in sweeps)
-    mass = np.diag(model.a_matrix) + model.nu + mass_shift
-    reference = (_reference_independence if np.all(mass > 0)
-                 else _reference_walk)
-    cov, stderr, acceptance, tau = _reference_estimate(*reference(
-        model, mass_shift, seed=17, n_measure_sweeps=n_measure, burnin=burnin))
+    cov, stderr, acceptance, tau = _reference_estimate(
+        *_reference_independence(model, mass_shift, seed=17,
+                                 n_measure_sweeps=n_measure, burnin=burnin))
     est = metropolis_moments(model, mass_shift=mass_shift, field=model.h,
                              seed=17, n_measure_sweeps=n_measure, burnin=burnin)
     assert np.array_equal(est.value, cov)
@@ -458,19 +443,27 @@ def _mcmc_z(model, mass_shift, field, seeds):
     return np.array([(e.value[0, 0] - want) / e.stderr for e in ests]), ests
 
 
-@pytest.mark.parametrize("model, mass_shift, field", [
-    (Phi4Model([[1.0]], 1.0, 0.0, [0.0]), 1.0, [0.0]),
-    (Phi4Model([[1.5]], 1.0, -0.5, [0.7]), 0.8, [0.7]),
+@pytest.mark.parametrize("model, mass_shift, field, seeds, floor", [
+    (Phi4Model([[1.0]], 1.0, 0.0, [0.0]), 1.0, [0.0], 20, 0.8),
+    (Phi4Model([[1.5]], 1.0, -0.5, [0.7]), 0.8, [0.7], 20, 0.8),
     # the dwell site at t = 3: m2 = 1/3
-    (Phi4Model([[1.0]], 1.0, -1.0, [0.0]), 1.0 / 3.0, [0.0]),
-], ids=["one-site", "one-site-field", "dwell-t3"])
+    (Phi4Model([[1.0]], 1.0, -1.0, [0.0]), 1.0 / 3.0, [0.0], 20, 0.8),
+    # double wells, m2 = -3: at +-1.73 under a barrier of 2.25, and tilted
+    (Phi4Model([[1.0]], 1.0, -5.0, [0.0]), 1.0, [0.0], 50, 0.7),
+    (Phi4Model([[1.0]], 1.0, -5.0, [0.3]), 1.0, [0.3], 50, 0.7),
+    # m2 = -20, g = 0.01: wells at +-44.7, 0.16 wide, under a barrier of
+    # 10,000
+    (Phi4Model([[1.0]], 0.01, -22.0, [0.0]), 1.0, [0.0], 50, 0.7),
+], ids=["one-site", "one-site-field", "dwell-t3", "double-well",
+        "double-well-field", "wide-double-well"])
 def test_mcmc_stderr_is_calibrated_against_quadrature(model, mass_shift,
-                                                      field):
-    # over 20 seeds the z scores of a calibrated stderr have rms near 1: a
-    # stderr that is too small or too large by a third shows
-    z, ests = _mcmc_z(model, mass_shift, field, range(20))
+                                                      field, seeds, floor):
+    # over n seeds the rms z of a calibrated stderr is near 1, give or take
+    # 1/sqrt(2n): a stderr that is too small or too large by a third shows.
+    # 20 seeds make that window 1.9 of those widths, 50 make it 3
+    z, ests = _mcmc_z(model, mass_shift, field, range(seeds))
     assert 0.7 <= math.sqrt(np.mean(z * z)) <= 1.3
-    assert all(e.acceptance > 0.8 for e in ests)
+    assert all(e.acceptance > floor for e in ests)
 
 
 def test_mcmc_chi_on_convex_lattices_is_within_three_stderr():
@@ -492,19 +485,40 @@ def test_mcmc_chi_on_convex_lattices_is_within_three_stderr():
         assert np.all(np.abs(z) <= 3.0)
 
 
-def test_double_well_mcmc_takes_the_walk_budgets():
-    # m2 = -3: the random walk, whose tau near 11 needs 20 tau = 220 burn-in
-    # sweeps per chain, more than the 128 of the default budgets
+def test_double_well_site_converges_at_the_default_budgets():
+    # m2 = -3: one proposal component on each well flips the site between
+    # them, so tau stays near 2 and 128 burn-in sweeps per chain are 20 tau
     m = Phi4Model([[1.0]], 1.0, -5.0, [0.0])
+    want = susceptibility(m, 1.0).value
     mc = susceptibility(m, 1.0, method="mcmc", seed=4)
     assert mc.converged and mc.n_samples >= 1000
-    assert abs(mc.value - susceptibility(m, 1.0).value) <= 3.0 * mc.stderr
-    with pytest.raises(NonConvergenceError, match="burn-in"):
-        metropolis_moments(m, 1.0, [0.0], seed=4)
+    assert abs(mc.value - want) <= 3.0 * mc.stderr
+    est = _chi_of(metropolis_moments(m, 1.0, [0.0], seed=4))
+    assert est.tau <= 3.0
+    assert abs(est.value - want) <= 3.0 * est.stderr
+
+
+@pytest.mark.parametrize("nu", [-4.0, -3.8])
+def test_coupled_double_wells_converge_at_their_budgets(nu):
+    # m2 = -0.5 and -0.3 on a 4-ring: neighbouring wells flip together, tau
+    # near 15, inside the 390 burn-in sweeps per chain of such a call
+    m = Phi4Model(_ring(4), 1.0, nu, np.zeros(4))
+    want = susceptibility(m, 1.0, method="quadrature").value
+    for seed in range(4):
+        mc = susceptibility(m, 1.0, method="mcmc", seed=seed)
+        assert mc.converged
+        assert abs(mc.value - want) <= 3.0 * mc.stderr
+
+
+def test_deep_coupled_double_wells_still_raise():
+    # m2 = -1.5: tau near 35 asks for 700 burn-in sweeps per chain
+    m = Phi4Model(_ring(4), 1.0, -5.0, np.zeros(4))
+    with pytest.raises(NonConvergenceError):
+        susceptibility(m, 1.0, method="mcmc", seed=0)
 
 
 @pytest.mark.parametrize("g", [0.0, 1e-6, 1.0, 1e4])
-@pytest.mark.parametrize("m2", [1e-3, 1.0, 100.0])
+@pytest.mark.parametrize("m2", [1e-3, 1.0, 100.0, -3.0, -20.0])
 def test_site_minimum_of_an_array_is_the_scalar_one_to_the_bit(g, m2):
     eta = np.array([0.0, 1e-4, -1e-4, 0.3, -0.3, 1e3, -1e3])
     scalar = [phi4._site_minimum(g, m2, e) for e in eta]
@@ -512,6 +526,38 @@ def test_site_minimum_of_an_array_is_the_scalar_one_to_the_bit(g, m2):
     # as the sampler passes it: sites by chains
     grid = np.tile(eta, (2, 3))
     assert np.array_equal(phi4._site_minimum(g, m2, grid), np.tile(scalar, (2, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-3.0, 3.0), st.floats(-50.0, -1e-3), st.floats(-3.0, 3.0))
+def test_site_wells_are_local_minima_of_the_site_action(log_g, m2, frac):
+    # b = frac * b_c, where b_c = 2 g (-m2/(3g))^(3/2) parts one real root
+    # of u' = g y^3 + m2 y - b from three; near |frac| = 1 the far well is
+    # an inflection, where the sign of u'' is round-off
+    assume(abs(abs(frac) - 1.0) > 0.01)
+    g = 10.0 ** log_g
+    b = frac * 2.0 * g * (-m2 / (3.0 * g)) ** 1.5
+
+    def u(y):
+        return 0.5 * m2 * y * y + 0.25 * g * y**4 - b * y
+
+    def assert_minimum(y):
+        slope = g * y**3 + m2 * y - b
+        assert abs(slope) <= 1e-9 * (g * abs(y) ** 3 + abs(m2 * y) + abs(b))
+        assert m2 + 3.0 * g * y * y > 0
+
+    y1 = phi4._site_minimum(g, m2, b)
+    assert_minimum(y1)
+    with np.errstate(invalid="ignore"):
+        c = phi4._far_well(g, m2, y1)
+    if abs(frac) > 1.0:
+        assert math.isnan(c)
+        return
+    y2 = y1 + c
+    assert_minimum(y2)
+    scale = max(0.25 * g * y**4 + 0.5 * abs(m2) * y * y + abs(b * y)
+                for y in (y1, y2))
+    assert u(y1) <= u(y2) + 1e-12 * scale
 
 
 def test_tilted_covariance_gaussian_is_schedule_covariance():
